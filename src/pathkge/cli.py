@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from pathkge.kgdata import (
     relation_train_counts,
     write_vocab_dumps,
 )
-from pathkge.models import ModelError, ModelParams, compose_path
+from pathkge.models import ModelError, ModelParams, compose_paths, relation_rows
 from pathkge.paths import (
     DEFAULT_PAIR_CAP,
     DEFAULT_RELIABILITY_FLOOR,
@@ -299,12 +300,18 @@ def _run_dir(args: argparse.Namespace, verb: str, seed: int) -> Path:
     return Path("runs") / f"{verb}-{stamp}-seed{seed}"
 
 
-def _load_table(path: str, n_entities: int) -> PathTable:
+def _load_table(path: str, g: KnowledgeGraph) -> PathTable:
     table = PathTable.load(path)
-    if table.n_entities != n_entities:
+    if table.n_entities != g.n_entities:
         raise PathError(
             f"path table covers {table.n_entities} entities but the dataset "
-            f"has {n_entities}"
+            f"has {g.n_entities}"
+        )
+    path_rels = np.fromiter(chain.from_iterable(table.path_rels), dtype=np.int64)
+    rels = np.concatenate((path_rels, table.relat_rel))
+    if ((rels < 0) | (rels >= g.n_relations)).any():
+        raise PathError(
+            f"path table uses relation ids outside 0..{g.n_relations - 1} of the dataset"
         )
     return table
 
@@ -412,7 +419,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
         if not Path(args.table).is_file():
             raise TrainError(f"path table not found: {args.table}")
-        table = _load_table(args.table, g.n_entities)
+        table = _load_table(args.table, g)
     init = None
     if args.init:
         if not Path(args.init).is_file():
@@ -441,7 +448,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.table:
         if not Path(args.table).is_file():
             raise EvalError(f"path table not found: {args.table}")
-        table = _load_table(args.table, g.n_entities)
+        table = _load_table(args.table, g)
     else:
         table = PathTable.empty(g.n_entities)
     protocol = "raw" if args.protocol == "raw" else "filter"
@@ -507,6 +514,13 @@ def cmd_synth_kg(args: argparse.Namespace) -> int:
     return 0
 
 
+def _path_gaps(params: ModelParams, table: PathTable, pids: np.ndarray, r: int) -> np.ndarray:
+    """L2 distance between each path's embedding and relation r."""
+    rel = relation_rows(params)
+    gap = compose_paths(rel, table.path_pad[pids]) - rel[r]
+    return np.sqrt(np.square(gap).sum(axis=1))
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if not Path(args.model).is_file():
@@ -538,7 +552,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     table = None
     if args.table:
-        table = _load_table(args.table, g.n_entities)
+        table = _load_table(args.table, g)
 
     def _path_names(rels: tuple[int, ...]) -> str:
         return ",".join(g.vocab.relation_names[r] for r in rels)
@@ -558,18 +572,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         r = rel_id.get(args.relation) if args.relation else None
         if args.relation and r is None:
             raise DatasetError(f"unknown relation {args.relation!r}")
-        for pid, v in zip(ids.tolist(), flows.tolist()):
-            rels = table.path_rels[pid]
-            line = f"  {_path_names(rels)}  v={v:.6f}"
+        if r is not None:
+            related = table.relatedness(r, ids).tolist()
+            gaps = _path_gaps(params, table, ids, r).tolist()
+        for j, (pid, v) in enumerate(zip(ids.tolist(), flows.tolist())):
+            line = f"  {_path_names(table.path_rels[pid])}  v={v:.6f}"
             if r is not None:
-                rel = table.relatedness(r, pid)
-                p = compose_path(params, rels)
-                gap = float(
-                    np.sqrt(
-                        np.square(p - params.relation_emb[r].astype(np.float64)).sum()
-                    )
-                )
-                line += f"  P(r|p)={rel:.6f}  R={rel * v:.6f}  |p-r|={gap:.6f}"
+                line += f"  P(r|p)={related[j]:.6f}  R={related[j] * v:.6f}  |p-r|={gaps[j]:.6f}"
             print(line)
         did_something = True
     elif args.relation is not None:
@@ -578,19 +587,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if args.relation not in rel_id:
             raise DatasetError(f"unknown relation {args.relation!r}")
         r = rel_id[args.relation]
-        rows = []
-        for pid, rels in enumerate(table.path_rels):
-            relatedness = table.relatedness(r, pid)
-            if relatedness <= 0.0:
-                continue
-            p = compose_path(params, rels)
-            gap = float(
-                np.sqrt(
-                    np.square(p - params.relation_emb[r].astype(np.float64)).sum()
-                )
-            )
-            rows.append((relatedness, gap, rels))
-        rows.sort(key=lambda row: (-row[0], row[2]))
+        related = table.relatedness(r, np.arange(table.n_paths))
+        pids = np.flatnonzero(related > 0.0)
+        rows = sorted(
+            zip(
+                related[pids].tolist(),
+                _path_gaps(params, table, pids, r).tolist(),
+                [table.path_rels[pid] for pid in pids.tolist()],
+            ),
+            key=lambda row: (-row[0], row[2]),
+        )
         print(f"paths related to {args.relation}: {len(rows)}")
         for relatedness, gap, rels in rows[: args.top]:
             print(f"  {_path_names(rels)}  P(r|p)={relatedness:.6f}  |p-r|={gap:.6f}")

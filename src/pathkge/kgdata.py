@@ -98,7 +98,7 @@ class KnowledgeGraph:
         self.test = test
         self.n_relations_orig = n_relations_orig
         self.augmented = augmented
-        self._pair_index = None
+        self._pair_keys = None
         self._build_indexes()
 
     # -- construction -------------------------------------------------
@@ -299,40 +299,15 @@ class KnowledgeGraph:
 
     # -- train-pair index (built on demand for path mining) ------------
 
-    def _build_pair_index(self) -> None:
-        train = self.train
-        n_ent = self.n_entities
-        keys = train[:, 0].astype(np.int64) * n_ent + train[:, 2]
-        order = np.lexsort((train[:, 1], keys))
-        keys = keys[order]
-        rels = train[order, 1]
-        group = np.ones(len(keys), dtype=bool)
-        if len(keys):
-            group[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(group)
-        self._pair_index = (
-            keys[starts],
-            np.concatenate((starts, [len(keys)])).astype(np.int64),
-            np.ascontiguousarray(rels),
-        )
-
     def train_pairs(self) -> np.ndarray:
         """Sorted unique (h, t) keys (h * n_entities + t) over train facts."""
-        if self._pair_index is None:
-            self._build_pair_index()
-        return self._pair_index[0]
-
-    def pair_relations(self, h: int, t: int) -> np.ndarray:
-        """Distinct train relations linking (h, t), sorted ascending."""
-        if self._pair_index is None:
-            self._build_pair_index()
-        keys, offsets, rels = self._pair_index
-        key = np.int64(h) * self.n_entities + t
-        i = np.searchsorted(keys, key)
-        if i == len(keys) or keys[i] != key:
-            return np.zeros(0, dtype=np.int32)
-        span = rels[offsets[i] : offsets[i + 1]]
-        return np.unique(span)
+        if self._pair_keys is None:
+            # A sort and one pass: np.unique hashes first, which is slower here.
+            keys = np.sort(self.train[:, 0].astype(np.int64) * self.n_entities + self.train[:, 2])
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            self._pair_keys = keys[first]
+        return self._pair_keys
 
 
 # -- file ingestion -----------------------------------------------------

@@ -11,11 +11,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
-from pathkge.paths import PathTable, RelPath
+from pathkge.paths import PathTable, RelPath, expand_spans
 
 Norm = Literal["L1", "L2"]
 
@@ -208,14 +208,34 @@ def transe_energy_and_grads(params: ModelParams, h: int, r: int, t: int, norm: N
     return e, g, -g, g
 
 
+def relation_rows(params: ModelParams) -> np.ndarray:
+    """Relation embeddings in float64 plus a last row of -0.0, which the -1
+    padding of a path selects: adding -0.0 leaves every float unchanged."""
+    out = np.empty((params.n_relations + 1, params.dim_relation))
+    out[:-1] = params.relation_emb
+    out[-1] = -0.0
+    return out
+
+
+def compose_paths(rel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Path embeddings of the rows of relation ids (-1 padded), each the sum
+    of its rows of ``rel`` (from ``relation_rows``) in path order."""
+    out = rel[rows[:, 0]]
+    for col in rows.T[1:]:
+        out += rel[col]
+    return out
+
+
+def _row_dots(q: np.ndarray) -> np.ndarray:
+    """``q[i] @ q[i]`` per row, by the same dot-product routine."""
+    return np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
+
+
 def compose_path(params: ModelParams, p: RelPath) -> np.ndarray:
     """Path embedding: the sum of its relation embeddings (float64)."""
     if len(p) == 0:
         raise ModelError("path must contain at least one relation")
-    vec = params.relation_emb[p[0]].astype(np.float64).copy()
-    for r in p[1:]:
-        vec += params.relation_emb[r].astype(np.float64)
-    return vec
+    return compose_paths(relation_rows(params), np.asarray([p]))[0]
 
 
 def path_energy(params: ModelParams, p: RelPath, r: int, reliability: float) -> float:
@@ -226,45 +246,70 @@ def path_energy(params: ModelParams, p: RelPath, r: int, reliability: float) -> 
     return float(reliability * (q @ q))
 
 
-def path_energy_and_grads(params: ModelParams, p: RelPath, r: int, reliability: float):
-    """Energy plus gradients w.r.t. the path sum and the relation vector."""
-    q = compose_path(params, p) - params.relation_emb[r].astype(np.float64)
+def gap_energy_and_grads(q: np.ndarray, reliability: float):
+    """Energy ``reliability * |q|^2`` of a path-minus-relation gap q, plus
+    its gradients w.r.t. the path sum and the relation vector."""
     gp = 2.0 * reliability * q
     return float(reliability * (q @ q)), gp, -gp
 
 
-def path_score_term(params: ModelParams, table: PathTable, h: int, r: int, t: int) -> float:
-    """Normalized path penalty of (h, r, t): mean reliability-weighted
-    squared path-relation distance over the pair's stored paths.
+def path_energy_and_grads(params: ModelParams, p: RelPath, r: int, reliability: float):
+    """Energy plus gradients w.r.t. the path sum and the relation vector."""
+    q = compose_path(params, p) - params.relation_emb[r].astype(np.float64)
+    return gap_energy_and_grads(q, reliability)
 
-    The single-relation path equal to r itself is skipped, and a zero
-    total reliability contributes nothing.
+
+class PathEvidence(NamedTuple):
+    """The stored path entries behind a batch of (h, r, t), in batch order,
+    then table order.
+
+    A single-relation path equal to the triple's own relation is left out.
+    Entries whose path never co-occurred with r stay, with reliability 0.
     """
-    ids, vs = table.paths_for(h, t)
-    if len(ids) == 0:
-        return 0.0
-    num = 0.0
-    z = 0.0
-    rv = params.relation_emb[r].astype(np.float64)
-    for pid, v in zip(ids.tolist(), vs.tolist()):
-        rels = table.path_rels[pid]
-        if len(rels) == 1 and rels[0] == r:
-            continue
-        rel = table.relatedness(r, pid)
-        if rel == 0.0:
-            continue
-        reliability = rel * v
-        q = compose_path(params, rels) - rv
-        num += reliability * float(q @ q)
-        z += reliability
-    if z == 0.0:
-        return 0.0
-    return num / z
+
+    triple: np.ndarray       # int64 batch index of each entry
+    path: np.ndarray         # int64 path id
+    flow: np.ndarray         # f64 v(p | h, t)
+    reliability: np.ndarray  # f64 P(r | p) * v
+    z: np.ndarray            # f64 per triple, its reliabilities added in entry order
+
+
+def path_evidence(table: PathTable, h, r, t) -> PathEvidence:
+    """Every stored path of each (h, r, t) with its reliability P(r|p) * v."""
+    h, r, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (h, r, t)))
+    triple, entry = expand_spans(*table.pair_spans(h, t))
+    path = table.entry_path[entry].astype(np.int64)
+    rows = table.path_pad[path]
+    other = (rows[:, 0] != r[triple]) | (rows[:, 1] >= 0)
+    triple, entry, path = triple[other], entry[other], path[other]
+    flow = table.entry_v[entry]
+    reliability = table.relatedness(r[triple], path) * flow
+    z = np.bincount(triple, weights=reliability, minlength=len(r))
+    return PathEvidence(triple, path, flow, reliability, z)
+
+
+def path_score_terms(params: ModelParams, table: PathTable, h, r, t) -> np.ndarray:
+    """Normalized path penalty of each (h, r, t): the reliability-weighted
+    mean squared distance between its stored paths and r.
+
+    A triple whose pair stores no path, or whose total reliability is 0,
+    gets 0.
+    """
+    ev = path_evidence(table, h, r, t)
+    live = ev.reliability > 0.0
+    triple = ev.triple[live]
+    rel = relation_rows(params)
+    r = np.broadcast_to(np.asarray(r, dtype=np.int64), ev.z.shape)
+    q = compose_paths(rel, table.path_pad[ev.path[live]]) - rel[r[triple]]
+    num = np.bincount(triple, weights=ev.reliability[live] * _row_dots(q), minlength=len(r))
+    out = np.zeros(len(r))
+    np.divide(num, ev.z, out=out, where=ev.z != 0.0)
+    return out
 
 
 def score_ptransr(params: ModelParams, table: PathTable, h: int, r: int, t: int) -> float:
     """Projected-translation score plus the normalized path penalty."""
-    return score_transr(params, h, r, t) + path_score_term(params, table, h, r, t)
+    return score_transr(params, h, r, t) + float(path_score_terms(params, table, h, r, t)[0])
 
 
 # -- constraints -----------------------------------------------------------

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from pathkge.kgdata import DatasetError, KnowledgeGraph
+from pathkge.kgdata import KnowledgeGraph
 
 RelPath = tuple[int, ...]
 
@@ -27,6 +28,11 @@ MAGIC = b"PTBL"
 FORMAT_VERSION = 1
 DEFAULT_RELIABILITY_FLOOR = 0.01
 DEFAULT_PAIR_CAP = 200
+
+# Relation ids are int32, so path id * 2**32 + relation is unique per
+# (path, relation) and sorts like the relat_* arrays.
+_RELAT_STRIDE = np.int64(1) << 32
+_SENTINEL = np.iinfo(np.int64).max
 
 
 class PathError(ValueError):
@@ -85,6 +91,14 @@ def pcra_resource(g: KnowledgeGraph, h: int, p: RelPath, t: int) -> float:
     return resource[t]
 
 
+def expand_spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the index ranges [lo, hi): each index and the range it is in."""
+    sizes = hi - lo
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    return owner, index
+
+
 @dataclass
 class PathTable:
     """Per-pair reliable paths plus the global path statistics.
@@ -141,24 +155,47 @@ class PathTable:
 
     def paths_for(self, h: int, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Stored (path id, flow) entries for the pair (h, t)."""
-        key = np.int64(h) * self.n_entities + t
-        i = np.searchsorted(self.pair_keys, key)
-        if i == len(self.pair_keys) or self.pair_keys[i] != key:
-            return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float64)
-        lo, hi = self.pair_offsets[i], self.pair_offsets[i + 1]
-        return self.entry_path[lo:hi], self.entry_v[lo:hi]
+        lo, hi = self.pair_spans(h, t)
+        return self.entry_path[int(lo):int(hi)], self.entry_v[int(lo):int(hi)]
 
-    def relatedness(self, r: int, path_id: int) -> float:
-        """P(direct relation r | path), 0.0 when the pair never co-occurred."""
-        lo, hi = self.relat_offsets[path_id], self.relat_offsets[path_id + 1]
-        rels = self.relat_rel[lo:hi]
-        i = np.searchsorted(rels, r)
-        if i < len(rels) and rels[i] == r:
-            return float(self.relat_val[lo + i])
-        return 0.0
+    def pair_spans(self, h, t) -> tuple[np.ndarray, np.ndarray]:
+        """Entry ranges [lo, hi) of the pairs (h, t), empty where not stored."""
+        keys = self._pair_keys_ended
+        key = np.asarray(h, dtype=np.int64) * self.n_entities + np.asarray(t, dtype=np.int64)
+        i = np.searchsorted(keys, key)
+        return self.pair_offsets[i], self.pair_offsets[i + (keys[i] == key)]
 
-    def reliability(self, path_id: int, r: int, v: float) -> float:
-        return self.relatedness(r, path_id) * v
+    def relatedness(self, r, path_id) -> np.ndarray:
+        """P(direct relation r | path) per (r, path id), 0.0 where the two
+        never co-occurred."""
+        keys, vals = self._relat_index
+        key = np.asarray(path_id, dtype=np.int64) * _RELAT_STRIDE + np.asarray(r, dtype=np.int64)
+        i = np.searchsorted(keys, key)
+        return np.where(keys[i] == key, vals[i], 0.0)
+
+    # The key arrays the lookups search end in a sentinel past every real
+    # key, so the found index is always in range.
+
+    @cached_property
+    def _pair_keys_ended(self) -> np.ndarray:
+        return np.append(self.pair_keys, _SENTINEL)
+
+    @cached_property
+    def _relat_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flattened ``path id * stride + relation`` keys of relat_val, sorted
+        because relations are sorted within each path; the sentinel's value
+        is 0."""
+        pids = np.repeat(np.arange(self.n_paths, dtype=np.int64), np.diff(self.relat_offsets))
+        keys = np.append(pids * _RELAT_STRIDE + self.relat_rel, _SENTINEL)
+        return keys, np.append(self.relat_val, 0.0)
+
+    @cached_property
+    def path_pad(self) -> np.ndarray:
+        """Relation ids of every path, one int64 row each, -1 padded: an
+        (n_paths, 2) array, in which -1 marks a 1-hop path."""
+        width = max(2, max(map(len, self.path_rels), default=0))
+        padded = [rels + (-1,) * (width - len(rels)) for rels in self.path_rels]
+        return np.array(padded, dtype=np.int64).reshape(-1, width)
 
     def pair_items(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """Yield (h, t, path ids, flows) per stored pair in key order."""
@@ -254,67 +291,74 @@ class PathTable:
 # -- construction --------------------------------------------------------
 
 
-def _collect_head(g: KnowledgeGraph, h: int, cap: int) -> list[tuple[int, list[tuple[RelPath, float]]]]:
-    """Per-tail capped (path, flow) lists for all train pairs headed at h."""
+def _firsts(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a sorted array."""
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return first
+
+
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; np.unique hashes first, which is slower here."""
+    key = np.sort(key)
+    return key[_firsts(key)]
+
+
+def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``val`` over equal keys after a stable sort, so each sum adds in
+    input order: (distinct keys, sums, the run of every input row)."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = _firsts(key)
+    starts = np.flatnonzero(first)
+    run = np.empty(len(key), dtype=np.int64)
+    run[order] = np.cumsum(first) - 1
+    sums = np.add.reduceat(val[order], starts) if len(starts) else np.zeros(0)
+    return key[starts], sums, run
+
+
+def _collect_head(g: KnowledgeGraph, h: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Capped (tail, path code, flow) entries of all train pairs headed at h,
+    sorted by tail, then path.
+
+    Path (r1,) has code r1 * (n_rel + 1) and (r1, r2) has code
+    r1 * (n_rel + 1) + r2 + 1, so codes sort like the relation tuples.
+    """
     n_ent = g.n_entities
     n_rel = g.n_relations
     pair_keys = g.train_pairs()
     lo = np.searchsorted(pair_keys, np.int64(h) * n_ent)
     hi = np.searchsorted(pair_keys, np.int64(h + 1) * n_ent)
-    tails = (pair_keys[lo:hi] % n_ent).astype(np.int64)
-    if len(tails) == 0:
-        return []
-    tail_set = set(tails.tolist())
-
-    per_tail: dict[int, list[tuple[RelPath, float]]] = {int(t): [] for t in tails}
+    is_tail = np.zeros(n_ent, dtype=bool)
+    is_tail[pair_keys[lo:hi] % n_ent] = True
 
     rels1, dsts1, w1 = g.unique_out_edges(h)
-    for r1, e, w in zip(rels1.tolist(), dsts1.tolist(), w1.tolist()):
-        if e in tail_set:
-            per_tail[e].append(((r1,), w))
+    rels1 = rels1.astype(np.int64)
+    one = is_tail[dsts1]
 
-    if len(rels1):
-        # Expand every two-hop walk at once, then sum flows per
-        # (r1, r2, target) with a stable sort so summation order is fixed.
-        uoff, urel, udst, ushare = g.unique_adjacency()
-        spans = [np.arange(uoff[e], uoff[e + 1]) for e in dsts1.tolist()]
-        sizes = np.array([len(s) for s in spans], dtype=np.int64)
-        if sizes.sum() > 0:
-            cat = np.concatenate([s for s in spans if len(s)])
-            r1k = np.repeat(rels1.astype(np.int64), sizes)
-            wk = np.repeat(w1, sizes)
-            r2k = urel[cat].astype(np.int64)
-            t2 = udst[cat].astype(np.int64)
-            val = wk * ushare[cat]
-            keep = np.isin(t2, tails)
-            if keep.any():
-                r1k, r2k, t2, val = r1k[keep], r2k[keep], t2[keep], val[keep]
-                key = (r1k * n_rel + r2k) * n_ent + t2
-                order = np.argsort(key, kind="stable")
-                key, val = key[order], val[order]
-                firsts = np.ones(len(key), dtype=bool)
-                firsts[1:] = key[1:] != key[:-1]
-                starts = np.flatnonzero(firsts)
-                sums = np.add.reduceat(val, starts)
-                ukey = key[starts]
-                for k, v in zip(ukey.tolist(), sums.tolist()):
-                    t = k % n_ent
-                    r2 = (k // n_ent) % n_rel
-                    r1 = k // (n_ent * n_rel)
-                    per_tail[t].append(((r1, r2), v))
+    # Expand every two-hop walk at once, then sum flows per
+    # (r1, r2, target) with a stable sort so summation order is fixed.
+    uoff, urel, udst, ushare = g.unique_adjacency()
+    walk, edge = expand_spans(uoff[dsts1], uoff[dsts1 + 1])
+    t2 = udst[edge].astype(np.int64)
+    two = is_tail[t2]
+    walk, edge, t2 = walk[two], edge[two], t2[two]
+    key, flow, _ = _sum_runs(
+        (rels1[walk] * n_rel + urel[edge]) * n_ent + t2, w1[walk] * ushare[edge]
+    )
+    r1, r2 = np.divmod(key // n_ent, n_rel)
 
-    out = []
-    for t in sorted(per_tail):
-        entries = per_tail[t]
-        if not entries:
-            continue
-        if len(entries) > cap:
-            # Memory guard: keep the strongest flows; break flow ties by
-            # path order so the selection is deterministic.
-            entries = sorted(entries, key=lambda pv: (-pv[1], pv[0]))[:cap]
-        entries.sort(key=lambda pv: pv[0])
-        out.append((t, entries))
-    return out
+    t = np.concatenate((dsts1[one].astype(np.int64), key % n_ent))
+    code = np.concatenate((rels1[one] * (n_rel + 1), r1 * (n_rel + 1) + r2 + 1))
+    v = np.concatenate((w1[one], flow))
+    # Memory guard: keep each pair's ``cap`` strongest flows; break flow
+    # ties by path order so the selection is deterministic.
+    order = np.lexsort((code, -v, t))
+    t, code, v = t[order], code[order], v[order]
+    keep = np.arange(len(t)) - np.searchsorted(t, t) < cap
+    t, code, v = t[keep], code[keep], v[keep]
+    order = np.lexsort((code, t))
+    return t[order], code[order], v[order]
 
 
 _BUILD_GRAPH: KnowledgeGraph | None = None
@@ -350,8 +394,9 @@ def build_path_table(
     if cap < 1:
         raise PathError(f"pair cap must be >= 1, got {cap}")
 
-    pair_keys_all = g.train_pairs()
-    heads = np.unique(pair_keys_all // g.n_entities).tolist()
+    n_ent, n_rel = g.n_entities, g.n_relations
+    heads = g.train_pairs() // n_ent
+    heads = heads[_firsts(heads)]
 
     if workers > 1:
         global _BUILD_GRAPH, _BUILD_CAP
@@ -359,147 +404,85 @@ def build_path_table(
         try:
             ctx = get_context("fork")
             with ctx.Pool(workers) as pool:
-                per_head = pool.map(_collect_head_worker, heads, chunksize=64)
+                per_head = pool.map(_collect_head_worker, heads.tolist(), chunksize=64)
         finally:
             _BUILD_GRAPH, _BUILD_CAP = None, 0
     else:
-        per_head = [_collect_head(g, h, cap) for h in heads]
+        per_head = [_collect_head(g, h, cap) for h in heads.tolist()]
 
-    # Assign provisional path ids in encounter order; remapped to
-    # lexicographic order after filtering.
-    path_ids: dict[RelPath, int] = {}
-    pair_key_list: list[int] = []
-    pair_sizes: list[int] = []
-    entry_path: list[int] = []
-    entry_v: list[float] = []
-    stat_path: list[int] = []
-    stat_rel: list[int] = []
-    stat_val: list[float] = []
+    # Mined entries in (h, t, path) order, with their pairs and path ids;
+    # path ids count the distinct paths in lexicographic order.
+    tails, codes, flows = (
+        np.concatenate([part[i] for part in per_head] + [np.zeros(0, dtype)])
+        for i, dtype in enumerate((np.int64, np.int64, np.float64))
+    )
+    key = np.repeat(heads, [len(part[0]) for part in per_head]) * n_ent + tails
+    first = _firsts(key)
+    pair_of = np.cumsum(first) - 1
+    path_codes, pid = np.unique(codes, return_inverse=True)
 
-    for h, groups in zip(heads, per_head):
-        for t, entries in groups:
-            rels_here = g.pair_relations(h, t).tolist()
-            pair_key_list.append(h * g.n_entities + t)
-            pair_sizes.append(len(entries))
-            for rels, v in entries:
-                pid = path_ids.setdefault(rels, len(path_ids))
-                entry_path.append(pid)
-                entry_v.append(v)
-                for r in rels_here:
-                    if len(rels) == 1 and rels[0] == r:
-                        continue  # a relation is not evidence for itself
-                    stat_path.append(pid)
-                    stat_rel.append(r)
-                    stat_val.append(v)
+    # Join every entry with the distinct train relations linking its pair;
+    # a single-relation path is not evidence for its own relation.
+    train = g.train.astype(np.int64)
+    linked = _distinct((train[:, 0] * n_ent + train[:, 2]) * n_rel + train[:, 1])
+    row_entry, row = expand_spans(
+        np.searchsorted(linked, key * n_rel), np.searchsorted(linked, (key + 1) * n_rel)
+    )
+    row_rel = linked[row] % n_rel
+    evidence = codes[row_entry] != row_rel * (n_rel + 1)
+    row_entry, row_rel = row_entry[evidence], row_rel[evidence]
 
-    n_prov = len(path_ids)
-    id_to_path: list[RelPath] = [()] * n_prov
-    for rels, pid in path_ids.items():
-        id_to_path[pid] = rels
-    support = np.zeros(n_prov, dtype=np.float64)
-    joint: dict[tuple[int, int], float] = {}
-    if stat_path:
-        sp = np.asarray(stat_path, dtype=np.int64)
-        sr = np.asarray(stat_rel, dtype=np.int64)
-        sv = np.asarray(stat_val, dtype=np.float64)
-        key = sp * g.n_relations + sr
-        order = np.argsort(key, kind="stable")
-        key, sv = key[order], sv[order]
-        firsts = np.ones(len(key), dtype=bool)
-        firsts[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(firsts)
-        sums = np.add.reduceat(sv, starts)
-        for k, v in zip(key[starts].tolist(), sums.tolist()):
-            pid, r = divmod(k, g.n_relations)
-            joint[(pid, r)] = v
-            support[pid] += v
+    # P(r | p) = joint flow of (p, r) / total linked flow of p.
+    joint_key, joint, row_joint = _sum_runs(pid[row_entry] * n_rel + row_rel, flows[row_entry])
+    joint_pid, joint_rel = np.divmod(joint_key, n_rel)
+    support = np.bincount(joint_pid, weights=joint, minlength=len(path_codes))
+    relat = np.zeros(len(joint))
+    np.divide(joint, support[joint_pid], out=relat, where=support[joint_pid] > 0.0)
 
-    def relatedness_of(pid: int, r: int) -> float:
-        num = joint.get((pid, r))
-        if num is None or support[pid] == 0.0:
-            return 0.0
-        return num / support[pid]
+    # Reliability filter: an entry stays if some linking relation makes it
+    # reliable enough.
+    best = np.zeros(len(key))
+    np.maximum.at(best, row_entry, relat[row_joint] * flows[row_entry])
+    keep = best >= reliability_floor
 
-    # Reliability filter over stored entries.
-    pair_offsets_prov = np.concatenate(([0], np.cumsum(pair_sizes))).astype(np.int64)
-    keep = np.ones(len(entry_path), dtype=bool)
-    if reliability_floor > 0.0:
-        for i, pkey in enumerate(pair_key_list):
-            h, t = divmod(pkey, g.n_entities)
-            rels_here = g.pair_relations(h, t).tolist()
-            for j in range(pair_offsets_prov[i], pair_offsets_prov[i + 1]):
-                pid = entry_path[j]
-                rels = id_to_path[pid]
-                best = 0.0
-                for r in rels_here:
-                    if len(rels) == 1 and rels[0] == r:
-                        continue
-                    rel = relatedness_of(pid, r)
-                    if rel * entry_v[j] > best:
-                        best = rel * entry_v[j]
-                keep[j] = best >= reliability_floor
-    kept_entry_path = np.asarray(entry_path, dtype=np.int64)[keep]
-    kept_entry_v = np.asarray(entry_v, dtype=np.float64)[keep]
-
-    # Final path dictionary: lexicographic over paths that survived.
-    used = sorted({id_to_path[pid] for pid in kept_entry_path.tolist()})
-    final_id = {rels: i for i, rels in enumerate(used)}
-    remap = np.full(n_prov, -1, dtype=np.int64)
-    for rels, pid in path_ids.items():
-        if rels in final_id:
-            remap[pid] = final_id[rels]
-    final_entry_path = remap[kept_entry_path].astype(np.int32)
-
-    # Pair layout after the filter (pairs left with no entries vanish).
-    kept_per_pair = np.add.reduceat(keep.astype(np.int64), pair_offsets_prov[:-1]) \
-        if len(keep) else np.zeros(len(pair_key_list), dtype=np.int64)
+    # Final path dictionary: lexicographic over paths that survived, and
+    # pairs left with no entries vanish.
+    used, entry_path = np.unique(pid[keep], return_inverse=True)
+    kept_per_pair = np.bincount(pair_of[keep], minlength=int(first.sum()))
     nonempty = kept_per_pair > 0
-    pair_keys = np.asarray(pair_key_list, dtype=np.int64)[nonempty]
+    pair_keys = key[first][nonempty]
     pair_offsets = np.concatenate(([0], np.cumsum(kept_per_pair[nonempty]))).astype(np.int64)
 
-    n_paths = len(used)
-    final_support = np.zeros(n_paths, dtype=np.float64)
-    relat_counts = np.zeros(n_paths, dtype=np.int64)
-    relat_entries: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n_paths)}
-    for (pid, r), v in joint.items():
-        fid = remap[pid]
-        if fid < 0 or support[pid] == 0.0:
-            continue
-        relat_entries[int(fid)].append((r, v / support[pid]))
-    for rels, fid in final_id.items():
-        final_support[fid] = support[path_ids[rels]]
-        relat_entries[fid].sort()
-        relat_counts[fid] = len(relat_entries[fid])
-    relat_offsets = np.concatenate(([0], np.cumsum(relat_counts))).astype(np.int64)
-    relat_rel = np.asarray(
-        [r for fid in range(n_paths) for r, _ in relat_entries[fid]], dtype=np.int32
-    )
-    relat_val = np.asarray(
-        [v for fid in range(n_paths) for _, v in relat_entries[fid]], dtype=np.float64
+    final_id = np.full(len(path_codes), -1, dtype=np.int64)
+    final_id[used] = np.arange(len(used))
+    listed = (final_id[joint_pid] >= 0) & (support[joint_pid] > 0.0)
+    relat_counts = np.bincount(final_id[joint_pid[listed]], minlength=len(used))
+    r1, rest = np.divmod(path_codes[used], n_rel + 1)
+    path_rels = tuple(
+        (a,) if b == 0 else (a, b - 1) for a, b in zip(r1.tolist(), rest.tolist())
     )
 
+    n_entries = int(keep.sum())
     if stats is not None:
         stats.update(
             n_pairs=int(len(pair_keys)),
-            n_paths=int(n_paths),
-            n_entries=int(kept_entry_path.size),
+            n_paths=int(len(used)),
+            n_entries=n_entries,
             n_entries_prefilter=int(len(keep)),
-            drop_rate=(
-                1.0 - kept_entry_path.size / len(keep) if len(keep) else 0.0
-            ),
+            drop_rate=(1.0 - n_entries / len(keep) if len(keep) else 0.0),
         )
 
     return PathTable(
-        n_entities=g.n_entities,
+        n_entities=n_ent,
         reliability_floor=reliability_floor,
         cap=cap,
-        path_rels=tuple(used),
-        support=final_support,
-        relat_offsets=relat_offsets,
-        relat_rel=relat_rel,
-        relat_val=relat_val,
+        path_rels=path_rels,
+        support=support[used],
+        relat_offsets=np.concatenate(([0], np.cumsum(relat_counts))).astype(np.int64),
+        relat_rel=joint_rel[listed].astype(np.int32),
+        relat_val=relat[listed],
         pair_keys=pair_keys,
         pair_offsets=pair_offsets,
-        entry_path=final_entry_path,
-        entry_v=kept_entry_v,
+        entry_path=entry_path.astype(np.int32),
+        entry_v=flows[keep],
     )

@@ -25,8 +25,12 @@ import numpy as np
 from pathkge.kgdata import KnowledgeGraph, Triple
 from pathkge.models import (
     ModelParams,
-    path_energy_and_grads,
+    PathEvidence,
+    compose_paths,
+    gap_energy_and_grads,
+    path_evidence,
     project_constraints,
+    relation_rows,
     transe_energy_and_grads,
     transr_energy_and_grads,
 )
@@ -273,19 +277,33 @@ def _slot_distribution(bern: np.ndarray | None, r: int) -> dict[str, float]:
     return {"head": p, "tail": 1.0 - p}
 
 
+class _FactPaths(NamedTuple):
+    """What the path hinges of every train fact keep fixed for a run."""
+
+    table: PathTable
+    evidence: PathEvidence  # of all train facts, in fact order
+    offsets: list[int]      # where each fact's entries start, plus the end
+
+
+def _fact_paths(g: KnowledgeGraph, table: PathTable) -> _FactPaths:
+    train = g.train
+    ev = path_evidence(table, train[:, 0], train[:, 1], train[:, 2])
+    counts = np.bincount(ev.triple, minlength=len(train))
+    return _FactPaths(table, ev, [0] + np.cumsum(counts).tolist())
+
+
 def _step_transe(
     g: KnowledgeGraph,
-    table: PathTable,
+    paths: _FactPaths | None,
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
     bern: np.ndarray | None,
     lr: float,
-    h: int,
-    r: int,
-    t: int,
+    idx: int,
     touched: _Touched,
 ) -> tuple[float, int]:
+    h, r, t = (int(x) for x in g.train[idx])
     neg = sample_negative(g, (h, r, t), _slot_distribution(bern, r), rng)
     h2, _, t2 = neg.corrupted
     e_pos, gh, gt, gr = transe_energy_and_grads(params, h, r, t, cfg.norm)
@@ -308,17 +326,16 @@ def _step_transe(
 
 def _step_ptransr(
     g: KnowledgeGraph,
-    table: PathTable,
+    paths: _FactPaths,
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
     bern: np.ndarray | None,
     lr: float,
-    h: int,
-    r: int,
-    t: int,
+    idx: int,
     touched: _Touched,
 ) -> tuple[float, int]:
+    h, r, t = (int(x) for x in g.train[idx])
     total = 0.0
     violations = 0
     ent_g: dict[int, np.ndarray] = {}
@@ -342,34 +359,36 @@ def _step_ptransr(
         touched.triples.append((h, r, t))
         touched.triples.append((h2, r, t2))
 
-    ids, vs = table.paths_for(h, t)
-    if len(ids):
-        chosen: list[tuple[int, tuple[int, ...], float, float]] = []
-        z = 0.0
-        for pid, v in zip(ids.tolist(), vs.tolist()):
-            rels = table.path_rels[pid]
-            if len(rels) == 1 and rels[0] == r:
-                continue  # a relation never regularizes itself
-            reliability = table.relatedness(r, pid) * v
-            chosen.append((pid, rels, v, reliability))
-            z += reliability
-        if z > 0.0:
-            inv_z = 1.0 / z
-            for pid, rels, v, reliability in chosen:
-                neg_rel = sample_negative(g, (h, r, t), {"relation": 1.0}, rng)
-                r2 = neg_rel.corrupted.r
-                e_pp, gp_pos, gr_pos = path_energy_and_grads(params, rels, r, reliability)
-                rel_neg = table.relatedness(r2, pid) * v
-                e_pn, gp_neg, gr_neg = path_energy_and_grads(params, rels, r2, rel_neg)
-                ploss = cfg.margin2 + e_pp - e_pn
-                if ploss <= 0:
-                    continue
-                total += inv_z * ploss
-                violations += 1
-                for pr in rels:
-                    _acc(rel_g, pr, inv_z * (gp_pos - gp_neg))
-                _acc(rel_g, r, inv_z * gr_pos)
-                _acc(rel_g, r2, -inv_z * gr_neg)
+    # One hinge per stored path of the pair (the 1-hop path r itself
+    # excluded), each against a corrupted relation and weighted by its
+    # share of the pair's total reliability z; a fact with z == 0 has none.
+    z = float(paths.evidence.z[idx])
+    if z > 0.0:
+        inv_z = 1.0 / z
+        ev, table = paths.evidence, paths.table
+        lo, hi = paths.offsets[idx], paths.offsets[idx + 1]
+        pids = ev.path[lo:hi]
+        negs = [
+            sample_negative(g, (h, r, t), {"relation": 1.0}, rng).corrupted.r
+            for _ in range(hi - lo)
+        ]
+        neg_reliability = table.relatedness(negs, pids) * ev.flow[lo:hi]
+        rel = relation_rows(params)
+        vecs = compose_paths(rel, table.path_pad[pids])
+        for j, (pid, reliability, r2, rel_neg) in enumerate(zip(
+            pids.tolist(), ev.reliability[lo:hi].tolist(), negs, neg_reliability.tolist()
+        )):
+            e_pp, gp_pos, gr_pos = gap_energy_and_grads(vecs[j] - rel[r], reliability)
+            e_pn, gp_neg, gr_neg = gap_energy_and_grads(vecs[j] - rel[r2], rel_neg)
+            ploss = cfg.margin2 + e_pp - e_pn
+            if ploss <= 0:
+                continue
+            total += inv_z * ploss
+            violations += 1
+            for pr in table.path_rels[pid]:
+                _acc(rel_g, pr, inv_z * (gp_pos - gp_neg))
+            _acc(rel_g, r, inv_z * gr_pos)
+            _acc(rel_g, r2, -inv_z * gr_neg)
 
     if ent_g or rel_g or proj_g:
         _apply_updates(params, lr, ent_g, rel_g, proj_g)
@@ -380,7 +399,7 @@ def _step_ptransr(
 
 def _run_epoch(
     g: KnowledgeGraph,
-    table: PathTable,
+    paths: _FactPaths | None,
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
@@ -399,8 +418,7 @@ def _run_epoch(
         touched = _Touched()
         if cfg.workers <= 1:
             for idx in batch.tolist():
-                h, r, t = (int(x) for x in g.train[idx])
-                l, v = step(g, table, params, cfg, rng, bern, lr, h, r, t, touched)
+                l, v = step(g, paths, params, cfg, rng, bern, lr, idx, touched)
                 loss_sum += l
                 violations += v
         else:
@@ -412,8 +430,7 @@ def _run_epoch(
                 local = _Touched()
                 ls, vs_ = 0.0, 0
                 for idx in shard.tolist():
-                    h, r, t = (int(x) for x in g.train[idx])
-                    l, v = step(g, table, params, cfg, shard_rng, bern, lr, h, r, t, local)
+                    l, v = step(g, paths, params, cfg, shard_rng, bern, lr, idx, local)
                     ls += l
                     vs_ += v
                 return ls, vs_, local
@@ -508,11 +525,10 @@ def init_transe(
         g.n_entities, g.n_relations, cfg.dim_entity, cfg.dim_relation, rng
     )
     bern = _bern_head_probs(g) if cfg.neg_mode == "bernoulli" else None
-    table = PathTable.empty(g.n_entities)
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (1.0 - epoch / cfg.epochs) if cfg.lr_decay else cfg.lr
-        stats = _run_epoch(g, table, params, cfg, rng, bern, lr, epoch)
+        stats = _run_epoch(g, None, params, cfg, rng, bern, lr, epoch)
         if emit is not None:
             emit(
                 {
@@ -541,7 +557,7 @@ def train_epoch_ptransr(
     if config.stage == "transe":
         raise TrainError("train_epoch_ptransr drives the projected stages only")
     bern = _bern_head_probs(g) if config.neg_mode == "bernoulli" else None
-    return _run_epoch(g, table, params, config, rng, bern, config.lr, epoch=0)
+    return _run_epoch(g, _fact_paths(g, table), params, config, rng, bern, config.lr, epoch=0)
 
 
 def train(
@@ -610,11 +626,12 @@ def train(
                 ):
                     raise TrainError("initial model dimensions disagree with config")
             bern = _bern_head_probs(g) if config.neg_mode == "bernoulli" else None
+            paths = _fact_paths(g, table)
             best = np.inf
             since_best = 0
             for epoch in range(config.epochs):
                 lr = config.lr * (1.0 - epoch / config.epochs) if config.lr_decay else config.lr
-                stats = _run_epoch(g, table, params, config, rng, bern, lr, epoch)
+                stats = _run_epoch(g, paths, params, config, rng, bern, lr, epoch)
                 record = {
                     "stage": config.stage,
                     "epoch": epoch,

@@ -15,6 +15,57 @@ from pathkge.models import ModelParams, score_ptransr
 from pathkge.paths import PathTable
 
 
+def relatedness(table: PathTable, r: int, pid: int) -> float:
+    """P(r | path) by a scan of the path's stored relations."""
+    for i in range(table.relat_offsets[pid], table.relat_offsets[pid + 1]):
+        if table.relat_rel[i] == r:
+            return float(table.relat_val[i])
+    return 0.0
+
+
+def path_evidence(table: PathTable, h: int, r: int, t: int):
+    """The (path id, flow, reliability) entries a path hinge of (h, r, t)
+    uses, in table order, and their total reliability z.  The 1-hop path
+    equal to r is skipped; entries with zero relatedness stay."""
+    keys = table.pair_keys.tolist()
+    key = h * table.n_entities + t
+    if key not in keys:
+        return [], 0.0
+    i = keys.index(key)
+    span = range(table.pair_offsets[i], table.pair_offsets[i + 1])
+    entries = []
+    z = 0.0
+    for pid, v in zip(table.entry_path[span].tolist(), table.entry_v[span].tolist()):
+        if table.path_rels[pid] == (r,):
+            continue
+        reliability = relatedness(table, r, pid) * v
+        entries.append((pid, v, reliability))
+        z += reliability
+    return entries, z
+
+
+def path_score_term(params: ModelParams, table: PathTable, h: int, r: int, t: int) -> float:
+    """Normalized path penalty of (h, r, t): mean reliability-weighted
+    squared path-relation distance over the pair's stored paths.
+
+    The single-relation path equal to r itself is skipped, and a zero
+    total reliability contributes nothing.
+    """
+    num = 0.0
+    z = 0.0
+    rv = params.relation_emb[r].astype(np.float64)
+    for pid, _, reliability in path_evidence(table, h, r, t)[0]:
+        if reliability == 0.0:
+            continue
+        vec = sum(params.relation_emb[x].astype(np.float64) for x in table.path_rels[pid])
+        q = vec - rv
+        num += reliability * float(q @ q)
+        z += reliability
+    if z == 0.0:
+        return 0.0
+    return num / z
+
+
 def distinct_children(edges: set, node: int, rel: int) -> list[int]:
     return sorted({t for h, r, t in edges if h == node and r == rel})
 

@@ -375,6 +375,31 @@ class TestPlumbing:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_table_from_another_dataset_is_refused(self, ws, tmp_path, capsys):
+        # Same 20 entities, but 6 relations (12 with inverses) against the
+        # workspace's 3 (6): the table's relation ids run past the dataset.
+        other = tmp_path / "six"
+        table = tmp_path / "six.ptbl"
+        assert cli.main([
+            "synth-kg", "--entities", "20", "--relations", "6", "--base-facts", "40",
+            "--seed", "5", "--out", str(other),
+        ]) == 0
+        assert cli.main(["extract-paths", "--data", str(other), "--out", str(table)]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["evaluate", "--model", str(ws["model"]), "--rerank-k", "5"],
+            ["train", "--stage", "ptransr", "--init", str(ws["transe"]),
+             "--dim-entity", "8", "--dim-relation", "8", "--epochs", "1"],
+        ):
+            rc = cli.main(argv + [
+                "--data", str(ws["data"]), "--table", str(table),
+                "--out", str(tmp_path / argv[0]),
+            ])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error: path table uses relation ids")
+            assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             cli.main([])

@@ -275,6 +275,27 @@ class TestEvaluate:
         assert serial.instances == parallel.instances
         assert serial.to_dict() == parallel.to_dict()
 
+    def test_window_recall(self):
+        rng = np.random.default_rng(4)
+        triples, n_ent, n_rel = random_triples(rng, max_relations=4)
+        test = [
+            (int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+            for _ in range(6)
+        ]
+        g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
+        table = build_path_table(g, reliability_floor=0.0)
+        params = ModelParams.random(g.n_entities, g.n_relations, 4, 4, rng)
+        full = evaluate(params, table, g, split="test", rerank_k=n_ent)
+        assert full.window_recall == 1.0
+        assert all(res.in_window for res in full.instances)
+        # A window of one holds stage 1's best candidate; the gold reaches
+        # raw rank 1 exactly when it is that candidate.
+        top1 = evaluate(params, table, g, split="test", rerank_k=1)
+        hits = [res.raw_rank == 1 for res in top1.instances]
+        assert [res.in_window for res in top1.instances] == hits
+        assert top1.window_recall == pytest.approx(np.mean(hits))
+        assert 0.0 < top1.window_recall < 1.0
+
     def test_split_validation(self):
         params, g = perfect_model()
         with pytest.raises(EvalError, match="split"):
@@ -298,6 +319,7 @@ class TestReportWriters:
         assert "overall" in text
         assert "1-to-1" in text
         assert "mean rank (raw) by relation train frequency" in text
+        assert "window recall: 1.0000 (gold entity among the top 4 of stage 1)" in text
 
     def test_json_report(self, report, tmp_path):
         out = tmp_path / "report.json"
@@ -305,6 +327,7 @@ class TestReportWriters:
         payload = json.loads(out.read_text())
         assert payload["overall"]["mean_rank"]["raw"] == 1.0
         assert payload["overall"]["hits_at_10"]["filter"] == 100.0
+        assert payload["overall"]["window_recall"] == 1.0
         assert payload["config"]["seed"] == 7
         assert "instances" not in payload
 

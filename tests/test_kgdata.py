@@ -207,10 +207,9 @@ class TestMembership:
                 expect = sorted({h for h, rr, tt in every if rr == r and tt == t})
                 assert g.known_heads(r, t).tolist() == expect
 
-    def test_pair_relations(self, tri_graph):
-        assert tri_graph.pair_relations(0, 2).tolist() == [2]
-        assert tri_graph.pair_relations(2, 0).tolist() == [5]
-        assert tri_graph.pair_relations(1, 1).tolist() == []
+    def test_train_pairs(self, tri_graph):
+        # Augmented TRI links 0-1, 1-2, 0-2 both ways; keys are h * 3 + t.
+        assert tri_graph.train_pairs().tolist() == [1, 2, 3, 5, 6, 7]
 
 
 class TestRelationStats:

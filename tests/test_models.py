@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_graph, random_triples
+from oracles import path_evidence as oracle_evidence
+from oracles import path_score_term
 from pathkge.models import (
     ModelError,
     ModelParams,
@@ -14,7 +17,8 @@ from pathkge.models import (
     grad_score_transr,
     path_energy,
     path_energy_and_grads,
-    path_score_term,
+    path_evidence,
+    path_score_terms,
     project_constraints,
     score_ptransr,
     score_transe,
@@ -219,25 +223,32 @@ def tri_setup(tri_graph):
     return tri_graph, params, table
 
 
+def kernel_term(params, table, h, r, t) -> float:
+    """The batched kernel on a batch of one."""
+    return float(path_score_terms(params, table, h, r, t)[0])
+
+
 class TestPathScoreTerm:
     def test_matches_hand_aggregation(self, tri_setup):
         g, params, table = tri_setup
         # Pair (0, 2) scored for its direct relation 2: the bare (2,)
         # path is skipped, leaving the (0, 1) path with reliability 1.
         q = compose_path(params, (0, 1)) - params.relation_emb[2].astype(np.float64)
+        assert kernel_term(params, table, 0, 2, 2) == pytest.approx(float(q @ q))
         assert path_score_term(params, table, 0, 2, 2) == pytest.approx(float(q @ q))
 
     def test_zero_total_reliability(self, tri_setup):
         g, params, table = tri_setup
         # Relation 0 never links pair (0, 2), so every stored path has
         # zero relatedness to it and the term vanishes.
+        assert kernel_term(params, table, 0, 0, 2) == 0.0
         assert path_score_term(params, table, 0, 0, 2) == 0.0
 
     def test_empty_table_is_plain_transr(self, tri_setup):
         g, params, _ = tri_setup
         empty = PathTable.empty(g.n_entities)
         for h, r, t in ((0, 2, 2), (1, 1, 2), (2, 4, 1)):
-            assert path_score_term(params, empty, h, r, t) == 0.0
+            assert kernel_term(params, empty, h, r, t) == 0.0
             assert score_ptransr(params, empty, h, r, t) == score_transr(params, h, r, t)
 
     def test_ptransr_is_sum(self, tri_setup):
@@ -246,6 +257,60 @@ class TestPathScoreTerm:
         assert s == pytest.approx(
             score_transr(params, 0, 2, 2) + path_score_term(params, table, 0, 2, 2)
         )
+        assert s == score_transr(params, 0, 2, 2) + kernel_term(params, table, 0, 2, 2)
+
+
+def assert_kernel_matches_oracle(params, table, batch: np.ndarray) -> None:
+    """Evidence equal to the per-triple oracle's, term within 1e-12 relative."""
+    h, r, t = batch.T
+    ev = path_evidence(table, h, r, t)
+    got = path_score_terms(params, table, h, r, t)
+    assert len(ev.z) == len(got) == len(batch)
+    lo = np.searchsorted(ev.triple, np.arange(len(batch)))
+    hi = np.searchsorted(ev.triple, np.arange(len(batch)), side="right")
+    for i, (a, b, c) in enumerate(batch.tolist()):
+        entries, z = oracle_evidence(table, a, b, c)
+        mine = slice(lo[i], hi[i])
+        assert list(zip(
+            ev.path[mine].tolist(), ev.flow[mine].tolist(), ev.reliability[mine].tolist()
+        )) == entries
+        assert ev.z[i] == z
+        assert got[i] == pytest.approx(path_score_term(params, table, a, b, c), rel=1e-12, abs=0)
+
+
+class TestPathKernel:
+    def test_covers_each_case_on_tri_graph(self, tri_setup):
+        g, params, table = tri_setup
+        batch = np.array([
+            (0, 2, 2),  # the bare (2,) path is this relation's own: skipped
+            (0, 0, 2),  # stored paths, all unrelated to r0: kept, z == 0
+            (1, 1, 1),  # pair not in the table
+            (0, 2, 2),  # repeated key
+        ])
+        ev = path_evidence(table, *batch.T)
+        own = table.path_rels.index((2,))
+        assert own not in ev.path[ev.triple == 0].tolist()
+        assert own in ev.path[ev.triple == 1].tolist()
+        assert ev.z[1] == 0.0 and (ev.reliability[ev.triple == 1] == 0.0).all()
+        assert not (ev.triple == 2).any()
+        assert ev.z[0] > 0.0 and ev.z[3] == ev.z[0]
+        assert_kernel_matches_oracle(params, table, batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from([0.0, 0.05, 0.3]))
+    def test_batch_matches_per_triple_oracle(self, seed, floor):
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(rng)
+        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
+        table = build_path_table(g, reliability_floor=floor, cap=int(rng.integers(1, 8)))
+        params = ModelParams.random(n_ent, g.n_relations, 3, 4, rng)
+        # Every (h, r, t) over the graph: stored and absent pairs, 1-hop
+        # self paths, zero relatedness, z == 0; then a shuffled copy, so
+        # keys repeat within the batch.
+        grid = np.stack(np.meshgrid(
+            np.arange(n_ent), np.arange(g.n_relations), np.arange(n_ent), indexing="ij"
+        ), axis=-1).reshape(-1, 3)
+        assert_kernel_matches_oracle(params, table, np.concatenate((grid, rng.permutation(grid))))
 
 
 class TestConstraints:

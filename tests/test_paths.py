@@ -309,7 +309,9 @@ class TestQueries:
         pid = table.path_rels.index((0, 1))
         assert table.relatedness(2, pid) == pytest.approx(1.0)
         assert table.relatedness(1, pid) == 0.0
-        assert table.reliability(pid, 2, 0.5) == pytest.approx(0.5)
+        # The lookup is vectorized over (relation, path id) arrays.
+        got = table.relatedness([2, 1, 2], [pid, pid, pid])
+        assert got.tolist() == [pytest.approx(1.0), 0.0, pytest.approx(1.0)]
 
     def test_support_is_total_linked_flow(self, tri_graph):
         table = build_path_table(tri_graph, reliability_floor=0.0)

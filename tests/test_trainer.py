@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import TRI, make_graph
+from oracles import path_evidence as oracle_evidence
 from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable, build_path_table
@@ -16,6 +17,7 @@ from pathkge.trainer import (
     TrainConfig,
     TrainError,
     _bern_head_probs,
+    _fact_paths,
     init_transe,
     load_config_file,
     sample_negative,
@@ -301,6 +303,30 @@ class TestTrain:
         stats = train_epoch_ptransr(small_graph, table, p, tiny_cfg(), rng)
         assert np.isfinite(stats.mean_loss)
         assert stats.violations > 0
+
+    def test_fact_paths_match_oracle(self):
+        # The per-fact path-hinge pieces fixed for a run: entries (the 1-hop
+        # path r itself skipped, zero-relatedness entries kept), each
+        # entry's reliability, and z.  The table comes from TRI, so the
+        # extra fact (0, r0, 2) meets stored paths unrelated to r0 (z == 0).
+        table = build_path_table(make_graph(TRI), reliability_floor=0.0)
+        g = make_graph(TRI + [(0, 0, 2)])
+        paths = _fact_paths(g, table)
+        ev = paths.evidence
+        assert paths.offsets[-1] == len(ev.path)
+        skipped_self = kept_zero = False
+        for i, (h, r, t) in enumerate(g.train.tolist()):
+            lo, hi = paths.offsets[i], paths.offsets[i + 1]
+            entries, z = oracle_evidence(table, h, r, t)
+            assert list(zip(
+                ev.path[lo:hi].tolist(), ev.flow[lo:hi].tolist(), ev.reliability[lo:hi].tolist()
+            )) == entries
+            assert ev.z[i] == z
+            stored = [table.path_rels[pid] for pid in table.paths_for(h, t)[0].tolist()]
+            skipped_self |= (r,) in stored
+            kept_zero |= any(rel == 0.0 for _, _, rel in entries)
+        assert skipped_self and kept_zero
+        assert not _fact_paths(g, PathTable.empty(g.n_entities)).evidence.z.any()
 
     def test_hogwild_smoke(self, small_graph):
         table = build_path_table(small_graph, reliability_floor=0.0)
