@@ -137,9 +137,44 @@ class _RelationContext:
         self.rv = params.relation_emb[r].astype(np.float64)
         self.riv = params.relation_emb[self.r_inv].astype(np.float64)
 
+    def stage1(self, h: int, t: int, slot: str) -> np.ndarray:
+        """Projected-translation score of every entity in the slot."""
+        if slot == "head":
+            return _sq_norms(self.proj_fwd + (self.rv - self.proj_fwd[t]))
+        return _sq_norms((self.proj_fwd[h] + self.rv) - self.proj_fwd)
+
 
 def _sq_norms(mat: np.ndarray) -> np.ndarray:
-    return np.square(mat).sum(axis=1)
+    """Squared row norms; squares the temporary ``mat`` in place."""
+    return np.square(mat, out=mat).sum(axis=1)
+
+
+def _window(s1: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the first k entities of a stable argsort of s1, without
+    sorting: every score below the k-th smallest, then the lowest-index
+    entities tied with it."""
+    if k >= len(s1):
+        return np.ones(len(s1), dtype=bool)
+    v = np.partition(s1, k - 1)[k - 1]
+    window = s1 < v
+    window[np.flatnonzero(s1 == v)[: k - np.count_nonzero(window)]] = True
+    return window
+
+
+def _window_rank(
+    s1: np.ndarray, s2: np.ndarray, window: np.ndarray, gold: int,
+    compete: np.ndarray, tie_policy: TiePolicy,
+) -> int:
+    """Rank of the gold among the competing entities: by the full score
+    s2 (the window's, in entity order) inside the window, by the stage-1
+    score below every window entity outside it."""
+    if window[gold]:
+        keep = compete[window]
+        pos = np.count_nonzero(keep[: np.count_nonzero(window[:gold])])
+        return tie_rank(s2[keep], int(pos), tie_policy)
+    rest = compete & ~window
+    above = np.count_nonzero(compete & window)
+    return int(above) + tie_rank(s1[rest], int(np.count_nonzero(rest[:gold])), tie_policy)
 
 
 def _rank_slot(
@@ -157,60 +192,40 @@ def _rank_slot(
     """Raw and filtered rank of the gold entity for one slot, and whether
     stage 1 put it in the rerank window."""
     r, r_inv = ctx.r, ctx.r_inv
+    s1 = ctx.stage1(h, t, slot)
+    if not np.isfinite(s1).all():
+        raise EvalError("scores must be finite")
+    window = _window(s1, rerank_k)
+    win = np.flatnonzero(window)
+    k = len(win)
     if slot == "head":
-        s1 = _sq_norms(ctx.proj_fwd + (ctx.rv - ctx.proj_fwd[t]))
-        s_inv = _sq_norms((ctx.proj_inv[t] + ctx.riv) - ctx.proj_inv)
-        gold = h
-        known = g.known_heads(r, t)
+        s_inv = _sq_norms((ctx.proj_inv[t] + ctx.riv) - ctx.proj_inv[win])
+        gold, known = h, g.known_heads(r, t)
     else:
-        s1 = _sq_norms((ctx.proj_fwd[h] + ctx.rv) - ctx.proj_fwd)
-        s_inv = _sq_norms(ctx.proj_inv + (ctx.riv - ctx.proj_inv[h]))
-        gold = t
-        known = g.known_tails(h, r)
-
-    n = len(s1)
-    k = min(rerank_k, n)
-    order = np.argsort(s1, kind="stable")
-    top = order[:k]
-    in_top = np.flatnonzero(top == gold)
+        s_inv = _sq_norms(ctx.proj_inv[win] + (ctx.riv - ctx.proj_inv[h]))
+        gold, known = t, g.known_tails(h, r)
 
     # Full-model scores in both directions for the rerank window, with the
     # path terms of every forward and inverse triple in one batch.
-    s2 = s1[top] + s_inv[top]
+    s2 = s1[win] + s_inv
     if table.n_entries:
         fixed = np.full(k, t if slot == "head" else h)
-        fwd_h, fwd_t = (top, fixed) if slot == "head" else (fixed, top)
+        fwd_h, fwd_t = (win, fixed) if slot == "head" else (fixed, win)
         terms = path_score_terms(
             params, table, np.concatenate((fwd_h, fwd_t)), np.repeat([r, r_inv], k),
             np.concatenate((fwd_t, fwd_h)),
         )
         s2 = s2 + (terms[:k] + terms[k:])
+    if not np.isfinite(s2).all():
+        raise EvalError("scores must be finite")
 
-    if len(in_top):
-        pos = int(in_top[0])
-        raw = tie_rank(s2, pos, tie_policy)
-    else:
-        rest = order[k:]
-        pos_rest = int(np.flatnonzero(rest == gold)[0])
-        raw = k + tie_rank(s1[rest], pos_rest, tie_policy)
-
+    compete = np.ones(len(s1), dtype=bool)
+    raw = _window_rank(s1, s2, window, gold, compete, tie_policy)
     if protocol == "raw":
-        return raw, None, bool(len(in_top))
-
-    known = known[known != gold]
-    if len(in_top):
-        keep = np.isin(top, known, invert=True)
-        pos = int(in_top[0])
-        new_pos = int(keep[:pos].sum())
-        filtered = tie_rank(s2[keep], new_pos, tie_policy)
-    else:
-        rest = order[k:]
-        top_kept = int(np.isin(top, known, invert=True).sum())
-        keep = np.isin(rest, known, invert=True)
-        pos_rest = int(np.flatnonzero(rest == gold)[0])
-        new_pos = int(keep[:pos_rest].sum())
-        filtered = top_kept + tie_rank(s1[rest][keep], new_pos, tie_policy)
-    return raw, filtered, bool(len(in_top))
+        return raw, None, bool(window[gold])
+    compete[known] = False
+    compete[gold] = True
+    return raw, _window_rank(s1, s2, window, gold, compete, tie_policy), bool(window[gold])
 
 
 def rank_entities(

@@ -17,11 +17,13 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Literal, Mapping, NamedTuple
 
 import numpy as np
 
+from pathkge.evaluator import _RelationContext, tie_rank
 from pathkge.kgdata import KnowledgeGraph, Triple
 from pathkge.models import (
     ModelParams,
@@ -157,6 +159,9 @@ class NegativeSample(NamedTuple):
     slot: str
 
 
+SlotTable = tuple[tuple[str, ...], tuple[float, ...]]  # slot names, cumulative probabilities
+
+
 def sample_negative(
     g: KnowledgeGraph,
     triple: tuple[int, int, int],
@@ -171,24 +176,31 @@ def sample_negative(
     ``MAX_NEGATIVE_ATTEMPTS`` draws the sampler gives up loudly.
     """
     h, r, t = (int(x) for x in triple)
-    names = list(slots)
+    return _draw_negative(g, h, r, t, _slot_table(slots), rng)
+
+
+def _slot_table(slots: Mapping[str, float]) -> SlotTable:
+    """Validated slot names and their cumulative selection probabilities."""
+    names = tuple(slots)
     probs = np.array([slots[name] for name in names], dtype=np.float64)
     if len(names) == 0 or probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
         raise TrainError(f"bad slot distribution {dict(slots)!r}")
     for name in names:
         if name not in ("head", "tail", "relation"):
             raise TrainError(f"unknown corruption slot {name!r}")
+    return names, tuple(accumulate(probs.tolist()))
+
+
+def _draw_negative(
+    g: KnowledgeGraph, h: int, r: int, t: int, table: SlotTable, rng: np.random.Generator
+) -> NegativeSample:
+    """``sample_negative``'s draws, given a validated slot table."""
+    names, cum = table
     if len(names) == 1:
         slot = names[0]
     else:
         u = rng.random()
-        acc = 0.0
-        slot = names[-1]
-        for name, p in zip(names, probs):
-            acc += p
-            if u < acc:
-                slot = name
-                break
+        slot = next((name for name, c in zip(names, cum) if u < c), names[-1])
     for _ in range(MAX_NEGATIVE_ATTEMPTS):
         if slot == "head":
             cand = (int(rng.integers(g.n_entities)), r, t)
@@ -204,6 +216,16 @@ def sample_negative(
         f"could not sample a negative for {(h, r, t)} (slot {slot}) in "
         f"{MAX_NEGATIVE_ATTEMPTS} attempts"
     )
+
+
+_RELATION_SLOT = _slot_table({"relation": 1.0})
+
+
+def _fact_slots(g: KnowledgeGraph, neg_mode: str) -> list[SlotTable]:
+    """The validated head/tail slot table of each relation, once per run."""
+    if neg_mode == "bernoulli":
+        return [_slot_table({"head": p, "tail": 1.0 - p}) for p in _bern_head_probs(g).tolist()]
+    return [_slot_table({"head": 0.5, "tail": 0.5})] * g.n_relations
 
 
 def _bern_head_probs(g: KnowledgeGraph) -> np.ndarray:
@@ -270,13 +292,6 @@ def _apply_updates(
         params.proj[i] -= (lr * grad).astype(np.float32)
 
 
-def _slot_distribution(bern: np.ndarray | None, r: int) -> dict[str, float]:
-    if bern is None:
-        return {"head": 0.5, "tail": 0.5}
-    p = float(bern[r])
-    return {"head": p, "tail": 1.0 - p}
-
-
 class _FactPaths(NamedTuple):
     """What the path hinges of every train fact keep fixed for a run."""
 
@@ -298,13 +313,13 @@ def _step_transe(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    bern: np.ndarray | None,
+    slots: list[SlotTable],
     lr: float,
     idx: int,
     touched: _Touched,
 ) -> tuple[float, int]:
     h, r, t = (int(x) for x in g.train[idx])
-    neg = sample_negative(g, (h, r, t), _slot_distribution(bern, r), rng)
+    neg = _draw_negative(g, h, r, t, slots[r], rng)
     h2, _, t2 = neg.corrupted
     e_pos, gh, gt, gr = transe_energy_and_grads(params, h, r, t, cfg.norm)
     e_neg, gh2, gt2, gr2 = transe_energy_and_grads(params, h2, r, t2, cfg.norm)
@@ -330,7 +345,7 @@ def _step_ptransr(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    bern: np.ndarray | None,
+    slots: list[SlotTable],
     lr: float,
     idx: int,
     touched: _Touched,
@@ -342,7 +357,7 @@ def _step_ptransr(
     rel_g: dict[int, np.ndarray] = {}
     proj_g: dict[int, np.ndarray] = {}
 
-    neg = sample_negative(g, (h, r, t), _slot_distribution(bern, r), rng)
+    neg = _draw_negative(g, h, r, t, slots[r], rng)
     h2, _, t2 = neg.corrupted
     e_pos, gh, gt, gr, gM = transr_energy_and_grads(params, h, r, t)
     e_neg, gh2, gt2, gr2, gM2 = transr_energy_and_grads(params, h2, r, t2)
@@ -369,7 +384,7 @@ def _step_ptransr(
         lo, hi = paths.offsets[idx], paths.offsets[idx + 1]
         pids = ev.path[lo:hi]
         negs = [
-            sample_negative(g, (h, r, t), {"relation": 1.0}, rng).corrupted.r
+            _draw_negative(g, h, r, t, _RELATION_SLOT, rng).corrupted.r
             for _ in range(hi - lo)
         ]
         neg_reliability = table.relatedness(negs, pids) * ev.flow[lo:hi]
@@ -403,7 +418,7 @@ def _run_epoch(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    bern: np.ndarray | None,
+    slots: list[SlotTable],
     lr: float,
     epoch: int,
 ) -> EpochStats:
@@ -418,7 +433,7 @@ def _run_epoch(
         touched = _Touched()
         if cfg.workers <= 1:
             for idx in batch.tolist():
-                l, v = step(g, paths, params, cfg, rng, bern, lr, idx, touched)
+                l, v = step(g, paths, params, cfg, rng, slots, lr, idx, touched)
                 loss_sum += l
                 violations += v
         else:
@@ -430,7 +445,7 @@ def _run_epoch(
                 local = _Touched()
                 ls, vs_ = 0.0, 0
                 for idx in shard.tolist():
-                    l, v = step(g, paths, params, cfg, shard_rng, bern, lr, idx, local)
+                    l, v = step(g, paths, params, cfg, shard_rng, slots, lr, idx, local)
                     ls += l
                     vs_ += v
                 return ls, vs_, local
@@ -468,34 +483,16 @@ def _run_epoch(
 # -- validation probe for early stopping ------------------------------------
 
 
-def _validation_mean_rank(params: ModelParams, g: KnowledgeGraph, cfg: TrainConfig) -> float:
+def _validation_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
     """Raw pessimistic mean rank on the valid split, first-stage score only."""
     if len(g.valid) == 0:
         raise TrainError("early stopping needs a non-empty valid split")
-    ent = params.entity_emb.astype(np.float64)
     ranks: list[int] = []
-    for row in g.valid:
-        h, r, t = (int(x) for x in row)
-        if cfg.stage == "transe":
-            rv = params.relation_emb[r].astype(np.float64)
-            head_scores = _norms(ent + (rv - ent[t]), cfg.norm)
-            tail_scores = _norms((ent[h] + rv) - ent, cfg.norm)
-        else:
-            M = params.proj[r].astype(np.float64)
-            proj_all = ent @ M.T
-            rv = params.relation_emb[r].astype(np.float64)
-            head_scores = np.square(proj_all + (rv - proj_all[t])).sum(axis=1)
-            tail_scores = np.square((proj_all[h] + rv) - proj_all).sum(axis=1)
-        for scores, gold in ((head_scores, h), (tail_scores, t)):
-            gval = scores[gold]
-            ranks.append(int((scores < gval).sum() + (scores == gval).sum()))
+    for r in np.unique(g.valid[:, 1]).tolist():
+        ctx = _RelationContext(params, g, r)
+        for h, _, t in g.valid[g.valid[:, 1] == r].tolist():
+            ranks += [tie_rank(ctx.stage1(h, t, "head"), h), tie_rank(ctx.stage1(h, t, "tail"), t)]
     return float(np.mean(ranks))
-
-
-def _norms(mat: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "L1":
-        return np.abs(mat).sum(axis=1)
-    return np.sqrt(np.square(mat).sum(axis=1))
 
 
 # -- orchestration -----------------------------------------------------------
@@ -524,11 +521,11 @@ def init_transe(
     params = ModelParams.random(
         g.n_entities, g.n_relations, cfg.dim_entity, cfg.dim_relation, rng
     )
-    bern = _bern_head_probs(g) if cfg.neg_mode == "bernoulli" else None
+    slots = _fact_slots(g, cfg.neg_mode)
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (1.0 - epoch / cfg.epochs) if cfg.lr_decay else cfg.lr
-        stats = _run_epoch(g, None, params, cfg, rng, bern, lr, epoch)
+        stats = _run_epoch(g, None, params, cfg, rng, slots, lr, epoch)
         if emit is not None:
             emit(
                 {
@@ -556,8 +553,8 @@ def train_epoch_ptransr(
     config.validate()
     if config.stage == "transe":
         raise TrainError("train_epoch_ptransr drives the projected stages only")
-    bern = _bern_head_probs(g) if config.neg_mode == "bernoulli" else None
-    return _run_epoch(g, _fact_paths(g, table), params, config, rng, bern, config.lr, epoch=0)
+    slots = _fact_slots(g, config.neg_mode)
+    return _run_epoch(g, _fact_paths(g, table), params, config, rng, slots, config.lr, epoch=0)
 
 
 def train(
@@ -625,13 +622,13 @@ def train(
                     config.dim_relation,
                 ):
                     raise TrainError("initial model dimensions disagree with config")
-            bern = _bern_head_probs(g) if config.neg_mode == "bernoulli" else None
+            slots = _fact_slots(g, config.neg_mode)
             paths = _fact_paths(g, table)
             best = np.inf
             since_best = 0
             for epoch in range(config.epochs):
                 lr = config.lr * (1.0 - epoch / config.epochs) if config.lr_decay else config.lr
-                stats = _run_epoch(g, paths, params, config, rng, bern, lr, epoch)
+                stats = _run_epoch(g, paths, params, config, rng, slots, lr, epoch)
                 record = {
                     "stage": config.stage,
                     "epoch": epoch,
@@ -640,7 +637,7 @@ def train(
                     "wall_time": time.perf_counter() - t0,
                 }
                 if config.early_stop:
-                    metric = _validation_mean_rank(params, g, config)
+                    metric = _validation_mean_rank(params, g)
                     record["valid_mean_rank"] = metric
                     if metric < best - 1e-12:
                         best = metric

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from pathkge.models import ModelParams, score_ptransr
+from pathkge.models import ModelParams, score_ptransr, score_transr
 from pathkge.paths import PathTable
 
 
@@ -186,3 +186,67 @@ def full_rank_oracle(
     sub = scores[kept]
     filtered = int((sub < gval).sum() + (sub == gval).sum())
     return raw, filtered
+
+
+def windowed_rank_oracle(
+    params: ModelParams,
+    table: PathTable,
+    g,
+    h: int,
+    r: int,
+    t: int,
+    slot: str,
+    rerank_k: int,
+    tie_policy: str = "pessimistic",
+) -> tuple[int, int, bool]:
+    """Two-stage (raw, filtered) ranks of the gold, candidate by candidate,
+    and whether the gold reached the rerank window.
+
+    Stage 1 scores every candidate by the projected score of its triple;
+    a stable sort of those scores puts the first ``rerank_k`` candidates
+    in the window, where each is rescored in both directions as
+    (stage 1 + inverse projected score) + (forward + inverse path term).
+    Window candidates rank above all others; the rest keep stage 1.
+    """
+    r_inv = g.inverse_of(r)
+    n = g.n_entities
+    fwd = [(e, r, t) if slot == "head" else (h, r, e) for e in range(n)]
+    inv = [(t, r_inv, e) if slot == "head" else (e, r_inv, h) for e in range(n)]
+    s1 = [score_transr(params, *fwd[e]) for e in range(n)]
+    window = sorted(range(n), key=lambda e: s1[e])[:rerank_k]  # sorted() is stable
+    s2 = {
+        e: (s1[e] + score_transr(params, *inv[e]))
+        + (path_score_term(params, table, *fwd[e]) + path_score_term(params, table, *inv[e]))
+        for e in window
+    }
+    gold = h if slot == "head" else t
+    known = g.known_heads(r, t) if slot == "head" else g.known_tails(h, r)
+    drop = set(int(e) for e in known) - {gold}
+
+    def rank(cands: list[int]) -> int:
+        if gold in s2:
+            above, scores, gval = 0, [s2[e] for e in cands if e in s2], s2[gold]
+        else:
+            above = sum(e in s2 for e in cands)
+            scores, gval = [s1[e] for e in cands if e not in s2], s1[gold]
+        less = sum(x < gval for x in scores)
+        ties = sum(x == gval for x in scores)
+        return above + (less + ties if tie_policy == "pessimistic" else less + (ties + 2) // 2)
+
+    return rank(list(range(n))), rank([e for e in range(n) if e not in drop]), gold in s2
+
+
+def validation_mean_rank(params: ModelParams, g) -> float:
+    """Early stopping's probe fact by fact: the raw pessimistic stage-1
+    rank of both slots of every valid fact, averaged."""
+    ent = params.entity_emb.astype(np.float64)
+    ranks = []
+    for h, r, t in g.valid.tolist():
+        proj = ent @ params.proj[r].astype(np.float64).T
+        rv = params.relation_emb[r].astype(np.float64)
+        for scores, gold in (
+            (np.square(proj + (rv - proj[t])).sum(axis=1), h),
+            (np.square((proj[h] + rv) - proj).sum(axis=1), t),
+        ):
+            ranks.append(int((scores <= scores[gold]).sum()))
+    return float(np.mean(ranks))

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pathkge import cli
 from pathkge.cli import SynthError, SyntheticKGSpec, generate_synthetic_kg
+from pathkge.models import ModelParams
 from pathkge.paths import PathTable
 
 
@@ -399,6 +401,21 @@ class TestPlumbing:
             assert rc == 1
             assert err.startswith("error: path table uses relation ids")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_non_finite_model_is_refused(self, ws, tmp_path, capsys):
+        params = ModelParams.load(ws["model"])
+        params.entity_emb[3] = np.nan
+        model = tmp_path / "nan.ptrm"
+        params.save(model)
+        capsys.readouterr()
+        rc = cli.main([
+            "evaluate", "--data", str(ws["data"]), "--model", str(model),
+            "--rerank-k", "5", "--out", str(tmp_path / "eval"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, random_triples
-from oracles import full_rank_oracle
+from oracles import full_rank_oracle, windowed_rank_oracle
 from pathkge.evaluator import (
     EvalError,
+    _window,
     evaluate,
     rank_entities,
     tie_rank,
@@ -171,6 +175,67 @@ class TestRankEntities:
             rank_entities(params, empty, plain, (0, 0, 1), "head")
 
 
+def grid_model(rng: np.random.Generator, n_entities: int, n_relations: int) -> ModelParams:
+    """Parameters in {-1, 0, 1} * 2**-10: every score is computed exactly
+    in any order, and equal scores are common."""
+
+    def grid(*shape: int) -> np.ndarray:
+        return (rng.integers(-1, 2, size=shape) * 2.0 ** -10).astype(np.float32)
+
+    return ModelParams(grid(n_entities, 2), grid(n_relations, 2), grid(n_relations, 2, 2))
+
+
+class TestWindowedRanking:
+    """Windows smaller than the entity count, with ties at their edge."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**9),
+        st.sampled_from(["1", "n//2", "n-1", "n", "n+3"]),
+        st.sampled_from(["pessimistic", "mean"]),
+        st.sampled_from(["raw", "filter"]),
+        st.booleans(),
+    )
+    def test_matches_two_stage_oracle(self, seed, k_rule, tie_policy, protocol, with_table):
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(
+            rng, max_entities=9, max_relations=3, max_edges=16
+        )
+        test = [
+            (int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+            for _ in range(6)
+        ]
+        g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
+        table = (
+            build_path_table(g, reliability_floor=0.0) if with_table else PathTable.empty(n_ent)
+        )
+        params = grid_model(rng, g.n_entities, g.n_relations)
+        k = max(1, {"1": 1, "n//2": n_ent // 2, "n-1": n_ent - 1, "n": n_ent,
+                    "n+3": n_ent + 3}[k_rule])
+        report = evaluate(
+            params, table, g, split="test", rerank_k=k, tie_policy=tie_policy,
+            protocol=protocol,
+        )
+        for res in report.instances:
+            raw, filt, in_window = windowed_rank_oracle(
+                params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
+            )
+            assert (res.raw_rank, res.in_window) == (raw, in_window)
+            assert res.filtered_rank == (filt if protocol == "filter" else None)
+            single = rank_entities(
+                params, table, g, (res.h, res.r, res.t), res.slot, protocol, k, tie_policy
+            )
+            assert single == replace(res, index=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(1, 45))
+    def test_window_is_stable_argsort_prefix(self, scores, k):
+        s1 = np.array(scores, dtype=np.float64)
+        expected = np.zeros(len(s1), dtype=bool)
+        expected[np.argsort(s1, kind="stable")[:k]] = True
+        assert np.array_equal(_window(s1, k), expected)
+
+
 def perfect_model() -> tuple[ModelParams, "object"]:
     """A 4-entity model where the single test fact is scored perfectly."""
     ent = np.array([[1, 0], [0, 1], [3, 4], [-2, 5]], dtype=np.float32)
@@ -295,6 +360,26 @@ class TestEvaluate:
         assert [res.in_window for res in top1.instances] == hits
         assert top1.window_recall == pytest.approx(np.mean(hits))
         assert 0.0 < top1.window_recall < 1.0
+
+    @pytest.mark.parametrize(
+        "fact,nan_row,rerank_k",
+        [
+            # Entity 5 is inside every window at rerank_k 6.  At 2 it is
+            # outside both while both golds are inside theirs, so only a
+            # check of every stage-1 score sees it.
+            ((1, 0, 0), ("entity_emb", 5), 6),
+            ((1, 0, 0), ("entity_emb", 5), 2),
+            # The inverse relation enters only the window's full scores, and
+            # both golds of (4, 0, 0) are outside their windows.
+            ((4, 0, 0), ("relation_emb", 1), 2),
+        ],
+    )
+    def test_non_finite_model_is_refused(self, fact, nan_row, rerank_k):
+        g = make_graph([(3, 0, 0)], test=[fact], n_entities=6, n_relations=1)
+        params = line_model(6)
+        getattr(params, nan_row[0])[nan_row[1]] = np.nan
+        with pytest.raises(EvalError, match="finite"):
+            evaluate(params, PathTable.empty(6), g, split="test", rerank_k=rerank_k)
 
     def test_split_validation(self):
         params, g = perfect_model()

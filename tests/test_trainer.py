@@ -7,17 +7,22 @@ import json
 import numpy as np
 import pytest
 
-from conftest import TRI, make_graph
+from conftest import TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
+from oracles import validation_mean_rank
 from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import (
+    _RELATION_SLOT,
     NegativeSample,
     TrainConfig,
     TrainError,
     _bern_head_probs,
+    _draw_negative,
     _fact_paths,
+    _fact_slots,
+    _validation_mean_rank,
     init_transe,
     load_config_file,
     sample_negative,
@@ -153,6 +158,32 @@ class TestNegativeSampling:
         )
         assert a == b
 
+    @pytest.mark.parametrize("neg_mode", ["uniform", "bernoulli"])
+    def test_trainer_draws_match_sample_negative(self, small_graph, neg_mode):
+        # The trainer validates its slot tables once per run and then
+        # draws directly; the draws must be sample_negative's, one by one.
+        g = small_graph
+        bern = _bern_head_probs(g).tolist()
+        if neg_mode == "bernoulli":
+            assert any(p != 0.5 for p in bern)
+        slots = _fact_slots(g, neg_mode)
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for h, r, t in g.train.tolist() * 3:
+            p = 0.5 if neg_mode == "uniform" else bern[r]
+            assert _draw_negative(g, h, r, t, slots[r], ours) == sample_negative(
+                g, (h, r, t), {"head": p, "tail": 1.0 - p}, ref
+            )
+            assert _draw_negative(g, h, r, t, _RELATION_SLOT, ours) == sample_negative(
+                g, (h, r, t), {"relation": 1.0}, ref
+            )
+        assert ours.random() == ref.random()
+
+    def test_training_on_a_saturated_graph_exhausts(self):
+        g = make_graph([(h, 0, t) for h in range(2) for t in range(2)], n_entities=2,
+                       n_relations=1)
+        with pytest.raises(TrainError, match="attempts"):
+            train(g, None, tiny_cfg(stage="transr", warm_epochs=1))
+
     def test_bernoulli_head_probability(self):
         g = make_graph([(0, 0, 1), (0, 0, 2)], n_entities=3, n_relations=1,
                        augment=False)
@@ -281,6 +312,20 @@ class TestTrain:
         epoch_recs = [r for r in records if "loss" in r]
         assert len(epoch_recs) == 2
         assert "valid_mean_rank" in epoch_recs[0]
+
+    def test_validation_probe_matches_per_fact_oracle(self):
+        rng = np.random.default_rng(21)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=9, max_relations=3,
+                                               max_edges=20)
+        valid = [
+            (int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+            for _ in range(8)
+        ]
+        g = make_graph(triples, valid=valid, n_entities=n_ent, n_relations=n_rel)
+        params = ModelParams.random(g.n_entities, g.n_relations, 5, 4, rng)
+        assert _validation_mean_rank(params, g) == validation_mean_rank(params, g)
+        params.entity_emb[1:] = params.entity_emb[0]  # every score tied
+        assert _validation_mean_rank(params, g) == validation_mean_rank(params, g) == n_ent
 
     def test_early_stop_needs_valid(self):
         g = make_graph(TRI)
