@@ -6,7 +6,8 @@ synth-kg (desk-scale dataset generator), inspect (qualitative probes).
 
 Every verb validates its inputs before touching the filesystem, exits
 nonzero with a one-line message on error, and is byte-deterministic
-given identical inputs, seed, and a single worker.
+given identical inputs and seed.  Only evaluate can rank in several
+processes, and it writes the same bytes as with one.
 """
 
 from __future__ import annotations
@@ -368,10 +369,7 @@ def cmd_extract_paths(args: argparse.Namespace) -> int:
         d.mkdir(parents=True, exist_ok=True)
         out_file = d / "paths.ptbl"
     stats: dict = {}
-    table = build_path_table(
-        g, reliability_floor=args.floor, cap=args.cap, workers=args.workers,
-        stats=stats,
-    )
+    table = build_path_table(g, reliability_floor=args.floor, cap=args.cap, stats=stats)
     out_file.parent.mkdir(parents=True, exist_ok=True)
     table.save(out_file)
     if args.dump_tsv:
@@ -386,7 +384,7 @@ def cmd_extract_paths(args: argparse.Namespace) -> int:
 
 _TRAIN_FLAG_KEYS = (
     "stage", "dim_entity", "dim_relation", "lr", "margin", "margin1",
-    "margin2", "batch_size", "epochs", "norm", "neg_mode", "seed", "workers",
+    "margin2", "batch_size", "epochs", "norm", "neg_mode", "seed",
     "warm_lr", "warm_margin", "warm_epochs", "patience", "checkpoint_every",
 )
 
@@ -643,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reliability floor in [0,1) (default %(default)s)")
     p.add_argument("--cap", type=int, default=DEFAULT_PAIR_CAP,
                    help="max stored paths per pair (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output .ptbl file (default under runs/)")
     p.add_argument("--dump-tsv", help="also write a human-readable TSV dump")
     p.set_defaults(func=cmd_extract_paths)
@@ -665,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", choices=("L1", "L2"))
     p.add_argument("--neg-mode", dest="neg_mode", choices=("uniform", "bernoulli"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--warm-lr", dest="warm_lr", type=float)
     p.add_argument("--warm-margin", dest="warm_margin", type=float)
     p.add_argument("--warm-epochs", dest="warm_epochs", type=int)
@@ -685,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-policy", dest="tie_policy",
                    choices=("pessimistic", "mean"), default="pessimistic")
     p.add_argument("--protocol", choices=("raw", "filter", "both"), default="both")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes ranking in parallel; the output does not change")
     p.add_argument("--category-cutoff", dest="category_cutoff", type=float,
                    default=1.5)
     p.add_argument("--out", help="run dir (default runs/evaluate-<stamp>)")

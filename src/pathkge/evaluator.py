@@ -319,9 +319,15 @@ def evaluate(
     workers: int = 1,
     category_cutoff: float = 1.5,
 ) -> RankReport:
-    """Rank both slots of every fact in the split and aggregate metrics."""
+    """Rank both slots of every fact in the split and aggregate metrics.
+
+    ``workers`` > 1 ranks groups of relations in forked processes; the
+    report is the same as with one.
+    """
     if split not in ("valid", "test"):
         raise EvalError(f"unknown split {split!r}")
+    if workers < 1:
+        raise EvalError(f"workers must be >= 1, got {workers}")
     _check_eval_args(params, g, rerank_k, protocol)
     split_triples = getattr(g, split)
     if len(split_triples) == 0:

@@ -75,6 +75,25 @@ def _as_triple_array(triples: Sequence, n_entities: int, n_relations: int) -> np
     return arr
 
 
+def _firsts(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a sorted array."""
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return first
+
+
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; np.unique hashes first, which is slower here."""
+    key = np.sort(key)
+    return key[_firsts(key)]
+
+
+def _fact_keys(triples: np.ndarray, n_relations: int, n_entities: int) -> np.ndarray:
+    """(h * n_relations + r) * n_entities + t of each fact: sorts like (h, r, t)."""
+    heads = triples[:, 0].astype(np.int64)
+    return (heads * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
+
+
 class KnowledgeGraph:
     """Immutable triple store with adjacency and membership indexes.
 
@@ -141,17 +160,10 @@ class KnowledgeGraph:
         n_rel = self.vocab.n_relations
         train = self.train
 
-        # Multiset adjacency: exactly one slot per train triple.
-        order = np.lexsort((train[:, 2], train[:, 1], train[:, 0]))
-        edges = train[order]
-        counts = np.bincount(edges[:, 0], minlength=n_ent)
-        self._adj_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self._adj_rel = np.ascontiguousarray(edges[:, 1])
-        self._adj_dst = np.ascontiguousarray(edges[:, 2])
-
         # Structural adjacency: duplicate edges collapse to one slot, and each
         # unique edge carries the resource share 1/deg_r(src) used by the
         # path-mining stage.
+        edges = train[np.lexsort((train[:, 2], train[:, 1], train[:, 0]))]
         if len(edges):
             first = np.ones(len(edges), dtype=bool)
             first[1:] = np.any(edges[1:] != edges[:-1], axis=1)
@@ -173,10 +185,7 @@ class KnowledgeGraph:
             self._uadj_share = np.zeros(0, dtype=np.float64)
 
         # Train membership in the current (possibly augmented) relation space.
-        train_keys = (
-            train[:, 0].astype(np.int64) * n_rel + train[:, 1]
-        ) * n_ent + train[:, 2]
-        self._train_keys = set(train_keys.tolist())
+        self._train_keys = set(_fact_keys(train, n_rel, n_ent).tolist())
 
         # Known facts over train + valid + test.  Once the graph is
         # augmented, the mirrored orientation of every split is included so
@@ -184,29 +193,16 @@ class KnowledgeGraph:
         parts = [train, self.valid, self.test]
         if self.augmented:
             for split in (self.valid, self.test):
-                if len(split):
-                    mirrored = np.stack(
-                        [split[:, 2], split[:, 1] + self.n_relations_orig, split[:, 0]],
-                        axis=1,
-                    )
-                    parts.append(mirrored.astype(np.int32))
-        facts = np.concatenate([p for p in parts if len(p)], axis=0) if any(len(p) for p in parts) else train.reshape(0, 3)
-        if len(facts):
-            facts = np.unique(facts, axis=0)
-            keys = facts[:, 0].astype(np.int64) * n_rel + facts[:, 1]
-            order = np.lexsort((facts[:, 2], keys))
-            keys = keys[order]
-            tails = facts[order, 2]
-            group = np.ones(len(keys), dtype=bool)
-            group[1:] = keys[1:] != keys[:-1]
-            starts = np.flatnonzero(group)
-            self._known_keys = keys[starts]
-            self._known_offsets = np.concatenate((starts, [len(keys)])).astype(np.int64)
-            self._known_tails_flat = np.ascontiguousarray(tails)
-        else:
-            self._known_keys = np.zeros(0, dtype=np.int64)
-            self._known_offsets = np.zeros(1, dtype=np.int64)
-            self._known_tails_flat = np.zeros(0, dtype=np.int32)
+                parts.append(np.stack(
+                    [split[:, 2], split[:, 1] + self.n_relations_orig, split[:, 0]], axis=1
+                ))
+        keys, tails = np.divmod(
+            _distinct(np.concatenate([_fact_keys(p, n_rel, n_ent) for p in parts])), n_ent
+        )
+        starts = np.flatnonzero(_firsts(keys))
+        self._known_keys = keys[starts]
+        self._known_offsets = np.concatenate((starts, [len(keys)])).astype(np.int64)
+        self._known_tails_flat = tails.astype(np.int32)
 
     # -- basic properties ---------------------------------------------
 
@@ -247,11 +243,6 @@ class KnowledgeGraph:
         }
 
     # -- adjacency ----------------------------------------------------
-
-    def out_edges(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """All outgoing train edges of ``e`` (duplicates retained)."""
-        lo, hi = self._adj_offsets[e], self._adj_offsets[e + 1]
-        return self._adj_rel[lo:hi], self._adj_dst[lo:hi]
 
     def unique_out_edges(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Deduplicated outgoing edges of ``e`` with per-edge resource shares."""
@@ -302,11 +293,9 @@ class KnowledgeGraph:
     def train_pairs(self) -> np.ndarray:
         """Sorted unique (h, t) keys (h * n_entities + t) over train facts."""
         if self._pair_keys is None:
-            # A sort and one pass: np.unique hashes first, which is slower here.
-            keys = np.sort(self.train[:, 0].astype(np.int64) * self.n_entities + self.train[:, 2])
-            first = np.ones(len(keys), dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            self._pair_keys = keys[first]
+            self._pair_keys = _distinct(
+                self.train[:, 0].astype(np.int64) * self.n_entities + self.train[:, 2]
+            )
         return self._pair_keys
 
 
@@ -408,6 +397,24 @@ class RelationCategory(NamedTuple):
     tph: float
 
 
+def relation_cardinality(
+    triples: np.ndarray, n_relations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per relation id: its fact count, tph (facts per distinct head) and
+    hpt (facts per distinct tail); tph and hpt are 0 for a relation with no
+    facts."""
+    facts = np.bincount(triples[:, 1], minlength=n_relations)
+    rel = triples[:, 1].astype(np.int64) << 32  # entity ids are int32
+
+    def per_distinct(ent: np.ndarray) -> np.ndarray:
+        distinct = np.bincount(_distinct(rel + ent) >> 32, minlength=n_relations)
+        out = np.zeros(n_relations)
+        np.divide(facts, distinct, out=out, where=distinct > 0)
+        return out
+
+    return facts, per_distinct(triples[:, 0]), per_distinct(triples[:, 2])
+
+
 def classify_relations(
     g: KnowledgeGraph, cutoff: float = DEFAULT_CATEGORY_CUTOFF
 ) -> dict[int, RelationCategory | None]:
@@ -420,23 +427,12 @@ def classify_relations(
     """
     if cutoff <= 0:
         raise DatasetError("cutoff must be positive")
-    train = g.original_train
+    facts, tphs, hpts = relation_cardinality(g.original_train, g.n_relations_orig)
     out: dict[int, RelationCategory | None] = {}
-    order = np.argsort(train[:, 1], kind="stable")
-    rels = train[order, 1]
-    heads = train[order, 0]
-    tails = train[order, 2]
-    bounds = np.searchsorted(rels, np.arange(g.n_relations_orig + 1))
-    for r in range(g.n_relations_orig):
-        lo, hi = bounds[r], bounds[r + 1]
-        if lo == hi:
+    for r, (n, tph, hpt) in enumerate(zip(facts.tolist(), tphs.tolist(), hpts.tolist())):
+        if n == 0:
             out[r] = None
             continue
-        n = hi - lo
-        n_heads = len(np.unique(heads[lo:hi]))
-        n_tails = len(np.unique(tails[lo:hi]))
-        hpt = n / n_tails
-        tph = n / n_heads
         if hpt < cutoff and tph < cutoff:
             category = "1-to-1"
         elif hpt < cutoff <= tph:

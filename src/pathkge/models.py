@@ -171,20 +171,9 @@ def score_transr(params: ModelParams, h: int, r: int, t: int) -> float:
     return float(u @ u)
 
 
-def grad_score_transr(
-    params: ModelParams, h: int, r: int, t: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the projected squared residual w.r.t. h, t, r, M_r."""
-    M, hv, tv, u = _transr_parts(params, h, r, t)
-    gh = 2.0 * (M.T @ u)
-    gt = -gh
-    gr = 2.0 * u
-    gM = 2.0 * np.outer(u, hv - tv)
-    return gh, gt, gr, gM
-
-
 def transr_energy_and_grads(params: ModelParams, h: int, r: int, t: int):
-    """One-pass score plus gradients, shared by the training loop."""
+    """``score_transr`` of (h, r, t) plus its gradients w.r.t. h, t, r and
+    M_r, in one pass: (energy, gh, gt, gr, gM), as the trainer uses them."""
     M, hv, tv, u = _transr_parts(params, h, r, t)
     gh = 2.0 * (M.T @ u)
     gM = 2.0 * np.outer(u, hv - tv)

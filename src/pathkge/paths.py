@@ -14,13 +14,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from pathkge.kgdata import KnowledgeGraph
+from pathkge.kgdata import KnowledgeGraph, _distinct, _firsts
 
 RelPath = tuple[int, ...]
 
@@ -291,19 +290,6 @@ class PathTable:
 # -- construction --------------------------------------------------------
 
 
-def _firsts(key: np.ndarray) -> np.ndarray:
-    """Where each run of equal values starts in a sorted array."""
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    return first
-
-
-def _distinct(key: np.ndarray) -> np.ndarray:
-    """Sorted distinct values; np.unique hashes first, which is slower here."""
-    key = np.sort(key)
-    return key[_firsts(key)]
-
-
 def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum ``val`` over equal keys after a stable sort, so each sum adds in
     input order: (distinct keys, sums, the run of every input row)."""
@@ -361,19 +347,10 @@ def _collect_head(g: KnowledgeGraph, h: int, cap: int) -> tuple[np.ndarray, np.n
     return t[order], code[order], v[order]
 
 
-_BUILD_GRAPH: KnowledgeGraph | None = None
-_BUILD_CAP = 0
-
-
-def _collect_head_worker(h: int):
-    return _collect_head(_BUILD_GRAPH, h, _BUILD_CAP)
-
-
 def build_path_table(
     g: KnowledgeGraph,
     reliability_floor: float = DEFAULT_RELIABILITY_FLOOR,
     cap: int = DEFAULT_PAIR_CAP,
-    workers: int = 1,
     stats: dict | None = None,
 ) -> PathTable:
     """Mine per-pair paths and reliability statistics over the train facts.
@@ -398,17 +375,7 @@ def build_path_table(
     heads = g.train_pairs() // n_ent
     heads = heads[_firsts(heads)]
 
-    if workers > 1:
-        global _BUILD_GRAPH, _BUILD_CAP
-        _BUILD_GRAPH, _BUILD_CAP = g, cap
-        try:
-            ctx = get_context("fork")
-            with ctx.Pool(workers) as pool:
-                per_head = pool.map(_collect_head_worker, heads.tolist(), chunksize=64)
-        finally:
-            _BUILD_GRAPH, _BUILD_CAP = None, 0
-    else:
-        per_head = [_collect_head(g, h, cap) for h in heads.tolist()]
+    per_head = [_collect_head(g, h, cap) for h in heads.tolist()]
 
     # Mined entries in (h, t, path) order, with their pairs and path ids;
     # path ids count the distinct paths in lexicographic order.

@@ -7,15 +7,15 @@ fact also pulls the composed embedding of each reliable path toward its
 relation vector, with each path term weighted by its share of the pair's
 total reliability.
 
-Updates are pure SGD, applied triple by triple; the batch size only
-controls how often norm constraints are re-imposed.
+Updates are pure serial SGD, applied triple by triple; the batch size
+only controls how often norm constraints are re-imposed.  A run is
+byte-deterministic given its data and seed.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 from pathlib import Path
@@ -24,7 +24,7 @@ from typing import Callable, Literal, Mapping, NamedTuple
 import numpy as np
 
 from pathkge.evaluator import _RelationContext, tie_rank
-from pathkge.kgdata import KnowledgeGraph, Triple
+from pathkge.kgdata import KnowledgeGraph, Triple, relation_cardinality
 from pathkge.models import (
     ModelParams,
     PathEvidence,
@@ -66,7 +66,6 @@ class TrainConfig:
     norm: str = "L2"
     neg_mode: str = "uniform"
     seed: int = 7
-    workers: int = 1
     lr_decay: bool = False
     early_stop: bool = False
     patience: int = 50
@@ -82,7 +81,7 @@ class TrainConfig:
             raise ValueError(f"unknown norm {self.norm!r}")
         if self.neg_mode not in NEG_MODES:
             raise ValueError(f"unknown negative-sampling mode {self.neg_mode!r}")
-        for name in ("dim_entity", "dim_relation", "batch_size", "workers"):
+        for name in ("dim_entity", "dim_relation", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("lr", "warm_lr"):
@@ -230,21 +229,10 @@ def _fact_slots(g: KnowledgeGraph, neg_mode: str) -> list[SlotTable]:
 
 def _bern_head_probs(g: KnowledgeGraph) -> np.ndarray:
     """Per-relation probability of corrupting the head (tph/(tph+hpt))."""
-    train = g.train
+    facts, tph, hpt = relation_cardinality(g.train, g.n_relations)
     probs = np.full(g.n_relations, 0.5, dtype=np.float64)
-    order = np.argsort(train[:, 1], kind="stable")
-    rels = train[order, 1]
-    heads = train[order, 0]
-    tails = train[order, 2]
-    bounds = np.searchsorted(rels, np.arange(g.n_relations + 1))
-    for r in range(g.n_relations):
-        lo, hi = bounds[r], bounds[r + 1]
-        if lo == hi:
-            continue
-        n = hi - lo
-        tph = n / len(np.unique(heads[lo:hi]))
-        hpt = n / len(np.unique(tails[lo:hi]))
-        probs[r] = tph / (tph + hpt)
+    seen = facts > 0
+    probs[seen] = tph[seen] / (tph[seen] + hpt[seen])
     return probs
 
 
@@ -263,11 +251,6 @@ class _Touched:
         self.entities: set[int] = set()
         self.relations: set[int] = set()
         self.triples: list[tuple[int, int, int]] = []
-
-    def merge(self, other: "_Touched") -> None:
-        self.entities |= other.entities
-        self.relations |= other.relations
-        self.triples.extend(other.triples)
 
 
 def _acc(store: dict[int, np.ndarray], key: int, grad: np.ndarray) -> None:
@@ -427,40 +410,12 @@ def _run_epoch(
     step = _step_transe if cfg.stage == "transe" else _step_ptransr
     loss_sum = 0.0
     violations = 0
-    thread_rngs = rng.spawn(cfg.workers) if cfg.workers > 1 else None
     for start in range(0, n, cfg.batch_size):
-        batch = order[start : start + cfg.batch_size]
         touched = _Touched()
-        if cfg.workers <= 1:
-            for idx in batch.tolist():
-                l, v = step(g, paths, params, cfg, rng, slots, lr, idx, touched)
-                loss_sum += l
-                violations += v
-        else:
-            # Hogwild over disjoint shards: threads share the parameter
-            # arrays and race on them; callers opt into nondeterminism.
-            shards = np.array_split(batch, cfg.workers)
-
-            def run_shard(shard: np.ndarray, shard_rng: np.random.Generator):
-                local = _Touched()
-                ls, vs_ = 0.0, 0
-                for idx in shard.tolist():
-                    l, v = step(g, paths, params, cfg, shard_rng, slots, lr, idx, local)
-                    ls += l
-                    vs_ += v
-                return ls, vs_, local
-
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [
-                    pool.submit(run_shard, shard, srng)
-                    for shard, srng in zip(shards, thread_rngs)
-                    if len(shard)
-                ]
-                for fut in futures:
-                    ls, vs_, local = fut.result()
-                    loss_sum += ls
-                    violations += vs_
-                    touched.merge(local)
+        for idx in order[start : start + cfg.batch_size].tolist():
+            l, v = step(g, paths, params, cfg, rng, slots, lr, idx, touched)
+            loss_sum += l
+            violations += v
         if not np.isfinite(loss_sum):
             raise TrainError(
                 f"non-finite loss at epoch {epoch}, batch starting {start} "

@@ -66,6 +66,32 @@ def path_score_term(params: ModelParams, table: PathTable, h: int, r: int, t: in
     return num / z
 
 
+def known_index(g) -> dict[tuple[int, int], set[int]]:
+    """The tails of every (h, r) over train, valid and test, by sets; an
+    augmented graph also knows the mirror of every valid and test fact."""
+    facts = [tuple(x) for split in (g.train, g.valid, g.test) for x in split.tolist()]
+    if g.augmented:
+        facts += [(t, r + g.n_relations_orig, h)
+                  for split in (g.valid, g.test) for h, r, t in split.tolist()]
+    out: dict[tuple[int, int], set[int]] = {}
+    for h, r, t in facts:
+        out.setdefault((h, r), set()).add(t)
+    return out
+
+
+def relation_cardinality(triples, n_relations: int):
+    """Per relation: fact count, facts per distinct head (tph) and facts per
+    distinct tail (hpt), by sets; 0.0 for a relation without facts."""
+    facts, tph, hpt = [], [], []
+    for r in range(n_relations):
+        rows = [(h, t) for h, rr, t in triples if rr == r]
+        n = len(rows)
+        facts.append(n)
+        tph.append(n / len({h for h, _ in rows}) if n else 0.0)
+        hpt.append(n / len({t for _, t in rows}) if n else 0.0)
+    return facts, tph, hpt
+
+
 def distinct_children(edges: set, node: int, rel: int) -> list[int]:
     return sorted({t for h, r, t in edges if h == node and r == rel})
 

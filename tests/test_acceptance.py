@@ -28,10 +28,10 @@ from pathkge.evaluator import evaluate, rank_entities
 from pathkge.kgdata import augment_inverse, load_dataset
 from pathkge.models import (
     ModelParams,
-    grad_score_transr,
     path_energy,
     path_energy_and_grads,
     score_transr,
+    transr_energy_and_grads,
 )
 from pathkge.paths import PathTable, build_path_table, enumerate_paths, pcra_resource
 from pathkge.trainer import TrainConfig, init_transe, train
@@ -151,7 +151,7 @@ def test_03_analytic_gradients_match_central_differences():
         r = int(rng.integers(3))
 
         score = lambda: score_transr(params, h, r, t)
-        gh, gt, gr, gM = grad_score_transr(params, h, r, t)
+        _, gh, gt, gr, gM = transr_energy_and_grads(params, h, r, t)
         for j in range(d):
             check(gh[j], central_diff(score, params.entity_emb, (h, j)))
             check(gt[j], central_diff(score, params.entity_emb, (t, j)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -248,6 +249,22 @@ class TestVerbs:
         assert saved["lr"] == "0.05"  # flag beats config file
         assert saved["epochs"] == "2"  # config file beats stage default
 
+    def test_train_config_with_a_workers_line_is_refused(self, ws, tmp_path, capsys):
+        # Every config.txt written before training became serial-only
+        # carries this line; such a file must be edited, not half-read.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("stage = transr\nepochs = 1\nworkers = 1\n")
+        capsys.readouterr()
+        rc = cli.main([
+            "train", "--data", str(ws["data"]), "--config", str(cfg),
+            "--out", str(tmp_path / "run"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "'workers'" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_evaluate_reports(self, ws, tmp_path, capsys):
         out = tmp_path / "eval"
         rc = cli.main(
@@ -265,6 +282,18 @@ class TestVerbs:
         ranks = (out / "ranks.csv").read_text().splitlines()
         assert len(ranks) == 1 + payload["n_instances"]
         assert (out / "report.txt").is_file()
+
+    def test_evaluate_rejects_a_bad_worker_count(self, ws, tmp_path, capsys):
+        capsys.readouterr()
+        rc = cli.main([
+            "evaluate", "--data", str(ws["data"]), "--model", str(ws["model"]),
+            "--workers", "-3", "--out", str(tmp_path / "eval"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: workers must be >= 1")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "eval").exists()
 
     def test_evaluate_raw_protocol(self, ws, tmp_path):
         out = tmp_path / "eval-raw"
@@ -416,6 +445,15 @@ class TestPlumbing:
         assert rc == 1
         assert err.startswith("error: ") and "finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_only_evaluate_takes_workers(self):
+        subs = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        takes = {verb for verb, sub in subs.choices.items()
+                 if "--workers" in sub._option_string_actions}
+        assert takes == {"evaluate"}
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -389,6 +389,12 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="empty"):
             evaluate(params, PathTable.empty(4), empty, split="test")
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_validation(self, workers):
+        params, g = perfect_model()
+        with pytest.raises(EvalError, match="workers"):
+            evaluate(params, PathTable.empty(4), g, workers=workers)
+
 
 class TestReportWriters:
     @pytest.fixture

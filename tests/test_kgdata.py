@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import TRI, make_graph
+from conftest import TRI, make_graph, random_triples
+from oracles import known_index
+from oracles import relation_cardinality as cardinality_oracle
 from pathkge.kgdata import (
     DatasetError,
     KnowledgeGraph,
@@ -14,6 +18,7 @@ from pathkge.kgdata import (
     classify_relations,
     frequency_bucket,
     load_dataset,
+    relation_cardinality,
     relation_train_counts,
     write_vocab_dumps,
 )
@@ -148,8 +153,6 @@ class TestAugmentation:
 class TestAdjacency:
     def test_multiset_vs_structural(self):
         g = make_graph([(0, 0, 1), (0, 0, 1), (0, 0, 2)], augment=False)
-        rels, dsts = g.out_edges(0)
-        assert len(rels) == 3
         urels, udsts, shares = g.unique_out_edges(0)
         assert udsts.tolist() == [1, 2]
         assert shares.tolist() == [0.5, 0.5]
@@ -207,6 +210,34 @@ class TestMembership:
                 expect = sorted({h for h, rr, tt in every if rr == r and tt == t})
                 assert g.known_heads(r, t).tolist() == expect
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_known_index_matches_set_oracle(self, seed, augment):
+        # Valid and test repeat train facts and each other, and train holds
+        # duplicates, so the index must collapse repeats across splits.
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=6, max_relations=3)
+        pool = triples + [triples[i] for i in rng.integers(len(triples), size=4).tolist()]
+        valid = [pool[i] for i in rng.integers(len(pool), size=3).tolist()] + triples[:1]
+        test = [pool[i] for i in rng.integers(len(pool), size=3).tolist()] + valid[:1]
+        g = make_graph(pool, valid=valid, test=test, n_entities=n_ent,
+                       n_relations=n_rel, augment=augment)
+        expect = known_index(g)
+        keys = sorted(h * g.n_relations + r for h, r in expect)
+        assert g._known_keys.tolist() == keys
+        assert g._known_keys.dtype == np.int64 and g._known_offsets.dtype == np.int64
+        assert g._known_tails_flat.dtype == np.int32
+        assert g._known_offsets.tolist() == [0] + np.cumsum(
+            [len(expect[divmod(k, g.n_relations)]) for k in keys]
+        ).tolist()
+        for h in range(n_ent):
+            for r in range(g.n_relations):
+                tails = sorted(expect.get((h, r), ()))
+                assert g.known_tails(h, r).tolist() == tails
+                assert [g.is_known(h, r, t) for t in range(n_ent)] == [
+                    t in tails for t in range(n_ent)
+                ]
+
     def test_train_pairs(self, tri_graph):
         # Augmented TRI links 0-1, 1-2, 0-2 both ways; keys are h * 3 + t.
         assert tri_graph.train_pairs().tolist() == [1, 2, 3, 5, 6, 7]
@@ -236,6 +267,24 @@ class TestRelationStats:
     def test_category_uses_train_only(self):
         cats = classify_relations(self.graph())
         assert set(cats) == {0, 1, 2, 3, 4}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_cardinality_matches_set_oracle(self, seed):
+        # Exact equality: the Bernoulli sampler's draws depend on every bit.
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=6, max_relations=4)
+        triples += triples[: int(rng.integers(len(triples) + 1))]
+        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel + 1)
+        for train, n in ((g.train, g.n_relations), (g.original_train, g.n_relations_orig)):
+            got = relation_cardinality(train, n)
+            assert [a.tolist() for a in got] == list(
+                cardinality_oracle(train.tolist(), n)
+            )
+        facts, tph, hpt = cardinality_oracle(g.original_train.tolist(), n_rel + 1)
+        for r, cat in classify_relations(g).items():
+            assert (cat is None) == (facts[r] == 0)
+            assert cat is None or (cat.tph, cat.hpt) == (tph[r], hpt[r])
 
     def test_relation_train_counts(self):
         counts = relation_train_counts(self.graph())

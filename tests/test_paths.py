@@ -203,15 +203,6 @@ class TestBuildTable:
         table = build_path_table(tri_graph, reliability_floor=0.999999)
         assert table.n_entries == 6
 
-    def test_workers_agree_with_serial(self, diamond_graph):
-        a = build_path_table(diamond_graph, reliability_floor=0.0, cap=10, workers=1)
-        b = build_path_table(diamond_graph, reliability_floor=0.0, cap=10, workers=2)
-        assert a.path_rels == b.path_rels
-        assert np.array_equal(a.pair_keys, b.pair_keys)
-        assert np.array_equal(a.entry_path, b.entry_path)
-        assert np.array_equal(a.entry_v, b.entry_v)
-        assert np.array_equal(a.relat_val, b.relat_val)
-
     def test_build_stats(self, tri_graph):
         stats: dict = {}
         build_path_table(tri_graph, reliability_floor=0.01, cap=10, stats=stats)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
+from oracles import relation_cardinality as cardinality_oracle
 from oracles import validation_mean_rank
 from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
@@ -69,7 +70,6 @@ class TestConfig:
             {"neg_mode": "fancy"},
             {"dim_entity": 0},
             {"batch_size": 0},
-            {"workers": 0},
             {"lr": 0.0},
             {"margin1": 0.0},
             {"epochs": -1},
@@ -190,6 +190,16 @@ class TestNegativeSampling:
         probs = _bern_head_probs(g)
         # tph = 2, hpt = 1 -> corrupt the head 2/3 of the time.
         assert probs[0] == pytest.approx(2.0 / 3.0)
+
+    def test_bernoulli_probs_match_set_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            triples, n_ent, n_rel = random_triples(rng)
+            g = make_graph(triples, n_entities=n_ent, n_relations=n_rel + 1)
+            facts, tph, hpt = cardinality_oracle(g.train.tolist(), g.n_relations)
+            assert _bern_head_probs(g).tolist() == [
+                a / (a + b) if n else 0.5 for n, a, b in zip(facts, tph, hpt)
+            ]
 
 
 class TestWarmStart:
@@ -372,13 +382,6 @@ class TestTrain:
             kept_zero |= any(rel == 0.0 for _, _, rel in entries)
         assert skipped_self and kept_zero
         assert not _fact_paths(g, PathTable.empty(g.n_entities)).evidence.z.any()
-
-    def test_hogwild_smoke(self, small_graph):
-        table = build_path_table(small_graph, reliability_floor=0.0)
-        params, records = train(small_graph, table, tiny_cfg(workers=2, batch_size=8))
-        assert np.isfinite(records[-1]["loss"])
-        norms = np.linalg.norm(params.entity_emb.astype(np.float64), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
     def test_bernoulli_mode_runs(self, small_graph):
         params, records = train(small_graph, None, tiny_cfg(stage="transr", neg_mode="bernoulli"))
