@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from pathkge.kgdata import (
     CATEGORY_LABELS,
     FREQUENCY_BUCKETS,
     KnowledgeGraph,
+    _firsts,
     classify_relations,
     frequency_bucket,
     relation_train_counts,
@@ -60,8 +61,12 @@ def tie_rank(scores: np.ndarray, gold_index: int, policy: TiePolicy = "pessimist
     if not np.all(np.isfinite(scores)):
         raise EvalError("scores must be finite")
     gold = scores[gold_index]
-    less = int((scores < gold).sum())
-    ties = int((scores == gold).sum())
+    return int(_tie_break((scores < gold).sum(), (scores == gold).sum(), policy))
+
+
+def _tie_break(less: np.ndarray, ties: np.ndarray, policy: TiePolicy) -> np.ndarray:
+    """1-based ranks from the count of better candidates and the size of
+    the tie group, the gold included."""
     if policy == "pessimistic":
         return less + ties
     if policy == "mean":
@@ -128,8 +133,8 @@ class RankReport:
 class _RelationContext:
     """Cached per-relation projections shared by every fact with that relation."""
 
-    def __init__(self, params: ModelParams, g: KnowledgeGraph, r: int) -> None:
-        ent = params.entity_emb.astype(np.float64)
+    def __init__(self, params: ModelParams, g: KnowledgeGraph, r: int, ent: np.ndarray) -> None:
+        # ent: params.entity_emb in float64, converted once per evaluation
         self.r = r
         self.r_inv = g.inverse_of(r)
         self.proj_fwd = ent @ params.proj[r].astype(np.float64).T
@@ -137,16 +142,38 @@ class _RelationContext:
         self.rv = params.relation_emb[r].astype(np.float64)
         self.riv = params.relation_emb[self.r_inv].astype(np.float64)
 
-    def stage1(self, h: int, t: int, slot: str) -> np.ndarray:
-        """Projected-translation score of every entity in the slot."""
+    def stage1(self, anchor: int, slot: str) -> np.ndarray:
+        """Projected-translation score of every entity in the slot, the
+        other slot holding ``anchor``; non-finite scores are refused."""
         if slot == "head":
-            return _sq_norms(self.proj_fwd + (self.rv - self.proj_fwd[t]))
-        return _sq_norms((self.proj_fwd[h] + self.rv) - self.proj_fwd)
+            s1 = _sq_norms(self.proj_fwd + (self.rv - self.proj_fwd[anchor]))
+        else:
+            s1 = _sq_norms((self.proj_fwd[anchor] + self.rv) - self.proj_fwd)
+        if not np.isfinite(s1).all():
+            raise EvalError("scores must be finite")
+        return s1
 
 
 def _sq_norms(mat: np.ndarray) -> np.ndarray:
     """Squared row norms; squares the temporary ``mat`` in place."""
     return np.square(mat, out=mat).sum(axis=1)
+
+
+def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each distinct key, ascending, with the positions that hold it."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(_firsts(keys[order]))
+    return list(zip(keys[order[starts]].tolist(), np.split(order, starts[1:])))
+
+
+def _queries(facts: np.ndarray) -> Iterator[tuple[str, int, np.ndarray, np.ndarray]]:
+    """Each distinct query of one relation's facts, once per slot: (slot,
+    anchor, rows, golds), where ``rows`` are the positions in ``facts`` of
+    every fact whose other slot holds ``anchor`` and ``golds`` their
+    entities in the slot."""
+    for slot, anchor_col, gold_col in (("head", 2, 0), ("tail", 0, 2)):
+        for anchor, rows in _groups(facts[:, anchor_col]):
+            yield slot, anchor, rows, facts[rows, gold_col]
 
 
 def _window(s1: np.ndarray, k: int) -> np.ndarray:
@@ -161,55 +188,72 @@ def _window(s1: np.ndarray, k: int) -> np.ndarray:
     return window
 
 
-def _window_rank(
-    s1: np.ndarray, s2: np.ndarray, window: np.ndarray, gold: int,
-    compete: np.ndarray, tie_policy: TiePolicy,
-) -> int:
-    """Rank of the gold among the competing entities: by the full score
-    s2 (the window's, in entity order) inside the window, by the stage-1
-    score below every window entity outside it."""
-    if window[gold]:
-        keep = compete[window]
-        pos = np.count_nonzero(keep[: np.count_nonzero(window[:gold])])
-        return tie_rank(s2[keep], int(pos), tie_policy)
-    rest = compete & ~window
-    above = np.count_nonzero(compete & window)
-    return int(above) + tie_rank(s1[rest], int(np.count_nonzero(rest[:gold])), tie_policy)
+def _rank_matrices(
+    cand_in: np.ndarray, cand_val: np.ndarray, gold_in: np.ndarray, gold_val: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which candidates rank above each gold (one row per gold) and which
+    tie with it.  Window candidates (``*_in``) rank above all others; on the
+    same side of the window the lower score ranks higher."""
+    same = cand_in == gold_in[:, None]
+    above = (cand_in > gold_in[:, None]) | (same & (cand_val < gold_val[:, None]))
+    return above, same & (cand_val == gold_val[:, None])
 
 
-def _rank_slot(
+def _gold_ranks(
+    s1: np.ndarray, s2: np.ndarray, window: np.ndarray, golds: np.ndarray,
+    known: np.ndarray, protocol: Protocol, tie_policy: TiePolicy,
+) -> tuple[list[int], list[int] | list[None]]:
+    """Raw and filtered ranks of each gold, scored by s2 (the window's, in
+    entity order) inside the window and by s1 outside it.  The filtered
+    rank drops the known entities other than the gold itself."""
+    val = s1.copy()
+    val[window] = s2
+    gold_in, gold_val = window[golds], val[golds]
+    above, tied = _rank_matrices(window, val, gold_in, gold_val)
+    less, ties = above.sum(axis=1), tied.sum(axis=1)
+    raw = _tie_break(less, ties, tie_policy).tolist()
+    if protocol == "raw":
+        return raw, [None] * len(golds)
+    # Take out what the known entities counted, except each gold's own tie.
+    above, tied = _rank_matrices(window[known], val[known], gold_in, gold_val)
+    tied &= known != golds[:, None]
+    filtered = _tie_break(less - above.sum(axis=1), ties - tied.sum(axis=1), tie_policy)
+    return raw, filtered.tolist()
+
+
+def _rank_query(
     params: ModelParams,
     table: PathTable,
     g: KnowledgeGraph,
     ctx: _RelationContext,
-    h: int,
-    t: int,
+    anchor: int,
     slot: str,
+    golds: np.ndarray,
     protocol: Protocol,
     rerank_k: int,
     tie_policy: TiePolicy,
-) -> tuple[int, int | None, bool]:
-    """Raw and filtered rank of the gold entity for one slot, and whether
-    stage 1 put it in the rerank window."""
+) -> tuple[list[int], list[int] | list[None], list[bool]]:
+    """Raw and filtered ranks of every gold of one query (relation ``ctx.r``,
+    the other slot holding ``anchor``), and whether stage 1 put each in the
+    rerank window.  Stage 1, the window and its full scores depend only on
+    the query, so they are computed once for all of its golds."""
     r, r_inv = ctx.r, ctx.r_inv
-    s1 = ctx.stage1(h, t, slot)
-    if not np.isfinite(s1).all():
-        raise EvalError("scores must be finite")
+    s1 = ctx.stage1(anchor, slot)
     window = _window(s1, rerank_k)
     win = np.flatnonzero(window)
     k = len(win)
     if slot == "head":
-        s_inv = _sq_norms((ctx.proj_inv[t] + ctx.riv) - ctx.proj_inv[win])
-        gold, known = h, g.known_heads(r, t)
+        s_inv = _sq_norms((ctx.proj_inv[anchor] + ctx.riv) - ctx.proj_inv[win])
+        known = g.known_heads(r, anchor)
     else:
-        s_inv = _sq_norms(ctx.proj_inv[win] + (ctx.riv - ctx.proj_inv[h]))
-        gold, known = t, g.known_tails(h, r)
+        s_inv = _sq_norms(ctx.proj_inv[win] + (ctx.riv - ctx.proj_inv[anchor]))
+        known = g.known_tails(anchor, r)
 
     # Full-model scores in both directions for the rerank window, with the
     # path terms of every forward and inverse triple in one batch.
     s2 = s1[win] + s_inv
     if table.n_entries:
-        fixed = np.full(k, t if slot == "head" else h)
+        fixed = np.full(k, anchor)
         fwd_h, fwd_t = (win, fixed) if slot == "head" else (fixed, win)
         terms = path_score_terms(
             params, table, np.concatenate((fwd_h, fwd_t)), np.repeat([r, r_inv], k),
@@ -219,13 +263,8 @@ def _rank_slot(
     if not np.isfinite(s2).all():
         raise EvalError("scores must be finite")
 
-    compete = np.ones(len(s1), dtype=bool)
-    raw = _window_rank(s1, s2, window, gold, compete, tie_policy)
-    if protocol == "raw":
-        return raw, None, bool(window[gold])
-    compete[known] = False
-    compete[gold] = True
-    return raw, _window_rank(s1, s2, window, gold, compete, tie_policy), bool(window[gold])
+    raw, filtered = _gold_ranks(s1, s2, window, golds, known, protocol, tie_policy)
+    return raw, filtered, window[golds].tolist()
 
 
 def rank_entities(
@@ -241,10 +280,12 @@ def rank_entities(
     """Rank every entity as a candidate for one slot of one fact."""
     _check_eval_args(params, g, rerank_k, protocol, slot=slot)
     h, r, t = (int(x) for x in triple)
-    ctx = _RelationContext(params, g, r)
-    return RankResult(0, slot, h, r, t, *_rank_slot(
-        params, table, g, ctx, h, t, slot, protocol, rerank_k, tie_policy
-    ))
+    ctx = _RelationContext(params, g, r, params.entity_emb.astype(np.float64))
+    anchor, gold = (t, h) if slot == "head" else (h, t)
+    (raw,), (filtered,), (in_window,) = _rank_query(
+        params, table, g, ctx, anchor, slot, np.array([gold]), protocol, rerank_k, tie_policy
+    )
+    return RankResult(0, slot, h, r, t, raw, filtered, in_window)
 
 
 def _check_eval_args(
@@ -274,26 +315,30 @@ def _check_eval_args(
 
 
 def _instances_for_relations(
+    rel_ids: Iterable[int],
     params: ModelParams,
     table: PathTable,
     g: KnowledgeGraph,
+    ent: np.ndarray,
     split_triples: np.ndarray,
-    rel_ids: Iterable[int],
-    by_relation: dict[int, list[int]],
+    by_relation: dict[int, np.ndarray],
     protocol: Protocol,
     rerank_k: int,
     tie_policy: TiePolicy,
 ) -> list[RankResult]:
     out: list[RankResult] = []
     for r in rel_ids:
-        ctx = _RelationContext(params, g, int(r))
-        for idx in by_relation[int(r)]:
-            h, _, t = (int(x) for x in split_triples[idx])
-            for slot in ("head", "tail"):
-                out.append(RankResult(idx, slot, h, int(r), t, *_rank_slot(
-                    params, table, g, ctx, h, t, slot,
-                    protocol, rerank_k, tie_policy,
-                )))
+        ctx = _RelationContext(params, g, int(r), ent)
+        idxs = by_relation[int(r)]
+        facts = split_triples[idxs]
+        for slot, anchor, rows, golds in _queries(facts):
+            ranks = _rank_query(
+                params, table, g, ctx, anchor, slot, golds, protocol, rerank_k, tie_policy
+            )
+            for idx, (h, _, t), *rank in zip(
+                idxs[rows].tolist(), facts[rows].tolist(), *ranks
+            ):
+                out.append(RankResult(idx, slot, h, int(r), t, *rank))
     return out
 
 
@@ -301,11 +346,7 @@ _EVAL_STATE: tuple | None = None
 
 
 def _eval_worker(rel_chunk: list[int]) -> list[RankResult]:
-    params, table, g, split_triples, by_relation, protocol, rerank_k, tie_policy = _EVAL_STATE
-    return _instances_for_relations(
-        params, table, g, split_triples, rel_chunk, by_relation,
-        protocol, rerank_k, tie_policy,
-    )
+    return _instances_for_relations(rel_chunk, *_EVAL_STATE)
 
 
 def evaluate(
@@ -333,18 +374,15 @@ def evaluate(
     if len(split_triples) == 0:
         raise EvalError(f"cannot evaluate an empty {split} split")
 
-    by_relation: dict[int, list[int]] = {}
-    for idx, row in enumerate(split_triples):
-        by_relation.setdefault(int(row[1]), []).append(idx)
+    by_relation = dict(_groups(split_triples[:, 1]))
     rel_ids = sorted(by_relation)
+    ent = params.entity_emb.astype(np.float64)
+    state = (params, table, g, ent, split_triples, by_relation, protocol, rerank_k, tie_policy)
 
     if workers > 1:
         global _EVAL_STATE
         chunks = [list(c) for c in np.array_split(rel_ids, workers) if len(c)]
-        _EVAL_STATE = (
-            params, table, g, split_triples, by_relation,
-            protocol, rerank_k, tie_policy,
-        )
+        _EVAL_STATE = state
         try:
             ctx = get_context("fork")
             with ctx.Pool(len(chunks)) as pool:
@@ -353,10 +391,7 @@ def evaluate(
             _EVAL_STATE = None
         instances = [res for part in parts for res in part]
     else:
-        instances = _instances_for_relations(
-            params, table, g, split_triples, rel_ids, by_relation,
-            protocol, rerank_k, tie_policy,
-        )
+        instances = _instances_for_relations(rel_ids, *state)
     # Deterministic order regardless of relation grouping or worker split.
     instances.sort(key=lambda res: (res.index, res.slot))
 

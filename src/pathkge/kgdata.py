@@ -94,12 +94,22 @@ def _fact_keys(triples: np.ndarray, n_relations: int, n_entities: int) -> np.nda
     return (heads * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
 
 
+_INDEX_ATTRS = frozenset({
+    "_uadj_offsets", "_uadj_rel", "_uadj_dst", "_uadj_share",
+    "_train_keys", "_known_keys", "_known_offsets", "_known_tails_flat",
+})
+
+
 class KnowledgeGraph:
     """Immutable triple store with adjacency and membership indexes.
 
     ``train`` holds the training fact list exactly as ingested (duplicates
     retained); after :func:`augment_inverse` it is the doubled list with the
     mirrored facts appended after the originals.
+
+    An augmented graph builds its indexes when it is made.  An un-augmented
+    one builds them on first use: the graph :func:`load_dataset` returns is
+    usually only read by :func:`augment_inverse`, which needs none.
     """
 
     def __init__(
@@ -118,7 +128,16 @@ class KnowledgeGraph:
         self.n_relations_orig = n_relations_orig
         self.augmented = augmented
         self._pair_keys = None
+        if augmented:
+            self._build_indexes()
+
+    def __getattr__(self, name: str):
+        # Called only for attributes not set: an un-augmented graph's
+        # indexes, before their first use.
+        if name not in _INDEX_ATTRS or "train" not in self.__dict__:
+            raise AttributeError(name)
         self._build_indexes()
+        return self.__dict__[name]
 
     # -- construction -------------------------------------------------
 

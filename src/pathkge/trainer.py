@@ -23,7 +23,7 @@ from typing import Callable, Literal, Mapping, NamedTuple
 
 import numpy as np
 
-from pathkge.evaluator import _RelationContext, tie_rank
+from pathkge.evaluator import _queries, _RelationContext
 from pathkge.kgdata import KnowledgeGraph, Triple, relation_cardinality
 from pathkge.models import (
     ModelParams,
@@ -442,12 +442,14 @@ def _validation_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
     """Raw pessimistic mean rank on the valid split, first-stage score only."""
     if len(g.valid) == 0:
         raise TrainError("early stopping needs a non-empty valid split")
-    ranks: list[int] = []
+    ent = params.entity_emb.astype(np.float64)
+    ranks: list[np.ndarray] = []
     for r in np.unique(g.valid[:, 1]).tolist():
-        ctx = _RelationContext(params, g, r)
-        for h, _, t in g.valid[g.valid[:, 1] == r].tolist():
-            ranks += [tie_rank(ctx.stage1(h, t, "head"), h), tie_rank(ctx.stage1(h, t, "tail"), t)]
-    return float(np.mean(ranks))
+        ctx = _RelationContext(params, g, r, ent)
+        for slot, anchor, _, golds in _queries(g.valid[g.valid[:, 1] == r]):
+            s1 = ctx.stage1(anchor, slot)
+            ranks.append((s1 <= s1[golds][:, None]).sum(axis=1))  # pessimistic
+    return float(np.mean(np.concatenate(ranks)))
 
 
 # -- orchestration -----------------------------------------------------------

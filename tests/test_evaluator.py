@@ -15,6 +15,7 @@ from conftest import make_graph, random_triples
 from oracles import full_rank_oracle, windowed_rank_oracle
 from pathkge.evaluator import (
     EvalError,
+    _RelationContext,
     _window,
     evaluate,
     rank_entities,
@@ -226,6 +227,78 @@ class TestWindowedRanking:
                 params, table, g, (res.h, res.r, res.t), res.slot, protocol, k, tie_policy
             )
             assert single == replace(res, index=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**9),
+        st.sampled_from(["1", "n//2", "n"]),
+        st.sampled_from(["pessimistic", "mean"]),
+        st.sampled_from(["raw", "filter"]),
+        st.booleans(),
+    )
+    def test_repeated_queries(self, seed, k_rule, tie_policy, protocol, with_table):
+        # Two anchors, exact duplicate facts and duplicated entity rows, so
+        # most queries have several golds, some of them tied with each other.
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(
+            rng, max_entities=9, max_relations=2, max_edges=16
+        )
+        anchors = rng.choice(n_ent, size=min(2, n_ent), replace=False)
+        test = []
+        for _ in range(8):
+            a, r, e = int(rng.choice(anchors)), int(rng.integers(n_rel)), int(rng.integers(n_ent))
+            test.append((a, r, e) if rng.random() < 0.5 else (e, r, a))
+        test += [test[i] for i in rng.integers(len(test), size=3)]
+        g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
+        table = (
+            build_path_table(g, reliability_floor=0.0) if with_table else PathTable.empty(n_ent)
+        )
+        params = grid_model(rng, g.n_entities, g.n_relations)
+        params.entity_emb[rng.integers(n_ent, size=n_ent)] = params.entity_emb[0]
+        k = max(1, {"1": 1, "n//2": n_ent // 2, "n": n_ent}[k_rule])
+        report = evaluate(
+            params, table, g, split="test", rerank_k=k, tie_policy=tie_policy,
+            protocol=protocol,
+        )
+        queries = {(res.r, res.slot, res.t if res.slot == "head" else res.h)
+                   for res in report.instances}
+        assert len(queries) < report.n_instances
+        for res in report.instances:
+            raw, filt, in_window = windowed_rank_oracle(
+                params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
+            )
+            assert (res.raw_rank, res.in_window) == (raw, in_window)
+            assert res.filtered_rank == (filt if protocol == "filter" else None)
+            single = rank_entities(
+                params, table, g, (res.h, res.r, res.t), res.slot, protocol, k, tie_policy
+            )
+            assert single == replace(res, index=0)
+        parallel = evaluate(
+            params, table, g, split="test", rerank_k=k, tie_policy=tie_policy,
+            protocol=protocol, workers=2,
+        )
+        assert parallel.instances == report.instances
+
+    def test_stage1_runs_once_per_distinct_query(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=8, max_relations=2)
+        test = [(0, 0, 1), (0, 0, 2), (0, 0, 2), (3, 0, 2), (1, 0, 0), (1, 0, 0)]
+        g = make_graph(triples, test=test, n_entities=n_ent + 4, n_relations=n_rel)
+        params = ModelParams.random(g.n_entities, g.n_relations, 3, 3, rng)
+        calls = []
+        stage1 = _RelationContext.stage1
+
+        def spy(ctx, anchor, slot):
+            calls.append((ctx.r, slot, anchor))
+            return stage1(ctx, anchor, slot)
+
+        monkeypatch.setattr(_RelationContext, "stage1", spy)
+        report = evaluate(params, PathTable.empty(g.n_entities), g, split="test", rerank_k=3)
+        assert report.n_instances == 12
+        assert sorted(calls) == [
+            (0, "head", 0), (0, "head", 1), (0, "head", 2),
+            (0, "tail", 0), (0, "tail", 1), (0, "tail", 3),
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(1, 45))

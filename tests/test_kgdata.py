@@ -73,6 +73,28 @@ class TestIngestion:
         )
         assert len(g.train) == 2
 
+    def test_indexes_built_once_per_load_and_augment(self, dataset_dir, monkeypatch):
+        built = []
+        build = KnowledgeGraph._build_indexes
+
+        def counting(g):
+            built.append(g.augmented)
+            build(g)
+
+        monkeypatch.setattr(KnowledgeGraph, "_build_indexes", counting)
+        plain = load_dataset(
+            dataset_dir / "train.txt", dataset_dir / "valid.txt", dataset_dir / "test.txt"
+        )
+        g = augment_inverse(plain)
+        assert built == [True]  # inside load + augment, not on first query
+        assert g.known_heads(0, 2).tolist() == [0] and g.children(2, 1).tolist() == [0]
+        assert built == [True]
+        # The un-augmented graph still answers every query, indexing once.
+        assert plain.known_tails(0, 0).tolist() == [1, 2]
+        assert plain.in_train(2, 1, 0) and not plain.in_train(0, 0, 2)
+        assert plain.unique_out_edges(0)[1].tolist() == [1]
+        assert built == [True, False]
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         write_split(tmp_path / "train.txt", [("a", "r", "b")])
         with open(tmp_path / "train.txt", "a", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ from conftest import TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
 from oracles import validation_mean_rank
+from pathkge.evaluator import _RelationContext
 from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable, build_path_table
@@ -336,6 +337,24 @@ class TestTrain:
         assert _validation_mean_rank(params, g) == validation_mean_rank(params, g)
         params.entity_emb[1:] = params.entity_emb[0]  # every score tied
         assert _validation_mean_rank(params, g) == validation_mean_rank(params, g) == n_ent
+
+    def test_validation_probe_runs_stage1_once_per_distinct_query(self, monkeypatch):
+        valid = [(0, 0, 1), (0, 0, 2), (0, 0, 2), (3, 0, 2), (1, 1, 0), (1, 1, 0)]
+        g = make_graph(TRI, valid=valid, n_entities=4, n_relations=3)
+        params = ModelParams.random(g.n_entities, g.n_relations, 3, 3, np.random.default_rng(2))
+        calls = []
+        stage1 = _RelationContext.stage1
+
+        def spy(ctx, anchor, slot):
+            calls.append((ctx.r, slot, anchor))
+            return stage1(ctx, anchor, slot)
+
+        monkeypatch.setattr(_RelationContext, "stage1", spy)
+        assert _validation_mean_rank(params, g) == validation_mean_rank(params, g)
+        assert sorted(calls) == [
+            (0, "head", 1), (0, "head", 2), (0, "tail", 0), (0, "tail", 3),
+            (1, "head", 0), (1, "tail", 1),
+        ]
 
     def test_early_stop_needs_valid(self):
         g = make_graph(TRI)
