@@ -17,7 +17,6 @@ from pathkge.evaluator import (
 from pathkge.kgdata import (
     DatasetError,
     KnowledgeGraph,
-    Triple,
     Vocab,
     augment_inverse,
     classify_relations,
@@ -29,7 +28,6 @@ from pathkge.models import (
     compose_path,
     path_energy,
     score_ptransr,
-    score_transe,
     score_transr,
 )
 from pathkge.paths import (
@@ -58,7 +56,6 @@ __all__ = [
     "SyntheticKGSpec",
     "TrainConfig",
     "TrainError",
-    "Triple",
     "Vocab",
     "augment_inverse",
     "build_path_table",
@@ -72,7 +69,6 @@ __all__ = [
     "pcra_resource",
     "rank_entities",
     "score_ptransr",
-    "score_transe",
     "score_transr",
     "tie_rank",
     "train",

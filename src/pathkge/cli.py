@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -150,6 +151,16 @@ def _sample_pairs(rng: np.random.Generator, n: int, count: int) -> list[tuple[in
     return out
 
 
+def _compose(
+    pairs_a: Iterable[tuple[int, int]], pairs_b: Iterable[tuple[int, int]], c: int
+) -> set[tuple[int, int, int]]:
+    """The facts (x, c, z), x != z, of every chain x -a-> y -b-> z."""
+    succ: dict[int, list[int]] = {}
+    for y, z in pairs_b:
+        succ.setdefault(y, []).append(z)
+    return {(x, c, z) for x, y in pairs_a for z in succ.get(y, ()) if x != z}
+
+
 def generate_synthetic_kg(spec: SyntheticKGSpec, out_dir: str | Path) -> dict:
     """Write train/valid/test TSVs plus a spec.json echo; return the summary."""
     spec.validate()
@@ -167,15 +178,7 @@ def generate_synthetic_kg(spec: SyntheticKGSpec, out_dir: str | Path) -> dict:
 
     composed: set[tuple[int, int, int]] = set()
     for a, b, c in spec.composition_rules:
-        succ: dict[int, list[int]] = {}
-        for y, z in pairs_of[b]:
-            succ.setdefault(y, []).append(z)
-        produced = {
-            (x, c, z)
-            for x, y in pairs_of[a]
-            for z in succ.get(y, ())
-            if x != z
-        }
+        produced = _compose(pairs_of[a], pairs_of[b], c)
         if not produced:
             raise SynthError(
                 f"rule ({a},{b}->{c}) produced no composed facts; the spec is "
@@ -218,21 +221,15 @@ def generate_synthetic_kg(spec: SyntheticKGSpec, out_dir: str | Path) -> dict:
     train_facts = sorted(clean_train + sorted(noise))
 
     # Every held-out composed fact must keep a 2-hop witness in train.
-    train_set = set(train_facts)
-    witness_pairs: dict[int, set[tuple[int, int]]] = {
-        r: {(h, t) for h, rr, t in train_set if rr == r}
-        for r in range(spec.n_relations)
-    }
-    for x, c, z in valid_facts + test_facts:
-        ok = any(
-            rc == c
-            and any(
-                (x, y) in witness_pairs[a] and (y, z) in witness_pairs[b]
-                for y in range(n)
-            )
-            for a, b, rc in spec.composition_rules
-        )
-        if not ok:
+    train_pairs: dict[int, list[tuple[int, int]]] = {}
+    for h, r, t in train_facts:
+        train_pairs.setdefault(r, []).append((h, t))
+    witnessed: set[tuple[int, int, int]] = set()
+    for a, b, c in spec.composition_rules:
+        witnessed |= _compose(train_pairs.get(a, ()), train_pairs.get(b, ()), c)
+    for fact in valid_facts + test_facts:
+        if fact not in witnessed:
+            x, c, z = fact
             raise SynthError(
                 f"held-out fact ({x},{c},{z}) lost its 2-hop train witness"
             )
@@ -326,7 +323,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_vocab_dumps(g, out)
 
-    counts = relation_train_counts(g)
+    freq = relation_train_counts(g)
     categories = classify_relations(g)
     cat_hist = {label: 0 for label in CATEGORY_LABELS}
     for cat in categories.values():
@@ -334,17 +331,13 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             cat_hist[cat.category] += 1
     freq_hist = {b: 0 for b in FREQUENCY_BUCKETS}
     for r in range(g.n_relations_orig):
-        if counts[r] >= 1:
-            freq_hist[frequency_bucket(int(counts[r]))] += 1
+        if freq[r] >= 1:
+            freq_hist[frequency_bucket(int(freq[r]))] += 1
 
+    counts = g.counts()
     stats = {
-        "entities": g.n_entities,
-        "relations": g.n_relations_orig,
+        **counts,
         "relations_with_inverses": g.n_relations,
-        "train": len(g.original_train),
-        "train_augmented": len(g.train),
-        "valid": len(g.valid),
-        "test": len(g.test),
         "relation_categories": cat_hist,
         "relation_frequency_buckets": freq_hist,
     }
@@ -352,11 +345,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         json.dump(stats, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-    print(f"entities:       {g.n_entities}")
-    print(f"relations:      {g.n_relations_orig} ({g.n_relations} with inverses)")
-    print(f"train triples:  {len(g.original_train)} ({len(g.train)} augmented)")
-    print(f"valid triples:  {len(g.valid)}")
-    print(f"test triples:   {len(g.test)}")
+    print(f"entities:       {counts['entities']}")
+    print(f"relations:      {counts['relations']} ({g.n_relations} with inverses)")
+    print(f"train triples:  {counts['train']} ({counts['train_augmented']} augmented)")
+    print(f"valid triples:  {counts['valid']}")
+    print(f"test triples:   {counts['test']}")
     print(f"wrote vocab dumps and stats.json under {out}")
     return 0
 
@@ -520,6 +513,8 @@ def _path_gaps(params: ModelParams, table: PathTable, pids: np.ndarray, r: int) 
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise DatasetError("--top must be >= 1")
     g = _load_graph(args)
     if not Path(args.model).is_file():
         raise ModelError(f"model file not found: {args.model}")

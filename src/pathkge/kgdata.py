@@ -3,11 +3,14 @@
 Triple files are UTF-8 TSV, one fact per line.  All three splits share a
 single vocabulary so downstream stages never meet an unknown id.  Before
 any path mining or training, the train split is mirrored with synthetic
-inverse relations; valid/test keep their original orientation.
+inverse relations; valid/test keep their original orientation.  A graph
+builds each of its lookup indexes (adjacency, train facts, train pairs,
+known facts) the first time a stage reads it, never on load or augment.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Literal, NamedTuple, Sequence
 
@@ -23,14 +26,6 @@ INVERSE_SUFFIX = "^-1"
 
 class DatasetError(ValueError):
     """Malformed input data or an invalid graph operation."""
-
-
-class Triple(NamedTuple):
-    """One (head, relation, tail) fact in dense-id form."""
-
-    h: int
-    r: int
-    t: int
 
 
 class Vocab(NamedTuple):
@@ -94,12 +89,6 @@ def _fact_keys(triples: np.ndarray, n_relations: int, n_entities: int) -> np.nda
     return (heads * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
 
 
-_INDEX_ATTRS = frozenset({
-    "_uadj_offsets", "_uadj_rel", "_uadj_dst", "_uadj_share",
-    "_train_keys", "_known_keys", "_known_offsets", "_known_tails_flat",
-})
-
-
 class KnowledgeGraph:
     """Immutable triple store with adjacency and membership indexes.
 
@@ -107,9 +96,9 @@ class KnowledgeGraph:
     retained); after :func:`augment_inverse` it is the doubled list with the
     mirrored facts appended after the originals.
 
-    An augmented graph builds its indexes when it is made.  An un-augmented
-    one builds them on first use: the graph :func:`load_dataset` returns is
-    usually only read by :func:`augment_inverse`, which needs none.
+    Each index is built the first time it is read, so a verb pays only for
+    the ones it uses: path mining reads the adjacency and the train pairs,
+    negative sampling the train-fact set, filtered ranking the known facts.
     """
 
     def __init__(
@@ -127,17 +116,6 @@ class KnowledgeGraph:
         self.test = test
         self.n_relations_orig = n_relations_orig
         self.augmented = augmented
-        self._pair_keys = None
-        if augmented:
-            self._build_indexes()
-
-    def __getattr__(self, name: str):
-        # Called only for attributes not set: an un-augmented graph's
-        # indexes, before their first use.
-        if name not in _INDEX_ATTRS or "train" not in self.__dict__:
-            raise AttributeError(name)
-        self._build_indexes()
-        return self.__dict__[name]
 
     # -- construction -------------------------------------------------
 
@@ -172,44 +150,35 @@ class KnowledgeGraph:
             augmented=False,
         )
 
-    # -- indexes ------------------------------------------------------
+    # -- indexes, each built on first use ------------------------------
 
-    def _build_indexes(self) -> None:
-        n_ent = self.vocab.n_entities
-        n_rel = self.vocab.n_relations
-        train = self.train
+    @cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Structural adjacency (offsets, rels, dsts, shares): duplicate edges
+        collapse to one slot, sorted by (src, rel, dst), and each unique edge
+        carries the resource share 1/deg_r(src) used by the path-mining stage."""
+        n_rel, n_ent = self.n_relations, self.n_entities
+        src_rel, dst = np.divmod(_distinct(_fact_keys(self.train, n_rel, n_ent)), n_ent)
+        src, rel = np.divmod(src_rel, n_rel)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_ent))))
+        starts = np.flatnonzero(_firsts(src_rel))
+        sizes = np.diff(np.append(starts, len(src_rel)))
+        shares = 1.0 / np.repeat(sizes, sizes).astype(np.float64)
+        return offsets.astype(np.int64), rel.astype(np.int32), dst.astype(np.int32), shares
 
-        # Structural adjacency: duplicate edges collapse to one slot, and each
-        # unique edge carries the resource share 1/deg_r(src) used by the
-        # path-mining stage.
-        edges = train[np.lexsort((train[:, 2], train[:, 1], train[:, 0]))]
-        if len(edges):
-            first = np.ones(len(edges), dtype=bool)
-            first[1:] = np.any(edges[1:] != edges[:-1], axis=1)
-            uedges = edges[first]
-        else:
-            uedges = edges.reshape(0, 3)
-        ucounts = np.bincount(uedges[:, 0], minlength=n_ent) if len(uedges) else np.zeros(n_ent, dtype=np.int64)
-        self._uadj_offsets = np.concatenate(([0], np.cumsum(ucounts))).astype(np.int64)
-        self._uadj_rel = np.ascontiguousarray(uedges[:, 1])
-        self._uadj_dst = np.ascontiguousarray(uedges[:, 2])
-        if len(uedges):
-            group = np.ones(len(uedges), dtype=bool)
-            group[1:] = np.any(uedges[1:, :2] != uedges[:-1, :2], axis=1)
-            starts = np.flatnonzero(group)
-            sizes = np.diff(np.concatenate((starts, [len(uedges)])))
-            deg = np.repeat(sizes, sizes)
-            self._uadj_share = 1.0 / deg.astype(np.float64)
-        else:
-            self._uadj_share = np.zeros(0, dtype=np.float64)
+    @cached_property
+    def _train_keys(self) -> set[int]:
+        """Train membership in the current (possibly augmented) relation space."""
+        return set(_fact_keys(self.train, self.n_relations, self.n_entities).tolist())
 
-        # Train membership in the current (possibly augmented) relation space.
-        self._train_keys = set(_fact_keys(train, n_rel, n_ent).tolist())
-
-        # Known facts over train + valid + test.  Once the graph is
-        # augmented, the mirrored orientation of every split is included so
-        # inverse-relation queries resolve too.
-        parts = [train, self.valid, self.test]
+    @cached_property
+    def _known(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Known facts over train + valid + test as (h * n_relations + r keys,
+        offsets, tails): each key's sorted tails are tails[offsets[i]:offsets[i + 1]].
+        Once the graph is augmented, the mirrored orientation of every split
+        is included so inverse-relation queries resolve too."""
+        n_rel, n_ent = self.n_relations, self.n_entities
+        parts = [self.train, self.valid, self.test]
         if self.augmented:
             for split in (self.valid, self.test):
                 parts.append(np.stack(
@@ -219,9 +188,12 @@ class KnowledgeGraph:
             _distinct(np.concatenate([_fact_keys(p, n_rel, n_ent) for p in parts])), n_ent
         )
         starts = np.flatnonzero(_firsts(keys))
-        self._known_keys = keys[starts]
-        self._known_offsets = np.concatenate((starts, [len(keys)])).astype(np.int64)
-        self._known_tails_flat = tails.astype(np.int32)
+        offsets = np.concatenate((starts, [len(keys)])).astype(np.int64)
+        return keys[starts], offsets, tails.astype(np.int32)
+
+    @cached_property
+    def _train_pairs(self) -> np.ndarray:
+        return _distinct(self.train[:, 0].astype(np.int64) * self.n_entities + self.train[:, 2])
 
     # -- basic properties ---------------------------------------------
 
@@ -265,23 +237,18 @@ class KnowledgeGraph:
 
     def unique_out_edges(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Deduplicated outgoing edges of ``e`` with per-edge resource shares."""
-        lo, hi = self._uadj_offsets[e], self._uadj_offsets[e + 1]
-        return self._uadj_rel[lo:hi], self._uadj_dst[lo:hi], self._uadj_share[lo:hi]
+        offsets, rels, dsts, shares = self._adjacency
+        lo, hi = offsets[e], offsets[e + 1]
+        return rels[lo:hi], dsts[lo:hi], shares[lo:hi]
 
     def unique_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Raw structural-adjacency arrays: (offsets, rels, dsts, shares)."""
-        return self._uadj_offsets, self._uadj_rel, self._uadj_dst, self._uadj_share
+        return self._adjacency
 
     def children(self, e: int, r: int) -> np.ndarray:
         """Distinct entities reachable from ``e`` by one ``r`` edge."""
-        lo, hi = self._uadj_offsets[e], self._uadj_offsets[e + 1]
-        rels = self._uadj_rel[lo:hi]
-        a = lo + np.searchsorted(rels, r, side="left")
-        b = lo + np.searchsorted(rels, r, side="right")
-        return self._uadj_dst[a:b]
-
-    def out_degree(self, e: int, r: int) -> int:
-        return len(self.children(e, r))
+        rels, dsts, _ = self.unique_out_edges(e)
+        return dsts[np.searchsorted(rels, r, side="left"):np.searchsorted(rels, r, side="right")]
 
     # -- membership ---------------------------------------------------
 
@@ -291,31 +258,20 @@ class KnowledgeGraph:
 
     def known_tails(self, h: int, r: int) -> np.ndarray:
         """Sorted tails t with (h, r, t) in train, valid, or test."""
+        keys, offsets, tails = self._known
         key = np.int64(h) * self.n_relations + r
-        i = np.searchsorted(self._known_keys, key)
-        if i == len(self._known_keys) or self._known_keys[i] != key:
+        i = np.searchsorted(keys, key)
+        if i == len(keys) or keys[i] != key:
             return np.zeros(0, dtype=np.int32)
-        lo, hi = self._known_offsets[i], self._known_offsets[i + 1]
-        return self._known_tails_flat[lo:hi]
+        return tails[offsets[i]:offsets[i + 1]]
 
     def known_heads(self, r: int, t: int) -> np.ndarray:
         """Sorted heads h with (h, r, t) known; requires an augmented graph."""
         return self.known_tails(t, self.inverse_of(r))
 
-    def is_known(self, h: int, r: int, t: int) -> bool:
-        tails = self.known_tails(h, r)
-        i = np.searchsorted(tails, t)
-        return bool(i < len(tails) and tails[i] == t)
-
-    # -- train-pair index (built on demand for path mining) ------------
-
     def train_pairs(self) -> np.ndarray:
         """Sorted unique (h, t) keys (h * n_entities + t) over train facts."""
-        if self._pair_keys is None:
-            self._pair_keys = _distinct(
-                self.train[:, 0].astype(np.int64) * self.n_entities + self.train[:, 2]
-            )
-        return self._pair_keys
+        return self._train_pairs
 
 
 # -- file ingestion -----------------------------------------------------

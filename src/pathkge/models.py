@@ -21,6 +21,8 @@ Norm = Literal["L1", "L2"]
 
 MAGIC = b"PTRM"
 FORMAT_VERSION = 1
+# After the magic: version, dim_entity, dim_relation, n_entities, n_relations.
+_HEADER = struct.Struct("<IIIII")
 
 # Row norms are left alone when already this close to the target, which
 # makes constraint projection an exact fixed point under float32.
@@ -74,9 +76,9 @@ class ModelParams:
         dim_entity: int,
         dim_relation: int,
         rng: np.random.Generator,
-        normalize: bool = True,
     ) -> "ModelParams":
-        """Uniform init in +-6/sqrt(dim); projections start as identity."""
+        """Uniform init in +-6/sqrt(dim), rows then scaled to unit norm;
+        projections start as identity."""
         be = 6.0 / np.sqrt(dim_entity)
         br = 6.0 / np.sqrt(dim_relation)
         ent = rng.uniform(-be, be, size=(n_entities, dim_entity)).astype(np.float32)
@@ -84,9 +86,8 @@ class ModelParams:
         eye = np.eye(dim_relation, dim_entity, dtype=np.float32)
         proj = np.repeat(eye[None, :, :], n_relations, axis=0)
         params = cls(ent, rel, np.ascontiguousarray(proj))
-        if normalize:
-            _normalize_rows(params.entity_emb, np.arange(n_entities))
-            _normalize_rows(params.relation_emb, np.arange(n_relations))
+        _normalize_rows(params.entity_emb, np.arange(n_entities))
+        _normalize_rows(params.relation_emb, np.arange(n_relations))
         return params
 
     def copy(self) -> "ModelParams":
@@ -99,16 +100,8 @@ class ModelParams:
     def save(self, path: str | Path) -> None:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(
-                struct.pack(
-                    "<IIIII",
-                    FORMAT_VERSION,
-                    self.dim_entity,
-                    self.dim_relation,
-                    self.n_entities,
-                    self.n_relations,
-                )
-            )
+            fh.write(_HEADER.pack(FORMAT_VERSION, self.dim_entity, self.dim_relation,
+                                  self.n_entities, self.n_relations))
             fh.write(np.ascontiguousarray(self.entity_emb, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(self.relation_emb, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(self.proj, dtype="<f4").tobytes())
@@ -119,7 +112,10 @@ class ModelParams:
             magic = fh.read(4)
             if magic != MAGIC:
                 raise ModelError(f"{path}: not a model file (bad magic {magic!r})")
-            version, k, d, n_ent, n_rel = struct.unpack("<IIIII", fh.read(20))
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise ModelError(f"{path}: truncated model header")
+            version, k, d, n_ent, n_rel = _HEADER.unpack(header)
             if version != FORMAT_VERSION:
                 raise ModelError(f"{path}: unsupported model version {version}")
 
@@ -139,21 +135,6 @@ class ModelParams:
 
 
 # -- scoring --------------------------------------------------------------
-
-
-def score_transe(params: ModelParams, h: int, r: int, t: int, norm: Norm = "L2") -> float:
-    """Translation residual norm of (h, r, t) in entity space."""
-    if params.dim_entity != params.dim_relation:
-        raise ModelError("translation scoring needs equal entity/relation dims")
-    hv = params.entity_emb[h].astype(np.float64)
-    rv = params.relation_emb[r].astype(np.float64)
-    tv = params.entity_emb[t].astype(np.float64)
-    u = hv + rv - tv
-    if norm == "L1":
-        return float(np.abs(u).sum())
-    if norm == "L2":
-        return float(np.sqrt((u * u).sum()))
-    raise ModelError(f"unknown norm {norm!r}")
 
 
 def _transr_parts(params: ModelParams, h: int, r: int, t: int):

@@ -27,6 +27,9 @@ MAGIC = b"PTBL"
 FORMAT_VERSION = 1
 DEFAULT_RELIABILITY_FLOOR = 0.01
 DEFAULT_PAIR_CAP = 200
+# After the magic: version, floor, cap, n_paths, n_entities, n_pairs,
+# n_entries, n_relat.
+_HEADER = struct.Struct("<IdIIQQQQ")
 
 # Relation ids are int32, so path id * 2**32 + relation is unique per
 # (path, relation) and sorts like the relat_* arrays.
@@ -38,30 +41,24 @@ class PathError(ValueError):
     """Invalid path query or path-table configuration."""
 
 
-def enumerate_paths(
-    g: KnowledgeGraph, h: int, t: int, max_hops: int = 2
-) -> list[tuple[RelPath, int]]:
-    """All distinct relation sequences with a witness walk from h to t.
+def enumerate_paths(g: KnowledgeGraph, h: int, t: int) -> list[tuple[RelPath, int]]:
+    """All distinct 1- and 2-hop relation sequences with a witness walk
+    from h to t.
 
     Returns (path, witness count) pairs in lexicographic path order; the
     witness count is the number of distinct walks realizing the path
     (for two hops: distinct intermediate entities per edge combination).
     """
-    if max_hops not in (1, 2):
-        raise PathError("only 1- or 2-hop paths are supported")
     found: dict[RelPath, int] = {}
     rels1, dsts1, _ = g.unique_out_edges(h)
     for r1, e in zip(rels1.tolist(), dsts1.tolist()):
         if e == t:
-            key = (r1,)
-            found[key] = found.get(key, 0) + 1
-    if max_hops == 2:
-        for r1, e in zip(rels1.tolist(), dsts1.tolist()):
-            rels2, dsts2, _ = g.unique_out_edges(e)
-            for r2, d in zip(rels2.tolist(), dsts2.tolist()):
-                if d == t:
-                    key = (r1, r2)
-                    found[key] = found.get(key, 0) + 1
+            found[(r1,)] = found.get((r1,), 0) + 1
+    for r1, e in zip(rels1.tolist(), dsts1.tolist()):
+        rels2, dsts2, _ = g.unique_out_edges(e)
+        for r2, d in zip(rels2.tolist(), dsts2.tolist()):
+            if d == t:
+                found[(r1, r2)] = found.get((r1, r2), 0) + 1
     return sorted(found.items())
 
 
@@ -209,10 +206,9 @@ class PathTable:
     def save(self, path: str | Path) -> None:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<dII", self.reliability_floor, self.cap, self.n_paths))
-            fh.write(struct.pack("<QQQQ", self.n_entities, self.n_pairs,
-                                 self.n_entries, len(self.relat_rel)))
+            fh.write(_HEADER.pack(FORMAT_VERSION, self.reliability_floor, self.cap,
+                                  self.n_paths, self.n_entities, self.n_pairs,
+                                  self.n_entries, len(self.relat_rel)))
             for rels in self.path_rels:
                 fh.write(struct.pack("<B", len(rels)))
                 fh.write(np.asarray(rels, dtype="<i4").tobytes())
@@ -231,11 +227,14 @@ class PathTable:
             magic = fh.read(4)
             if magic != MAGIC:
                 raise PathError(f"{path}: not a path-table file (bad magic {magic!r})")
-            (version,) = struct.unpack("<I", fh.read(4))
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise PathError(f"{path}: truncated path-table header")
+            version, floor, cap, n_paths, n_entities, n_pairs, n_entries, n_relat = (
+                _HEADER.unpack(header)
+            )
             if version != FORMAT_VERSION:
                 raise PathError(f"{path}: unsupported path-table version {version}")
-            floor, cap, n_paths = struct.unpack("<dII", fh.read(16))
-            n_entities, n_pairs, n_entries, n_relat = struct.unpack("<QQQQ", fh.read(32))
             path_rels = []
             for _ in range(n_paths):
                 raw_len = fh.read(1)

@@ -7,6 +7,11 @@ fact also pulls the composed embedding of each reliable path toward its
 relation vector, with each path term weighted by its share of the pair's
 total reliability.
 
+Each fact hinge is against a corrupted head or tail, the head chosen with
+a per-relation probability (0.5, or Bernoulli tph / (tph + hpt)); each
+path hinge is against a corrupted relation.  Corruptions are redrawn
+until they leave the train set.
+
 Updates are pure serial SGD, applied triple by triple; the batch size
 only controls how often norm constraints are re-imposed.  A run is
 byte-deterministic given its data and seed.
@@ -17,14 +22,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Literal, Mapping, NamedTuple
 
 import numpy as np
 
 from pathkge.evaluator import _queries, _RelationContext
-from pathkge.kgdata import KnowledgeGraph, Triple, relation_cardinality
+from pathkge.kgdata import KnowledgeGraph, relation_cardinality
 from pathkge.models import (
     ModelParams,
     PathEvidence,
@@ -153,53 +157,22 @@ def save_config_file(config: TrainConfig, path: str | Path) -> None:
 # -- negative sampling -----------------------------------------------------
 
 
-class NegativeSample(NamedTuple):
-    corrupted: Triple
-    slot: str
-
-
-SlotTable = tuple[tuple[str, ...], tuple[float, ...]]  # slot names, cumulative probabilities
-
-
-def sample_negative(
-    g: KnowledgeGraph,
-    triple: tuple[int, int, int],
-    slots: Mapping[str, float],
-    rng: np.random.Generator,
-) -> NegativeSample:
-    """Corrupt one slot of the triple, resampling until unseen in train.
-
-    ``slots`` maps slot names (head, tail, relation) to selection
-    probabilities.  The corrupted fact must differ from the original and
-    must not appear in the (augmented) train set; after
-    ``MAX_NEGATIVE_ATTEMPTS`` draws the sampler gives up loudly.
-    """
-    h, r, t = (int(x) for x in triple)
-    return _draw_negative(g, h, r, t, _slot_table(slots), rng)
-
-
-def _slot_table(slots: Mapping[str, float]) -> SlotTable:
-    """Validated slot names and their cumulative selection probabilities."""
-    names = tuple(slots)
-    probs = np.array([slots[name] for name in names], dtype=np.float64)
-    if len(names) == 0 or probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
-        raise TrainError(f"bad slot distribution {dict(slots)!r}")
-    for name in names:
-        if name not in ("head", "tail", "relation"):
-            raise TrainError(f"unknown corruption slot {name!r}")
-    return names, tuple(accumulate(probs.tolist()))
-
-
 def _draw_negative(
-    g: KnowledgeGraph, h: int, r: int, t: int, table: SlotTable, rng: np.random.Generator
-) -> NegativeSample:
-    """``sample_negative``'s draws, given a validated slot table."""
-    names, cum = table
-    if len(names) == 1:
-        slot = names[0]
+    g: KnowledgeGraph, h: int, r: int, t: int, head_prob: float | None,
+    rng: np.random.Generator,
+) -> tuple[int, int, int]:
+    """Corrupt one slot of (h, r, t), resampling until unseen in train.
+
+    With ``head_prob`` None the relation is corrupted.  Otherwise one
+    uniform draw ``u`` picks the head when ``u < head_prob``, else the
+    tail.  The corrupted fact must differ from the original and must not
+    appear in the (augmented) train set; after ``MAX_NEGATIVE_ATTEMPTS``
+    draws the sampler gives up loudly.
+    """
+    if head_prob is None:
+        slot = "relation"
     else:
-        u = rng.random()
-        slot = next((name for name, c in zip(names, cum) if u < c), names[-1])
+        slot = "head" if rng.random() < head_prob else "tail"
     for _ in range(MAX_NEGATIVE_ATTEMPTS):
         if slot == "head":
             cand = (int(rng.integers(g.n_entities)), r, t)
@@ -210,30 +183,23 @@ def _draw_negative(
         if cand == (h, r, t):
             continue
         if not g.in_train(*cand):
-            return NegativeSample(Triple(*cand), slot)
+            return cand
     raise TrainError(
         f"could not sample a negative for {(h, r, t)} (slot {slot}) in "
         f"{MAX_NEGATIVE_ATTEMPTS} attempts"
     )
 
 
-_RELATION_SLOT = _slot_table({"relation": 1.0})
-
-
-def _fact_slots(g: KnowledgeGraph, neg_mode: str) -> list[SlotTable]:
-    """The validated head/tail slot table of each relation, once per run."""
+def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
+    """Each relation's probability of corrupting the head, once per run:
+    0.5, or under Bernoulli sampling tph / (tph + hpt), which stays 0.5 for
+    a relation without train facts."""
+    probs = np.full(g.n_relations, 0.5)
     if neg_mode == "bernoulli":
-        return [_slot_table({"head": p, "tail": 1.0 - p}) for p in _bern_head_probs(g).tolist()]
-    return [_slot_table({"head": 0.5, "tail": 0.5})] * g.n_relations
-
-
-def _bern_head_probs(g: KnowledgeGraph) -> np.ndarray:
-    """Per-relation probability of corrupting the head (tph/(tph+hpt))."""
-    facts, tph, hpt = relation_cardinality(g.train, g.n_relations)
-    probs = np.full(g.n_relations, 0.5, dtype=np.float64)
-    seen = facts > 0
-    probs[seen] = tph[seen] / (tph[seen] + hpt[seen])
-    return probs
+        facts, tph, hpt = relation_cardinality(g.train, g.n_relations)
+        seen = facts > 0
+        probs[seen] = tph[seen] / (tph[seen] + hpt[seen])
+    return probs.tolist()
 
 
 # -- SGD steps --------------------------------------------------------------
@@ -296,14 +262,13 @@ def _step_transe(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    slots: list[SlotTable],
+    head_probs: list[float],
     lr: float,
     idx: int,
     touched: _Touched,
 ) -> tuple[float, int]:
     h, r, t = (int(x) for x in g.train[idx])
-    neg = _draw_negative(g, h, r, t, slots[r], rng)
-    h2, _, t2 = neg.corrupted
+    h2, _, t2 = _draw_negative(g, h, r, t, head_probs[r], rng)
     e_pos, gh, gt, gr = transe_energy_and_grads(params, h, r, t, cfg.norm)
     e_neg, gh2, gt2, gr2 = transe_energy_and_grads(params, h2, r, t2, cfg.norm)
     loss = cfg.margin + e_pos - e_neg
@@ -328,7 +293,7 @@ def _step_ptransr(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    slots: list[SlotTable],
+    head_probs: list[float],
     lr: float,
     idx: int,
     touched: _Touched,
@@ -340,8 +305,7 @@ def _step_ptransr(
     rel_g: dict[int, np.ndarray] = {}
     proj_g: dict[int, np.ndarray] = {}
 
-    neg = _draw_negative(g, h, r, t, slots[r], rng)
-    h2, _, t2 = neg.corrupted
+    h2, _, t2 = _draw_negative(g, h, r, t, head_probs[r], rng)
     e_pos, gh, gt, gr, gM = transr_energy_and_grads(params, h, r, t)
     e_neg, gh2, gt2, gr2, gM2 = transr_energy_and_grads(params, h2, r, t2)
     loss = cfg.margin1 + e_pos - e_neg
@@ -366,10 +330,7 @@ def _step_ptransr(
         ev, table = paths.evidence, paths.table
         lo, hi = paths.offsets[idx], paths.offsets[idx + 1]
         pids = ev.path[lo:hi]
-        negs = [
-            _draw_negative(g, h, r, t, _RELATION_SLOT, rng).corrupted.r
-            for _ in range(hi - lo)
-        ]
+        negs = [_draw_negative(g, h, r, t, None, rng)[1] for _ in range(hi - lo)]
         neg_reliability = table.relatedness(negs, pids) * ev.flow[lo:hi]
         rel = relation_rows(params)
         vecs = compose_paths(rel, table.path_pad[pids])
@@ -401,7 +362,7 @@ def _run_epoch(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    slots: list[SlotTable],
+    head_probs: list[float],
     lr: float,
     epoch: int,
 ) -> EpochStats:
@@ -413,7 +374,7 @@ def _run_epoch(
     for start in range(0, n, cfg.batch_size):
         touched = _Touched()
         for idx in order[start : start + cfg.batch_size].tolist():
-            l, v = step(g, paths, params, cfg, rng, slots, lr, idx, touched)
+            l, v = step(g, paths, params, cfg, rng, head_probs, lr, idx, touched)
             loss_sum += l
             violations += v
         if not np.isfinite(loss_sum):
@@ -478,11 +439,11 @@ def init_transe(
     params = ModelParams.random(
         g.n_entities, g.n_relations, cfg.dim_entity, cfg.dim_relation, rng
     )
-    slots = _fact_slots(g, cfg.neg_mode)
+    head_probs = _head_probs(g, cfg.neg_mode)
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (1.0 - epoch / cfg.epochs) if cfg.lr_decay else cfg.lr
-        stats = _run_epoch(g, None, params, cfg, rng, slots, lr, epoch)
+        stats = _run_epoch(g, None, params, cfg, rng, head_probs, lr, epoch)
         if emit is not None:
             emit(
                 {
@@ -510,8 +471,10 @@ def train_epoch_ptransr(
     config.validate()
     if config.stage == "transe":
         raise TrainError("train_epoch_ptransr drives the projected stages only")
-    slots = _fact_slots(g, config.neg_mode)
-    return _run_epoch(g, _fact_paths(g, table), params, config, rng, slots, config.lr, epoch=0)
+    return _run_epoch(
+        g, _fact_paths(g, table), params, config, rng, _head_probs(g, config.neg_mode),
+        config.lr, epoch=0,
+    )
 
 
 def train(
@@ -579,13 +542,13 @@ def train(
                     config.dim_relation,
                 ):
                     raise TrainError("initial model dimensions disagree with config")
-            slots = _fact_slots(g, config.neg_mode)
+            head_probs = _head_probs(g, config.neg_mode)
             paths = _fact_paths(g, table)
             best = np.inf
             since_best = 0
             for epoch in range(config.epochs):
                 lr = config.lr * (1.0 - epoch / config.epochs) if config.lr_decay else config.lr
-                stats = _run_epoch(g, paths, params, config, rng, slots, lr, epoch)
+                stats = _run_epoch(g, paths, params, config, rng, head_probs, lr, epoch)
                 record = {
                     "stage": config.stage,
                     "epoch": epoch,

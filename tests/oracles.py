@@ -15,6 +15,47 @@ from pathkge.models import ModelParams, score_ptransr, score_transr
 from pathkge.paths import PathTable
 
 
+def score_transe(params: ModelParams, h: int, r: int, t: int, norm: str = "L2") -> float:
+    """Translation residual norm of (h, r, t) in entity space: the
+    finite-difference reference for ``transe_energy_and_grads``."""
+    hv = params.entity_emb[h].astype(np.float64)
+    rv = params.relation_emb[r].astype(np.float64)
+    tv = params.entity_emb[t].astype(np.float64)
+    u = hv + rv - tv
+    return float(np.abs(u).sum()) if norm == "L1" else float(np.sqrt((u * u).sum()))
+
+
+def sample_negative(g, triple, slots: dict[str, float], rng, max_attempts: int = 100):
+    """The trainer's negative sampling, one call at a time.
+
+    ``slots`` maps slot names (head, tail, relation) to probabilities.  A
+    slot is picked by one uniform draw, made only when there is a choice;
+    that slot is then redrawn until the fact differs from the original and
+    is not a train fact.  Returns the corrupted (h, r, t)."""
+    h, r, t = (int(x) for x in triple)
+    names = list(slots)
+    slot = names[-1]
+    if len(names) > 1:
+        u = rng.random()
+        total = 0.0
+        for name in names:
+            total += slots[name]
+            if u < total:
+                slot = name
+                break
+    train = {tuple(x) for x in g.train.tolist()}
+    for _ in range(max_attempts):
+        if slot == "head":
+            cand = (int(rng.integers(g.n_entities)), r, t)
+        elif slot == "tail":
+            cand = (h, r, int(rng.integers(g.n_entities)))
+        else:
+            cand = (h, int(rng.integers(g.n_relations)), t)
+        if cand != (h, r, t) and cand not in train:
+            return cand
+    raise ValueError(f"no negative for {(h, r, t)} in {max_attempts} attempts")
+
+
 def relatedness(table: PathTable, r: int, pid: int) -> float:
     """P(r | path) by a scan of the path's stored relations."""
     for i in range(table.relat_offsets[pid], table.relat_offsets[pid + 1]):

@@ -295,6 +295,25 @@ class TestVerbs:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "eval").exists()
 
+    # Magic plus the fixed-size header fields: 4 + 20 bytes for a model,
+    # 4 + 52 for a path table.
+    @pytest.mark.parametrize("artifact,header", [("model", 24), ("table", 56)])
+    def test_evaluate_refuses_a_truncated_header(self, ws, tmp_path, capsys, artifact, header):
+        blob = ws[artifact].read_bytes()
+        cut = tmp_path / ws[artifact].name
+        files = {"model": ws["model"], "table": ws["table"], artifact: cut}
+        for size in range(header):
+            cut.write_bytes(blob[:size])
+            capsys.readouterr()
+            rc = cli.main([
+                "evaluate", "--data", str(ws["data"]), "--model", str(files["model"]),
+                "--table", str(files["table"]), "--out", str(tmp_path / "eval"),
+            ])
+            err = capsys.readouterr().err
+            assert rc == 1, size
+            assert err.startswith("error: ") and err.count("\n") == 1, size
+        assert not (tmp_path / "eval").exists()
+
     def test_evaluate_raw_protocol(self, ws, tmp_path):
         out = tmp_path / "eval-raw"
         rc = cli.main(
@@ -339,6 +358,19 @@ class TestVerbs:
         out = capsys.readouterr().out
         assert "paths related to r2:" in out
         assert "P(r|p)=" in out
+
+    @pytest.mark.parametrize("probe", [["--entity", "e00"], ["--relation", "r2"]])
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_inspect_refuses_top_below_one(self, ws, capsys, probe, top):
+        capsys.readouterr()
+        rc = cli.main([
+            "inspect", "--data", str(ws["data"]), "--model", str(ws["model"]),
+            "--table", str(ws["table"]), *probe, "--top", top,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: --top must be >= 1\n"
+        assert captured.out == ""
 
     def test_inspect_requires_a_probe(self, ws, capsys):
         rc = cli.main(

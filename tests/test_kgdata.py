@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,27 +75,33 @@ class TestIngestion:
         )
         assert len(g.train) == 2
 
-    def test_indexes_built_once_per_load_and_augment(self, dataset_dir, monkeypatch):
-        built = []
-        build = KnowledgeGraph._build_indexes
+    def test_indexes_built_on_first_use(self, dataset_dir):
+        indexes = {name for name, attr in vars(KnowledgeGraph).items()
+                   if isinstance(attr, cached_property)}
+        assert indexes == {"_adjacency", "_train_keys", "_known", "_train_pairs"}
 
-        def counting(g):
-            built.append(g.augmented)
-            build(g)
+        def built(g):
+            return indexes & set(vars(g))
 
-        monkeypatch.setattr(KnowledgeGraph, "_build_indexes", counting)
-        plain = load_dataset(
-            dataset_dir / "train.txt", dataset_dir / "valid.txt", dataset_dir / "test.txt"
-        )
-        g = augment_inverse(plain)
-        assert built == [True]  # inside load + augment, not on first query
-        assert g.known_heads(0, 2).tolist() == [0] and g.children(2, 1).tolist() == [0]
-        assert built == [True]
-        # The un-augmented graph still answers every query, indexing once.
-        assert plain.known_tails(0, 0).tolist() == [1, 2]
-        assert plain.in_train(2, 1, 0) and not plain.in_train(0, 0, 2)
-        assert plain.unique_out_edges(0)[1].tolist() == [1]
-        assert built == [True, False]
+        # Each query answers from one index, and only that one gets built.
+        for query, index in (
+            (lambda g: g.known_tails(0, 0).tolist() == [1, 2], "_known"),
+            (lambda g: g.known_heads(0, 2).tolist() == [0], "_known"),
+            (lambda g: g.in_train(2, 1, 0) and not g.in_train(0, 0, 2), "_train_keys"),
+            (lambda g: g.children(2, 1).tolist() == [0], "_adjacency"),
+            (lambda g: g.train_pairs().tolist() == [1, 2, 3, 6], "_train_pairs"),
+        ):
+            plain = load_dataset(
+                dataset_dir / "train.txt", dataset_dir / "valid.txt", dataset_dir / "test.txt"
+            )
+            g = augment_inverse(plain)
+            assert built(plain) == built(g) == set()
+            assert query(g)
+            assert built(g) == {index}
+            first = vars(g)[index]
+            assert query(g)  # a second query rebuilds nothing
+            assert vars(g)[index] is first and built(g) == {index}
+            assert built(plain) == set()
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         write_split(tmp_path / "train.txt", [("a", "r", "b")])
@@ -182,8 +190,7 @@ class TestAdjacency:
     def test_children_and_degree(self, diamond_graph):
         g = diamond_graph
         assert sorted(g.children(0, 0).tolist()) == [1, 2]
-        assert g.out_degree(0, 0) == 2
-        assert g.out_degree(0, 1) == 0
+        assert len(g.children(0, 1)) == 0
         # inverse edges: entity 3 reaches 1 and 2 by r1^-1 (relation 3)
         assert sorted(g.children(3, 3).tolist()) == [1, 2]
 
@@ -205,10 +212,10 @@ class TestMembership:
 
     def test_known_covers_all_splits_and_orientations(self):
         g = make_graph(TRI, valid=[(1, 2, 0)], test=[(2, 1, 0)])
-        assert g.is_known(1, 2, 0)
-        assert g.is_known(0, g.inverse_of(2), 1)  # mirrored valid fact
-        assert g.is_known(2, 1, 0)
-        assert not g.is_known(2, 2, 0)
+        assert 0 in g.known_tails(1, 2).tolist()
+        assert 1 in g.known_tails(0, g.inverse_of(2)).tolist()  # mirrored valid fact
+        assert 0 in g.known_tails(2, 1).tolist()
+        assert 0 not in g.known_tails(2, 2).tolist()
 
     def test_known_tails_sorted_and_complete(self):
         g = make_graph(
@@ -246,19 +253,16 @@ class TestMembership:
                        n_relations=n_rel, augment=augment)
         expect = known_index(g)
         keys = sorted(h * g.n_relations + r for h, r in expect)
-        assert g._known_keys.tolist() == keys
-        assert g._known_keys.dtype == np.int64 and g._known_offsets.dtype == np.int64
-        assert g._known_tails_flat.dtype == np.int32
-        assert g._known_offsets.tolist() == [0] + np.cumsum(
+        known_keys, offsets, tails_flat = g._known
+        assert known_keys.tolist() == keys
+        assert known_keys.dtype == np.int64 and offsets.dtype == np.int64
+        assert tails_flat.dtype == np.int32
+        assert offsets.tolist() == [0] + np.cumsum(
             [len(expect[divmod(k, g.n_relations)]) for k in keys]
         ).tolist()
         for h in range(n_ent):
             for r in range(g.n_relations):
-                tails = sorted(expect.get((h, r), ()))
-                assert g.known_tails(h, r).tolist() == tails
-                assert [g.is_known(h, r, t) for t in range(n_ent)] == [
-                    t in tails for t in range(n_ent)
-                ]
+                assert g.known_tails(h, r).tolist() == sorted(expect.get((h, r), ()))
 
     def test_train_pairs(self, tri_graph):
         # Augmented TRI links 0-1, 1-2, 0-2 both ways; keys are h * 3 + t.

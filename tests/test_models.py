@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
-from oracles import path_score_term
+from oracles import path_score_term, score_transe
 from pathkge.models import (
     ModelError,
     ModelParams,
@@ -20,7 +20,6 @@ from pathkge.models import (
     path_score_terms,
     project_constraints,
     score_ptransr,
-    score_transe,
     score_transr,
     transe_energy_and_grads,
     transr_energy_and_grads,
@@ -121,14 +120,9 @@ class TestScores:
     def test_transe_hand_values(self):
         p = hand_params()
         # u = h + r - t = (2, 5)
-        assert score_transe(p, 0, 0, 1, norm="L1") == pytest.approx(7.0)
-        assert score_transe(p, 0, 0, 1, norm="L2") == pytest.approx(np.sqrt(29.0))
-
-    def test_transe_requires_equal_dims(self):
-        rng = np.random.default_rng(0)
-        p = ModelParams.random(3, 2, 3, 2, rng)
-        with pytest.raises(ModelError):
-            score_transe(p, 0, 0, 1)
+        for norm, want in (("L1", 7.0), ("L2", np.sqrt(29.0))):
+            assert transe_energy_and_grads(p, 0, 0, 1, norm)[0] == pytest.approx(want)
+            assert score_transe(p, 0, 0, 1, norm) == pytest.approx(want)
 
     def test_transr_hand_value(self):
         p = hand_params()

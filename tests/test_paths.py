@@ -32,11 +32,6 @@ class TestEnumerate:
         assert paths == {(2,): 1, (0, 1): 1}
         assert dict(enumerate_paths(tri_graph, 2, 0)) == {(5,): 1, (4, 3): 1}
 
-    def test_max_hops_validation(self, tri_graph):
-        with pytest.raises(PathError):
-            enumerate_paths(tri_graph, 0, 2, max_hops=3)
-        assert dict(enumerate_paths(tri_graph, 0, 2, max_hops=1)) == {(2,): 1}
-
 
 class TestResourceFlow:
     def test_chain_carries_everything(self, chain_graph):

@@ -10,24 +10,20 @@ import pytest
 from conftest import TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
-from oracles import validation_mean_rank
+from oracles import sample_negative, validation_mean_rank
 from pathkge.evaluator import _RelationContext
 from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import (
-    _RELATION_SLOT,
-    NegativeSample,
     TrainConfig,
     TrainError,
-    _bern_head_probs,
     _draw_negative,
     _fact_paths,
-    _fact_slots,
+    _head_probs,
     _validation_mean_rank,
     init_transe,
     load_config_file,
-    sample_negative,
     save_config_file,
     train,
     train_epoch_ptransr,
@@ -116,65 +112,53 @@ class TestConfig:
 
 class TestNegativeSampling:
     def test_slot_respected(self, small_graph):
+        # u < 1.0 always picks the head, u < 0.0 never does.
         rng = np.random.default_rng(0)
         h, r, t = (int(x) for x in small_graph.train[0])
         for _ in range(20):
-            neg = sample_negative(small_graph, (h, r, t), {"head": 1.0}, rng)
-            assert neg.slot == "head"
-            assert neg.corrupted.r == r and neg.corrupted.t == t
-            assert neg.corrupted.h != h
-            assert not small_graph.in_train(*neg.corrupted)
+            h2, r2, t2 = _draw_negative(small_graph, h, r, t, 1.0, rng)
+            assert (r2, t2) == (r, t) and h2 != h
+            assert not small_graph.in_train(h2, r2, t2)
+            h2, r2, t2 = _draw_negative(small_graph, h, r, t, 0.0, rng)
+            assert (h2, r2) == (h, r) and t2 != t
+            assert not small_graph.in_train(h2, r2, t2)
 
     def test_relation_corruption(self, tri_graph):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            neg = sample_negative(tri_graph, (0, 0, 1), {"relation": 1.0}, rng)
-            assert neg.slot == "relation"
-            assert neg.corrupted.r != 0
-            assert (neg.corrupted.h, neg.corrupted.t) == (0, 1)
-
-    def test_distribution_must_sum_to_one(self, tri_graph):
-        rng = np.random.default_rng(2)
-        with pytest.raises(TrainError):
-            sample_negative(tri_graph, (0, 0, 1), {"head": 0.4}, rng)
-        with pytest.raises(TrainError):
-            sample_negative(tri_graph, (0, 0, 1), {"elbow": 1.0}, rng)
+            h2, r2, t2 = _draw_negative(tri_graph, 0, 0, 1, None, rng)
+            assert r2 != 0
+            assert (h2, t2) == (0, 1)
 
     def test_saturated_graph_exhausts(self):
         train = [(h, 0, t) for h in range(2) for t in range(2)]
         g = make_graph(train, n_entities=2, n_relations=1, augment=False)
         rng = np.random.default_rng(3)
         with pytest.raises(TrainError, match="attempts"):
-            sample_negative(g, (0, 0, 1), {"head": 0.5, "tail": 0.5}, rng)
+            _draw_negative(g, 0, 0, 1, 0.5, rng)
 
     def test_deterministic_given_rng(self, small_graph):
         h, r, t = (int(x) for x in small_graph.train[0])
-        a = sample_negative(
-            small_graph, (h, r, t), {"head": 0.5, "tail": 0.5},
-            np.random.default_rng(42),
-        )
-        b = sample_negative(
-            small_graph, (h, r, t), {"head": 0.5, "tail": 0.5},
-            np.random.default_rng(42),
-        )
+        a = _draw_negative(small_graph, h, r, t, 0.5, np.random.default_rng(42))
+        b = _draw_negative(small_graph, h, r, t, 0.5, np.random.default_rng(42))
         assert a == b
 
     @pytest.mark.parametrize("neg_mode", ["uniform", "bernoulli"])
     def test_trainer_draws_match_sample_negative(self, small_graph, neg_mode):
-        # The trainer validates its slot tables once per run and then
-        # draws directly; the draws must be sample_negative's, one by one.
+        # The trainer keeps one head probability per relation and draws
+        # directly; the draws must be the reference sampler's, one by one.
         g = small_graph
-        bern = _bern_head_probs(g).tolist()
+        bern = _head_probs(g, "bernoulli")
         if neg_mode == "bernoulli":
             assert any(p != 0.5 for p in bern)
-        slots = _fact_slots(g, neg_mode)
+        head_probs = _head_probs(g, neg_mode)
         ours, ref = np.random.default_rng(5), np.random.default_rng(5)
         for h, r, t in g.train.tolist() * 3:
             p = 0.5 if neg_mode == "uniform" else bern[r]
-            assert _draw_negative(g, h, r, t, slots[r], ours) == sample_negative(
+            assert _draw_negative(g, h, r, t, head_probs[r], ours) == sample_negative(
                 g, (h, r, t), {"head": p, "tail": 1.0 - p}, ref
             )
-            assert _draw_negative(g, h, r, t, _RELATION_SLOT, ours) == sample_negative(
+            assert _draw_negative(g, h, r, t, None, ours) == sample_negative(
                 g, (h, r, t), {"relation": 1.0}, ref
             )
         assert ours.random() == ref.random()
@@ -188,9 +172,10 @@ class TestNegativeSampling:
     def test_bernoulli_head_probability(self):
         g = make_graph([(0, 0, 1), (0, 0, 2)], n_entities=3, n_relations=1,
                        augment=False)
-        probs = _bern_head_probs(g)
+        probs = _head_probs(g, "bernoulli")
         # tph = 2, hpt = 1 -> corrupt the head 2/3 of the time.
         assert probs[0] == pytest.approx(2.0 / 3.0)
+        assert _head_probs(g, "uniform") == [0.5]
 
     def test_bernoulli_probs_match_set_oracle(self):
         rng = np.random.default_rng(8)
@@ -198,7 +183,7 @@ class TestNegativeSampling:
             triples, n_ent, n_rel = random_triples(rng)
             g = make_graph(triples, n_entities=n_ent, n_relations=n_rel + 1)
             facts, tph, hpt = cardinality_oracle(g.train.tolist(), g.n_relations)
-            assert _bern_head_probs(g).tolist() == [
+            assert _head_probs(g, "bernoulli") == [
                 a / (a + b) if n else 0.5 for n, a, b in zip(facts, tph, hpt)
             ]
 
