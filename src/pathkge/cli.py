@@ -452,7 +452,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         rerank_k=args.rerank_k,
         tie_policy=args.tie_policy,
         protocol=protocol,
-        workers=args.workers,
         category_cutoff=args.category_cutoff,
     )
     out = _run_dir(args, "evaluate", 0)
@@ -676,8 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-policy", dest="tie_policy",
                    choices=("pessimistic", "mean"), default="pessimistic")
     p.add_argument("--protocol", choices=("raw", "filter", "both"), default="both")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes ranking in parallel; the output does not change")
     p.add_argument("--category-cutoff", dest="category_cutoff", type=float,
                    default=1.5)
     p.add_argument("--out", help="run dir (default runs/evaluate-<stamp>)")

@@ -17,9 +17,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
-from typing import Iterable, Iterator, Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -130,6 +129,12 @@ class RankReport:
 # -- core ranking ------------------------------------------------------------
 
 
+# Stage 1 holds the GEMM scores of at most this many bytes at once: each
+# block of queries is ranked before the next block is scored.
+_BLOCK_BYTES = 4 << 20
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
 class _RelationContext:
     """Cached per-relation projections shared by every fact with that relation."""
 
@@ -142,16 +147,79 @@ class _RelationContext:
         self.rv = params.relation_emb[r].astype(np.float64)
         self.riv = params.relation_emb[self.r_inv].astype(np.float64)
 
-    def stage1(self, anchor: int, slot: str) -> np.ndarray:
-        """Projected-translation score of every entity in the slot, the
-        other slot holding ``anchor``; non-finite scores are refused."""
-        if slot == "head":
-            s1 = _sq_norms(self.proj_fwd + (self.rv - self.proj_fwd[anchor]))
-        else:
-            s1 = _sq_norms((self.proj_fwd[anchor] + self.rv) - self.proj_fwd)
-        if not np.isfinite(s1).all():
-            raise EvalError("scores must be finite")
-        return s1
+    def stage1(
+        self, slot: str, anchors: list[int], golds: list[np.ndarray], k: int | None,
+    ) -> Iterator[np.ndarray]:
+        """Stage-1 score row of each query (``anchors[i]`` in the other slot,
+        gold entities ``golds[i]``), in order.  Each row decides the window
+        of the ``k`` best entities (none if ``k`` is None) and every count
+        against a gold exactly as the reference row of :func:`_exact` would.
+
+        A block of queries is scored as ||c||^2 + ||p_e||^2 - 2 c.p_e with
+        one matrix product.  That value and the reference differ by at most
+        ``band``, so only the entities within the band of a decision get
+        their reference score: those near the k-th value (a superset of the
+        window and its ties) and those near a gold's.
+        """
+        proj = self.proj_fwd
+        n, d = proj.shape
+        # Each form is within gamma_{d+3} (||c|| + ||p_e||)^2 of the exact
+        # distance, plus underflow; the band doubles the sum of both.
+        gamma = (d + 4) * _U / (1 - (d + 4) * _U)
+        p_sq = np.einsum("ij,ij->i", proj, proj)
+        p_max = np.sqrt(p_sq.max())
+        step = max(1, _BLOCK_BYTES // (8 * n))
+        for lo in range(0, len(anchors), step):
+            block = anchors[lo:lo + step]
+            # The reference scores (P[a] + r) - p_e for a tail and
+            # p_e + (r - P[a]), the same bits negated, for a head.
+            c = proj[block] + self.rv if slot == "tail" else -(self.rv - proj[block])
+            if k is not None and k >= n:  # every entity needs its exact score
+                yield from (_exact(query, proj) for query in c)
+                continue
+            c_sq = np.einsum("ij,ij->i", c, c)
+            scores = _gemm_scores(c, proj, c_sq, p_sq)
+            scale = (np.sqrt(c_sq) + p_max) ** 2
+            band = 4 * gamma * scale + np.finfo(np.float64).tiny
+            if k is not None:
+                # The k-th value moves by at most band from GEMM to
+                # reference, and each score too: the window lies below edge.
+                edge = np.partition(scores, k - 1, axis=1)[:, k - 1] + 2 * band
+            for i, row in enumerate(scores):
+                if np.isfinite(2 * scale[i]):  # bounds every GEMM term and score
+                    # Within 2 * band of a gold's GEMM value is within band
+                    # of its exact score.
+                    near = (np.abs(row - row[golds[lo + i], None]) <= 2 * band[i]).any(axis=0)
+                    if k is not None:
+                        near |= row <= edge[i]
+                    rows = np.flatnonzero(near)
+                else:  # the exact row, which refuses non-finite scores
+                    rows = slice(None)
+                row[rows] = _exact(c[i], proj, rows)
+                yield row
+
+
+def _exact(
+    query: np.ndarray, proj: np.ndarray, rows: np.ndarray | slice = slice(None)
+) -> np.ndarray:
+    """||query - p_e||^2 of the entities ``rows`` by the reference expression,
+    the same bits for any subset of rows as in the full row; non-finite
+    scores are refused."""
+    s1 = _sq_norms(query - proj[rows])
+    if not np.isfinite(s1).all():
+        raise EvalError("scores must be finite")
+    return s1
+
+
+def _gemm_scores(
+    c: np.ndarray, proj: np.ndarray, c_sq: np.ndarray, p_sq: np.ndarray
+) -> np.ndarray:
+    """||c_i - p_e||^2 for every query row c_i and entity row p_e, by GEMM."""
+    scores = c @ proj.T
+    scores *= -2.0
+    scores += c_sq[:, None]
+    scores += p_sq
+    return scores
 
 
 def _sq_norms(mat: np.ndarray) -> np.ndarray:
@@ -159,21 +227,23 @@ def _sq_norms(mat: np.ndarray) -> np.ndarray:
     return np.square(mat, out=mat).sum(axis=1)
 
 
-def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Each distinct key, ascending, with the positions that hold it."""
+def _groups(keys: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+    """The distinct keys, ascending, and the positions that hold each."""
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(_firsts(keys[order]))
-    return list(zip(keys[order[starts]].tolist(), np.split(order, starts[1:])))
+    return keys[order[starts]].tolist(), np.split(order, starts[1:])
 
 
-def _queries(facts: np.ndarray) -> Iterator[tuple[str, int, np.ndarray, np.ndarray]]:
-    """Each distinct query of one relation's facts, once per slot: (slot,
-    anchor, rows, golds), where ``rows`` are the positions in ``facts`` of
-    every fact whose other slot holds ``anchor`` and ``golds`` their
-    entities in the slot."""
+def _queries(
+    facts: np.ndarray,
+) -> Iterator[tuple[str, list[int], list[np.ndarray], list[np.ndarray]]]:
+    """The distinct queries of one relation's facts, per slot: (slot,
+    anchors, rows, golds), where ``rows[i]`` are the positions in ``facts``
+    of every fact whose other slot holds ``anchors[i]`` and ``golds[i]``
+    their entities in the slot."""
     for slot, anchor_col, gold_col in (("head", 2, 0), ("tail", 0, 2)):
-        for anchor, rows in _groups(facts[:, anchor_col]):
-            yield slot, anchor, rows, facts[rows, gold_col]
+        anchors, rows = _groups(facts[:, anchor_col])
+        yield slot, anchors, rows, [facts[r, gold_col] for r in rows]
 
 
 def _window(s1: np.ndarray, k: int) -> np.ndarray:
@@ -221,50 +291,50 @@ def _gold_ranks(
     return raw, filtered.tolist()
 
 
-def _rank_query(
+def _rank_queries(
     params: ModelParams,
     table: PathTable,
     g: KnowledgeGraph,
     ctx: _RelationContext,
-    anchor: int,
     slot: str,
-    golds: np.ndarray,
+    anchors: list[int],
+    golds: list[np.ndarray],
     protocol: Protocol,
     rerank_k: int,
     tie_policy: TiePolicy,
-) -> tuple[list[int], list[int] | list[None], list[bool]]:
-    """Raw and filtered ranks of every gold of one query (relation ``ctx.r``,
-    the other slot holding ``anchor``), and whether stage 1 put each in the
-    rerank window.  Stage 1, the window and its full scores depend only on
-    the query, so they are computed once for all of its golds."""
+) -> Iterator[tuple[list[int], list[int] | list[None], list[bool]]]:
+    """Raw and filtered ranks of every gold of each query (relation
+    ``ctx.r``, the other slot holding ``anchors[i]``, golds ``golds[i]``),
+    and whether stage 1 put each in the rerank window.  The window and its
+    full scores depend only on the query, so they are computed once for all
+    of its golds."""
     r, r_inv = ctx.r, ctx.r_inv
-    s1 = ctx.stage1(anchor, slot)
-    window = _window(s1, rerank_k)
-    win = np.flatnonzero(window)
-    k = len(win)
-    if slot == "head":
-        s_inv = _sq_norms((ctx.proj_inv[anchor] + ctx.riv) - ctx.proj_inv[win])
-        known = g.known_heads(r, anchor)
-    else:
-        s_inv = _sq_norms(ctx.proj_inv[win] + (ctx.riv - ctx.proj_inv[anchor]))
-        known = g.known_tails(anchor, r)
+    for anchor, q_golds, s1 in zip(anchors, golds, ctx.stage1(slot, anchors, golds, rerank_k)):
+        window = _window(s1, rerank_k)
+        win = np.flatnonzero(window)
+        k = len(win)
+        # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.
+        a_inv = ctx.proj_inv[anchor]
+        c_inv = a_inv + ctx.riv if slot == "head" else -(ctx.riv - a_inv)
+        s_inv = _sq_norms(c_inv - ctx.proj_inv[win])
+        known = g.known_heads(r, anchor) if slot == "head" else g.known_tails(anchor, r)
 
-    # Full-model scores in both directions for the rerank window, with the
-    # path terms of every forward and inverse triple in one batch.
-    s2 = s1[win] + s_inv
-    if table.n_entries:
-        fixed = np.full(k, anchor)
-        fwd_h, fwd_t = (win, fixed) if slot == "head" else (fixed, win)
-        terms = path_score_terms(
-            params, table, np.concatenate((fwd_h, fwd_t)), np.repeat([r, r_inv], k),
-            np.concatenate((fwd_t, fwd_h)),
-        )
-        s2 = s2 + (terms[:k] + terms[k:])
-    if not np.isfinite(s2).all():
-        raise EvalError("scores must be finite")
+        # Full-model scores in both directions for the rerank window, with
+        # the path terms of every forward and inverse triple in one batch.
+        s2 = s1[win] + s_inv
+        if table.n_entries:
+            fixed = np.full(k, anchor)
+            fwd_h, fwd_t = (win, fixed) if slot == "head" else (fixed, win)
+            terms = path_score_terms(
+                params, table, np.concatenate((fwd_h, fwd_t)), np.repeat([r, r_inv], k),
+                np.concatenate((fwd_t, fwd_h)),
+            )
+            s2 = s2 + (terms[:k] + terms[k:])
+        if not np.isfinite(s2).all():
+            raise EvalError("scores must be finite")
 
-    raw, filtered = _gold_ranks(s1, s2, window, golds, known, protocol, tie_policy)
-    return raw, filtered, window[golds].tolist()
+        raw, filtered = _gold_ranks(s1, s2, window, q_golds, known, protocol, tie_policy)
+        yield raw, filtered, window[q_golds].tolist()
 
 
 def rank_entities(
@@ -282,9 +352,10 @@ def rank_entities(
     h, r, t = (int(x) for x in triple)
     ctx = _RelationContext(params, g, r, params.entity_emb.astype(np.float64))
     anchor, gold = (t, h) if slot == "head" else (h, t)
-    (raw,), (filtered,), (in_window,) = _rank_query(
-        params, table, g, ctx, anchor, slot, np.array([gold]), protocol, rerank_k, tie_policy
+    (ranks,) = _rank_queries(
+        params, table, g, ctx, slot, [anchor], [np.array([gold])], protocol, rerank_k, tie_policy
     )
+    (raw,), (filtered,), (in_window,) = ranks
     return RankResult(0, slot, h, r, t, raw, filtered, in_window)
 
 
@@ -314,41 +385,6 @@ def _check_eval_args(
 # -- split evaluation --------------------------------------------------------
 
 
-def _instances_for_relations(
-    rel_ids: Iterable[int],
-    params: ModelParams,
-    table: PathTable,
-    g: KnowledgeGraph,
-    ent: np.ndarray,
-    split_triples: np.ndarray,
-    by_relation: dict[int, np.ndarray],
-    protocol: Protocol,
-    rerank_k: int,
-    tie_policy: TiePolicy,
-) -> list[RankResult]:
-    out: list[RankResult] = []
-    for r in rel_ids:
-        ctx = _RelationContext(params, g, int(r), ent)
-        idxs = by_relation[int(r)]
-        facts = split_triples[idxs]
-        for slot, anchor, rows, golds in _queries(facts):
-            ranks = _rank_query(
-                params, table, g, ctx, anchor, slot, golds, protocol, rerank_k, tie_policy
-            )
-            for idx, (h, _, t), *rank in zip(
-                idxs[rows].tolist(), facts[rows].tolist(), *ranks
-            ):
-                out.append(RankResult(idx, slot, h, int(r), t, *rank))
-    return out
-
-
-_EVAL_STATE: tuple | None = None
-
-
-def _eval_worker(rel_chunk: list[int]) -> list[RankResult]:
-    return _instances_for_relations(rel_chunk, *_EVAL_STATE)
-
-
 def evaluate(
     params: ModelParams,
     table: PathTable,
@@ -357,42 +393,31 @@ def evaluate(
     rerank_k: int = DEFAULT_RERANK_K,
     tie_policy: TiePolicy = "pessimistic",
     protocol: Protocol = "filter",
-    workers: int = 1,
     category_cutoff: float = 1.5,
 ) -> RankReport:
-    """Rank both slots of every fact in the split and aggregate metrics.
-
-    ``workers`` > 1 ranks groups of relations in forked processes; the
-    report is the same as with one.
-    """
+    """Rank both slots of every fact in the split and aggregate metrics."""
     if split not in ("valid", "test"):
         raise EvalError(f"unknown split {split!r}")
-    if workers < 1:
-        raise EvalError(f"workers must be >= 1, got {workers}")
     _check_eval_args(params, g, rerank_k, protocol)
     split_triples = getattr(g, split)
     if len(split_triples) == 0:
         raise EvalError(f"cannot evaluate an empty {split} split")
 
-    by_relation = dict(_groups(split_triples[:, 1]))
-    rel_ids = sorted(by_relation)
     ent = params.entity_emb.astype(np.float64)
-    state = (params, table, g, ent, split_triples, by_relation, protocol, rerank_k, tie_policy)
-
-    if workers > 1:
-        global _EVAL_STATE
-        chunks = [list(c) for c in np.array_split(rel_ids, workers) if len(c)]
-        _EVAL_STATE = state
-        try:
-            ctx = get_context("fork")
-            with ctx.Pool(len(chunks)) as pool:
-                parts = pool.map(_eval_worker, chunks)
-        finally:
-            _EVAL_STATE = None
-        instances = [res for part in parts for res in part]
-    else:
-        instances = _instances_for_relations(rel_ids, *state)
-    # Deterministic order regardless of relation grouping or worker split.
+    instances: list[RankResult] = []
+    for r, idxs in zip(*_groups(split_triples[:, 1])):
+        ctx = _RelationContext(params, g, r, ent)
+        facts = split_triples[idxs]
+        for slot, anchors, rows, golds in _queries(facts):
+            ranks = _rank_queries(
+                params, table, g, ctx, slot, anchors, golds, protocol, rerank_k, tie_policy
+            )
+            for q_rows, q_ranks in zip(rows, ranks):
+                for idx, (h, _, t), *rank in zip(
+                    idxs[q_rows].tolist(), facts[q_rows].tolist(), *q_ranks
+                ):
+                    instances.append(RankResult(idx, slot, h, r, t, *rank))
+    # Ranked by relation and query; reported by fact.
     instances.sort(key=lambda res: (res.index, res.slot))
 
     raw = np.array([res.raw_rank for res in instances], dtype=np.float64)

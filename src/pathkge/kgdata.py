@@ -11,6 +11,7 @@ known facts) the first time a stage reads it, never on load or augment.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Literal, NamedTuple, Sequence
 
@@ -277,23 +278,29 @@ class KnowledgeGraph:
 # -- file ingestion -----------------------------------------------------
 
 
-def _read_rows(path: Path, column_order: ColumnOrder) -> list[tuple[str, str, str]]:
-    rows: list[tuple[str, str, str]] = []
+def _read_columns(
+    path: Path, column_order: ColumnOrder
+) -> tuple[list[str], list[str], list[str]]:
+    """Head, relation and tail names of a triple file, one fact per line."""
     with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            if column_order == "HRT":
-                rows.append((parts[0], parts[1], parts[2]))
-            else:  # HTR
-                rows.append((parts[0], parts[2], parts[1]))
-    if not rows:
+        text = fh.read()
+    # Lines end at \n, \r or \r\n, as when iterating a file opened with
+    # newline=""; str.splitlines would also split at \v, \x85, \u2028 ...
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # after the last line's end
+    if not lines:
         raise DatasetError(f"{path}: empty triple file")
-    return rows
+    tabs = list(map(str.count, lines, repeat("\t")))
+    if tabs.count(2) != len(lines):
+        lineno = next(i for i, n in enumerate(tabs) if n != 2)
+        raise DatasetError(
+            f"{path}:{lineno + 1}: expected 3 tab-separated fields, got {tabs[lineno] + 1}"
+        )
+    fields = "\t".join(lines).split("\t")
+    if column_order == "HRT":
+        return fields[0::3], fields[1::3], fields[2::3]
+    return fields[0::3], fields[2::3], fields[1::3]  # HTR
 
 
 def load_dataset(
@@ -309,36 +316,24 @@ def load_dataset(
     """
     if column_order not in ("HRT", "HTR"):
         raise DatasetError(f"unknown column order {column_order!r}")
-    raw = {
-        "train": _read_rows(Path(train_path), column_order),
-        "valid": _read_rows(Path(valid_path), column_order),
-        "test": _read_rows(Path(test_path), column_order),
-    }
-    entity_index: dict[str, int] = {}
-    relation_index: dict[str, int] = {}
-    for split in ("train", "valid", "test"):
-        for h, r, t in raw[split]:
-            for name in (h, t):
-                if name not in entity_index:
-                    entity_index[name] = len(entity_index)
-            if r not in relation_index:
-                relation_index[r] = len(relation_index)
-    vocab = Vocab.build(entity_index.keys(), relation_index.keys())
+    splits = [
+        _read_columns(Path(path), column_order) for path in (train_path, valid_path, test_path)
+    ]
 
-    def encode(rows: list[tuple[str, str, str]]) -> np.ndarray:
-        out = np.empty((len(rows), 3), dtype=np.int32)
-        for i, (h, r, t) in enumerate(rows):
-            out[i, 0] = entity_index[h]
-            out[i, 1] = relation_index[r]
-            out[i, 2] = entity_index[t]
+    vocab = Vocab.build(  # head before tail, fact by fact
+        dict.fromkeys(chain.from_iterable(chain.from_iterable(zip(h, t)) for h, _, t in splits)),
+        dict.fromkeys(chain.from_iterable(r for _, r, _ in splits)),
+    )
+
+    def encode(heads: list[str], rels: list[str], tails: list[str]) -> np.ndarray:
+        out = np.empty((len(heads), 3), dtype=np.int32)
+        out[:, 0] = list(map(vocab.entity_index.__getitem__, heads))
+        out[:, 1] = list(map(vocab.relation_index.__getitem__, rels))
+        out[:, 2] = list(map(vocab.entity_index.__getitem__, tails))
         return out
 
     return KnowledgeGraph(
-        vocab,
-        encode(raw["train"]),
-        encode(raw["valid"]),
-        encode(raw["test"]),
-        n_relations_orig=vocab.n_relations,
+        vocab, *(encode(*split) for split in splits), n_relations_orig=vocab.n_relations,
         augmented=False,
     )
 

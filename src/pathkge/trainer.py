@@ -407,9 +407,9 @@ def _validation_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
     ranks: list[np.ndarray] = []
     for r in np.unique(g.valid[:, 1]).tolist():
         ctx = _RelationContext(params, g, r, ent)
-        for slot, anchor, _, golds in _queries(g.valid[g.valid[:, 1] == r]):
-            s1 = ctx.stage1(anchor, slot)
-            ranks.append((s1 <= s1[golds][:, None]).sum(axis=1))  # pessimistic
+        for slot, anchors, _, golds in _queries(g.valid[g.valid[:, 1] == r]):
+            for q_golds, s1 in zip(golds, ctx.stage1(slot, anchors, golds, None)):
+                ranks.append((s1 <= s1[q_golds][:, None]).sum(axis=1))  # pessimistic
     return float(np.mean(np.concatenate(ranks)))
 
 

@@ -56,6 +56,26 @@ def sample_negative(g, triple, slots: dict[str, float], rng, max_attempts: int =
     raise ValueError(f"no negative for {(h, r, t)} in {max_attempts} attempts")
 
 
+def read_rows(path, column_order: str = "HRT") -> list[tuple[str, str, str]]:
+    """A triple file line by line, as a file opened with newline="" yields
+    lines: (head, relation, tail) per line, or ``ValueError`` with the
+    loader's message for a line without three tab-separated fields or for
+    an empty file."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\r\n").split("\t")
+            if len(parts) != 3:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+                )
+            h, a, b = parts
+            rows.append((h, a, b) if column_order == "HRT" else (h, b, a))
+    if not rows:
+        raise ValueError(f"{path}: empty triple file")
+    return rows
+
+
 def relatedness(table: PathTable, r: int, pid: int) -> float:
     """P(r | path) by a scan of the path's stored relations."""
     for i in range(table.relat_offsets[pid], table.relat_offsets[pid + 1]):

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import make_graph, random_triples
 from oracles import full_rank_oracle, windowed_rank_oracle
+from pathkge import evaluator
 from pathkge.evaluator import (
     EvalError,
+    _exact,
     _RelationContext,
+    _sq_norms,
     _window,
     evaluate,
     rank_entities,
@@ -186,6 +189,35 @@ def grid_model(rng: np.random.Generator, n_entities: int, n_relations: int) -> M
     return ModelParams(grid(n_entities, 2), grid(n_relations, 2), grid(n_relations, 2, 2))
 
 
+def reference_stage1(ctx: _RelationContext, anchor: int, slot: str) -> np.ndarray:
+    """Every entity's stage-1 score by the reference expression, one query
+    at a time."""
+    proj = ctx.proj_fwd
+    if slot == "head":
+        return np.square(proj + (ctx.rv - proj[anchor])).sum(axis=1)
+    return np.square((proj[anchor] + ctx.rv) - proj).sum(axis=1)
+
+
+def near_tie_model(
+    rng: np.random.Generator, n_entities: int, n_relations: int, big: float
+) -> ModelParams:
+    """Stage-1 scores that the reference expression and the oracle compute
+    exactly (few significant bits) while the GEMM form rounds: every entity
+    sits at ``big`` in its first coordinate, so ||c||^2 and ||p_e||^2 are
+    large and cancel.  The first two coordinates take three values each, so
+    many entities share them; the projection adds 2**-20 of the third to
+    the first, which ties them again or sets them apart by far less than
+    the GEMM form's rounding error."""
+    ent = (rng.integers(-1, 2, size=(n_entities, 3)) * 2.0 ** -7).astype(np.float32)
+    ent[:, 2] = rng.integers(-3, 4, size=n_entities) * 2.0 ** -7
+    ent[:, 0] += np.float32(big)
+    rel = (rng.integers(-1, 2, size=(n_relations, 2)) * 2.0 ** -7).astype(np.float32)
+    proj = np.zeros((n_relations, 2, 3), dtype=np.float32)
+    proj[:, 0, 0] = proj[:, 1, 1] = 1.0
+    proj[:, 0, 2] = 2.0 ** -20
+    return ModelParams(ent, rel, proj)
+
+
 class TestWindowedRanking:
     """Windows smaller than the entity count, with ties at their edge."""
 
@@ -273,11 +305,84 @@ class TestWindowedRanking:
                 params, table, g, (res.h, res.r, res.t), res.slot, protocol, k, tie_policy
             )
             assert single == replace(res, index=0)
-        parallel = evaluate(
-            params, table, g, split="test", rerank_k=k, tie_policy=tie_policy,
-            protocol=protocol, workers=2,
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10**9),
+        st.sampled_from([1.0, 2.0**8, 2.0**16]),
+        st.sampled_from(["1", "n//2", "n-1", "n"]),
+        st.sampled_from(["pessimistic", "mean"]),
+        st.sampled_from(["raw", "filter"]),
+    )
+    def test_certified_stage1_at_near_ties(self, seed, big, k_rule, tie_policy, protocol):
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(
+            rng, max_entities=12, max_relations=2, max_edges=16
         )
-        assert parallel.instances == report.instances
+        test = [
+            (int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+            for _ in range(8)
+        ]
+        g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
+        params = near_tie_model(rng, g.n_entities, g.n_relations, big)
+        k = max(1, {"1": 1, "n//2": n_ent // 2, "n-1": n_ent - 1, "n": n_ent}[k_rule])
+        table = PathTable.empty(n_ent)
+        report = evaluate(
+            params, table, g, split="test", rerank_k=k, tie_policy=tie_policy,
+            protocol=protocol,
+        )
+        for res in report.instances:
+            raw, filt, in_window = windowed_rank_oracle(
+                params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
+            )
+            assert (res.raw_rank, res.in_window) == (raw, in_window)
+            assert res.filtered_rank == (filt if protocol == "filter" else None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from([1.0, 2.0**8, 2.0**16]), st.integers(2, 40))
+    def test_certified_rows_decide_like_the_reference(self, seed, big, n):
+        # Every decision stage 1 feeds the ranking: the window of each k and,
+        # for each gold, which entities score below it and which tie.
+        rng = np.random.default_rng(seed)
+        g = make_graph([(0, 0, 1)], n_entities=n, n_relations=1)
+        params = near_tie_model(rng, n, g.n_relations, big)
+        ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
+        anchors = list(range(n))
+        golds = [rng.integers(n, size=rng.integers(1, 4)) for _ in anchors]
+        for slot in ("head", "tail"):
+            for k in {None, 1, n // 2, n - 1, n}:
+                rows = ctx.stage1(slot, anchors, golds, k)
+                for anchor, gold, row in zip(anchors, golds, rows):
+                    ref = reference_stage1(ctx, anchor, slot)
+                    if k == n:  # no GEMM: the reference row itself
+                        assert row.tobytes() == ref.tobytes()
+                    for entity in gold:
+                        assert np.array_equal(row < row[entity], ref < ref[entity])
+                        assert np.array_equal(row == row[entity], ref == ref[entity])
+                    if k is not None:
+                        assert np.array_equal(_window(row, k), _window(ref, k))
+
+    def test_full_window_skips_the_gemm(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=8, max_relations=2)
+        test = [(0, 0, 1), (1, 0, 0), (2, 0, 1)]
+        g = make_graph(triples, test=test, n_entities=n_ent + 3, n_relations=n_rel)
+        params = ModelParams.random(g.n_entities, g.n_relations, 3, 3, rng)
+        gemm = evaluator._gemm_scores
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return gemm(*args)
+
+        monkeypatch.setattr(evaluator, "_gemm_scores", spy)
+        empty = PathTable.empty(g.n_entities)
+        for k in (g.n_entities, g.n_entities + 5):
+            evaluate(params, empty, g, split="test", rerank_k=k)
+            rank_entities(params, empty, g, (0, 0, 1), "head", rerank_k=k)
+        assert calls == []
+        evaluate(params, empty, g, split="test", rerank_k=g.n_entities - 1)
+        assert calls
 
     def test_stage1_runs_once_per_distinct_query(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -288,9 +393,9 @@ class TestWindowedRanking:
         calls = []
         stage1 = _RelationContext.stage1
 
-        def spy(ctx, anchor, slot):
-            calls.append((ctx.r, slot, anchor))
-            return stage1(ctx, anchor, slot)
+        def spy(ctx, slot, anchors, golds, k):
+            calls.extend((ctx.r, slot, anchor) for anchor in anchors)
+            return stage1(ctx, slot, anchors, golds, k)
 
         monkeypatch.setattr(_RelationContext, "stage1", spy)
         report = evaluate(params, PathTable.empty(g.n_entities), g, split="test", rerank_k=3)
@@ -299,6 +404,23 @@ class TestWindowedRanking:
             (0, "head", 0), (0, "head", 1), (0, "head", 2),
             (0, "tail", 0), (0, "tail", 1), (0, "tail", 3),
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 40), st.integers(1, 300))
+    def test_sq_norms_of_a_row_subset_are_the_same_bits(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        rows = rng.integers(n, size=rng.integers(1, n + 1))
+        assert _sq_norms(mat[rows]).tobytes() == _sq_norms(mat.copy())[rows].tobytes()
+        query = rng.normal(size=d)
+        assert _exact(query, mat, rows).tobytes() == _exact(query, mat)[rows].tobytes()
+        # Both slots score ||c - p_e||^2 in the reference's bits.
+        g = make_graph([(0, 0, 1)], n_entities=n + 1, n_relations=1)
+        params = ModelParams.random(n + 1, 2, d, d, rng)
+        ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
+        for slot in ("head", "tail"):
+            (row,) = ctx.stage1(slot, [n], [np.array([0])], n + 1)
+            assert row.tobytes() == reference_stage1(ctx, n, slot).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(1, 45))
@@ -398,21 +520,6 @@ class TestEvaluate:
         assert keys == sorted(keys)
         assert keys == [(i, s) for i in range(4) for s in ("head", "tail")]
 
-    def test_workers_match_serial(self):
-        rng = np.random.default_rng(4)
-        triples, n_ent, n_rel = random_triples(rng, max_relations=4)
-        test = [
-            (int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
-            for _ in range(6)
-        ]
-        g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
-        table = build_path_table(g, reliability_floor=0.0)
-        params = ModelParams.random(g.n_entities, g.n_relations, 4, 4, rng)
-        serial = evaluate(params, table, g, split="test", rerank_k=n_ent)
-        parallel = evaluate(params, table, g, split="test", rerank_k=n_ent, workers=2)
-        assert serial.instances == parallel.instances
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_window_recall(self):
         rng = np.random.default_rng(4)
         triples, n_ent, n_rel = random_triples(rng, max_relations=4)
@@ -461,12 +568,6 @@ class TestEvaluate:
         empty = make_graph([(0, 0, 1)], n_entities=4, n_relations=1)
         with pytest.raises(EvalError, match="empty"):
             evaluate(params, PathTable.empty(4), empty, split="test")
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_worker_count_validation(self, workers):
-        params, g = perfect_model()
-        with pytest.raises(EvalError, match="workers"):
-            evaluate(params, PathTable.empty(4), g, workers=workers)
 
 
 class TestReportWriters:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TRI, make_graph, random_triples
-from oracles import known_index
+from oracles import known_index, read_rows
 from oracles import relation_cardinality as cardinality_oracle
 from pathkge.kgdata import (
     DatasetError,
@@ -19,6 +19,7 @@ from pathkge.kgdata import (
     augment_inverse,
     classify_relations,
     frequency_bucket,
+    _read_columns,
     load_dataset,
     relation_cardinality,
     relation_train_counts,
@@ -38,6 +39,11 @@ def dataset_dir(tmp_path):
     write_split(tmp_path / "valid.txt", [("a", "r1", "c")])
     write_split(tmp_path / "test.txt", [("b", "r2", "c")])
     return tmp_path
+
+
+# Names for the reader's property test, with the separators that
+# str.splitlines would take for line ends.
+NAMES = st.text(alphabet=["a", "b", "\x85", "\u2028", "\x0b", "\x1c", " ", "é"], max_size=3)
 
 
 class TestIngestion:
@@ -122,6 +128,46 @@ class TestIngestion:
             load_dataset(
                 tmp_path / "train.txt", tmp_path / "valid.txt", tmp_path / "test.txt"
             )
+
+    def test_only_cr_and_lf_end_a_line(self, tmp_path):
+        # \x85, \u2028 and the other separators of str.splitlines stay in names.
+        odd = "x\x85y\u2028z\u2029\x0b\x0c\x1c\x1d\x1e"
+        (tmp_path / "train.txt").write_text(f"a\tr\t{odd}\r\nb\tr\ta\rc\tr\tb\n{odd}\tr\tc",
+                                            encoding="utf-8", newline="")
+        write_split(tmp_path / "valid.txt", [("a", "r", "b")])
+        (tmp_path / "test.txt").write_bytes(b"a\tr\tc\r\n\r\nb\tr\ta\r\n")
+        paths = [tmp_path / f"{split}.txt" for split in ("train", "valid", "test")]
+        with pytest.raises(DatasetError, match=r"test\.txt:2: expected 3 tab-separated fields, got 1"):
+            load_dataset(*paths)
+        (tmp_path / "test.txt").write_bytes(b"a\tr\tc\r\nb\tr\ta\r\n")
+        g = load_dataset(*paths)
+        assert g.vocab.entity_names == ("a", odd, "b", "c")
+        assert g.train.tolist() == [[0, 0, 1], [2, 0, 0], [3, 0, 2], [1, 0, 3]]
+        assert g.test.tolist() == [[0, 0, 3], [2, 0, 0]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(NAMES, min_size=3, max_size=3) | st.lists(NAMES, min_size=1, max_size=4),
+                st.sampled_from(["\n", "\r", "\r\n", ""]),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from(["HRT", "HTR"]),
+    )
+    def test_reader_matches_line_by_line_reference(self, tmp_path_factory, lines, order):
+        path = tmp_path_factory.mktemp("tsv") / "split.txt"
+        text = "".join("\t".join(fields) + end for fields, end in lines)
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            expected = [list(col) for col in zip(*read_rows(path, order))]
+        except ValueError as exc:
+            with pytest.raises(DatasetError) as info:
+                _read_columns(path, order)
+            assert str(info.value) == str(exc)
+        else:
+            assert [list(col) for col in _read_columns(path, order)] == expected
 
     def test_vocab_rejects_duplicates(self):
         with pytest.raises(DatasetError):

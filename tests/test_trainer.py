@@ -330,9 +330,9 @@ class TestTrain:
         calls = []
         stage1 = _RelationContext.stage1
 
-        def spy(ctx, anchor, slot):
-            calls.append((ctx.r, slot, anchor))
-            return stage1(ctx, anchor, slot)
+        def spy(ctx, slot, anchors, golds, k):
+            calls.extend((ctx.r, slot, anchor) for anchor in anchors)
+            return stage1(ctx, slot, anchors, golds, k)
 
         monkeypatch.setattr(_RelationContext, "stage1", spy)
         assert _validation_mean_rank(params, g) == validation_mean_rank(params, g)
