@@ -12,7 +12,6 @@ from pathkge.evaluator import (
     RankResult,
     evaluate,
     rank_entities,
-    tie_rank,
 )
 from pathkge.kgdata import (
     DatasetError,
@@ -22,21 +21,8 @@ from pathkge.kgdata import (
     classify_relations,
     load_dataset,
 )
-from pathkge.models import (
-    ModelError,
-    ModelParams,
-    compose_path,
-    path_energy,
-    score_ptransr,
-    score_transr,
-)
-from pathkge.paths import (
-    PathError,
-    PathTable,
-    build_path_table,
-    enumerate_paths,
-    pcra_resource,
-)
+from pathkge.models import ModelError, ModelParams, score_ptransr, score_transr
+from pathkge.paths import PathError, PathTable, build_path_table
 from pathkge.trainer import TrainConfig, TrainError, train
 from pathkge.cli import SyntheticKGSpec, SynthError, generate_synthetic_kg
 
@@ -60,17 +46,12 @@ __all__ = [
     "augment_inverse",
     "build_path_table",
     "classify_relations",
-    "compose_path",
-    "enumerate_paths",
     "evaluate",
     "generate_synthetic_kg",
     "load_dataset",
-    "path_energy",
-    "pcra_resource",
     "rank_entities",
     "score_ptransr",
     "score_transr",
-    "tie_rank",
     "train",
     "__version__",
 ]

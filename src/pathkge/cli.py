@@ -6,8 +6,7 @@ synth-kg (desk-scale dataset generator), inspect (qualitative probes).
 
 Every verb validates its inputs before touching the filesystem, exits
 nonzero with a one-line message on error, and is byte-deterministic
-given identical inputs and seed.  Only evaluate can rank in several
-processes, and it writes the same bytes as with one.
+given identical inputs and seed.  Every verb runs in one process.
 """
 
 from __future__ import annotations
@@ -514,6 +513,8 @@ def _path_gaps(params: ModelParams, table: PathTable, pids: np.ndarray, r: int) 
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise DatasetError("--top must be >= 1")
+    if args.entity is None and args.pair is None and args.relation is None:
+        raise DatasetError("nothing to inspect (pass --entity, --pair, or --relation)")
     g = _load_graph(args)
     if not Path(args.model).is_file():
         raise ModelError(f"model file not found: {args.model}")
@@ -523,10 +524,24 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     ent_id = {name: i for i, name in enumerate(g.vocab.entity_names)}
     rel_id = {name: i for i, name in enumerate(g.vocab.relation_names)}
 
-    did_something = False
+    # Every argument is checked before anything is printed.
+    names = [] if args.entity is None else [args.entity]
+    if args.pair is not None:
+        pair = args.pair.split(",")
+        if len(pair) != 2:
+            raise DatasetError(f"--pair expects 'head,tail', got {args.pair!r}")
+        names += pair
+    for name in names:
+        if name not in ent_id:
+            raise DatasetError(f"unknown entity {name!r}")
+    if args.relation is not None and args.relation not in rel_id:
+        raise DatasetError(f"unknown relation {args.relation!r}")
+    if not args.table and (args.pair is not None or args.relation is not None):
+        raise PathError(f"--{'relation' if args.pair is None else 'pair'} needs --table")
+    table = _load_table(args.table, g) if args.table else None
+    r = None if args.relation is None else rel_id[args.relation]
+
     if args.entity is not None:
-        if args.entity not in ent_id:
-            raise DatasetError(f"unknown entity {args.entity!r}")
         e = ent_id[args.entity]
         emb = params.entity_emb.astype(np.float64)
         dist = np.sqrt(np.square(emb - emb[e]).sum(axis=1))
@@ -540,30 +555,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             shown += 1
             if shown >= args.top:
                 break
-        did_something = True
-
-    table = None
-    if args.table:
-        table = _load_table(args.table, g)
 
     def _path_names(rels: tuple[int, ...]) -> str:
-        return ",".join(g.vocab.relation_names[r] for r in rels)
+        return ",".join(g.vocab.relation_names[rid] for rid in rels)
 
     if args.pair is not None:
-        if table is None:
-            raise PathError("--pair needs --table")
-        names = args.pair.split(",")
-        if len(names) != 2:
-            raise DatasetError(f"--pair expects 'head,tail', got {args.pair!r}")
-        for name in names:
-            if name not in ent_id:
-                raise DatasetError(f"unknown entity {name!r}")
-        h, t = ent_id[names[0]], ent_id[names[1]]
+        h, t = ent_id[pair[0]], ent_id[pair[1]]
         ids, flows = table.paths_for(h, t)
-        print(f"stored paths for ({names[0]}, {names[1]}): {len(ids)}")
-        r = rel_id.get(args.relation) if args.relation else None
-        if args.relation and r is None:
-            raise DatasetError(f"unknown relation {args.relation!r}")
+        print(f"stored paths for ({pair[0]}, {pair[1]}): {len(ids)}")
         if r is not None:
             related = table.relatedness(r, ids).tolist()
             gaps = _path_gaps(params, table, ids, r).tolist()
@@ -572,13 +571,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             if r is not None:
                 line += f"  P(r|p)={related[j]:.6f}  R={related[j] * v:.6f}  |p-r|={gaps[j]:.6f}"
             print(line)
-        did_something = True
-    elif args.relation is not None:
-        if table is None:
-            raise PathError("--relation needs --table")
-        if args.relation not in rel_id:
-            raise DatasetError(f"unknown relation {args.relation!r}")
-        r = rel_id[args.relation]
+    elif r is not None:
         related = table.relatedness(r, np.arange(table.n_paths))
         pids = np.flatnonzero(related > 0.0)
         rows = sorted(
@@ -592,12 +585,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"paths related to {args.relation}: {len(rows)}")
         for relatedness, gap, rels in rows[: args.top]:
             print(f"  {_path_names(rels)}  P(r|p)={relatedness:.6f}  |p-r|={gap:.6f}")
-        did_something = True
-
-    if not did_something:
-        raise DatasetError(
-            "nothing to inspect (pass --entity, --pair, or --relation)"
-        )
     return 0
 
 

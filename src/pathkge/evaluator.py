@@ -45,32 +45,10 @@ class EvalError(ValueError):
     """Invalid evaluation request."""
 
 
-def tie_rank(scores: np.ndarray, gold_index: int, policy: TiePolicy = "pessimistic") -> int:
-    """Rank of the gold candidate among scores (lower score is better).
-
-    Pessimistic places the gold after every candidate with an equal
-    score; mean assigns the average rank of the tie group, rounded up.
-    Ranks are 1-based.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or len(scores) == 0:
-        raise EvalError("scores must be a non-empty 1-D array")
-    if not 0 <= gold_index < len(scores):
-        raise EvalError(f"gold index {gold_index} out of range")
-    if not np.all(np.isfinite(scores)):
-        raise EvalError("scores must be finite")
-    gold = scores[gold_index]
-    return int(_tie_break((scores < gold).sum(), (scores == gold).sum(), policy))
-
-
 def _tie_break(less: np.ndarray, ties: np.ndarray, policy: TiePolicy) -> np.ndarray:
     """1-based ranks from the count of better candidates and the size of
     the tie group, the gold included."""
-    if policy == "pessimistic":
-        return less + ties
-    if policy == "mean":
-        return less + (ties + 2) // 2
-    raise EvalError(f"unknown tie policy {policy!r}")
+    return less + ties if policy == "pessimistic" else less + (ties + 2) // 2
 
 
 @dataclass(frozen=True)
@@ -348,8 +326,10 @@ def rank_entities(
     tie_policy: TiePolicy = "pessimistic",
 ) -> RankResult:
     """Rank every entity as a candidate for one slot of one fact."""
-    _check_eval_args(params, g, rerank_k, protocol, slot=slot)
+    _check_eval_args(params, g, rerank_k, protocol, tie_policy, slot=slot)
     h, r, t = (int(x) for x in triple)
+    if not (0 <= h < g.n_entities and 0 <= t < g.n_entities and 0 <= r < g.n_relations):
+        raise EvalError(f"triple {(h, r, t)} has an id outside the graph")
     ctx = _RelationContext(params, g, r, params.entity_emb.astype(np.float64))
     anchor, gold = (t, h) if slot == "head" else (h, t)
     (ranks,) = _rank_queries(
@@ -364,7 +344,9 @@ def _check_eval_args(
     g: KnowledgeGraph,
     rerank_k: int,
     protocol: str,
+    tie_policy: str,
     slot: str | None = None,
+    category_cutoff: float | None = None,
 ) -> None:
     if not g.augmented:
         raise EvalError("evaluation expects an inverse-augmented graph")
@@ -378,8 +360,12 @@ def _check_eval_args(
         raise EvalError(f"rerank_k must be >= 1, got {rerank_k}")
     if protocol not in ("raw", "filter"):
         raise EvalError(f"unknown protocol {protocol!r}")
+    if tie_policy not in ("pessimistic", "mean"):
+        raise EvalError(f"unknown tie policy {tie_policy!r}")
     if slot is not None and slot not in ("head", "tail"):
         raise EvalError(f"unknown slot {slot!r}")
+    if category_cutoff is not None and not category_cutoff > 0:  # NaN too
+        raise EvalError(f"category_cutoff must be positive, got {category_cutoff}")
 
 
 # -- split evaluation --------------------------------------------------------
@@ -398,7 +384,9 @@ def evaluate(
     """Rank both slots of every fact in the split and aggregate metrics."""
     if split not in ("valid", "test"):
         raise EvalError(f"unknown split {split!r}")
-    _check_eval_args(params, g, rerank_k, protocol)
+    _check_eval_args(
+        params, g, rerank_k, protocol, tie_policy, category_cutoff=category_cutoff
+    )
     split_triples = getattr(g, split)
     if len(split_triples) == 0:
         raise EvalError(f"cannot evaluate an empty {split} split")

@@ -236,20 +236,9 @@ class KnowledgeGraph:
 
     # -- adjacency ----------------------------------------------------
 
-    def unique_out_edges(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Deduplicated outgoing edges of ``e`` with per-edge resource shares."""
-        offsets, rels, dsts, shares = self._adjacency
-        lo, hi = offsets[e], offsets[e + 1]
-        return rels[lo:hi], dsts[lo:hi], shares[lo:hi]
-
     def unique_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Raw structural-adjacency arrays: (offsets, rels, dsts, shares)."""
         return self._adjacency
-
-    def children(self, e: int, r: int) -> np.ndarray:
-        """Distinct entities reachable from ``e`` by one ``r`` edge."""
-        rels, dsts, _ = self.unique_out_edges(e)
-        return dsts[np.searchsorted(rels, r, side="left"):np.searchsorted(rels, r, side="right")]
 
     # -- membership ---------------------------------------------------
 
@@ -395,8 +384,8 @@ def classify_relations(
     (non-augmented) train facts.  Relations absent from train cannot be
     classified and map to ``None``.
     """
-    if cutoff <= 0:
-        raise DatasetError("cutoff must be positive")
+    if not cutoff > 0:  # NaN too
+        raise DatasetError(f"cutoff must be positive, got {cutoff}")
     facts, tphs, hpts = relation_cardinality(g.original_train, g.n_relations_orig)
     out: dict[int, RelationCategory | None] = {}
     for r, (n, tph, hpt) in enumerate(zip(facts.tolist(), tphs.tolist(), hpts.tolist())):

@@ -15,7 +15,7 @@ from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
-from pathkge.paths import PathTable, RelPath, expand_spans
+from pathkge.paths import PathTable, expand_spans
 
 Norm = Literal["L1", "L2"]
 
@@ -201,32 +201,11 @@ def _row_dots(q: np.ndarray) -> np.ndarray:
     return np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
 
 
-def compose_path(params: ModelParams, p: RelPath) -> np.ndarray:
-    """Path embedding: the sum of its relation embeddings (float64)."""
-    if len(p) == 0:
-        raise ModelError("path must contain at least one relation")
-    return compose_paths(relation_rows(params), np.asarray([p]))[0]
-
-
-def path_energy(params: ModelParams, p: RelPath, r: int, reliability: float) -> float:
-    """Reliability-weighted squared distance between path and relation."""
-    if reliability < 0:
-        raise ModelError(f"reliability must be >= 0, got {reliability}")
-    q = compose_path(params, p) - params.relation_emb[r].astype(np.float64)
-    return float(reliability * (q @ q))
-
-
 def gap_energy_and_grads(q: np.ndarray, reliability: float):
     """Energy ``reliability * |q|^2`` of a path-minus-relation gap q, plus
     its gradients w.r.t. the path sum and the relation vector."""
     gp = 2.0 * reliability * q
     return float(reliability * (q @ q)), gp, -gp
-
-
-def path_energy_and_grads(params: ModelParams, p: RelPath, r: int, reliability: float):
-    """Energy plus gradients w.r.t. the path sum and the relation vector."""
-    q = compose_path(params, p) - params.relation_emb[r].astype(np.float64)
-    return gap_energy_and_grads(q, reliability)
 
 
 class PathEvidence(NamedTuple):

@@ -41,52 +41,6 @@ class PathError(ValueError):
     """Invalid path query or path-table configuration."""
 
 
-def enumerate_paths(g: KnowledgeGraph, h: int, t: int) -> list[tuple[RelPath, int]]:
-    """All distinct 1- and 2-hop relation sequences with a witness walk
-    from h to t.
-
-    Returns (path, witness count) pairs in lexicographic path order; the
-    witness count is the number of distinct walks realizing the path
-    (for two hops: distinct intermediate entities per edge combination).
-    """
-    found: dict[RelPath, int] = {}
-    rels1, dsts1, _ = g.unique_out_edges(h)
-    for r1, e in zip(rels1.tolist(), dsts1.tolist()):
-        if e == t:
-            found[(r1,)] = found.get((r1,), 0) + 1
-    for r1, e in zip(rels1.tolist(), dsts1.tolist()):
-        rels2, dsts2, _ = g.unique_out_edges(e)
-        for r2, d in zip(rels2.tolist(), dsts2.tolist()):
-            if d == t:
-                found[(r1, r2)] = found.get((r1, r2), 0) + 1
-    return sorted(found.items())
-
-
-def pcra_resource(g: KnowledgeGraph, h: int, p: RelPath, t: int) -> float:
-    """Resource reaching t when 1.0 starts at h and flows along path p.
-
-    At each hop every entity holding resource splits it evenly among its
-    distinct children under that hop's relation; entities with no such
-    children keep nothing (their share of the resource is lost).
-    """
-    if len(p) == 0:
-        raise PathError("path must have at least one relation")
-    resource: dict[int, float] = {h: 1.0}
-    for r in p:
-        nxt: dict[int, float] = {}
-        for e in sorted(resource):
-            kids = g.children(e, r)
-            if len(kids) == 0:
-                continue
-            share = resource[e] / len(kids)
-            for c in kids.tolist():
-                nxt[c] = nxt.get(c, 0.0) + share
-        resource = nxt
-    if t not in resource:
-        raise PathError(f"no witness walk from {h} to {t} along {p}")
-    return resource[t]
-
-
 def expand_spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flatten the index ranges [lo, hi): each index and the range it is in."""
     sizes = hi - lo
@@ -317,13 +271,13 @@ def _collect_head(g: KnowledgeGraph, h: int, cap: int) -> tuple[np.ndarray, np.n
     is_tail = np.zeros(n_ent, dtype=bool)
     is_tail[pair_keys[lo:hi] % n_ent] = True
 
-    rels1, dsts1, w1 = g.unique_out_edges(h)
-    rels1 = rels1.astype(np.int64)
+    uoff, urel, udst, ushare = g.unique_adjacency()
+    own = slice(uoff[h], uoff[h + 1])
+    rels1, dsts1, w1 = urel[own].astype(np.int64), udst[own], ushare[own]
     one = is_tail[dsts1]
 
     # Expand every two-hop walk at once, then sum flows per
     # (r1, r2, target) with a stable sort so summation order is fixed.
-    uoff, urel, udst, ushare = g.unique_adjacency()
     walk, edge = expand_spans(uoff[dsts1], uoff[dsts1 + 1])
     t2 = udst[edge].astype(np.int64)
     two = is_tail[t2]

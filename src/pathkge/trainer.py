@@ -27,7 +27,7 @@ from typing import Callable, Literal, Mapping, NamedTuple
 
 import numpy as np
 
-from pathkge.evaluator import _queries, _RelationContext
+from pathkge.evaluator import _groups, _queries, _RelationContext
 from pathkge.kgdata import KnowledgeGraph, relation_cardinality
 from pathkge.models import (
     ModelParams,
@@ -405,9 +405,9 @@ def _validation_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
         raise TrainError("early stopping needs a non-empty valid split")
     ent = params.entity_emb.astype(np.float64)
     ranks: list[np.ndarray] = []
-    for r in np.unique(g.valid[:, 1]).tolist():
+    for r, idxs in zip(*_groups(g.valid[:, 1])):
         ctx = _RelationContext(params, g, r, ent)
-        for slot, anchors, _, golds in _queries(g.valid[g.valid[:, 1] == r]):
+        for slot, anchors, _, golds in _queries(g.valid[idxs]):
             for q_golds, s1 in zip(golds, ctx.stage1(slot, anchors, golds, None)):
                 ranks.append((s1 <= s1[q_golds][:, None]).sum(axis=1))  # pessimistic
     return float(np.mean(np.concatenate(ranks)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pathkge.kgdata import KnowledgeGraph, augment_inverse
+from pathkge.paths import build_path_table
 
 # 0 -r0-> 1 -r1-> 2 -r2-> 3
 CHAIN = [(0, 0, 1), (1, 1, 2), (2, 2, 3)]
@@ -29,6 +30,16 @@ def make_graph(
         train, valid, test, n_entities=n_entities, n_relations=n_relations
     )
     return augment_inverse(g) if augment else g
+
+
+def mined_flows(g: KnowledgeGraph) -> dict[tuple[int, int], dict[tuple[int, ...], float]]:
+    """Every entry that path mining stores with the floor and the cap off,
+    as {(h, t): {relation path: flow}}."""
+    table = build_path_table(g, reliability_floor=0.0, cap=10**6)
+    return {
+        (h, t): dict(zip((table.path_rels[pid] for pid in ids.tolist()), vs.tolist()))
+        for h, t, ids, vs in table.pair_items()
+    }
 
 
 def random_triples(

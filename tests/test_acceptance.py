@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, make_graph, random_triples
+from conftest import ACCEPTANCE_LINES, make_graph, mined_flows, random_triples
 from oracles import all_witnessed_paths, full_rank_oracle
 from pathkge import cli
 from pathkge.cli import SyntheticKGSpec, generate_synthetic_kg
@@ -28,12 +28,13 @@ from pathkge.evaluator import evaluate, rank_entities
 from pathkge.kgdata import augment_inverse, load_dataset
 from pathkge.models import (
     ModelParams,
-    path_energy,
-    path_energy_and_grads,
+    compose_paths,
+    gap_energy_and_grads,
+    relation_rows,
     score_transr,
     transr_energy_and_grads,
 )
-from pathkge.paths import PathTable, build_path_table, enumerate_paths, pcra_resource
+from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import TrainConfig, init_transe, train
 
 GRID = 2.0 ** -10  # exact in float32, so central differences stay exact
@@ -71,17 +72,15 @@ def test_01_resource_allocation_matches_walk_oracle():
         triples, n_ent, n_rel = random_triples(rng, max_entities=8, max_relations=4)
         g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
         edges = [tuple(int(x) for x in row) for row in g.train]
-        for h in range(n_ent):
-            for t in range(n_ent):
-                if h == t:
-                    continue
-                mined = dict(enumerate_paths(g, h, t))
-                oracle = all_witnessed_paths(edges, h, t, g.n_relations)
-                ok = ok and set(mined) == set(oracle)
-                for path, v_ref in oracle.items():
-                    err = abs(pcra_resource(g, h, path, t) - v_ref)
-                    worst = max(worst, err)
-                    checked += 1
+        mined = mined_flows(g)
+        # Every train pair is stored, self-pairs included, and nothing else.
+        ok = ok and set(mined) == {(h, t) for h, _, t in edges}
+        for (h, t), flows in mined.items():
+            oracle = all_witnessed_paths(edges, h, t, g.n_relations)
+            ok = ok and set(flows) == set(oracle)
+            for path, v_ref in oracle.items():
+                worst = max(worst, abs(flows.get(path, np.inf) - v_ref))
+                checked += 1
     elapsed = time.perf_counter() - t0
     ok = ok and worst <= 1e-12 and elapsed < 10.0
     record(
@@ -110,10 +109,14 @@ def test_02_resource_conservation():
         for y in {t for hh, rr, t in triples if hh == h and rr == r1}:
             if not any(hh == y and rr == r2 for hh, rr, _ in triples):
                 triples.add((y, r2, int(rng.integers(n_ent))))
-        g = make_graph(sorted(triples), n_entities=n_ent, n_relations=n_rel)
         mids = {t for hh, rr, t in triples if hh == h and rr == r1}
         ends = {t for hh, rr, t in triples if hh in mids and rr == r2}
-        total = sum(pcra_resource(g, h, (r1, r2), t) for t in sorted(ends))
+        # One fact of a fresh relation makes each (h, end) a mined pair; it
+        # adds no r1 or r2 edge, so no split changes.
+        linked = sorted(triples | {(h, n_rel, t) for t in ends})
+        g = make_graph(linked, n_entities=n_ent, n_relations=n_rel + 1)
+        mined = mined_flows(g)
+        total = sum(mined.get((h, t), {}).get((r1, r2), 0.0) for t in sorted(ends))
         worst = max(worst, abs(total - 1.0))
     record(2, "resource-conservation", worst <= 1e-12, f"max |sum-1| {worst:.2e}")
 
@@ -160,21 +163,31 @@ def test_03_analytic_gradients_match_central_differences():
             for b in range(d):
                 check(gM[a, b], central_diff(score, params.proj, (r, a, b)))
 
-        # Path energy: include repeated relations and paths containing the
-        # target so accumulation over occurrences is exercised too.
+        # Path energy, composed and differentiated as the trainer does:
+        # include repeated relations and paths containing the target so
+        # accumulation over occurrences is exercised too.
         if i % 3 == 0:
             path = (r, (r + 1) % 3)
         elif i % 3 == 1:
             path = ((r + 1) % 3, (r + 1) % 3)
         else:
             path = ((r + 1) % 3, (r + 2) % 3)
+        rows = np.array([path])
         rel = float(rng.integers(0, 512) * GRID)
-        energy = lambda: path_energy(params, path, r, rel)
-        _, gp, grel = path_energy_and_grads(params, path, r, rel)
+
+        def gap() -> np.ndarray:
+            vecs = relation_rows(params)
+            return compose_paths(vecs, rows)[0] - vecs[r]
+
+        energy = lambda: gap_energy_and_grads(gap(), rel)[0]
+        _, gp, grel = gap_energy_and_grads(gap(), rel)
+        grads = {rid: np.zeros(d) for rid in {r, *path}}
+        for rid in path:
+            grads[rid] += gp
+        grads[r] += grel
         for j in range(d):
-            for rid in {r, *path}:
-                total = path.count(rid) * gp[j] + (grel[j] if rid == r else 0.0)
-                check(total, central_diff(energy, params.relation_emb, (rid, j)))
+            for rid, grad in grads.items():
+                check(grad[j], central_diff(energy, params.relation_emb, (rid, j)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 5.0
     record(3, "gradients-vs-differences", ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")

@@ -389,6 +389,27 @@ class TestVerbs:
         assert "unknown entity" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--table", "TABLE", "--pair", "e00,e01", "--relation", "nope"],
+         "unknown relation 'nope'"),
+        (["--entity", "e00", "--pair", "e00,zz"], "unknown entity 'zz'"),
+        (["--entity", "e00", "--pair", "e00,e01"], "--pair needs --table"),
+        (["--entity", "e00", "--relation", "r2"], "--relation needs --table"),
+        (["--entity", "e00", "--table", "TABLE", "--pair", "e00"], "--pair expects"),
+    ])
+    def test_inspect_checks_every_argument_before_printing(self, ws, capsys, argv, message):
+        capsys.readouterr()
+        rc = cli.main([
+            "inspect", "--data", str(ws["data"]), "--model", str(ws["model"]),
+            *(str(ws["table"]) if arg == "TABLE" else arg for arg in argv),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
+
 class TestPlumbing:
     def test_env_var_supplies_data_dir(self, ws, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(ws["data"]))

@@ -19,16 +19,24 @@ from pathkge.evaluator import (
     _exact,
     _RelationContext,
     _sq_norms,
+    _tie_break,
     _window,
     evaluate,
     rank_entities,
-    tie_rank,
     write_ranks_csv,
     write_report_json,
     write_report_text,
 )
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable, build_path_table
+
+
+def tie_rank(scores, gold_index: int, policy: str = "pessimistic") -> int:
+    """The rank of one gold among hand-written scores, by the counts the
+    verbs pass to ``_tie_break``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    gold = scores[gold_index]
+    return int(_tie_break((scores < gold).sum(), (scores == gold).sum(), policy))
 
 
 class TestTieRank:
@@ -60,24 +68,25 @@ class TestTieRank:
             assert tie_rank(scores + 17.5, 7, policy) == base
             assert tie_rank(scores * 3.0, 7, policy) == base
 
-    @pytest.mark.parametrize(
-        "scores,gold",
-        [
-            (np.array([]), 0),
-            (np.ones((2, 2)), 0),
-            (np.array([1.0, np.nan]), 0),
-            (np.array([1.0, np.inf]), 0),
-            (np.array([1.0]), 1),
-            (np.array([1.0]), -1),
-        ],
-    )
-    def test_rejects_bad_input(self, scores, gold):
-        with pytest.raises(EvalError):
-            tie_rank(scores, gold)
+    def test_all_tied_through_rank_entities(self):
+        # The anchor 0 and both other entities sit at distance 1 from the
+        # query point in both directions: a three-way tie, gold included.
+        ent = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]], dtype=np.float32)
+        rel = np.array([[0.0, 1.0], [0.0, -1.0]], dtype=np.float32)
+        params = ModelParams(ent, rel, np.tile(np.eye(2, dtype=np.float32), (2, 1, 1)))
+        g = make_graph([(0, 0, 1)], n_entities=3, n_relations=1)
+        for policy, want in (("pessimistic", 3), ("mean", 2)):
+            res = rank_entities(
+                params, PathTable.empty(3), g, (0, 0, 1), "tail", protocol="raw",
+                rerank_k=3, tie_policy=policy,
+            )
+            assert res.raw_rank == want
 
     def test_rejects_unknown_policy(self):
+        g = make_graph([(0, 0, 1)], n_entities=3, n_relations=1)
         with pytest.raises(EvalError, match="policy"):
-            tie_rank(np.array([1.0, 2.0]), 0, "optimistic")
+            rank_entities(line_model(3), PathTable.empty(3), g, (0, 0, 1), "head",
+                          tie_policy="optimistic")
 
 
 def line_model(n_entities: int) -> ModelParams:
@@ -177,6 +186,14 @@ class TestRankEntities:
         plain = make_graph([(0, 0, 1)], n_entities=3, n_relations=1, augment=False)
         with pytest.raises(EvalError, match="augmented"):
             rank_entities(params, empty, plain, (0, 0, 1), "head")
+
+    @pytest.mark.parametrize("triple", [(0, 0, -1), (0, 0, 3), (-1, 0, 1), (0, 2, 1), (0, -1, 1)])
+    def test_rejects_ids_outside_the_graph(self, triple):
+        # A negative id would otherwise index from the end and rank the
+        # wrong entity without a word.
+        g = make_graph([(0, 0, 1)], n_entities=3, n_relations=1)
+        with pytest.raises(EvalError, match="outside the graph"):
+            rank_entities(line_model(3), PathTable.empty(3), g, triple, "tail")
 
 
 def grid_model(rng: np.random.Generator, n_entities: int, n_relations: int) -> ModelParams:
@@ -560,6 +577,27 @@ class TestEvaluate:
         getattr(params, nan_row[0])[nan_row[1]] = np.nan
         with pytest.raises(EvalError, match="finite"):
             evaluate(params, PathTable.empty(6), g, split="test", rerank_k=rerank_k)
+
+    @pytest.mark.parametrize("bad,match", [
+        ({"tie_policy": "optimistic"}, "tie policy"),
+        ({"category_cutoff": 0.0}, "category_cutoff"),
+        ({"category_cutoff": float("nan")}, "category_cutoff"),
+    ])
+    def test_bad_arguments_are_refused_before_ranking(self, monkeypatch, bad, match):
+        params, g = perfect_model()
+        calls = []
+        stage1 = _RelationContext.stage1
+
+        def spy(ctx, *args):
+            calls.append(ctx.r)
+            return stage1(ctx, *args)
+
+        monkeypatch.setattr(_RelationContext, "stage1", spy)
+        with pytest.raises(EvalError, match=match):
+            evaluate(params, PathTable.empty(4), g, split="test", rerank_k=4, **bad)
+        assert calls == []
+        evaluate(params, PathTable.empty(4), g, split="test", rerank_k=4)
+        assert calls  # the spy sees a good run
 
     def test_split_validation(self):
         params, g = perfect_model()

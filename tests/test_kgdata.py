@@ -94,7 +94,7 @@ class TestIngestion:
             (lambda g: g.known_tails(0, 0).tolist() == [1, 2], "_known"),
             (lambda g: g.known_heads(0, 2).tolist() == [0], "_known"),
             (lambda g: g.in_train(2, 1, 0) and not g.in_train(0, 0, 2), "_train_keys"),
-            (lambda g: g.children(2, 1).tolist() == [0], "_adjacency"),
+            (lambda g: out_edges(g, 2)[:2] == ([1], [0]), "_adjacency"),
             (lambda g: g.train_pairs().tolist() == [1, 2, 3, 6], "_train_pairs"),
         ):
             plain = load_dataset(
@@ -226,24 +226,41 @@ class TestAugmentation:
         }
 
 
+def out_edges(g, e: int) -> tuple[list[int], list[int], list[float]]:
+    """The (relations, targets, shares) slice of e in the structural adjacency."""
+    offsets, rels, dsts, shares = g.unique_adjacency()
+    lo, hi = offsets[e], offsets[e + 1]
+    return rels[lo:hi].tolist(), dsts[lo:hi].tolist(), shares[lo:hi].tolist()
+
+
+def children(g, e: int, r: int) -> list[int]:
+    rels, dsts, _ = out_edges(g, e)
+    return [d for rel, d in zip(rels, dsts) if rel == r]
+
+
 class TestAdjacency:
     def test_multiset_vs_structural(self):
         g = make_graph([(0, 0, 1), (0, 0, 1), (0, 0, 2)], augment=False)
-        urels, udsts, shares = g.unique_out_edges(0)
-        assert udsts.tolist() == [1, 2]
-        assert shares.tolist() == [0.5, 0.5]
+        _, udsts, shares = out_edges(g, 0)
+        assert udsts == [1, 2]
+        assert shares == [0.5, 0.5]
 
     def test_children_and_degree(self, diamond_graph):
         g = diamond_graph
-        assert sorted(g.children(0, 0).tolist()) == [1, 2]
-        assert len(g.children(0, 1)) == 0
+        assert children(g, 0, 0) == [1, 2]
+        assert children(g, 0, 1) == []
         # inverse edges: entity 3 reaches 1 and 2 by r1^-1 (relation 3)
-        assert sorted(g.children(3, 3).tolist()) == [1, 2]
+        assert children(g, 3, 3) == [1, 2]
+        # Sorted by (source, relation, target), one offset per entity.
+        offsets, rels, dsts, _ = g.unique_adjacency()
+        assert offsets.tolist() == [0, 2, 4, 6, 8]
+        keys = (np.repeat(np.arange(4), np.diff(offsets)) * 4 + rels) * 4 + dsts
+        assert np.all(np.diff(keys) > 0)
 
     def test_shares_split_per_relation_group(self):
         g = make_graph([(0, 0, 1), (0, 0, 2), (0, 1, 2)], augment=False)
-        rels, dsts, shares = g.unique_out_edges(0)
-        by = {(r, d): s for r, d, s in zip(rels.tolist(), dsts.tolist(), shares.tolist())}
+        rels, dsts, shares = out_edges(g, 0)
+        by = {(r, d): s for r, d, s in zip(rels, dsts, shares)}
         assert by[(0, 1)] == 0.5 and by[(0, 2)] == 0.5
         assert by[(1, 2)] == 1.0
 
@@ -335,6 +352,11 @@ class TestRelationStats:
         assert cats[1].tph == pytest.approx(4.0)
         assert cats[1].hpt == pytest.approx(1.0)
         assert cats[2].hpt == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
+    def test_cutoff_must_be_positive(self, cutoff):
+        with pytest.raises(DatasetError, match="cutoff must be positive"):
+            classify_relations(self.graph(), cutoff)
 
     def test_category_uses_train_only(self):
         cats = classify_relations(self.graph())

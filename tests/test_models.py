@@ -13,12 +13,12 @@ from oracles import path_score_term, score_transe
 from pathkge.models import (
     ModelError,
     ModelParams,
-    compose_path,
-    path_energy,
-    path_energy_and_grads,
+    compose_paths,
+    gap_energy_and_grads,
     path_evidence,
     path_score_terms,
     project_constraints,
+    relation_rows,
     score_ptransr,
     score_transr,
     transe_energy_and_grads,
@@ -175,12 +175,21 @@ class TestScores:
                 assert_grad_close(gr[j], central_diff(f, p.relation_emb, (r, j)))
 
 
+def path_gap(params: ModelParams, path: tuple[int, ...], r: int) -> np.ndarray:
+    """Composed path minus relation r, as the trainer and the rerank build it."""
+    rel = relation_rows(params)
+    rows = np.array([path + (-1,) * (2 - len(path))])
+    return compose_paths(rel, rows)[0] - rel[r]
+
+
 class TestPathEnergy:
     def test_compose(self):
         p = hand_params()
-        np.testing.assert_allclose(compose_path(p, (0, 0)), [6.0, 8.0])
-        with pytest.raises(ModelError):
-            compose_path(p, ())
+        rel = relation_rows(p)
+        np.testing.assert_array_equal(compose_paths(rel, np.array([[0, 0]])), [[6.0, 8.0]])
+        # The -1 padding of a 1-hop path adds -0.0: the relation itself, bit for bit.
+        one_hop = compose_paths(rel, np.array([[0, -1]]))
+        assert one_hop.tobytes() == p.relation_emb.astype(np.float64).tobytes()
 
     def test_energy_hand_value(self):
         ent = np.zeros((1, 2), dtype=np.float32)
@@ -188,17 +197,14 @@ class TestPathEnergy:
         proj = np.repeat(np.eye(2, dtype=np.float32)[None], 3, axis=0)
         p = ModelParams(ent, rel, proj)
         # p - r = (1,0) + (0,2) - (1,1) = (0,1); E = 0.5 * 1
-        assert path_energy(p, (0, 1), 2, 0.5) == pytest.approx(0.5)
-        with pytest.raises(ModelError):
-            path_energy(p, (0,), 1, -0.1)
+        assert gap_energy_and_grads(path_gap(p, (0, 1), 2), 0.5)[0] == 0.5
 
     def test_energy_grads_match_finite_differences(self):
         rng = np.random.default_rng(6)
         p = grid_params(rng, 2, 4, 3, 3)
         path, r, rel = (0, 2), 1, 0.7
-        e, gp, gr = path_energy_and_grads(p, path, r, rel)
-        assert e == pytest.approx(path_energy(p, path, r, rel))
-        f = lambda: path_energy(p, path, r, rel)
+        _, gp, gr = gap_energy_and_grads(path_gap(p, path, r), rel)
+        f = lambda: gap_energy_and_grads(path_gap(p, path, r), rel)[0]
         for j in range(3):
             # The same gradient flows to every relation on the path.
             assert_grad_close(gp[j], central_diff(f, p.relation_emb, (0, j)))
@@ -226,7 +232,7 @@ class TestPathScoreTerm:
         g, params, table = tri_setup
         # Pair (0, 2) scored for its direct relation 2: the bare (2,)
         # path is skipped, leaving the (0, 1) path with reliability 1.
-        q = compose_path(params, (0, 1)) - params.relation_emb[2].astype(np.float64)
+        q = path_gap(params, (0, 1), 2)
         assert kernel_term(params, table, 0, 2, 2) == pytest.approx(float(q @ q))
         assert path_score_term(params, table, 0, 2, 2) == pytest.approx(float(q @ q))
 

@@ -1,4 +1,4 @@
-"""Path enumeration, resource flow, and the mined path table."""
+"""Path mining: resource flows and the mined path table."""
 
 from __future__ import annotations
 
@@ -7,71 +7,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TRI, make_graph, random_triples
-from oracles import all_witnessed_paths, path_table_oracle, walk_probability
-from pathkge.paths import (
-    PathError,
-    PathTable,
-    build_path_table,
-    enumerate_paths,
-    pcra_resource,
-)
+from conftest import CHAIN, DIAMOND, TRI, make_graph, mined_flows, random_triples
+from oracles import all_witnessed_paths, path_table_oracle
+from pathkge.paths import PathError, PathTable, build_path_table
 
 
 class TestEnumerate:
-    def test_chain(self, chain_graph):
-        paths = dict(enumerate_paths(chain_graph, 0, 2))
-        assert paths == {(0, 1): 1}
-
-    def test_diamond_counts_witnesses(self, diamond_graph):
-        paths = dict(enumerate_paths(diamond_graph, 0, 3))
-        assert paths == {(0, 1): 2}
-
     def test_single_hop_and_inverse(self, tri_graph):
-        paths = dict(enumerate_paths(tri_graph, 0, 2))
-        assert paths == {(2,): 1, (0, 1): 1}
-        assert dict(enumerate_paths(tri_graph, 2, 0)) == {(5,): 1, (4, 3): 1}
+        mined = mined_flows(tri_graph)
+        assert set(mined[(0, 2)]) == {(2,), (0, 1)}
+        assert set(mined[(2, 0)]) == {(5,), (4, 3)}
+
+
+def linked_flows(triples, h: int, t: int) -> dict[tuple[int, ...], float]:
+    """The mined flows of (h, t) once one fact of a fresh relation links the
+    pair: the link adds no edge under an existing relation, so every other
+    path keeps its flow."""
+    n_rel = 1 + max(r for _, r, _ in triples)
+    g = make_graph([*triples, (h, n_rel, t)], n_relations=n_rel + 1)
+    flows = mined_flows(g)[(h, t)]
+    assert flows.pop((n_rel,)) == 1.0
+    return flows
 
 
 class TestResourceFlow:
-    def test_chain_carries_everything(self, chain_graph):
-        assert pcra_resource(chain_graph, 0, (0, 1), 2) == 1.0
+    def test_chain_carries_everything(self):
+        assert linked_flows(CHAIN, 0, 2) == {(0, 1): 1.0}
 
-    def test_diamond_merges_flow(self, diamond_graph):
-        assert pcra_resource(diamond_graph, 0, (0, 1), 3) == pytest.approx(1.0)
+    def test_diamond_merges_flow(self):
+        # Two witness walks, one entry.
+        assert linked_flows(DIAMOND, 0, 3) == {(0, 1): pytest.approx(1.0)}
 
     def test_leaked_flow(self):
         # 2 has no r1 edge, so half the resource dies there.
-        g = make_graph([(0, 0, 1), (0, 0, 2), (1, 1, 3)], augment=False)
-        assert pcra_resource(g, 0, (0, 1), 3) == pytest.approx(0.5)
-
-    def test_no_witness_is_an_error(self, chain_graph):
-        with pytest.raises(PathError):
-            pcra_resource(chain_graph, 0, (1,), 3)
-        with pytest.raises(PathError):
-            pcra_resource(chain_graph, 0, (), 2)
+        flows = linked_flows([(0, 0, 1), (0, 0, 2), (1, 1, 3)], 0, 3)
+        assert flows == {(0, 1): pytest.approx(0.5)}
 
     def test_duplicate_edges_do_not_skew_split(self):
-        g = make_graph(
-            [(0, 0, 1), (0, 0, 1), (0, 0, 2), (1, 1, 3)], augment=False
-        )
-        assert pcra_resource(g, 0, (0, 1), 3) == pytest.approx(0.5)
+        flows = linked_flows([(0, 0, 1), (0, 0, 1), (0, 0, 2), (1, 1, 3)], 0, 3)
+        assert flows == {(0, 1): pytest.approx(0.5)}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
     def test_matches_walk_oracle(self, seed):
         rng = np.random.default_rng(seed)
         triples, n_ent, n_rel = random_triples(rng, max_entities=6)
-        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel, augment=False)
-        for h in range(n_ent):
-            for t in range(n_ent):
-                mined = dict(enumerate_paths(g, h, t))
-                oracle = all_witnessed_paths(triples, h, t, n_rel)
-                assert set(mined) == set(oracle)
-                for path in mined:
-                    assert pcra_resource(g, h, path, t) == pytest.approx(
-                        oracle[path], abs=1e-12
-                    )
+        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
+        edges = g.train.tolist()
+        mined = mined_flows(g)
+        assert set(mined) == {(h, t) for h, _, t in edges}
+        for (h, t), flows in mined.items():
+            oracle = all_witnessed_paths(edges, h, t, g.n_relations)
+            assert set(flows) == set(oracle)
+            for path, v in oracle.items():
+                assert flows[path] == pytest.approx(v, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
@@ -87,14 +76,13 @@ class TestResourceFlow:
             for r in set(path):
                 if (e, r) not in present:
                     triples.append((e, r, int(rng.integers(n_ent))))
-        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel, augment=False)
+        # A fresh relation links h to every entity, so every end of the
+        # path is a mined pair; it adds no edge under a path relation.
         h = int(rng.integers(n_ent))
-        total = 0.0
-        for t in range(n_ent):
-            try:
-                total += pcra_resource(g, h, path, t)
-            except PathError:
-                pass
+        triples += [(h, n_rel, t) for t in range(n_ent)]
+        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel + 1)
+        mined = mined_flows(g)
+        total = sum(mined[(h, t)].get(path, 0.0) for t in range(n_ent))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
