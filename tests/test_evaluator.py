@@ -68,6 +68,23 @@ class TestTieRank:
             assert tie_rank(scores + 17.5, 7, policy) == base
             assert tie_rank(scores * 3.0, 7, policy) == base
 
+    # The ids keep the numbering of the earlier table of bad tie_rank rows.
+    @pytest.mark.parametrize(
+        "scores,gold",
+        [
+            pytest.param(np.array([1.0, np.nan]), 0, id="scores2-0"),
+            pytest.param(np.array([1.0, np.inf]), 0, id="scores3-0"),
+        ],
+    )
+    def test_rejects_bad_input(self, scores, gold):
+        # A query at the origin and entities at sqrt(score): the reference
+        # row holds exactly these scores.  It is refused whole even though
+        # the gold's own score is finite.
+        query, proj = np.zeros(1), np.sqrt(scores)[:, None]
+        assert _exact(query, proj, np.array([gold])).tolist() == [scores[gold]]
+        with pytest.raises(EvalError, match="finite"):
+            _exact(query, proj)
+
     def test_all_tied_through_rank_entities(self):
         # The anchor 0 and both other entities sit at distance 1 from the
         # query point in both directions: a three-way tie, gold included.
