@@ -99,7 +99,8 @@ class KnowledgeGraph:
 
     Each index is built the first time it is read, so a verb pays only for
     the ones it uses: path mining reads the adjacency and the train pairs,
-    negative sampling the train-fact set, filtered ranking the known facts.
+    negative sampling the train-fact set (one fact at a time) or
+    the sorted train keys (whole batches), filtered ranking the known facts.
     """
 
     def __init__(
@@ -171,6 +172,12 @@ class KnowledgeGraph:
     def _train_keys(self) -> set[int]:
         """Train membership in the current (possibly augmented) relation space."""
         return set(_fact_keys(self.train, self.n_relations, self.n_entities).tolist())
+
+    @cached_property
+    def _sorted_train_keys(self) -> np.ndarray:
+        """The same membership as sorted distinct keys, for whole batches;
+        one fact at a time, the set lookup is ~30x faster than a search."""
+        return _distinct(_fact_keys(self.train, self.n_relations, self.n_entities))
 
     @cached_property
     def _known(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,6 +252,14 @@ class KnowledgeGraph:
     def in_train(self, h: int, r: int, t: int) -> bool:
         key = (h * self.n_relations + r) * self.n_entities + t
         return key in self._train_keys
+
+    def train_mask(self, triples: np.ndarray) -> np.ndarray:
+        """Whether each (h, r, t) row is a train fact, by one sorted search."""
+        keys = self._sorted_train_keys
+        if not len(keys):
+            return np.zeros(len(triples), dtype=bool)
+        key = _fact_keys(triples, self.n_relations, self.n_entities)
+        return keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
 
     def known_tails(self, h: int, r: int) -> np.ndarray:
         """Sorted tails t with (h, r, t) in train, valid, or test."""

@@ -15,6 +15,7 @@ from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
+from pathkge.kgdata import _distinct, _firsts
 from pathkge.paths import PathTable, expand_spans
 
 Norm = Literal["L1", "L2"]
@@ -137,28 +138,15 @@ class ModelParams:
 # -- scoring --------------------------------------------------------------
 
 
-def _transr_parts(params: ModelParams, h: int, r: int, t: int):
-    M = params.proj[r].astype(np.float64)
-    hv = params.entity_emb[h].astype(np.float64)
-    rv = params.relation_emb[r].astype(np.float64)
-    tv = params.entity_emb[t].astype(np.float64)
-    u = M @ hv + rv - M @ tv
-    return M, hv, tv, u
-
-
 def score_transr(params: ModelParams, h: int, r: int, t: int) -> float:
     """Squared L2 residual after projecting entities into r's space."""
-    _, _, _, u = _transr_parts(params, h, r, t)
+    M = params.proj[r].astype(np.float64)
+    u = (
+        M @ params.entity_emb[h].astype(np.float64)
+        + params.relation_emb[r].astype(np.float64)
+        - M @ params.entity_emb[t].astype(np.float64)
+    )
     return float(u @ u)
-
-
-def transr_energy_and_grads(params: ModelParams, h: int, r: int, t: int):
-    """``score_transr`` of (h, r, t) plus its gradients w.r.t. h, t, r and
-    M_r, in one pass: (energy, gh, gt, gr, gM), as the trainer uses them."""
-    M, hv, tv, u = _transr_parts(params, h, r, t)
-    gh = 2.0 * (M.T @ u)
-    gM = 2.0 * np.outer(u, hv - tv)
-    return float(u @ u), gh, -gh, 2.0 * u, gM
 
 
 def transe_energy_and_grads(params: ModelParams, h: int, r: int, t: int, norm: Norm):
@@ -199,13 +187,6 @@ def compose_paths(rel: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _row_dots(q: np.ndarray) -> np.ndarray:
     """``q[i] @ q[i]`` per row, by the same dot-product routine."""
     return np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
-
-
-def gap_energy_and_grads(q: np.ndarray, reliability: float):
-    """Energy ``reliability * |q|^2`` of a path-minus-relation gap q, plus
-    its gradients w.r.t. the path sum and the relation vector."""
-    gp = 2.0 * reliability * q
-    return float(reliability * (q @ q)), gp, -gp
 
 
 class PathEvidence(NamedTuple):
@@ -280,29 +261,32 @@ def project_constraints(
     params: ModelParams,
     entity_ids: Iterable[int],
     relation_ids: Iterable[int],
-    triples: Iterable[tuple[int, int, int]] = (),
-) -> None:
-    """Restore the norm constraints on the touched rows, in place.
+    triples: Iterable = (),
+) -> int:
+    """Restore the norm constraints on the touched rows, in place, and
+    return how many projection matrices were scaled down.
 
     Touched entity and relation vectors are rescaled to unit L2 norm.
-    Then, for each touched triple, if a projected entity leaves the unit
-    ball, that relation's whole projection matrix is scaled down until
-    the larger of the two projections sits on the boundary.  Running the
-    projection twice is a no-op.
+    Then each relation of ``triples`` (rows of (h, r, t)) that projects one
+    of those triples' entities out of the unit ball gets its whole
+    matrix scaled down once, by the largest such norm, so that entity sits
+    on the boundary.  Running the projection twice is a no-op.
     """
-    ents = np.asarray(sorted(set(int(i) for i in entity_ids)), dtype=np.int64)
-    rels = np.asarray(sorted(set(int(i) for i in relation_ids)), dtype=np.int64)
-    _normalize_rows(params.entity_emb, ents)
-    _normalize_rows(params.relation_emb, rels)
-    seen: set[tuple[int, int, int]] = set()
-    for h, r, t in triples:
-        key = (int(h), int(r), int(t))
-        if key in seen:
-            continue
-        seen.add(key)
+    _normalize_rows(params.entity_emb, _distinct(np.asarray(entity_ids, dtype=np.int64)))
+    _normalize_rows(params.relation_emb, _distinct(np.asarray(relation_ids, dtype=np.int64)))
+    tri = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    n = params.n_entities
+    rels, ents = np.divmod(
+        _distinct(np.concatenate((tri[:, 1] * n + tri[:, 0], tri[:, 1] * n + tri[:, 2]))), n
+    )
+    starts = np.flatnonzero(_firsts(rels))
+    rescaled = 0
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(rels)]):
+        r = int(rels[lo])
         M = params.proj[r].astype(np.float64)
-        nh = np.linalg.norm(M @ params.entity_emb[h].astype(np.float64))
-        nt = np.linalg.norm(M @ params.entity_emb[t].astype(np.float64))
-        f = max(nh, nt)
+        proj = params.entity_emb[ents[lo:hi]].astype(np.float64) @ M.T
+        f = float(np.sqrt(np.max(np.einsum("ij,ij->i", proj, proj))))
         if f > 1.0 + _NORM_SLACK:
             params.proj[r] = (M / f).astype(np.float32)
+            rescaled += 1
+    return rescaled

@@ -30,6 +30,8 @@ DEFAULT_PAIR_CAP = 200
 # After the magic: version, floor, cap, n_paths, n_entities, n_pairs,
 # n_entries, n_relat.
 _HEADER = struct.Struct("<IdIIQQQQ")
+# The header stores the pair cap as a uint32.
+MAX_PAIR_CAP = 2**32 - 1
 
 # Relation ids are int32, so path id * 2**32 + relation is unique per
 # (path, relation) and sorts like the relat_* arrays.
@@ -321,8 +323,8 @@ def build_path_table(
         raise PathError(
             f"reliability_floor must be in [0, 1), got {reliability_floor}"
         )
-    if cap < 1:
-        raise PathError(f"pair cap must be >= 1, got {cap}")
+    if not 1 <= cap <= MAX_PAIR_CAP:
+        raise PathError(f"pair cap must be in [1, {MAX_PAIR_CAP}], got {cap}")
 
     n_ent, n_rel = g.n_entities, g.n_relations
     heads = g.train_pairs() // n_ent

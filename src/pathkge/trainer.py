@@ -12,9 +12,15 @@ a per-relation probability (0.5, or Bernoulli tph / (tph + hpt)); each
 path hinge is against a corrupted relation.  Corruptions are redrawn
 until they leave the train set.
 
-Updates are pure serial SGD, applied triple by triple; the batch size
-only controls how often norm constraints are re-imposed.  A run is
-byte-deterministic given its data and seed.
+The warm start is per-fact SGD: each fact's update lands before the next
+fact is scored, and the touched rows are renormalized after every
+``batch_size`` facts.  The projected stages take one minibatch step per
+``batch_size`` facts: every hinge of the batch is scored against the
+parameters as the batch found them, entity rows move by the sum of their
+gradients, relation rows and projection matrices by the mean of theirs,
+and the norm constraints are then restored on the rows the batch moved.
+Summing would let a relation row collect dozens of stale gradients per
+batch.  A run is byte-deterministic given its data and seed.
 """
 
 from __future__ import annotations
@@ -28,19 +34,18 @@ from typing import Callable, Literal, Mapping, NamedTuple
 import numpy as np
 
 from pathkge.evaluator import _groups, _queries, _RelationContext
-from pathkge.kgdata import KnowledgeGraph, relation_cardinality
+from pathkge.kgdata import KnowledgeGraph, _firsts, relation_cardinality
 from pathkge.models import (
     ModelParams,
     PathEvidence,
+    _row_dots,
     compose_paths,
-    gap_energy_and_grads,
     path_evidence,
     project_constraints,
     relation_rows,
     transe_energy_and_grads,
-    transr_energy_and_grads,
 )
-from pathkge.paths import PathTable
+from pathkge.paths import PathTable, expand_spans
 
 Stage = Literal["transe", "transr", "ptransr"]
 
@@ -202,43 +207,55 @@ def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
     return probs.tolist()
 
 
-# -- SGD steps --------------------------------------------------------------
+# -- warm start: per-fact SGD ------------------------------------------------
+
+
+def _step_transe(
+    g: KnowledgeGraph,
+    params: ModelParams,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    head_probs: list[float],
+    lr: float,
+    idx: int,
+    ents: list[int],
+    rels: list[int],
+) -> float:
+    """One fact's hinge against one corruption, applied at once; the rows
+    it moves are appended to ``ents`` and ``rels``."""
+    h, r, t = (int(x) for x in g.train[idx])
+    h2, _, t2 = _draw_negative(g, h, r, t, head_probs[r], rng)
+    e_pos, gh, gt, gr = transe_energy_and_grads(params, h, r, t, cfg.norm)
+    e_neg, gh2, gt2, gr2 = transe_energy_and_grads(params, h2, r, t2, cfg.norm)
+    loss = cfg.margin + e_pos - e_neg
+    if loss <= 0:
+        return 0.0
+    ent_g: dict[int, np.ndarray] = {}
+    for i, grad in ((h, gh), (t, gt), (h2, -gh2), (t2, -gt2)):
+        ent_g[i] = ent_g[i] + grad if i in ent_g else grad
+    for i, grad in ent_g.items():
+        params.entity_emb[i] -= (lr * grad).astype(np.float32)
+    params.relation_emb[r] -= (lr * (gr - gr2)).astype(np.float32)
+    ents += (h, t, h2, t2)
+    rels.append(r)
+    return float(loss)
+
+
+# -- projected stages: one vectorized step per minibatch ----------------------
+
+# Facts (or path hinges) evaluated at once within a batch.  Each chunk's
+# arrays are O(_CHUNK * dim); only the per-row gradient sums outlive it, so
+# the step's memory does not grow with the batch size.
+_CHUNK = 256
 
 
 class EpochStats(NamedTuple):
     mean_loss: float
-    violations: int
-
-
-class _Touched:
-    __slots__ = ("entities", "relations", "triples")
-
-    def __init__(self) -> None:
-        self.entities: set[int] = set()
-        self.relations: set[int] = set()
-        self.triples: list[tuple[int, int, int]] = []
-
-
-def _acc(store: dict[int, np.ndarray], key: int, grad: np.ndarray) -> None:
-    if key in store:
-        store[key] = store[key] + grad
-    else:
-        store[key] = grad
-
-
-def _apply_updates(
-    params: ModelParams,
-    lr: float,
-    ent_g: dict[int, np.ndarray],
-    rel_g: dict[int, np.ndarray],
-    proj_g: dict[int, np.ndarray],
-) -> None:
-    for i, grad in ent_g.items():
-        params.entity_emb[i] -= (lr * grad).astype(np.float32)
-    for i, grad in rel_g.items():
-        params.relation_emb[i] -= (lr * grad).astype(np.float32)
-    for i, grad in proj_g.items():
-        params.proj[i] -= (lr * grad).astype(np.float32)
+    violations: int       # fact_violations + path_violations
+    fact_violations: int
+    path_violations: int
+    rescaled: int         # projection matrices scaled down
+    redraws: int          # corruptions rejected and drawn again
 
 
 class _FactPaths(NamedTuple):
@@ -246,114 +263,219 @@ class _FactPaths(NamedTuple):
 
     table: PathTable
     evidence: PathEvidence  # of all train facts, in fact order
-    offsets: list[int]      # where each fact's entries start, plus the end
+    offsets: np.ndarray     # where each fact's entries start, plus the end
 
 
 def _fact_paths(g: KnowledgeGraph, table: PathTable) -> _FactPaths:
     train = g.train
     ev = path_evidence(table, train[:, 0], train[:, 1], train[:, 2])
     counts = np.bincount(ev.triple, minlength=len(train))
-    return _FactPaths(table, ev, [0] + np.cumsum(counts).tolist())
+    return _FactPaths(table, ev, np.concatenate(([0], np.cumsum(counts))))
 
 
-def _step_transe(
-    g: KnowledgeGraph,
-    paths: _FactPaths | None,
-    params: ModelParams,
-    cfg: TrainConfig,
+def _draw_negatives(
+    g: KnowledgeGraph, triples: np.ndarray, head_probs: np.ndarray | None,
     rng: np.random.Generator,
-    head_probs: list[float],
-    lr: float,
-    idx: int,
-    touched: _Touched,
-) -> tuple[float, int]:
-    h, r, t = (int(x) for x in g.train[idx])
-    h2, _, t2 = _draw_negative(g, h, r, t, head_probs[r], rng)
-    e_pos, gh, gt, gr = transe_energy_and_grads(params, h, r, t, cfg.norm)
-    e_neg, gh2, gt2, gr2 = transe_energy_and_grads(params, h2, r, t2, cfg.norm)
-    loss = cfg.margin + e_pos - e_neg
-    if loss <= 0:
-        return 0.0, 0
-    ent_g: dict[int, np.ndarray] = {}
-    rel_g: dict[int, np.ndarray] = {}
-    _acc(ent_g, h, gh)
-    _acc(ent_g, t, gt)
-    _acc(rel_g, r, gr - gr2)
-    _acc(ent_g, h2, -gh2)
-    _acc(ent_g, t2, -gt2)
-    _apply_updates(params, lr, ent_g, rel_g, {})
-    touched.entities.update(ent_g)
-    touched.relations.update(rel_g)
-    return float(loss), 1
+) -> tuple[np.ndarray, int]:
+    """Corrupt one slot of every (h, r, t) row at once; returns the
+    corrupted rows and how many draws were rejected.
+
+    With ``head_probs`` None the relation is corrupted.  Otherwise one
+    ``rng.random`` per row picks the head when below ``head_probs[r]``,
+    else the tail.  A corrupted row that is a train fact (the original
+    among them) is drawn again, rejected rows only, up to
+    ``MAX_NEGATIVE_ATTEMPTS`` draws per row; then the sampler gives up
+    loudly.
+    """
+    neg = np.array(triples, dtype=np.int64)
+    if head_probs is None:
+        col, n = np.ones(len(neg), dtype=np.int64), g.n_relations
+    else:
+        col = np.where(rng.random(len(neg)) < head_probs[neg[:, 1]], 0, 2)
+        n = g.n_entities
+    pending = np.arange(len(neg))
+    redraws = 0
+    for _ in range(MAX_NEGATIVE_ATTEMPTS):
+        neg[pending, col[pending]] = rng.integers(n, size=len(pending))
+        pending = pending[g.train_mask(neg[pending])]
+        if not len(pending):
+            return neg, redraws
+        redraws += len(pending)
+    i = int(pending[0])
+    slot = ("head", "relation", "tail")[int(col[i])]
+    raise TrainError(
+        f"could not sample a negative for {tuple(int(x) for x in triples[i])} "
+        f"(slot {slot}) in {MAX_NEGATIVE_ATTEMPTS} attempts"
+    )
 
 
-def _step_ptransr(
-    g: KnowledgeGraph,
-    paths: _FactPaths,
-    params: ModelParams,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    head_probs: list[float],
-    lr: float,
-    idx: int,
-    touched: _Touched,
-) -> tuple[float, int]:
-    h, r, t = (int(x) for x in g.train[idx])
-    total = 0.0
-    violations = 0
-    ent_g: dict[int, np.ndarray] = {}
-    rel_g: dict[int, np.ndarray] = {}
-    proj_g: dict[int, np.ndarray] = {}
+class _Batch(NamedTuple):
+    """One minibatch of train facts and the corruptions drawn for it."""
 
-    h2, _, t2 = _draw_negative(g, h, r, t, head_probs[r], rng)
-    e_pos, gh, gt, gr, gM = transr_energy_and_grads(params, h, r, t)
-    e_neg, gh2, gt2, gr2, gM2 = transr_energy_and_grads(params, h2, r, t2)
-    loss = cfg.margin1 + e_pos - e_neg
-    if loss > 0:
-        total += loss
-        violations += 1
-        _acc(ent_g, h, gh)
-        _acc(ent_g, t, gt)
-        _acc(ent_g, h2, -gh2)
-        _acc(ent_g, t2, -gt2)
-        _acc(rel_g, r, gr - gr2)
-        _acc(proj_g, r, gM - gM2)
-        touched.triples.append((h, r, t))
-        touched.triples.append((h2, r, t2))
+    fact: np.ndarray   # int64 train row of each fact
+    pos: np.ndarray    # (B, 3) int64 facts
+    neg: np.ndarray    # (B, 3) the same facts, head or tail corrupted
+    owner: np.ndarray  # batch position of each path hinge's fact
+    entry: np.ndarray  # evidence index of each path hinge
+    rel2: np.ndarray   # corrupted relation of each path hinge
+    redraws: int
 
-    # One hinge per stored path of the pair (the 1-hop path r itself
-    # excluded), each against a corrupted relation and weighted by its
-    # share of the pair's total reliability z; a fact with z == 0 has none.
-    z = float(paths.evidence.z[idx])
-    if z > 0.0:
-        inv_z = 1.0 / z
-        ev, table = paths.evidence, paths.table
-        lo, hi = paths.offsets[idx], paths.offsets[idx + 1]
-        pids = ev.path[lo:hi]
-        negs = [_draw_negative(g, h, r, t, None, rng)[1] for _ in range(hi - lo)]
-        neg_reliability = table.relatedness(negs, pids) * ev.flow[lo:hi]
-        rel = relation_rows(params)
-        vecs = compose_paths(rel, table.path_pad[pids])
-        for j, (pid, reliability, r2, rel_neg) in enumerate(zip(
-            pids.tolist(), ev.reliability[lo:hi].tolist(), negs, neg_reliability.tolist()
-        )):
-            e_pp, gp_pos, gr_pos = gap_energy_and_grads(vecs[j] - rel[r], reliability)
-            e_pn, gp_neg, gr_neg = gap_energy_and_grads(vecs[j] - rel[r2], rel_neg)
-            ploss = cfg.margin2 + e_pp - e_pn
-            if ploss <= 0:
+
+def _draw_batch(
+    g: KnowledgeGraph, paths: _FactPaths, head_probs: np.ndarray, rng: np.random.Generator,
+    fact: np.ndarray,
+) -> _Batch:
+    """All corruptions of a batch: one per fact, then one relation per path
+    hinge, drawn only when the batch has path hinges.  A fact whose path
+    reliabilities total 0 has none."""
+    pos = g.train[fact].astype(np.int64)
+    neg, redraws = _draw_negatives(g, pos, head_probs, rng)
+    lo = paths.offsets[fact]
+    hi = np.where(paths.evidence.z[fact] > 0.0, paths.offsets[fact + 1], lo)
+    owner, entry = expand_spans(lo, hi)
+    rel2 = np.zeros(0, dtype=np.int64)
+    if len(entry):
+        corrupted, more = _draw_negatives(g, pos[owner], None, rng)
+        rel2, redraws = corrupted[:, 1], redraws + more
+    return _Batch(fact, pos, neg, owner, entry, rel2, redraws)
+
+
+def _fact_hinges(params: ModelParams, r: int, pos: np.ndarray, neg: np.ndarray, margin: float):
+    """The hinges ``margin + E(pos) - E(neg)`` of facts of one relation r,
+    E the projected score, by a few matrix products over the chunk.
+
+    Returns (hinges, active, entity ids, entity gradients, relation
+    gradient, M_r gradient).  A hinge is active unless it is <= 0 (NaN
+    stays active, so the loss check sees it); the gradients are of the
+    active hinges, one entity row per active (h, h', t, t'), the relation
+    and M_r ones summed.
+    """
+    m = len(pos)
+    M = params.proj[r].astype(np.float64)
+    rv = params.relation_emb[r].astype(np.float64)
+    ids = np.concatenate((pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2]))
+    X = params.entity_emb[ids].astype(np.float64)
+    P = X @ M.T
+    u = P[:m] + rv - P[2 * m : 3 * m]            # residuals of the facts
+    w = P[m : 2 * m] + rv - P[3 * m :]           # and of their corruptions
+    hinge = margin + _row_dots(u) - _row_dots(w)
+    on = ~(hinge <= 0.0)
+    U = np.concatenate((u[on], -w[on]))
+    on2 = np.concatenate((on, on))
+    D = (X[: 2 * m] - X[2 * m :])[on2]           # h - t, then h' - t'
+    G = 2.0 * (U @ M)                            # d/dh, then d/dh'; tails get -G
+    on4 = np.concatenate((on2, on2))
+    return hinge, on, ids[on4], np.concatenate((G, -G)), 2.0 * U.sum(axis=0), 2.0 * (U.T @ D)
+
+
+def _path_hinges(
+    rel: np.ndarray, rows: np.ndarray, r: np.ndarray, r2: np.ndarray,
+    reliability: np.ndarray, neg_reliability: np.ndarray, inv_z: np.ndarray, margin: float,
+):
+    """The path hinges ``inv_z * (margin + reliability * |p - r|^2 -
+    neg_reliability * |p - r2|^2)``, p each path composed from its row of
+    relation ids (-1 padded) in ``rel`` (``relation_rows``).
+
+    Returns (hinges, active, relation ids, gradients): one gradient row per
+    relation of each active path, then one per r, then one per r2.
+    """
+    p = compose_paths(rel, rows)
+    q = p - rel[r]
+    qn = p - rel[r2]
+    hinge = inv_z * (margin + reliability * _row_dots(q) - neg_reliability * _row_dots(qn))
+    on = ~(hinge <= 0.0)
+    gp = (2.0 * inv_z[on] * reliability[on])[:, None] * q[on]
+    gn = (2.0 * inv_z[on] * neg_reliability[on])[:, None] * qn[on]
+    steps = rows[on]
+    used = steps >= 0
+    ids = np.concatenate((steps.T[used.T], r[on], r2[on]))
+    along = np.concatenate([(gp - gn)[col] for col in used.T])
+    return hinge, on, ids, np.concatenate((along, -gp, gn))
+
+
+def _add_rows(acc: np.ndarray, count: np.ndarray, ids: np.ndarray, grads: np.ndarray) -> None:
+    """``acc[i]`` += the rows of ``grads`` with id i and ``count[i]`` += their
+    number, by one sort of the ids and one sum per run."""
+    if not len(ids):
+        return
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(_firsts(ids))
+    acc[ids[starts]] += np.add.reduceat(grads[order], starts, axis=0)
+    count[ids[starts]] += np.diff(np.append(starts, len(ids)))
+
+
+def _step(
+    params: ModelParams, paths: _FactPaths, cfg: TrainConfig, lr: float, b: _Batch,
+) -> tuple[float, int, int, int]:
+    """One minibatch update from the parameters as the batch found them.
+
+    Entity rows take the sum of their gradients; a relation row takes the
+    mean of its contributions (each hinge term that reaches it), and M_r
+    the mean over the active fact hinges of r.  Then the touched rows are
+    renormalized and each touched M_r is scaled once.  Returns (loss, fact
+    violations, path violations, matrices rescaled).
+    """
+    ent_g = np.zeros(params.entity_emb.shape)
+    ent_n = np.zeros(params.n_entities, dtype=np.int64)
+    rel_g = np.zeros(params.relation_emb.shape)
+    rel_n = np.zeros(params.n_relations, dtype=np.int64)
+    loss, fact_v, path_v = 0.0, 0, 0
+    bounded: list[np.ndarray] = []  # active facts and corruptions, for the M_r bound
+
+    order = np.argsort(b.pos[:, 1], kind="stable")
+    by_rel = b.pos[order, 1]
+    starts = np.flatnonzero(_firsts(by_rel))
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(by_rel)]):
+        r = int(by_rel[lo])
+        gM = np.zeros(params.proj.shape[1:])
+        hits = 0
+        for c in range(lo, hi, _CHUNK):
+            sel = order[c : min(c + _CHUNK, hi)]
+            hinge, on, ids, grads, gr, gm = _fact_hinges(
+                params, r, b.pos[sel], b.neg[sel], cfg.margin1
+            )
+            a = int(on.sum())
+            if not a:
                 continue
-            total += inv_z * ploss
-            violations += 1
-            for pr in table.path_rels[pid]:
-                _acc(rel_g, pr, inv_z * (gp_pos - gp_neg))
-            _acc(rel_g, r, inv_z * gr_pos)
-            _acc(rel_g, r2, -inv_z * gr_neg)
+            loss += float(hinge[on].sum())
+            hits += a
+            _add_rows(ent_g, ent_n, ids, grads)
+            rel_g[r] += gr
+            rel_n[r] += a
+            gM += gm
+            bounded += (b.pos[sel][on], b.neg[sel][on])
+        # Only r's own fact hinges read M_r, so updating it now equals
+        # updating it with the rest at the end of the batch.
+        if hits:
+            params.proj[r] -= (lr * (gM / hits)).astype(np.float32)
+        fact_v += hits
 
-    if ent_g or rel_g or proj_g:
-        _apply_updates(params, lr, ent_g, rel_g, proj_g)
-        touched.entities.update(ent_g)
-        touched.relations.update(rel_g)
-    return total, violations
+    if len(b.entry):
+        ev, table = paths.evidence, paths.table
+        rel = relation_rows(params)
+        for c in range(0, len(b.entry), _CHUNK):
+            entry = b.entry[c : c + _CHUNK]
+            owner = b.owner[c : c + _CHUNK]
+            r2 = b.rel2[c : c + _CHUNK]
+            pids = ev.path[entry]
+            hinge, on, ids, grads = _path_hinges(
+                rel, table.path_pad[pids], b.pos[owner, 1], r2, ev.reliability[entry],
+                table.relatedness(r2, pids) * ev.flow[entry], 1.0 / ev.z[b.fact[owner]],
+                cfg.margin2,
+            )
+            loss += float(hinge[on].sum())
+            path_v += int(on.sum())
+            _add_rows(rel_g, rel_n, ids, grads)
+
+    ents = np.flatnonzero(ent_n)
+    rels = np.flatnonzero(rel_n)
+    params.entity_emb[ents] -= (lr * ent_g[ents]).astype(np.float32)
+    params.relation_emb[rels] -= (lr * (rel_g[rels] / rel_n[rels, None])).astype(np.float32)
+    rescaled = project_constraints(
+        params, ents, rels, np.concatenate(bounded) if bounded else ()
+    )
+    return loss, fact_v, path_v, rescaled
 
 
 def _run_epoch(
@@ -366,23 +488,32 @@ def _run_epoch(
     lr: float,
     epoch: int,
 ) -> EpochStats:
+    """One pass over the shuffled train facts, ``batch_size`` at a time:
+    per-fact SGD in the warm start, one minibatch step otherwise."""
     n = len(g.train)
     order = rng.permutation(n)
-    step = _step_transe if cfg.stage == "transe" else _step_ptransr
+    probs = np.asarray(head_probs)
     loss_sum = 0.0
-    violations = 0
+    counts = np.zeros(4, dtype=np.int64)  # fact and path violations, rescaled, redraws
     for start in range(0, n, cfg.batch_size):
-        touched = _Touched()
-        for idx in order[start : start + cfg.batch_size].tolist():
-            l, v = step(g, paths, params, cfg, rng, head_probs, lr, idx, touched)
-            loss_sum += l
-            violations += v
+        fact = order[start : start + cfg.batch_size]
+        if cfg.stage == "transe":
+            ents: list[int] = []
+            rels: list[int] = []
+            for idx in fact.tolist():
+                loss_sum += _step_transe(g, params, cfg, rng, head_probs, lr, idx, ents, rels)
+            counts[0] += len(rels)
+            project_constraints(params, ents, rels)
+        else:
+            batch = _draw_batch(g, paths, probs, rng, fact)
+            loss, *batch_counts = _step(params, paths, cfg, lr, batch)
+            loss_sum += loss
+            counts += (*batch_counts, batch.redraws)
         if not np.isfinite(loss_sum):
             raise TrainError(
                 f"non-finite loss at epoch {epoch}, batch starting {start} "
                 f"(lr={lr}, stage={cfg.stage})"
             )
-        project_constraints(params, touched.entities, touched.relations, touched.triples)
     # NaNs that never fire a hinge produce no loss signal, so check the
     # parameters themselves once per epoch.
     if not (
@@ -393,7 +524,8 @@ def _run_epoch(
         raise TrainError(
             f"non-finite parameters after epoch {epoch} (lr={lr}, stage={cfg.stage})"
         )
-    return EpochStats(loss_sum / max(n, 1), violations)
+    fact_v, path_v, rescaled, redraws = counts.tolist()
+    return EpochStats(loss_sum / max(n, 1), fact_v + path_v, fact_v, path_v, rescaled, redraws)
 
 
 # -- validation probe for early stopping ------------------------------------
@@ -554,6 +686,10 @@ def train(
                     "epoch": epoch,
                     "loss": stats.mean_loss,
                     "violations": stats.violations,
+                    "fact_violations": stats.fact_violations,
+                    "path_violations": stats.path_violations,
+                    "rescaled": stats.rescaled,
+                    "redraws": stats.redraws,
                     "wall_time": time.perf_counter() - t0,
                 }
                 if config.early_stop:

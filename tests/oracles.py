@@ -25,6 +25,109 @@ def score_transe(params: ModelParams, h: int, r: int, t: int, norm: str = "L2") 
     return float(np.abs(u).sum()) if norm == "L1" else float(np.sqrt((u * u).sum()))
 
 
+def transr_energy_and_grads(params: ModelParams, h: int, r: int, t: int):
+    """``score_transr`` of (h, r, t) plus its gradients w.r.t. h, t, r and
+    M_r: (energy, gh, gt, gr, gM)."""
+    M = params.proj[r].astype(np.float64)
+    hv = params.entity_emb[h].astype(np.float64)
+    rv = params.relation_emb[r].astype(np.float64)
+    tv = params.entity_emb[t].astype(np.float64)
+    u = M @ hv + rv - M @ tv
+    gh = 2.0 * (M.T @ u)
+    return float(u @ u), gh, -gh, 2.0 * u, 2.0 * np.outer(u, hv - tv)
+
+
+def gap_energy_and_grads(q: np.ndarray, reliability: float):
+    """Energy ``reliability * |q|^2`` of a path-minus-relation gap q, plus
+    its gradients w.r.t. the path sum and the relation vector."""
+    gp = 2.0 * reliability * q
+    return float(reliability * (q @ q)), gp, -gp
+
+
+def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin1: float,
+               margin2: float, lr: float):
+    """One projected minibatch step, hinge by hinge, with the corruptions
+    given: one (h', r, t') per fact in ``negs`` and one relation per path
+    hinge in ``rel2s``, in fact order, then table order (a fact whose
+    reliabilities total 0 has no path hinge).
+
+    Every hinge is scored against the parameters as given.  Entity rows
+    move by the sum of their gradients, relation rows by the mean of their
+    contributions, each M_r by the mean over r's active fact hinges.  Then
+    the moved rows are put back on the unit sphere, and each M_r that
+    projects an entity of its active facts or corruptions out of the unit
+    ball is divided by the largest such norm.  Updates the parameters in
+    place and returns (loss, fact violations, path violations, rescaled).
+    """
+    start = params.copy()
+    ent_g: dict = {}
+    rel_g: dict = {}
+    proj_g: dict = {}
+    bounded: dict = {}
+
+    def add(store: dict, key: int, grad: np.ndarray) -> None:
+        total, n = store.get(key, (0.0, 0))
+        store[key] = (total + grad, n + 1)
+
+    loss, fact_v, path_v = 0.0, 0, 0
+    rel2s = iter(rel2s)
+    rv = start.relation_emb.astype(np.float64)
+    for (h, r, t), (h2, _, t2) in zip(facts, negs):
+        e_pos, gh, gt, gr, gM = transr_energy_and_grads(start, h, r, t)
+        e_neg, gh2, gt2, gr2, gM2 = transr_energy_and_grads(start, h2, r, t2)
+        hinge = margin1 + e_pos - e_neg
+        if hinge > 0:
+            loss += hinge
+            fact_v += 1
+            for e, grad in ((h, gh), (t, gt), (h2, -gh2), (t2, -gt2)):
+                add(ent_g, e, grad)
+            add(rel_g, r, gr - gr2)
+            add(proj_g, r, gM - gM2)
+            bounded.setdefault(r, set()).update((h, t, h2, t2))
+        entries, z = path_evidence(table, h, r, t)
+        if z == 0.0:
+            continue
+        for pid, v, reliability in entries:
+            r2 = next(rel2s)
+            vec = sum(rv[x] for x in table.path_rels[pid])
+            e_pp, gp_pos, gr_pos = gap_energy_and_grads(vec - rv[r], reliability)
+            e_pn, gp_neg, gr_neg = gap_energy_and_grads(
+                vec - rv[r2], relatedness(table, r2, pid) * v
+            )
+            hinge = margin2 + e_pp - e_pn
+            if hinge <= 0:
+                continue
+            loss += hinge / z
+            path_v += 1
+            for x in table.path_rels[pid]:
+                add(rel_g, x, (gp_pos - gp_neg) / z)
+            add(rel_g, r, gr_pos / z)
+            add(rel_g, r2, -gr_neg / z)
+    assert next(rel2s, None) is None, "more relation corruptions than path hinges"
+
+    for e, (grad, _) in ent_g.items():
+        params.entity_emb[e] -= (lr * grad).astype(np.float32)
+    for x, (grad, n) in rel_g.items():
+        params.relation_emb[x] -= (lr * (grad / n)).astype(np.float32)
+    for x, (grad, n) in proj_g.items():
+        params.proj[x] -= (lr * (grad / n)).astype(np.float32)
+    for mat, rows in ((params.entity_emb, ent_g), (params.relation_emb, rel_g)):
+        for i in rows:
+            vec = mat[i].astype(np.float64)
+            norm = np.sqrt(vec @ vec)
+            if abs(norm - 1.0) > 1e-7:
+                mat[i] = (vec / norm).astype(np.float32)
+    rescaled = 0
+    for r, ents in bounded.items():
+        M = params.proj[r].astype(np.float64)
+        f = max(np.sqrt(np.sum((M @ params.entity_emb[e].astype(np.float64)) ** 2))
+                for e in ents)
+        if f > 1.0 + 1e-7:
+            params.proj[r] = (M / f).astype(np.float32)
+            rescaled += 1
+    return loss, fact_v, path_v, rescaled
+
+
 def sample_negative(g, triple, slots: dict[str, float], rng, max_attempts: int = 100):
     """The trainer's negative sampling, one call at a time.
 

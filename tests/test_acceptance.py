@@ -26,16 +26,9 @@ from pathkge import cli
 from pathkge.cli import SyntheticKGSpec, generate_synthetic_kg
 from pathkge.evaluator import evaluate, rank_entities
 from pathkge.kgdata import augment_inverse, load_dataset
-from pathkge.models import (
-    ModelParams,
-    compose_paths,
-    gap_energy_and_grads,
-    relation_rows,
-    score_transr,
-    transr_energy_and_grads,
-)
+from pathkge.models import ModelParams, compose_paths, relation_rows, score_transr
 from pathkge.paths import PathTable, build_path_table
-from pathkge.trainer import TrainConfig, init_transe, train
+from pathkge.trainer import TrainConfig, _add_rows, _fact_hinges, _path_hinges, init_transe, train
 
 GRID = 2.0 ** -10  # exact in float32, so central differences stay exact
 
@@ -139,33 +132,42 @@ def central_diff(f, arr: np.ndarray, idx, delta: float = GRID) -> float:
 
 
 def test_03_analytic_gradients_match_central_differences():
+    # The projected stage's hinge kernels, with their per-row gradients
+    # summed as the trainer sums them: corruptions that keep the head or
+    # the tail, and paths with repeated relations or containing r or the
+    # corrupted relation, so accumulation over occurrences is exercised.
     t0 = time.perf_counter()
     rng = np.random.default_rng(31)
     worst = 0.0
 
-    def check(analytic: float, numeric: float) -> None:
+    def check(analytic: np.ndarray, numeric: float) -> None:
         nonlocal worst
-        worst = max(worst, abs(analytic - numeric) / max(abs(numeric), 1.0))
+        worst = max(worst, abs(float(analytic) - numeric) / max(abs(numeric), 1.0))
+
+    def summed(arr: np.ndarray, ids: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        acc = np.zeros(arr.shape)
+        _add_rows(acc, np.zeros(len(arr), dtype=np.int64), ids, grads)
+        return acc
 
     for i in range(100):
         d = 5 if i < 50 else 20
         params = grid_params(rng, 4, 3, d)
-        h, t = 0, 1
         r = int(rng.integers(3))
-
-        score = lambda: score_transr(params, h, r, t)
-        _, gh, gt, gr, gM = transr_energy_and_grads(params, h, r, t)
+        pos = np.array([(0, r, 1)])
+        neg = np.array([(0, r, 2)] if i % 2 else [(3, r, 1)])
+        energy = lambda: score_transr(params, *pos[0]) - score_transr(params, *neg[0])
+        _, on, ids, grads, gr, gM = _fact_hinges(params, r, pos, neg, margin=1e6)
+        ok = bool(on.all())
+        grad_ent = summed(params.entity_emb, ids, grads)
+        for e in range(4):
+            for j in range(d):
+                check(grad_ent[e, j], central_diff(energy, params.entity_emb, (e, j)))
         for j in range(d):
-            check(gh[j], central_diff(score, params.entity_emb, (h, j)))
-            check(gt[j], central_diff(score, params.entity_emb, (t, j)))
-            check(gr[j], central_diff(score, params.relation_emb, (r, j)))
+            check(gr[j], central_diff(energy, params.relation_emb, (r, j)))
         for a in range(d):
             for b in range(d):
-                check(gM[a, b], central_diff(score, params.proj, (r, a, b)))
+                check(gM[a, b], central_diff(energy, params.proj, (r, a, b)))
 
-        # Path energy, composed and differentiated as the trainer does:
-        # include repeated relations and paths containing the target so
-        # accumulation over occurrences is exercised too.
         if i % 3 == 0:
             path = (r, (r + 1) % 3)
         elif i % 3 == 1:
@@ -173,21 +175,25 @@ def test_03_analytic_gradients_match_central_differences():
         else:
             path = ((r + 1) % 3, (r + 2) % 3)
         rows = np.array([path])
-        rel = float(rng.integers(0, 512) * GRID)
+        r2 = np.array([(r + 1 + i % 2) % 3])
+        rel, rel_neg, inv_z = (np.array([float(rng.integers(1, 512) * GRID)]) for _ in range(3))
 
-        def gap() -> np.ndarray:
+        def path_energy() -> float:
             vecs = relation_rows(params)
-            return compose_paths(vecs, rows)[0] - vecs[r]
+            p = compose_paths(vecs, rows)[0]
+            return float(inv_z[0] * (rel[0] * np.sum((p - vecs[r]) ** 2)
+                                     - rel_neg[0] * np.sum((p - vecs[r2[0]]) ** 2)))
 
-        energy = lambda: gap_energy_and_grads(gap(), rel)[0]
-        _, gp, grel = gap_energy_and_grads(gap(), rel)
-        grads = {rid: np.zeros(d) for rid in {r, *path}}
-        for rid in path:
-            grads[rid] += gp
-        grads[r] += grel
-        for j in range(d):
-            for rid, grad in grads.items():
-                check(grad[j], central_diff(energy, params.relation_emb, (rid, j)))
+        _, on, ids, grads = _path_hinges(
+            relation_rows(params), rows, np.array([r]), r2, rel, rel_neg, inv_z, margin=1e6
+        )
+        ok = ok and bool(on.all())
+        grad_rel = summed(params.relation_emb, ids, grads)
+        for rid in range(3):
+            for j in range(d):
+                check(grad_rel[rid, j], central_diff(path_energy, params.relation_emb, (rid, j)))
+        if not ok:
+            worst = np.inf
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 5.0
     record(3, "gradients-vs-differences", ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")

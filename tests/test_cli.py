@@ -211,6 +211,18 @@ class TestVerbs:
         assert out.read_bytes() == ws["table"].read_bytes()
         assert dump.read_text().count("\n") == PathTable.load(out).n_entries
 
+    def test_extract_paths_refuses_a_cap_the_header_cannot_hold(self, ws, tmp_path, capsys):
+        out = tmp_path / "big.ptbl"
+        capsys.readouterr()
+        rc = cli.main([
+            "extract-paths", "--data", str(ws["data"]), "--cap", str(2**32),
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+        assert not out.exists()
+
     def test_train_writes_artifacts(self, ws):
         run = ws["model"].parent
         assert (run / "config.txt").is_file()

@@ -84,7 +84,9 @@ class TestIngestion:
     def test_indexes_built_on_first_use(self, dataset_dir):
         indexes = {name for name, attr in vars(KnowledgeGraph).items()
                    if isinstance(attr, cached_property)}
-        assert indexes == {"_adjacency", "_train_keys", "_known", "_train_pairs"}
+        assert indexes == {
+            "_adjacency", "_train_keys", "_sorted_train_keys", "_known", "_train_pairs"
+        }
 
         def built(g):
             return indexes & set(vars(g))
@@ -94,6 +96,8 @@ class TestIngestion:
             (lambda g: g.known_tails(0, 0).tolist() == [1, 2], "_known"),
             (lambda g: g.known_heads(0, 2).tolist() == [0], "_known"),
             (lambda g: g.in_train(2, 1, 0) and not g.in_train(0, 0, 2), "_train_keys"),
+            (lambda g: g.train_mask(np.array([(2, 1, 0), (0, 0, 2), (2, 1, 0)])).tolist()
+             == [True, False, True], "_sorted_train_keys"),
             (lambda g: out_edges(g, 2)[:2] == ([1], [0]), "_adjacency"),
             (lambda g: g.train_pairs().tolist() == [1, 2, 3, 6], "_train_pairs"),
         ):

@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
-from oracles import path_score_term, score_transe
+from oracles import (
+    gap_energy_and_grads,
+    path_score_term,
+    score_transe,
+    transr_energy_and_grads,
+)
 from pathkge.models import (
     ModelError,
     ModelParams,
     compose_paths,
-    gap_energy_and_grads,
     path_evidence,
     path_score_terms,
     project_constraints,
@@ -22,7 +26,6 @@ from pathkge.models import (
     score_ptransr,
     score_transr,
     transe_energy_and_grads,
-    transr_energy_and_grads,
 )
 from pathkge.paths import PathTable, build_path_table
 
@@ -142,7 +145,7 @@ class TestScores:
         rng = np.random.default_rng(3)
         p = grid_params(rng, 4, 3, 3, 2)
         e, gh, gt, gr, gM = transr_energy_and_grads(p, 0, 1, 2)
-        # The trainer's hinge energy is the score the evaluator ranks by.
+        # The reference step's hinge energy is the score the evaluator ranks by.
         assert e == score_transr(p, 0, 1, 2)
         np.testing.assert_array_equal(gt, -gh)
 
@@ -326,12 +329,18 @@ class TestConstraints:
         rng = np.random.default_rng(9)
         p = ModelParams.random(4, 2, 3, 3, rng)
         p.proj[0] = 3.0 * np.eye(3, dtype=np.float32)
-        project_constraints(p, [], [], [(0, 0, 1)])
-        M = p.proj[0].astype(np.float64)
-        nh = np.linalg.norm(M @ p.entity_emb[0].astype(np.float64))
-        nt = np.linalg.norm(M @ p.entity_emb[1].astype(np.float64))
-        assert max(nh, nt) <= 1.0 + 1e-6
-        assert max(nh, nt) == pytest.approx(1.0, abs=1e-6)
+        p.proj[0, 0] *= np.float32(2.0)  # entities project to different norms
+        before = p.proj.copy()
+        triples = np.array([(0, 0, 1), (2, 0, 3), (0, 1, 1)])
+        assert project_constraints(p, [], [], triples) == 1
+        # One division by the largest norm over r0's triples puts the
+        # farthest entity on the boundary; r1 projects inside the ball.
+        ent = p.entity_emb.astype(np.float64)
+        f = np.linalg.norm(ent @ before[0].astype(np.float64).T, axis=1).max()
+        assert np.array_equal(p.proj[0], (before[0].astype(np.float64) / f).astype(np.float32))
+        assert np.array_equal(p.proj[1], before[1])
+        norms = np.linalg.norm(ent @ p.proj[0].astype(np.float64).T, axis=1)
+        assert norms.max() == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_vector_is_an_error(self):
         rng = np.random.default_rng(10)
@@ -347,13 +356,11 @@ class TestConstraints:
         p = ModelParams.random(6, 4, 3, 3, rng)
         p.entity_emb[rng.integers(6)] *= np.float32(1.7)
         p.proj[rng.integers(4)] *= np.float32(2.5)
-        triples = [
-            (int(rng.integers(6)), int(rng.integers(4)), int(rng.integers(6)))
-            for _ in range(3)
-        ]
+        triples = np.stack([rng.integers(6, size=5), rng.integers(4, size=5),
+                            rng.integers(6, size=5)], axis=1)
         project_constraints(p, range(6), range(4), triples)
         snap = (p.entity_emb.copy(), p.relation_emb.copy(), p.proj.copy())
-        project_constraints(p, range(6), range(4), triples)
+        assert project_constraints(p, range(6), range(4), triples) == 0
         assert np.array_equal(p.entity_emb, snap[0])
         assert np.array_equal(p.relation_emb, snap[1])
         assert np.array_equal(p.proj, snap[2])

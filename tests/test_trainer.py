@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from conftest import TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
-from oracles import sample_negative, validation_mean_rank
+from oracles import batch_step, sample_negative, validation_mean_rank
+from pathkge import trainer
 from pathkge.evaluator import _RelationContext
 from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
@@ -18,9 +20,13 @@ from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import (
     TrainConfig,
     TrainError,
+    _draw_batch,
     _draw_negative,
+    _draw_negatives,
     _fact_paths,
     _head_probs,
+    _run_epoch,
+    _step,
     _validation_mean_rank,
     init_transe,
     load_config_file,
@@ -188,6 +194,117 @@ class TestNegativeSampling:
             ]
 
 
+class TestBatchSampler:
+    def test_draws_leave_the_train_set(self, small_graph):
+        g = small_graph
+        pos = np.repeat(g.train.astype(np.int64), 40, axis=0)
+        probs = np.asarray(_head_probs(g, "bernoulli"))
+        for head_probs, slots in ((probs, [0, 2]), (None, [1])):
+            neg, redraws = _draw_negatives(g, pos, head_probs, np.random.default_rng(3))
+            assert not g.train_mask(neg).any()
+            changed = neg != pos
+            assert (changed.sum(axis=1) == 1).all()
+            assert set(np.flatnonzero(changed.any(axis=0)).tolist()) == set(slots)
+            assert redraws > 0  # a dense graph: some first draws are train facts
+
+    def test_head_share_follows_head_probs(self):
+        g = make_graph([(0, 0, 1), (0, 0, 2), (0, 0, 3), (4, 1, 5)], n_entities=12,
+                       n_relations=2)
+        probs = np.asarray(_head_probs(g, "bernoulli"))
+        assert len(set(probs.tolist())) > 1
+        pos = np.repeat(g.train.astype(np.int64), 500, axis=0)
+        neg, _ = _draw_negatives(g, pos, probs, np.random.default_rng(9))
+        head = neg[:, 0] != pos[:, 0]
+        # The batch's first draws pick the slots, one uniform per fact.
+        u = np.random.default_rng(9).random(len(pos))
+        assert np.array_equal(head, u < probs[pos[:, 1]])
+        for r in range(g.n_relations):
+            share = head[pos[:, 1] == r].mean()
+            n = (pos[:, 1] == r).sum()
+            assert abs(share - probs[r]) < 4 * np.sqrt(probs[r] * (1 - probs[r]) / n)
+
+    def test_saturated_graph_exhausts(self):
+        train = [(h, 0, t) for h in range(2) for t in range(2)]
+        g = make_graph(train, n_entities=2, n_relations=1, augment=False)
+        with pytest.raises(TrainError, match="attempts"):
+            _draw_negatives(g, g.train.astype(np.int64), np.array([0.5]),
+                            np.random.default_rng(3))
+
+    def test_empty_table_draws_nothing_extra(self, small_graph):
+        g = small_graph
+        probs = np.asarray(_head_probs(g, "uniform"))
+        fact = np.random.default_rng(0).permutation(len(g.train))
+        ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+        batch = _draw_batch(g, _fact_paths(g, PathTable.empty(g.n_entities)), probs, ours, fact)
+        neg, redraws = _draw_negatives(g, g.train[fact].astype(np.int64), probs, ref)
+        assert np.array_equal(batch.neg, neg) and batch.redraws == redraws
+        assert len(batch.entry) == len(batch.rel2) == 0
+        assert ours.random() == ref.random()
+        # With paths, each path hinge gets a corrupted relation of its own.
+        table = build_path_table(g, reliability_floor=0.0)
+        batch = _draw_batch(g, _fact_paths(g, table), probs, np.random.default_rng(4), fact)
+        assert np.array_equal(batch.neg, neg)
+        assert len(batch.rel2) == len(batch.entry) > 0
+        assert (batch.rel2 != batch.pos[batch.owner, 1]).all()
+
+
+class TestBatchStep:
+    @pytest.mark.parametrize("chunk", [256, 3])
+    @pytest.mark.parametrize("stage", ["transr", "ptransr"])
+    def test_step_matches_reference(self, small_graph, stage, chunk, monkeypatch):
+        # A chunk of 3 splits relation groups and path hinges, so the
+        # gradient sums are carried across chunks.
+        monkeypatch.setattr(trainer, "_CHUNK", chunk)
+        g = small_graph
+        table = (build_path_table(g, reliability_floor=0.0) if stage == "ptransr"
+                 else PathTable.empty(g.n_entities))
+        paths = _fact_paths(g, table)
+        rng = np.random.default_rng(17)
+        params = ModelParams.random(g.n_entities, g.n_relations, 5, 4, rng)
+        params.proj *= np.float32(1.6)  # so that the M_r bound bites
+        ref = params.copy()
+        cfg = tiny_cfg(stage=stage, margin1=2.0, margin2=1.0, lr=0.05)
+        probs = np.asarray(_head_probs(g, "bernoulli"))
+        totals = np.zeros(3, dtype=np.int64)
+        for fact in np.array_split(rng.permutation(len(g.train)), 3):
+            batch = _draw_batch(g, paths, probs, rng, fact)
+            got = _step(params, paths, cfg, cfg.lr, batch)
+            want = batch_step(ref, table, batch.pos.tolist(), batch.neg.tolist(),
+                              batch.rel2.tolist(), cfg.margin1, cfg.margin2, cfg.lr)
+            assert got[1:] == want[1:]
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            for ours, theirs in ((params.entity_emb, ref.entity_emb),
+                                 (params.relation_emb, ref.relation_emb),
+                                 (params.proj, ref.proj)):
+                np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-9)
+            totals += got[1:]
+        assert totals[0] > 0 and totals[2] > 0
+        assert (totals[1] > 0) == (stage == "ptransr")
+
+    def test_epoch_memory_is_bounded_by_chunks(self):
+        # A batch larger than the train set: the step's float arrays must
+        # stay those of a chunk, not of the batch.
+        rng = np.random.default_rng(5)
+        n_ent, dim = 400, 64
+        facts = np.stack([rng.integers(n_ent, size=4000), rng.integers(4, size=4000),
+                          rng.integers(n_ent, size=4000)], axis=1)
+        g = make_graph(facts.tolist(), n_entities=n_ent, n_relations=4)
+        paths = _fact_paths(g, build_path_table(g, reliability_floor=0.0))
+        params = ModelParams.random(g.n_entities, g.n_relations, dim, dim, rng)
+        cfg = tiny_cfg(dim_entity=dim, dim_relation=dim, batch_size=10 * len(g.train))
+        probs = _head_probs(g, "uniform")
+        g.train_mask(g.train[:1])  # build the index before measuring
+        # A chunk of 256 facts gathers four entity rows per fact (h, t, h', t').
+        chunk_bytes = 256 * 4 * dim * 8
+        tracemalloc.start()
+        try:
+            _run_epoch(g, paths, params, cfg, rng, probs, cfg.lr, epoch=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * chunk_bytes, (peak, chunk_bytes)
+
+
 class TestWarmStart:
     def test_loss_decreases_and_constraints_hold(self, small_graph):
         records = []
@@ -250,6 +367,39 @@ class TestTrain:
             assert rec["wall_time"] >= 0
         loaded = ModelParams.load(out / "model.ptrm")
         assert np.array_equal(loaded.entity_emb, params.entity_emb)
+
+    def test_epoch_records_count_hinges(self, small_graph, tmp_path):
+        table = build_path_table(small_graph, reliability_floor=0.0)
+        out = tmp_path / "run"
+        _, records = train(small_graph, table, tiny_cfg(epochs=4), out_dir=out)
+        counters = ("fact_violations", "path_violations", "rescaled", "redraws")
+        projected = [r for r in records if r.get("stage") == "ptransr" and "loss" in r]
+        assert len(projected) == 4
+        for rec in projected:
+            assert rec["violations"] == rec["fact_violations"] + rec["path_violations"]
+            assert all(isinstance(rec[c], int) and rec[c] >= 0 for c in counters)
+        assert all(sum(r[c] for r in projected) > 0 for c in counters)
+        warm = [r for r in records if r.get("stage") == "transe"]
+        assert warm and not any(c in r for r in warm for c in counters)
+        config = (out / "config.txt").read_text()
+        assert not any(c in config for c in counters)
+        # The counters are the epoch's sums of what each batch step returns.
+        cfg = tiny_cfg(batch_size=7)
+        paths = _fact_paths(small_graph, table)
+        probs = _head_probs(small_graph, "uniform")
+        p = ModelParams.random(small_graph.n_entities, small_graph.n_relations, 6, 6,
+                               np.random.default_rng(1))
+        stats = _run_epoch(small_graph, paths, p.copy(), cfg, np.random.default_rng(2),
+                           probs, cfg.lr, epoch=0)
+        rng = np.random.default_rng(2)
+        order = rng.permutation(len(small_graph.train))
+        sums = np.zeros(4, dtype=np.int64)
+        for start in range(0, len(order), 7):
+            batch = _draw_batch(small_graph, paths, np.asarray(probs), rng, order[start:start + 7])
+            _, fact_v, path_v, rescaled = _step(p, paths, cfg, cfg.lr, batch)
+            sums += (fact_v, path_v, rescaled, batch.redraws)
+        assert (stats.fact_violations, stats.path_violations, stats.rescaled,
+                stats.redraws) == tuple(sums.tolist())
 
     def test_warm_start_reused(self, small_graph):
         warm = init_transe(small_graph, tiny_cfg(stage="transe", epochs=2))
