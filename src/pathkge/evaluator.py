@@ -127,11 +127,14 @@ class _RelationContext:
 
     def stage1(
         self, slot: str, anchors: list[int], golds: list[np.ndarray], k: int | None,
-    ) -> Iterator[np.ndarray]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Stage-1 score row of each query (``anchors[i]`` in the other slot,
-        gold entities ``golds[i]``), in order.  Each row decides the window
-        of the ``k`` best entities (none if ``k`` is None) and every count
-        against a gold exactly as the reference row of :func:`_exact` would.
+        gold entities ``golds[i]``), in order, with the entities, ascending,
+        that got their reference score (None: all of them).  Each row
+        decides the window of the ``k`` best entities (none if ``k`` is
+        None) and every count against a gold exactly as the reference row of
+        :func:`_exact` would; with ``k`` given, every entity outside the
+        recomputed ones scores strictly above the k-th best.
 
         A block of queries is scored as ||c||^2 + ||p_e||^2 - 2 c.p_e with
         one matrix product.  That value and the reference differ by at most
@@ -153,7 +156,7 @@ class _RelationContext:
             # p_e + (r - P[a]), the same bits negated, for a head.
             c = proj[block] + self.rv if slot == "tail" else -(self.rv - proj[block])
             if k is not None and k >= n:  # every entity needs its exact score
-                yield from (_exact(query, proj) for query in c)
+                yield from ((_exact(query, proj), None) for query in c)
                 continue
             c_sq = np.einsum("ij,ij->i", c, c)
             scores = _gemm_scores(c, proj, c_sq, p_sq)
@@ -171,10 +174,10 @@ class _RelationContext:
                     if k is not None:
                         near |= row <= edge[i]
                     rows = np.flatnonzero(near)
+                    row[rows] = _exact(c[i], proj, rows)
+                    yield row, rows
                 else:  # the exact row, which refuses non-finite scores
-                    rows = slice(None)
-                row[rows] = _exact(c[i], proj, rows)
-                yield row
+                    yield _exact(c[i], proj), None
 
 
 def _exact(
@@ -224,12 +227,18 @@ def _queries(
         yield slot, anchors, rows, [facts[r, gold_col] for r in rows]
 
 
-def _window(s1: np.ndarray, k: int) -> np.ndarray:
+def _window(s1: np.ndarray, k: int, near: np.ndarray | None = None) -> np.ndarray:
     """Mask of the first k entities of a stable argsort of s1, without
     sorting: every score below the k-th smallest, then the lowest-index
-    entities tied with it."""
+    entities tied with it.  The search may be narrowed to ``near``,
+    ascending entity ids, when every other entity scores strictly above
+    the k-th smallest."""
     if k >= len(s1):
         return np.ones(len(s1), dtype=bool)
+    if near is not None:
+        window = np.zeros(len(s1), dtype=bool)
+        window[near[_window(s1[near], k)]] = True
+        return window
     v = np.partition(s1, k - 1)[k - 1]
     window = s1 < v
     window[np.flatnonzero(s1 == v)[: k - np.count_nonzero(window)]] = True
@@ -287,8 +296,10 @@ def _rank_queries(
     full scores depend only on the query, so they are computed once for all
     of its golds."""
     r, r_inv = ctx.r, ctx.r_inv
-    for anchor, q_golds, s1 in zip(anchors, golds, ctx.stage1(slot, anchors, golds, rerank_k)):
-        window = _window(s1, rerank_k)
+    for anchor, q_golds, (s1, near) in zip(
+        anchors, golds, ctx.stage1(slot, anchors, golds, rerank_k)
+    ):
+        window = _window(s1, rerank_k, near)
         win = np.flatnonzero(window)
         k = len(win)
         # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.

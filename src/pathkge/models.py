@@ -11,14 +11,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from pathkge.kgdata import _distinct, _firsts
 from pathkge.paths import PathTable, expand_spans
-
-Norm = Literal["L1", "L2"]
 
 MAGIC = b"PTRM"
 FORMAT_VERSION = 1
@@ -147,23 +145,6 @@ def score_transr(params: ModelParams, h: int, r: int, t: int) -> float:
         - M @ params.entity_emb[t].astype(np.float64)
     )
     return float(u @ u)
-
-
-def transe_energy_and_grads(params: ModelParams, h: int, r: int, t: int, norm: Norm):
-    """Translation residual norm and its (sub)gradients w.r.t. h, t, r."""
-    hv = params.entity_emb[h].astype(np.float64)
-    rv = params.relation_emb[r].astype(np.float64)
-    tv = params.entity_emb[t].astype(np.float64)
-    u = hv + rv - tv
-    if norm == "L1":
-        e = float(np.abs(u).sum())
-        g = np.sign(u)
-    elif norm == "L2":
-        e = float(np.sqrt((u * u).sum()))
-        g = u / e if e > 1e-12 else np.zeros_like(u)
-    else:
-        raise ModelError(f"unknown norm {norm!r}")
-    return e, g, -g, g
 
 
 def relation_rows(params: ModelParams) -> np.ndarray:

@@ -13,14 +13,15 @@ path hinge is against a corrupted relation.  Corruptions are redrawn
 until they leave the train set.
 
 The warm start is per-fact SGD: each fact's update lands before the next
-fact is scored, and the touched rows are renormalized after every
-``batch_size`` facts.  The projected stages take one minibatch step per
-``batch_size`` facts: every hinge of the batch is scored against the
-parameters as the batch found them, entity rows move by the sum of their
-gradients, relation rows and projection matrices by the mean of theirs,
-and the norm constraints are then restored on the rows the batch moved.
-Summing would let a relation row collect dozens of stale gradients per
-batch.  A run is byte-deterministic given its data and seed.
+fact that shares a row is scored, and the touched rows are renormalized
+after every ``batch_size`` facts.  The projected stages take one
+minibatch step per ``batch_size`` facts: every hinge of the batch is
+scored against the parameters as the batch found them, entity rows move
+by the sum of their gradients, relation rows and projection matrices by
+the mean of theirs, and the norm constraints are then restored on the
+rows the batch moved.  Summing would let a relation row collect dozens of
+stale gradients per batch.  A run is byte-deterministic given its data
+and seed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from pathkge.models import (
     path_evidence,
     project_constraints,
     relation_rows,
-    transe_energy_and_grads,
 )
 from pathkge.paths import PathTable, expand_spans
 
@@ -104,6 +104,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.stage == "transe" and (self.early_stop or self.checkpoint_every > 0):
+            key = "early_stop" if self.early_stop else "checkpoint_every"
+            raise ValueError(f"{key} acts on projected epochs, and stage transe runs none")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -165,8 +168,9 @@ def save_config_file(config: TrainConfig, path: str | Path) -> None:
 def _draw_negative(
     g: KnowledgeGraph, h: int, r: int, t: int, head_prob: float | None,
     rng: np.random.Generator,
-) -> tuple[int, int, int]:
-    """Corrupt one slot of (h, r, t), resampling until unseen in train.
+) -> tuple[tuple[int, int, int], int]:
+    """Corrupt one slot of (h, r, t), resampling until unseen in train;
+    returns the corrupted fact and how many draws were rejected.
 
     With ``head_prob`` None the relation is corrupted.  Otherwise one
     uniform draw ``u`` picks the head when ``u < head_prob``, else the
@@ -178,7 +182,7 @@ def _draw_negative(
         slot = "relation"
     else:
         slot = "head" if rng.random() < head_prob else "tail"
-    for _ in range(MAX_NEGATIVE_ATTEMPTS):
+    for redraws in range(MAX_NEGATIVE_ATTEMPTS):
         if slot == "head":
             cand = (int(rng.integers(g.n_entities)), r, t)
         elif slot == "tail":
@@ -188,7 +192,7 @@ def _draw_negative(
         if cand == (h, r, t):
             continue
         if not g.in_train(*cand):
-            return cand
+            return cand, redraws
     raise TrainError(
         f"could not sample a negative for {(h, r, t)} (slot {slot}) in "
         f"{MAX_NEGATIVE_ATTEMPTS} attempts"
@@ -207,38 +211,95 @@ def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
     return probs.tolist()
 
 
-# -- warm start: per-fact SGD ------------------------------------------------
+# -- warm start: per-fact SGD, one dependency level at a time ----------------
+
+# A warm-start fact's rows h, t, h', t' take _SIGN times the head gradient
+# of the fact (side 0) or of its corruption (1); its row r takes g - g'.
+_SIDE = np.array([0, 0, 1, 1])
+_SIGN = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
 
 
-def _step_transe(
-    g: KnowledgeGraph,
-    params: ModelParams,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    head_probs: list[float],
-    lr: float,
-    idx: int,
-    ents: list[int],
-    rels: list[int],
-) -> float:
-    """One fact's hinge against one corruption, applied at once; the rows
-    it moves are appended to ``ents`` and ``rels``."""
-    h, r, t = (int(x) for x in g.train[idx])
-    h2, _, t2 = _draw_negative(g, h, r, t, head_probs[r], rng)
-    e_pos, gh, gt, gr = transe_energy_and_grads(params, h, r, t, cfg.norm)
-    e_neg, gh2, gt2, gr2 = transe_energy_and_grads(params, h2, r, t2, cfg.norm)
-    loss = cfg.margin + e_pos - e_neg
-    if loss <= 0:
-        return 0.0
-    ent_g: dict[int, np.ndarray] = {}
-    for i, grad in ((h, gh), (t, gt), (h2, -gh2), (t2, -gt2)):
-        ent_g[i] = ent_g[i] + grad if i in ent_g else grad
-    for i, grad in ent_g.items():
-        params.entity_emb[i] -= (lr * grad).astype(np.float32)
-    params.relation_emb[r] -= (lr * (gr - gr2)).astype(np.float32)
-    ents += (h, t, h2, t2)
-    rels.append(r)
-    return float(loss)
+def _translation_grads(X: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
+    """The energy ``|(h + r) - t|`` (L1 or L2), in float64, of each (h, r, t)
+    stacked as three rows of ``X``, and its (sub)gradient w.r.t. h, which is
+    also r's and minus t's.  An L2 energy <= 1e-12 has gradient 0."""
+    U = np.add(X[0::3], X[1::3], dtype=np.float64)
+    U -= X[2::3]
+    if norm == "L1":
+        return np.abs(U).sum(axis=1), np.sign(U)
+    e = np.sqrt((U * U).sum(axis=1))
+    return e, np.divide(U, e[:, None], out=np.zeros_like(U), where=e[:, None] > 1e-12)
+
+
+def _warm_batch(
+    g: KnowledgeGraph, params: ModelParams, cfg: TrainConfig, rng: np.random.Generator,
+    head_probs: list[float], lr: float, fact: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-fact SGD over the train rows ``fact``: each fact's hinge against
+    one corruption, applied before the next fact that shares a row reads it.
+
+    Every corruption is drawn first, in fact order.  A fact's level is one
+    more than the highest level of the earlier facts sharing one of its
+    five rows, so the facts of a level move disjoint rows and each level
+    runs as one vectorized step with the float operations of the
+    fact-at-a-time loop: a fact's gradients on a repeated row are added in
+    the order h, t, h', t' before its one float32 update.  Returns each
+    fact's loss (0 if inactive) in fact order, the rows (h, t, h', t',
+    n_entities + r) of the active facts and how many corruptions were
+    train facts.
+    """
+    n_ent = params.n_entities
+    last = [0] * (n_ent + params.n_relations)  # level of the last fact on each row
+    rows, levels, redraws = [], [], 0
+    for h, r, t in g.train[fact].tolist():
+        (h2, _, t2), more = _draw_negative(g, h, r, t, head_probs[r], rng)
+        redraws += more
+        r += n_ent
+        level = max(last[h], last[t], last[h2], last[t2], last[r]) + 1
+        last[h] = last[t] = last[h2] = last[t2] = last[r] = level
+        rows.append((h, t, h2, t2, r))
+        levels.append(level)
+
+    # The plan, in level order: the rows each level gathers, the slots that
+    # add into their row's first slot of the fact (in slot order) and the
+    # rows written, from which slot.  Slots are numbered within the level.
+    levels = np.array(levels)
+    order = np.argsort(levels, kind="stable")
+    slots = np.array(rows)[order]
+    n = len(slots)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(levels)[1:])))
+    local = 5 * (np.arange(n) - np.repeat(starts[:-1], np.diff(starts)))
+    gather = slots[:, [0, 4, 1, 2, 4, 3]].ravel()  # h, r, t, h', r, t'
+    first = (slots[:, :, None] == slots[:, None, :]).argmax(axis=2)
+    f, k = np.nonzero(first != np.arange(5))
+    src, dst = local[f] + k, local[f] + first[f, k]
+    wf, wk = np.nonzero(first == np.arange(5))
+    wrow, wslot = slots[wf, wk], local[wf] + wk
+
+    W = np.concatenate((params.entity_emb, params.relation_emb))
+    S = np.empty((5 * int(np.diff(starts).max()), W.shape[1]))
+    losses = np.empty(n)
+    fs = starts.tolist()
+    ms = np.searchsorted(f, starts).tolist()
+    ws = np.searchsorted(wf, starts).tolist()
+    for a, b, ma, mb, wa, wb in zip(fs, fs[1:], ms, ms[1:], ws, ws[1:]):
+        m = b - a
+        e, G = _translation_grads(W[gather[6 * a : 6 * b]], cfg.norm)
+        loss = cfg.margin + e[0::2] - e[1::2]
+        losses[a:b] = loss
+        block = S[: 5 * m].reshape(m, 5, -1)
+        G = G.reshape(m, 2, -1)
+        np.multiply(G[:, _SIDE], _SIGN, out=block[:, :4])
+        np.subtract(G[:, 0], G[:, 1], out=block[:, 4])
+        np.add.at(S, dst[ma:mb], S[src[ma:mb]])
+        block[loss <= 0] = 0.0  # inactive: a +0.0 step leaves every bit
+        W[wrow[wa:wb]] -= (lr * S[wslot[wa:wb]]).astype(np.float32)
+    params.entity_emb[:] = W[:n_ent]
+    params.relation_emb[:] = W[n_ent:]
+    on = ~(losses <= 0.0)
+    out = np.zeros(n)
+    out[order] = np.where(on, losses, 0.0)
+    return out, slots[on], redraws
 
 
 # -- projected stages: one vectorized step per minibatch ----------------------
@@ -498,12 +559,11 @@ def _run_epoch(
     for start in range(0, n, cfg.batch_size):
         fact = order[start : start + cfg.batch_size]
         if cfg.stage == "transe":
-            ents: list[int] = []
-            rels: list[int] = []
-            for idx in fact.tolist():
-                loss_sum += _step_transe(g, params, cfg, rng, head_probs, lr, idx, ents, rels)
-            counts[0] += len(rels)
-            project_constraints(params, ents, rels)
+            losses, moved, redraws = _warm_batch(g, params, cfg, rng, head_probs, lr, fact)
+            for loss in losses.tolist():  # in fact order, as the facts ran
+                loss_sum += loss
+            counts[[0, 3]] += (len(moved), redraws)
+            project_constraints(params, moved[:, :4].ravel(), moved[:, 4] - params.n_entities)
         else:
             batch = _draw_batch(g, paths, probs, rng, fact)
             loss, *batch_counts = _step(params, paths, cfg, lr, batch)
@@ -540,7 +600,7 @@ def _validation_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
     for r, idxs in zip(*_groups(g.valid[:, 1])):
         ctx = _RelationContext(params, g, r, ent)
         for slot, anchors, _, golds in _queries(g.valid[idxs]):
-            for q_golds, s1 in zip(golds, ctx.stage1(slot, anchors, golds, None)):
+            for q_golds, (s1, _) in zip(golds, ctx.stage1(slot, anchors, golds, None)):
                 ranks.append((s1 <= s1[q_golds][:, None]).sum(axis=1))  # pessimistic
     return float(np.mean(np.concatenate(ranks)))
 
@@ -583,6 +643,8 @@ def init_transe(
                     "epoch": epoch,
                     "loss": stats.mean_loss,
                     "violations": stats.violations,
+                    "fact_violations": stats.fact_violations,
+                    "redraws": stats.redraws,
                     "wall_time": time.perf_counter() - t0,
                 }
             )
@@ -659,6 +721,7 @@ def train(
                     lr=config.warm_lr,
                     margin=config.warm_margin,
                     epochs=config.warm_epochs,
+                    early_stop=False, checkpoint_every=0,
                 )
                 params = init_transe(g, warm, rng, emit)
             else:

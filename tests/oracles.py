@@ -11,18 +11,70 @@ from itertools import product
 
 import numpy as np
 
-from pathkge.models import ModelParams, score_ptransr, score_transr
+from pathkge.models import ModelParams, project_constraints, score_ptransr, score_transr
 from pathkge.paths import PathTable
 
 
 def score_transe(params: ModelParams, h: int, r: int, t: int, norm: str = "L2") -> float:
     """Translation residual norm of (h, r, t) in entity space: the
-    finite-difference reference for ``transe_energy_and_grads``."""
+    finite-difference reference for the warm start's gradients."""
     hv = params.entity_emb[h].astype(np.float64)
     rv = params.relation_emb[r].astype(np.float64)
     tv = params.entity_emb[t].astype(np.float64)
     u = hv + rv - tv
     return float(np.abs(u).sum()) if norm == "L1" else float(np.sqrt((u * u).sum()))
+
+
+def transe_energy_and_grads(params: ModelParams, h: int, r: int, t: int, norm: str):
+    """Translation residual norm and its (sub)gradients w.r.t. h, t, r."""
+    hv = params.entity_emb[h].astype(np.float64)
+    rv = params.relation_emb[r].astype(np.float64)
+    tv = params.entity_emb[t].astype(np.float64)
+    u = hv + rv - tv
+    if norm == "L1":
+        e = float(np.abs(u).sum())
+        g = np.sign(u)
+    else:
+        e = float(np.sqrt((u * u).sum()))
+        g = u / e if e > 1e-12 else np.zeros_like(u)
+    return e, g, -g, g
+
+
+def warm_epoch(g, params: ModelParams, cfg, rng, head_probs, lr: float):
+    """One warm-start epoch fact by fact: each fact's hinge against one
+    corruption, its update applied before the next fact is scored, and the
+    touched rows renormalized after every ``cfg.batch_size`` facts.  Updates
+    the parameters in place and returns (each fact's loss, 0 when inactive,
+    in the order run; violations; redraws)."""
+    losses: list[float] = []
+    violations = redraws = 0
+    order = rng.permutation(len(g.train))
+    for start in range(0, len(order), cfg.batch_size):
+        ents: list[int] = []
+        rels: list[int] = []
+        for idx in order[start : start + cfg.batch_size].tolist():
+            h, r, t = (int(x) for x in g.train[idx])
+            p = head_probs[r]
+            (h2, _, t2), more = sample_negative(g, (h, r, t), {"head": p, "tail": 1.0 - p}, rng)
+            redraws += more
+            e_pos, gh, gt, gr = transe_energy_and_grads(params, h, r, t, cfg.norm)
+            e_neg, gh2, gt2, gr2 = transe_energy_and_grads(params, h2, r, t2, cfg.norm)
+            loss = cfg.margin + e_pos - e_neg
+            if loss <= 0:
+                losses.append(0.0)
+                continue
+            grads: dict = {}
+            for i, grad in ((h, gh), (t, gt), (h2, -gh2), (t2, -gt2)):
+                grads[i] = grads[i] + grad if i in grads else grad
+            for i, grad in grads.items():
+                params.entity_emb[i] -= (lr * grad).astype(np.float32)
+            params.relation_emb[r] -= (lr * (gr - gr2)).astype(np.float32)
+            ents += (h, t, h2, t2)
+            rels.append(r)
+            losses.append(float(loss))
+        violations += len(rels)
+        project_constraints(params, ents, rels)
+    return losses, violations, redraws
 
 
 def transr_energy_and_grads(params: ModelParams, h: int, r: int, t: int):
@@ -134,7 +186,8 @@ def sample_negative(g, triple, slots: dict[str, float], rng, max_attempts: int =
     ``slots`` maps slot names (head, tail, relation) to probabilities.  A
     slot is picked by one uniform draw, made only when there is a choice;
     that slot is then redrawn until the fact differs from the original and
-    is not a train fact.  Returns the corrupted (h, r, t)."""
+    is not a train fact.  Returns the corrupted (h, r, t) and how many
+    draws were rejected."""
     h, r, t = (int(x) for x in triple)
     names = list(slots)
     slot = names[-1]
@@ -147,7 +200,7 @@ def sample_negative(g, triple, slots: dict[str, float], rng, max_attempts: int =
                 slot = name
                 break
     train = {tuple(x) for x in g.train.tolist()}
-    for _ in range(max_attempts):
+    for redraws in range(max_attempts):
         if slot == "head":
             cand = (int(rng.integers(g.n_entities)), r, t)
         elif slot == "tail":
@@ -155,7 +208,7 @@ def sample_negative(g, triple, slots: dict[str, float], rng, max_attempts: int =
         else:
             cand = (h, int(rng.integers(g.n_relations)), t)
         if cand != (h, r, t) and cand not in train:
-            return cand
+            return cand, redraws
     raise ValueError(f"no negative for {(h, r, t)} in {max_attempts} attempts")
 
 

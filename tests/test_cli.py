@@ -276,6 +276,34 @@ class TestVerbs:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--checkpoint-every", "2"], "checkpoint_every"),
+        (["--early-stop"], "early_stop"),
+    ])
+    def test_train_transe_refuses_projected_epoch_options(self, ws, tmp_path, capsys, flags, key):
+        # Both act on projected epochs; stage transe runs none, so a run
+        # that accepted them would record options it never applied.
+        capsys.readouterr()
+        run = tmp_path / "run"
+        rc = cli.main([
+            "train", "--data", str(ws["data"]), "--stage", "transe", "--epochs", "4",
+            "--dim-entity", "4", "--dim-relation", "4", *flags, "--out", str(run),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {key} ") and "transe" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not run.exists()
+        cfg = tmp_path / "warm.cfg"
+        cfg.write_text(f"stage = transe\n{key} = {'2' if key == 'checkpoint_every' else 'true'}\n")
+        assert cli.main(["train", "--data", str(ws["data"]), "--config", str(cfg)]) == 1
+        # A projected stage keeps them; its warm start runs without them.
+        assert cli.main([
+            "train", "--data", str(ws["data"]), "--stage", "transr", "--epochs", "2",
+            "--warm-epochs", "1", "--dim-entity", "4", "--dim-relation", "4", *flags,
+            "--out", str(run),
+        ]) == 0
+
     def test_evaluate_reports(self, ws, tmp_path, capsys):
         out = tmp_path / "eval"
         rc = cli.main(

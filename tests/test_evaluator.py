@@ -386,15 +386,20 @@ class TestWindowedRanking:
         for slot in ("head", "tail"):
             for k in {None, 1, n // 2, n - 1, n}:
                 rows = ctx.stage1(slot, anchors, golds, k)
-                for anchor, gold, row in zip(anchors, golds, rows):
+                for anchor, gold, (row, near) in zip(anchors, golds, rows):
                     ref = reference_stage1(ctx, anchor, slot)
                     if k == n:  # no GEMM: the reference row itself
-                        assert row.tobytes() == ref.tobytes()
+                        assert row.tobytes() == ref.tobytes() and near is None
                     for entity in gold:
                         assert np.array_equal(row < row[entity], ref < ref[entity])
                         assert np.array_equal(row == row[entity], ref == ref[entity])
                     if k is not None:
                         assert np.array_equal(_window(row, k), _window(ref, k))
+                        # The window searched among the recomputed entities.
+                        assert np.array_equal(_window(row, k, near), _window(ref, k))
+                        if near is not None:
+                            assert np.array_equal(near, np.unique(near))
+                            assert (ref[near] == row[near]).all()
 
     def test_full_window_skips_the_gemm(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -453,7 +458,7 @@ class TestWindowedRanking:
         params = ModelParams.random(n + 1, 2, d, d, rng)
         ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
         for slot in ("head", "tail"):
-            (row,) = ctx.stage1(slot, [n], [np.array([0])], n + 1)
+            ((row, _),) = ctx.stage1(slot, [n], [np.array([0])], n + 1)
             assert row.tobytes() == reference_stage1(ctx, n, slot).tobytes()
 
     @settings(max_examples=200, deadline=None)

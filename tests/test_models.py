@@ -13,6 +13,7 @@ from oracles import (
     gap_energy_and_grads,
     path_score_term,
     score_transe,
+    transe_energy_and_grads,
     transr_energy_and_grads,
 )
 from pathkge.models import (
@@ -25,9 +26,9 @@ from pathkge.models import (
     relation_rows,
     score_ptransr,
     score_transr,
-    transe_energy_and_grads,
 )
 from pathkge.paths import PathTable, build_path_table
+from pathkge.trainer import _translation_grads
 
 GRID = 2.0 ** -10  # grid step that keeps values and perturbations exact in f32
 
@@ -166,16 +167,22 @@ class TestScores:
                     assert_grad_close(gM[a, b], central_diff(f, p.proj, (r, a, b)))
 
     def test_transe_grads_match_finite_differences(self):
+        # The warm start's level kernel, on a fact and a corruption stacked
+        # as the trainer gathers them from the entity-then-relation rows.
         rng = np.random.default_rng(5)
         p = grid_params(rng, 3, 2, 4, 4)
-        h, r, t = 0, 1, 2
+        triples = [(0, 1, 2), (1, 1, 2), (2, 0, 0)]
         for norm in ("L1", "L2"):
-            e, gh, gt, gr = transe_energy_and_grads(p, h, r, t, norm)
-            assert e == pytest.approx(score_transe(p, h, r, t, norm))
-            f = lambda: score_transe(p, h, r, t, norm)
-            for j in range(4):
-                assert_grad_close(gh[j], central_diff(f, p.entity_emb, (h, j)))
-                assert_grad_close(gr[j], central_diff(f, p.relation_emb, (r, j)))
+            stacked = np.concatenate((p.entity_emb, p.relation_emb))
+            ids = [i for h, r, t in triples for i in (h, p.n_entities + r, t)]
+            energies, grads = _translation_grads(stacked[ids], norm)
+            for (h, r, t), e, g in zip(triples, energies, grads):
+                assert e == score_transe(p, h, r, t, norm)
+                f = lambda: score_transe(p, h, r, t, norm)
+                for j in range(4):
+                    assert_grad_close(g[j], central_diff(f, p.entity_emb, (h, j)))
+                    assert_grad_close(-g[j], central_diff(f, p.entity_emb, (t, j)))
+                    assert_grad_close(g[j], central_diff(f, p.relation_emb, (r, j)))
 
 
 def path_gap(params: ModelParams, path: tuple[int, ...], r: int) -> np.ndarray:

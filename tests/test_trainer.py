@@ -4,20 +4,24 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
-from oracles import batch_step, sample_negative, validation_mean_rank
+from oracles import batch_step, sample_negative, validation_mean_rank, warm_epoch
 from pathkge import trainer
 from pathkge.evaluator import _RelationContext
 from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import (
+    EpochStats,
     TrainConfig,
     TrainError,
     _draw_batch,
@@ -122,17 +126,17 @@ class TestNegativeSampling:
         rng = np.random.default_rng(0)
         h, r, t = (int(x) for x in small_graph.train[0])
         for _ in range(20):
-            h2, r2, t2 = _draw_negative(small_graph, h, r, t, 1.0, rng)
+            (h2, r2, t2), _ = _draw_negative(small_graph, h, r, t, 1.0, rng)
             assert (r2, t2) == (r, t) and h2 != h
             assert not small_graph.in_train(h2, r2, t2)
-            h2, r2, t2 = _draw_negative(small_graph, h, r, t, 0.0, rng)
+            (h2, r2, t2), _ = _draw_negative(small_graph, h, r, t, 0.0, rng)
             assert (h2, r2) == (h, r) and t2 != t
             assert not small_graph.in_train(h2, r2, t2)
 
     def test_relation_corruption(self, tri_graph):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            h2, r2, t2 = _draw_negative(tri_graph, 0, 0, 1, None, rng)
+            (h2, r2, t2), _ = _draw_negative(tri_graph, 0, 0, 1, None, rng)
             assert r2 != 0
             assert (h2, t2) == (0, 1)
 
@@ -306,6 +310,61 @@ class TestBatchStep:
 
 
 class TestWarmStart:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(3, 5), st.sampled_from(["L1", "L2"]),
+        st.sampled_from(["uniform", "bernoulli"]), st.booleans(), st.data(),
+    )
+    def test_level_epochs_are_the_per_fact_epochs(self, seed, n_ent, norm, neg_mode, decay, data):
+        # Bit for bit: parameters, counters, every fact's loss and the RNG.
+        # On 3-5 entities with a self loop, corruptions often land on the
+        # fact's own rows (t' = h, h' = t), so repeated rows are merged.
+        rng = np.random.default_rng(seed)
+        n_rel = int(rng.integers(1, 3))
+        triples = [
+            (int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+            for _ in range(int(rng.integers(1, 3 * n_ent)))
+        ] + [(0, 0, 0)]
+        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
+        known = set(map(tuple, g.train.tolist()))
+        for h, r, t in known:  # every fact has a corruption of both slots
+            assume(any((e, r, t) not in known for e in range(n_ent)))
+            assume(any((h, r, e) not in known for e in range(n_ent)))
+        n = len(g.train)
+        dim = data.draw(st.integers(2, 6))
+        cfg = tiny_cfg(
+            stage="transe", dim_entity=dim, dim_relation=dim, norm=norm, neg_mode=neg_mode,
+            lr_decay=decay, epochs=3, lr=data.draw(st.sampled_from([0.05, 0.5])),
+            margin=data.draw(st.sampled_from([0.2, 1.0, 4.0])),
+            batch_size=data.draw(st.integers(1, n)),
+        )
+        ours = ModelParams.random(n_ent, g.n_relations, dim, dim, rng)
+        ref = ours.copy()
+        probs = _head_probs(g, neg_mode)
+        ours_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        losses = []
+        level_batch = trainer._warm_batch
+
+        def spy(*args):
+            out = level_batch(*args)
+            losses.append(out[0])
+            return out
+
+        for epoch in range(cfg.epochs):  # each lr of the decay
+            lr = cfg.lr * (1.0 - epoch / cfg.epochs) if decay else cfg.lr
+            losses.clear()
+            with mock.patch.object(trainer, "_warm_batch", spy):
+                stats = _run_epoch(g, None, ours, cfg, ours_rng, probs, lr, epoch)
+            want, violations, redraws = warm_epoch(g, ref, cfg, ref_rng, probs, lr)
+            assert np.concatenate(losses).tobytes() == np.array(want).tobytes()
+            loss_sum = 0.0
+            for loss in want:
+                loss_sum += loss
+            assert stats == EpochStats(loss_sum / n, violations, violations, 0, 0, redraws)
+            for name in ("entity_emb", "relation_emb", "proj"):
+                assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes()
+            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_loss_decreases_and_constraints_hold(self, small_graph):
         records = []
         cfg = tiny_cfg(stage="transe", epochs=30, lr=0.05)
@@ -379,8 +438,14 @@ class TestTrain:
             assert rec["violations"] == rec["fact_violations"] + rec["path_violations"]
             assert all(isinstance(rec[c], int) and rec[c] >= 0 for c in counters)
         assert all(sum(r[c] for r in projected) > 0 for c in counters)
+        # A warm-start epoch has fact hinges only, and no projection matrix.
         warm = [r for r in records if r.get("stage") == "transe"]
-        assert warm and not any(c in r for r in warm for c in counters)
+        assert len(warm) == 2
+        for rec in warm:
+            assert rec["fact_violations"] == rec["violations"]
+            assert isinstance(rec["redraws"], int) and rec["redraws"] >= 0
+            assert "path_violations" not in rec and "rescaled" not in rec
+        assert sum(r["redraws"] for r in warm) > 0
         config = (out / "config.txt").read_text()
         assert not any(c in config for c in counters)
         # The counters are the epoch's sums of what each batch step returns.
