@@ -52,6 +52,7 @@ from pathkge.paths import (
     build_path_table,
 )
 from pathkge.trainer import (
+    CHOICES,
     TrainConfig,
     TrainError,
     load_config_file,
@@ -374,29 +375,15 @@ def cmd_extract_paths(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRAIN_FLAG_KEYS = (
-    "stage", "dim_entity", "dim_relation", "lr", "margin", "margin1",
-    "margin2", "batch_size", "epochs", "norm", "neg_mode", "seed",
-    "warm_lr", "warm_margin", "warm_epochs", "patience", "checkpoint_every",
-)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    file_updates: dict[str, str] = {}
-    if args.config:
-        file_updates = load_config_file(args.config)
-    stage = args.stage or file_updates.get("stage", "ptransr")
-    cfg = TrainConfig.defaults_for_stage(stage).with_updates(file_updates)
+    file_updates = load_config_file(args.config) if args.config else {}
     flag_updates = {
         key: getattr(args, key)
-        for key in _TRAIN_FLAG_KEYS
+        for key in TrainConfig().as_dict()
         if getattr(args, key) is not None
     }
-    if args.lr_decay:
-        flag_updates["lr_decay"] = True
-    if args.early_stop:
-        flag_updates["early_stop"] = True
-    cfg = cfg.with_updates(flag_updates)
+    updates = {**file_updates, **flag_updates}  # flags win over the file
+    cfg = TrainConfig.defaults_for_stage(updates.get("stage", "ptransr")).with_updates(updates)
     cfg.validate()
 
     g = _load_graph(args)
@@ -521,8 +508,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     params = ModelParams.load(args.model)
     if params.n_entities != g.n_entities or params.n_relations != g.n_relations:
         raise ModelError("model shape does not match the dataset")
-    ent_id = {name: i for i, name in enumerate(g.vocab.entity_names)}
-    rel_id = {name: i for i, name in enumerate(g.vocab.relation_names)}
+    ent_id, rel_id = g.vocab.entity_index, g.vocab.relation_index
 
     # Every argument is checked before anything is printed.
     names = [] if args.entity is None else [args.entity]
@@ -629,27 +615,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("train", help="train one stage of the pipeline")
     _add_data_args(p)
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--stage", choices=("transe", "transr", "ptransr"))
     p.add_argument("--table", help="path table (.ptbl), required for ptransr")
     p.add_argument("--init", help="warm-start model file (.ptrm)")
-    p.add_argument("--dim-entity", dest="dim_entity", type=int)
-    p.add_argument("--dim-relation", dest="dim_relation", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--margin1", type=float)
-    p.add_argument("--margin2", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--norm", choices=("L1", "L2"))
-    p.add_argument("--neg-mode", dest="neg_mode", choices=("uniform", "bernoulli"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--warm-lr", dest="warm_lr", type=float)
-    p.add_argument("--warm-margin", dest="warm_margin", type=float)
-    p.add_argument("--warm-epochs", dest="warm_epochs", type=int)
-    p.add_argument("--lr-decay", action="store_true", default=None)
-    p.add_argument("--early-stop", action="store_true", default=None)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
+    # One flag per config key, its value coerced and checked by TrainConfig.
+    for key, value in TrainConfig().as_dict().items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            p.add_argument(flag, action="store_true", default=None)
+        elif key in CHOICES:
+            p.add_argument(flag, metavar="{" + ",".join(CHOICES[key]) + "}")
+        else:
+            p.add_argument(flag)
     p.add_argument("--out", help="run dir (default runs/train-<stamp>-seed<seed>)")
     p.set_defaults(func=cmd_train)
 

@@ -113,6 +113,8 @@ class KnowledgeGraph:
         augmented: bool = False,
     ) -> None:
         self.vocab = vocab
+        self.n_entities = vocab.n_entities
+        self.n_relations = vocab.n_relations  # doubled once augmented
         self.train = train
         self.valid = valid
         self.test = test
@@ -204,15 +206,6 @@ class KnowledgeGraph:
         return _distinct(self.train[:, 0].astype(np.int64) * self.n_entities + self.train[:, 2])
 
     # -- basic properties ---------------------------------------------
-
-    @property
-    def n_entities(self) -> int:
-        return self.vocab.n_entities
-
-    @property
-    def n_relations(self) -> int:
-        """Relation count in the current space (doubled once augmented)."""
-        return self.vocab.n_relations
 
     @property
     def original_train(self) -> np.ndarray:

@@ -275,8 +275,8 @@ def _collect_head(g: KnowledgeGraph, h: int, cap: int) -> tuple[np.ndarray, np.n
 
     uoff, urel, udst, ushare = g.unique_adjacency()
     own = slice(uoff[h], uoff[h + 1])
+    # Every edge of h is a train fact, so its end is a train-pair tail of h.
     rels1, dsts1, w1 = urel[own].astype(np.int64), udst[own], ushare[own]
-    one = is_tail[dsts1]
 
     # Expand every two-hop walk at once, then sum flows per
     # (r1, r2, target) with a stable sort so summation order is fixed.
@@ -289,9 +289,9 @@ def _collect_head(g: KnowledgeGraph, h: int, cap: int) -> tuple[np.ndarray, np.n
     )
     r1, r2 = np.divmod(key // n_ent, n_rel)
 
-    t = np.concatenate((dsts1[one].astype(np.int64), key % n_ent))
-    code = np.concatenate((rels1[one] * (n_rel + 1), r1 * (n_rel + 1) + r2 + 1))
-    v = np.concatenate((w1[one], flow))
+    t = np.concatenate((dsts1.astype(np.int64), key % n_ent))
+    code = np.concatenate((rels1 * (n_rel + 1), r1 * (n_rel + 1) + r2 + 1))
+    v = np.concatenate((w1, flow))
     # Memory guard: keep each pair's ``cap`` strongest flows; break flow
     # ties by path order so the selection is deterministic.
     order = np.lexsort((code, -v, t))

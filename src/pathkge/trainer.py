@@ -27,10 +27,11 @@ and seed.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Literal, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -47,11 +48,15 @@ from pathkge.models import (
 )
 from pathkge.paths import PathTable, expand_spans
 
-Stage = Literal["transe", "transr", "ptransr"]
-
-STAGES = ("transe", "transr", "ptransr")
-NEG_MODES = ("uniform", "bernoulli")
-NORMS = ("L1", "L2")
+# The allowed values of each choice field of TrainConfig.
+CHOICES = {
+    "stage": ("transe", "transr", "ptransr"),
+    "norm": ("L1", "L2"),
+    "neg_mode": ("uniform", "bernoulli"),
+}
+# How a config string reads as a boolean, and what each field type is called.
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_KINDS = {bool: "boolean", int: "integer", float: "number"}
 MAX_NEGATIVE_ATTEMPTS = 100
 
 
@@ -61,7 +66,8 @@ class TrainError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a training run needs; mirrors the key=value config file."""
+    """Everything a training run needs: its fields are the keys of the
+    key=value config file and, with ``_`` written ``-``, the ``train`` flags."""
 
     stage: str = "ptransr"
     dim_entity: int = 50
@@ -84,21 +90,16 @@ class TrainConfig:
     warm_epochs: int = 1000
 
     def validate(self) -> None:
-        if self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
-        if self.norm not in NORMS:
-            raise ValueError(f"unknown norm {self.norm!r}")
-        if self.neg_mode not in NEG_MODES:
-            raise ValueError(f"unknown negative-sampling mode {self.neg_mode!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
         for name in ("dim_entity", "dim_relation", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("lr", "warm_lr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("margin", "margin1", "margin2", "warm_margin"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("lr", "warm_lr", "margin", "margin1", "margin2", "warm_margin"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN too
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("epochs", "warm_epochs", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -125,16 +126,10 @@ class TrainConfig:
                 raise ValueError(f"unknown config key {key!r}")
             kind = fields[key]
             if isinstance(value, str) and kind is not str:
-                if kind is bool:
-                    low = value.strip().lower()
-                    if low in ("true", "1", "yes"):
-                        value = True
-                    elif low in ("false", "0", "no"):
-                        value = False
-                    else:
-                        raise ValueError(f"bad boolean for {key!r}: {value!r}")
-                else:
-                    value = kind(value)
+                try:
+                    value = _BOOLEANS[value.strip().lower()] if kind is bool else kind(value)
+                except (KeyError, ValueError):
+                    raise ValueError(f"bad {_KINDS[kind]} for {key!r}: {value!r}") from None
             coerced[key] = value
         return replace(self, **coerced)
 
@@ -311,7 +306,7 @@ _CHUNK = 256
 
 
 class EpochStats(NamedTuple):
-    mean_loss: float
+    loss: float           # mean over the epoch's facts
     violations: int       # fact_violations + path_violations
     fact_violations: int
     path_violations: int
@@ -608,6 +603,44 @@ def _validation_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
 # -- orchestration -----------------------------------------------------------
 
 
+def _fit(
+    g: KnowledgeGraph, paths: _FactPaths | None, params: ModelParams, cfg: TrainConfig,
+    rng: np.random.Generator, emit: Callable[[dict], None] | None, t0: float, out: Path | None,
+) -> None:
+    """Train ``params`` in place for ``cfg.epochs`` epochs of ``cfg.stage``
+    (``paths`` None for the warm start): lr decay, one record per epoch,
+    the early stop and the checkpoints under ``out``."""
+    head_probs = _head_probs(g, cfg.neg_mode)
+    best = np.inf
+    since_best = 0
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr * (1.0 - epoch / cfg.epochs) if cfg.lr_decay else cfg.lr
+        stats = _run_epoch(g, paths, params, cfg, rng, head_probs, lr, epoch)
+        record = {"stage": cfg.stage, "epoch": epoch, **stats._asdict(),
+                  "wall_time": time.perf_counter() - t0}
+        if cfg.stage == "transe":  # the warm start has no path hinge or M_r
+            del record["path_violations"], record["rescaled"]
+        if cfg.early_stop:
+            metric = _validation_mean_rank(params, g)
+            record["valid_mean_rank"] = metric
+            if metric < best - 1e-12:
+                best = metric
+                since_best = 0
+            else:
+                since_best += 1
+        if emit is not None:
+            emit(record)
+        if out is not None and cfg.checkpoint_every > 0 and (
+            (epoch + 1) % cfg.checkpoint_every == 0
+        ):
+            ckpt_dir = out / "checkpoints"
+            ckpt_dir.mkdir(exist_ok=True)
+            params.save(ckpt_dir / f"epoch_{epoch + 1:05d}.ptrm")
+        if cfg.early_stop and since_best >= cfg.patience:
+            emit({"event": "early_stop", "epoch": epoch, "best": best})
+            break
+
+
 def init_transe(
     g: KnowledgeGraph,
     config: TrainConfig,
@@ -620,34 +653,18 @@ def init_transe(
     projection tensor stays identity throughout.  All embedding rows are
     unit-normalized on return.
     """
-    config.validate()
+    cfg = replace(config, stage="transe")
+    cfg.validate()
     if not g.augmented:
         raise TrainError("training expects an inverse-augmented graph")
-    if config.dim_entity != config.dim_relation:
+    if cfg.dim_entity != cfg.dim_relation:
         raise TrainError("warm start needs dim_entity == dim_relation")
     if rng is None:
-        rng = np.random.default_rng(config.seed)
-    cfg = replace(config, stage="transe")
+        rng = np.random.default_rng(cfg.seed)
     params = ModelParams.random(
         g.n_entities, g.n_relations, cfg.dim_entity, cfg.dim_relation, rng
     )
-    head_probs = _head_probs(g, cfg.neg_mode)
-    t0 = time.perf_counter()
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr * (1.0 - epoch / cfg.epochs) if cfg.lr_decay else cfg.lr
-        stats = _run_epoch(g, None, params, cfg, rng, head_probs, lr, epoch)
-        if emit is not None:
-            emit(
-                {
-                    "stage": "transe",
-                    "epoch": epoch,
-                    "loss": stats.mean_loss,
-                    "violations": stats.violations,
-                    "fact_violations": stats.fact_violations,
-                    "redraws": stats.redraws,
-                    "wall_time": time.perf_counter() - t0,
-                }
-            )
+    _fit(g, None, params, cfg, rng, emit, time.perf_counter(), None)
     project_constraints(
         params, range(g.n_entities), range(g.n_relations), ()
     )
@@ -717,7 +734,6 @@ def train(
             if init_params is None:
                 warm = replace(
                     config,
-                    stage="transe",
                     lr=config.warm_lr,
                     margin=config.warm_margin,
                     epochs=config.warm_epochs,
@@ -737,42 +753,7 @@ def train(
                     config.dim_relation,
                 ):
                     raise TrainError("initial model dimensions disagree with config")
-            head_probs = _head_probs(g, config.neg_mode)
-            paths = _fact_paths(g, table)
-            best = np.inf
-            since_best = 0
-            for epoch in range(config.epochs):
-                lr = config.lr * (1.0 - epoch / config.epochs) if config.lr_decay else config.lr
-                stats = _run_epoch(g, paths, params, config, rng, head_probs, lr, epoch)
-                record = {
-                    "stage": config.stage,
-                    "epoch": epoch,
-                    "loss": stats.mean_loss,
-                    "violations": stats.violations,
-                    "fact_violations": stats.fact_violations,
-                    "path_violations": stats.path_violations,
-                    "rescaled": stats.rescaled,
-                    "redraws": stats.redraws,
-                    "wall_time": time.perf_counter() - t0,
-                }
-                if config.early_stop:
-                    metric = _validation_mean_rank(params, g)
-                    record["valid_mean_rank"] = metric
-                    if metric < best - 1e-12:
-                        best = metric
-                        since_best = 0
-                    else:
-                        since_best += 1
-                emit(record)
-                if out is not None and config.checkpoint_every > 0 and (
-                    (epoch + 1) % config.checkpoint_every == 0
-                ):
-                    ckpt_dir = out / "checkpoints"
-                    ckpt_dir.mkdir(exist_ok=True)
-                    params.save(ckpt_dir / f"epoch_{epoch + 1:05d}.ptrm")
-                if config.early_stop and since_best >= config.patience:
-                    emit({"event": "early_stop", "epoch": epoch, "best": best})
-                    break
+            _fit(g, _fact_paths(g, table), params, config, rng, emit, t0, out)
 
         if out is not None:
             params.save(out / "model.ptrm")

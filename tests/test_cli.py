@@ -12,6 +12,7 @@ from pathkge import cli
 from pathkge.cli import SynthError, SyntheticKGSpec, generate_synthetic_kg
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable
+from pathkge.trainer import TrainConfig, load_config_file
 
 
 def small_spec(**kw) -> SyntheticKGSpec:
@@ -448,6 +449,104 @@ class TestVerbs:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
+
+
+# Two non-default values of every TrainConfig field: one set by --config,
+# one by a flag (a boolean flag can only switch its field on).
+FILE_VALUES = dict(
+    stage="transr", dim_entity=5, dim_relation=5, lr=0.5, margin=2.0, margin1=3.0,
+    margin2=4.0, batch_size=9, epochs=3, norm="L1", neg_mode="bernoulli", seed=3,
+    lr_decay=True, early_stop=True, patience=4, checkpoint_every=2, warm_lr=0.25,
+    warm_margin=1.5, warm_epochs=2,
+)
+FLAG_VALUES = dict(
+    stage="ptransr", dim_entity=4, dim_relation=4, lr=0.125, margin=2.5, margin1=3.5,
+    margin2=0.5, batch_size=11, epochs=2, norm="L1", neg_mode="bernoulli", seed=8,
+    lr_decay=True, early_stop=True, patience=3, checkpoint_every=1, warm_lr=0.75,
+    warm_margin=0.25, warm_epochs=1,
+)
+
+
+def config_text(values: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def flags(values: dict) -> list[str]:
+    out = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        out += [flag] if value is True else [flag, str(value)]
+    return out
+
+
+def saved_config(run: Path) -> TrainConfig:
+    return TrainConfig().with_updates(load_config_file(run / "config.txt"))
+
+
+class TestTrainFlags:
+    def test_one_flag_per_config_key(self):
+        args = cli.build_parser().parse_args(["train"])
+        verb_args = {"verb", "func", "data", "order", "config", "table", "init", "out"}
+        assert set(vars(args)) - verb_args == set(TrainConfig().as_dict())
+        assert set(FILE_VALUES) == set(FLAG_VALUES) == set(TrainConfig().as_dict())
+
+    def test_every_key_by_file_and_by_flag_and_the_flag_wins(self, ws, tmp_path):
+        data = ["train", "--data", str(ws["data"])]
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(config_text(FILE_VALUES))
+        assert cli.main([*data, "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert saved_config(tmp_path / "a") == TrainConfig(**FILE_VALUES)
+        # The file switches the booleans off, and the flags switch them on.
+        cfg.write_text(config_text({**FILE_VALUES, "lr_decay": False, "early_stop": False}))
+        assert cli.main([
+            *data, "--config", str(cfg), "--table", str(ws["table"]), *flags(FLAG_VALUES),
+            "--out", str(tmp_path / "b"),
+        ]) == 0
+        assert saved_config(tmp_path / "b") == TrainConfig(**FLAG_VALUES)
+        # A run's config.txt, read back, writes the same config.txt.
+        assert cli.main([
+            *data, "--config", str(tmp_path / "b" / "config.txt"), "--table", str(ws["table"]),
+            "--out", str(tmp_path / "c"),
+        ]) == 0
+        assert (tmp_path / "c" / "config.txt").read_bytes() == (
+            tmp_path / "b" / "config.txt"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key, value", [
+        ("stage", "blah"), ("norm", "L3"), ("neg_mode", "fancy"),  # unknown choice
+        ("epochs", "abc"), ("batch_size", "1.5"),                  # not an integer
+        ("lr", "abc"), ("warm_margin", "1e"),                      # not a number
+    ])
+    def test_a_bad_value_ends_in_one_error_line(self, ws, tmp_path, capsys, source, key, value):
+        run = tmp_path / "run"
+        argv = ["train", "--data", str(ws["data"]), "--out", str(run)]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            (tmp_path / "bad.cfg").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err and repr(value) in err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["lr", "warm_lr", "margin", "margin1", "margin2", "warm_margin"])
+    def test_non_finite_hyperparameters_are_refused(self, ws, tmp_path, capsys, key, value):
+        # Refused before any epoch runs, not after the warm start.
+        run = tmp_path / "run"
+        capsys.readouterr()
+        rc = cli.main([
+            "train", "--data", str(ws["data"]), "--stage", "transr", "--warm-epochs", "100",
+            "--" + key.replace("_", "-"), value, "--out", str(run),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {key} ") and value in err and err.count("\n") == 1
+        assert not run.exists()
 
 
 class TestPlumbing:

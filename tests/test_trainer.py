@@ -18,7 +18,7 @@ from oracles import batch_step, sample_negative, validation_mean_rank, warm_epoc
 from pathkge import trainer
 from pathkge.evaluator import _RelationContext
 from pathkge.kgdata import KnowledgeGraph
-from pathkge.models import ModelParams
+from pathkge.models import ModelError, ModelParams
 from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import (
     EpochStats,
@@ -353,17 +353,27 @@ class TestWarmStart:
         for epoch in range(cfg.epochs):  # each lr of the decay
             lr = cfg.lr * (1.0 - epoch / cfg.epochs) if decay else cfg.lr
             losses.clear()
-            with mock.patch.object(trainer, "_warm_batch", spy):
-                stats = _run_epoch(g, None, ours, cfg, ours_rng, probs, lr, epoch)
-            want, violations, redraws = warm_epoch(g, ref, cfg, ref_rng, probs, lr)
-            assert np.concatenate(losses).tobytes() == np.array(want).tobytes()
-            loss_sum = 0.0
-            for loss in want:
-                loss_sum += loss
-            assert stats == EpochStats(loss_sum / n, violations, violations, 0, 0, redraws)
+            try:
+                want, violations, redraws = warm_epoch(g, ref, cfg, ref_rng, probs, lr)
+            except ModelError:
+                # A large L1 step can move a row to exactly zero, which cannot
+                # be renormalized: the levels must stop at the same batch.
+                with pytest.raises(ModelError, match="zero vector"):
+                    _run_epoch(g, None, ours, cfg, ours_rng, probs, lr, epoch)
+                want = None
+            else:
+                with mock.patch.object(trainer, "_warm_batch", spy):
+                    stats = _run_epoch(g, None, ours, cfg, ours_rng, probs, lr, epoch)
+                assert np.concatenate(losses).tobytes() == np.array(want).tobytes()
+                loss_sum = 0.0
+                for loss in want:
+                    loss_sum += loss
+                assert stats == EpochStats(loss_sum / n, violations, violations, 0, 0, redraws)
             for name in ("entity_emb", "relation_emb", "proj"):
                 assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes()
             assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+            if want is None:
+                return
 
     def test_loss_decreases_and_constraints_hold(self, small_graph):
         records = []
@@ -575,7 +585,7 @@ class TestTrain:
         p = ModelParams.random(small_graph.n_entities, small_graph.n_relations, 6, 6, rng)
         table = build_path_table(small_graph, reliability_floor=0.0)
         stats = train_epoch_ptransr(small_graph, table, p, tiny_cfg(), rng)
-        assert np.isfinite(stats.mean_loss)
+        assert np.isfinite(stats.loss)
         assert stats.violations > 0
 
     def test_fact_paths_match_oracle(self):
