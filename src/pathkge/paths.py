@@ -246,15 +246,19 @@ class PathTable:
 
 
 def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum ``val`` over equal keys after a stable sort, so each sum adds in
-    input order: (distinct keys, sums, the run of every input row)."""
+    """Sum ``val`` over equal keys, each sum adding one by one in input
+    order: (distinct keys, sums, the run of every input row).
+
+    ``np.bincount`` adds sequentially; ``np.add.reduceat`` would add a run
+    of eight or more values pairwise and round differently.
+    """
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = _firsts(key)
     starts = np.flatnonzero(first)
     run = np.empty(len(key), dtype=np.int64)
     run[order] = np.cumsum(first) - 1
-    sums = np.add.reduceat(val[order], starts) if len(starts) else np.zeros(0)
+    sums = np.bincount(run, weights=val, minlength=len(starts))
     return key[starts], sums, run
 
 
@@ -357,7 +361,11 @@ def build_path_table(
     # P(r | p) = joint flow of (p, r) / total linked flow of p.
     joint_key, joint, row_joint = _sum_runs(pid[row_entry] * n_rel + row_rel, flows[row_entry])
     joint_pid, joint_rel = np.divmod(joint_key, n_rel)
-    support = np.bincount(joint_pid, weights=joint, minlength=len(path_codes))
+    # The support adds the rows themselves, pair by pair and relation by
+    # relation, not the per-relation joints: summing in another order
+    # rounds differently, and a reliability that is exactly the floor
+    # would then fall on either side of it.
+    support = np.bincount(pid[row_entry], weights=flows[row_entry], minlength=len(path_codes))
     relat = np.zeros(len(joint))
     np.divide(joint, support[joint_pid], out=relat, where=support[joint_pid] > 0.0)
 
