@@ -11,7 +11,6 @@ from pathkge.evaluator import (
     RankReport,
     RankResult,
     evaluate,
-    rank_entities,
 )
 from pathkge.kgdata import (
     DatasetError,
@@ -49,7 +48,6 @@ __all__ = [
     "evaluate",
     "generate_synthetic_kg",
     "load_dataset",
-    "rank_entities",
     "score_ptransr",
     "score_transr",
     "train",

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -33,14 +34,13 @@ from pathkge.evaluator import (
 )
 from pathkge.kgdata import (
     CATEGORY_LABELS,
+    DEFAULT_CATEGORY_CUTOFF,
     FREQUENCY_BUCKETS,
     DatasetError,
     KnowledgeGraph,
     augment_inverse,
-    classify_relations,
-    frequency_bucket,
     load_dataset,
-    relation_train_counts,
+    relation_breakdown,
     write_vocab_dumps,
 )
 from pathkge.models import ModelError, ModelParams, compose_paths, relation_rows
@@ -323,23 +323,16 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_vocab_dumps(g, out)
 
-    freq = relation_train_counts(g)
-    categories = classify_relations(g)
-    cat_hist = {label: 0 for label in CATEGORY_LABELS}
-    for cat in categories.values():
-        if cat is not None:
-            cat_hist[cat.category] += 1
-    freq_hist = {b: 0 for b in FREQUENCY_BUCKETS}
-    for r in range(g.n_relations_orig):
-        if freq[r] >= 1:
-            freq_hist[frequency_bucket(int(freq[r]))] += 1
+    def histogram(index: np.ndarray, labels: tuple[str, ...]) -> dict[str, int]:
+        return dict(zip(labels, np.bincount(index[index >= 0], minlength=len(labels)).tolist()))
 
+    categories, buckets = relation_breakdown(g)
     counts = g.counts()
     stats = {
         **counts,
         "relations_with_inverses": g.n_relations,
-        "relation_categories": cat_hist,
-        "relation_frequency_buckets": freq_hist,
+        "relation_categories": histogram(categories, CATEGORY_LABELS),
+        "relation_frequency_buckets": histogram(buckets, FREQUENCY_BUCKETS),
     }
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, sort_keys=True, indent=2)
@@ -428,7 +421,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         table = _load_table(args.table, g)
     else:
         table = PathTable.empty(g.n_entities)
-    protocol = "raw" if args.protocol == "raw" else "filter"
 
     report = evaluate(
         params,
@@ -437,7 +429,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         split=args.split,
         rerank_k=args.rerank_k,
         tie_policy=args.tie_policy,
-        protocol=protocol,
         category_cutoff=args.category_cutoff,
     )
     out = _run_dir(args, "evaluate", 0)
@@ -448,7 +439,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "split": args.split,
         "rerank_k": args.rerank_k,
         "tie_policy": args.tie_policy,
-        "protocol": args.protocol,
         "category_cutoff": args.category_cutoff,
     }
     write_report_text(report, out / "report.txt")
@@ -590,7 +580,9 @@ def _add_data_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pathkge",
         description="knowledge-graph embeddings with path regularization",
@@ -637,9 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rerank-k", dest="rerank_k", type=int, default=DEFAULT_RERANK_K)
     p.add_argument("--tie-policy", dest="tie_policy",
                    choices=("pessimistic", "mean"), default="pessimistic")
-    p.add_argument("--protocol", choices=("raw", "filter", "both"), default="both")
     p.add_argument("--category-cutoff", dest="category_cutoff", type=float,
-                   default=1.5)
+                   default=DEFAULT_CATEGORY_CUTOFF)
     p.add_argument("--out", help="run dir (default runs/evaluate-<stamp>)")
     p.set_defaults(func=cmd_evaluate)
 

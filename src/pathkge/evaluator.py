@@ -7,9 +7,9 @@ re-scored by the full model applied in both directions, i.e. the score of
 (e, r, t) plus the score of (t, r^-1, e).  Candidates outside the rerank
 window keep their first-stage order below the window.
 
-Raw metrics rank against every candidate; filtered metrics drop
-candidates that form a known-true fact (the gold entity is never
-dropped).
+Every instance gets both ranks: the raw rank counts every candidate, the
+filtered rank drops candidates that form a known-true fact (the gold
+entity is never dropped).
 """
 
 from __future__ import annotations
@@ -24,18 +24,17 @@ import numpy as np
 
 from pathkge.kgdata import (
     CATEGORY_LABELS,
+    DEFAULT_CATEGORY_CUTOFF,
     FREQUENCY_BUCKETS,
     KnowledgeGraph,
     _firsts,
-    classify_relations,
-    frequency_bucket,
-    relation_train_counts,
+    relation_breakdown,
 )
 from pathkge.models import ModelParams, path_score_terms
 from pathkge.paths import PathTable
 
 TiePolicy = Literal["pessimistic", "mean"]
-Protocol = Literal["raw", "filter"]
+SLOTS = ("head", "tail")  # the order in which a fact's two instances are reported
 
 DEFAULT_RERANK_K = 500
 HITS_CUTOFF = 10
@@ -61,7 +60,7 @@ class RankResult:
     r: int
     t: int
     raw_rank: int
-    filtered_rank: int | None
+    filtered_rank: int
     in_window: bool  # the gold entity was in the stage-1 rerank window
 
 
@@ -70,15 +69,14 @@ class RankReport:
     """Aggregate metrics over one split plus the per-instance ranks."""
 
     split: str
-    protocol: str
     tie_policy: str
     rerank_k: int
     n_triples: int
     n_instances: int
     mean_rank_raw: float
-    mean_rank_filter: float | None
+    mean_rank_filter: float
     hits10_raw: float
-    hits10_filter: float | None
+    hits10_filter: float
     per_category: dict[str, dict[str, dict[str, float | int]]]
     per_frequency: dict[str, dict[str, float | int]]
     unclassified_instances: int
@@ -88,7 +86,6 @@ class RankReport:
     def to_dict(self) -> dict:
         return {
             "split": self.split,
-            "protocol": self.protocol,
             "tie_policy": self.tie_policy,
             "rerank_k": self.rerank_k,
             "n_triples": self.n_triples,
@@ -216,15 +213,19 @@ def _groups(keys: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
 
 
 def _queries(
-    facts: np.ndarray,
-) -> Iterator[tuple[str, list[int], list[np.ndarray], list[np.ndarray]]]:
-    """The distinct queries of one relation's facts, per slot: (slot,
-    anchors, rows, golds), where ``rows[i]`` are the positions in ``facts``
-    of every fact whose other slot holds ``anchors[i]`` and ``golds[i]``
-    their entities in the slot."""
-    for slot, anchor_col, gold_col in (("head", 2, 0), ("tail", 0, 2)):
-        anchors, rows = _groups(facts[:, anchor_col])
-        yield slot, anchors, rows, [facts[r, gold_col] for r in rows]
+    params: ModelParams, g: KnowledgeGraph, facts: np.ndarray,
+) -> Iterator[tuple[_RelationContext, list[np.ndarray], str, list[int], list[np.ndarray]]]:
+    """The distinct queries of ``facts``, per relation and per slot: (the
+    relation's context, rows, slot, anchors, golds), where ``rows[i]`` are
+    the rows of ``facts`` whose other slot holds ``anchors[i]`` and
+    ``golds[i]`` their entities in the slot."""
+    ent = params.entity_emb.astype(np.float64)
+    for r, idxs in zip(*_groups(facts[:, 1])):
+        ctx = _RelationContext(params, g, r, ent)
+        for slot, anchor_col, gold_col in (("head", 2, 0), ("tail", 0, 2)):
+            anchors, rows = _groups(facts[idxs, anchor_col])
+            rows = [idxs[q] for q in rows]
+            yield ctx, rows, slot, anchors, [facts[q, gold_col] for q in rows]
 
 
 def _window(s1: np.ndarray, k: int, near: np.ndarray | None = None) -> np.ndarray:
@@ -245,6 +246,30 @@ def _window(s1: np.ndarray, k: int, near: np.ndarray | None = None) -> np.ndarra
     return window
 
 
+def _window_scores(
+    params: ModelParams, table: PathTable, ctx: _RelationContext, slot: str, anchor: int,
+    s1: np.ndarray, win: np.ndarray,
+) -> np.ndarray:
+    """Full-model scores in both directions of the window entities ``win``,
+    with the path terms of every forward and inverse triple in one batch."""
+    k = len(win)
+    # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.
+    a_inv = ctx.proj_inv[anchor]
+    c_inv = a_inv + ctx.riv if slot == "head" else -(ctx.riv - a_inv)
+    s2 = s1[win] + _sq_norms(c_inv - ctx.proj_inv[win])
+    if table.n_entries:
+        fixed = np.full(k, anchor)
+        fwd_h, fwd_t = (win, fixed) if slot == "head" else (fixed, win)
+        terms = path_score_terms(
+            params, table, np.concatenate((fwd_h, fwd_t)), np.repeat([ctx.r, ctx.r_inv], k),
+            np.concatenate((fwd_t, fwd_h)),
+        )
+        s2 = s2 + (terms[:k] + terms[k:])
+    if not np.isfinite(s2).all():
+        raise EvalError("scores must be finite")
+    return s2
+
+
 def _rank_matrices(
     cand_in: np.ndarray, cand_val: np.ndarray, gold_in: np.ndarray, gold_val: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -256,127 +281,16 @@ def _rank_matrices(
     return above, same & (cand_val == gold_val[:, None])
 
 
-def _gold_ranks(
-    s1: np.ndarray, s2: np.ndarray, window: np.ndarray, golds: np.ndarray,
-    known: np.ndarray, protocol: Protocol, tie_policy: TiePolicy,
-) -> tuple[list[int], list[int] | list[None]]:
-    """Raw and filtered ranks of each gold, scored by s2 (the window's, in
-    entity order) inside the window and by s1 outside it.  The filtered
-    rank drops the known entities other than the gold itself."""
-    val = s1.copy()
-    val[window] = s2
-    gold_in, gold_val = window[golds], val[golds]
-    above, tied = _rank_matrices(window, val, gold_in, gold_val)
-    less, ties = above.sum(axis=1), tied.sum(axis=1)
-    raw = _tie_break(less, ties, tie_policy).tolist()
-    if protocol == "raw":
-        return raw, [None] * len(golds)
-    # Take out what the known entities counted, except each gold's own tie.
-    above, tied = _rank_matrices(window[known], val[known], gold_in, gold_val)
-    tied &= known != golds[:, None]
-    filtered = _tie_break(less - above.sum(axis=1), ties - tied.sum(axis=1), tie_policy)
-    return raw, filtered.tolist()
-
-
-def _rank_queries(
-    params: ModelParams,
-    table: PathTable,
-    g: KnowledgeGraph,
-    ctx: _RelationContext,
-    slot: str,
-    anchors: list[int],
-    golds: list[np.ndarray],
-    protocol: Protocol,
-    rerank_k: int,
-    tie_policy: TiePolicy,
-) -> Iterator[tuple[list[int], list[int] | list[None], list[bool]]]:
-    """Raw and filtered ranks of every gold of each query (relation
-    ``ctx.r``, the other slot holding ``anchors[i]``, golds ``golds[i]``),
-    and whether stage 1 put each in the rerank window.  The window and its
-    full scores depend only on the query, so they are computed once for all
-    of its golds."""
-    r, r_inv = ctx.r, ctx.r_inv
-    for anchor, q_golds, (s1, near) in zip(
-        anchors, golds, ctx.stage1(slot, anchors, golds, rerank_k)
-    ):
-        window = _window(s1, rerank_k, near)
-        win = np.flatnonzero(window)
-        k = len(win)
-        # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.
-        a_inv = ctx.proj_inv[anchor]
-        c_inv = a_inv + ctx.riv if slot == "head" else -(ctx.riv - a_inv)
-        s_inv = _sq_norms(c_inv - ctx.proj_inv[win])
-        known = g.known_heads(r, anchor) if slot == "head" else g.known_tails(anchor, r)
-
-        # Full-model scores in both directions for the rerank window, with
-        # the path terms of every forward and inverse triple in one batch.
-        s2 = s1[win] + s_inv
-        if table.n_entries:
-            fixed = np.full(k, anchor)
-            fwd_h, fwd_t = (win, fixed) if slot == "head" else (fixed, win)
-            terms = path_score_terms(
-                params, table, np.concatenate((fwd_h, fwd_t)), np.repeat([r, r_inv], k),
-                np.concatenate((fwd_t, fwd_h)),
-            )
-            s2 = s2 + (terms[:k] + terms[k:])
-        if not np.isfinite(s2).all():
-            raise EvalError("scores must be finite")
-
-        raw, filtered = _gold_ranks(s1, s2, window, q_golds, known, protocol, tie_policy)
-        yield raw, filtered, window[q_golds].tolist()
-
-
-def rank_entities(
-    params: ModelParams,
-    table: PathTable,
-    g: KnowledgeGraph,
-    triple: tuple[int, int, int],
-    slot: str,
-    protocol: Protocol = "filter",
-    rerank_k: int = DEFAULT_RERANK_K,
-    tie_policy: TiePolicy = "pessimistic",
-) -> RankResult:
-    """Rank every entity as a candidate for one slot of one fact."""
-    _check_eval_args(params, g, rerank_k, protocol, tie_policy, slot=slot)
-    h, r, t = (int(x) for x in triple)
-    if not (0 <= h < g.n_entities and 0 <= t < g.n_entities and 0 <= r < g.n_relations):
-        raise EvalError(f"triple {(h, r, t)} has an id outside the graph")
-    ctx = _RelationContext(params, g, r, params.entity_emb.astype(np.float64))
-    anchor, gold = (t, h) if slot == "head" else (h, t)
-    (ranks,) = _rank_queries(
-        params, table, g, ctx, slot, [anchor], [np.array([gold])], protocol, rerank_k, tie_policy
-    )
-    (raw,), (filtered,), (in_window,) = ranks
-    return RankResult(0, slot, h, r, t, raw, filtered, in_window)
-
-
-def _check_eval_args(
-    params: ModelParams,
-    g: KnowledgeGraph,
-    rerank_k: int,
-    protocol: str,
-    tie_policy: str,
-    slot: str | None = None,
-    category_cutoff: float | None = None,
-) -> None:
-    if not g.augmented:
-        raise EvalError("evaluation expects an inverse-augmented graph")
-    if params.n_entities != g.n_entities or params.n_relations != g.n_relations:
-        raise EvalError(
-            f"model shape ({params.n_entities} entities, {params.n_relations} "
-            f"relations) does not match the graph "
-            f"({g.n_entities}, {g.n_relations})"
-        )
-    if rerank_k < 1:
-        raise EvalError(f"rerank_k must be >= 1, got {rerank_k}")
-    if protocol not in ("raw", "filter"):
-        raise EvalError(f"unknown protocol {protocol!r}")
-    if tie_policy not in ("pessimistic", "mean"):
-        raise EvalError(f"unknown tie policy {tie_policy!r}")
-    if slot is not None and slot not in ("head", "tail"):
-        raise EvalError(f"unknown slot {slot!r}")
-    if category_cutoff is not None and not category_cutoff > 0:  # NaN too
-        raise EvalError(f"category_cutoff must be positive, got {category_cutoff}")
+def valid_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
+    """Raw pessimistic mean rank of both slots of every valid fact by the
+    stage-1 score alone: the early-stopping probe."""
+    if len(g.valid) == 0:
+        raise EvalError("cannot evaluate an empty valid split")
+    ranks: list[np.ndarray] = []
+    for ctx, _, slot, anchors, golds in _queries(params, g, g.valid):
+        for q_golds, (s1, _) in zip(golds, ctx.stage1(slot, anchors, golds, None)):
+            ranks.append((s1 <= s1[q_golds][:, None]).sum(axis=1))  # pessimistic
+    return float(np.mean(np.concatenate(ranks)))
 
 
 # -- split evaluation --------------------------------------------------------
@@ -389,106 +303,113 @@ def evaluate(
     split: str = "test",
     rerank_k: int = DEFAULT_RERANK_K,
     tie_policy: TiePolicy = "pessimistic",
-    protocol: Protocol = "filter",
-    category_cutoff: float = 1.5,
+    category_cutoff: float = DEFAULT_CATEGORY_CUTOFF,
 ) -> RankReport:
-    """Rank both slots of every fact in the split and aggregate metrics."""
+    """Rank both slots of every fact in the split, raw and filtered, and
+    aggregate metrics.
+
+    Each distinct query (relation, slot, entity in the other slot) is
+    ranked once for all of its golds: stage 1 picks the window, the window
+    gets its full scores, and the raw rank of a gold counts the candidates
+    ranked above it and tied with it.  The filtered rank drops the known
+    entities other than the gold itself.
+    """
     if split not in ("valid", "test"):
         raise EvalError(f"unknown split {split!r}")
-    _check_eval_args(
-        params, g, rerank_k, protocol, tie_policy, category_cutoff=category_cutoff
-    )
-    split_triples = getattr(g, split)
-    if len(split_triples) == 0:
+    if not g.augmented:
+        raise EvalError("evaluation expects an inverse-augmented graph")
+    if params.n_entities != g.n_entities or params.n_relations != g.n_relations:
+        raise EvalError(
+            f"model shape ({params.n_entities} entities, {params.n_relations} "
+            f"relations) does not match the graph "
+            f"({g.n_entities}, {g.n_relations})"
+        )
+    if rerank_k < 1:
+        raise EvalError(f"rerank_k must be >= 1, got {rerank_k}")
+    if tie_policy not in ("pessimistic", "mean"):
+        raise EvalError(f"unknown tie policy {tie_policy!r}")
+    if not category_cutoff > 0:  # NaN too
+        raise EvalError(f"category_cutoff must be positive, got {category_cutoff}")
+    facts = getattr(g, split)
+    if len(facts) == 0:
         raise EvalError(f"cannot evaluate an empty {split} split")
+    # A negative id would otherwise index from the end and rank the wrong
+    # entity without a word.
+    ents, rels = facts[:, [0, 2]], facts[:, 1]
+    if min(ents.min(), rels.min()) < 0 or ents.max() >= g.n_entities or (
+        rels.max() >= g.n_relations_orig
+    ):
+        raise EvalError(f"the {split} split has an id outside the graph")
 
-    ent = params.entity_emb.astype(np.float64)
-    instances: list[RankResult] = []
-    for r, idxs in zip(*_groups(split_triples[:, 1])):
-        ctx = _RelationContext(params, g, r, ent)
-        facts = split_triples[idxs]
-        for slot, anchors, rows, golds in _queries(facts):
-            ranks = _rank_queries(
-                params, table, g, ctx, slot, anchors, golds, protocol, rerank_k, tie_policy
+    # Ranks by fact and slot, the order in which they are reported.
+    raw = np.zeros((len(facts), 2), dtype=np.int64)
+    filtered = np.zeros_like(raw)
+    in_window = np.zeros(raw.shape, dtype=bool)
+    for ctx, rows, slot, anchors, golds in _queries(params, g, facts):
+        col = SLOTS.index(slot)
+        for anchor, q_rows, q_golds, (s1, near) in zip(
+            anchors, rows, golds, ctx.stage1(slot, anchors, golds, rerank_k)
+        ):
+            # The window and its scores depend only on the query.
+            window = _window(s1, rerank_k, near)
+            win = np.flatnonzero(window)
+            val = s1.copy()
+            val[win] = _window_scores(params, table, ctx, slot, anchor, s1, win)
+            gold_in, gold_val = window[q_golds], val[q_golds]
+            above, tied = _rank_matrices(window, val, gold_in, gold_val)
+            less, ties = above.sum(axis=1), tied.sum(axis=1)
+            raw[q_rows, col] = _tie_break(less, ties, tie_policy)
+            # Take out what the known entities counted, except each gold's own tie.
+            known = g.known_heads(ctx.r, anchor) if slot == "head" else g.known_tails(anchor, ctx.r)
+            above, tied = _rank_matrices(window[known], val[known], gold_in, gold_val)
+            tied &= known != q_golds[:, None]
+            filtered[q_rows, col] = _tie_break(
+                less - above.sum(axis=1), ties - tied.sum(axis=1), tie_policy
             )
-            for q_rows, q_ranks in zip(rows, ranks):
-                for idx, (h, _, t), *rank in zip(
-                    idxs[q_rows].tolist(), facts[q_rows].tolist(), *q_ranks
-                ):
-                    instances.append(RankResult(idx, slot, h, r, t, *rank))
-    # Ranked by relation and query; reported by fact.
-    instances.sort(key=lambda res: (res.index, res.slot))
+            in_window[q_rows, col] = gold_in
 
-    raw = np.array([res.raw_rank for res in instances], dtype=np.float64)
     mean_rank_raw = float(raw.mean())
     hits10_raw = float((raw <= HITS_CUTOFF).mean() * 100.0)
-    if protocol == "filter":
-        filt = np.array([res.filtered_rank for res in instances], dtype=np.float64)
-        mean_rank_filter = float(filt.mean())
-        hits10_filter = float((filt <= HITS_CUTOFF).mean() * 100.0)
-        # Filtering only removes competitors, so it can never hurt.
-        if hits10_filter < hits10_raw or mean_rank_filter > mean_rank_raw:
-            raise EvalError("filtered metrics came out worse than raw ones")
-    else:
-        mean_rank_filter = None
-        hits10_filter = None
+    mean_rank_filter = float(filtered.mean())
+    hits10_filter = float((filtered <= HITS_CUTOFF).mean() * 100.0)
+    # Filtering only removes competitors, so it can never hurt.
+    if hits10_filter < hits10_raw or mean_rank_filter > mean_rank_raw:
+        raise EvalError("filtered metrics came out worse than raw ones")
 
-    categories = classify_relations(g, category_cutoff)
-    counts = relation_train_counts(g)
-    unclassified = 0
-
-    per_category: dict[str, dict[str, dict[str, float | int]]] = {
-        slot: {
-            label: {"hits10_filter": 0.0, "count": 0, "hits": 0}
-            for label in CATEGORY_LABELS
+    # Each fact's relation category and frequency bucket, both -1 where the
+    # relation has no train fact.
+    categories, buckets = relation_breakdown(g, category_cutoff)
+    seen = buckets[rels] >= 0
+    cat, bucket = categories[rels][seen], buckets[rels][seen]
+    n_cat, n_buckets = len(CATEGORY_LABELS), len(FREQUENCY_BUCKETS)
+    counts = np.bincount(cat, minlength=n_cat).tolist()
+    per_category = {}
+    for col, slot in enumerate(SLOTS):
+        hits = np.bincount(cat, filtered[seen, col] <= HITS_CUTOFF, minlength=n_cat).tolist()
+        per_category[slot] = {
+            label: {"hits10_filter": 100.0 * h / n if n else None, "count": n}
+            for label, n, h in zip(CATEGORY_LABELS, counts, hits)
         }
-        for slot in ("head", "tail")
+    counts = (2 * np.bincount(bucket, minlength=n_buckets)).tolist()
+    rank_sums = np.bincount(bucket, raw[seen].sum(axis=1), minlength=n_buckets).tolist()
+    relations = np.bincount(buckets[buckets >= 0], minlength=n_buckets).tolist()
+    per_frequency = {
+        label: {"mean_rank_raw": s / n if n else None, "count": n, "relations": m}
+        for label, n, s, m in zip(FREQUENCY_BUCKETS, counts, rank_sums, relations)
     }
-    per_frequency: dict[str, dict[str, float | int]] = {
-        bucket: {"mean_rank_raw": 0.0, "count": 0, "rank_sum": 0.0, "relations": 0}
-        for bucket in FREQUENCY_BUCKETS
-    }
-    bucket_relations: dict[str, set[int]] = {b: set() for b in FREQUENCY_BUCKETS}
-    for r in range(g.n_relations_orig):
-        if counts[r] >= 1:
-            bucket_relations[frequency_bucket(int(counts[r]))].add(r)
 
-    for res in instances:
-        cat = categories.get(res.r)
-        if cat is None or counts[res.r] < 1:
-            unclassified += 1
-            continue
-        if protocol == "filter" and res.filtered_rank is not None:
-            cell = per_category[res.slot][cat.category]
-            cell["count"] += 1
-            if res.filtered_rank <= HITS_CUTOFF:
-                cell["hits"] += 1
-        bucket = frequency_bucket(int(counts[res.r]))
-        fcell = per_frequency[bucket]
-        fcell["count"] += 1
-        fcell["rank_sum"] += res.raw_rank
-
-    for slot in ("head", "tail"):
-        for label in CATEGORY_LABELS:
-            cell = per_category[slot][label]
-            hits = cell.pop("hits")
-            cell["hits10_filter"] = (
-                100.0 * hits / cell["count"] if cell["count"] else None
-            )
-    for bucket in FREQUENCY_BUCKETS:
-        fcell = per_frequency[bucket]
-        rank_sum = fcell.pop("rank_sum")
-        fcell["mean_rank_raw"] = (
-            rank_sum / fcell["count"] if fcell["count"] else None
+    instances = [
+        RankResult(i, slot, h, r, t, *ranks)
+        for i, ((h, r, t), *rows) in enumerate(
+            zip(facts.tolist(), raw.tolist(), filtered.tolist(), in_window.tolist())
         )
-        fcell["relations"] = len(bucket_relations[bucket])
-
+        for slot, *ranks in zip(SLOTS, *rows)
+    ]
     return RankReport(
         split=split,
-        protocol=protocol,
         tie_policy=tie_policy,
         rerank_k=rerank_k,
-        n_triples=len(split_triples),
+        n_triples=len(facts),
         n_instances=len(instances),
         mean_rank_raw=mean_rank_raw,
         mean_rank_filter=mean_rank_filter,
@@ -496,8 +417,8 @@ def evaluate(
         hits10_filter=hits10_filter,
         per_category=per_category,
         per_frequency=per_frequency,
-        unclassified_instances=unclassified,
-        window_recall=float(np.mean([res.in_window for res in instances])),
+        unclassified_instances=2 * int(np.count_nonzero(~seen)),
+        window_recall=float(in_window.mean()),
         instances=instances,
     )
 
@@ -517,8 +438,7 @@ def write_report_text(report: RankReport, path: str | Path) -> None:
     lines: list[str] = []
     lines.append(
         f"entity prediction on {report.split} "
-        f"({report.tie_policy} ties, rerank_k={report.rerank_k}, "
-        f"protocol={report.protocol})"
+        f"({report.tie_policy} ties, rerank_k={report.rerank_k})"
     )
     lines.append(
         f"facts: {report.n_triples}   ranked instances: {report.n_instances}"
@@ -596,6 +516,6 @@ def write_ranks_csv(report: RankReport, path: str | Path) -> None:
                     res.r,
                     res.t,
                     res.raw_rank,
-                    "" if res.filtered_rank is None else res.filtered_rank,
+                    res.filtered_rank,
                 ]
             )

@@ -20,6 +20,7 @@ import numpy as np
 ColumnOrder = Literal["HRT", "HTR"]
 
 FREQUENCY_BUCKETS: tuple[str, ...] = ("1-3", "4-15", "16-50", "51-300", ">300")
+_BUCKET_EDGES = (3, 15, 50, 300)  # the largest train count of each bucket but the last
 CATEGORY_LABELS: tuple[str, ...] = ("1-to-1", "1-to-N", "N-to-1", "N-to-N")
 DEFAULT_CATEGORY_CUTOFF = 1.5
 INVERSE_SUFFIX = "^-1"
@@ -382,55 +383,39 @@ def relation_cardinality(
     return facts, per_distinct(triples[:, 0]), per_distinct(triples[:, 2])
 
 
-def classify_relations(
+def relation_breakdown(
     g: KnowledgeGraph, cutoff: float = DEFAULT_CATEGORY_CUTOFF
-) -> dict[int, RelationCategory | None]:
-    """Classify every original relation as 1-to-1, 1-to-N, N-to-1, or N-to-N.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per original relation, the index of its category in ``CATEGORY_LABELS``
+    and of its train-frequency bucket in ``FREQUENCY_BUCKETS``, both -1 for
+    a relation with no train fact.
 
     hpt is the mean number of heads per (relation, tail) pair and tph the
     mean number of tails per (relation, head) pair, both over the original
-    (non-augmented) train facts.  Relations absent from train cannot be
-    classified and map to ``None``.
+    (non-augmented) train facts; a side is "N" when its mean reaches
+    ``cutoff``.
     """
     if not cutoff > 0:  # NaN too
         raise DatasetError(f"cutoff must be positive, got {cutoff}")
-    facts, tphs, hpts = relation_cardinality(g.original_train, g.n_relations_orig)
-    out: dict[int, RelationCategory | None] = {}
-    for r, (n, tph, hpt) in enumerate(zip(facts.tolist(), tphs.tolist(), hpts.tolist())):
-        if n == 0:
-            out[r] = None
-            continue
-        if hpt < cutoff and tph < cutoff:
-            category = "1-to-1"
-        elif hpt < cutoff <= tph:
-            category = "1-to-N"
-        elif tph < cutoff <= hpt:
-            category = "N-to-1"
-        else:
-            category = "N-to-N"
-        out[r] = RelationCategory(category, hpt, tph)
-    return out
+    facts, tph, hpt = relation_cardinality(g.original_train, g.n_relations_orig)
+    category = 2 * (hpt >= cutoff) + (tph >= cutoff)
+    bucket = np.searchsorted(_BUCKET_EDGES, facts)
+    category[facts == 0] = bucket[facts == 0] = -1
+    return category, bucket
 
 
-def frequency_bucket(count: int) -> str:
-    """Train-frequency bucket of a relation; ``count`` must be >= 1."""
-    if count < 1:
-        raise DatasetError(f"relation frequency must be >= 1, got {count}")
-    if count <= 3:
-        return "1-3"
-    if count <= 15:
-        return "4-15"
-    if count <= 50:
-        return "16-50"
-    if count <= 300:
-        return "51-300"
-    return ">300"
-
-
-def relation_train_counts(g: KnowledgeGraph) -> np.ndarray:
-    """Occurrences of each original relation in the original train facts."""
-    train = g.original_train
-    return np.bincount(train[:, 1], minlength=g.n_relations_orig)
+def classify_relations(
+    g: KnowledgeGraph, cutoff: float = DEFAULT_CATEGORY_CUTOFF
+) -> dict[int, RelationCategory | None]:
+    """Classify every original relation as 1-to-1, 1-to-N, N-to-1, or N-to-N
+    (see :func:`relation_breakdown`), with its hpt and tph.  Relations absent
+    from train cannot be classified and map to ``None``."""
+    category, _ = relation_breakdown(g, cutoff)
+    _, tphs, hpts = relation_cardinality(g.original_train, g.n_relations_orig)
+    return {
+        r: None if c < 0 else RelationCategory(CATEGORY_LABELS[c], hpt, tph)
+        for r, (c, tph, hpt) in enumerate(zip(category.tolist(), tphs.tolist(), hpts.tolist()))
+    }
 
 
 def write_vocab_dumps(g: KnowledgeGraph, out_dir: str | Path) -> None:

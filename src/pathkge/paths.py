@@ -74,12 +74,11 @@ class PathTable:
     entry_v: np.ndarray          # f64 flow v(p | h, t) per stored entry
 
     @classmethod
-    def empty(cls, n_entities: int, reliability_floor: float = DEFAULT_RELIABILITY_FLOOR,
-              cap: int = DEFAULT_PAIR_CAP) -> "PathTable":
+    def empty(cls, n_entities: int) -> "PathTable":
         return cls(
             n_entities=n_entities,
-            reliability_floor=reliability_floor,
-            cap=cap,
+            reliability_floor=DEFAULT_RELIABILITY_FLOOR,
+            cap=DEFAULT_PAIR_CAP,
             path_rels=(),
             support=np.zeros(0, dtype=np.float64),
             relat_offsets=np.zeros(1, dtype=np.int64),
@@ -218,6 +217,18 @@ class PathTable:
             entry_v = arr("<f8", n_entries)
             if fh.read(1):
                 raise PathError(f"{path}: trailing bytes after path-table payload")
+        for name, values in (("support", support), ("relat_val", relat_val), ("entry_v", entry_v)):
+            if not np.isfinite(values).all():
+                raise PathError(f"{path}: non-finite {name}")
+        for name, offsets, end in (
+            ("relat_offsets", relat_offsets, n_relat), ("pair_offsets", pair_offsets, n_entries)
+        ):
+            if offsets[0] != 0 or offsets[-1] != end or (np.diff(offsets) < 0).any():
+                raise PathError(f"{path}: {name} must rise from 0 to {end}")
+        if ((entry_path < 0) | (entry_path >= n_paths)).any():
+            raise PathError(f"{path}: entry_path outside 0..{n_paths - 1}")
+        if (np.diff(pair_keys) <= 0).any():
+            raise PathError(f"{path}: pair_keys not strictly increasing")
         return cls(
             n_entities=int(n_entities),
             reliability_floor=floor,

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from pathkge.evaluator import _groups, _queries, _RelationContext
+from pathkge.evaluator import valid_mean_rank
 from pathkge.kgdata import KnowledgeGraph, _firsts, relation_cardinality
 from pathkge.models import (
     ModelParams,
@@ -135,7 +135,9 @@ class TrainConfig:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
+    """Parse a ``key = value`` config file; '#' starts a comment.  Every key
+    must be a config field and every value must read as its type; an error
+    names the file and the line."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -147,6 +149,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             key, value = (part.strip() for part in text.split("=", 1))
             if not key:
                 raise ValueError(f"{path}:{lineno}: empty key")
+            try:
+                TrainConfig().with_updates({key: value})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             out[key] = value
     return out
 
@@ -583,23 +589,6 @@ def _run_epoch(
     return EpochStats(loss_sum / max(n, 1), fact_v + path_v, fact_v, path_v, rescaled, redraws)
 
 
-# -- validation probe for early stopping ------------------------------------
-
-
-def _validation_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
-    """Raw pessimistic mean rank on the valid split, first-stage score only."""
-    if len(g.valid) == 0:
-        raise TrainError("early stopping needs a non-empty valid split")
-    ent = params.entity_emb.astype(np.float64)
-    ranks: list[np.ndarray] = []
-    for r, idxs in zip(*_groups(g.valid[:, 1])):
-        ctx = _RelationContext(params, g, r, ent)
-        for slot, anchors, _, golds in _queries(g.valid[idxs]):
-            for q_golds, (s1, _) in zip(golds, ctx.stage1(slot, anchors, golds, None)):
-                ranks.append((s1 <= s1[q_golds][:, None]).sum(axis=1))  # pessimistic
-    return float(np.mean(np.concatenate(ranks)))
-
-
 # -- orchestration -----------------------------------------------------------
 
 
@@ -621,7 +610,7 @@ def _fit(
         if cfg.stage == "transe":  # the warm start has no path hinge or M_r
             del record["path_violations"], record["rescaled"]
         if cfg.early_stop:
-            metric = _validation_mean_rank(params, g)
+            metric = valid_mean_rank(params, g)
             record["valid_mean_rank"] = metric
             if metric < best - 1e-12:
                 best = metric
@@ -651,7 +640,8 @@ def init_transe(
 
     Entity and relation spaces must have equal dimension here; the
     projection tensor stays identity throughout.  All embedding rows are
-    unit-normalized on return.
+    unit-normalized on return: they start so, and every batch renormalizes
+    the rows it moved.
     """
     cfg = replace(config, stage="transe")
     cfg.validate()
@@ -665,9 +655,6 @@ def init_transe(
         g.n_entities, g.n_relations, cfg.dim_entity, cfg.dim_relation, rng
     )
     _fit(g, None, params, cfg, rng, emit, time.perf_counter(), None)
-    project_constraints(
-        params, range(g.n_entities), range(g.n_relations), ()
-    )
     return params
 
 
@@ -705,6 +692,8 @@ def train(
     config.validate()
     if not g.augmented:
         raise TrainError("training expects an inverse-augmented graph")
+    if config.early_stop and len(g.valid) == 0:
+        raise TrainError("early stopping needs a non-empty valid split")
     if config.stage == "transr" or table is None:
         table = PathTable.empty(g.n_entities)
 

@@ -24,7 +24,7 @@ from conftest import ACCEPTANCE_LINES, make_graph, mined_flows, random_triples
 from oracles import all_witnessed_paths, full_rank_oracle
 from pathkge import cli
 from pathkge.cli import SyntheticKGSpec, generate_synthetic_kg
-from pathkge.evaluator import evaluate, rank_entities
+from pathkge.evaluator import evaluate
 from pathkge.kgdata import augment_inverse, load_dataset
 from pathkge.models import ModelParams, compose_paths, relation_rows, score_transr
 from pathkge.paths import PathTable, build_path_table
@@ -260,12 +260,11 @@ def test_06_windowed_ranking_matches_exhaustive():
     g = make_graph(train_triples, test=test_triples, n_entities=10, n_relations=3)
     table = build_path_table(g, reliability_floor=0.0)
     params = ModelParams.random(g.n_entities, g.n_relations, 5, 4, rng)
-    ok = True
-    for h, r, t in test_triples:
-        for slot in ("head", "tail"):
-            res = rank_entities(params, table, g, (h, r, t), slot, rerank_k=10)
-            raw, filt = full_rank_oracle(params, table, g, h, r, t, slot)
-            ok = ok and res.raw_rank == raw and res.filtered_rank == filt
+    report = evaluate(params, table, g, split="test", rerank_k=10)
+    ok = report.n_instances == 12
+    for res in report.instances:
+        raw, filt = full_rank_oracle(params, table, g, res.h, res.r, res.t, res.slot)
+        ok = ok and res.raw_rank == raw and res.filtered_rank == filt
     record(6, "full-window-vs-exhaustive", ok, "12 instances, raw and filtered")
 
 

@@ -25,7 +25,6 @@ PUBLIC = {
     "evaluate",
     "generate_synthetic_kg",
     "load_dataset",
-    "rank_entities",
     "score_ptransr",
     "score_transr",
     "train",

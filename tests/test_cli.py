@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +321,9 @@ class TestVerbs:
         assert "entity prediction on test" in capsys.readouterr().out
         payload = json.loads((out / "report.json").read_text())
         assert payload["config"]["rerank_k"] == 20
+        # Raw and filtered ranks are always reported; nothing names a protocol.
+        assert "protocol" not in payload and "protocol" not in payload["config"]
+        assert payload["overall"]["mean_rank"]["filter"] <= payload["overall"]["mean_rank"]["raw"]
         assert payload["overall"]["mean_rank"]["raw"] >= 1.0
         ranks = (out / "ranks.csv").read_text().splitlines()
         assert len(ranks) == 1 + payload["n_instances"]
@@ -353,18 +359,6 @@ class TestVerbs:
             assert rc == 1, size
             assert err.startswith("error: ") and err.count("\n") == 1, size
         assert not (tmp_path / "eval").exists()
-
-    def test_evaluate_raw_protocol(self, ws, tmp_path):
-        out = tmp_path / "eval-raw"
-        rc = cli.main(
-            [
-                "evaluate", "--data", str(ws["data"]), "--model", str(ws["model"]),
-                "--protocol", "raw", "--rerank-k", "20", "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["overall"]["mean_rank"]["filter"] is None
 
     def test_inspect_entity(self, ws, capsys):
         rc = cli.main(
@@ -533,6 +527,21 @@ class TestTrainFlags:
         assert key in err and repr(value) in err
         assert not run.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("epochs = abc", "bad integer for 'epochs': 'abc'"),
+        ("epoch = 3", "unknown config key 'epoch'"),
+    ])
+    def test_a_config_file_error_names_the_file_and_line(
+        self, ws, tmp_path, monkeypatch, capsys, line, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(f"# warm start only\nstage = transe\n{line}\n")
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(ws["data"]), "--config", "run.cfg", "--out", "run"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: run.cfg:3: {message}\n"
+        assert not Path("run").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["lr", "warm_lr", "margin", "margin1", "margin2", "warm_margin"])
     def test_non_finite_hyperparameters_are_refused(self, ws, tmp_path, capsys, key, value):
@@ -550,6 +559,27 @@ class TestTrainFlags:
 
 
 class TestPlumbing:
+    def test_the_parser_is_built_once(self, ws, tmp_path):
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert cli.main(["prepare", "--data", str(ws["data"]), "--out", str(tmp_path)]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_python_dash_m_runs_the_cli(self, ws, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "pathkge", "evaluate", "--data", str(ws["data"]),
+             "--model", str(tmp_path / "nope.ptrm")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: model file not found")
+        assert done.stderr.count("\n") == 1 and done.stdout == ""
+
     def test_env_var_supplies_data_dir(self, ws, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(ws["data"]))
         rc = cli.main(["prepare", "--out", str(tmp_path / "prep")])

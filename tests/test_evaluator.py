@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +21,11 @@ from pathkge.evaluator import (
     _tie_break,
     _window,
     evaluate,
-    rank_entities,
     write_ranks_csv,
     write_report_json,
     write_report_text,
 )
+from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable, build_path_table
 
@@ -85,25 +84,29 @@ class TestTieRank:
         with pytest.raises(EvalError, match="finite"):
             _exact(query, proj)
 
-    def test_all_tied_through_rank_entities(self):
+    def test_all_tied_through_evaluate(self):
         # The anchor 0 and both other entities sit at distance 1 from the
         # query point in both directions: a three-way tie, gold included.
         ent = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]], dtype=np.float32)
         rel = np.array([[0.0, 1.0], [0.0, -1.0]], dtype=np.float32)
         params = ModelParams(ent, rel, np.tile(np.eye(2, dtype=np.float32), (2, 1, 1)))
-        g = make_graph([(0, 0, 1)], n_entities=3, n_relations=1)
+        g = make_graph([(0, 0, 1)], test=[(0, 0, 1)], n_entities=3, n_relations=1)
         for policy, want in (("pessimistic", 3), ("mean", 2)):
-            res = rank_entities(
-                params, PathTable.empty(3), g, (0, 0, 1), "tail", protocol="raw",
-                rerank_k=3, tie_policy=policy,
-            )
-            assert res.raw_rank == want
+            res = rank_one(params, g, "tail", rerank_k=3, tie_policy=policy)
+            assert res.raw_rank == res.filtered_rank == want
 
     def test_rejects_unknown_policy(self):
-        g = make_graph([(0, 0, 1)], n_entities=3, n_relations=1)
+        g = make_graph([(0, 0, 1)], test=[(0, 0, 1)], n_entities=3, n_relations=1)
         with pytest.raises(EvalError, match="policy"):
-            rank_entities(line_model(3), PathTable.empty(3), g, (0, 0, 1), "head",
-                          tie_policy="optimistic")
+            evaluate(line_model(3), PathTable.empty(3), g, tie_policy="optimistic")
+
+
+def rank_one(params: ModelParams, g, slot: str, table: PathTable | None = None, **kw):
+    """The ranks of one slot of the graph's single test fact."""
+    table = PathTable.empty(g.n_entities) if table is None else table
+    report = evaluate(params, table, g, split="test", **kw)
+    (res,) = (res for res in report.instances if res.slot == slot)
+    return res
 
 
 def line_model(n_entities: int) -> ModelParams:
@@ -121,48 +124,27 @@ def line_model(n_entities: int) -> ModelParams:
 
 class TestRankEntities:
     def test_gold_inside_window(self):
-        g = make_graph([(3, 0, 0)], n_entities=6, n_relations=1)
-        params = line_model(6)
-        res = rank_entities(
-            params, PathTable.empty(6), g, (1, 0, 0), "head", rerank_k=2
-        )
+        g = make_graph([(3, 0, 0)], test=[(1, 0, 0)], n_entities=6, n_relations=1)
+        res = rank_one(line_model(6), g, "head", rerank_k=2)
         assert res.raw_rank == 2
         assert res.filtered_rank == 2
 
     def test_gold_outside_window_keeps_stage1_order(self):
-        g = make_graph([(3, 0, 0)], n_entities=6, n_relations=1)
-        params = line_model(6)
-        res = rank_entities(
-            params, PathTable.empty(6), g, (3, 0, 0), "head", rerank_k=2
-        )
+        g = make_graph([(3, 0, 0)], test=[(3, 0, 0)], n_entities=6, n_relations=1)
+        res = rank_one(line_model(6), g, "head", rerank_k=2)
         # stage 1 window holds entities 0 and 1; among the rest the gold
         # (distance 3) is beaten only by entity 2.
         assert res.raw_rank == 4
-        full = rank_entities(
-            params, PathTable.empty(6), g, (3, 0, 0), "head", rerank_k=6
-        )
-        assert full.raw_rank == 4
+        assert rank_one(line_model(6), g, "head", rerank_k=6).raw_rank == 4
 
     def test_filter_drops_known_competitors(self):
         # Entities 1 and 2 beat the gold head 3 but form known facts.
         train = [(3, 0, 0), (1, 0, 0)]
         valid = [(2, 0, 0)]
-        g = make_graph(train, valid=valid, n_entities=6, n_relations=1)
-        params = line_model(6)
-        res = rank_entities(
-            params, PathTable.empty(6), g, (3, 0, 0), "head", rerank_k=6
-        )
+        g = make_graph(train, valid=valid, test=[(3, 0, 0)], n_entities=6, n_relations=1)
+        res = rank_one(line_model(6), g, "head", rerank_k=6)
         assert res.raw_rank == 4
         assert res.filtered_rank == 2  # only entity 0 still beats it
-
-    def test_raw_protocol_skips_filtering(self):
-        g = make_graph([(3, 0, 0)], n_entities=6, n_relations=1)
-        params = line_model(6)
-        res = rank_entities(
-            params, PathTable.empty(6), g, (3, 0, 0), "head",
-            protocol="raw", rerank_k=6,
-        )
-        assert res.filtered_rank is None
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_exhaustive_oracle(self, seed):
@@ -177,40 +159,40 @@ class TestRankEntities:
         g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
         table = build_path_table(g, reliability_floor=0.0)
         params = ModelParams.random(g.n_entities, g.n_relations, 4, 3, rng)
-        for h, r, t in test:
-            for slot in ("head", "tail"):
-                res = rank_entities(
-                    params, table, g, (h, r, t), slot, rerank_k=g.n_entities
-                )
-                raw, filt = full_rank_oracle(params, table, g, h, r, t, slot)
-                assert res.raw_rank == raw
-                assert res.filtered_rank == filt
-                assert res.filtered_rank <= res.raw_rank
+        report = evaluate(params, table, g, split="test", rerank_k=g.n_entities)
+        assert report.n_instances == 6
+        for res in report.instances:
+            raw, filt = full_rank_oracle(params, table, g, res.h, res.r, res.t, res.slot)
+            assert res.raw_rank == raw
+            assert res.filtered_rank == filt
+            assert res.filtered_rank <= res.raw_rank
 
     def test_argument_validation(self):
-        g = make_graph([(0, 0, 1)], n_entities=3, n_relations=1)
+        g = make_graph([(0, 0, 1)], test=[(0, 0, 1)], n_entities=3, n_relations=1)
         params = line_model(3)
         empty = PathTable.empty(3)
         with pytest.raises(EvalError, match="rerank_k"):
-            rank_entities(params, empty, g, (0, 0, 1), "head", rerank_k=0)
-        with pytest.raises(EvalError, match="slot"):
-            rank_entities(params, empty, g, (0, 0, 1), "middle")
-        with pytest.raises(EvalError, match="protocol"):
-            rank_entities(params, empty, g, (0, 0, 1), "head", protocol="strict")
+            evaluate(params, empty, g, rerank_k=0)
         bad = ModelParams.random(4, 2, 3, 3, np.random.default_rng(0))
         with pytest.raises(EvalError, match="match"):
-            rank_entities(bad, empty, g, (0, 0, 1), "head")
-        plain = make_graph([(0, 0, 1)], n_entities=3, n_relations=1, augment=False)
+            evaluate(bad, empty, g)
+        plain = make_graph([(0, 0, 1)], test=[(0, 0, 1)], n_entities=3, n_relations=1,
+                           augment=False)
         with pytest.raises(EvalError, match="augmented"):
-            rank_entities(params, empty, plain, (0, 0, 1), "head")
+            evaluate(params, empty, plain)
 
     @pytest.mark.parametrize("triple", [(0, 0, -1), (0, 0, 3), (-1, 0, 1), (0, 2, 1), (0, -1, 1)])
     def test_rejects_ids_outside_the_graph(self, triple):
         # A negative id would otherwise index from the end and rank the
-        # wrong entity without a word.
+        # wrong entity without a word.  The graph's constructor takes id
+        # arrays as given; its id triples are checked by from_triples.
         g = make_graph([(0, 0, 1)], n_entities=3, n_relations=1)
+        bad = KnowledgeGraph(
+            g.vocab, g.train, g.valid, np.array([triple], dtype=np.int32),
+            g.n_relations_orig, augmented=True,
+        )
         with pytest.raises(EvalError, match="outside the graph"):
-            rank_entities(line_model(3), PathTable.empty(3), g, triple, "tail")
+            evaluate(line_model(3), PathTable.empty(3), bad)
 
 
 def grid_model(rng: np.random.Generator, n_entities: int, n_relations: int) -> ModelParams:
@@ -260,10 +242,9 @@ class TestWindowedRanking:
         st.integers(0, 10**9),
         st.sampled_from(["1", "n//2", "n-1", "n", "n+3"]),
         st.sampled_from(["pessimistic", "mean"]),
-        st.sampled_from(["raw", "filter"]),
         st.booleans(),
     )
-    def test_matches_two_stage_oracle(self, seed, k_rule, tie_policy, protocol, with_table):
+    def test_matches_two_stage_oracle(self, seed, k_rule, tie_policy, with_table):
         rng = np.random.default_rng(seed)
         triples, n_ent, n_rel = random_triples(
             rng, max_entities=9, max_relations=3, max_edges=16
@@ -279,30 +260,21 @@ class TestWindowedRanking:
         params = grid_model(rng, g.n_entities, g.n_relations)
         k = max(1, {"1": 1, "n//2": n_ent // 2, "n-1": n_ent - 1, "n": n_ent,
                     "n+3": n_ent + 3}[k_rule])
-        report = evaluate(
-            params, table, g, split="test", rerank_k=k, tie_policy=tie_policy,
-            protocol=protocol,
-        )
+        report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
         for res in report.instances:
             raw, filt, in_window = windowed_rank_oracle(
                 params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
             )
-            assert (res.raw_rank, res.in_window) == (raw, in_window)
-            assert res.filtered_rank == (filt if protocol == "filter" else None)
-            single = rank_entities(
-                params, table, g, (res.h, res.r, res.t), res.slot, protocol, k, tie_policy
-            )
-            assert single == replace(res, index=0)
+            assert (res.raw_rank, res.filtered_rank, res.in_window) == (raw, filt, in_window)
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(0, 10**9),
         st.sampled_from(["1", "n//2", "n"]),
         st.sampled_from(["pessimistic", "mean"]),
-        st.sampled_from(["raw", "filter"]),
         st.booleans(),
     )
-    def test_repeated_queries(self, seed, k_rule, tie_policy, protocol, with_table):
+    def test_repeated_queries(self, seed, k_rule, tie_policy, with_table):
         # Two anchors, exact duplicate facts and duplicated entity rows, so
         # most queries have several golds, some of them tied with each other.
         rng = np.random.default_rng(seed)
@@ -322,10 +294,7 @@ class TestWindowedRanking:
         params = grid_model(rng, g.n_entities, g.n_relations)
         params.entity_emb[rng.integers(n_ent, size=n_ent)] = params.entity_emb[0]
         k = max(1, {"1": 1, "n//2": n_ent // 2, "n": n_ent}[k_rule])
-        report = evaluate(
-            params, table, g, split="test", rerank_k=k, tie_policy=tie_policy,
-            protocol=protocol,
-        )
+        report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
         queries = {(res.r, res.slot, res.t if res.slot == "head" else res.h)
                    for res in report.instances}
         assert len(queries) < report.n_instances
@@ -333,12 +302,7 @@ class TestWindowedRanking:
             raw, filt, in_window = windowed_rank_oracle(
                 params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
             )
-            assert (res.raw_rank, res.in_window) == (raw, in_window)
-            assert res.filtered_rank == (filt if protocol == "filter" else None)
-            single = rank_entities(
-                params, table, g, (res.h, res.r, res.t), res.slot, protocol, k, tie_policy
-            )
-            assert single == replace(res, index=0)
+            assert (res.raw_rank, res.filtered_rank, res.in_window) == (raw, filt, in_window)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -346,9 +310,8 @@ class TestWindowedRanking:
         st.sampled_from([1.0, 2.0**8, 2.0**16]),
         st.sampled_from(["1", "n//2", "n-1", "n"]),
         st.sampled_from(["pessimistic", "mean"]),
-        st.sampled_from(["raw", "filter"]),
     )
-    def test_certified_stage1_at_near_ties(self, seed, big, k_rule, tie_policy, protocol):
+    def test_certified_stage1_at_near_ties(self, seed, big, k_rule, tie_policy):
         rng = np.random.default_rng(seed)
         triples, n_ent, n_rel = random_triples(
             rng, max_entities=12, max_relations=2, max_edges=16
@@ -361,16 +324,12 @@ class TestWindowedRanking:
         params = near_tie_model(rng, g.n_entities, g.n_relations, big)
         k = max(1, {"1": 1, "n//2": n_ent // 2, "n-1": n_ent - 1, "n": n_ent}[k_rule])
         table = PathTable.empty(n_ent)
-        report = evaluate(
-            params, table, g, split="test", rerank_k=k, tie_policy=tie_policy,
-            protocol=protocol,
-        )
+        report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
         for res in report.instances:
             raw, filt, in_window = windowed_rank_oracle(
                 params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
             )
-            assert (res.raw_rank, res.in_window) == (raw, in_window)
-            assert res.filtered_rank == (filt if protocol == "filter" else None)
+            assert (res.raw_rank, res.filtered_rank, res.in_window) == (raw, filt, in_window)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from([1.0, 2.0**8, 2.0**16]), st.integers(2, 40))
@@ -418,7 +377,6 @@ class TestWindowedRanking:
         empty = PathTable.empty(g.n_entities)
         for k in (g.n_entities, g.n_entities + 5):
             evaluate(params, empty, g, split="test", rerank_k=k)
-            rank_entities(params, empty, g, (0, 0, 1), "head", rerank_k=k)
         assert calls == []
         evaluate(params, empty, g, split="test", rerank_k=g.n_entities - 1)
         assert calls
@@ -523,16 +481,6 @@ class TestEvaluate:
         params = ModelParams.random(4, 4, 3, 3, np.random.default_rng(2))
         report = evaluate(params, PathTable.empty(4), g, split="test", rerank_k=4)
         assert report.unclassified_instances == 2
-
-    def test_raw_protocol_omits_filtered_metrics(self):
-        params, g = perfect_model()
-        report = evaluate(
-            params, PathTable.empty(4), g, split="test", rerank_k=4, protocol="raw"
-        )
-        assert report.mean_rank_filter is None
-        assert report.hits10_filter is None
-        assert all(res.filtered_rank is None for res in report.instances)
-        assert report.per_category["head"]["1-to-1"]["count"] == 0
 
     def test_valid_split_and_tie_policy_echo(self):
         params, g0 = perfect_model()

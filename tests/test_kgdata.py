@@ -13,16 +13,16 @@ from conftest import TRI, make_graph, random_triples
 from oracles import known_index, read_rows
 from oracles import relation_cardinality as cardinality_oracle
 from pathkge.kgdata import (
+    FREQUENCY_BUCKETS,
     DatasetError,
     KnowledgeGraph,
     Vocab,
     augment_inverse,
     classify_relations,
-    frequency_bucket,
     _read_columns,
     load_dataset,
+    relation_breakdown,
     relation_cardinality,
-    relation_train_counts,
     write_vocab_dumps,
 )
 
@@ -385,8 +385,10 @@ class TestRelationStats:
             assert cat is None or (cat.tph, cat.hpt) == (tph[r], hpt[r])
 
     def test_relation_train_counts(self):
-        counts = relation_train_counts(self.graph())
-        assert counts.tolist() == [2, 4, 4, 4, 0]
+        # Train counts 2, 4, 4, 4 and 0; relation 4 occurs in valid only.
+        category, bucket = relation_breakdown(self.graph())
+        assert bucket.tolist() == [0, 1, 1, 1, -1]
+        assert category.tolist() == [0, 1, 2, 3, -1]  # as test_categories_hand_checked
 
     @pytest.mark.parametrize(
         "count,bucket",
@@ -397,8 +399,12 @@ class TestRelationStats:
         ],
     )
     def test_frequency_buckets(self, count, bucket):
-        assert frequency_bucket(count) == bucket
+        # Relation 0 has ``count`` train facts (duplicates count), relation 1 none.
+        g = make_graph([(0, 0, 1)] * count, n_entities=2, n_relations=2)
+        _, buckets = relation_breakdown(g)
+        assert FREQUENCY_BUCKETS[buckets[0]] == bucket
 
     def test_frequency_bucket_rejects_zero(self):
-        with pytest.raises(DatasetError):
-            frequency_bucket(0)
+        # A relation without train facts has no bucket and no category.
+        category, bucket = relation_breakdown(self.graph())
+        assert category[4] == bucket[4] == -1

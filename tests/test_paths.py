@@ -254,6 +254,29 @@ class TestPersistence:
         with pytest.raises(PathError, match="trailing"):
             PathTable.load(f)
 
+    @pytest.mark.parametrize("field,index,value,message", [
+        ("support", 0, np.nan, "non-finite support"),
+        ("relat_val", -1, np.inf, "non-finite relat_val"),
+        ("entry_v", 1, -np.inf, "non-finite entry_v"),
+        ("relat_offsets", 0, 1, "relat_offsets must rise"),
+        ("relat_offsets", 1, 10**9, "relat_offsets must rise"),
+        ("pair_offsets", 1, 10**9, "pair_offsets must rise"),
+        ("pair_offsets", -1, 1, "pair_offsets must rise"),
+        ("entry_path", 0, -1, "entry_path outside"),
+        ("entry_path", -1, 10**6, "entry_path outside"),
+        ("pair_keys", 1, 0, "pair_keys not strictly increasing"),
+    ])
+    def test_structure_is_checked_on_load(self, tri_graph, tmp_path, field, index, value,
+                                          message):
+        table = build_path_table(tri_graph, reliability_floor=0.0)
+        assert table.n_pairs >= 2 and table.n_paths >= 2
+        getattr(table, field)[index] = value
+        f = tmp_path / "bad.ptbl"
+        table.save(f)
+        with pytest.raises(PathError, match=message) as err:
+            PathTable.load(f)
+        assert str(err.value).startswith(f"{f}: ")
+
     def test_dump_tsv(self, tri_graph, tmp_path):
         table = build_path_table(tri_graph, reliability_floor=0.01, cap=10)
         f = tmp_path / "dump.tsv"
