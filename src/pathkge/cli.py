@@ -43,7 +43,7 @@ from pathkge.kgdata import (
     relation_breakdown,
     write_vocab_dumps,
 )
-from pathkge.models import ModelError, ModelParams, compose_paths, relation_rows
+from pathkge.models import ModelError, ModelParams, path_distances
 from pathkge.paths import (
     DEFAULT_PAIR_CAP,
     DEFAULT_RELIABILITY_FLOOR,
@@ -480,13 +480,6 @@ def cmd_synth_kg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _path_gaps(params: ModelParams, table: PathTable, pids: np.ndarray, r: int) -> np.ndarray:
-    """L2 distance between each path's embedding and relation r."""
-    rel = relation_rows(params)
-    gap = compose_paths(rel, table.path_pad[pids]) - rel[r]
-    return np.sqrt(np.square(gap).sum(axis=1))
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise DatasetError("--top must be >= 1")
@@ -541,7 +534,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"stored paths for ({pair[0]}, {pair[1]}): {len(ids)}")
         if r is not None:
             related = table.relatedness(r, ids).tolist()
-            gaps = _path_gaps(params, table, ids, r).tolist()
+            gaps = np.sqrt(path_distances(params, table, ids, r)).tolist()
         for j, (pid, v) in enumerate(zip(ids.tolist(), flows.tolist())):
             line = f"  {_path_names(table.path_rels[pid])}  v={v:.6f}"
             if r is not None:
@@ -553,7 +546,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         rows = sorted(
             zip(
                 related[pids].tolist(),
-                _path_gaps(params, table, pids, r).tolist(),
+                np.sqrt(path_distances(params, table, pids, r)).tolist(),
                 [table.path_rels[pid] for pid in pids.tolist()],
             ),
             key=lambda row: (-row[0], row[2]),

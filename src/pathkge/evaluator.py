@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Literal
 
@@ -107,7 +108,15 @@ class RankReport:
 # Stage 1 holds the GEMM scores of at most this many bytes at once: each
 # block of queries is ranked before the next block is scored.
 _BLOCK_BYTES = 4 << 20
+# The rerank's path terms are computed in chunks of triples whose stored
+# entries, as float64 path-relation gaps, take about this many bytes.
+_TERM_BYTES = 1 << 20
 _U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _block_len(n_entities: int) -> int:
+    """Queries per block: their score rows fit in _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * n_entities))
 
 
 class _RelationContext:
@@ -146,7 +155,7 @@ class _RelationContext:
         gamma = (d + 4) * _U / (1 - (d + 4) * _U)
         p_sq = np.einsum("ij,ij->i", proj, proj)
         p_max = np.sqrt(p_sq.max())
-        step = max(1, _BLOCK_BYTES // (8 * n))
+        step = _block_len(n)
         for lo in range(0, len(anchors), step):
             block = anchors[lo:lo + step]
             # The reference scores (P[a] + r) - p_e for a tail and
@@ -246,28 +255,72 @@ def _window(s1: np.ndarray, k: int, near: np.ndarray | None = None) -> np.ndarra
     return window
 
 
-def _window_scores(
-    params: ModelParams, table: PathTable, ctx: _RelationContext, slot: str, anchor: int,
-    s1: np.ndarray, win: np.ndarray,
+def _path_terms(
+    params: ModelParams, table: PathTable, ctx: _RelationContext, slot: str,
+    anchors: list[int], windows: np.ndarray,
 ) -> np.ndarray:
-    """Full-model scores in both directions of the window entities ``win``,
-    with the path terms of every forward and inverse triple in one batch."""
-    k = len(win)
-    # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.
-    a_inv = ctx.proj_inv[anchor]
-    c_inv = a_inv + ctx.riv if slot == "head" else -(ctx.riv - a_inv)
-    s2 = s1[win] + _sq_norms(c_inv - ctx.proj_inv[win])
-    if table.n_entries:
-        fixed = np.full(k, anchor)
-        fwd_h, fwd_t = (win, fixed) if slot == "head" else (fixed, win)
-        terms = path_score_terms(
-            params, table, np.concatenate((fwd_h, fwd_t)), np.repeat([ctx.r, ctx.r_inv], k),
-            np.concatenate((fwd_t, fwd_h)),
-        )
-        s2 = s2 + (terms[:k] + terms[k:])
-    if not np.isfinite(s2).all():
-        raise EvalError("scores must be finite")
-    return s2
+    """Path terms of the forward and the inverse triple of every window
+    entity of each query (``windows[i]`` the window of ``anchors[i]``): a
+    (2, queries, n_entities) array, 0.0 where the entity shares no stored
+    pair with the anchor, as path_score_terms gives for such a triple.
+
+    A head query scores (e, r, a) and (a, r^-1, e), a tail query (a, r, e)
+    and (e, r^-1, a).  Only the anchor's partners in the stored pairs are
+    scored, all in one batch, cut into chunks of about _TERM_BYTES.
+    """
+    terms = np.zeros((2,) + windows.shape)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    parts = []
+    for side, (r, heads) in enumerate(((ctx.r, slot == "head"), (ctx.r_inv, slot == "tail"))):
+        query, e = table.partners(anchors, heads)
+        inside = windows[query, e]
+        query, e = query[inside], e[inside]
+        a = anchors[query]
+        h, t = (e, a) if heads else (a, e)
+        parts.append((np.full(len(e), side), query, e, h, np.full(len(e), r), t))
+    side, query, e, h, r, t = (np.concatenate(col) for col in zip(*parts))
+    # A chunk takes the triples whose first stored entry falls in the same
+    # run of ``budget`` entries, so it holds fewer than budget entries
+    # before its last triple.
+    lo, hi = table.pair_spans(h, t)
+    budget = max(1, _TERM_BYTES // (8 * params.dim_relation))
+    cuts = np.flatnonzero(_firsts((np.cumsum(hi - lo) - (hi - lo)) // budget)).tolist()
+    for c in map(slice, cuts, cuts[1:] + [len(h)]):
+        terms[side[c], query[c], e[c]] = path_score_terms(params, table, h[c], r[c], t[c])
+    return terms
+
+
+def _rerank(
+    params: ModelParams, table: PathTable, ctx: _RelationContext, slot: str,
+    anchors: list[int], golds: list[np.ndarray], k: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each query's window mask and scores, in order: the stage-1 row with
+    the window entities scored by the full model in both directions.  The
+    window and its scores depend only on the query.  Queries go in the
+    blocks of stage 1, and a block's windows come first, so that its path
+    terms are computed in one batch."""
+    rows = ctx.stage1(slot, anchors, golds, k)
+    step = _block_len(len(ctx.proj_fwd))
+    for lo in range(0, len(anchors), step):
+        block = anchors[lo:lo + step]
+        s1s = list(islice(rows, len(block)))
+        windows = np.array([_window(s1, k, near) for s1, near in s1s])
+        terms = None
+        if table.n_entries:
+            terms = _path_terms(params, table, ctx, slot, block, windows)
+        for i, (anchor, (s1, _)) in enumerate(zip(block, s1s)):
+            win = np.flatnonzero(windows[i])
+            # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.
+            a_inv = ctx.proj_inv[anchor]
+            c_inv = a_inv + ctx.riv if slot == "head" else -(ctx.riv - a_inv)
+            s2 = s1[win] + _sq_norms(c_inv - ctx.proj_inv[win])
+            if terms is not None:
+                s2 = s2 + (terms[0, i, win] + terms[1, i, win])
+            if not np.isfinite(s2).all():
+                raise EvalError("scores must be finite")
+            val = s1.copy()
+            val[win] = s2
+            yield windows[i], val
 
 
 def _rank_matrices(
@@ -324,6 +377,10 @@ def evaluate(
             f"relations) does not match the graph "
             f"({g.n_entities}, {g.n_relations})"
         )
+    if table.n_entities != g.n_entities:
+        raise EvalError(
+            f"path table covers {table.n_entities} entities but the graph has {g.n_entities}"
+        )
     if rerank_k < 1:
         raise EvalError(f"rerank_k must be >= 1, got {rerank_k}")
     if tie_policy not in ("pessimistic", "mean"):
@@ -347,14 +404,9 @@ def evaluate(
     in_window = np.zeros(raw.shape, dtype=bool)
     for ctx, rows, slot, anchors, golds in _queries(params, g, facts):
         col = SLOTS.index(slot)
-        for anchor, q_rows, q_golds, (s1, near) in zip(
-            anchors, rows, golds, ctx.stage1(slot, anchors, golds, rerank_k)
+        for anchor, q_rows, q_golds, (window, val) in zip(
+            anchors, rows, golds, _rerank(params, table, ctx, slot, anchors, golds, rerank_k)
         ):
-            # The window and its scores depend only on the query.
-            window = _window(s1, rerank_k, near)
-            win = np.flatnonzero(window)
-            val = s1.copy()
-            val[win] = _window_scores(params, table, ctx, slot, anchor, s1, win)
             gold_in, gold_val = window[q_golds], val[q_golds]
             above, tied = _rank_matrices(window, val, gold_in, gold_val)
             less, ties = above.sum(axis=1), tied.sum(axis=1)

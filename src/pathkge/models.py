@@ -8,6 +8,8 @@ Lower scores mean more plausible facts throughout.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,6 +110,7 @@ class ModelParams:
     @classmethod
     def load(cls, path: str | Path) -> "ModelParams":
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             magic = fh.read(4)
             if magic != MAGIC:
                 raise ModelError(f"{path}: not a model file (bad magic {magic!r})")
@@ -119,11 +122,15 @@ class ModelParams:
                 raise ModelError(f"{path}: unsupported model version {version}")
 
             def arr(shape: tuple[int, ...]) -> np.ndarray:
-                count = int(np.prod(shape))
-                raw = np.frombuffer(fh.read(4 * count), dtype="<f4")
-                if raw.size != count:
+                # The header's shape is checked against the bytes left
+                # before anything that large is allocated.
+                nbytes = 4 * math.prod(shape)
+                if nbytes > size - fh.tell():
                     raise ModelError(f"{path}: truncated model file")
-                return raw.astype(np.float32).reshape(shape)
+                values = np.frombuffer(fh.read(nbytes), dtype="<f4").astype(np.float32)
+                if not np.isfinite(values).all():
+                    raise ModelError(f"{path}: non-finite parameter")
+                return values.reshape(shape)
 
             ent = arr((n_ent, k))
             rel = arr((n_rel, d))
@@ -199,6 +206,18 @@ def path_evidence(table: PathTable, h, r, t) -> PathEvidence:
     return PathEvidence(triple, path, flow, reliability, z)
 
 
+def path_distances(params: ModelParams, table: PathTable, path, r) -> np.ndarray:
+    """|p - r|^2 of each (path id, relation r), computed once per distinct
+    pair: each pair's row is composed and squared as it would be alone, so
+    every value has the bits of its own row."""
+    key = np.asarray(path, dtype=np.int64) * params.n_relations + np.asarray(r, dtype=np.int64)
+    pairs = _distinct(key)
+    pair_path, pair_r = np.divmod(pairs, params.n_relations)
+    rel = relation_rows(params)
+    dist = _row_dots(compose_paths(rel, table.path_pad[pair_path]) - rel[pair_r])
+    return dist[np.searchsorted(pairs, key)]
+
+
 def path_score_terms(params: ModelParams, table: PathTable, h, r, t) -> np.ndarray:
     """Normalized path penalty of each (h, r, t): the reliability-weighted
     mean squared distance between its stored paths and r.
@@ -209,10 +228,9 @@ def path_score_terms(params: ModelParams, table: PathTable, h, r, t) -> np.ndarr
     ev = path_evidence(table, h, r, t)
     live = ev.reliability > 0.0
     triple = ev.triple[live]
-    rel = relation_rows(params)
     r = np.broadcast_to(np.asarray(r, dtype=np.int64), ev.z.shape)
-    q = compose_paths(rel, table.path_pad[ev.path[live]]) - rel[r[triple]]
-    num = np.bincount(triple, weights=ev.reliability[live] * _row_dots(q), minlength=len(r))
+    dist = path_distances(params, table, ev.path[live], r[triple])
+    num = np.bincount(triple, weights=ev.reliability[live] * dist, minlength=len(r))
     out = np.zeros(len(r))
     np.divide(num, ev.z, out=out, where=ev.z != 0.0)
     return out

@@ -11,6 +11,7 @@ relatedness and the per-pair flow is the path's reliability.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,6 +141,31 @@ class PathTable:
         keys = np.append(pids * _RELAT_STRIDE + self.relat_rel, _SENTINEL)
         return keys, np.append(self.relat_val, 0.0)
 
+    def partners(self, anchors, heads: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Every entity that shares a stored pair with an anchor a: the tails
+        t of the pairs (a, t), or with ``heads`` the heads h of the pairs
+        (h, a).  Returns (position in ``anchors``, partner), grouped by
+        anchor, partners ascending."""
+        ents, offsets = self._partner_index[int(heads)]
+        anchors = np.asarray(anchors, dtype=np.int64)
+        owner, index = expand_spans(offsets[anchors], offsets[anchors + 1])
+        return owner, ents[index]
+
+    @cached_property
+    def _partner_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(partners, offsets) of the tails, then of the heads: the partners
+        of entity a are ``partners[offsets[a]:offsets[a + 1]]``.  The tails
+        of a are the key range [a * n, (a + 1) * n) of pair_keys; the heads
+        come from one stable argsort of the keys by tail."""
+        n = self.n_entities
+        heads, tails = np.divmod(self.pair_keys, n)
+        bounds = np.arange(n + 1, dtype=np.int64)
+        by_tail = np.argsort(tails, kind="stable")
+        return (
+            (tails, np.searchsorted(self.pair_keys, bounds * n)),
+            (heads[by_tail], np.searchsorted(tails[by_tail], bounds)),
+        )
+
     @cached_property
     def path_pad(self) -> np.ndarray:
         """Relation ids of every path, one int64 row each, -1 padded: an
@@ -179,6 +205,14 @@ class PathTable:
     @classmethod
     def load(cls, path: str | Path) -> "PathTable":
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def need(nbytes: int) -> None:
+                # Each header count is checked against the bytes left before
+                # anything that large is allocated.
+                if nbytes > size - fh.tell():
+                    raise PathError(f"{path}: truncated path-table file")
+
             magic = fh.read(4)
             if magic != MAGIC:
                 raise PathError(f"{path}: not a path-table file (bad magic {magic!r})")
@@ -192,20 +226,15 @@ class PathTable:
                 raise PathError(f"{path}: unsupported path-table version {version}")
             path_rels = []
             for _ in range(n_paths):
-                raw_len = fh.read(1)
-                if len(raw_len) != 1:
-                    raise PathError(f"{path}: truncated path-table file")
-                (ln,) = struct.unpack("<B", raw_len)
-                rels = np.frombuffer(fh.read(4 * ln), dtype="<i4")
-                if rels.size != ln:
-                    raise PathError(f"{path}: truncated path-table file")
-                path_rels.append(tuple(int(x) for x in rels))
+                need(1)
+                (ln,) = fh.read(1)
+                need(4 * ln)
+                path_rels.append(tuple(np.frombuffer(fh.read(4 * ln), dtype="<i4").tolist()))
 
             def arr(dtype: str, count: int) -> np.ndarray:
-                raw = np.frombuffer(fh.read(np.dtype(dtype).itemsize * count), dtype=dtype)
-                if raw.size != count:
-                    raise PathError(f"{path}: truncated path-table file")
-                return raw.astype(dtype.lstrip("<"))
+                nbytes = np.dtype(dtype).itemsize * count
+                need(nbytes)
+                return np.frombuffer(fh.read(nbytes), dtype=dtype).astype(dtype.lstrip("<"))
 
             support = arr("<f8", n_paths)
             relat_offsets = arr("<i8", n_paths + 1)
@@ -229,6 +258,8 @@ class PathTable:
             raise PathError(f"{path}: entry_path outside 0..{n_paths - 1}")
         if (np.diff(pair_keys) <= 0).any():
             raise PathError(f"{path}: pair_keys not strictly increasing")
+        if n_pairs and not 0 <= int(pair_keys[0]) <= int(pair_keys[-1]) < n_entities**2:
+            raise PathError(f"{path}: pair_keys outside the {n_entities} entities' pairs")
         return cls(
             n_entities=int(n_entities),
             reliability_floor=floor,

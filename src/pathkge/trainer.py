@@ -90,21 +90,8 @@ class TrainConfig:
     warm_epochs: int = 1000
 
     def validate(self) -> None:
-        for name, allowed in CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
-        for name in ("dim_entity", "dim_relation", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("lr", "warm_lr", "margin", "margin1", "margin2", "warm_margin"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN too
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("epochs", "warm_epochs", "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name, value in self.as_dict().items():
+            _check_field(name, value)
         if self.stage == "transe" and (self.early_stop or self.checkpoint_every > 0):
             key = "early_stop" if self.early_stop else "checkpoint_every"
             raise ValueError(f"{key} acts on projected epochs, and stage transe runs none")
@@ -134,10 +121,24 @@ class TrainConfig:
         return replace(self, **coerced)
 
 
+def _check_field(name: str, value) -> None:
+    """The rules of one config field that need no other field."""
+    if name in CHOICES and value not in CHOICES[name]:
+        raise ValueError(f"{name} must be one of {', '.join(CHOICES[name])}, got {value!r}")
+    if name in ("dim_entity", "dim_relation", "batch_size", "patience") and value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if name in ("lr", "warm_lr", "margin", "margin1", "margin2", "warm_margin") and not (
+        0 < value < math.inf  # NaN too
+    ):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    if name in ("epochs", "warm_epochs", "checkpoint_every") and value < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a ``key = value`` config file; '#' starts a comment.  Every key
-    must be a config field and every value must read as its type; an error
-    names the file and the line."""
+    must be a config field and every value must read as its type and pass
+    the field's own checks; an error names the file and the line."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -150,7 +151,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             if not key:
                 raise ValueError(f"{path}:{lineno}: empty key")
             try:
-                TrainConfig().with_updates({key: value})
+                _check_field(key, getattr(TrainConfig().with_updates({key: value}), key))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             out[key] = value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pathkge.kgdata import KnowledgeGraph, augment_inverse
 from pathkge.paths import build_path_table
@@ -60,6 +61,17 @@ def random_triples(
         for _ in range(n_edges)
     ]
     return triples, n_ent, n_rel
+
+
+def corrupt(data: st.DataObject, blob: bytes) -> bytes:
+    """``blob`` maybe truncated, then with one to four bytes flipped."""
+    out = bytearray(blob)
+    if data.draw(st.booleans()):
+        del out[data.draw(st.integers(0, len(out) - 1)):]
+    for _ in range(data.draw(st.integers(1, 4))):
+        if out:
+            out[data.draw(st.integers(0, len(out) - 1))] ^= data.draw(st.integers(1, 255))
+    return bytes(out)
 
 
 @pytest.fixture

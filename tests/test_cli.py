@@ -530,6 +530,11 @@ class TestTrainFlags:
     @pytest.mark.parametrize("line, message", [
         ("epochs = abc", "bad integer for 'epochs': 'abc'"),
         ("epoch = 3", "unknown config key 'epoch'"),
+        # Values that read as their type but fail the field's own checks.
+        ("stage = blah", "stage must be one of transe, transr, ptransr, got 'blah'"),
+        ("lr = nan", "lr must be positive and finite, got nan"),
+        ("dim_entity = 0", "dim_entity must be >= 1"),
+        ("warm_epochs = -1", "warm_epochs must be >= 0"),
     ])
     def test_a_config_file_error_names_the_file_and_line(
         self, ws, tmp_path, monkeypatch, capsys, line, message

@@ -16,7 +16,9 @@ from pathkge import evaluator
 from pathkge.evaluator import (
     EvalError,
     _exact,
+    _queries,
     _RelationContext,
+    _rerank,
     _sq_norms,
     _tie_break,
     _window,
@@ -428,6 +430,74 @@ class TestWindowedRanking:
         assert np.array_equal(_window(s1, k), expected)
 
 
+def path_graph(seed: int):
+    """A random graph with valid and test facts, its path table and a
+    random model."""
+    rng = np.random.default_rng(seed)
+    triples, n_ent, n_rel = random_triples(rng, max_entities=10, max_relations=3, max_edges=24)
+
+    def facts(count: int) -> list[tuple[int, int, int]]:
+        return [(int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+                for _ in range(count)]
+
+    g = make_graph(triples, valid=facts(6), test=facts(8), n_entities=n_ent, n_relations=n_rel)
+    table = build_path_table(g, reliability_floor=0.0, cap=int(rng.integers(1, 8)))
+    params = ModelParams.random(n_ent, g.n_relations, 3, int(rng.integers(1, 6)), rng)
+    return g, table, params
+
+
+class TestRerankPathTerms:
+    """The rerank's path terms: one batch per block of queries, over the
+    anchors' stored pairs only."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from(["1", "n//2", "n-1", "n", "n+3"]))
+    def test_chunks_and_blocks_change_no_bit(self, seed, k_rule):
+        # One stored entry per chunk and one query per block against the
+        # defaults: every window, its scores and every report the same.
+        # (Outside the window, stage 1 keeps GEMM values, whose bits may
+        # depend on the block; the ranks they decide may not.)
+        g, table, params = path_graph(seed)
+        n = g.n_entities
+        k = max(1, {"1": 1, "n//2": n // 2, "n-1": n - 1, "n": n, "n+3": n + 3}[k_rule])
+
+        def run():
+            scores = [
+                (window.tobytes(), val[window].tobytes())
+                for ctx, _, slot, anchors, golds in _queries(params, g, g.test)
+                for window, val in _rerank(params, table, ctx, slot, anchors, golds, k)
+            ]
+            reports = [evaluate(params, table, g, split=split, rerank_k=k)
+                       for split in ("valid", "test")]
+            return scores, [(rep.to_dict(), rep.instances) for rep in reports]
+
+        default = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluator, "_TERM_BYTES", 1)
+            mp.setattr(evaluator, "_BLOCK_BYTES", 8 * n)
+            assert run() == default
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_only_stored_pairs_are_scored_in_bounded_chunks(self, monkeypatch, seed):
+        g, table, params = path_graph(seed)
+        budget = 3
+        monkeypatch.setattr(evaluator, "_TERM_BYTES", budget * 8 * params.dim_relation)
+        calls = []
+        terms = evaluator.path_score_terms
+
+        def spy(params, table, h, r, t):
+            calls.append(table.pair_spans(h, t))
+            return terms(params, table, h, r, t)
+
+        monkeypatch.setattr(evaluator, "path_score_terms", spy)
+        evaluate(params, table, g, split="test", rerank_k=g.n_entities)
+        assert calls
+        for lo, hi in calls:
+            sizes = hi - lo
+            assert (sizes > 0).all()  # a pair with no entries is never scored
+            assert sizes[:-1].sum() < budget  # a chunk ends once it reaches the budget
+
+
 def perfect_model() -> tuple[ModelParams, "object"]:
     """A 4-entity model where the single test fact is scored perfectly."""
     ent = np.array([[1, 0], [0, 1], [3, 4], [-2, 5]], dtype=np.float32)
@@ -552,6 +622,7 @@ class TestEvaluate:
         ({"tie_policy": "optimistic"}, "tie policy"),
         ({"category_cutoff": 0.0}, "category_cutoff"),
         ({"category_cutoff": float("nan")}, "category_cutoff"),
+        ({"table": PathTable.empty(5)}, "path table covers 5 entities"),
     ])
     def test_bad_arguments_are_refused_before_ranking(self, monkeypatch, bad, match):
         params, g = perfect_model()
@@ -563,8 +634,9 @@ class TestEvaluate:
             return stage1(ctx, *args)
 
         monkeypatch.setattr(_RelationContext, "stage1", spy)
+        args = {"table": PathTable.empty(4), "split": "test", "rerank_k": 4, **bad}
         with pytest.raises(EvalError, match=match):
-            evaluate(params, PathTable.empty(4), g, split="test", rerank_k=4, **bad)
+            evaluate(params, g=g, **args)
         assert calls == []
         evaluate(params, PathTable.empty(4), g, split="test", rerank_k=4)
         assert calls  # the spy sees a good run

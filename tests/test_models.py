@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph, random_triples
+from conftest import corrupt, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import (
     gap_energy_and_grads,
@@ -20,6 +22,7 @@ from pathkge.models import (
     ModelError,
     ModelParams,
     compose_paths,
+    path_distances,
     path_evidence,
     path_score_terms,
     project_constraints,
@@ -111,6 +114,43 @@ class TestParams:
         f.write_bytes(blob + b"\x00")
         with pytest.raises(ModelError, match="trailing"):
             ModelParams.load(f)
+
+    # Offsets into the file of the header's shape (after the 4-byte magic):
+    # dim_entity, dim_relation, n_entities, n_relations, each a uint32.
+    @pytest.mark.parametrize("offset,value", [(16, 2**31), (8, 2**32 - 1), (20, 2**31)])
+    def test_a_shape_past_the_end_of_the_file_is_refused(self, tmp_path, offset, value):
+        # Refused by the size of the file, before anything that large is
+        # allocated: no MemoryError.
+        f = tmp_path / "big.ptrm"
+        ModelParams.random(3, 2, 2, 2, np.random.default_rng(3)).save(f)
+        blob = bytearray(f.read_bytes())
+        struct.pack_into("<I", blob, offset, value)
+        f.write_bytes(bytes(blob))
+        with pytest.raises(ModelError, match="truncated") as err:
+            ModelParams.load(f)
+        assert str(err.value).startswith(f"{f}: ")
+
+    @pytest.mark.parametrize("field", ["entity_emb", "relation_emb", "proj"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_refused(self, tmp_path, field, value):
+        p = ModelParams.random(3, 2, 2, 2, np.random.default_rng(3))
+        getattr(p, field).flat[-1] = value
+        f = tmp_path / "m.ptrm"
+        p.save(f)
+        with pytest.raises(ModelError, match="non-finite") as err:
+            ModelParams.load(f)
+        assert str(err.value).startswith(f"{f}: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_corrupted_file_loads_or_raises_model_error(self, tmp_path_factory, data):
+        f = tmp_path_factory.mktemp("corrupt") / "m.ptrm"
+        ModelParams.random(3, 4, 2, 3, np.random.default_rng(3)).save(f)
+        f.write_bytes(corrupt(data, f.read_bytes()))
+        try:
+            ModelParams.load(f)
+        except ModelError:
+            pass
 
 
 def hand_params() -> ModelParams:
@@ -320,6 +360,29 @@ class TestPathKernel:
             np.arange(n_ent), np.arange(g.n_relations), np.arange(n_ent), indexing="ij"
         ), axis=-1).reshape(-1, 3)
         assert_kernel_matches_oracle(params, table, np.concatenate((grid, rng.permutation(grid))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_shared_path_relation_pairs_match_the_oracle_bit_for_bit(self, seed):
+        # The rerank's batches: many triples per relation, so most (path,
+        # relation) pairs recur, each distance computed once.
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(rng, max_edges=24)
+        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
+        table = build_path_table(g, reliability_floor=0.0, cap=int(rng.integers(1, 8)))
+        params = ModelParams.random(n_ent, g.n_relations, 3, int(rng.integers(1, 40)), rng)
+        h, t = np.divmod(table.pair_keys, n_ent)
+        r = rng.integers(g.n_relations, size=(3, 1))
+        batch = np.stack(np.broadcast_arrays(h, r, t), axis=-1).reshape(-1, 3)
+        batch = np.concatenate((batch, batch[rng.integers(len(batch), size=len(batch))]))
+        got = path_score_terms(params, table, *batch.T)
+        want = [path_score_term(params, table, *triple) for triple in batch.tolist()]
+        assert got.tolist() == want
+        # Each distance has the bits of a row of its own.
+        ev = path_evidence(table, *batch.T)
+        rels = batch[ev.triple, 1]
+        gaps = [path_gap(params, table.path_rels[p], x) for p, x in zip(ev.path, rels)]
+        assert path_distances(params, table, ev.path, rels).tolist() == [q @ q for q in gaps]
 
 
 class TestConstraints:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHAIN, DIAMOND, TRI, make_graph, mined_flows, random_triples
+from conftest import CHAIN, DIAMOND, TRI, corrupt, make_graph, mined_flows, random_triples
 from oracles import all_witnessed_paths, path_table_oracle
 from pathkge.paths import PathError, PathTable, build_path_table
 
@@ -265,6 +267,8 @@ class TestPersistence:
         ("entry_path", 0, -1, "entry_path outside"),
         ("entry_path", -1, 10**6, "entry_path outside"),
         ("pair_keys", 1, 0, "pair_keys not strictly increasing"),
+        ("pair_keys", 0, -1, "pair_keys outside"),
+        ("pair_keys", -1, 9, "pair_keys outside"),  # 3 entities: keys 0..8
     ])
     def test_structure_is_checked_on_load(self, tri_graph, tmp_path, field, index, value,
                                           message):
@@ -276,6 +280,39 @@ class TestPersistence:
         with pytest.raises(PathError, match=message) as err:
             PathTable.load(f)
         assert str(err.value).startswith(f"{f}: ")
+
+    # Offsets into the file of the header's counts (after the 4-byte magic):
+    # n_paths (uint32), n_pairs and n_entries (uint64).
+    @pytest.mark.parametrize("offset,fmt,count", [
+        (20, "<I", 2**31),   # n_paths
+        (32, "<Q", 2**62),   # n_pairs
+        (40, "<Q", 2**40),   # n_entries
+        (48, "<Q", 2**63),   # n_relat
+    ])
+    def test_a_count_past_the_end_of_the_file_is_refused(self, tri_graph, tmp_path, offset,
+                                                          fmt, count):
+        # Refused by the size of the file, before anything that large is
+        # allocated: no MemoryError, OverflowError or numpy message.
+        f = tmp_path / "big.ptbl"
+        build_path_table(tri_graph).save(f)
+        blob = bytearray(f.read_bytes())
+        struct.pack_into(fmt, blob, offset, count)
+        f.write_bytes(bytes(blob))
+        with pytest.raises(PathError, match="truncated") as err:
+            PathTable.load(f)
+        assert str(err.value).startswith(f"{f}: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_corrupted_file_loads_or_raises_path_error(self, tmp_path_factory, data):
+        table = build_path_table(make_graph(TRI + DIAMOND), reliability_floor=0.0)
+        f = tmp_path_factory.mktemp("corrupt") / "t.ptbl"
+        table.save(f)
+        f.write_bytes(corrupt(data, f.read_bytes()))
+        try:
+            PathTable.load(f)
+        except PathError:
+            pass
 
     def test_dump_tsv(self, tri_graph, tmp_path):
         table = build_path_table(tri_graph, reliability_floor=0.01, cap=10)
@@ -296,6 +333,24 @@ class TestPersistence:
 
 
 class TestQueries:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_partners_are_a_scan_of_the_pair_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=10, max_edges=24)
+        table = build_path_table(make_graph(triples, n_entities=n_ent, n_relations=n_rel),
+                                 reliability_floor=0.0)
+        pairs = [divmod(key, n_ent) for key in table.pair_keys.tolist()]
+        anchors = rng.integers(n_ent, size=rng.integers(0, 2 * n_ent))
+        for heads in (False, True):
+            owner, partner = table.partners(anchors, heads)
+            want = [
+                (i, e)
+                for i, a in enumerate(anchors.tolist())
+                for e in sorted(h if heads else t for h, t in pairs if (t if heads else h) == a)
+            ]
+            assert list(zip(owner.tolist(), partner.tolist())) == want
+
     def test_paths_for_missing_pair(self, tri_graph):
         table = build_path_table(tri_graph)
         ids, vs = table.paths_for(1, 1)
