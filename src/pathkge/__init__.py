@@ -17,7 +17,6 @@ from pathkge.kgdata import (
     KnowledgeGraph,
     Vocab,
     augment_inverse,
-    classify_relations,
     load_dataset,
 )
 from pathkge.models import ModelError, ModelParams, score_ptransr, score_transr
@@ -44,7 +43,6 @@ __all__ = [
     "Vocab",
     "augment_inverse",
     "build_path_table",
-    "classify_relations",
     "evaluate",
     "generate_synthetic_kg",
     "load_dataset",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Iterator, Literal
 
@@ -114,11 +113,6 @@ _TERM_BYTES = 1 << 20
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
-def _block_len(n_entities: int) -> int:
-    """Queries per block: their score rows fit in _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * n_entities))
-
-
 class _RelationContext:
     """Cached per-relation projections shared by every fact with that relation."""
 
@@ -133,69 +127,54 @@ class _RelationContext:
 
     def stage1(
         self, slot: str, anchors: list[int], golds: list[np.ndarray], k: int | None,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-        """Stage-1 score row of each query (``anchors[i]`` in the other slot,
-        gold entities ``golds[i]``), in order, with the entities, ascending,
-        that got their reference score (None: all of them).  Each row
-        decides the window of the ``k`` best entities (none if ``k`` is
-        None) and every count against a gold exactly as the reference row of
-        :func:`_exact` would; with ``k`` given, every entity outside the
-        recomputed ones scores strictly above the k-th best.
+    ) -> list[np.ndarray]:
+        """Stage-1 score row of each query of a block (``anchors[i]`` in the
+        other slot, gold entities ``golds[i]``).  Each row decides the window
+        of the ``k`` best entities (none if ``k`` is None) and every count
+        against a gold exactly as the reference row of :func:`_exact` would.
 
-        A block of queries is scored as ||c||^2 + ||p_e||^2 - 2 c.p_e with
-        one matrix product.  That value and the reference differ by at most
+        The block is scored as ||c||^2 + ||p_e||^2 - 2 c.p_e with one
+        matrix product.  That value and the reference differ by at most
         ``band``, so only the entities within the band of a decision get
         their reference score: those near the k-th value (a superset of the
-        window and its ties) and those near a gold's.
+        window and its ties) and those near a gold's.  Every other entity
+        scores strictly above the k-th best in both forms.
         """
         proj = self.proj_fwd
         n, d = proj.shape
+        # The reference scores (P[a] + r) - p_e for a tail and
+        # p_e + (r - P[a]), the same bits negated, for a head.
+        c = proj[anchors] + self.rv if slot == "tail" else -(self.rv - proj[anchors])
+        if k is not None and k >= n:  # every entity needs its exact score
+            return [_exact(query, proj) for query in c]
         # Each form is within gamma_{d+3} (||c|| + ||p_e||)^2 of the exact
         # distance, plus underflow; the band doubles the sum of both.
         gamma = (d + 4) * _U / (1 - (d + 4) * _U)
         p_sq = np.einsum("ij,ij->i", proj, proj)
-        p_max = np.sqrt(p_sq.max())
-        step = _block_len(n)
-        for lo in range(0, len(anchors), step):
-            block = anchors[lo:lo + step]
-            # The reference scores (P[a] + r) - p_e for a tail and
-            # p_e + (r - P[a]), the same bits negated, for a head.
-            c = proj[block] + self.rv if slot == "tail" else -(self.rv - proj[block])
-            if k is not None and k >= n:  # every entity needs its exact score
-                yield from ((_exact(query, proj), None) for query in c)
-                continue
-            c_sq = np.einsum("ij,ij->i", c, c)
-            scores = _gemm_scores(c, proj, c_sq, p_sq)
-            scale = (np.sqrt(c_sq) + p_max) ** 2
-            band = 4 * gamma * scale + np.finfo(np.float64).tiny
+        c_sq = np.einsum("ij,ij->i", c, c)
+        scores = _gemm_scores(c, proj, c_sq, p_sq)
+        band = 4 * gamma * (np.sqrt(c_sq) + np.sqrt(p_sq.max())) ** 2 + np.finfo(np.float64).tiny
+        if k is not None:
+            # The k-th value moves by at most band from GEMM to reference,
+            # and each score too: the window lies below edge.
+            edge = np.partition(scores, k - 1, axis=1)[:, k - 1] + 2 * band
+        for i, row in enumerate(scores):
+            # Within 2 * band of a gold's GEMM value is within band of its
+            # exact score.
+            near = (np.abs(row - row[golds[i], None]) <= 2 * band[i]).any(axis=0)
             if k is not None:
-                # The k-th value moves by at most band from GEMM to
-                # reference, and each score too: the window lies below edge.
-                edge = np.partition(scores, k - 1, axis=1)[:, k - 1] + 2 * band
-            for i, row in enumerate(scores):
-                if np.isfinite(2 * scale[i]):  # bounds every GEMM term and score
-                    # Within 2 * band of a gold's GEMM value is within band
-                    # of its exact score.
-                    near = (np.abs(row - row[golds[lo + i], None]) <= 2 * band[i]).any(axis=0)
-                    if k is not None:
-                        near |= row <= edge[i]
-                    rows = np.flatnonzero(near)
-                    row[rows] = _exact(c[i], proj, rows)
-                    yield row, rows
-                else:  # the exact row, which refuses non-finite scores
-                    yield _exact(c[i], proj), None
+                near |= row <= edge[i]
+            rows = np.flatnonzero(near)
+            row[rows] = _exact(c[i], proj, rows)
+        return list(scores)
 
 
 def _exact(
     query: np.ndarray, proj: np.ndarray, rows: np.ndarray | slice = slice(None)
 ) -> np.ndarray:
     """||query - p_e||^2 of the entities ``rows`` by the reference expression,
-    the same bits for any subset of rows as in the full row; non-finite
-    scores are refused."""
-    s1 = _sq_norms(query - proj[rows])
-    if not np.isfinite(s1).all():
-        raise EvalError("scores must be finite")
-    return s1
+    the same bits for any subset of rows as in the full row."""
+    return _sq_norms(query - proj[rows])
 
 
 def _gemm_scores(
@@ -224,31 +203,36 @@ def _groups(keys: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
 def _queries(
     params: ModelParams, g: KnowledgeGraph, facts: np.ndarray,
 ) -> Iterator[tuple[_RelationContext, list[np.ndarray], str, list[int], list[np.ndarray]]]:
-    """The distinct queries of ``facts``, per relation and per slot: (the
-    relation's context, rows, slot, anchors, golds), where ``rows[i]`` are
-    the rows of ``facts`` whose other slot holds ``anchors[i]`` and
-    ``golds[i]`` their entities in the slot."""
+    """The distinct queries of ``facts``, per relation, per slot and per
+    block of queries whose score rows fit in _BLOCK_BYTES: (the relation's
+    context, rows, slot, anchors, golds), where ``rows[i]`` are the rows of
+    ``facts`` whose other slot holds ``anchors[i]`` and ``golds[i]`` their
+    entities in the slot.
+
+    Non-finite parameters are refused here, once.  Finite float32 ones keep
+    every float64 score, matrix-product term and band finite: an entry of
+    P e is at most k (3.4e38)^2, about 6e78, so a squared norm stays near 1e160.
+    """
+    arrays = (params.entity_emb, params.relation_emb, params.proj)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise EvalError("model parameters must be finite")
     ent = params.entity_emb.astype(np.float64)
+    step = max(1, _BLOCK_BYTES // (8 * params.n_entities))
     for r, idxs in zip(*_groups(facts[:, 1])):
         ctx = _RelationContext(params, g, r, ent)
         for slot, anchor_col, gold_col in (("head", 2, 0), ("tail", 0, 2)):
             anchors, rows = _groups(facts[idxs, anchor_col])
-            rows = [idxs[q] for q in rows]
-            yield ctx, rows, slot, anchors, [facts[q, gold_col] for q in rows]
+            for lo in range(0, len(anchors), step):
+                block = [idxs[q] for q in rows[lo:lo + step]]
+                yield ctx, block, slot, anchors[lo:lo + step], [facts[q, gold_col] for q in block]
 
 
-def _window(s1: np.ndarray, k: int, near: np.ndarray | None = None) -> np.ndarray:
+def _window(s1: np.ndarray, k: int) -> np.ndarray:
     """Mask of the first k entities of a stable argsort of s1, without
     sorting: every score below the k-th smallest, then the lowest-index
-    entities tied with it.  The search may be narrowed to ``near``,
-    ascending entity ids, when every other entity scores strictly above
-    the k-th smallest."""
+    entities tied with it."""
     if k >= len(s1):
         return np.ones(len(s1), dtype=bool)
-    if near is not None:
-        window = np.zeros(len(s1), dtype=bool)
-        window[near[_window(s1[near], k)]] = True
-        return window
     v = np.partition(s1, k - 1)[k - 1]
     window = s1 < v
     window[np.flatnonzero(s1 == v)[: k - np.count_nonzero(window)]] = True
@@ -294,33 +278,29 @@ def _rerank(
     params: ModelParams, table: PathTable, ctx: _RelationContext, slot: str,
     anchors: list[int], golds: list[np.ndarray], k: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each query's window mask and scores, in order: the stage-1 row with
-    the window entities scored by the full model in both directions.  The
-    window and its scores depend only on the query.  Queries go in the
-    blocks of stage 1, and a block's windows come first, so that its path
-    terms are computed in one batch."""
-    rows = ctx.stage1(slot, anchors, golds, k)
-    step = _block_len(len(ctx.proj_fwd))
-    for lo in range(0, len(anchors), step):
-        block = anchors[lo:lo + step]
-        s1s = list(islice(rows, len(block)))
-        windows = np.array([_window(s1, k, near) for s1, near in s1s])
-        terms = None
-        if table.n_entries:
-            terms = _path_terms(params, table, ctx, slot, block, windows)
-        for i, (anchor, (s1, _)) in enumerate(zip(block, s1s)):
-            win = np.flatnonzero(windows[i])
-            # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.
-            a_inv = ctx.proj_inv[anchor]
-            c_inv = a_inv + ctx.riv if slot == "head" else -(ctx.riv - a_inv)
-            s2 = s1[win] + _sq_norms(c_inv - ctx.proj_inv[win])
-            if terms is not None:
-                s2 = s2 + (terms[0, i, win] + terms[1, i, win])
-            if not np.isfinite(s2).all():
-                raise EvalError("scores must be finite")
-            val = s1.copy()
-            val[win] = s2
-            yield windows[i], val
+    """Each query's window mask and scores, for one block of queries in
+    order: the stage-1 row with the window entities scored by the full
+    model in both directions.  The window and its scores depend only on the
+    query.  The block's windows come first, so that its path terms are
+    computed in one batch."""
+    s1s = ctx.stage1(slot, anchors, golds, k)
+    windows = np.array([_window(s1, k) for s1 in s1s])
+    terms = None
+    if table.n_entries:
+        terms = _path_terms(params, table, ctx, slot, anchors, windows)
+    for i, (anchor, s1) in enumerate(zip(anchors, s1s)):
+        win = np.flatnonzero(windows[i])
+        # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.
+        a_inv = ctx.proj_inv[anchor]
+        c_inv = a_inv + ctx.riv if slot == "head" else -(ctx.riv - a_inv)
+        s2 = s1[win] + _sq_norms(c_inv - ctx.proj_inv[win])
+        if terms is not None:
+            s2 = s2 + (terms[0, i, win] + terms[1, i, win])
+        # Finite table flows can still scale a path term past float64's range.
+        if not np.isfinite(s2).all():
+            raise EvalError("scores must be finite")
+        s1[win] = s2
+        yield windows[i], s1
 
 
 def _rank_matrices(
@@ -341,7 +321,7 @@ def valid_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
         raise EvalError("cannot evaluate an empty valid split")
     ranks: list[np.ndarray] = []
     for ctx, _, slot, anchors, golds in _queries(params, g, g.valid):
-        for q_golds, (s1, _) in zip(golds, ctx.stage1(slot, anchors, golds, None)):
+        for q_golds, s1 in zip(golds, ctx.stage1(slot, anchors, golds, None)):
             ranks.append((s1 <= s1[q_golds][:, None]).sum(axis=1))  # pessimistic
     return float(np.mean(np.concatenate(ranks)))
 
@@ -407,16 +387,16 @@ def evaluate(
         for anchor, q_rows, q_golds, (window, val) in zip(
             anchors, rows, golds, _rerank(params, table, ctx, slot, anchors, golds, rerank_k)
         ):
-            gold_in, gold_val = window[q_golds], val[q_golds]
-            above, tied = _rank_matrices(window, val, gold_in, gold_val)
+            gold_in = window[q_golds]
+            above, tied = _rank_matrices(window, val, gold_in, val[q_golds])
             less, ties = above.sum(axis=1), tied.sum(axis=1)
             raw[q_rows, col] = _tie_break(less, ties, tie_policy)
             # Take out what the known entities counted, except each gold's own tie.
             known = g.known_heads(ctx.r, anchor) if slot == "head" else g.known_tails(anchor, ctx.r)
-            above, tied = _rank_matrices(window[known], val[known], gold_in, gold_val)
-            tied &= known != q_golds[:, None]
             filtered[q_rows, col] = _tie_break(
-                less - above.sum(axis=1), ties - tied.sum(axis=1), tie_policy
+                less - above[:, known].sum(axis=1),
+                ties - (tied[:, known] & (known != q_golds[:, None])).sum(axis=1),
+                tie_policy,
             )
             in_window[q_rows, col] = gold_in
 

@@ -357,14 +357,6 @@ def augment_inverse(g: KnowledgeGraph) -> KnowledgeGraph:
 # -- relation statistics -------------------------------------------------
 
 
-class RelationCategory(NamedTuple):
-    """Mapping-cardinality class of one relation with its hpt/tph stats."""
-
-    category: str
-    hpt: float
-    tph: float
-
-
 def relation_cardinality(
     triples: np.ndarray, n_relations: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,20 +394,6 @@ def relation_breakdown(
     bucket = np.searchsorted(_BUCKET_EDGES, facts)
     category[facts == 0] = bucket[facts == 0] = -1
     return category, bucket
-
-
-def classify_relations(
-    g: KnowledgeGraph, cutoff: float = DEFAULT_CATEGORY_CUTOFF
-) -> dict[int, RelationCategory | None]:
-    """Classify every original relation as 1-to-1, 1-to-N, N-to-1, or N-to-N
-    (see :func:`relation_breakdown`), with its hpt and tph.  Relations absent
-    from train cannot be classified and map to ``None``."""
-    category, _ = relation_breakdown(g, cutoff)
-    _, tphs, hpts = relation_cardinality(g.original_train, g.n_relations_orig)
-    return {
-        r: None if c < 0 else RelationCategory(CATEGORY_LABELS[c], hpt, tph)
-        for r, (c, tph, hpt) in enumerate(zip(category.tolist(), tphs.tolist(), hpts.tolist()))
-    }
 
 
 def write_vocab_dumps(g: KnowledgeGraph, out_dir: str | Path) -> None:

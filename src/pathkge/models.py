@@ -52,6 +52,8 @@ class ModelParams:
             raise ModelError("relation matrix and projection tensor disagree")
         if self.entity_emb.shape[1] != k:
             raise ModelError("entity dimension and projection tensor disagree")
+        if any(a.dtype != np.float32 for a in (self.entity_emb, self.relation_emb, self.proj)):
+            raise ModelError("parameters must be float32")
 
     @property
     def n_entities(self) -> int:

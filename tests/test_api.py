@@ -21,7 +21,6 @@ PUBLIC = {
     "Vocab",
     "augment_inverse",
     "build_path_table",
-    "classify_relations",
     "evaluate",
     "generate_synthetic_kg",
     "load_dataset",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import make_graph, random_triples
 from oracles import full_rank_oracle, windowed_rank_oracle
 from pathkge import evaluator
 from pathkge.evaluator import (
+    SLOTS,
     EvalError,
     _exact,
     _queries,
@@ -68,23 +70,6 @@ class TestTieRank:
             base = tie_rank(scores, 7, policy)
             assert tie_rank(scores + 17.5, 7, policy) == base
             assert tie_rank(scores * 3.0, 7, policy) == base
-
-    # The ids keep the numbering of the earlier table of bad tie_rank rows.
-    @pytest.mark.parametrize(
-        "scores,gold",
-        [
-            pytest.param(np.array([1.0, np.nan]), 0, id="scores2-0"),
-            pytest.param(np.array([1.0, np.inf]), 0, id="scores3-0"),
-        ],
-    )
-    def test_rejects_bad_input(self, scores, gold):
-        # A query at the origin and entities at sqrt(score): the reference
-        # row holds exactly these scores.  It is refused whole even though
-        # the gold's own score is finite.
-        query, proj = np.zeros(1), np.sqrt(scores)[:, None]
-        assert _exact(query, proj, np.array([gold])).tolist() == [scores[gold]]
-        with pytest.raises(EvalError, match="finite"):
-            _exact(query, proj)
 
     def test_all_tied_through_evaluate(self):
         # The anchor 0 and both other entities sit at distance 1 from the
@@ -347,20 +332,19 @@ class TestWindowedRanking:
         for slot in ("head", "tail"):
             for k in {None, 1, n // 2, n - 1, n}:
                 rows = ctx.stage1(slot, anchors, golds, k)
-                for anchor, gold, (row, near) in zip(anchors, golds, rows):
+                assert len(rows) == n
+                for anchor, gold, row in zip(anchors, golds, rows):
                     ref = reference_stage1(ctx, anchor, slot)
                     if k == n:  # no GEMM: the reference row itself
-                        assert row.tobytes() == ref.tobytes() and near is None
+                        assert row.tobytes() == ref.tobytes()
                     for entity in gold:
                         assert np.array_equal(row < row[entity], ref < ref[entity])
                         assert np.array_equal(row == row[entity], ref == ref[entity])
                     if k is not None:
-                        assert np.array_equal(_window(row, k), _window(ref, k))
-                        # The window searched among the recomputed entities.
-                        assert np.array_equal(_window(row, k, near), _window(ref, k))
-                        if near is not None:
-                            assert np.array_equal(near, np.unique(near))
-                            assert (ref[near] == row[near]).all()
+                        window = _window(row, k)
+                        assert np.array_equal(window, _window(ref, k))
+                        # The rerank adds to these scores: the reference bits.
+                        assert row[window].tobytes() == ref[window].tobytes()
 
     def test_full_window_skips_the_gemm(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -404,6 +388,35 @@ class TestWindowedRanking:
             (0, "tail", 0), (0, "tail", 1), (0, "tail", 3),
         ]
 
+    @pytest.mark.parametrize("rows_per_block", [0, 1, 2.5, 3, None])
+    def test_query_blocks_cover_every_distinct_query_once(self, monkeypatch, rows_per_block):
+        rng = np.random.default_rng(8)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=9, max_relations=3)
+        test = [(int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+                for _ in range(30)]
+        g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
+        params = ModelParams.random(g.n_entities, g.n_relations, 3, 3, rng)
+        if rows_per_block is not None:  # else the default
+            monkeypatch.setattr(evaluator, "_BLOCK_BYTES", int(8 * n_ent * rows_per_block))
+        limit = max(1, evaluator._BLOCK_BYTES // (8 * n_ent))
+        queries, instances, blocks = [], [], 0
+        for ctx, rows, slot, anchors, golds in _queries(params, g, g.test):
+            assert 1 <= len(anchors) <= limit
+            blocks += 1
+            anchor_col, gold_col = (2, 0) if slot == "head" else (0, 2)
+            for anchor, q_rows, q_golds in zip(anchors, rows, golds, strict=True):
+                queries.append((ctx.r, slot, anchor))
+                instances += [(row, slot) for row in q_rows.tolist()]
+                assert (g.test[q_rows, 1] == ctx.r).all()
+                assert (g.test[q_rows, anchor_col] == anchor).all()
+                assert q_golds.tolist() == g.test[q_rows, gold_col].tolist()
+        assert len(queries) == len(set(queries))
+        assert sorted(instances) == [(i, slot) for i in range(len(test)) for slot in SLOTS]
+        # Each relation and slot is cut into as few blocks as the limit allows.
+        per_slot = Counter((r, slot) for r, slot, _ in queries)
+        assert max(per_slot.values()) > 3
+        assert blocks == sum(-(-count // limit) for count in per_slot.values())
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9), st.integers(1, 40), st.integers(1, 300))
     def test_sq_norms_of_a_row_subset_are_the_same_bits(self, seed, n, d):
@@ -418,7 +431,7 @@ class TestWindowedRanking:
         params = ModelParams.random(n + 1, 2, d, d, rng)
         ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
         for slot in ("head", "tail"):
-            ((row, _),) = ctx.stage1(slot, [n], [np.array([0])], n + 1)
+            (row,) = ctx.stage1(slot, [n], [np.array([0])], n + 1)
             assert row.tobytes() == reference_stage1(ctx, n, slot).tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -598,23 +611,28 @@ class TestEvaluate:
         assert top1.window_recall == pytest.approx(np.mean(hits))
         assert 0.0 < top1.window_recall < 1.0
 
+    # The NaN cases keep their earlier ids.
     @pytest.mark.parametrize(
-        "fact,nan_row,rerank_k",
+        "fact,bad_row,rerank_k,value",
         [
             # Entity 5 is inside every window at rerank_k 6.  At 2 it is
-            # outside both while both golds are inside theirs, so only a
-            # check of every stage-1 score sees it.
-            ((1, 0, 0), ("entity_emb", 5), 6),
-            ((1, 0, 0), ("entity_emb", 5), 2),
+            # outside both while both golds are inside theirs.
+            pytest.param((1, 0, 0), ("entity_emb", 5), 6, np.nan, id="fact0-nan_row0-6"),
+            pytest.param((1, 0, 0), ("entity_emb", 5), 2, np.nan, id="fact1-nan_row1-2"),
+            pytest.param((1, 0, 0), ("entity_emb", 5), 6, np.inf, id="inf-6"),
+            pytest.param((1, 0, 0), ("entity_emb", 5), 2, np.inf, id="inf-2"),
             # The inverse relation enters only the window's full scores, and
             # both golds of (4, 0, 0) are outside their windows.
-            ((4, 0, 0), ("relation_emb", 1), 2),
+            pytest.param((4, 0, 0), ("relation_emb", 1), 2, np.nan, id="fact2-nan_row2-2"),
         ],
     )
-    def test_non_finite_model_is_refused(self, fact, nan_row, rerank_k):
+    def test_non_finite_model_is_refused(self, monkeypatch, fact, bad_row, rerank_k, value):
+        # Refused before any query is ranked, even where the gold's own
+        # scores would be finite.
         g = make_graph([(3, 0, 0)], test=[fact], n_entities=6, n_relations=1)
         params = line_model(6)
-        getattr(params, nan_row[0])[nan_row[1]] = np.nan
+        getattr(params, bad_row[0])[bad_row[1]] = value
+        monkeypatch.setattr(_RelationContext, "stage1", None)
         with pytest.raises(EvalError, match="finite"):
             evaluate(params, PathTable.empty(6), g, split="test", rerank_k=rerank_k)
 

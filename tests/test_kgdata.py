@@ -13,12 +13,13 @@ from conftest import TRI, make_graph, random_triples
 from oracles import known_index, read_rows
 from oracles import relation_cardinality as cardinality_oracle
 from pathkge.kgdata import (
+    CATEGORY_LABELS,
+    DEFAULT_CATEGORY_CUTOFF,
     FREQUENCY_BUCKETS,
     DatasetError,
     KnowledgeGraph,
     Vocab,
     augment_inverse,
-    classify_relations,
     _read_columns,
     load_dataset,
     relation_breakdown,
@@ -347,24 +348,25 @@ class TestRelationStats:
         return make_graph(train, valid=[(0, 4, 1)], n_entities=5, n_relations=5)
 
     def test_categories_hand_checked(self):
-        cats = classify_relations(self.graph())
-        assert cats[0].category == "1-to-1"
-        assert cats[1].category == "1-to-N"
-        assert cats[2].category == "N-to-1"
-        assert cats[3].category == "N-to-N"
-        assert cats[4] is None  # absent from train
-        assert cats[1].tph == pytest.approx(4.0)
-        assert cats[1].hpt == pytest.approx(1.0)
-        assert cats[2].hpt == pytest.approx(4.0)
+        g = self.graph()
+        category, _ = relation_breakdown(g)
+        labels = [CATEGORY_LABELS[c] if c >= 0 else None for c in category.tolist()]
+        assert labels == ["1-to-1", "1-to-N", "N-to-1", "N-to-N", None]  # 4 absent from train
+        _, tph, hpt = relation_cardinality(g.original_train, g.n_relations_orig)
+        assert tph[1] == pytest.approx(4.0)
+        assert hpt[1] == pytest.approx(1.0)
+        assert hpt[2] == pytest.approx(4.0)
 
     @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
     def test_cutoff_must_be_positive(self, cutoff):
         with pytest.raises(DatasetError, match="cutoff must be positive"):
-            classify_relations(self.graph(), cutoff)
+            relation_breakdown(self.graph(), cutoff)
 
     def test_category_uses_train_only(self):
-        cats = classify_relations(self.graph())
-        assert set(cats) == {0, 1, 2, 3, 4}
+        # Relation 4 occurs in valid only: it gets an entry, but no category.
+        category, bucket = relation_breakdown(self.graph())
+        assert len(category) == len(bucket) == 5
+        assert category[4] == -1
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
@@ -379,10 +381,12 @@ class TestRelationStats:
             assert [a.tolist() for a in got] == list(
                 cardinality_oracle(train.tolist(), n)
             )
-        facts, tph, hpt = cardinality_oracle(g.original_train.tolist(), n_rel + 1)
-        for r, cat in classify_relations(g).items():
-            assert (cat is None) == (facts[r] == 0)
-            assert cat is None or (cat.tph, cat.hpt) == (tph[r], hpt[r])
+        facts, tph, hpt = (
+            np.array(a) for a in cardinality_oracle(g.original_train.tolist(), n_rel + 1)
+        )
+        want = 2 * (hpt >= DEFAULT_CATEGORY_CUTOFF) + (tph >= DEFAULT_CATEGORY_CUTOFF)
+        want[facts == 0] = -1
+        assert relation_breakdown(g)[0].tolist() == want.tolist()
 
     def test_relation_train_counts(self):
         # Train counts 2, 4, 4, 4 and 0; relation 4 occurs in valid only.

@@ -84,6 +84,15 @@ class TestParams:
         with pytest.raises(ModelError):
             ModelParams(ent, rel, np.zeros((3, 2, 2), dtype=np.float32))
 
+    @pytest.mark.parametrize("field", ["entity_emb", "relation_emb", "proj"])
+    def test_only_float32_arrays_are_accepted(self, field):
+        # The evaluator's finiteness argument rests on float32 parameters.
+        p = ModelParams.random(3, 2, 2, 2, np.random.default_rng(3))
+        arrays = {name: getattr(p, name) for name in ("entity_emb", "relation_emb", "proj")}
+        arrays[field] = arrays[field].astype(np.float64)
+        with pytest.raises(ModelError, match="float32"):
+            ModelParams(**arrays)
+
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         p = ModelParams.random(4, 6, 3, 2, rng)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import TRI, make_graph, random_triples
+from conftest import DIAMOND, TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
 from oracles import batch_step, sample_negative, validation_mean_rank, warm_epoch
@@ -497,6 +497,17 @@ class TestTrain:
         )
         with pytest.raises(TrainError, match="dimensions"):
             train(small_graph, None, tiny_cfg(stage="transr"), init_params=wrong_dim)
+
+    def test_table_of_another_graph_is_refused_before_the_warm_start(
+        self, small_graph, monkeypatch
+    ):
+        # The 8-entity graph would train silently on the keys of 10 entities.
+        other = make_graph(DIAMOND + [(0, 1, 3), (3, 0, 9)], n_entities=10, n_relations=2)
+        table = build_path_table(other, reliability_floor=0.0)
+        assert table.n_entries and table.n_entities == 10
+        monkeypatch.setattr(trainer, "init_transe", None)  # a call would fail otherwise
+        with pytest.raises(TrainError, match="covers 10 entities but the graph has 8"):
+            train(small_graph, table, tiny_cfg())
 
     def test_transe_stage_rejects_init(self, small_graph):
         rng = np.random.default_rng(0)
