@@ -71,6 +71,29 @@ class TestTieRank:
             assert tie_rank(scores + 17.5, 7, policy) == base
             assert tie_rank(scores * 3.0, 7, policy) == base
 
+    @pytest.mark.parametrize(
+        "scores,gold",
+        [
+            pytest.param(np.array([1.0, np.nan]), 0, id="scores2-0"),
+            pytest.param(np.array([1.0, np.inf]), 0, id="scores3-0"),
+        ],
+    )
+    def test_rejects_bad_input(self, monkeypatch, scores, gold):
+        # An anchor at the origin and candidates at sqrt(score): the
+        # reference row holds exactly these scores.  Evaluation refuses the
+        # model whole even though the gold's own score is finite.
+        query, proj = np.zeros(1), np.sqrt(scores)[:, None]
+        assert _exact(query, proj, np.array([gold])).tolist() == [scores[gold]]
+        ent = np.zeros((1 + len(scores), 2), dtype=np.float32)
+        ent[1:, 0] = np.sqrt(scores)
+        params = ModelParams(
+            ent, np.zeros((2, 2), dtype=np.float32), np.tile(np.eye(2, dtype=np.float32), (2, 1, 1))
+        )
+        g = make_graph([(0, 0, 1 + gold)], test=[(0, 0, 1 + gold)], n_entities=len(ent), n_relations=1)
+        monkeypatch.setattr(_RelationContext, "stage1", None)
+        with pytest.raises(EvalError, match="finite"):
+            evaluate(params, PathTable.empty(len(ent)), g, split="test")
+
     def test_all_tied_through_evaluate(self):
         # The anchor 0 and both other entities sit at distance 1 from the
         # query point in both directions: a three-way tie, gold included.
