@@ -364,6 +364,7 @@ def cmd_extract_paths(args: argparse.Namespace) -> int:
     print(f"paths:     {stats['n_paths']}")
     print(f"entries:   {stats['n_entries']} (of {stats['n_entries_prefilter']} mined)")
     print(f"drop rate: {stats['drop_rate']:.4f} at floor {table.reliability_floor}")
+    print(f"capped:    {stats['n_pairs_capped']} pairs at cap {table.cap}")
     print(f"wrote {out_file}")
     return 0
 

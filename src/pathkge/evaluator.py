@@ -122,6 +122,7 @@ class _RelationContext:
         self.r_inv = g.inverse_of(r)
         self.proj_fwd = ent @ params.proj[r].astype(np.float64).T
         self.proj_inv = ent @ params.proj[self.r_inv].astype(np.float64).T
+        self.p_sq = np.einsum("ij,ij->i", self.proj_fwd, self.proj_fwd)
         self.rv = params.relation_emb[r].astype(np.float64)
         self.riv = params.relation_emb[self.r_inv].astype(np.float64)
 
@@ -150,7 +151,7 @@ class _RelationContext:
         # Each form is within gamma_{d+3} (||c|| + ||p_e||)^2 of the exact
         # distance, plus underflow; the band doubles the sum of both.
         gamma = (d + 4) * _U / (1 - (d + 4) * _U)
-        p_sq = np.einsum("ij,ij->i", proj, proj)
+        p_sq = self.p_sq
         c_sq = np.einsum("ij,ij->i", c, c)
         scores = _gemm_scores(c, proj, c_sq, p_sq)
         band = 4 * gamma * (np.sqrt(c_sq) + np.sqrt(p_sq.max())) ** 2 + np.finfo(np.float64).tiny

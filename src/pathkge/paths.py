@@ -287,65 +287,113 @@ class PathTable:
 # -- construction --------------------------------------------------------
 
 
+# Train pairs are mined in chunks of whole heads of about this many bytes,
+# each pair counting its neighbour bit-set row and 8 bytes for each walk
+# end it can have.
+_MINE_BYTES = 1 << 20
+
+
 def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum ``val`` over equal keys, each sum adding one by one in input
     order: (distinct keys, sums, the run of every input row).
 
-    ``np.bincount`` adds sequentially; ``np.add.reduceat`` would add a run
-    of eight or more values pairwise and round differently.
+    ``np.bincount`` adds sequentially, whatever order the keys sort in;
+    ``np.add.reduceat`` would add a run of eight or more values pairwise
+    and round differently.
     """
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = _firsts(key)
-    starts = np.flatnonzero(first)
-    run = np.empty(len(key), dtype=np.int64)
-    run[order] = np.cumsum(first) - 1
-    sums = np.bincount(run, weights=val, minlength=len(starts))
-    return key[starts], sums, run
+    keys, run = np.unique(key, return_inverse=True)
+    return keys, np.bincount(run, weights=val, minlength=len(keys)), run
 
 
-def _collect_head(g: KnowledgeGraph, h: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Capped (tail, path code, flow) entries of all train pairs headed at h,
-    sorted by tail, then path.
+def _collect(g: KnowledgeGraph, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Capped (pair key, path code, flow) entries of every train pair,
+    sorted by pair, then path, and the number of pairs the cap cut.
 
     Path (r1,) has code r1 * (n_rel + 1) and (r1, r2) has code
     r1 * (n_rel + 1) + r2 + 1, so codes sort like the relation tuples.
+
+    A walk h -r1-> m -r2-> t counts when (h, t) is a train pair.  Every
+    edge is a train fact, so (h, m) is a train pair too, and the ends t of
+    its walks are the entities in both out-neighbour sets of h and of m:
+    one AND of two bit sets per train pair finds only the walks kept.
     """
-    n_ent = g.n_entities
-    n_rel = g.n_relations
-    pair_keys = g.train_pairs()
-    lo = np.searchsorted(pair_keys, np.int64(h) * n_ent)
-    hi = np.searchsorted(pair_keys, np.int64(h + 1) * n_ent)
-    is_tail = np.zeros(n_ent, dtype=bool)
-    is_tail[pair_keys[lo:hi] % n_ent] = True
-
+    n_ent, n_rel = g.n_entities, g.n_relations
+    n_code = n_rel * (n_rel + 1)
+    if n_ent * n_ent * n_code > np.iinfo(np.int64).max:
+        raise PathError(f"{n_ent} entities and {n_rel} relations overflow the path keys")
+    pairs = g.train_pairs()
     uoff, urel, udst, ushare = g.unique_adjacency()
-    own = slice(uoff[h], uoff[h + 1])
-    # Every edge of h is a train fact, so its end is a train-pair tail of h.
-    rels1, dsts1, w1 = urel[own].astype(np.int64), udst[own], ushare[own]
+    deg = np.diff(uoff)
+    src = np.repeat(np.arange(n_ent, dtype=np.int64), deg)
+    # The unique edges of pairs[i] are by_pair[pair_off[i]:pair_off[i + 1]],
+    # relations ascending.
+    edge_pair = src * n_ent + udst
+    by_pair = np.argsort(edge_pair, kind="stable")
+    pair_off = np.append(np.flatnonzero(_firsts(edge_pair[by_pair])), len(by_pair))
+    # Bit t % 8 of byte t // 8 of row h is set when h has an edge to t; rows
+    # are whole uint64 words.
+    row_bytes = 8 * -(-n_ent // 64)
+    bits = np.zeros((n_ent, row_bytes), dtype=np.uint8)
+    np.bitwise_or.at(bits, (src, udst >> 3), np.left_shift(1, udst & 7).astype(np.uint8))
+    words = bits.view(np.uint64)
+    one_key = edge_pair * n_code + urel * np.int64(n_rel + 1)
 
-    # Expand every two-hop walk at once, then sum flows per
-    # (r1, r2, target) with a stable sort so summation order is fixed.
-    walk, edge = expand_spans(uoff[dsts1], uoff[dsts1 + 1])
-    t2 = udst[edge].astype(np.int64)
-    two = is_tail[t2]
-    walk, edge, t2 = walk[two], edge[two], t2[two]
-    key, flow, _ = _sum_runs(
-        (rels1[walk] * n_rel + urel[edge]) * n_ent + t2, w1[walk] * ushare[edge]
-    )
-    r1, r2 = np.divmod(key // n_ent, n_rel)
+    # Each chunk holds whole heads, so no flow sum spans two chunks.
+    heads, mids = np.divmod(pairs, n_ent)
+    cost = row_bytes + 8 * np.minimum(deg[heads], deg[mids])
+    starts = np.flatnonzero(_firsts(heads))
+    starts = starts[_firsts((np.cumsum(cost) - cost)[starts] // _MINE_BYTES)]
+    parts = []
+    n_capped = 0
+    for a, b in zip(starts.tolist(), np.append(starts[1:], len(pairs)).tolist()):
+        # The set bits of N(h) & N(m), pair by pair, entities ascending: the
+        # nonzero words, then their nonzero bytes, then those bytes' bits.
+        inter = words[heads[a:b]]
+        inter &= words[mids[a:b]]
+        word = np.flatnonzero(inter)
+        nonzero = inter.ravel()[word].view(np.uint8)
+        at = np.flatnonzero(nonzero)
+        bit = np.flatnonzero(np.unpackbits(nonzero[at], bitorder="little"))
+        at = at[bit >> 3]
+        i, t = np.divmod((word[at >> 3] * 8 + (at & 7)) * 8 + (bit & 7), 8 * row_bytes)
+        i += a
+        # One walk per relation of (h, m) and relation of (m, t), in the
+        # order (h, m, t, r1, r2): each (h, r1, r2, t) adds its flows in
+        # ascending m.  A 1-hop entry's code is a run of its own.
+        j = np.searchsorted(pairs, mids[i] * n_ent + t)
+        walk, e1 = expand_spans(pair_off[i], pair_off[i + 1])
+        step, e2 = expand_spans(pair_off[j[walk]], pair_off[j[walk] + 1])
+        walk, e1, e2 = walk[step], by_pair[e1[step]], by_pair[e2]
+        own = slice(uoff[heads[a]], uoff[heads[b - 1] + 1])
+        key, v, _ = _sum_runs(
+            np.concatenate((
+                one_key[own],
+                (heads[i[walk]] * n_ent + t[walk]) * n_code
+                + urel[e1] * np.int64(n_rel + 1) + urel[e2] + 1,
+            )),
+            np.concatenate((ushare[own], ushare[e1] * ushare[e2])),
+        )
 
-    t = np.concatenate((dsts1.astype(np.int64), key % n_ent))
-    code = np.concatenate((rels1 * (n_rel + 1), r1 * (n_rel + 1) + r2 + 1))
-    v = np.concatenate((w1, flow))
-    # Memory guard: keep each pair's ``cap`` strongest flows; break flow
-    # ties by path order so the selection is deterministic.
-    order = np.lexsort((code, -v, t))
-    t, code, v = t[order], code[order], v[order]
-    keep = np.arange(len(t)) - np.searchsorted(t, t) < cap
-    t, code, v = t[keep], code[keep], v[keep]
-    order = np.lexsort((code, t))
-    return t[order], code[order], v[order]
+        # Memory guard: keep each pair's ``cap`` strongest flows; break flow
+        # ties by path order so the selection is deterministic.
+        pair = key // n_code
+        first = np.flatnonzero(_firsts(pair))
+        size = np.diff(np.append(first, len(pair)))
+        over = size > cap
+        if over.any():
+            n_capped += int(over.sum())
+            cut = np.flatnonzero(np.repeat(over, size))
+            cut = cut[np.lexsort((key[cut], -v[cut], pair[cut]))]
+            rank = np.arange(len(cut)) - np.searchsorted(pair[cut], pair[cut])
+            keep = np.ones(len(key), dtype=bool)
+            keep[cut[rank >= cap]] = False
+            key, v = key[keep], v[keep]
+        parts.append((key, v))
+
+    key = np.concatenate([part[0] for part in parts] + [np.zeros(0, np.int64)])
+    flows = np.concatenate([part[1] for part in parts] + [np.zeros(0)])
+    key, codes = np.divmod(key, n_code)
+    return key, codes, flows, n_capped
 
 
 def build_path_table(
@@ -373,18 +421,9 @@ def build_path_table(
         raise PathError(f"pair cap must be in [1, {MAX_PAIR_CAP}], got {cap}")
 
     n_ent, n_rel = g.n_entities, g.n_relations
-    heads = g.train_pairs() // n_ent
-    heads = heads[_firsts(heads)]
-
-    per_head = [_collect_head(g, h, cap) for h in heads.tolist()]
-
     # Mined entries in (h, t, path) order, with their pairs and path ids;
     # path ids count the distinct paths in lexicographic order.
-    tails, codes, flows = (
-        np.concatenate([part[i] for part in per_head] + [np.zeros(0, dtype)])
-        for i, dtype in enumerate((np.int64, np.int64, np.float64))
-    )
-    key = np.repeat(heads, [len(part[0]) for part in per_head]) * n_ent + tails
+    key, codes, flows, n_capped = _collect(g, cap)
     first = _firsts(key)
     pair_of = np.cumsum(first) - 1
     path_codes, pid = np.unique(codes, return_inverse=True)
@@ -441,6 +480,7 @@ def build_path_table(
             n_paths=int(len(used)),
             n_entries=n_entries,
             n_entries_prefilter=int(len(keep)),
+            n_pairs_capped=n_capped,
             drop_rate=(1.0 - n_entries / len(keep) if len(keep) else 0.0),
         )
 

@@ -11,8 +11,9 @@ from itertools import product
 
 import numpy as np
 
+from pathkge.kgdata import KnowledgeGraph, _firsts
 from pathkge.models import ModelParams, project_constraints, score_ptransr, score_transr
-from pathkge.paths import PathTable
+from pathkge.paths import PathTable, expand_spans
 
 
 def score_transe(params: ModelParams, h: int, r: int, t: int, norm: str = "L2") -> float:
@@ -338,6 +339,67 @@ def all_witnessed_paths(triples, h: int, t: int, n_relations: int, max_hops: int
             if v > 0.0:
                 found[path] = v
     return found
+
+
+def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``val`` over equal keys, each sum adding one by one in input
+    order: (distinct keys, sums, the run of every input row).
+
+    ``np.bincount`` adds sequentially; ``np.add.reduceat`` would add a run
+    of eight or more values pairwise and round differently.
+    """
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = _firsts(key)
+    starts = np.flatnonzero(first)
+    run = np.empty(len(key), dtype=np.int64)
+    run[order] = np.cumsum(first) - 1
+    sums = np.bincount(run, weights=val, minlength=len(starts))
+    return key[starts], sums, run
+
+
+def collect_head(g: KnowledgeGraph, h: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Capped (tail, path code, flow) entries of all train pairs headed at h,
+    sorted by tail, then path.
+
+    Path (r1,) has code r1 * (n_rel + 1) and (r1, r2) has code
+    r1 * (n_rel + 1) + r2 + 1, so codes sort like the relation tuples.
+    """
+    n_ent = g.n_entities
+    n_rel = g.n_relations
+    pair_keys = g.train_pairs()
+    lo = np.searchsorted(pair_keys, np.int64(h) * n_ent)
+    hi = np.searchsorted(pair_keys, np.int64(h + 1) * n_ent)
+    is_tail = np.zeros(n_ent, dtype=bool)
+    is_tail[pair_keys[lo:hi] % n_ent] = True
+
+    uoff, urel, udst, ushare = g.unique_adjacency()
+    own = slice(uoff[h], uoff[h + 1])
+    # Every edge of h is a train fact, so its end is a train-pair tail of h.
+    rels1, dsts1, w1 = urel[own].astype(np.int64), udst[own], ushare[own]
+
+    # Expand every two-hop walk at once, then sum flows per
+    # (r1, r2, target) with a stable sort so summation order is fixed.
+    walk, edge = expand_spans(uoff[dsts1], uoff[dsts1 + 1])
+    t2 = udst[edge].astype(np.int64)
+    two = is_tail[t2]
+    walk, edge, t2 = walk[two], edge[two], t2[two]
+    key, flow, _ = _sum_runs(
+        (rels1[walk] * n_rel + urel[edge]) * n_ent + t2, w1[walk] * ushare[edge]
+    )
+    r1, r2 = np.divmod(key // n_ent, n_rel)
+
+    t = np.concatenate((dsts1.astype(np.int64), key % n_ent))
+    code = np.concatenate((rels1 * (n_rel + 1), r1 * (n_rel + 1) + r2 + 1))
+    v = np.concatenate((w1, flow))
+    # Memory guard: keep each pair's ``cap`` strongest flows; break flow
+    # ties by path order so the selection is deterministic.
+    order = np.lexsort((code, -v, t))
+    t, code, v = t[order], code[order], v[order]
+    keep = np.arange(len(t)) - np.searchsorted(t, t) < cap
+    t, code, v = t[keep], code[keep], v[keep]
+    order = np.lexsort((code, t))
+    return t[order], code[order], v[order]
 
 
 def path_table_oracle(triples, n_relations: int, floor: float, cap: int):

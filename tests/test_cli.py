@@ -215,6 +215,23 @@ class TestVerbs:
         assert out.read_bytes() == ws["table"].read_bytes()
         assert dump.read_text().count("\n") == PathTable.load(out).n_entries
 
+    def test_extract_paths_prints_the_pairs_the_cap_cut(self, ws, tmp_path, capsys):
+        def capped_line(cap: int) -> str:
+            capsys.readouterr()
+            assert cli.main([
+                "extract-paths", "--data", str(ws["data"]), "--floor", "0",
+                "--cap", str(cap), "--out", str(tmp_path / f"cap{cap}.ptbl"),
+            ]) == 0
+            (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("capped:")]
+            return line
+
+        assert capped_line(10**6) == f"capped:    0 pairs at cap {10**6}"
+        # With no floor and no cap every mined entry is stored, so cap 1
+        # cuts every pair that stores two or more.
+        sizes = np.diff(PathTable.load(tmp_path / f"cap{10**6}.ptbl").pair_offsets)
+        assert (sizes > 1).any()
+        assert capped_line(1) == f"capped:    {(sizes > 1).sum()} pairs at cap 1"
+
     def test_extract_paths_refuses_a_cap_the_header_cannot_hold(self, ws, tmp_path, capsys):
         out = tmp_path / "big.ptbl"
         capsys.readouterr()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHAIN, DIAMOND, TRI, corrupt, make_graph, mined_flows, random_triples
-from oracles import all_witnessed_paths, path_table_oracle
+from oracles import all_witnessed_paths, collect_head, path_table_oracle
+from pathkge import paths
 from pathkge.paths import PathError, PathTable, build_path_table
 
 
@@ -173,6 +175,14 @@ class TestBuildTable:
         table = build_path_table(g, reliability_floor=0.0, cap=2)
         ids, _ = table.paths_for(0, 5)
         assert len(ids) == 2
+        # At cap 2 only (0, 5) and its mirror (5, 0) hold more: one fact and
+        # three 2-hop routes each.  Every other pair, (0, i), (i, 5) and
+        # their mirrors for i = 1..3, holds its fact and one route through
+        # 5 or 0, so cap 1 cuts all 14 pairs.
+        for cap, capped in ((1, 14), (2, 2), (3, 2), (4, 0)):
+            stats: dict = {}
+            build_path_table(g, reliability_floor=0.0, cap=cap, stats=stats)
+            assert (stats["n_pairs"], stats["n_pairs_capped"]) == (14, capped)
 
     def test_validation(self, tri_graph):
         with pytest.raises(PathError):
@@ -183,6 +193,10 @@ class TestBuildTable:
             build_path_table(tri_graph, cap=0)
         with pytest.raises(PathError):
             build_path_table(make_graph(TRI, augment=False))
+        # (h * n + t) * n_rel * (n_rel + 1) must fit an int64 key.
+        huge = make_graph([(0, 0, 1)], n_entities=100_000, n_relations=15_200)
+        with pytest.raises(PathError, match="overflow"):
+            build_path_table(huge)
 
     def test_floor_near_one_keeps_perfect_paths(self, tri_graph):
         table = build_path_table(tri_graph, reliability_floor=0.999999)
@@ -195,6 +209,58 @@ class TestBuildTable:
         assert stats["n_entries"] == 6
         assert stats["n_entries_prefilter"] == 12
         assert stats["drop_rate"] == pytest.approx(0.5)
+        assert stats["n_pairs_capped"] == 0
+
+
+def per_head_entries(g, cap: int):
+    """The reference miner's (pair key, path code, flow) entries, head
+    after head, and how many pairs its uncapped run holds above ``cap``."""
+    n_ent = g.n_entities
+    heads = np.unique(g.train_pairs() // n_ent)
+    parts = [collect_head(g, h, cap) for h in heads.tolist()]
+    tails, codes, flows = (np.concatenate([part[i] for part in parts]) for i in range(3))
+    key = np.repeat(heads, [len(part[0]) for part in parts]) * n_ent + tails
+    uncapped = np.concatenate([
+        np.unique(collect_head(g, h, 2**31)[0] + h * n_ent, return_counts=True)[1]
+        for h in heads.tolist()
+    ])
+    return key, codes, flows, int((uncapped > cap).sum())
+
+
+def assert_collect_matches_heads(g, cap: int) -> None:
+    want_key, want_codes, want_flows, want_capped = per_head_entries(g, cap)
+    # The default chunks, one head per chunk, and a few heads per chunk.
+    for budget in (paths._MINE_BYTES, 1, 64):
+        with mock.patch.object(paths, "_MINE_BYTES", budget):
+            key, codes, flows, capped = paths._collect(g, cap)
+        assert np.array_equal(key, want_key)
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(flows.view(np.int64), want_flows.view(np.int64))
+        assert capped == want_capped
+
+
+class TestCollect:
+    """The bit-set miner against the per-head walk expansion, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 6))
+    def test_matches_per_head_expansion(self, seed, cap):
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=7, max_edges=24)
+        h, r, t = triples[0]
+        # A duplicate fact, a self-loop and a second relation on one pair.
+        triples += [(h, r, t), (t, r, t), (h, (r + 1) % n_rel, t)]
+        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
+        assert_collect_matches_heads(g, cap)
+
+    @pytest.mark.parametrize("triples", [
+        [(0, 0, 1)],                             # one fact
+        [(0, 0, 1), (1, 1, 2), (3, 0, 4)],       # no two-hop walk ends at a pair
+        [(0, 0, 0), (1, 1, 1), (1, 0, 1)],       # self-loops only
+    ])
+    @pytest.mark.parametrize("cap", [1, 2, 200])
+    def test_small_graphs(self, triples, cap):
+        assert_collect_matches_heads(make_graph(triples), cap)
 
 
 class TestPersistence:

@@ -1,0 +1,108 @@
+"""Mining at FB15k's shape, from a seed: ingest and path mining only.
+
+The graph has FB15k's counts: 14,951 entities, 1,345 relations and
+483,142 train, 50,000 valid and 59,071 test facts.  Relation frequencies
+follow Zipf with exponent 1.1 and entity weights Zipf with exponent 0.5;
+every fact is distinct and none is a self-loop.  Nothing is downloaded:
+the splits are drawn with numpy and written as TSV files to a temporary
+directory.  The driver then times ``load_dataset`` + ``augment_inverse``
+and ``build_path_table`` at the default floor and cap, and prints one
+JSON line.
+
+    PYTHONPATH=src python3 tools/scale.py --seed 0
+
+Put another checkout's ``src`` on PYTHONPATH to measure that checkout.
+``peak_rss_mb`` is the whole process's peak, generation included.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from pathkge import augment_inverse, build_path_table, load_dataset
+
+N_ENTITIES = 14_951
+N_RELATIONS = 1_345
+SPLITS = {"train": 483_142, "valid": 50_000, "test": 59_071}
+RELATION_EXPONENT = 1.1
+ENTITY_EXPONENT = 0.5
+
+
+def zipf_weights(n: int, exponent: float, rng: np.random.Generator) -> np.ndarray:
+    """Probabilities proportional to rank ** -exponent, ranks shuffled over ids."""
+    w = np.arange(1, n + 1, dtype=np.float64) ** -exponent
+    return rng.permutation(w / w.sum())
+
+
+def draw_facts(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` distinct (h, r, t) rows without self-loops, in draw order."""
+    rel_p = zipf_weights(N_RELATIONS, RELATION_EXPONENT, rng)
+    ent_p = zipf_weights(N_ENTITIES, ENTITY_EXPONENT, rng)
+    facts = np.zeros((0, 3), dtype=np.int64)
+    while len(facts) < count:
+        size = 2 * (count - len(facts))
+        more = np.stack([
+            rng.choice(N_ENTITIES, size=size, p=ent_p),
+            rng.choice(N_RELATIONS, size=size, p=rel_p),
+            rng.choice(N_ENTITIES, size=size, p=ent_p),
+        ], axis=1)
+        facts = np.concatenate((facts, more[more[:, 0] != more[:, 2]]))
+        key = (facts[:, 0] * N_RELATIONS + facts[:, 1]) * N_ENTITIES + facts[:, 2]
+        _, first = np.unique(key, return_index=True)
+        facts = facts[np.sort(first)]
+    return facts[:count]
+
+
+def write_splits(facts: np.ndarray, out: Path) -> list[Path]:
+    paths, start = [], 0
+    for name, count in SPLITS.items():
+        rows = facts[start:start + count].tolist()
+        start += count
+        path = out / f"{name}.txt"
+        path.write_text("".join(f"e{h}\tr{r}\te{t}\n" for h, r, t in rows), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    facts = draw_facts(np.random.default_rng(args.seed), sum(SPLITS.values()))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = write_splits(facts, Path(tmp))
+        del facts
+        start = time.perf_counter()
+        g = augment_inverse(load_dataset(*files))
+        load_s = time.perf_counter() - start
+
+    stats: dict = {}
+    start = time.perf_counter()
+    build_path_table(g, stats=stats)
+    mine_s = time.perf_counter() - start
+    print(json.dumps({
+        "seed": args.seed,
+        "entities": g.n_entities,
+        "relations": g.n_relations_orig,
+        "train_augmented": len(g.train),
+        "load_augment_s": round(load_s, 3),
+        "mine_s": round(mine_s, 3),
+        "entries_mined": stats["n_entries_prefilter"],
+        "entries_kept": stats["n_entries"],
+        "pairs": stats["n_pairs"],
+        "paths": stats["n_paths"],
+        "pairs_capped": stats.get("n_pairs_capped"),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }))
+
+
+if __name__ == "__main__":
+    main()
