@@ -362,6 +362,7 @@ def cmd_extract_paths(args: argparse.Namespace) -> int:
         table.dump_tsv(args.dump_tsv)
     print(f"pairs:     {stats['n_pairs']}")
     print(f"paths:     {stats['n_paths']}")
+    print(f"walks:     {stats['n_walks']}")
     print(f"entries:   {stats['n_entries']} (of {stats['n_entries_prefilter']} mined)")
     print(f"drop rate: {stats['drop_rate']:.4f} at floor {table.reliability_floor}")
     print(f"capped:    {stats['n_pairs_capped']} pairs at cap {table.cap}")

@@ -16,11 +16,11 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from pathkge.kgdata import KnowledgeGraph, _distinct, _firsts
+from pathkge.kgdata import KnowledgeGraph, _firsts
 
 RelPath = tuple[int, ...]
 
@@ -305,9 +305,28 @@ def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return keys, np.bincount(run, weights=val, minlength=len(keys)), run
 
 
-def _collect(g: KnowledgeGraph, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Capped (pair key, path code, flow) entries of every train pair,
-    sorted by pair, then path, and the number of pairs the cap cut.
+def _bit_rows(n_ent: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The pairs (src, dst) as rows of bits, and the index of (h, t) among
+    their sorted distinct keys: bit t % 64 of little-endian word t // 64 of
+    row h is set for (h, t), so its index is the set bits before that one.
+    """
+    words = np.zeros((n_ent, -(-n_ent // 64)), dtype="<u8")
+    np.bitwise_or.at(words, (src, dst >> 6), np.uint64(1) << (dst & 63).astype(np.uint64))
+    ones = np.bitwise_count(words)
+    before = np.cumsum(ones, dtype=np.int64).reshape(ones.shape) - ones
+
+    def pair_index(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+        below = (np.uint64(1) << (t & 63).astype(np.uint64)) - np.uint64(1)
+        return before[h, t >> 6] + np.bitwise_count(words[h, t >> 6] & below)
+
+    return words, pair_index
+
+
+def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[np.ndarray, ...]:
+    """Capped (pair, path code, flow) entries sorted by pair, then path,
+    where pair i is ``g.train_pairs()[i]``, and ``(pair_off, rel)``: the
+    relations of pair i's train facts are ``rel[pair_off[i]:pair_off[i + 1]]``,
+    ascending.  ``counts`` gets ``n_walks`` and ``n_pairs_capped``.
 
     Path (r1,) has code r1 * (n_rel + 1) and (r1, r2) has code
     r1 * (n_rel + 1) + r2 + 1, so codes sort like the relation tuples.
@@ -325,26 +344,19 @@ def _collect(g: KnowledgeGraph, cap: int) -> tuple[np.ndarray, np.ndarray, np.nd
     uoff, urel, udst, ushare = g.unique_adjacency()
     deg = np.diff(uoff)
     src = np.repeat(np.arange(n_ent, dtype=np.int64), deg)
-    # The unique edges of pairs[i] are by_pair[pair_off[i]:pair_off[i + 1]],
-    # relations ascending.
-    edge_pair = src * n_ent + udst
+    words, pair_index = _bit_rows(n_ent, src, udst)
+    edge_pair = pair_index(src, udst)
     by_pair = np.argsort(edge_pair, kind="stable")
-    pair_off = np.append(np.flatnonzero(_firsts(edge_pair[by_pair])), len(by_pair))
-    # Bit t % 8 of byte t // 8 of row h is set when h has an edge to t; rows
-    # are whole uint64 words.
-    row_bytes = 8 * -(-n_ent // 64)
-    bits = np.zeros((n_ent, row_bytes), dtype=np.uint8)
-    np.bitwise_or.at(bits, (src, udst >> 3), np.left_shift(1, udst & 7).astype(np.uint8))
-    words = bits.view(np.uint64)
+    pair_off = np.append(0, np.cumsum(np.bincount(edge_pair, minlength=len(pairs))))
     one_key = edge_pair * n_code + urel * np.int64(n_rel + 1)
 
     # Each chunk holds whole heads, so no flow sum spans two chunks.
     heads, mids = np.divmod(pairs, n_ent)
-    cost = row_bytes + 8 * np.minimum(deg[heads], deg[mids])
+    cost = 8 * words.shape[1] + 8 * np.minimum(deg[heads], deg[mids])
     starts = np.flatnonzero(_firsts(heads))
     starts = starts[_firsts((np.cumsum(cost) - cost)[starts] // _MINE_BYTES)]
     parts = []
-    n_capped = 0
+    counts.update(n_walks=0, n_pairs_capped=0)
     for a, b in zip(starts.tolist(), np.append(starts[1:], len(pairs)).tolist()):
         # The set bits of N(h) & N(m), pair by pair, entities ascending: the
         # nonzero words, then their nonzero bytes, then those bytes' bits.
@@ -355,20 +367,21 @@ def _collect(g: KnowledgeGraph, cap: int) -> tuple[np.ndarray, np.ndarray, np.nd
         at = np.flatnonzero(nonzero)
         bit = np.flatnonzero(np.unpackbits(nonzero[at], bitorder="little"))
         at = at[bit >> 3]
-        i, t = np.divmod((word[at >> 3] * 8 + (at & 7)) * 8 + (bit & 7), 8 * row_bytes)
+        i, t = np.divmod((word[at >> 3] * 8 + (at & 7)) * 8 + (bit & 7), 64 * words.shape[1])
         i += a
         # One walk per relation of (h, m) and relation of (m, t), in the
         # order (h, m, t, r1, r2): each (h, r1, r2, t) adds its flows in
         # ascending m.  A 1-hop entry's code is a run of its own.
-        j = np.searchsorted(pairs, mids[i] * n_ent + t)
+        j = pair_index(mids[i], t)
         walk, e1 = expand_spans(pair_off[i], pair_off[i + 1])
         step, e2 = expand_spans(pair_off[j[walk]], pair_off[j[walk] + 1])
         walk, e1, e2 = walk[step], by_pair[e1[step]], by_pair[e2]
+        counts["n_walks"] += len(walk)
         own = slice(uoff[heads[a]], uoff[heads[b - 1] + 1])
         key, v, _ = _sum_runs(
             np.concatenate((
                 one_key[own],
-                (heads[i[walk]] * n_ent + t[walk]) * n_code
+                pair_index(heads[i], t)[walk] * n_code
                 + urel[e1] * np.int64(n_rel + 1) + urel[e2] + 1,
             )),
             np.concatenate((ushare[own], ushare[e1] * ushare[e2])),
@@ -381,7 +394,7 @@ def _collect(g: KnowledgeGraph, cap: int) -> tuple[np.ndarray, np.ndarray, np.nd
         size = np.diff(np.append(first, len(pair)))
         over = size > cap
         if over.any():
-            n_capped += int(over.sum())
+            counts["n_pairs_capped"] += int(over.sum())
             cut = np.flatnonzero(np.repeat(over, size))
             cut = cut[np.lexsort((key[cut], -v[cut], pair[cut]))]
             rank = np.arange(len(cut)) - np.searchsorted(pair[cut], pair[cut])
@@ -392,8 +405,7 @@ def _collect(g: KnowledgeGraph, cap: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
     key = np.concatenate([part[0] for part in parts] + [np.zeros(0, np.int64)])
     flows = np.concatenate([part[1] for part in parts] + [np.zeros(0)])
-    key, codes = np.divmod(key, n_code)
-    return key, codes, flows, n_capped
+    return *np.divmod(key, n_code), flows, pair_off, urel[by_pair].astype(np.int64)
 
 
 def build_path_table(
@@ -420,81 +432,69 @@ def build_path_table(
     if not 1 <= cap <= MAX_PAIR_CAP:
         raise PathError(f"pair cap must be in [1, {MAX_PAIR_CAP}], got {cap}")
 
-    n_ent, n_rel = g.n_entities, g.n_relations
-    # Mined entries in (h, t, path) order, with their pairs and path ids;
-    # path ids count the distinct paths in lexicographic order.
-    key, codes, flows, n_capped = _collect(g, cap)
-    first = _firsts(key)
-    pair_of = np.cumsum(first) - 1
-    path_codes, pid = np.unique(codes, return_inverse=True)
+    n_rel = g.n_relations
+    stats = {} if stats is None else stats
+    pair, codes, flows, rel_off, rels = _collect(g, cap, stats)
 
     # Join every entry with the distinct train relations linking its pair;
     # a single-relation path is not evidence for its own relation.
-    train = g.train.astype(np.int64)
-    linked = _distinct((train[:, 0] * n_ent + train[:, 2]) * n_rel + train[:, 1])
-    row_entry, row = expand_spans(
-        np.searchsorted(linked, key * n_rel), np.searchsorted(linked, (key + 1) * n_rel)
-    )
-    row_rel = linked[row] % n_rel
-    evidence = codes[row_entry] != row_rel * (n_rel + 1)
-    row_entry, row_rel = row_entry[evidence], row_rel[evidence]
+    row_entry, row = expand_spans(rel_off[pair], rel_off[pair + 1])
+    evidence = codes[row_entry] != rels[row] * (n_rel + 1)
+    row_entry, row_rel = row_entry[evidence], rels[row[evidence]]
 
     # P(r | p) = joint flow of (p, r) / total linked flow of p.
-    joint_key, joint, row_joint = _sum_runs(pid[row_entry] * n_rel + row_rel, flows[row_entry])
-    joint_pid, joint_rel = np.divmod(joint_key, n_rel)
+    joint_key, joint, row_joint = _sum_runs(codes[row_entry] * n_rel + row_rel, flows[row_entry])
+    joint_code, joint_rel = np.divmod(joint_key, n_rel)
+    joint_path = np.cumsum(_firsts(joint_code)) - 1
     # The support adds the rows themselves, pair by pair and relation by
     # relation, not the per-relation joints: summing in another order
     # rounds differently, and a reliability that is exactly the floor
     # would then fall on either side of it.
-    support = np.bincount(pid[row_entry], weights=flows[row_entry], minlength=len(path_codes))
-    relat = np.zeros(len(joint))
-    np.divide(joint, support[joint_pid], out=relat, where=support[joint_pid] > 0.0)
+    support = np.bincount(joint_path[row_joint], weights=flows[row_entry])[joint_path]
+    relat = joint / support
 
     # Reliability filter: an entry stays if some linking relation makes it
     # reliable enough.
-    best = np.zeros(len(key))
+    best = np.zeros(len(pair))
     np.maximum.at(best, row_entry, relat[row_joint] * flows[row_entry])
     keep = best >= reliability_floor
 
     # Final path dictionary: lexicographic over paths that survived, and
-    # pairs left with no entries vanish.
-    used, entry_path = np.unique(pid[keep], return_inverse=True)
-    kept_per_pair = np.bincount(pair_of[keep], minlength=int(first.sum()))
-    nonempty = kept_per_pair > 0
-    pair_keys = key[first][nonempty]
-    pair_offsets = np.concatenate(([0], np.cumsum(kept_per_pair[nonempty]))).astype(np.int64)
-
-    final_id = np.full(len(path_codes), -1, dtype=np.int64)
-    final_id[used] = np.arange(len(used))
-    listed = (final_id[joint_pid] >= 0) & (support[joint_pid] > 0.0)
-    relat_counts = np.bincount(final_id[joint_pid[listed]], minlength=len(used))
-    r1, rest = np.divmod(path_codes[used], n_rel + 1)
+    # pairs left with no entries vanish.  A kept path with no evidence has
+    # support 0 and no relatedness.
+    path_codes, entry_path = np.unique(codes[keep], return_inverse=True)
+    kept = pair[keep]
+    first = _firsts(kept)
+    pair_keys = g.train_pairs()[kept[first]]
+    slot = np.searchsorted(path_codes, joint_code)
+    listed = np.append(path_codes, -1)[slot] == joint_code
+    path_support = np.zeros(len(path_codes))
+    path_support[slot[listed]] = support[listed]
+    r1, rest = np.divmod(path_codes, n_rel + 1)
     path_rels = tuple(
         (a,) if b == 0 else (a, b - 1) for a, b in zip(r1.tolist(), rest.tolist())
     )
 
     n_entries = int(keep.sum())
-    if stats is not None:
-        stats.update(
-            n_pairs=int(len(pair_keys)),
-            n_paths=int(len(used)),
-            n_entries=n_entries,
-            n_entries_prefilter=int(len(keep)),
-            n_pairs_capped=n_capped,
-            drop_rate=(1.0 - n_entries / len(keep) if len(keep) else 0.0),
-        )
+    stats.update(
+        n_pairs=len(pair_keys),
+        n_paths=len(path_codes),
+        n_entries=n_entries,
+        n_entries_prefilter=len(keep),
+        drop_rate=(1.0 - n_entries / len(keep) if len(keep) else 0.0),
+    )
 
     return PathTable(
-        n_entities=n_ent,
+        n_entities=g.n_entities,
         reliability_floor=reliability_floor,
         cap=cap,
         path_rels=path_rels,
-        support=support[used],
-        relat_offsets=np.concatenate(([0], np.cumsum(relat_counts))).astype(np.int64),
+        support=path_support,
+        relat_offsets=np.searchsorted(slot[listed], np.arange(len(path_codes) + 1)),
         relat_rel=joint_rel[listed].astype(np.int32),
         relat_val=relat[listed],
         pair_keys=pair_keys,
-        pair_offsets=pair_offsets,
+        pair_offsets=np.append(np.flatnonzero(first), len(kept)),
         entry_path=entry_path.astype(np.int32),
         entry_v=flows[keep],
     )

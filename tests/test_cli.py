@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pathkge import cli
 from pathkge.cli import SynthError, SyntheticKGSpec, generate_synthetic_kg
+from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable
 from pathkge.trainer import TrainConfig, load_config_file
@@ -231,6 +233,43 @@ class TestVerbs:
         sizes = np.diff(PathTable.load(tmp_path / f"cap{10**6}.ptbl").pair_offsets)
         assert (sizes > 1).any()
         assert capped_line(1) == f"capped:    {(sizes > 1).sum()} pairs at cap 1"
+
+    def test_extract_paths_prints_the_walks_it_found(self, ws, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli.main([
+            "extract-paths", "--data", str(ws["data"]), "--out", str(tmp_path / "t.ptbl"),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Every walk h -r1-> m -r2-> t over the distinct augmented train
+        # facts whose ends (h, t) are a train pair.
+        train = read_triples(ws["data"] / "train.txt")
+        facts = train | {(t, -1 - r, h) for h, r, t in train}
+        pairs = {(h, t) for h, _, t in facts}
+        steps: dict = {}
+        for h, r, t in facts:
+            steps.setdefault(h, []).append(t)
+        walks = sum((h, t) in pairs for h, _, m in facts for t in steps.get(m, ()))
+        assert walks > 0
+        at = next(i for i, line in enumerate(lines) if line.startswith("walks:"))
+        assert lines[at] == f"walks:     {walks}"
+        assert lines[at + 1].startswith("entries:")
+
+    def test_extract_paths_fills_the_mining_counts_the_benchmark_reads(self, ws, tmp_path):
+        # The traced benchmark times the first train_pairs() call and reads
+        # these counts from the stats dict that extract-paths passes in.
+        build = mock.patch.object(cli, "build_path_table", wraps=cli.build_path_table)
+        pairs = mock.patch.object(
+            KnowledgeGraph, "train_pairs", autospec=True, side_effect=KnowledgeGraph.train_pairs
+        )
+        with build as built, pairs as train_pairs:
+            assert cli.main([
+                "extract-paths", "--data", str(ws["data"]), "--out", str(tmp_path / "t.ptbl"),
+            ]) == 0
+        assert train_pairs.called
+        (call,) = built.call_args_list
+        stats = call.kwargs["stats"]
+        for key in ("n_entries_prefilter", "n_entries", "n_pairs", "n_paths"):
+            assert isinstance(stats[key], int) and stats[key] > 0
 
     def test_extract_paths_refuses_a_cap_the_header_cannot_hold(self, ws, tmp_path, capsys):
         out = tmp_path / "big.ptbl"

@@ -210,6 +210,8 @@ class TestBuildTable:
         assert stats["n_entries_prefilter"] == 12
         assert stats["drop_rate"] == pytest.approx(0.5)
         assert stats["n_pairs_capped"] == 0
+        # One walk h -> m -> t per pair: 0-1-2, 0-2-1, 1-2-0, 1-0-2, 2-1-0, 2-0-1.
+        assert stats["n_walks"] == 6
 
 
 def per_head_entries(g, cap: int):
@@ -231,12 +233,13 @@ def assert_collect_matches_heads(g, cap: int) -> None:
     want_key, want_codes, want_flows, want_capped = per_head_entries(g, cap)
     # The default chunks, one head per chunk, and a few heads per chunk.
     for budget in (paths._MINE_BYTES, 1, 64):
+        counts: dict = {}
         with mock.patch.object(paths, "_MINE_BYTES", budget):
-            key, codes, flows, capped = paths._collect(g, cap)
-        assert np.array_equal(key, want_key)
+            pair, codes, flows, _, _ = paths._collect(g, cap, counts)
+        assert np.array_equal(g.train_pairs()[pair], want_key)
         assert np.array_equal(codes, want_codes)
         assert np.array_equal(flows.view(np.int64), want_flows.view(np.int64))
-        assert capped == want_capped
+        assert counts["n_pairs_capped"] == want_capped
 
 
 class TestCollect:
@@ -252,6 +255,42 @@ class TestCollect:
         triples += [(h, r, t), (t, r, t), (h, (r + 1) % n_rel, t)]
         g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
         assert_collect_matches_heads(g, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.one_of(st.sampled_from([64, 65, 127, 128]),
+                                            st.integers(1, 200)))
+    def test_pair_index_is_the_rank_of_the_pair_key(self, seed, n_ent):
+        rng = np.random.default_rng(seed)
+        triples = [tuple(x) for x in rng.integers(0, [n_ent, 2, n_ent], (2 * n_ent, 3)).tolist()]
+        # Walks h -> m -> t ending at bits 0 and 63 of a word and in the
+        # row's last word.
+        for t in {0, 63, 64, 127, n_ent - 1, 64 * ((n_ent - 1) // 64)} & set(range(n_ent)):
+            h, m = rng.integers(0, n_ent, 2).tolist()
+            triples += [(h, 0, m), (m, 1, t), (h, 0, t)]
+        g = make_graph(triples, n_entities=n_ent, n_relations=2)
+        keys = g.train_pairs()
+        uoff, _, udst, _ = g.unique_adjacency()
+        src = np.repeat(np.arange(n_ent), np.diff(uoff))
+        words, pair_index = paths._bit_rows(n_ent, src, udst)
+
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(n_ent, -1)
+        dense = np.zeros_like(bits)
+        dense[src, udst] = 1
+        assert np.array_equal(bits, dense)
+        heads, tails = np.divmod(keys, n_ent)
+        assert np.array_equal(pair_index(heads, tails), np.arange(len(keys)))
+        assert np.array_equal(pair_index(src, udst), np.searchsorted(keys, src * n_ent + udst))
+        tails_of: dict = {}
+        for h, t in zip(heads.tolist(), tails.tolist()):
+            tails_of.setdefault(h, set()).add(t)
+        walks = np.array([
+            (h, m, t) for h, m in zip(heads.tolist(), tails.tolist())
+            for t in tails_of[h] & tails_of.get(m, set())
+        ], dtype=np.int64).reshape(-1, 3)
+        assert len(walks)
+        for a in (0, 1):  # the walk ends (h, t) and (m, t)
+            want = np.searchsorted(keys, walks[:, a] * n_ent + walks[:, 2])
+            assert np.array_equal(pair_index(walks[:, a], walks[:, 2]), want)
 
     @pytest.mark.parametrize("triples", [
         [(0, 0, 1)],                             # one fact

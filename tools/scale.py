@@ -1,18 +1,19 @@
-"""Mining at FB15k's shape, from a seed: ingest and path mining only.
+"""Mining at FB15k's shape, from a seed: ingest, path mining and table I/O.
 
 The graph has FB15k's counts: 14,951 entities, 1,345 relations and
 483,142 train, 50,000 valid and 59,071 test facts.  Relation frequencies
 follow Zipf with exponent 1.1 and entity weights Zipf with exponent 0.5;
 every fact is distinct and none is a self-loop.  Nothing is downloaded:
 the splits are drawn with numpy and written as TSV files to a temporary
-directory.  The driver then times ``load_dataset`` + ``augment_inverse``
-and ``build_path_table`` at the default floor and cap, and prints one
+directory.  The script then times ``load_dataset`` + ``augment_inverse``,
+``build_path_table`` at the default floor and cap, and the table's
+``save`` and ``PathTable.load`` through a temporary file, and prints one
 JSON line.
 
     PYTHONPATH=src python3 tools/scale.py --seed 0
 
 Put another checkout's ``src`` on PYTHONPATH to measure that checkout.
-``peak_rss_mb`` is the whole process's peak, generation included.
+``peak_rss_mb`` is the whole process's peak, generation and table load included.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pathkge import augment_inverse, build_path_table, load_dataset
+from pathkge import PathTable, augment_inverse, build_path_table, load_dataset
 
 N_ENTITIES = 14_951
 N_RELATIONS = 1_345
@@ -86,8 +87,17 @@ def main() -> None:
 
     stats: dict = {}
     start = time.perf_counter()
-    build_path_table(g, stats=stats)
+    table = build_path_table(g, stats=stats)
     mine_s = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "paths.ptbl"
+        start = time.perf_counter()
+        table.save(path)
+        table_save_s = time.perf_counter() - start
+        table_bytes = path.stat().st_size
+        start = time.perf_counter()
+        PathTable.load(path)
+        table_load_s = time.perf_counter() - start
     print(json.dumps({
         "seed": args.seed,
         "entities": g.n_entities,
@@ -100,6 +110,10 @@ def main() -> None:
         "pairs": stats["n_pairs"],
         "paths": stats["n_paths"],
         "pairs_capped": stats.get("n_pairs_capped"),
+        "walks": stats.get("n_walks"),
+        "save_s": round(table_save_s, 3),
+        "load_s": round(table_load_s, 3),
+        "table_bytes": table_bytes,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }))
 
