@@ -173,7 +173,9 @@ class KnowledgeGraph:
 
     @cached_property
     def _train_keys(self) -> set[int]:
-        """Train membership in the current (possibly augmented) relation space."""
+        """The key (h * n_relations + r) * n_entities + t of every train fact,
+        in the current (possibly augmented) relation space: the warm start
+        tests its corruptions against it one at a time."""
         return set(_fact_keys(self.train, self.n_relations, self.n_entities).tolist())
 
     @cached_property
@@ -242,10 +244,6 @@ class KnowledgeGraph:
         return self._adjacency
 
     # -- membership ---------------------------------------------------
-
-    def in_train(self, h: int, r: int, t: int) -> bool:
-        key = (h * self.n_relations + r) * self.n_entities + t
-        return key in self._train_keys
 
     def train_mask(self, triples: np.ndarray) -> np.ndarray:
         """Whether each (h, r, t) row is a train fact, by one sorted search."""

@@ -14,7 +14,10 @@ until they leave the train set.
 
 The warm start is per-fact SGD: each fact's update lands before the next
 fact that shares a row is scored, and the touched rows are renormalized
-after every ``batch_size`` facts.  The projected stages take one
+after every ``batch_size`` facts.  Its corruptions are the stream of one
+``rng.random()`` and then ``rng.integers`` calls per fact, decoded in one
+pass from the raw words of numpy's default bit generator, PCG64; a
+``Generator`` on another bit generator is refused.  The projected stages take one
 minibatch step per ``batch_size`` facts: every hinge of the batch is
 scored against the parameters as the batch found them, entity rows move
 by the sum of their gradients, relation rows and projection matrices by
@@ -167,38 +170,91 @@ def save_config_file(config: TrainConfig, path: str | Path) -> None:
 # -- negative sampling -----------------------------------------------------
 
 
-def _draw_negative(
-    g: KnowledgeGraph, h: int, r: int, t: int, head_prob: float | None,
-    rng: np.random.Generator,
-) -> tuple[tuple[int, int, int], int]:
-    """Corrupt one slot of (h, r, t), resampling until unseen in train;
-    returns the corrupted fact and how many draws were rejected.
+# Raw words the warm start decodes at once: its lists stay ~100 KB
+# whatever the batch size.
+_DECODE_WORDS = 1024
 
-    With ``head_prob`` None the relation is corrupted.  Otherwise one
-    uniform draw ``u`` picks the head when ``u < head_prob``, else the
-    tail.  The corrupted fact must differ from the original and must not
-    appear in the (augmented) train set; after ``MAX_NEGATIVE_ATTEMPTS``
-    draws the sampler gives up loudly.
+
+def _decode(words: np.ndarray, n: int) -> tuple[list, list, list, list]:
+    """What numpy's PCG64 ``Generator`` makes of each raw 64-bit word: the
+    double ``random()`` takes from it, the values ``integers(n)`` takes
+    from its low and its high 32-bit half (-1 where Lemire's rule rejects
+    the half and numpy draws again), and the raw high half."""
+    high = words >> 32
+    m = np.stack((words & 0xFFFFFFFF, high)) * np.uint64(n)
+    v = (m >> 32).astype(np.int64)
+    v[(m & 0xFFFFFFFF) < (2**32 - n) % n] = -1
+    return ((words >> 11) * 2.0**-53).tolist(), v[0].tolist(), v[1].tolist(), high.tolist()
+
+
+def _warm_draws(
+    rng: np.random.Generator, n_ent: int, n_rel: int, facts: list, head_probs: list[float],
+    keys, last,
+) -> tuple[list, list, int]:
+    """Corrupt the head or the tail of each (h, r, t) of ``facts`` and give
+    it its level (see ``_warm_batch``; ``last`` holds each row's level and
+    is updated): returns each fact's rows (h, t, h', t', n_ent + r), level
+    and how many corruptions were train facts (``keys``) and drawn again.
+
+    The draws are numpy's for one ``rng.random()`` per fact, the head when
+    it is below ``head_probs[r]``, then ``rng.integers(n_ent)`` until the
+    corruption leaves the train set, at most ``MAX_NEGATIVE_ATTEMPTS``
+    times.  They are decoded from a shadow generator's raw words with
+    numpy's one-half buffer: a double takes a whole word, an integer the
+    buffered high half, else a new word's low half.  ``rng`` is then put
+    where those calls would have left it.
     """
-    if head_prob is None:
-        slot = "relation"
-    else:
-        slot = "head" if rng.random() < head_prob else "tail"
-    for redraws in range(MAX_NEGATIVE_ATTEMPTS):
-        if slot == "head":
-            cand = (int(rng.integers(g.n_entities)), r, t)
-        elif slot == "tail":
-            cand = (h, r, int(rng.integers(g.n_entities)))
-        else:
-            cand = (h, int(rng.integers(g.n_relations)), t)
-        if cand == (h, r, t):
-            continue
-        if not g.in_train(*cand):
-            return cand, redraws
-    raise TrainError(
-        f"could not sample a negative for {(h, r, t)} (slot {slot}) in "
-        f"{MAX_NEGATIVE_ATTEMPTS} attempts"
-    )
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TrainError(f"the warm start draws from PCG64, not {type(bitgen).__name__}")
+    state = bitgen.state
+    shadow = np.random.PCG64(0)
+    shadow.state = state
+    has, raw = state["has_uint32"], state["uinteger"]
+    buf = _decode(np.array([raw << 32], dtype=np.uint64), n_ent)[2][0]
+    size = min(_DECODE_WORDS, 2 * len(facts))
+    i = end = used = redraws = 0
+    rows, levels = [], []
+    for h, r, t in facts:
+        if i == end:
+            used += end
+            i, (dbl, lo, hi, high) = 0, _decode(shadow.random_raw(size), n_ent)
+            end = size
+        head = dbl[i] < head_probs[r]
+        i += 1
+        base, step = (r * n_ent + t, n_rel * n_ent) if head else ((h * n_rel + r) * n_ent, 1)
+        tries = 0
+        while True:
+            if has:
+                v, has = buf, 0
+            else:
+                if i == end:
+                    used += end
+                    i, (dbl, lo, hi, high) = 0, _decode(shadow.random_raw(size), n_ent)
+                v, buf, raw, has = lo[i], hi[i], high[i], 1
+                i += 1
+            if v < 0:  # Lemire's rejection: numpy draws again
+                continue
+            if v * step + base not in keys:
+                break
+            tries += 1
+            if tries == MAX_NEGATIVE_ATTEMPTS:
+                raise TrainError(
+                    f"could not sample a negative for {(h, r, t)} "
+                    f"(slot {'head' if head else 'tail'}) in {MAX_NEGATIVE_ATTEMPTS} attempts"
+                )
+        redraws += tries
+        h2, t2 = (v, t) if head else (h, v)
+        r += n_ent
+        level = max(last[h], last[t], last[h2], last[t2], last[r]) + 1
+        last[h] = last[t] = last[h2] = last[t2] = last[r] = level
+        rows.append((h, t, h2, t2, r))
+        levels.append(level)
+    bitgen.advance(used + i)
+    state = bitgen.state
+    state.update(has_uint32=has, uinteger=raw)
+    bitgen.state = state
+    return rows, levels, redraws
 
 
 def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
@@ -215,10 +271,18 @@ def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
 
 # -- warm start: per-fact SGD, one dependency level at a time ----------------
 
-# A warm-start fact's rows h, t, h', t' take _SIGN times the head gradient
-# of the fact (side 0) or of its corruption (1); its row r takes g - g'.
-_SIDE = np.array([0, 0, 1, 1])
-_SIGN = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
+# A warm-start level keeps, per fact, a table of six rows built from the
+# head gradients g of the fact and g' of its corruption: g, g', g - g',
+# g' - g, -g, -g'.  The slots h, t, h', t', r of a fact that hold one row
+# make a bit mask.  The row takes entry _ENTRY[mask] and, if
+# _SUMMED[mask], adds the entries of the mask's other slots in slot order.
+# Alone, h, t, h', t' and r take g, -g, -g', g' and g - g'; h = h' takes
+# g - g' (= g + -g') and t = t' takes g' - g (= -g + g'), the same bits.
+_ALONE = [0, 4, 5, 1, 2]
+_ENTRY = np.array([_ALONE[(m & -m).bit_length() - 1] for m in range(32)])
+_SUMMED = np.array([m & (m - 1) != 0 for m in range(32)])
+_ENTRY[[0b00101, 0b01010]] = 2, 3
+_SUMMED[[0b00101, 0b01010]] = False
 
 
 def _translation_grads(X: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +294,9 @@ def _translation_grads(X: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray
     if norm == "L1":
         return np.abs(U).sum(axis=1), np.sign(U)
     e = np.sqrt((U * U).sum(axis=1))
+    if e.min() > 1e-12:
+        U /= e[:, None]
+        return e, U
     return e, np.divide(U, e[:, None], out=np.zeros_like(U), where=e[:, None] > 1e-12)
 
 
@@ -251,51 +318,57 @@ def _warm_batch(
     train facts.
     """
     n_ent = params.n_entities
-    last = [0] * (n_ent + params.n_relations)  # level of the last fact on each row
-    rows, levels, redraws = [], [], 0
-    for h, r, t in g.train[fact].tolist():
-        (h2, _, t2), more = _draw_negative(g, h, r, t, head_probs[r], rng)
-        redraws += more
-        r += n_ent
-        level = max(last[h], last[t], last[h2], last[t2], last[r]) + 1
-        last[h] = last[t] = last[h2] = last[t2] = last[r] = level
-        rows.append((h, t, h2, t2, r))
-        levels.append(level)
+    rows, levels, redraws = _warm_draws(
+        rng, n_ent, params.n_relations, g.train[fact].tolist(), head_probs, g._train_keys,
+        [0] * (n_ent + params.n_relations),
+    )
 
-    # The plan, in level order: the rows each level gathers, the slots that
-    # add into their row's first slot of the fact (in slot order) and the
-    # rows written, from which slot.  Slots are numbered within the level.
+    # The plan, in level order: the rows each level gathers, the rows it
+    # writes with the table entry each takes, and the entries of any other
+    # repeated row to add to it, in slot order.  Table entries are numbered
+    # within the level.
     levels = np.array(levels)
     order = np.argsort(levels, kind="stable")
     slots = np.array(rows)[order]
     n = len(slots)
-    starts = np.concatenate(([0], np.cumsum(np.bincount(levels)[1:])))
-    local = 5 * (np.arange(n) - np.repeat(starts[:-1], np.diff(starts)))
+    sizes = np.bincount(levels)[1:]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    local = 6 * (np.arange(n) - np.repeat(starts[:-1], sizes))
     gather = slots[:, [0, 4, 1, 2, 4, 3]].ravel()  # h, r, t, h', r, t'
     first = (slots[:, :, None] == slots[:, None, :]).argmax(axis=2)
-    f, k = np.nonzero(first != np.arange(5))
-    src, dst = local[f] + k, local[f] + first[f, k]
-    wf, wk = np.nonzero(first == np.arange(5))
-    wrow, wslot = slots[wf, wk], local[wf] + wk
+    mask = ((first[:, None, :] == np.arange(5)[:, None]) << np.arange(5)).sum(axis=2)
+    written = first == np.arange(5)
+    wf, wk = np.nonzero(written)
+    wrow, entry = slots[wf, wk], _ENTRY[mask[wf, wk]] + local[wf]
+    xf, xk = np.nonzero(~written)
+    xd = first[xf, xk]
+    summed = _SUMMED[mask[xf, xd]]
+    xf, xk, xd = xf[summed], xk[summed], xd[summed]
+    xdst = (np.cumsum(written) - 1).reshape(n, 5)[xf, xd]
+    xsrc = local[xf] + _ENTRY[1 << xk]
 
     W = np.concatenate((params.entity_emb, params.relation_emb))
-    S = np.empty((5 * int(np.diff(starts).max()), W.shape[1]))
+    T = np.empty((6 * int(sizes.max()), W.shape[1]))
     losses = np.empty(n)
     fs = starts.tolist()
-    ms = np.searchsorted(f, starts).tolist()
     ws = np.searchsorted(wf, starts).tolist()
-    for a, b, ma, mb, wa, wb in zip(fs, fs[1:], ms, ms[1:], ws, ws[1:]):
+    xs = np.searchsorted(xf, starts).tolist()
+    for a, b, wa, wb, xa, xb in zip(fs, fs[1:], ws, ws[1:], xs, xs[1:]):
         m = b - a
-        e, G = _translation_grads(W[gather[6 * a : 6 * b]], cfg.norm)
-        loss = cfg.margin + e[0::2] - e[1::2]
-        losses[a:b] = loss
-        block = S[: 5 * m].reshape(m, 5, -1)
+        e, G = _translation_grads(W.take(gather[6 * a : 6 * b], axis=0), cfg.norm)
+        loss = losses[a:b]
+        np.subtract(cfg.margin + e[0::2], e[1::2], out=loss)
+        table = T[: 6 * m].reshape(m, 6, -1)
         G = G.reshape(m, 2, -1)
-        np.multiply(G[:, _SIDE], _SIGN, out=block[:, :4])
-        np.subtract(G[:, 0], G[:, 1], out=block[:, 4])
-        np.add.at(S, dst[ma:mb], S[src[ma:mb]])
-        block[loss <= 0] = 0.0  # inactive: a +0.0 step leaves every bit
-        W[wrow[wa:wb]] -= (lr * S[wslot[wa:wb]]).astype(np.float32)
+        table[:, :2] = G
+        np.subtract(G[:, 0], G[:, 1], out=table[:, 2])
+        np.subtract(G[:, 1], G[:, 0], out=table[:, 3])
+        np.negative(G, out=table[:, 4:])
+        table[loss <= 0] = 0.0  # inactive: a +0.0 step leaves every bit
+        V = T.take(entry[wa:wb], axis=0)
+        if xa < xb:
+            np.add.at(V, xdst[xa:xb] - wa, T[xsrc[xa:xb]])
+        W[wrow[wa:wb]] -= (lr * V).astype(np.float32)
     params.entity_emb[:] = W[:n_ent]
     params.relation_emb[:] = W[n_ent:]
     on = ~(losses <= 0.0)

@@ -96,7 +96,10 @@ class TestIngestion:
         for query, index in (
             (lambda g: g.known_tails(0, 0).tolist() == [1, 2], "_known"),
             (lambda g: g.known_heads(0, 2).tolist() == [0], "_known"),
-            (lambda g: g.in_train(2, 1, 0) and not g.in_train(0, 0, 2), "_train_keys"),
+            # The warm start's sampler reads the train keys: (2, 1, 0) is a
+            # train fact, (0, 0, 2) is not.
+            (lambda g: (2 * g.n_relations + 1) * g.n_entities in g._train_keys
+             and 2 not in g._train_keys, "_train_keys"),
             (lambda g: g.train_mask(np.array([(2, 1, 0), (0, 0, 2), (2, 1, 0)])).tolist()
              == [True, False, True], "_sorted_train_keys"),
             (lambda g: out_edges(g, 2)[:2] == ([1], [0]), "_adjacency"),
@@ -273,10 +276,11 @@ class TestAdjacency:
 class TestMembership:
     def test_in_train_is_train_only(self):
         g = make_graph(TRI, valid=[(1, 0, 0)], test=[(2, 0, 0)])
-        assert g.in_train(0, 0, 1)
-        assert g.in_train(1, 3, 0)  # mirrored half
-        assert not g.in_train(1, 0, 0)  # valid fact
-        assert not g.in_train(2, 0, 0)  # test fact
+        # Train facts, the mirrored half among them, but no valid or test fact.
+        facts = np.array([(0, 0, 1), (1, 3, 0), (1, 0, 0), (2, 0, 0)])
+        assert g.train_mask(facts).tolist() == [True, True, False, False]
+        keys = (facts[:, 0] * g.n_relations + facts[:, 1]) * g.n_entities + facts[:, 2]
+        assert [k in g._train_keys for k in keys.tolist()] == [True, True, False, False]
 
     def test_known_covers_all_splits_and_orientations(self):
         g = make_graph(TRI, valid=[(1, 2, 0)], test=[(2, 1, 0)])

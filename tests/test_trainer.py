@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
@@ -21,16 +23,17 @@ from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelError, ModelParams
 from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import (
+    MAX_NEGATIVE_ATTEMPTS,
     EpochStats,
     TrainConfig,
     TrainError,
     _draw_batch,
-    _draw_negative,
     _draw_negatives,
     _fact_paths,
     _head_probs,
     _run_epoch,
     _step,
+    _warm_draws,
     init_transe,
     load_config_file,
     save_config_file,
@@ -119,57 +122,85 @@ class TestConfig:
             load_config_file(f)
 
 
+def warm_draws(g: KnowledgeGraph, rng, head_probs, facts=None):
+    """The warm start's corruptions and levels of ``facts`` (default: every
+    train fact), in order."""
+    return _warm_draws(
+        rng, g.n_entities, g.n_relations, g.train.tolist() if facts is None else facts,
+        head_probs, g._train_keys, [0] * (g.n_entities + g.n_relations),
+    )
+
+
+def plain_levels(rows) -> list[int]:
+    """One more than the highest level of the earlier rows sharing an id."""
+    levels: list[int] = []
+    for k, row in enumerate(rows):
+        levels.append(1 + max((levels[j] for j in range(k) if set(rows[j]) & set(row)),
+                              default=0))
+    return levels
+
+
+def exhausted(fact, slot: str) -> str:
+    return re.escape(
+        f"could not sample a negative for {fact} (slot {slot}) in {MAX_NEGATIVE_ATTEMPTS} attempts"
+    )
+
+
 class TestNegativeSampling:
     def test_slot_respected(self, small_graph):
         # u < 1.0 always picks the head, u < 0.0 never does.
+        g = small_graph
         rng = np.random.default_rng(0)
-        h, r, t = (int(x) for x in small_graph.train[0])
-        for _ in range(20):
-            (h2, r2, t2), _ = _draw_negative(small_graph, h, r, t, 1.0, rng)
-            assert (r2, t2) == (r, t) and h2 != h
-            assert not small_graph.in_train(h2, r2, t2)
-            (h2, r2, t2), _ = _draw_negative(small_graph, h, r, t, 0.0, rng)
-            assert (h2, r2) == (h, r) and t2 != t
-            assert not small_graph.in_train(h2, r2, t2)
+        h, r, t = (int(x) for x in g.train[0])
+        for prob in (1.0, 0.0):
+            rows, _, _ = warm_draws(g, rng, [prob] * g.n_relations, [(h, r, t)] * 20)
+            for h1, t1, h2, t2, r1 in rows:
+                assert (h1, t1, r1) == (h, t, g.n_entities + r)
+                assert (t2 == t and h2 != h) if prob else (h2 == h and t2 != t)
+                assert not g.train_mask(np.array([(h2, r, t2)]))[0]
 
     def test_relation_corruption(self, tri_graph):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            (h2, r2, t2), _ = _draw_negative(tri_graph, 0, 0, 1, None, rng)
-            assert r2 != 0
-            assert (h2, t2) == (0, 1)
+        # Only path hinges corrupt the relation, a batch at a time.
+        pos = np.array([(0, 0, 1)] * 20)
+        neg, _ = _draw_negatives(tri_graph, pos, None, np.random.default_rng(1))
+        assert (neg[:, 1] != 0).all()
+        assert (neg[:, [0, 2]] == (0, 1)).all()
 
     def test_saturated_graph_exhausts(self):
         train = [(h, 0, t) for h in range(2) for t in range(2)]
         g = make_graph(train, n_entities=2, n_relations=1, augment=False)
-        rng = np.random.default_rng(3)
-        with pytest.raises(TrainError, match="attempts"):
-            _draw_negative(g, 0, 0, 1, 0.5, rng)
+        slot = "head" if np.random.default_rng(3).random() < 0.5 else "tail"
+        with pytest.raises(TrainError, match=exhausted((0, 0, 1), slot)):
+            warm_draws(g, np.random.default_rng(3), [0.5], [(0, 0, 1)])
 
     def test_deterministic_given_rng(self, small_graph):
-        h, r, t = (int(x) for x in small_graph.train[0])
-        a = _draw_negative(small_graph, h, r, t, 0.5, np.random.default_rng(42))
-        b = _draw_negative(small_graph, h, r, t, 0.5, np.random.default_rng(42))
+        probs = [0.5] * small_graph.n_relations
+        a = warm_draws(small_graph, np.random.default_rng(42), probs)
+        b = warm_draws(small_graph, np.random.default_rng(42), probs)
         assert a == b
 
     @pytest.mark.parametrize("neg_mode", ["uniform", "bernoulli"])
     def test_trainer_draws_match_sample_negative(self, small_graph, neg_mode):
-        # The trainer keeps one head probability per relation and draws
-        # directly; the draws must be the reference sampler's, one by one.
+        # The warm start keeps one head probability per relation and decodes
+        # its draws from raw words; they must be the reference sampler's,
+        # one by one, and leave the generator where its calls leave it.
         g = small_graph
         bern = _head_probs(g, "bernoulli")
         if neg_mode == "bernoulli":
             assert any(p != 0.5 for p in bern)
         head_probs = _head_probs(g, neg_mode)
         ours, ref = np.random.default_rng(5), np.random.default_rng(5)
-        for h, r, t in g.train.tolist() * 3:
+        facts = g.train.tolist() * 3
+        rows, levels, redraws = warm_draws(g, ours, head_probs, facts)
+        want = 0
+        for (h, r, t), row in zip(facts, rows):
             p = 0.5 if neg_mode == "uniform" else bern[r]
-            assert _draw_negative(g, h, r, t, head_probs[r], ours) == sample_negative(
-                g, (h, r, t), {"head": p, "tail": 1.0 - p}, ref
-            )
-            assert _draw_negative(g, h, r, t, None, ours) == sample_negative(
-                g, (h, r, t), {"relation": 1.0}, ref
-            )
+            (h2, _, t2), more = sample_negative(g, (h, r, t), {"head": p, "tail": 1.0 - p}, ref)
+            assert row == (h, t, h2, t2, g.n_entities + r)
+            want += more
+        assert redraws == want > 0
+        assert levels == plain_levels(rows)
+        assert ours.bit_generator.state == ref.bit_generator.state
         assert ours.random() == ref.random()
 
     def test_training_on_a_saturated_graph_exhausts(self):
@@ -195,6 +226,100 @@ class TestNegativeSampling:
             assert _head_probs(g, "bernoulli") == [
                 a / (a + b) if n else 0.5 for n, a, b in zip(facts, tph, hpt)
             ]
+
+
+class _Keys:
+    """A stand-in train-key set: holds the keys ``rule`` picks, and records
+    every key asked about."""
+
+    def __init__(self, rule):
+        self.rule, self.asked = rule, []
+
+    def __contains__(self, key: int) -> bool:
+        self.asked.append(key)
+        return self.rule(key)
+
+
+def numpy_draws(rng, n: int, n_rel: int, facts, head_probs, keys):
+    """The warm start's corruptions through numpy's own calls: one
+    ``random()`` per fact for the slot, then ``integers(n)`` until the key
+    of the corrupted fact is not in ``keys``."""
+    rows, redraws = [], 0
+    for h, r, t in facts:
+        head = rng.random() < head_probs[r]
+        for tries in range(MAX_NEGATIVE_ATTEMPTS):
+            v = int(rng.integers(n))
+            h2, t2 = (v, t) if head else (h, v)
+            if (h2 * n_rel + r) * n + t2 not in keys:
+                break
+        else:
+            raise TrainError(
+                f"could not sample a negative for {(h, r, t)} (slot {'head' if head else 'tail'})"
+                f" in {MAX_NEGATIVE_ATTEMPTS} attempts"
+            )
+        rows.append((h, t, h2, t2, n + r))
+        redraws += tries
+    return rows, redraws
+
+
+class TestWarmDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 50, 2_500, 2**31 + 1]),
+        st.sampled_from(["fresh", "buffered", "spent"]), st.sampled_from([1, 2, 3, 1024]),
+        st.integers(0, 2), st.data(),
+    )
+    def test_decoded_draws_are_numpys(self, seed, n, start, words, reject, data):
+        # n = 2**31 + 1 rejects about half of all 32-bit halves, so Lemire's
+        # retry runs; chunks of 1-3 words end in the middle of facts.
+        # "spent" leaves numpy's buffer empty but its last high half kept.
+        rng = np.random.default_rng(seed)
+        for _ in range(("fresh", "buffered", "spent").index(start)):
+            rng.integers(7)
+        ref = np.random.default_rng()
+        ref.bit_generator.state = rng.bit_generator.state
+        n_rel = data.draw(st.integers(1, 3))
+        ent = st.integers(0, min(n, 6) - 1)
+        facts = data.draw(st.lists(st.tuples(ent, st.integers(0, n_rel - 1), ent),
+                                   min_size=1, max_size=40))
+        probs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                                   min_size=n_rel, max_size=n_rel))
+        ours_keys = _Keys(lambda key: key % 3 < reject)
+        ref_keys = _Keys(lambda key: key % 3 < reject)
+        try:
+            want = numpy_draws(ref, n, n_rel, facts, probs, ref_keys)
+        except TrainError as exc:  # every candidate of some fact is held
+            with pytest.raises(TrainError, match=re.escape(str(exc))):
+                with mock.patch.object(trainer, "_DECODE_WORDS", words):
+                    _warm_draws(rng, n, n_rel, facts, probs, ours_keys, defaultdict(int))
+            assert ours_keys.asked == ref_keys.asked
+            return
+        with mock.patch.object(trainer, "_DECODE_WORDS", words):
+            rows, levels, redraws = _warm_draws(
+                rng, n, n_rel, facts, probs, ours_keys, defaultdict(int)
+            )
+        assert ours_keys.asked == ref_keys.asked
+        assert (rows, redraws) == want
+        assert levels == plain_levels(rows)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_one_entity_graph_exhausts(self):
+        # numpy's integers(1) takes no bits and gives 0: every corruption is
+        # the fact itself, so the first fact exhausts its attempts.
+        g = make_graph([(0, 0, 0)], n_entities=1, n_relations=1)
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        assert rng.integers(1) == 0 and rng.bit_generator.state == state
+        slot = "head" if rng.random() < 0.5 else "tail"
+        with pytest.raises(TrainError, match=exhausted((0, 0, 0), slot)):
+            warm_draws(g, np.random.default_rng(2), [0.5, 0.5])
+
+    def test_other_bit_generators_are_refused(self, small_graph):
+        mt = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TrainError, match="PCG64, not MT19937"):
+            warm_draws(small_graph, mt, [0.5] * small_graph.n_relations)
+        with pytest.raises(TrainError, match="PCG64, not MT19937"):
+            init_transe(small_graph, tiny_cfg(stage="transe"), rng=mt)
 
 
 class TestBatchSampler:
@@ -373,6 +498,44 @@ class TestWarmStart:
             assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
             if want is None:
                 return
+
+    @pytest.mark.parametrize("batch_size", [100, 2 * trainer._DECODE_WORDS])
+    def test_batches_across_decode_chunks(self, batch_size):
+        # With batches of 2,048, the 1,400 facts are one batch that decodes
+        # ~2,100 raw words, so its draws cross decode chunks; a batch of 100
+        # stays in its first chunk.
+        rng = np.random.default_rng(21)
+        facts = np.stack([rng.integers(200, size=700), rng.integers(4, size=700),
+                          rng.integers(200, size=700)], axis=1)
+        g = make_graph(facts.tolist(), n_entities=200, n_relations=4)
+        cfg = tiny_cfg(stage="transe", dim_entity=8, dim_relation=8, batch_size=batch_size)
+        ours = ModelParams.random(g.n_entities, g.n_relations, 8, 8, rng)
+        ref = ours.copy()
+        probs = _head_probs(g, "bernoulli")
+        ours_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        losses = []
+        level_batch = trainer._warm_batch
+
+        def spy(*args):
+            out = level_batch(*args)
+            losses.append(out[0])
+            return out
+
+        for epoch in range(2):
+            losses.clear()
+            want, violations, redraws = warm_epoch(g, ref, cfg, ref_rng, probs, cfg.lr)
+            with mock.patch.object(trainer, "_warm_batch", spy):
+                stats = _run_epoch(g, None, ours, cfg, ours_rng, probs, cfg.lr, epoch)
+            assert np.concatenate(losses).tobytes() == np.array(want).tobytes()
+            loss_sum = 0.0
+            for loss in want:
+                loss_sum += loss
+            assert stats == EpochStats(loss_sum / len(g.train), violations, violations, 0, 0,
+                                       redraws)
+            assert redraws > 0
+            for name in ("entity_emb", "relation_emb", "proj"):
+                assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes()
+            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_loss_decreases_and_constraints_hold(self, small_graph):
         records = []
