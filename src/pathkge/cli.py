@@ -424,23 +424,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         table = PathTable.empty(g.n_entities)
 
-    report = evaluate(
-        params,
-        table,
-        g,
-        split=args.split,
-        rerank_k=args.rerank_k,
-        tie_policy=args.tie_policy,
-        category_cutoff=args.category_cutoff,
-    )
+    report = evaluate(params, table, g, split=args.split, rerank_k=args.rerank_k,
+                      tie_policy=args.tie_policy, category_cutoff=args.category_cutoff)
     out = _run_dir(args, "evaluate", 0)
     out.mkdir(parents=True, exist_ok=True)
     config_echo = {
-        "model": str(args.model),
-        "table": str(args.table) if args.table else None,
-        "split": args.split,
-        "rerank_k": args.rerank_k,
-        "tie_policy": args.tie_policy,
+        "model": str(args.model), "table": str(args.table) if args.table else None,
+        "split": args.split, "rerank_k": args.rerank_k, "tie_policy": args.tie_policy,
         "category_cutoff": args.category_cutoff,
     }
     write_report_text(report, out / "report.txt")

@@ -253,14 +253,18 @@ class KnowledgeGraph:
         key = _fact_keys(triples, self.n_relations, self.n_entities)
         return keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
 
+    def known_spans(self, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tails, lo, hi) for arrays of h and r: the sorted tails t with
+        (h[i], r[i], t) in train, valid, or test are tails[lo[i]:hi[i]]."""
+        keys, offsets, tails = self._known
+        key = np.asarray(h, dtype=np.int64) * self.n_relations + r
+        i = np.searchsorted(keys, key)
+        return tails, offsets[i], offsets[i + (i < np.searchsorted(keys, key, side="right"))]
+
     def known_tails(self, h: int, r: int) -> np.ndarray:
         """Sorted tails t with (h, r, t) in train, valid, or test."""
-        keys, offsets, tails = self._known
-        key = np.int64(h) * self.n_relations + r
-        i = np.searchsorted(keys, key)
-        if i == len(keys) or keys[i] != key:
-            return np.zeros(0, dtype=np.int32)
-        return tails[offsets[i]:offsets[i + 1]]
+        tails, lo, hi = self.known_spans(h, r)
+        return tails[lo:hi]
 
     def known_heads(self, r: int, t: int) -> np.ndarray:
         """Sorted heads h with (h, r, t) known; requires an augmented graph."""

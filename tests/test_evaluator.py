@@ -23,8 +23,8 @@ from pathkge.evaluator import (
     _rerank,
     _sq_norms,
     _tie_break,
-    _window,
     evaluate,
+    valid_mean_rank,
     write_ranks_csv,
     write_report_json,
     write_report_text,
@@ -82,8 +82,10 @@ class TestTieRank:
         # An anchor at the origin and candidates at sqrt(score): the
         # reference row holds exactly these scores.  Evaluation refuses the
         # model whole even though the gold's own score is finite.
-        query, proj = np.zeros(1), np.sqrt(scores)[:, None]
-        assert _exact(query, proj, np.array([gold])).tolist() == [scores[gold]]
+        query, proj = np.zeros((1, 1)), np.sqrt(scores)[:, None]
+        assert _exact(query, proj, np.zeros(1, dtype=int), np.array([[gold]])).tolist() == [
+            [scores[gold]]
+        ]
         ent = np.zeros((1 + len(scores), 2), dtype=np.float32)
         ent[1:, 0] = np.sqrt(scores)
         params = ModelParams(
@@ -350,24 +352,34 @@ class TestWindowedRanking:
         g = make_graph([(0, 0, 1)], n_entities=n, n_relations=1)
         params = near_tie_model(rng, n, g.n_relations, big)
         ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
-        anchors = list(range(n))
-        golds = [rng.integers(n, size=rng.integers(1, 4)) for _ in anchors]
+        anchors = np.arange(n)
+        q = np.repeat(anchors, rng.integers(1, 4, size=n))
+        golds = rng.integers(n, size=len(q))
         for slot in ("head", "tail"):
+            refs = [reference_stage1(ctx, anchor, slot) for anchor in anchors]
             for k in {None, 1, n // 2, n - 1, n}:
-                rows = ctx.stage1(slot, anchors, golds, k)
-                assert len(rows) == n
-                for anchor, gold, row in zip(anchors, golds, rows):
-                    ref = reference_stage1(ctx, anchor, slot)
-                    if k == n:  # no GEMM: the reference row itself
-                        assert row.tobytes() == ref.tobytes()
-                    for entity in gold:
-                        assert np.array_equal(row < row[entity], ref < ref[entity])
-                        assert np.array_equal(row == row[entity], ref == ref[entity])
+                st = ctx.stage1(slot, anchors, k)
+                if k == n:  # no GEMM: the reference rows themselves
+                    assert st.win is None
+                    assert st.val.tobytes() == np.array(refs).tobytes()
+                    continue
+                for window, val, ref in zip(st.win, st.val, refs, strict=True):
+                    assert window.tolist() == np.argsort(ref, kind="stable")[:k or 0].tolist()
+                    # The rerank adds to these scores: the reference bits.
+                    assert val.tobytes() == ref[window].tobytes()
+                less, ties, inside, gval = st.counts(st.val, q, golds)
+                for i, (query, gold) in enumerate(zip(q, golds)):
+                    # Window entities rank above the rest, by stage 1 on each side.
+                    ref, e_in = refs[query], np.isin(anchors, st.win[query])
+                    same = e_in == e_in[gold]
+                    above = (e_in & ~e_in[gold]) | (same & (ref < ref[gold]))
+                    tied = same & (ref == ref[gold])
+                    assert inside[i] == e_in[gold]
+                    assert (less[i], ties[i]) == (above.sum(), tied.sum())
                     if k is not None:
-                        window = _window(row, k)
-                        assert np.array_equal(window, _window(ref, k))
-                        # The rerank adds to these scores: the reference bits.
-                        assert row[window].tobytes() == ref[window].tobytes()
+                        got = st.versus(st.val, np.full(n, query), anchors, np.full(n, gold),
+                                        np.full(n, inside[i]), np.full(n, gval[i]))
+                        assert np.array_equal(got[0], above) and np.array_equal(got[1], tied)
 
     def test_full_window_skips_the_gemm(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -399,9 +411,9 @@ class TestWindowedRanking:
         calls = []
         stage1 = _RelationContext.stage1
 
-        def spy(ctx, slot, anchors, golds, k):
-            calls.extend((ctx.r, slot, anchor) for anchor in anchors)
-            return stage1(ctx, slot, anchors, golds, k)
+        def spy(ctx, slot, anchors, k):
+            calls.extend((ctx.r, slot, anchor) for anchor in anchors.tolist())
+            return stage1(ctx, slot, anchors, k)
 
         monkeypatch.setattr(_RelationContext, "stage1", spy)
         report = evaluate(params, PathTable.empty(g.n_entities), g, split="test", rerank_k=3)
@@ -423,16 +435,16 @@ class TestWindowedRanking:
             monkeypatch.setattr(evaluator, "_BLOCK_BYTES", int(8 * n_ent * rows_per_block))
         limit = max(1, evaluator._BLOCK_BYTES // (8 * n_ent))
         queries, instances, blocks = [], [], 0
-        for ctx, rows, slot, anchors, golds in _queries(params, g, g.test):
+        for ctx, slot, anchors, q, golds, rows in _queries(params, g, g.test):
             assert 1 <= len(anchors) <= limit
+            assert np.unique(q).tolist() == list(range(len(anchors)))  # each has a fact
             blocks += 1
             anchor_col, gold_col = (2, 0) if slot == "head" else (0, 2)
-            for anchor, q_rows, q_golds in zip(anchors, rows, golds, strict=True):
-                queries.append((ctx.r, slot, anchor))
-                instances += [(row, slot) for row in q_rows.tolist()]
-                assert (g.test[q_rows, 1] == ctx.r).all()
-                assert (g.test[q_rows, anchor_col] == anchor).all()
-                assert q_golds.tolist() == g.test[q_rows, gold_col].tolist()
+            queries += [(ctx.r, slot, anchor) for anchor in anchors.tolist()]
+            instances += [(row, slot) for row in rows.tolist()]
+            assert (g.test[rows, 1] == ctx.r).all()
+            assert (g.test[rows, anchor_col] == anchors[q]).all()
+            assert golds.tolist() == g.test[rows, gold_col].tolist()
         assert len(queries) == len(set(queries))
         assert sorted(instances) == [(i, slot) for i in range(len(test)) for slot in SLOTS]
         # Each relation and slot is cut into as few blocks as the limit allows.
@@ -441,29 +453,120 @@ class TestWindowedRanking:
         assert blocks == sum(-(-count // limit) for count in per_slot.values())
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 10**9), st.integers(1, 40), st.integers(1, 300))
-    def test_sq_norms_of_a_row_subset_are_the_same_bits(self, seed, n, d):
+    @given(st.integers(0, 10**9), st.integers(1, 40), st.integers(1, 300),
+           st.sampled_from([1, 3, None]))
+    def test_sq_norms_of_a_row_subset_are_the_same_bits(self, seed, n, d, chunk):
         rng = np.random.default_rng(seed)
         mat = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
         rows = rng.integers(n, size=rng.integers(1, n + 1))
         assert _sq_norms(mat[rows]).tobytes() == _sq_norms(mat.copy())[rows].tobytes()
-        query = rng.normal(size=d)
-        assert _exact(query, mat, rows).tobytes() == _exact(query, mat)[rows].tobytes()
+        # Whole reference rows in chunks of 1, 3 or all query rows, window
+        # rows of m entities and single (query, entity) pairs: the bits of
+        # the reference row of each query alone.
+        c = rng.normal(size=(4, d)) * 10.0 ** rng.integers(-3, 4, size=(4, 1))
+        ref = np.array([_sq_norms(query - mat) for query in c])
+        q = rng.integers(4, size=5)
+        for ents in (None, rng.integers(n, size=(5, int(rng.integers(1, n + 1)))),
+                     rng.integers(n, size=(5, 1))):
+            m = n if ents is None else ents.shape[1]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluator, "_TERM_BYTES", 8 * m * d * (chunk or len(q)))
+                got = _exact(c, mat, q, ents)
+            want = ref[q] if ents is None else ref[q[:, None], ents]
+            assert got.tobytes() == want.tobytes()
         # Both slots score ||c - p_e||^2 in the reference's bits.
         g = make_graph([(0, 0, 1)], n_entities=n + 1, n_relations=1)
         params = ModelParams.random(n + 1, 2, d, d, rng)
         ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
         for slot in ("head", "tail"):
-            (row,) = ctx.stage1(slot, [n], [np.array([0])], n + 1)
-            assert row.tobytes() == reference_stage1(ctx, n, slot).tobytes()
+            st = ctx.stage1(slot, np.array([n]), n + 1)
+            assert st.val[0].tobytes() == reference_stage1(ctx, n, slot).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(1, 45))
     def test_window_is_stable_argsort_prefix(self, scores, k):
-        s1 = np.array(scores, dtype=np.float64)
-        expected = np.zeros(len(s1), dtype=bool)
-        expected[np.argsort(s1, kind="stable")[:k]] = True
-        assert np.array_equal(_window(s1, k), expected)
+        # Candidates at sqrt(score) on a line and the query point at the
+        # origin: the reference row orders them as the scores do.  The
+        # anchor, one entity more, sits far out as the worst candidate.
+        n = len(scores)
+        ent = np.zeros((n + 1, 2), dtype=np.float32)
+        ent[:n, 0] = np.sqrt(scores)
+        ent[n, 0] = 64.0
+        rel = np.array([[-64.0, 0.0], [0.0, 0.0]], dtype=np.float32)
+        params = ModelParams(ent, rel, np.tile(np.eye(2, dtype=np.float32), (2, 1, 1)))
+        g = make_graph([(0, 0, 1)], n_entities=n + 1, n_relations=1)
+        ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
+        st = ctx.stage1("tail", np.array([n]), k)
+        expected = np.argsort(np.array(scores + [64.0**2]), kind="stable")[:k]
+        if st.win is None:  # every entity
+            assert k >= n + 1
+        else:
+            assert st.win[0].tolist() == expected.tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10**9),
+        st.sampled_from(["1", "n-1", "n", "n+3"]),
+        st.sampled_from(["pessimistic", "mean"]),
+        st.booleans(),
+        st.sampled_from([1, 2, None]),
+    )
+    def test_block_kernel_matches_two_stage_oracle(
+        self, seed, k_rule, tie_policy, with_table, per_block
+    ):
+        # Blocks of one query, two or all of them; a few anchors, so that
+        # queries have several golds; integer embeddings, so that scores tie
+        # at the k-th value and with golds.
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(
+            rng, max_entities=9, max_relations=2, max_edges=16
+        )
+        anchors = rng.choice(n_ent, size=min(3, n_ent), replace=False)
+        test = []
+        for _ in range(10):
+            a, r, e = int(rng.choice(anchors)), int(rng.integers(n_rel)), int(rng.integers(n_ent))
+            test.append((a, r, e) if rng.random() < 0.5 else (e, r, a))
+        g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
+        table = (
+            build_path_table(g, reliability_floor=0.0) if with_table else PathTable.empty(n_ent)
+        )
+        shapes = ((n_ent, 2), (g.n_relations, 2), (g.n_relations, 2, 2))
+        params = ModelParams(*(rng.integers(-2, 3, size=s).astype(np.float32) for s in shapes))
+        k = max(1, {"1": 1, "n-1": n_ent - 1, "n": n_ent, "n+3": n_ent + 3}[k_rule])
+        with pytest.MonkeyPatch.context() as mp:
+            if per_block is not None:
+                mp.setattr(evaluator, "_BLOCK_BYTES", 8 * n_ent * per_block)
+            report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
+        for res in report.instances:
+            raw, filt, in_window = windowed_rank_oracle(
+                params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
+            )
+            assert (res.raw_rank, res.filtered_rank, res.in_window) == (raw, filt, in_window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from([1.0, 2.0**8, 2.0**16]),
+           st.sampled_from([1, 2, None]))
+    def test_probe_counts_like_the_reference_rows(self, seed, big, per_block):
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(
+            rng, max_entities=12, max_relations=2, max_edges=16
+        )
+        valid = [(int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+                 for _ in range(8)]
+        valid += valid[:3]  # queries with several golds
+        g = make_graph(triples, valid=valid, n_entities=n_ent, n_relations=n_rel)
+        params = near_tie_model(rng, g.n_entities, g.n_relations, big)
+        ent = params.entity_emb.astype(np.float64)
+        ranks = []
+        for h, r, t in g.valid.tolist():
+            ctx = _RelationContext(params, g, r, ent)
+            for slot, anchor, gold in (("head", t, h), ("tail", h, t)):
+                row = reference_stage1(ctx, anchor, slot)
+                ranks.append(int((row <= row[gold]).sum()))  # pessimistic
+        with pytest.MonkeyPatch.context() as mp:
+            if per_block is not None:
+                mp.setattr(evaluator, "_BLOCK_BYTES", 8 * n_ent * per_block)
+            assert valid_mean_rank(params, g) == float(np.mean(ranks))
 
 
 def path_graph(seed: int):
@@ -498,11 +601,13 @@ class TestRerankPathTerms:
         k = max(1, {"1": 1, "n//2": n // 2, "n-1": n - 1, "n": n, "n+3": n + 3}[k_rule])
 
         def run():
-            scores = [
-                (window.tobytes(), val[window].tobytes())
-                for ctx, _, slot, anchors, golds in _queries(params, g, g.test)
-                for window, val in _rerank(params, table, ctx, slot, anchors, golds, k)
-            ]
+            scores = {}
+            for ctx, slot, anchors, *_ in _queries(params, g, g.test):
+                st = ctx.stage1(slot, anchors, k)
+                val = _rerank(params, table, ctx, slot, anchors, st)
+                wins = np.broadcast_to(np.arange(n), val.shape) if st.win is None else st.win
+                for anchor, window, row in zip(anchors.tolist(), wins, val, strict=True):
+                    scores[ctx.r, slot, anchor] = (window.tobytes(), row.tobytes())
             reports = [evaluate(params, table, g, split=split, rerank_k=k)
                        for split in ("valid", "test")]
             return scores, [(rep.to_dict(), rep.instances) for rep in reports]

@@ -731,9 +731,9 @@ class TestTrain:
         calls = []
         stage1 = _RelationContext.stage1
 
-        def spy(ctx, slot, anchors, golds, k):
-            calls.extend((ctx.r, slot, anchor) for anchor in anchors)
-            return stage1(ctx, slot, anchors, golds, k)
+        def spy(ctx, slot, anchors, k):
+            calls.extend((ctx.r, slot, anchor) for anchor in anchors.tolist())
+            return stage1(ctx, slot, anchors, k)
 
         monkeypatch.setattr(_RelationContext, "stage1", spy)
         assert valid_mean_rank(params, g) == validation_mean_rank(params, g)

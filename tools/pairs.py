@@ -9,8 +9,11 @@ the parent's quartile spread, then whether a gain may be claimed: the
 change wins at least nine pairs in ten and its median beats the
 parent's by more than that spread.  It also prints the change's median
 against the metric's bound, and every run's values as JSON lines.
+``--workload`` takes a comma list: the workloads run one after another,
+each with every seed, and each gets its own table.  The exit status is
+nonzero if, on any workload, the change failed more runs than the parent.
 
-    python3 tools/pairs.py PARENT CHANGE --workload pipeline-S --seeds 41-50
+    python3 tools/pairs.py PARENT CHANGE --workload mine-M,pipeline-S,fit-T --seeds 41-50
 
 The two checkout directories must have names of equal length: fit-T
 timings were seen to move with the length of the checkout's name.
@@ -78,30 +81,22 @@ def judge(name: str, better: str, bound: float, parent: list[float], change: lis
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_range, required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    args = parser.parse_args(argv)
-
-    parent, change = args.parent.resolve(), args.change.resolve()
-    if len(parent.name) != len(change.name):
-        parser.error(f"checkout names {parent.name!r} and {change.name!r} differ in length")
-    spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+def compare(parent: Path, change: Path, workload: str, seeds: list[int], seconds: float,
+            spec: dict) -> bool:
+    """Run and judge the pairs of one workload; True if the change failed
+    more runs than the parent."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k, seed in enumerate(args.seeds):
+    for k, seed in enumerate(seeds):
         order = [("parent", parent), ("change", change)]
         for side, checkout in order if k % 2 == 0 else order[::-1]:
-            values = run_once(checkout, args.workload, seed, args.seconds)
+            values = run_once(checkout, workload, seed, seconds)
             runs[side].append(values)
-            print(json.dumps({"pair": k, "seed": seed, "side": side, **values}), flush=True)
+            print(json.dumps({"workload": workload, "pair": k, "seed": seed, "side": side,
+                              **values}), flush=True)
 
     failed = {side: sum("error" in r for r in rs) for side, rs in runs.items()}
-    print(f"\n{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
-          f"--seconds {args.seconds:g}; failed runs: parent {failed['parent']}, "
+    print(f"\n{workload}, {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}, "
+          f"--seconds {seconds:g}; failed runs: parent {failed['parent']}, "
           f"change {failed['change']}")
     for metric in spec["end_to_end"]:
         name = metric["name"]
@@ -112,7 +107,29 @@ def main(argv: list[str] | None = None) -> int:
             continue
         p_vals, c_vals = (list(side) for side in zip(*pairs))
         print(judge(name, metric["better"], metric["bound"], p_vals, c_vals))
-    return 1 if failed["change"] > failed["parent"] else 0
+    print(flush=True)
+    return failed["change"] > failed["parent"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", type=lambda text: text.split(","), required=True)
+    parser.add_argument("--seeds", type=seed_range, required=True)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    args = parser.parse_args(argv)
+
+    parent, change = args.parent.resolve(), args.change.resolve()
+    if len(parent.name) != len(change.name):
+        parser.error(f"checkout names {parent.name!r} and {change.name!r} differ in length")
+    spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in args.workload if w not in names]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; the benchmark has {', '.join(names)}")
+    worse = [compare(parent, change, w, args.seeds, args.seconds, spec) for w in args.workload]
+    return 1 if any(worse) else 0
 
 
 if __name__ == "__main__":

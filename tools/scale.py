@@ -1,4 +1,4 @@
-"""FB15k's shape, from a seed: ingest, path mining, table I/O, a warm epoch.
+"""FB15k's shape, from a seed: ingest, mining, table I/O, a warm epoch, evaluation.
 
 The graph has FB15k's counts: 14,951 entities, 1,345 relations and
 483,142 train, 50,000 valid and 59,071 test facts.  Relation frequencies
@@ -11,6 +11,13 @@ directory.  The script then times ``load_dataset`` + ``augment_inverse``,
 the warm start (dim 50, batches of 4,800, as ``train``'s defaults), then
 prints one JSON line.  The warm start runs two epochs and the second is
 timed (``warm_epoch_s``), after the first has built the train-key set.
+Its model is then evaluated on a seeded sample of 2,000 test facts, with
+the mined table, at ``rerank_k`` 10 and 500 (``eval_k10_instances_per_s``,
+``eval_k500_instances_per_s``), and the early-stop probe
+``valid_mean_rank`` runs on a seeded sample of 2,000 valid facts
+(``probe_instances_per_s``).  Both samples go into one graph with the
+whole train split, so the known facts that filter the ranks are train
+plus the two samples; its index of them is built before the timing.
 
     PYTHONPATH=src python3 tools/scale.py --seed 0
 
@@ -29,7 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-from pathkge import PathTable, TrainConfig, augment_inverse, build_path_table, load_dataset
+from pathkge import (
+    KnowledgeGraph, PathTable, TrainConfig, augment_inverse, build_path_table, evaluate,
+    load_dataset,
+)
+from pathkge.evaluator import valid_mean_rank
 from pathkge.trainer import init_transe
 
 N_ENTITIES = 14_951
@@ -37,6 +48,7 @@ N_RELATIONS = 1_345
 SPLITS = {"train": 483_142, "valid": 50_000, "test": 59_071}
 RELATION_EXPONENT = 1.1
 ENTITY_EXPONENT = 0.5
+EVAL_SAMPLE = 2_000
 
 
 def zipf_weights(n: int, exponent: float, rng: np.random.Generator) -> np.ndarray:
@@ -103,8 +115,26 @@ def main() -> None:
         table_load_s = time.perf_counter() - start
     records: list[dict] = []
     cfg = TrainConfig(stage="transe", lr=0.01, epochs=2, seed=args.seed)
-    init_transe(g, cfg, emit=records.append)
+    params = init_transe(g, cfg, emit=records.append)
     warm_epoch_s = records[1]["wall_time"] - records[0]["wall_time"]
+
+    pick = np.random.default_rng(args.seed)
+    valid, test = (
+        split[np.sort(pick.choice(len(split), EVAL_SAMPLE, replace=False))]
+        for split in (g.valid, g.test)
+    )
+    sample = KnowledgeGraph(g.vocab, g.train, valid, test, g.n_relations_orig, augmented=True)
+    sample.known_tails(0, 0)
+    rates = {}
+    for k in (10, 500):
+        start = time.perf_counter()
+        report = evaluate(params, table, sample, split="test", rerank_k=k)
+        rates[f"eval_k{k}_instances_per_s"] = round(
+            report.n_instances / (time.perf_counter() - start)
+        )
+    start = time.perf_counter()
+    valid_mean_rank(params, sample)
+    rates["probe_instances_per_s"] = round(2 * len(valid) / (time.perf_counter() - start))
     print(json.dumps({
         "seed": args.seed,
         "entities": g.n_entities,
@@ -123,6 +153,7 @@ def main() -> None:
         "table_bytes": table_bytes,
         "warm_epoch_s": round(warm_epoch_s, 3),
         "warm_triples_per_s": round(len(g.train) / warm_epoch_s),
+        **rates,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }))
 
