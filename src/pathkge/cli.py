@@ -18,7 +18,6 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -305,11 +304,10 @@ def _load_table(path: str, g: KnowledgeGraph) -> PathTable:
             f"path table covers {table.n_entities} entities but the dataset "
             f"has {g.n_entities}"
         )
-    path_rels = np.fromiter(chain.from_iterable(table.path_rels), dtype=np.int64)
-    rels = np.concatenate((path_rels, table.relat_rel))
-    if ((rels < 0) | (rels >= g.n_relations)).any():
+    if table.n_relations != g.n_relations:
         raise PathError(
-            f"path table uses relation ids outside 0..{g.n_relations - 1} of the dataset"
+            f"path table uses relation ids of {table.n_relations} relations but the "
+            f"dataset has {g.n_relations}"
         )
     return table
 
@@ -517,8 +515,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             if shown >= args.top:
                 break
 
-    def _path_names(rels: tuple[int, ...]) -> str:
-        return ",".join(g.vocab.relation_names[rid] for rid in rels)
+    def _path_names(pid: int) -> str:
+        rels = table.path_rels[pid].tolist()
+        return ",".join(g.vocab.relation_names[rid] for rid in rels if rid >= 0)
 
     if args.pair is not None:
         h, t = ent_id[pair[0]], ent_id[pair[1]]
@@ -528,24 +527,20 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             related = table.relatedness(r, ids).tolist()
             gaps = np.sqrt(path_distances(params, table, ids, r)).tolist()
         for j, (pid, v) in enumerate(zip(ids.tolist(), flows.tolist())):
-            line = f"  {_path_names(table.path_rels[pid])}  v={v:.6f}"
+            line = f"  {_path_names(pid)}  v={v:.6f}"
             if r is not None:
                 line += f"  P(r|p)={related[j]:.6f}  R={related[j] * v:.6f}  |p-r|={gaps[j]:.6f}"
             print(line)
     elif r is not None:
+        # Path ids number the paths lexicographically, so they break ties as
+        # the relation sequences would.
         related = table.relatedness(r, np.arange(table.n_paths))
         pids = np.flatnonzero(related > 0.0)
-        rows = sorted(
-            zip(
-                related[pids].tolist(),
-                np.sqrt(path_distances(params, table, pids, r)).tolist(),
-                [table.path_rels[pid] for pid in pids.tolist()],
-            ),
-            key=lambda row: (-row[0], row[2]),
-        )
-        print(f"paths related to {args.relation}: {len(rows)}")
-        for relatedness, gap, rels in rows[: args.top]:
-            print(f"  {_path_names(rels)}  P(r|p)={relatedness:.6f}  |p-r|={gap:.6f}")
+        print(f"paths related to {args.relation}: {len(pids)}")
+        top = pids[np.lexsort((pids, -related[pids]))][: args.top]
+        gaps = np.sqrt(path_distances(params, table, top, r))
+        for pid, relatedness, gap in zip(top.tolist(), related[top].tolist(), gaps.tolist()):
+            print(f"  {_path_names(pid)}  P(r|p)={relatedness:.6f}  |p-r|={gap:.6f}")
     return 0
 
 

@@ -199,7 +199,7 @@ def path_evidence(table: PathTable, h, r, t) -> PathEvidence:
     h, r, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (h, r, t)))
     triple, entry = expand_spans(*table.pair_spans(h, t))
     path = table.entry_path[entry].astype(np.int64)
-    rows = table.path_pad[path]
+    rows = table.path_rels[path]
     other = (rows[:, 0] != r[triple]) | (rows[:, 1] >= 0)
     triple, entry, path = triple[other], entry[other], path[other]
     flow = table.entry_v[entry]
@@ -216,7 +216,7 @@ def path_distances(params: ModelParams, table: PathTable, path, r) -> np.ndarray
     pairs = _distinct(key)
     pair_path, pair_r = np.divmod(pairs, params.n_relations)
     rel = relation_rows(params)
-    dist = _row_dots(compose_paths(rel, table.path_pad[pair_path]) - rel[pair_r])
+    dist = _row_dots(compose_paths(rel, table.path_rels[pair_path]) - rel[pair_r])
     return dist[np.searchsorted(pairs, key)]
 
 

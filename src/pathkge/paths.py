@@ -11,28 +11,45 @@ relatedness and the per-pair flow is the path's reliability.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from pathkge.kgdata import KnowledgeGraph, _firsts
 
-RelPath = tuple[int, ...]
-
 MAGIC = b"PTBL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_RELIABILITY_FLOOR = 0.01
 DEFAULT_PAIR_CAP = 200
-# After the magic: version, floor, cap, n_paths, n_entities, n_pairs,
-# n_entries, n_relat.
-_HEADER = struct.Struct("<IdIIQQQQ")
+
+# The fields after the magic, in file order.
+_Header = namedtuple(
+    "_Header", "version floor cap n_paths n_entities n_pairs n_entries n_relat n_relations"
+)
+_HEADER = struct.Struct("<IdIIQQQQI")
 # The header stores the pair cap as a uint32.
 MAX_PAIR_CAP = 2**32 - 1
+
+# The arrays after the header, in file order: name, little-endian dtype
+# and shape, the shape's counts read from the header.
+_FIELDS = (
+    ("path_rels", "<i4", lambda h: (h.n_paths, 2)),
+    ("support", "<f8", lambda h: (h.n_paths,)),
+    ("relat_offsets", "<i8", lambda h: (h.n_paths + 1,)),
+    ("relat_rel", "<i4", lambda h: (h.n_relat,)),
+    ("relat_val", "<f8", lambda h: (h.n_relat,)),
+    ("pair_keys", "<i8", lambda h: (h.n_pairs,)),
+    ("pair_offsets", "<i8", lambda h: (h.n_pairs + 1,)),
+    ("entry_path", "<i4", lambda h: (h.n_entries,)),
+    ("entry_v", "<f8", lambda h: (h.n_entries,)),
+)
 
 # Relation ids are int32, so path id * 2**32 + relation is unique per
 # (path, relation) and sorts like the relat_* arrays.
@@ -62,9 +79,10 @@ class PathTable:
     """
 
     n_entities: int
+    n_relations: int             # relation ids of the graph mined, inverses included
     reliability_floor: float
     cap: int
-    path_rels: tuple[RelPath, ...]
+    path_rels: np.ndarray        # int32 (n_paths, 2) relation ids, -1 in column 1 of a 1-hop path
     support: np.ndarray          # f64 (n_paths,) total flow admitting each path
     relat_offsets: np.ndarray    # int64 (n_paths + 1,)
     relat_rel: np.ndarray        # int32, relation ids per path, sorted
@@ -78,9 +96,10 @@ class PathTable:
     def empty(cls, n_entities: int) -> "PathTable":
         return cls(
             n_entities=n_entities,
+            n_relations=0,
             reliability_floor=DEFAULT_RELIABILITY_FLOOR,
             cap=DEFAULT_PAIR_CAP,
-            path_rels=(),
+            path_rels=np.zeros((0, 2), dtype=np.int32),
             support=np.zeros(0, dtype=np.float64),
             relat_offsets=np.zeros(1, dtype=np.int64),
             relat_rel=np.zeros(0, dtype=np.int32),
@@ -166,122 +185,82 @@ class PathTable:
             (heads[by_tail], np.searchsorted(tails[by_tail], bounds)),
         )
 
-    @cached_property
-    def path_pad(self) -> np.ndarray:
-        """Relation ids of every path, one int64 row each, -1 padded: an
-        (n_paths, 2) array, in which -1 marks a 1-hop path."""
-        width = max(2, max(map(len, self.path_rels), default=0))
-        padded = [rels + (-1,) * (width - len(rels)) for rels in self.path_rels]
-        return np.array(padded, dtype=np.int64).reshape(-1, width)
-
-    def pair_items(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield (h, t, path ids, flows) per stored pair in key order."""
-        for i in range(self.n_pairs):
-            key = int(self.pair_keys[i])
-            lo, hi = self.pair_offsets[i], self.pair_offsets[i + 1]
-            yield key // self.n_entities, key % self.n_entities, \
-                self.entry_path[lo:hi], self.entry_v[lo:hi]
-
     # -- persistence ----------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        header = _Header(FORMAT_VERSION, self.reliability_floor, self.cap, self.n_paths,
+                         self.n_entities, self.n_pairs, self.n_entries, len(self.relat_rel),
+                         self.n_relations)
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(_HEADER.pack(FORMAT_VERSION, self.reliability_floor, self.cap,
-                                  self.n_paths, self.n_entities, self.n_pairs,
-                                  self.n_entries, len(self.relat_rel)))
-            for rels in self.path_rels:
-                fh.write(struct.pack("<B", len(rels)))
-                fh.write(np.asarray(rels, dtype="<i4").tobytes())
-            fh.write(self.support.astype("<f8").tobytes())
-            fh.write(self.relat_offsets.astype("<i8").tobytes())
-            fh.write(self.relat_rel.astype("<i4").tobytes())
-            fh.write(self.relat_val.astype("<f8").tobytes())
-            fh.write(self.pair_keys.astype("<i8").tobytes())
-            fh.write(self.pair_offsets.astype("<i8").tobytes())
-            fh.write(self.entry_path.astype("<i4").tobytes())
-            fh.write(self.entry_v.astype("<f8").tobytes())
+            fh.write(MAGIC + _HEADER.pack(*header))
+            for name, dtype, _ in _FIELDS:
+                fh.write(getattr(self, name).astype(dtype).tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "PathTable":
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-
-            def need(nbytes: int) -> None:
-                # Each header count is checked against the bytes left before
-                # anything that large is allocated.
-                if nbytes > size - fh.tell():
-                    raise PathError(f"{path}: truncated path-table file")
-
             magic = fh.read(4)
             if magic != MAGIC:
                 raise PathError(f"{path}: not a path-table file (bad magic {magic!r})")
-            header = fh.read(_HEADER.size)
-            if len(header) != _HEADER.size:
+            raw = fh.read(_HEADER.size)
+            if len(raw) != _HEADER.size:
                 raise PathError(f"{path}: truncated path-table header")
-            version, floor, cap, n_paths, n_entities, n_pairs, n_entries, n_relat = (
-                _HEADER.unpack(header)
-            )
-            if version != FORMAT_VERSION:
-                raise PathError(f"{path}: unsupported path-table version {version}")
-            path_rels = []
-            for _ in range(n_paths):
-                need(1)
-                (ln,) = fh.read(1)
-                need(4 * ln)
-                path_rels.append(tuple(np.frombuffer(fh.read(4 * ln), dtype="<i4").tolist()))
-
-            def arr(dtype: str, count: int) -> np.ndarray:
-                nbytes = np.dtype(dtype).itemsize * count
-                need(nbytes)
-                return np.frombuffer(fh.read(nbytes), dtype=dtype).astype(dtype.lstrip("<"))
-
-            support = arr("<f8", n_paths)
-            relat_offsets = arr("<i8", n_paths + 1)
-            relat_rel = arr("<i4", n_relat)
-            relat_val = arr("<f8", n_relat)
-            pair_keys = arr("<i8", n_pairs)
-            pair_offsets = arr("<i8", n_pairs + 1)
-            entry_path = arr("<i4", n_entries)
-            entry_v = arr("<f8", n_entries)
-            if fh.read(1):
+            head = _Header._make(_HEADER.unpack(raw))
+            if head.version != FORMAT_VERSION:
+                raise PathError(f"{path}: unsupported path-table version {head.version} "
+                                f"(this build reads {FORMAT_VERSION}; re-run extract-paths)")
+            # The header's counts are checked against the file's size before
+            # anything that large is allocated.
+            shapes = [shape(head) for _, _, shape in _FIELDS]
+            sizes = [np.dtype(dtype).itemsize * math.prod(shape)
+                     for (_, dtype, _), shape in zip(_FIELDS, shapes)]
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if sum(sizes) > left:
+                raise PathError(f"{path}: truncated path-table file")
+            if sum(sizes) < left:
                 raise PathError(f"{path}: trailing bytes after path-table payload")
-        for name, values in (("support", support), ("relat_val", relat_val), ("entry_v", entry_v)):
-            if not np.isfinite(values).all():
+            arrays = {
+                name: np.frombuffer(fh.read(nbytes), dtype).astype(dtype[1:]).reshape(shape)
+                for (name, dtype, _), shape, nbytes in zip(_FIELDS, shapes, sizes)
+            }
+        for name in ("support", "relat_val", "entry_v"):
+            if not np.isfinite(arrays[name]).all():
                 raise PathError(f"{path}: non-finite {name}")
-        for name, offsets, end in (
-            ("relat_offsets", relat_offsets, n_relat), ("pair_offsets", pair_offsets, n_entries)
-        ):
+        for name, end in (("relat_offsets", head.n_relat), ("pair_offsets", head.n_entries)):
+            offsets = arrays[name]
             if offsets[0] != 0 or offsets[-1] != end or (np.diff(offsets) < 0).any():
                 raise PathError(f"{path}: {name} must rise from 0 to {end}")
-        if ((entry_path < 0) | (entry_path >= n_paths)).any():
-            raise PathError(f"{path}: entry_path outside 0..{n_paths - 1}")
-        if (np.diff(pair_keys) <= 0).any():
+        rels = arrays["path_rels"]
+        for name, ids, lo, hi in (
+            ("entry_path", arrays["entry_path"], 0, head.n_paths),
+            ("path_rels column 0", rels[:, 0], 0, head.n_relations),
+            ("path_rels column 1", rels[:, 1], -1, head.n_relations),
+            ("relat_rel", arrays["relat_rel"], 0, head.n_relations),
+        ):
+            if ((ids < lo) | (ids >= hi)).any():
+                raise PathError(f"{path}: {name} outside {lo}..{hi - 1}")
+        # With the ids in range, these codes sort like the (r1, r2) rows.
+        codes = rels[:, 0].astype(np.int64) * (head.n_relations + 1) + rels[:, 1]
+        if (np.diff(codes) <= 0).any():
+            raise PathError(f"{path}: path_rels not strictly increasing")
+        keys = arrays["pair_keys"]
+        if (np.diff(keys) <= 0).any():
             raise PathError(f"{path}: pair_keys not strictly increasing")
-        if n_pairs and not 0 <= int(pair_keys[0]) <= int(pair_keys[-1]) < n_entities**2:
-            raise PathError(f"{path}: pair_keys outside the {n_entities} entities' pairs")
-        return cls(
-            n_entities=int(n_entities),
-            reliability_floor=floor,
-            cap=int(cap),
-            path_rels=tuple(path_rels),
-            support=support,
-            relat_offsets=relat_offsets,
-            relat_rel=relat_rel,
-            relat_val=relat_val,
-            pair_keys=pair_keys,
-            pair_offsets=pair_offsets,
-            entry_path=entry_path,
-            entry_v=entry_v,
-        )
+        if head.n_pairs and not 0 <= int(keys[0]) <= int(keys[-1]) < head.n_entities**2:
+            raise PathError(f"{path}: pair_keys outside the {head.n_entities} entities' pairs")
+        return cls(n_entities=head.n_entities, n_relations=head.n_relations,
+                   reliability_floor=head.floor, cap=head.cap, **arrays)
 
     def dump_tsv(self, path: str | Path) -> None:
         """Debug dump: h<TAB>t<TAB>r1[,r2]<TAB>v, sorted for diffing."""
+        heads, tails = (np.repeat(x, np.diff(self.pair_offsets))
+                        for x in np.divmod(self.pair_keys, self.n_entities))
+        rels = self.path_rels[self.entry_path]
         with open(path, "w", encoding="utf-8") as fh:
-            for h, t, ids, vs in self.pair_items():
-                for pid, v in zip(ids.tolist(), vs.tolist()):
-                    rels = ",".join(str(r) for r in self.path_rels[pid])
-                    fh.write(f"{h}\t{t}\t{rels}\t{v:.17g}\n")
+            for h, t, (r1, r2), v in zip(heads.tolist(), tails.tolist(), rels.tolist(),
+                                         self.entry_v.tolist()):
+                path_text = f"{r1}" if r2 < 0 else f"{r1},{r2}"
+                fh.write(f"{h}\t{t}\t{path_text}\t{v:.17g}\n")
 
 
 # -- construction --------------------------------------------------------
@@ -470,10 +449,6 @@ def build_path_table(
     listed = np.append(path_codes, -1)[slot] == joint_code
     path_support = np.zeros(len(path_codes))
     path_support[slot[listed]] = support[listed]
-    r1, rest = np.divmod(path_codes, n_rel + 1)
-    path_rels = tuple(
-        (a,) if b == 0 else (a, b - 1) for a, b in zip(r1.tolist(), rest.tolist())
-    )
 
     n_entries = int(keep.sum())
     stats.update(
@@ -486,9 +461,10 @@ def build_path_table(
 
     return PathTable(
         n_entities=g.n_entities,
+        n_relations=n_rel,
         reliability_floor=reliability_floor,
         cap=cap,
-        path_rels=path_rels,
+        path_rels=(np.column_stack(np.divmod(path_codes, n_rel + 1)) - (0, 1)).astype(np.int32),
         support=path_support,
         relat_offsets=np.searchsorted(slot[listed], np.arange(len(path_codes) + 1)),
         relat_rel=joint_rel[listed].astype(np.int32),

@@ -596,7 +596,7 @@ def _step(
             r2 = b.rel2[c : c + _CHUNK]
             pids = ev.path[entry]
             hinge, on, ids, grads = _path_hinges(
-                rel, table.path_pad[pids], b.pos[owner, 1], r2, ev.reliability[entry],
+                rel, table.path_rels[pids], b.pos[owner, 1], r2, ev.reliability[entry],
                 table.relatedness(r2, pids) * ev.flow[entry], 1.0 / ev.z[b.fact[owner]],
                 cfg.margin2,
             )

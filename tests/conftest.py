@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from oracles import path_tuple
 from pathkge.kgdata import KnowledgeGraph, augment_inverse
 from pathkge.paths import build_path_table
 
@@ -37,10 +38,13 @@ def mined_flows(g: KnowledgeGraph) -> dict[tuple[int, int], dict[tuple[int, ...]
     """Every entry that path mining stores with the floor and the cap off,
     as {(h, t): {relation path: flow}}."""
     table = build_path_table(g, reliability_floor=0.0, cap=10**6)
-    return {
-        (h, t): dict(zip((table.path_rels[pid] for pid in ids.tolist()), vs.tolist()))
-        for h, t, ids, vs in table.pair_items()
-    }
+    heads, tails = (np.repeat(x, np.diff(table.pair_offsets))
+                    for x in np.divmod(table.pair_keys, g.n_entities))
+    out: dict[tuple[int, int], dict[tuple[int, ...], float]] = {}
+    for h, t, row, v in zip(heads.tolist(), tails.tolist(),
+                            table.path_rels[table.entry_path], table.entry_v.tolist()):
+        out.setdefault((h, t), {})[path_tuple(row)] = v
+    return out
 
 
 def random_triples(

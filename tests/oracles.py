@@ -142,7 +142,7 @@ def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin
             continue
         for pid, v, reliability in entries:
             r2 = next(rel2s)
-            vec = sum(rv[x] for x in table.path_rels[pid])
+            vec = sum(rv[x] for x in path_tuple(table.path_rels[pid]))
             e_pp, gp_pos, gr_pos = gap_energy_and_grads(vec - rv[r], reliability)
             e_pn, gp_neg, gr_neg = gap_energy_and_grads(
                 vec - rv[r2], relatedness(table, r2, pid) * v
@@ -152,7 +152,7 @@ def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin
                 continue
             loss += hinge / z
             path_v += 1
-            for x in table.path_rels[pid]:
+            for x in path_tuple(table.path_rels[pid]):
                 add(rel_g, x, (gp_pos - gp_neg) / z)
             add(rel_g, r, gr_pos / z)
             add(rel_g, r2, -gr_neg / z)
@@ -233,6 +233,12 @@ def read_rows(path, column_order: str = "HRT") -> list[tuple[str, str, str]]:
     return rows
 
 
+def path_tuple(row) -> tuple[int, ...]:
+    """A path's relation ids, from its row of ``PathTable.path_rels``, as a
+    tuple without the -1 padding."""
+    return tuple(r for r in np.asarray(row).tolist() if r >= 0)
+
+
 def relatedness(table: PathTable, r: int, pid: int) -> float:
     """P(r | path) by a scan of the path's stored relations."""
     for i in range(table.relat_offsets[pid], table.relat_offsets[pid + 1]):
@@ -254,7 +260,7 @@ def path_evidence(table: PathTable, h: int, r: int, t: int):
     entries = []
     z = 0.0
     for pid, v in zip(table.entry_path[span].tolist(), table.entry_v[span].tolist()):
-        if table.path_rels[pid] == (r,):
+        if path_tuple(table.path_rels[pid]) == (r,):
             continue
         reliability = relatedness(table, r, pid) * v
         entries.append((pid, v, reliability))
@@ -275,7 +281,8 @@ def path_score_term(params: ModelParams, table: PathTable, h: int, r: int, t: in
     for pid, _, reliability in path_evidence(table, h, r, t)[0]:
         if reliability == 0.0:
             continue
-        vec = sum(params.relation_emb[x].astype(np.float64) for x in table.path_rels[pid])
+        rels = path_tuple(table.path_rels[pid])
+        vec = sum(params.relation_emb[x].astype(np.float64) for x in rels)
         q = vec - rv
         num += reliability * float(q @ q)
         z += reliability

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -712,6 +713,22 @@ class TestPlumbing:
             assert rc == 1
             assert err.startswith("error: path table uses relation ids")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_version_1_table_is_refused(self, ws, tmp_path, capsys):
+        # An empty table as version 1 wrote it: the header without
+        # n_relations, then no paths and the two one-element offset arrays.
+        old = tmp_path / "v1.ptbl"
+        old.write_bytes(b"PTBL" + struct.pack("<IdIIQQQQ", 1, 0.01, 200, 0, 20, 0, 0, 0)
+                        + bytes(16))
+        rc = cli.main([
+            "evaluate", "--data", str(ws["data"]), "--model", str(ws["model"]),
+            "--table", str(old), "--out", str(tmp_path / "eval"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {old}: unsupported path-table version 1")
+        assert "re-run extract-paths" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_finite_model_is_refused(self, ws, tmp_path, capsys):
         params = ModelParams.load(ws["model"])

@@ -14,6 +14,7 @@ from oracles import path_evidence as oracle_evidence
 from oracles import (
     gap_energy_and_grads,
     path_score_term,
+    path_tuple,
     score_transe,
     transe_energy_and_grads,
     transr_energy_and_grads,
@@ -346,7 +347,7 @@ class TestPathKernel:
             (0, 2, 2),  # repeated key
         ])
         ev = path_evidence(table, *batch.T)
-        own = table.path_rels.index((2,))
+        own = [path_tuple(row) for row in table.path_rels].index((2,))
         assert own not in ev.path[ev.triple == 0].tolist()
         assert own in ev.path[ev.triple == 1].tolist()
         assert ev.z[1] == 0.0 and (ev.reliability[ev.triple == 1] == 0.0).all()
@@ -390,7 +391,8 @@ class TestPathKernel:
         # Each distance has the bits of a row of its own.
         ev = path_evidence(table, *batch.T)
         rels = batch[ev.triple, 1]
-        gaps = [path_gap(params, table.path_rels[p], x) for p, x in zip(ev.path, rels)]
+        gaps = [path_gap(params, path_tuple(table.path_rels[p]), x)
+                for p, x in zip(ev.path, rels)]
         assert path_distances(params, table, ev.path, rels).tolist() == [q @ q for q in gaps]
 
 

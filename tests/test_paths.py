@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHAIN, DIAMOND, TRI, corrupt, make_graph, mined_flows, random_triples
-from oracles import all_witnessed_paths, collect_head, path_table_oracle
+from oracles import all_witnessed_paths, collect_head, path_table_oracle, path_tuple
 from pathkge import paths
 from pathkge.paths import PathError, PathTable, build_path_table
 
@@ -93,15 +93,17 @@ class TestResourceFlow:
 def table_as_dicts(table: PathTable):
     """Reshape a PathTable into the oracle's dict form."""
     entries = {}
-    for h, t, ids, vs in table.pair_items():
+    for key in table.pair_keys.tolist():
+        h, t = divmod(key, table.n_entities)
+        ids, vs = table.paths_for(h, t)
         entries[(h, t)] = {
-            table.path_rels[pid]: v for pid, v in zip(ids.tolist(), vs.tolist())
+            path_tuple(table.path_rels[pid]): v for pid, v in zip(ids.tolist(), vs.tolist())
         }
     relatedness = {}
-    for pid, rels in enumerate(table.path_rels):
+    for pid, row in enumerate(table.path_rels):
         lo, hi = table.relat_offsets[pid], table.relat_offsets[pid + 1]
         if hi > lo:
-            relatedness[rels] = {
+            relatedness[path_tuple(row)] = {
                 int(r): float(v)
                 for r, v in zip(table.relat_rel[lo:hi], table.relat_val[lo:hi])
             }
@@ -302,6 +304,14 @@ class TestCollect:
         assert_collect_matches_heads(make_graph(triples), cap)
 
 
+def header_field(name: str) -> tuple[int, str]:
+    """Offset into a .ptbl file (after the 4-byte magic) and struct format
+    of the header field ``name``."""
+    codes = paths._HEADER.format.lstrip("<")
+    i = paths._Header._fields.index(name)
+    return 4 + struct.calcsize("<" + codes[:i]), "<" + codes[i]
+
+
 class TestPersistence:
     def test_roundtrip(self, tri_graph, tmp_path):
         table = build_path_table(tri_graph, reliability_floor=0.01, cap=10)
@@ -311,9 +321,10 @@ class TestPersistence:
         assert again.n_entities == table.n_entities
         assert again.reliability_floor == table.reliability_floor
         assert again.cap == table.cap
-        assert again.path_rels == table.path_rels
+        assert again.n_relations == table.n_relations == tri_graph.n_relations
+        assert again.path_rels.dtype == np.int32 and again.path_rels.shape == (table.n_paths, 2)
         for name in (
-            "support", "relat_offsets", "relat_rel", "relat_val",
+            "path_rels", "support", "relat_offsets", "relat_rel", "relat_val",
             "pair_keys", "pair_offsets", "entry_path", "entry_v",
         ):
             assert np.array_equal(getattr(again, name), getattr(table, name))
@@ -374,6 +385,16 @@ class TestPersistence:
         ("pair_keys", 1, 0, "pair_keys not strictly increasing"),
         ("pair_keys", 0, -1, "pair_keys outside"),
         ("pair_keys", -1, 9, "pair_keys outside"),  # 3 entities: keys 0..8
+        # 6 relations with inverses: ids 0..5, and 6 would select the
+        # padding row of models.relation_rows.
+        ("path_rels", (0, 0), -1, "path_rels column 0 outside 0..5"),  # the empty path
+        ("path_rels", (-1, 0), 6, "path_rels column 0 outside 0..5"),
+        ("path_rels", (0, 1), -2, "path_rels column 1 outside -1..5"),
+        ("path_rels", (-1, 1), 6, "path_rels column 1 outside -1..5"),
+        ("relat_rel", 0, -1, "relat_rel outside 0..5"),
+        ("relat_rel", -1, 10**6, "relat_rel outside 0..5"),
+        ("path_rels", 0, [5, 5], "path_rels not strictly increasing"),
+        ("path_rels", 1, [0, -1], "path_rels not strictly increasing"),  # path 0 again
     ])
     def test_structure_is_checked_on_load(self, tri_graph, tmp_path, field, index, value,
                                           message):
@@ -386,13 +407,11 @@ class TestPersistence:
             PathTable.load(f)
         assert str(err.value).startswith(f"{f}: ")
 
-    # Offsets into the file of the header's counts (after the 4-byte magic):
-    # n_paths (uint32), n_pairs and n_entries (uint64).
     @pytest.mark.parametrize("offset,fmt,count", [
-        (20, "<I", 2**31),   # n_paths
-        (32, "<Q", 2**62),   # n_pairs
-        (40, "<Q", 2**40),   # n_entries
-        (48, "<Q", 2**63),   # n_relat
+        (*header_field("n_paths"), 2**31),
+        (*header_field("n_pairs"), 2**62),
+        (*header_field("n_entries"), 2**40),
+        (*header_field("n_relat"), 2**63),
     ])
     def test_a_count_past_the_end_of_the_file_is_refused(self, tri_graph, tmp_path, offset,
                                                           fmt, count):
@@ -463,7 +482,7 @@ class TestQueries:
 
     def test_relatedness_unseen_relation(self, tri_graph):
         table = build_path_table(tri_graph, reliability_floor=0.0)
-        pid = table.path_rels.index((0, 1))
+        pid = [path_tuple(row) for row in table.path_rels].index((0, 1))
         assert table.relatedness(2, pid) == pytest.approx(1.0)
         assert table.relatedness(1, pid) == 0.0
         # The lookup is vectorized over (relation, path id) arrays.
@@ -472,8 +491,9 @@ class TestQueries:
 
     def test_support_is_total_linked_flow(self, tri_graph):
         table = build_path_table(tri_graph, reliability_floor=0.0)
-        pid = table.path_rels.index((0, 1))
+        listed = [path_tuple(row) for row in table.path_rels]
+        pid = listed.index((0, 1))
         assert table.support[pid] == pytest.approx(1.0)
         # Bare single-relation paths are never evidence for themselves.
-        pid_single = table.path_rels.index((2,))
+        pid_single = listed.index((2,))
         assert table.support[pid_single] == 0.0

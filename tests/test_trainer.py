@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import DIAMOND, TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
-from oracles import batch_step, sample_negative, validation_mean_rank, warm_epoch
+from oracles import batch_step, path_tuple, sample_negative, validation_mean_rank, warm_epoch
 from pathkge import trainer
 from pathkge.evaluator import _RelationContext, valid_mean_rank
 from pathkge.kgdata import KnowledgeGraph
@@ -782,7 +782,8 @@ class TestTrain:
                 ev.path[lo:hi].tolist(), ev.flow[lo:hi].tolist(), ev.reliability[lo:hi].tolist()
             )) == entries
             assert ev.z[i] == z
-            stored = [table.path_rels[pid] for pid in table.paths_for(h, t)[0].tolist()]
+            stored = [path_tuple(table.path_rels[pid])
+                      for pid in table.paths_for(h, t)[0].tolist()]
             skipped_self |= (r,) in stored
             kept_zero |= any(rel == 0.0 for _, _, rel in entries)
         assert skipped_self and kept_zero
