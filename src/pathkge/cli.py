@@ -299,16 +299,7 @@ def _run_dir(args: argparse.Namespace, verb: str, seed: int) -> Path:
 
 def _load_table(path: str, g: KnowledgeGraph) -> PathTable:
     table = PathTable.load(path)
-    if table.n_entities != g.n_entities:
-        raise PathError(
-            f"path table covers {table.n_entities} entities but the dataset "
-            f"has {g.n_entities}"
-        )
-    if table.n_relations != g.n_relations:
-        raise PathError(
-            f"path table uses relation ids of {table.n_relations} relations but the "
-            f"dataset has {g.n_relations}"
-        )
+    table.check_graph(g, PathError)
     return table
 
 

@@ -406,9 +406,7 @@ def evaluate(
             f"model shape ({params.n_entities} entities, {params.n_relations} relations) "
             f"does not match the graph ({g.n_entities}, {g.n_relations})"
         )
-    if table.n_entities != g.n_entities:
-        raise EvalError(f"path table covers {table.n_entities} entities but the graph has "
-                        f"{g.n_entities}")
+    table.check_graph(g, EvalError)
     if rerank_k < 1:
         raise EvalError(f"rerank_k must be >= 1, got {rerank_k}")
     if tie_policy not in ("pessimistic", "mean"):

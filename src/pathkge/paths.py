@@ -7,6 +7,10 @@ tail when every node splits its resource evenly among its children along
 the next relation.  Globally aggregated flows give, for each path, how
 strongly it predicts each direct relation; the product of that
 relatedness and the per-pair flow is the path's reliability.
+
+Mining keeps of each chunk of heads only its capped entries and their
+evidence rows' key ids; the statistics are running sums put before each
+batch's rows in ``np.bincount``, which adds in input order, as one pass would.
 """
 
 from __future__ import annotations
@@ -128,6 +132,16 @@ class PathTable:
         """Stored (path id, flow) entries for the pair (h, t)."""
         lo, hi = self.pair_spans(h, t)
         return self.entry_path[int(lo):int(hi)], self.entry_v[int(lo):int(hi)]
+
+    def check_graph(self, g: KnowledgeGraph, error: type[Exception]) -> None:
+        """Raise ``error`` unless the table's ids index ``g``: its pair keys
+        number g's entity pairs, and its relation ids, if any, g's relations."""
+        if self.n_entities != g.n_entities:
+            raise error(f"path table covers {self.n_entities} entities but the graph has "
+                        f"{g.n_entities}")
+        if self.n_relations not in (0, g.n_relations):
+            raise error(f"path table uses relation ids of {self.n_relations} relations but "
+                        f"the graph has {g.n_relations}")
 
     def pair_spans(self, h, t) -> tuple[np.ndarray, np.ndarray]:
         """Entry ranges [lo, hi) of the pairs (h, t), empty where not stored."""
@@ -273,15 +287,21 @@ _MINE_BYTES = 1 << 20
 
 
 def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum ``val`` over equal keys, each sum adding one by one in input
-    order: (distinct keys, sums, the run of every input row).
+    """Sum ``val`` over equal non-negative keys, each sum adding one by one
+    in input order: (distinct keys, sums, the run of every input row).
 
     ``np.bincount`` adds sequentially, whatever order the keys sort in;
     ``np.add.reduceat`` would add a run of eight or more values pairwise
-    and round differently.
+    and round differently.  One sort of ``key << bits | index`` orders keys
+    that leave the index room, several times faster than an argsort.
     """
-    keys, run = np.unique(key, return_inverse=True)
-    return keys, np.bincount(run, weights=val, minlength=len(keys)), run
+    bits = len(key).bit_length()
+    fits = len(key) == 0 or key.max() >> (63 - bits) == 0
+    order = np.sort(key << bits | np.arange(len(key))) & (2**bits - 1) if fits else key.argsort()
+    first = _firsts(key[order])
+    run = np.empty(len(key), dtype=np.int64)
+    run[order] = np.cumsum(first) - 1
+    return key[order[first]], np.bincount(run, weights=val), run
 
 
 def _bit_rows(n_ent: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, Callable]:
@@ -301,11 +321,11 @@ def _bit_rows(n_ent: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray,
     return words, pair_index
 
 
-def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[np.ndarray, ...]:
-    """Capped (pair, path code, flow) entries sorted by pair, then path,
-    where pair i is ``g.train_pairs()[i]``, and ``(pair_off, rel)``: the
-    relations of pair i's train facts are ``rel[pair_off[i]:pair_off[i + 1]]``,
-    ascending.  ``counts`` gets ``n_walks`` and ``n_pairs_capped``.
+def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[list, tuple[np.ndarray, ...]]:
+    """Capped entries in parts of (pair * n_code + path code keys ascending,
+    flows, row entries, row key ids), pair i being ``g.train_pairs()[i]``,
+    and the evidence flows summed per key code * n_rel + relation (keys,
+    ids, sums) and per code.  ``counts`` gets n_walks and n_pairs_capped.
 
     Path (r1,) has code r1 * (n_rel + 1) and (r1, r2) has code
     r1 * (n_rel + 1) + r2 + 1, so codes sort like the relation tuples.
@@ -328,13 +348,15 @@ def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[np.ndarray, ...
     by_pair = np.argsort(edge_pair, kind="stable")
     pair_off = np.append(0, np.cumsum(np.bincount(edge_pair, minlength=len(pairs))))
     one_key = edge_pair * n_code + urel * np.int64(n_rel + 1)
+    rels = urel[by_pair].astype(np.int64)
 
     # Each chunk holds whole heads, so no flow sum spans two chunks.
     heads, mids = np.divmod(pairs, n_ent)
     cost = 8 * words.shape[1] + 8 * np.minimum(deg[heads], deg[mids])
     starts = np.flatnonzero(_firsts(heads))
     starts = starts[_firsts((np.cumsum(cost) - cost)[starts] // _MINE_BYTES)]
-    parts = []
+    parts, waiting, n_waiting = [], [], 0
+    (keys, ids, codes), (joint, support) = np.zeros((3, 0), dtype=np.int64), np.zeros((2, 0))
     counts.update(n_walks=0, n_pairs_capped=0)
     for a, b in zip(starts.tolist(), np.append(starts[1:], len(pairs)).tolist()):
         # The set bits of N(h) & N(m), pair by pair, entities ascending: the
@@ -380,11 +402,29 @@ def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[np.ndarray, ...
             keep = np.ones(len(key), dtype=bool)
             keep[cut[rank >= cap]] = False
             key, v = key[keep], v[keep]
-        parts.append((key, v))
+        waiting.append((key, v))
+        n_waiting += len(key)
+        del inter, word, nonzero, at, bit, i, t, j, walk, step, e1, e2  # before a flush's arrays
 
-    key = np.concatenate([part[0] for part in parts] + [np.zeros(0, np.int64)])
-    flows = np.concatenate([part[1] for part in parts] + [np.zeros(0)])
-    return *np.divmod(key, n_code), flows, pair_off, urel[by_pair].astype(np.int64)
+        # Once the waiting entries outnumber the keys, their evidence rows
+        # join the running sums; a key keeps the id of its first merge.
+        if n_waiting > len(keys) or b == len(pairs):
+            key, v = (np.concatenate(x) for x in zip(*waiting))
+            pair, code = np.divmod(key, n_code)
+            row_entry, row = expand_spans(pair_off[pair], pair_off[pair + 1])
+            row_key = code[row_entry] * n_rel + rels[row]
+            evidence = row_key != rels[row] * (n_code + 1)
+            row_key, row_entry, n = row_key[evidence], row_entry[evidence], len(keys)
+            flow = v[row_entry]
+            keys, joint, at = _sum_runs(np.append(keys, row_key), np.append(joint, flow))
+            codes, support, _ = _sum_runs(np.append(codes, row_key // n_rel),
+                                          np.append(support, flow))
+            old, ids = ids, np.full(len(keys), -1)
+            ids[at[:n]] = old
+            ids[ids < 0] = np.arange(n, len(keys))
+            parts.append((key, v, row_entry.astype(np.int32), ids[at[n:]].astype(np.int32)))
+            waiting, n_waiting = [], 0
+    return parts, (keys, ids, joint, support)
 
 
 def build_path_table(
@@ -401,6 +441,10 @@ def build_path_table(
     is vacuous).  After statistics are fixed, stored entries whose
     reliability stays below ``reliability_floor`` for every linking
     relation are dropped; a floor of 0 disables the filter.
+
+    Of each mined chunk only its entries and their evidence rows' key ids
+    stay; the running sums go before each batch's rows in ``np.bincount``,
+    which adds in input order, so every float is that of one pass.
     """
     if not g.augmented:
         raise PathError("path mining requires an inverse-augmented graph")
@@ -413,50 +457,49 @@ def build_path_table(
 
     n_rel = g.n_relations
     stats = {} if stats is None else stats
-    pair, codes, flows, rel_off, rels = _collect(g, cap, stats)
+    parts, (keys, ids, joint, support) = _collect(g, cap, stats)
 
-    # Join every entry with the distinct train relations linking its pair;
-    # a single-relation path is not evidence for its own relation.
-    row_entry, row = expand_spans(rel_off[pair], rel_off[pair + 1])
-    evidence = codes[row_entry] != rels[row] * (n_rel + 1)
-    row_entry, row_rel = row_entry[evidence], rels[row[evidence]]
-
-    # P(r | p) = joint flow of (p, r) / total linked flow of p.
-    joint_key, joint, row_joint = _sum_runs(codes[row_entry] * n_rel + row_rel, flows[row_entry])
-    joint_code, joint_rel = np.divmod(joint_key, n_rel)
-    joint_path = np.cumsum(_firsts(joint_code)) - 1
-    # The support adds the rows themselves, pair by pair and relation by
-    # relation, not the per-relation joints: summing in another order
-    # rounds differently, and a reliability that is exactly the floor
-    # would then fall on either side of it.
-    support = np.bincount(joint_path[row_joint], weights=flows[row_entry])[joint_path]
+    # P(r | p) = joint flow of (p, r) / total linked flow of p.  The support
+    # adds the rows themselves, pair by pair and relation by relation, not
+    # the per-relation joints: summing in another order rounds differently,
+    # and a reliability that is exactly the floor would then fall on
+    # either side of it.
+    joint_code, joint_rel = np.divmod(keys, n_rel)
+    code_first = _firsts(joint_code)
+    code_at = np.cumsum(code_first) - 1
+    support = support[code_at]
     relat = joint / support
+    by_id = np.empty(len(ids))
+    by_id[ids] = relat
 
-    # Reliability filter: an entry stays if some linking relation makes it
-    # reliable enough.
-    best = np.zeros(len(pair))
-    np.maximum.at(best, row_entry, relat[row_joint] * flows[row_entry])
-    keep = best >= reliability_floor
+    # Reliability filter, part by part: an entry stays if some linking
+    # relation makes it reliable enough.  Only kept entries are concatenated.
+    n_mined = sum(len(part[0]) for part in parts)
+    for k, (key, v, row_entry, row_id) in enumerate(parts):
+        best = np.zeros(len(key))
+        np.maximum.at(best, row_entry, by_id[row_id] * v[row_entry])
+        keep = best >= reliability_floor
+        parts[k] = key[keep], v[keep]
+    key, flows = (np.concatenate(x) for x in zip((np.zeros(0, np.int64), np.zeros(0)), *parts))
+    pair, codes = np.divmod(key, n_rel * (n_rel + 1))
 
     # Final path dictionary: lexicographic over paths that survived, and
     # pairs left with no entries vanish.  A kept path with no evidence has
     # support 0 and no relatedness.
-    path_codes, entry_path = np.unique(codes[keep], return_inverse=True)
-    kept = pair[keep]
-    first = _firsts(kept)
-    pair_keys = g.train_pairs()[kept[first]]
-    slot = np.searchsorted(path_codes, joint_code)
+    path_codes, entry_path = np.unique(codes, return_inverse=True)
+    first = _firsts(pair)
+    pair_keys = g.train_pairs()[pair[first]]
+    slot = np.searchsorted(path_codes, joint_code[code_first])[code_at]
     listed = np.append(path_codes, -1)[slot] == joint_code
     path_support = np.zeros(len(path_codes))
     path_support[slot[listed]] = support[listed]
 
-    n_entries = int(keep.sum())
     stats.update(
         n_pairs=len(pair_keys),
         n_paths=len(path_codes),
-        n_entries=n_entries,
-        n_entries_prefilter=len(keep),
-        drop_rate=(1.0 - n_entries / len(keep) if len(keep) else 0.0),
+        n_entries=len(pair),
+        n_entries_prefilter=n_mined,
+        drop_rate=(1.0 - len(pair) / n_mined if n_mined else 0.0),
     )
 
     return PathTable(
@@ -470,7 +513,7 @@ def build_path_table(
         relat_rel=joint_rel[listed].astype(np.int32),
         relat_val=relat[listed],
         pair_keys=pair_keys,
-        pair_offsets=np.append(np.flatnonzero(first), len(kept)),
+        pair_offsets=np.append(np.flatnonzero(first), len(pair)),
         entry_path=entry_path.astype(np.int32),
-        entry_v=flows[keep],
+        entry_v=flows,
     )

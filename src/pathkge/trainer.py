@@ -770,10 +770,7 @@ def train(
         raise TrainError("early stopping needs a non-empty valid split")
     if config.stage == "transr" or table is None:
         table = PathTable.empty(g.n_entities)
-    elif table.n_entities != g.n_entities:  # its pair keys number another graph's pairs
-        raise TrainError(
-            f"path table covers {table.n_entities} entities but the graph has {g.n_entities}"
-        )
+    table.check_graph(g, TrainError)
 
     out = Path(out_dir) if out_dir is not None else None
     log_fh = None

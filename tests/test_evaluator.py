@@ -769,6 +769,11 @@ class TestEvaluate:
         ({"category_cutoff": 0.0}, "category_cutoff"),
         ({"category_cutoff": float("nan")}, "category_cutoff"),
         ({"table": PathTable.empty(5)}, "path table covers 5 entities"),
+        # Mined with a second relation, the table's ids 2 and 3 would select
+        # models.relation_rows' padding row of this 1-relation graph, or run
+        # past it.
+        ({"table": build_path_table(make_graph([(0, 0, 1), (1, 1, 2)], n_entities=4))},
+         "relation ids of 4 relations but the graph has 2"),
     ])
     def test_bad_arguments_are_refused_before_ranking(self, monkeypatch, bad, match):
         params, g = perfect_model()

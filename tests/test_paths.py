@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,23 @@ def assert_matches_oracle(g, triples, floor, cap):
     return table
 
 
+FLOORS = (0.0, paths.DEFAULT_RELIABILITY_FLOOR, 0.5)
+
+
+def table_bytes(table: PathTable, tmp) -> bytes:
+    table.save(tmp / "t.ptbl")
+    return (tmp / "t.ptbl").read_bytes()
+
+
+def assert_chunks_change_no_byte(g, floor: float, cap: int, tmp) -> None:
+    """One head per chunk, a few heads and one chunk for all heads build
+    the default chunks' bytes."""
+    want = table_bytes(build_path_table(g, floor, cap), tmp)
+    for budget in (1, 64, 2**40):
+        with mock.patch.object(paths, "_MINE_BYTES", budget):
+            assert table_bytes(build_path_table(g, floor, cap), tmp) == want
+
+
 class TestBuildTable:
     def test_tri_literal_values(self, tri_graph):
         table = build_path_table(tri_graph, reliability_floor=0.01, cap=10)
@@ -165,6 +183,44 @@ class TestBuildTable:
         triples, n_ent, n_rel = random_triples(rng, max_entities=5, max_edges=10)
         g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
         assert_matches_oracle(g, g.train.tolist(), floor, 200)
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("cap", [1, 2, 200])
+    def test_chunks_change_no_byte_on_fixtures(self, tri_graph, diamond_graph, chain_graph,
+                                               tmp_path, floor, cap):
+        for g in (tri_graph, diamond_graph, chain_graph):
+            assert_chunks_change_no_byte(g, floor, cap, tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from(FLOORS), st.sampled_from([1, 2, 200]))
+    def test_chunks_change_no_byte_on_random_graphs(self, tmp_path_factory, seed, floor, cap):
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=12, max_edges=40)
+        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
+        assert_chunks_change_no_byte(g, floor, cap, tmp_path_factory.mktemp("chunks"))
+
+    def test_mining_peak_memory_is_bounded(self):
+        # 3,000 facts (6,000 with inverses) on 200 entities mine ~31,000
+        # entries.  16 KB chunks split the graph into many, as the default
+        # budget splits mine-M's.  Of a chunk only its entries (16 bytes) and
+        # their evidence rows' ids (8 bytes a row) stay, so numpy's traced
+        # peak is ~1.4 MB; joining and summing all entries at once peaks at
+        # ~3.2 MB, and the 2 MB bound lies between.  tracemalloc counts each
+        # allocation's bytes, so the figures do not vary from run to run.
+        rng = np.random.default_rng(0)
+        triples = rng.integers(0, [200, 4, 200], size=(3000, 3)).tolist()
+        g = make_graph(triples, n_entities=200, n_relations=4)
+        g.train_pairs(), g.unique_adjacency()  # the graph's indexes, not mining's
+        stats: dict = {}
+        tracemalloc.start()
+        try:
+            with mock.patch.object(paths, "_MINE_BYTES", 2**14):
+                build_path_table(g, stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats["n_entries_prefilter"] > 30_000
+        assert peak < 2 * 2**20, peak
 
     def test_cap_keeps_highest_flow_paths(self):
         # Pair (0, 5) has one direct edge and three 2-hop routes.
@@ -237,11 +293,33 @@ def assert_collect_matches_heads(g, cap: int) -> None:
     for budget in (paths._MINE_BYTES, 1, 64):
         counts: dict = {}
         with mock.patch.object(paths, "_MINE_BYTES", budget):
-            pair, codes, flows, _, _ = paths._collect(g, cap, counts)
+            parts, _ = paths._collect(g, cap, counts)
+        key = np.concatenate([part[0] for part in parts] + [np.zeros(0, np.int64)])
+        pair, codes = np.divmod(key, g.n_relations * (g.n_relations + 1))
+        flows = np.concatenate([part[1] for part in parts] + [np.zeros(0)])
         assert np.array_equal(g.train_pairs()[pair], want_key)
         assert np.array_equal(codes, want_codes)
         assert np.array_equal(flows.view(np.int64), want_flows.view(np.int64))
         assert counts["n_pairs_capped"] == want_capped
+
+
+class TestSumRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 62), st.integers(0, 300))
+    def test_matches_unique_and_sequential_sums(self, seed, top, n):
+        # Keys below 2**top: small ones take the sort of key << bits | index,
+        # the largest leave the index no room and take the argsort.
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 2**top, 1 + n // 3, endpoint=True)
+        key = pool[rng.integers(0, len(pool), n)]
+        val = rng.standard_normal(n)
+        keys, sums, run = paths._sum_runs(key, val)
+        want_keys, want_run = np.unique(key, return_inverse=True)
+        assert np.array_equal(keys, want_keys) and np.array_equal(run, want_run)
+        want = np.zeros(len(want_keys))
+        for r, x in zip(want_run.tolist(), val.tolist()):
+            want[r] += x
+        assert np.array_equal(sums.view(np.int64), want.view(np.int64))
 
 
 class TestCollect:

@@ -672,6 +672,21 @@ class TestTrain:
         with pytest.raises(TrainError, match="covers 10 entities but the graph has 8"):
             train(small_graph, table, tiny_cfg())
 
+    def test_table_of_more_relations_is_refused_before_the_warm_start(
+        self, small_graph, monkeypatch
+    ):
+        # Mined with a third relation, the table's ids 4 and 5 would select
+        # models.relation_rows' padding row of this 2-relation graph, or
+        # run past it.  An empty table names no relation and trains.
+        train(small_graph, PathTable.empty(8), tiny_cfg(epochs=1, warm_epochs=1))
+        other = make_graph(small_graph.original_train.tolist() + [(0, 2, 1)],
+                           n_entities=8, n_relations=3)
+        table = build_path_table(other, reliability_floor=0.0)
+        assert table.n_relations == 6 and table.path_rels.max() == 5
+        monkeypatch.setattr(trainer, "init_transe", None)  # a call would fail otherwise
+        with pytest.raises(TrainError, match="ids of 6 relations but the graph has 4"):
+            train(small_graph, table, tiny_cfg())
+
     def test_transe_stage_rejects_init(self, small_graph):
         rng = np.random.default_rng(0)
         p = ModelParams.random(small_graph.n_entities, small_graph.n_relations, 6, 6, rng)
