@@ -8,9 +8,8 @@ the next relation.  Globally aggregated flows give, for each path, how
 strongly it predicts each direct relation; the product of that
 relatedness and the per-pair flow is the path's reliability.
 
-Mining keeps of each chunk of heads only its capped entries and their
-evidence rows' key ids; the statistics are running sums put before each
-batch's rows in ``np.bincount``, which adds in input order, as one pass would.
+Mining keeps of each chunk of heads only its entries; the statistics are
+running sums that ``np.bincount`` adds in input order, as one pass would.
 """
 
 from __future__ import annotations
@@ -134,8 +133,7 @@ class PathTable:
         return self.entry_path[int(lo):int(hi)], self.entry_v[int(lo):int(hi)]
 
     def check_graph(self, g: KnowledgeGraph, error: type[Exception]) -> None:
-        """Raise ``error`` unless the table's ids index ``g``: its pair keys
-        number g's entity pairs, and its relation ids, if any, g's relations."""
+        """Raise ``error`` unless the table's ids index ``g`` (0 relations fit any graph)."""
         if self.n_entities != g.n_entities:
             raise error(f"path table covers {self.n_entities} entities but the graph has "
                         f"{g.n_entities}")
@@ -287,21 +285,15 @@ _MINE_BYTES = 1 << 20
 
 
 def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum ``val`` over equal non-negative keys, each sum adding one by one
-    in input order: (distinct keys, sums, the run of every input row).
+    """Sum ``val`` over equal keys, each sum adding one by one in input
+    order: (distinct keys, sums, the run of every input row).
 
     ``np.bincount`` adds sequentially, whatever order the keys sort in;
     ``np.add.reduceat`` would add a run of eight or more values pairwise
-    and round differently.  One sort of ``key << bits | index`` orders keys
-    that leave the index room, several times faster than an argsort.
+    and round differently.
     """
-    bits = len(key).bit_length()
-    fits = len(key) == 0 or key.max() >> (63 - bits) == 0
-    order = np.sort(key << bits | np.arange(len(key))) & (2**bits - 1) if fits else key.argsort()
-    first = _firsts(key[order])
-    run = np.empty(len(key), dtype=np.int64)
-    run[order] = np.cumsum(first) - 1
-    return key[order[first]], np.bincount(run, weights=val), run
+    keys, run = np.unique(key, return_inverse=True)
+    return keys, np.bincount(run, weights=val, minlength=len(keys)), run
 
 
 def _bit_rows(n_ent: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, Callable]:
@@ -321,11 +313,11 @@ def _bit_rows(n_ent: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray,
     return words, pair_index
 
 
-def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[list, tuple[np.ndarray, ...]]:
-    """Capped entries in parts of (pair * n_code + path code keys ascending,
-    flows, row entries, row key ids), pair i being ``g.train_pairs()[i]``,
-    and the evidence flows summed per key code * n_rel + relation (keys,
-    ids, sums) and per code.  ``counts`` gets n_walks and n_pairs_capped.
+def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[int, list, tuple]:
+    """(n_code, parts, sums): parts of capped entries (pair * n_code + path
+    code keys ascending, flows, row entries, row key ids), pair i being
+    ``g.train_pairs()[i]``; sums of evidence flows per key code * n_rel +
+    relation (keys, ids, sums) and per code.  ``counts`` gets n_walks, n_pairs_capped.
 
     Path (r1,) has code r1 * (n_rel + 1) and (r1, r2) has code
     r1 * (n_rel + 1) + r2 + 1, so codes sort like the relation tuples.
@@ -358,7 +350,9 @@ def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[list, tuple[np.
     parts, waiting, n_waiting = [], [], 0
     (keys, ids, codes), (joint, support) = np.zeros((3, 0), dtype=np.int64), np.zeros((2, 0))
     counts.update(n_walks=0, n_pairs_capped=0)
-    for a, b in zip(starts.tolist(), np.append(starts[1:], len(pairs)).tolist()):
+
+    def chunk(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs [a, b)'s capped entries: keys ascending, flows."""
         # The set bits of N(h) & N(m), pair by pair, entities ascending: the
         # nonzero words, then their nonzero bytes, then those bytes' bits.
         inter = words[heads[a:b]]
@@ -402,29 +396,36 @@ def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[list, tuple[np.
             keep = np.ones(len(key), dtype=bool)
             keep[cut[rank >= cap]] = False
             key, v = key[keep], v[keep]
-        waiting.append((key, v))
-        n_waiting += len(key)
-        del inter, word, nonzero, at, bit, i, t, j, walk, step, e1, e2  # before a flush's arrays
+        return key, v
 
-        # Once the waiting entries outnumber the keys, their evidence rows
-        # join the running sums; a key keeps the id of its first merge.
+    def merge(key: np.ndarray, v: np.ndarray) -> None:
+        """Add the evidence rows of entries (keys ascending, flows) to the sums, a key
+        keeping the id of its first merge; like chunk's, its arrays go on return."""
+        nonlocal keys, ids, codes, joint, support
+        pair, code = np.divmod(key, n_code)
+        row_entry, row = expand_spans(pair_off[pair], pair_off[pair + 1])
+        row_code = code[row_entry]
+        row_key = row_code * n_rel + rels[row]
+        evidence = row_code != rels[row] * (n_rel + 1)
+        row_key, row_entry, n = row_key[evidence], row_entry[evidence], len(keys)
+        flow = v[row_entry]
+        keys, joint, at = _sum_runs(np.append(keys, row_key), np.append(joint, flow))
+        codes, support, _ = _sum_runs(np.append(codes, row_key // n_rel),
+                                      np.append(support, flow))
+        old, ids = ids, np.full(len(keys), -1)
+        ids[at[:n]] = old
+        ids[ids < 0] = np.arange(n, len(keys))
+        parts.append((key, v, row_entry.astype(np.int32), ids[at[n:]].astype(np.int32)))
+
+    # A merge sorts about twice its new rows: entries wait to outnumber the keys.
+    for a, b in zip(starts.tolist(), np.append(starts[1:], len(pairs)).tolist()):
+        waiting.append(chunk(a, b))
+        n_waiting += len(waiting[-1][0])
         if n_waiting > len(keys) or b == len(pairs):
             key, v = (np.concatenate(x) for x in zip(*waiting))
-            pair, code = np.divmod(key, n_code)
-            row_entry, row = expand_spans(pair_off[pair], pair_off[pair + 1])
-            row_key = code[row_entry] * n_rel + rels[row]
-            evidence = row_key != rels[row] * (n_code + 1)
-            row_key, row_entry, n = row_key[evidence], row_entry[evidence], len(keys)
-            flow = v[row_entry]
-            keys, joint, at = _sum_runs(np.append(keys, row_key), np.append(joint, flow))
-            codes, support, _ = _sum_runs(np.append(codes, row_key // n_rel),
-                                          np.append(support, flow))
-            old, ids = ids, np.full(len(keys), -1)
-            ids[at[:n]] = old
-            ids[ids < 0] = np.arange(n, len(keys))
-            parts.append((key, v, row_entry.astype(np.int32), ids[at[n:]].astype(np.int32)))
             waiting, n_waiting = [], 0
-    return parts, (keys, ids, joint, support)
+            merge(key, v)
+    return n_code, parts, (keys, ids, joint, support)
 
 
 def build_path_table(
@@ -457,7 +458,7 @@ def build_path_table(
 
     n_rel = g.n_relations
     stats = {} if stats is None else stats
-    parts, (keys, ids, joint, support) = _collect(g, cap, stats)
+    n_code, parts, (keys, ids, joint, support) = _collect(g, cap, stats)
 
     # P(r | p) = joint flow of (p, r) / total linked flow of p.  The support
     # adds the rows themselves, pair by pair and relation by relation, not
@@ -481,7 +482,7 @@ def build_path_table(
         keep = best >= reliability_floor
         parts[k] = key[keep], v[keep]
     key, flows = (np.concatenate(x) for x in zip((np.zeros(0, np.int64), np.zeros(0)), *parts))
-    pair, codes = np.divmod(key, n_rel * (n_rel + 1))
+    pair, codes = np.divmod(key, n_code)
 
     # Final path dictionary: lexicographic over paths that survived, and
     # pairs left with no entries vanish.  A kept path with no evidence has

@@ -204,8 +204,8 @@ class TestBuildTable:
         # entries.  16 KB chunks split the graph into many, as the default
         # budget splits mine-M's.  Of a chunk only its entries (16 bytes) and
         # their evidence rows' ids (8 bytes a row) stay, so numpy's traced
-        # peak is ~1.4 MB; joining and summing all entries at once peaks at
-        # ~3.2 MB, and the 2 MB bound lies between.  tracemalloc counts each
+        # peak is ~1.3 MB; joining and summing all entries at once peaks at
+        # ~3.1 MB, and the 2 MB bound lies between.  tracemalloc counts each
         # allocation's bytes, so the figures do not vary from run to run.
         rng = np.random.default_rng(0)
         triples = rng.integers(0, [200, 4, 200], size=(3000, 3)).tolist()
@@ -293,9 +293,9 @@ def assert_collect_matches_heads(g, cap: int) -> None:
     for budget in (paths._MINE_BYTES, 1, 64):
         counts: dict = {}
         with mock.patch.object(paths, "_MINE_BYTES", budget):
-            parts, _ = paths._collect(g, cap, counts)
+            n_code, parts, _ = paths._collect(g, cap, counts)
         key = np.concatenate([part[0] for part in parts] + [np.zeros(0, np.int64)])
-        pair, codes = np.divmod(key, g.n_relations * (g.n_relations + 1))
+        pair, codes = np.divmod(key, n_code)
         flows = np.concatenate([part[1] for part in parts] + [np.zeros(0)])
         assert np.array_equal(g.train_pairs()[pair], want_key)
         assert np.array_equal(codes, want_codes)
@@ -307,8 +307,7 @@ class TestSumRuns:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 62), st.integers(0, 300))
     def test_matches_unique_and_sequential_sums(self, seed, top, n):
-        # Keys below 2**top: small ones take the sort of key << bits | index,
-        # the largest leave the index no room and take the argsort.
+        # Keys below 2**top, with repeats; each sum must add in input order.
         rng = np.random.default_rng(seed)
         pool = rng.integers(0, 2**top, 1 + n // 3, endpoint=True)
         key = pool[rng.integers(0, len(pool), n)]
