@@ -8,22 +8,26 @@ Lower scores mean more plausible facts throughout.
 
 from __future__ import annotations
 
-import math
-import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from pathkge import artifact
 from pathkge.kgdata import _distinct, _firsts
 from pathkge.paths import PathTable, expand_spans
 
-MAGIC = b"PTRM"
-FORMAT_VERSION = 1
-# After the magic: version, dim_entity, dim_relation, n_entities, n_relations.
-_HEADER = struct.Struct("<IIIII")
+# The fields after the magic, in file order, then the arrays after them.
+_Header = namedtuple("_Header", "version dim_entity dim_relation n_entities n_relations")
+_FIELDS = (
+    ("entity_emb", "<f4", lambda h: (h.n_entities, h.dim_entity)),
+    ("relation_emb", "<f4", lambda h: (h.n_relations, h.dim_relation)),
+    ("proj", "<f4", lambda h: (h.n_relations, h.dim_relation, h.dim_entity)),
+)
+_FORMAT = artifact.Format("model", b"PTRM", 1, struct.Struct("<IIIII"), _Header, _FIELDS, "train")
 
 # Row norms are left alone when already this close to the target, which
 # makes constraint projection an exact fixed point under float32.
@@ -101,45 +105,12 @@ class ModelParams:
     # -- persistence ----------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(_HEADER.pack(FORMAT_VERSION, self.dim_entity, self.dim_relation,
-                                  self.n_entities, self.n_relations))
-            fh.write(np.ascontiguousarray(self.entity_emb, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(self.relation_emb, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(self.proj, dtype="<f4").tobytes())
+        artifact.write(path, _FORMAT, (self.dim_entity, self.dim_relation, self.n_entities,
+                                       self.n_relations), self)
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelParams":
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            magic = fh.read(4)
-            if magic != MAGIC:
-                raise ModelError(f"{path}: not a model file (bad magic {magic!r})")
-            header = fh.read(_HEADER.size)
-            if len(header) != _HEADER.size:
-                raise ModelError(f"{path}: truncated model header")
-            version, k, d, n_ent, n_rel = _HEADER.unpack(header)
-            if version != FORMAT_VERSION:
-                raise ModelError(f"{path}: unsupported model version {version}")
-
-            def arr(shape: tuple[int, ...]) -> np.ndarray:
-                # The header's shape is checked against the bytes left
-                # before anything that large is allocated.
-                nbytes = 4 * math.prod(shape)
-                if nbytes > size - fh.tell():
-                    raise ModelError(f"{path}: truncated model file")
-                values = np.frombuffer(fh.read(nbytes), dtype="<f4").astype(np.float32)
-                if not np.isfinite(values).all():
-                    raise ModelError(f"{path}: non-finite parameter")
-                return values.reshape(shape)
-
-            ent = arr((n_ent, k))
-            rel = arr((n_rel, d))
-            proj = arr((n_rel, d, k))
-            if fh.read(1):
-                raise ModelError(f"{path}: trailing bytes after model payload")
-        return cls(ent, rel, proj)
+        return cls(**artifact.read(path, _FORMAT, ModelError)[1])
 
 
 # -- scoring --------------------------------------------------------------

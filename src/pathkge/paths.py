@@ -14,8 +14,6 @@ running sums that ``np.bincount`` adds in input order, as one pass would.
 
 from __future__ import annotations
 
-import math
-import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -25,10 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from pathkge import artifact
 from pathkge.kgdata import KnowledgeGraph, _firsts
 
-MAGIC = b"PTBL"
-FORMAT_VERSION = 2
 DEFAULT_RELIABILITY_FLOOR = 0.01
 DEFAULT_PAIR_CAP = 200
 
@@ -44,7 +41,6 @@ MAX_PAIR_CAP = 2**32 - 1
 # and shape, the shape's counts read from the header.
 _FIELDS = (
     ("path_rels", "<i4", lambda h: (h.n_paths, 2)),
-    ("support", "<f8", lambda h: (h.n_paths,)),
     ("relat_offsets", "<i8", lambda h: (h.n_paths + 1,)),
     ("relat_rel", "<i4", lambda h: (h.n_relat,)),
     ("relat_val", "<f8", lambda h: (h.n_relat,)),
@@ -53,6 +49,7 @@ _FIELDS = (
     ("entry_path", "<i4", lambda h: (h.n_entries,)),
     ("entry_v", "<f8", lambda h: (h.n_entries,)),
 )
+_FORMAT = artifact.Format("path-table", b"PTBL", 3, _HEADER, _Header, _FIELDS, "extract-paths")
 
 # Relation ids are int32, so path id * 2**32 + relation is unique per
 # (path, relation) and sorts like the relat_* arrays.
@@ -86,7 +83,6 @@ class PathTable:
     reliability_floor: float
     cap: int
     path_rels: np.ndarray        # int32 (n_paths, 2) relation ids, -1 in column 1 of a 1-hop path
-    support: np.ndarray          # f64 (n_paths,) total flow admitting each path
     relat_offsets: np.ndarray    # int64 (n_paths + 1,)
     relat_rel: np.ndarray        # int32, relation ids per path, sorted
     relat_val: np.ndarray        # f64, P(relation | path)
@@ -103,7 +99,6 @@ class PathTable:
             reliability_floor=DEFAULT_RELIABILITY_FLOOR,
             cap=DEFAULT_PAIR_CAP,
             path_rels=np.zeros((0, 2), dtype=np.int32),
-            support=np.zeros(0, dtype=np.float64),
             relat_offsets=np.zeros(1, dtype=np.int64),
             relat_rel=np.zeros(0, dtype=np.int32),
             relat_val=np.zeros(0, dtype=np.float64),
@@ -200,44 +195,12 @@ class PathTable:
     # -- persistence ----------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        header = _Header(FORMAT_VERSION, self.reliability_floor, self.cap, self.n_paths,
-                         self.n_entities, self.n_pairs, self.n_entries, len(self.relat_rel),
-                         self.n_relations)
-        with open(path, "wb") as fh:
-            fh.write(MAGIC + _HEADER.pack(*header))
-            for name, dtype, _ in _FIELDS:
-                fh.write(getattr(self, name).astype(dtype).tobytes())
+        artifact.write(path, _FORMAT, (self.reliability_floor, self.cap, self.n_paths, self.n_entities,
+                       self.n_pairs, self.n_entries, len(self.relat_rel), self.n_relations), self)
 
     @classmethod
     def load(cls, path: str | Path) -> "PathTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != MAGIC:
-                raise PathError(f"{path}: not a path-table file (bad magic {magic!r})")
-            raw = fh.read(_HEADER.size)
-            if len(raw) != _HEADER.size:
-                raise PathError(f"{path}: truncated path-table header")
-            head = _Header._make(_HEADER.unpack(raw))
-            if head.version != FORMAT_VERSION:
-                raise PathError(f"{path}: unsupported path-table version {head.version} "
-                                f"(this build reads {FORMAT_VERSION}; re-run extract-paths)")
-            # The header's counts are checked against the file's size before
-            # anything that large is allocated.
-            shapes = [shape(head) for _, _, shape in _FIELDS]
-            sizes = [np.dtype(dtype).itemsize * math.prod(shape)
-                     for (_, dtype, _), shape in zip(_FIELDS, shapes)]
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
-            if sum(sizes) > left:
-                raise PathError(f"{path}: truncated path-table file")
-            if sum(sizes) < left:
-                raise PathError(f"{path}: trailing bytes after path-table payload")
-            arrays = {
-                name: np.frombuffer(fh.read(nbytes), dtype).astype(dtype[1:]).reshape(shape)
-                for (name, dtype, _), shape, nbytes in zip(_FIELDS, shapes, sizes)
-            }
-        for name in ("support", "relat_val", "entry_v"):
-            if not np.isfinite(arrays[name]).all():
-                raise PathError(f"{path}: non-finite {name}")
+        head, arrays = artifact.read(path, _FORMAT, PathError)
         for name, end in (("relat_offsets", head.n_relat), ("pair_offsets", head.n_entries)):
             offsets = arrays[name]
             if offsets[0] != 0 or offsets[-1] != end or (np.diff(offsets) < 0).any():
@@ -348,7 +311,7 @@ def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[int, list, tupl
     starts = np.flatnonzero(_firsts(heads))
     starts = starts[_firsts((np.cumsum(cost) - cost)[starts] // _MINE_BYTES)]
     parts, waiting, n_waiting = [], [], 0
-    (keys, ids, codes), (joint, support) = np.zeros((3, 0), dtype=np.int64), np.zeros((2, 0))
+    (keys, ids), (joint, support) = np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0))
     counts.update(n_walks=0, n_pairs_capped=0)
 
     def chunk(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,18 +363,20 @@ def _collect(g: KnowledgeGraph, cap: int, counts: dict) -> tuple[int, list, tupl
 
     def merge(key: np.ndarray, v: np.ndarray) -> None:
         """Add the evidence rows of entries (keys ascending, flows) to the sums, a key
-        keeping the id of its first merge; like chunk's, its arrays go on return."""
-        nonlocal keys, ids, codes, joint, support
+        keeping the id of its first merge and a code's support adding its old sum,
+        then its new rows; like chunk's, its arrays go on return."""
+        nonlocal keys, ids, joint, support
         pair, code = np.divmod(key, n_code)
         row_entry, row = expand_spans(pair_off[pair], pair_off[pair + 1])
         row_code = code[row_entry]
         row_key = row_code * n_rel + rels[row]
         evidence = row_code != rels[row] * (n_rel + 1)
         row_key, row_entry, n = row_key[evidence], row_entry[evidence], len(keys)
-        flow = v[row_entry]
+        flow, old_codes = v[row_entry], np.flatnonzero(_firsts(keys // n_rel))
         keys, joint, at = _sum_runs(np.append(keys, row_key), np.append(joint, flow))
-        codes, support, _ = _sum_runs(np.append(codes, row_key // n_rel),
-                                      np.append(support, flow))
+        code_id = np.cumsum(_firsts(keys // n_rel)) - 1
+        support = np.bincount(np.append(code_id[at[old_codes]], code_id[at[n:]]),
+                              weights=np.append(support, flow))
         old, ids = ids, np.full(len(keys), -1)
         ids[at[:n]] = old
         ids[ids < 0] = np.arange(n, len(keys))
@@ -468,8 +433,7 @@ def build_path_table(
     joint_code, joint_rel = np.divmod(keys, n_rel)
     code_first = _firsts(joint_code)
     code_at = np.cumsum(code_first) - 1
-    support = support[code_at]
-    relat = joint / support
+    relat = joint / support[code_at]
     by_id = np.empty(len(ids))
     by_id[ids] = relat
 
@@ -486,14 +450,12 @@ def build_path_table(
 
     # Final path dictionary: lexicographic over paths that survived, and
     # pairs left with no entries vanish.  A kept path with no evidence has
-    # support 0 and no relatedness.
+    # no relatedness.
     path_codes, entry_path = np.unique(codes, return_inverse=True)
     first = _firsts(pair)
     pair_keys = g.train_pairs()[pair[first]]
     slot = np.searchsorted(path_codes, joint_code[code_first])[code_at]
     listed = np.append(path_codes, -1)[slot] == joint_code
-    path_support = np.zeros(len(path_codes))
-    path_support[slot[listed]] = support[listed]
 
     stats.update(
         n_pairs=len(pair_keys),
@@ -509,7 +471,6 @@ def build_path_table(
         reliability_floor=reliability_floor,
         cap=cap,
         path_rels=(np.column_stack(np.divmod(path_codes, n_rel + 1)) - (0, 1)).astype(np.int32),
-        support=path_support,
         relat_offsets=np.searchsorted(slot[listed], np.arange(len(path_codes) + 1)),
         relat_rel=joint_rel[listed].astype(np.int32),
         relat_val=relat[listed],

@@ -714,21 +714,30 @@ class TestPlumbing:
             assert err.startswith("error: path table uses relation ids")
             assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_a_version_1_table_is_refused(self, ws, tmp_path, capsys):
-        # An empty table as version 1 wrote it: the header without
-        # n_relations, then no paths and the two one-element offset arrays.
-        old = tmp_path / "v1.ptbl"
-        old.write_bytes(b"PTBL" + struct.pack("<IdIIQQQQ", 1, 0.01, 200, 0, 20, 0, 0, 0)
-                        + bytes(16))
+    def refuses_old_table(self, ws, tmp_path, capsys, version: int, blob: bytes) -> None:
+        old = tmp_path / f"v{version}.ptbl"
+        old.write_bytes(blob)
         rc = cli.main([
             "evaluate", "--data", str(ws["data"]), "--model", str(ws["model"]),
             "--table", str(old), "--out", str(tmp_path / "eval"),
         ])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith(f"error: {old}: unsupported path-table version 1")
-        assert "re-run extract-paths" in err
+        assert err.startswith(f"error: {old}: unsupported path-table version {version} "
+                              "(this build reads 3; re-run extract-paths)")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_version_1_table_is_refused(self, ws, tmp_path, capsys):
+        # An empty table as version 1 wrote it: the header without
+        # n_relations, then no paths and the two one-element offset arrays.
+        self.refuses_old_table(ws, tmp_path, capsys, 1, b"PTBL" + struct.pack(
+            "<IdIIQQQQ", 1, 0.01, 200, 0, 20, 0, 0, 0) + bytes(16))
+
+    def test_a_version_2_table_is_refused(self, ws, tmp_path, capsys):
+        # An empty table as version 2 wrote it: its per-path support array is
+        # empty, so the file differs from version 3's in the version only.
+        self.refuses_old_table(ws, tmp_path, capsys, 2, b"PTBL" + struct.pack(
+            "<IdIIQQQQI", 2, 0.01, 200, 0, 20, 0, 0, 0, 0) + bytes(16))
 
     def test_non_finite_model_is_refused(self, ws, tmp_path, capsys):
         params = ModelParams.load(ws["model"])

@@ -125,6 +125,17 @@ class TestParams:
         with pytest.raises(ModelError, match="trailing"):
             ModelParams.load(f)
 
+    def test_another_version_is_refused(self, tmp_path):
+        f = tmp_path / "m.ptrm"
+        ModelParams.random(3, 2, 2, 2, np.random.default_rng(3)).save(f)
+        blob = bytearray(f.read_bytes())
+        struct.pack_into("<I", blob, 4, 2)
+        f.write_bytes(bytes(blob))
+        with pytest.raises(ModelError, match=r"unsupported model version 2 "
+                                             r"\(this build reads 1; re-run train\)") as err:
+            ModelParams.load(f)
+        assert str(err.value).startswith(f"{f}: ")
+
     # Offsets into the file of the header's shape (after the 4-byte magic):
     # dim_entity, dim_relation, n_entities, n_relations, each a uint32.
     @pytest.mark.parametrize("offset,value", [(16, 2**31), (8, 2**32 - 1), (20, 2**31)])
@@ -147,7 +158,7 @@ class TestParams:
         getattr(p, field).flat[-1] = value
         f = tmp_path / "m.ptrm"
         p.save(f)
-        with pytest.raises(ModelError, match="non-finite") as err:
+        with pytest.raises(ModelError, match=f"non-finite {field}") as err:
             ModelParams.load(f)
         assert str(err.value).startswith(f"{f}: ")
 

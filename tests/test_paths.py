@@ -401,7 +401,7 @@ class TestPersistence:
         assert again.n_relations == table.n_relations == tri_graph.n_relations
         assert again.path_rels.dtype == np.int32 and again.path_rels.shape == (table.n_paths, 2)
         for name in (
-            "path_rels", "support", "relat_offsets", "relat_rel", "relat_val",
+            "path_rels", "relat_offsets", "relat_rel", "relat_val",
             "pair_keys", "pair_offsets", "entry_path", "entry_v",
         ):
             assert np.array_equal(getattr(again, name), getattr(table, name))
@@ -450,7 +450,7 @@ class TestPersistence:
             PathTable.load(f)
 
     @pytest.mark.parametrize("field,index,value,message", [
-        ("support", 0, np.nan, "non-finite support"),
+        ("entry_v", 0, np.nan, "non-finite entry_v"),
         ("relat_val", -1, np.inf, "non-finite relat_val"),
         ("entry_v", 1, -np.inf, "non-finite entry_v"),
         ("relat_offsets", 0, 1, "relat_offsets must rise"),
@@ -566,11 +566,9 @@ class TestQueries:
         got = table.relatedness([2, 1, 2], [pid, pid, pid])
         assert got.tolist() == [pytest.approx(1.0), 0.0, pytest.approx(1.0)]
 
-    def test_support_is_total_linked_flow(self, tri_graph):
+    def test_a_bare_relation_is_no_evidence_for_itself(self, tri_graph):
+        # The pair of the single-relation path (2,) is linked by relation 2
+        # only, so that path has no relatedness rows.
         table = build_path_table(tri_graph, reliability_floor=0.0)
-        listed = [path_tuple(row) for row in table.path_rels]
-        pid = listed.index((0, 1))
-        assert table.support[pid] == pytest.approx(1.0)
-        # Bare single-relation paths are never evidence for themselves.
-        pid_single = listed.index((2,))
-        assert table.support[pid_single] == 0.0
+        pid = [path_tuple(row) for row in table.path_rels].index((2,))
+        assert table.relat_offsets[pid] == table.relat_offsets[pid + 1]
