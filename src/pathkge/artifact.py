@@ -17,6 +17,7 @@ import numpy as np
 
 
 class Format(NamedTuple):
+    """One artifact format: everything ``write`` and ``read`` need to know of it."""
     kind: str             # what the file is, in error messages
     magic: bytes
     version: int
