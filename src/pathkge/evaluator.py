@@ -297,10 +297,14 @@ def _queries(
     rows of ``facts``, ``golds`` their entities in the slot and ``q`` the
     position in ``anchors`` (distinct, ascending) of their other entity.
 
-    Non-finite parameters are refused here, once.  Finite float32 ones keep
-    every float64 score, matrix-product term and band finite: an entry of
-    P e is at most k (3.4e38)^2, about 6e78, so a squared norm stays near 1e160.
+    A model of another graph or with non-finite parameters is refused here,
+    once.  Finite float32 ones keep every float64 score, matrix-product term
+    and band finite: an entry of P e is at most k (3.4e38)^2, about 6e78, so
+    a squared norm stays near 1e160.
     """
+    if (params.n_entities, params.n_relations) != (g.n_entities, g.n_relations):
+        raise EvalError(f"model shape ({params.n_entities} entities, {params.n_relations} "
+                        f"relations) does not match the graph ({g.n_entities}, {g.n_relations})")
     arrays = (params.entity_emb, params.relation_emb, params.proj)
     if not all(np.isfinite(a).all() for a in arrays):
         raise EvalError("model parameters must be finite")
@@ -401,11 +405,6 @@ def evaluate(
         raise EvalError(f"unknown split {split!r}")
     if not g.augmented:
         raise EvalError("evaluation expects an inverse-augmented graph")
-    if params.n_entities != g.n_entities or params.n_relations != g.n_relations:
-        raise EvalError(
-            f"model shape ({params.n_entities} entities, {params.n_relations} relations) "
-            f"does not match the graph ({g.n_entities}, {g.n_relations})"
-        )
     table.check_graph(g, EvalError)
     if rerank_k < 1:
         raise EvalError(f"rerank_k must be >= 1, got {rerank_k}")

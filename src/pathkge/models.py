@@ -179,16 +179,22 @@ def path_evidence(table: PathTable, h, r, t) -> PathEvidence:
     return PathEvidence(triple, path, flow, reliability, z)
 
 
-def path_distances(params: ModelParams, table: PathTable, path, r) -> np.ndarray:
-    """|p - r|^2 of each (path id, relation r), computed once per distinct
-    pair: each pair's row is composed and squared as it would be alone, so
-    every value has the bits of its own row."""
-    key = np.asarray(path, dtype=np.int64) * params.n_relations + np.asarray(r, dtype=np.int64)
+def path_gaps(rel: np.ndarray, path_rels: np.ndarray, path, r):
+    """The distinct (path id, relation r) pairs of the inputs (their path ids,
+    relations and gaps p - r, p the row ``path_rels[path]`` composed from
+    ``rel`` with the bits it has alone), and the pair of each input."""
+    n_rel = len(rel) - 1
+    key = np.asarray(path, dtype=np.int64) * n_rel + np.asarray(r, dtype=np.int64)
     pairs = _distinct(key)
-    pair_path, pair_r = np.divmod(pairs, params.n_relations)
-    rel = relation_rows(params)
-    dist = _row_dots(compose_paths(rel, table.path_rels[pair_path]) - rel[pair_r])
-    return dist[np.searchsorted(pairs, key)]
+    pair_path, pair_r = np.divmod(pairs, n_rel)
+    gap = compose_paths(rel, path_rels[pair_path]) - rel[pair_r]
+    return pair_path, pair_r, gap, np.searchsorted(pairs, key)
+
+
+def path_distances(params: ModelParams, table: PathTable, path, r) -> np.ndarray:
+    """|p - r|^2 of each (path id, relation r), once per distinct pair."""
+    _, _, gap, at = path_gaps(relation_rows(params), table.path_rels, path, r)
+    return _row_dots(gap)[at]
 
 
 def path_score_terms(params: ModelParams, table: PathTable, h, r, t) -> np.ndarray:
@@ -251,14 +257,14 @@ def project_constraints(
     rels, ents = np.divmod(
         _distinct(np.concatenate((tri[:, 1] * n + tri[:, 0], tri[:, 1] * n + tri[:, 2]))), n
     )
+    # One product per relation: a stacked product gives other bits.
     starts = np.flatnonzero(_firsts(rels))
-    rescaled = 0
-    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(rels)]):
-        r = int(rels[lo])
-        M = params.proj[r].astype(np.float64)
-        proj = params.entity_emb[ents[lo:hi]].astype(np.float64) @ M.T
-        f = float(np.sqrt(np.max(np.einsum("ij,ij->i", proj, proj))))
-        if f > 1.0 + _NORM_SLACK:
-            params.proj[r] = (M / f).astype(np.float32)
-            rescaled += 1
-    return rescaled
+    sq = np.zeros(len(ents))
+    for r, lo, hi in zip(rels[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(rels)]):
+        P = params.entity_emb[ents[lo:hi]].astype(np.float64) @ params.proj[r].astype(np.float64).T
+        sq[lo:hi] = np.einsum("ij,ij->i", P, P)
+    f = np.sqrt(np.maximum.reduceat(sq, starts))
+    big = f > 1.0 + _NORM_SLACK
+    scaled = rels[starts[big]]
+    params.proj[scaled] = (params.proj[scaled] / f[big, None, None]).astype(np.float32)
+    return len(scaled)

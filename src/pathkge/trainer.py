@@ -23,8 +23,9 @@ scored against the parameters as the batch found them, entity rows move
 by the sum of their gradients, relation rows and projection matrices by
 the mean of theirs, and the norm constraints are then restored on the
 rows the batch moved.  Summing would let a relation row collect dozens of
-stale gradients per batch.  A run is byte-deterministic given its data
-and seed.
+stale gradients per batch.  The step scores the relation-sorted facts
+and the path hinges ``_CHUNK`` at a time, each distinct (path, relation)
+pair of a chunk once.  A run is byte-deterministic given its data and seed.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from pathkge.evaluator import valid_mean_rank
-from pathkge.kgdata import KnowledgeGraph, _firsts, relation_cardinality
+from pathkge.kgdata import KnowledgeGraph, _distinct, _firsts, relation_cardinality
 from pathkge.models import (
     ModelParams,
     PathEvidence,
     _row_dots,
-    compose_paths,
     path_evidence,
+    path_gaps,
     project_constraints,
     relation_rows,
 )
@@ -476,69 +477,81 @@ def _draw_batch(
     return _Batch(fact, pos, neg, owner, entry, rel2, redraws)
 
 
-def _fact_hinges(params: ModelParams, r: int, pos: np.ndarray, neg: np.ndarray, margin: float):
-    """The hinges ``margin + E(pos) - E(neg)`` of facts of one relation r,
-    E the projected score, by a few matrix products over the chunk.
-
-    Returns (hinges, active, entity ids, entity gradients, relation
-    gradient, M_r gradient).  A hinge is active unless it is <= 0 (NaN
-    stays active, so the loss check sees it); the gradients are of the
-    active hinges, one entity row per active (h, h', t, t'), the relation
-    and M_r ones summed.
-    """
-    m = len(pos)
-    M = params.proj[r].astype(np.float64)
-    rv = params.relation_emb[r].astype(np.float64)
-    ids = np.concatenate((pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2]))
-    X = params.entity_emb[ids].astype(np.float64)
-    P = X @ M.T
-    u = P[:m] + rv - P[2 * m : 3 * m]            # residuals of the facts
-    w = P[m : 2 * m] + rv - P[3 * m :]           # and of their corruptions
-    hinge = margin + _row_dots(u) - _row_dots(w)
-    on = ~(hinge <= 0.0)
-    U = np.concatenate((u[on], -w[on]))
-    on2 = np.concatenate((on, on))
-    D = (X[: 2 * m] - X[2 * m :])[on2]           # h - t, then h' - t'
-    G = 2.0 * (U @ M)                            # d/dh, then d/dh'; tails get -G
-    on4 = np.concatenate((on2, on2))
-    return hinge, on, ids[on4], np.concatenate((G, -G)), 2.0 * U.sum(axis=0), 2.0 * (U.T @ D)
-
-
-def _path_hinges(
-    rel: np.ndarray, rows: np.ndarray, r: np.ndarray, r2: np.ndarray,
-    reliability: np.ndarray, neg_reliability: np.ndarray, inv_z: np.ndarray, margin: float,
-):
-    """The path hinges ``inv_z * (margin + reliability * |p - r|^2 -
-    neg_reliability * |p - r2|^2)``, p each path composed from its row of
-    relation ids (-1 padded) in ``rel`` (``relation_rows``).
-
-    Returns (hinges, active, relation ids, gradients): one gradient row per
-    relation of each active path, then one per r, then one per r2.
-    """
-    p = compose_paths(rel, rows)
-    q = p - rel[r]
-    qn = p - rel[r2]
-    hinge = inv_z * (margin + reliability * _row_dots(q) - neg_reliability * _row_dots(qn))
-    on = ~(hinge <= 0.0)
-    gp = (2.0 * inv_z[on] * reliability[on])[:, None] * q[on]
-    gn = (2.0 * inv_z[on] * neg_reliability[on])[:, None] * qn[on]
-    steps = rows[on]
-    used = steps >= 0
-    ids = np.concatenate((steps.T[used.T], r[on], r2[on]))
-    along = np.concatenate([(gp - gn)[col] for col in used.T])
-    return hinge, on, ids, np.concatenate((along, -gp, gn))
-
-
-def _add_rows(acc: np.ndarray, count: np.ndarray, ids: np.ndarray, grads: np.ndarray) -> None:
-    """``acc[i]`` += the rows of ``grads`` with id i and ``count[i]`` += their
-    number, by one sort of the ids and one sum per run."""
-    if not len(ids):
-        return
+def _add_rows(acc: np.ndarray, ids: np.ndarray, grads: np.ndarray) -> None:
+    """``acc[i]`` += the rows of ``grads`` with id i: one sort of the ids, one sum per run."""
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     starts = np.flatnonzero(_firsts(ids))
     acc[ids[starts]] += np.add.reduceat(grads[order], starts, axis=0)
-    count[ids[starts]] += np.diff(np.append(starts, len(ids)))
+
+
+def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float):
+    """The hinges ``margin + E(pos) - E(neg)``, E the projected score, of
+    facts sorted by relation: (hinges, active, entity ids and gradients,
+    then per relation run its relation, active count, relation gradient
+    and M_r gradient).  A hinge is active unless <= 0 (NaN stays active).
+    A run's active rows U, its facts' residuals then minus their
+    corruptions', give heads 2 U M_r, tails minus that, r 2 U summed and
+    M_r 2 U^T (h - t), by one product with M_r per run and term."""
+    k = params.dim_entity
+    first = _firsts(pos[:, 1])
+    run, starts = np.cumsum(first) - 1, np.flatnonzero(first)
+    rels, bounds = pos[starts, 1], zip(starts.tolist(), [*starts[1:].tolist(), len(pos)])
+    Ms = params.proj[rels].astype(np.float64)
+    X = params.entity_emb[np.stack((pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2]), axis=1)]
+    X = X.astype(np.float64)                     # h, h', t, t' of each fact
+    P = np.empty((len(pos), 4, params.dim_relation))
+    for M, (lo, hi) in zip(Ms, bounds):
+        P[lo:hi] = (X[lo:hi].reshape(-1, k) @ M.T).reshape(hi - lo, 4, -1)
+    rv = params.relation_emb[rels][run].astype(np.float64)
+    u = P[:, 0] + rv - P[:, 2]                   # residuals of the facts
+    w = P[:, 1] + rv - P[:, 3]                   # and of their corruptions
+    del P, rv                                    # the block's peak memory
+    hinge = margin + _row_dots(u) - _row_dots(w)
+    on = ~(hinge <= 0.0)
+    act = np.flatnonzero(on)
+    hits = np.bincount(run[act], minlength=len(rels))
+    order = np.argsort(np.concatenate((2 * run[act], 2 * run[act] + 1)), kind="stable")
+    U = np.concatenate((u[act], -w[act]))[order]
+    D = (X[act, :2] - X[act, 2:]).transpose(1, 0, 2).reshape(-1, k)[order]
+    del X                                        # the same
+    lo, live, n = 2 * (np.cumsum(hits) - hits), np.flatnonzero(hits), len(U)
+    grads = np.empty((2 * n, k))                 # heads, then tails
+    gM = np.zeros(Ms.shape)
+    for j, s, e in zip(live.tolist(), lo[live].tolist(), (lo + 2 * hits)[live].tolist()):
+        grads[s:e] = 2.0 * (U[s:e] @ Ms[j])
+        gM[j] += 2.0 * (U[s:e].T @ D[s:e])
+    np.negative(grads[:n], out=grads[n:])
+    gr = 2.0 * np.add.reduceat(U, lo[live], axis=0)  # of the runs with active hinges
+    ids = np.concatenate((pos[act, 0], neg[act, 0], pos[act, 2], neg[act, 2]))
+    return hinge, on, ids[np.concatenate((order, order + n))], grads, rels, hits, gr, gM
+
+
+def _path_hinges(rel: np.ndarray, path_rels: np.ndarray, path: np.ndarray, r: np.ndarray,
+                 r2: np.ndarray, reliability: np.ndarray, neg_reliability: np.ndarray,
+                 inv_z: np.ndarray, margin: float):
+    """The path hinges ``inv_z * (margin + c |p - r|^2 - c' |p - r2|^2)``, c
+    and c' the two reliabilities, p the path ``path_rels[path]`` composed
+    from ``rel`` (``relation_rows``) once per distinct (path, relation).
+    Returns (hinges, active, relation ids, gradient rows).  An active
+    hinge adds 2 inv_z (c q - c' q') to its path's steps, -2 inv_z c q to r
+    and 2 inv_z c' q' to r2, q = p - r and q' = p - r2; so each pair's gap
+    enters once, times the sum of its hinges' coefficients."""
+    m = len(path)
+    pair_path, pair_r, gap, at = path_gaps(
+        rel, path_rels, np.concatenate((path, path)), np.concatenate((r, r2)))
+    dist = _row_dots(gap)[at]
+    weight = np.concatenate((reliability, -neg_reliability))
+    hinge = inv_z * (margin + weight[:m] * dist[:m] + weight[m:] * dist[m:])
+    on = ~(hinge <= 0.0)
+    on2 = np.concatenate((on, on))
+    coef = np.bincount(at[on2], (2.0 * np.concatenate((inv_z, inv_z)) * weight)[on2], len(gap))
+    pairs = _distinct(at[on2])
+    V = coef[pairs, None] * gap[pairs]
+    steps = path_rels[pair_path[pairs]]
+    along, col = np.nonzero(steps >= 0)
+    ids = np.concatenate((steps[along, col], pair_r[pairs]))
+    return hinge, on, ids, np.concatenate((V[along], -V))
 
 
 def _step(
@@ -553,65 +566,52 @@ def _step(
     violations, path violations, matrices rescaled).
     """
     ent_g = np.zeros(params.entity_emb.shape)
-    ent_n = np.zeros(params.n_entities, dtype=np.int64)
     rel_g = np.zeros(params.relation_emb.shape)
     rel_n = np.zeros(params.n_relations, dtype=np.int64)
     loss, fact_v, path_v = 0.0, 0, 0
     bounded: list[np.ndarray] = []  # active facts and corruptions, for the M_r bound
 
     order = np.argsort(b.pos[:, 1], kind="stable")
-    by_rel = b.pos[order, 1]
-    starts = np.flatnonzero(_firsts(by_rel))
-    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(by_rel)]):
-        r = int(by_rel[lo])
-        gM = np.zeros(params.proj.shape[1:])
-        hits = 0
-        for c in range(lo, hi, _CHUNK):
-            sel = order[c : min(c + _CHUNK, hi)]
-            hinge, on, ids, grads, gr, gm = _fact_hinges(
-                params, r, b.pos[sel], b.neg[sel], cfg.margin1
-            )
-            a = int(on.sum())
-            if not a:
-                continue
-            loss += float(hinge[on].sum())
-            hits += a
-            _add_rows(ent_g, ent_n, ids, grads)
-            rel_g[r] += gr
-            rel_n[r] += a
-            gM += gm
-            bounded += (b.pos[sel][on], b.neg[sel][on])
-        # Only r's own fact hinges read M_r, so updating it now equals
-        # updating it with the rest at the end of the batch.
-        if hits:
-            params.proj[r] -= (lr * (gM / hits)).astype(np.float32)
-        fact_v += hits
+    carry = 0.0  # the M_r gradient of a run going on into the next block
+    for c in range(0, len(order), _CHUNK):
+        pos, neg = b.pos[order[c : c + _CHUNK]], b.neg[order[c : c + _CHUNK]]
+        hinge, on, ids, grads, rels, hits, gr, gM = _fact_block(params, pos, neg, cfg.margin1)
+        loss += float(hinge[on].sum())
+        fact_v += int(on.sum())
+        _add_rows(ent_g, ids, grads)
+        rel_g[rels[hits > 0]] += gr
+        rel_n[rels] += hits
+        bounded += (pos[on], neg[on])
+        # Only r's own fact hinges read M_r, so updating it once its run
+        # ends equals updating it with the rest at the end of the batch;
+        # rel_n[r] counts them until the path hinges.
+        gM[0] += carry
+        goes_on = c + _CHUNK < len(order) and b.pos[order[c + _CHUNK], 1] == rels[-1]
+        carry = gM[-1] if goes_on else 0.0
+        j = np.flatnonzero(rel_n[rels[: len(rels) - goes_on]])
+        params.proj[rels[j]] -= (lr * (gM[j] / rel_n[rels[j], None, None])).astype(np.float32)
 
-    if len(b.entry):
-        ev, table = paths.evidence, paths.table
-        rel = relation_rows(params)
-        for c in range(0, len(b.entry), _CHUNK):
-            entry = b.entry[c : c + _CHUNK]
-            owner = b.owner[c : c + _CHUNK]
-            r2 = b.rel2[c : c + _CHUNK]
-            pids = ev.path[entry]
-            hinge, on, ids, grads = _path_hinges(
-                rel, table.path_rels[pids], b.pos[owner, 1], r2, ev.reliability[entry],
-                table.relatedness(r2, pids) * ev.flow[entry], 1.0 / ev.z[b.fact[owner]],
-                cfg.margin2,
-            )
-            loss += float(hinge[on].sum())
-            path_v += int(on.sum())
-            _add_rows(rel_g, rel_n, ids, grads)
+    ev, table, rel = paths.evidence, paths.table, relation_rows(params)
+    for c in range(0, len(b.entry), _CHUNK):
+        entry, owner = b.entry[c : c + _CHUNK], b.owner[c : c + _CHUNK]
+        r, r2 = b.pos[owner, 1], b.rel2[c : c + _CHUNK]
+        pids = ev.path[entry]
+        hinge, on, ids, grads = _path_hinges(
+            rel, table.path_rels, pids, r, r2, ev.reliability[entry],
+            table.relatedness(r2, pids) * ev.flow[entry], 1.0 / ev.z[b.fact[owner]], cfg.margin2,
+        )
+        loss += float(hinge[on].sum())
+        path_v += int(on.sum())
+        _add_rows(rel_g, ids, grads)
+        walked = np.concatenate((table.path_rels[pids[on]].ravel(), r[on], r2[on]))
+        rel_n += np.bincount(walked[walked >= 0], minlength=len(rel_n))
 
-    ents = np.flatnonzero(ent_n)
+    tri = np.concatenate(bounded)
+    ents = _distinct(tri[:, [0, 2]].ravel())
     rels = np.flatnonzero(rel_n)
     params.entity_emb[ents] -= (lr * ent_g[ents]).astype(np.float32)
     params.relation_emb[rels] -= (lr * (rel_g[rels] / rel_n[rels, None])).astype(np.float32)
-    rescaled = project_constraints(
-        params, ents, rels, np.concatenate(bounded) if bounded else ()
-    )
-    return loss, fact_v, path_v, rescaled
+    return loss, fact_v, path_v, project_constraints(params, ents, rels, tri)
 
 
 def _run_epoch(
@@ -651,14 +651,8 @@ def _run_epoch(
             )
     # NaNs that never fire a hinge produce no loss signal, so check the
     # parameters themselves once per epoch.
-    if not (
-        np.isfinite(params.entity_emb).all()
-        and np.isfinite(params.relation_emb).all()
-        and np.isfinite(params.proj).all()
-    ):
-        raise TrainError(
-            f"non-finite parameters after epoch {epoch} (lr={lr}, stage={cfg.stage})"
-        )
+    if not all(np.isfinite(a).all() for a in (params.entity_emb, params.relation_emb, params.proj)):
+        raise TrainError(f"non-finite parameters after epoch {epoch} (lr={lr}, stage={cfg.stage})")
     fact_v, path_v, rescaled, redraws = counts.tolist()
     return EpochStats(loss_sum / max(n, 1), fact_v + path_v, fact_v, path_v, rescaled, redraws)
 
@@ -732,6 +726,15 @@ def init_transe(
     return params
 
 
+def _check_model(g: KnowledgeGraph, params: ModelParams, config: TrainConfig) -> None:
+    """Refuse a model of another graph or of other dimensions than ``config``."""
+    if (params.n_entities, params.n_relations) != (g.n_entities, g.n_relations):
+        raise TrainError("initial model shape does not match the graph ({}x{} vs {}x{})".format(
+            params.n_entities, params.n_relations, g.n_entities, g.n_relations))
+    if (params.dim_entity, params.dim_relation) != (config.dim_entity, config.dim_relation):
+        raise TrainError("initial model dimensions disagree with config")
+
+
 def train_epoch_ptransr(
     g: KnowledgeGraph,
     table: PathTable,
@@ -743,6 +746,8 @@ def train_epoch_ptransr(
     config.validate()
     if config.stage == "transe":
         raise TrainError("train_epoch_ptransr drives the projected stages only")
+    table.check_graph(g, TrainError)
+    _check_model(g, params, config)
     return _run_epoch(
         g, _fact_paths(g, table), params, config, rng, _head_probs(g, config.neg_mode),
         config.lr, epoch=0,
@@ -805,18 +810,8 @@ def train(
                 )
                 params = init_transe(g, warm, rng, emit)
             else:
+                _check_model(g, init_params, config)
                 params = init_params.copy()
-                if params.n_entities != g.n_entities or params.n_relations != g.n_relations:
-                    raise TrainError(
-                        "initial model shape does not match the graph "
-                        f"({params.n_entities}x{params.n_relations} vs "
-                        f"{g.n_entities}x{g.n_relations})"
-                    )
-                if (params.dim_entity, params.dim_relation) != (
-                    config.dim_entity,
-                    config.dim_relation,
-                ):
-                    raise TrainError("initial model dimensions disagree with config")
             _fit(g, _fact_paths(g, table), params, config, rng, emit, t0, out)
 
         if out is not None:

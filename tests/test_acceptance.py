@@ -28,7 +28,7 @@ from pathkge.evaluator import evaluate
 from pathkge.kgdata import augment_inverse, load_dataset
 from pathkge.models import ModelParams, compose_paths, relation_rows, score_transr
 from pathkge.paths import PathTable, build_path_table
-from pathkge.trainer import TrainConfig, _add_rows, _fact_hinges, _path_hinges, init_transe, train
+from pathkge.trainer import TrainConfig, _add_rows, _fact_block, _path_hinges, init_transe, train
 
 GRID = 2.0 ** -10  # exact in float32, so central differences stay exact
 
@@ -146,7 +146,7 @@ def test_03_analytic_gradients_match_central_differences():
 
     def summed(arr: np.ndarray, ids: np.ndarray, grads: np.ndarray) -> np.ndarray:
         acc = np.zeros(arr.shape)
-        _add_rows(acc, np.zeros(len(arr), dtype=np.int64), ids, grads)
+        _add_rows(acc, ids, grads)
         return acc
 
     for i in range(100):
@@ -156,7 +156,7 @@ def test_03_analytic_gradients_match_central_differences():
         pos = np.array([(0, r, 1)])
         neg = np.array([(0, r, 2)] if i % 2 else [(3, r, 1)])
         energy = lambda: score_transr(params, *pos[0]) - score_transr(params, *neg[0])
-        _, on, ids, grads, gr, gM = _fact_hinges(params, r, pos, neg, margin=1e6)
+        _, on, ids, grads, _, _, (gr,), (gM,) = _fact_block(params, pos, neg, margin=1e6)
         ok = bool(on.all())
         grad_ent = summed(params.entity_emb, ids, grads)
         for e in range(4):
@@ -185,7 +185,8 @@ def test_03_analytic_gradients_match_central_differences():
                                      - rel_neg[0] * np.sum((p - vecs[r2[0]]) ** 2)))
 
         _, on, ids, grads = _path_hinges(
-            relation_rows(params), rows, np.array([r]), r2, rel, rel_neg, inv_z, margin=1e6
+            relation_rows(params), rows, np.array([0]), np.array([r]), r2, rel, rel_neg, inv_z,
+            margin=1e6,
         )
         ok = ok and bool(on.all())
         grad_rel = summed(params.relation_emb, ids, grads)

@@ -188,6 +188,11 @@ class TestRankEntities:
         bad = ModelParams.random(4, 2, 3, 3, np.random.default_rng(0))
         with pytest.raises(EvalError, match="match"):
             evaluate(bad, empty, g)
+        # The early-stop probe ranks through the same queries.
+        probed = make_graph([(0, 0, 1)], valid=[(0, 0, 1)], n_entities=3, n_relations=1)
+        with pytest.raises(EvalError, match=r"model shape \(4 entities, 2 relations\) "
+                                            r"does not match the graph \(3, 2\)"):
+            valid_mean_rank(bad, probed)
         plain = make_graph([(0, 0, 1)], test=[(0, 0, 1)], n_entities=3, n_relations=1,
                            augment=False)
         with pytest.raises(EvalError, match="augmented"):

@@ -376,14 +376,29 @@ class TestBatchSampler:
         assert (batch.rel2 != batch.pos[batch.owner, 1]).all()
 
 
+def many_runs_graph() -> KnowledgeGraph:
+    """30 relations after augmentation with 3-11 facts each: a third of the
+    facts holds one to four of most relations."""
+    rng = np.random.default_rng(23)
+    train = {(int(rng.integers(20)), int(rng.integers(15)), int(rng.integers(20)))
+             for _ in range(95)}
+    return make_graph(sorted(train), n_entities=20, n_relations=15)
+
+
 class TestBatchStep:
-    @pytest.mark.parametrize("chunk", [256, 3])
-    @pytest.mark.parametrize("stage", ["transr", "ptransr"])
-    def test_step_matches_reference(self, small_graph, stage, chunk, monkeypatch):
+    # The small graph's cases keep their ids.  On the "runs" graph a block
+    # holds dozens of relation runs, a chunk of 3 cuts them mid-relation,
+    # and a path chunk holds many distinct (path, relation) pairs.
+    @pytest.mark.parametrize("graph,stage,chunk", [
+        pytest.param(graph, stage, chunk,
+                     id=f"{'' if graph == 'small' else graph + '-'}{stage}-{chunk}")
+        for graph in ("small", "runs") for stage in ("transr", "ptransr") for chunk in (256, 3)
+    ])
+    def test_step_matches_reference(self, small_graph, graph, stage, chunk, monkeypatch):
         # A chunk of 3 splits relation groups and path hinges, so the
         # gradient sums are carried across chunks.
         monkeypatch.setattr(trainer, "_CHUNK", chunk)
-        g = small_graph
+        g = small_graph if graph == "small" else many_runs_graph()
         table = (build_path_table(g, reliability_floor=0.0) if stage == "ptransr"
                  else PathTable.empty(g.n_entities))
         paths = _fact_paths(g, table)
@@ -396,6 +411,8 @@ class TestBatchStep:
         totals = np.zeros(3, dtype=np.int64)
         for fact in np.array_split(rng.permutation(len(g.train)), 3):
             batch = _draw_batch(g, paths, probs, rng, fact)
+            if graph == "runs":
+                assert len(np.unique(batch.pos[:, 1])) >= 20
             got = _step(params, paths, cfg, cfg.lr, batch)
             want = batch_step(ref, table, batch.pos.tolist(), batch.neg.tolist(),
                               batch.rel2.tolist(), cfg.margin1, cfg.margin2, cfg.lr)
@@ -770,6 +787,20 @@ class TestTrain:
             train_epoch_ptransr(
                 small_graph, PathTable.empty(8), p, tiny_cfg(stage="transe"), rng
             )
+
+    def test_epoch_driver_refuses_inputs_of_another_graph(self, small_graph):
+        # As train() does: each would otherwise train silently.
+        rng = np.random.default_rng(0)
+        other = make_graph(DIAMOND + [(0, 1, 3), (3, 0, 9)], n_entities=10, n_relations=2)
+        table = build_path_table(other, reliability_floor=0.0)
+        p = ModelParams.random(small_graph.n_entities, small_graph.n_relations, 6, 6, rng)
+        with pytest.raises(TrainError, match="covers 10 entities but the graph has 8"):
+            train_epoch_ptransr(small_graph, table, p, tiny_cfg(), rng)
+        empty = PathTable.empty(small_graph.n_entities)
+        for wrong, match in ((ModelParams.random(10, 4, 6, 6, rng), "shape"),
+                             (ModelParams.random(8, 4, 4, 4, rng), "dimensions")):
+            with pytest.raises(TrainError, match=match):
+                train_epoch_ptransr(small_graph, empty, wrong, tiny_cfg(), rng)
 
     def test_epoch_driver_runs(self, small_graph):
         rng = np.random.default_rng(0)
