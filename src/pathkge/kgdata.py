@@ -100,8 +100,8 @@ class KnowledgeGraph:
 
     Each index is built the first time it is read, so a verb pays only for
     the ones it uses: path mining reads the adjacency and the train pairs,
-    negative sampling the train-fact set (one fact at a time) or
-    the sorted train keys (whole batches), filtered ranking the known facts.
+    negative sampling the sorted train keys, filtered ranking the known
+    facts.
     """
 
     def __init__(
@@ -172,16 +172,10 @@ class KnowledgeGraph:
         return offsets.astype(np.int64), rel.astype(np.int32), dst.astype(np.int32), shares
 
     @cached_property
-    def _train_keys(self) -> set[int]:
-        """The key (h * n_relations + r) * n_entities + t of every train fact,
-        in the current (possibly augmented) relation space: the warm start
-        tests its corruptions against it one at a time."""
-        return set(_fact_keys(self.train, self.n_relations, self.n_entities).tolist())
-
-    @cached_property
     def _sorted_train_keys(self) -> np.ndarray:
-        """The same membership as sorted distinct keys, for whole batches;
-        one fact at a time, the set lookup is ~30x faster than a search."""
+        """The sorted distinct key (h * n_relations + r) * n_entities + t of
+        every train fact, in the current (possibly augmented) relation
+        space: negative sampling tests whole batches against it."""
         return _distinct(_fact_keys(self.train, self.n_relations, self.n_entities))
 
     @cached_property

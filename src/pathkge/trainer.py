@@ -12,20 +12,22 @@ a per-relation probability (0.5, or Bernoulli tph / (tph + hpt)); each
 path hinge is against a corrupted relation.  Corruptions are redrawn
 until they leave the train set.
 
-The warm start is per-fact SGD: each fact's update lands before the next
-fact that shares a row is scored, and the touched rows are renormalized
-after every ``batch_size`` facts.  Its corruptions are the stream of one
-``rng.random()`` and then ``rng.integers`` calls per fact, decoded in one
-pass from the raw words of numpy's default bit generator, PCG64; a
-``Generator`` on another bit generator is refused.  The projected stages take one
-minibatch step per ``batch_size`` facts: every hinge of the batch is
-scored against the parameters as the batch found them, entity rows move
-by the sum of their gradients, relation rows and projection matrices by
-the mean of theirs, and the norm constraints are then restored on the
-rows the batch moved.  Summing would let a relation row collect dozens of
-stale gradients per batch.  The step scores the relation-sorted facts
-and the path hinges ``_CHUNK`` at a time, each distinct (path, relation)
-pair of a chunk once.  A run is byte-deterministic given its data and seed.
+Both stages take one minibatch step per ``batch_size`` facts: every hinge
+of the batch is scored against the parameters as the batch found them,
+entity rows move by the sum of their gradients, and the norm constraints
+are then restored on the rows the batch moved.  The warm start is that
+step with the projections held at identity, so its energy is the squared
+L2 translation residual and its products with M_r are skipped, and with
+no path hinges.  Its relation rows also move by the sum of their
+gradients, as per-fact SGD moves them: a warm relation row gets only its
+own fact hinges, and a mean would shrink its step by its count in the
+batch (on acceptance 7's protocol over seeds 1-30 the mean gap fell from
++3.63 to +2.55 points).  In the projected stages a relation row also
+collects the path hinges that walk through it, dozens of stale gradients
+per batch, so relation rows and projection matrices take the mean of
+theirs.  The step scores the relation-sorted facts and the path hinges
+``_CHUNK`` at a time, each distinct (path, relation) pair of a chunk
+once.  A run is byte-deterministic given its data and seed.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from pathkge.paths import PathTable, expand_spans
 # The allowed values of each choice field of TrainConfig.
 CHOICES = {
     "stage": ("transe", "transr", "ptransr"),
-    "norm": ("L1", "L2"),
     "neg_mode": ("uniform", "bernoulli"),
 }
 # How a config string reads as a boolean, and what each field type is called.
@@ -82,7 +83,6 @@ class TrainConfig:
     margin2: float = 1.0     # path-level margin in stage two
     batch_size: int = 4800
     epochs: int = 500
-    norm: str = "L2"
     neg_mode: str = "uniform"
     seed: int = 7
     lr_decay: bool = False
@@ -171,93 +171,6 @@ def save_config_file(config: TrainConfig, path: str | Path) -> None:
 # -- negative sampling -----------------------------------------------------
 
 
-# Raw words the warm start decodes at once: its lists stay ~100 KB
-# whatever the batch size.
-_DECODE_WORDS = 1024
-
-
-def _decode(words: np.ndarray, n: int) -> tuple[list, list, list, list]:
-    """What numpy's PCG64 ``Generator`` makes of each raw 64-bit word: the
-    double ``random()`` takes from it, the values ``integers(n)`` takes
-    from its low and its high 32-bit half (-1 where Lemire's rule rejects
-    the half and numpy draws again), and the raw high half."""
-    high = words >> 32
-    m = np.stack((words & 0xFFFFFFFF, high)) * np.uint64(n)
-    v = (m >> 32).astype(np.int64)
-    v[(m & 0xFFFFFFFF) < (2**32 - n) % n] = -1
-    return ((words >> 11) * 2.0**-53).tolist(), v[0].tolist(), v[1].tolist(), high.tolist()
-
-
-def _warm_draws(
-    rng: np.random.Generator, n_ent: int, n_rel: int, facts: list, head_probs: list[float],
-    keys, last,
-) -> tuple[list, list, int]:
-    """Corrupt the head or the tail of each (h, r, t) of ``facts`` and give
-    it its level (see ``_warm_batch``; ``last`` holds each row's level and
-    is updated): returns each fact's rows (h, t, h', t', n_ent + r), level
-    and how many corruptions were train facts (``keys``) and drawn again.
-
-    The draws are numpy's for one ``rng.random()`` per fact, the head when
-    it is below ``head_probs[r]``, then ``rng.integers(n_ent)`` until the
-    corruption leaves the train set, at most ``MAX_NEGATIVE_ATTEMPTS``
-    times.  They are decoded from a shadow generator's raw words with
-    numpy's one-half buffer: a double takes a whole word, an integer the
-    buffered high half, else a new word's low half.  ``rng`` is then put
-    where those calls would have left it.
-    """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TrainError(f"the warm start draws from PCG64, not {type(bitgen).__name__}")
-    state = bitgen.state
-    shadow = np.random.PCG64(0)
-    shadow.state = state
-    has, raw = state["has_uint32"], state["uinteger"]
-    buf = _decode(np.array([raw << 32], dtype=np.uint64), n_ent)[2][0]
-    size = min(_DECODE_WORDS, 2 * len(facts))
-    i = end = used = redraws = 0
-    rows, levels = [], []
-    for h, r, t in facts:
-        if i == end:
-            used += end
-            i, (dbl, lo, hi, high) = 0, _decode(shadow.random_raw(size), n_ent)
-            end = size
-        head = dbl[i] < head_probs[r]
-        i += 1
-        base, step = (r * n_ent + t, n_rel * n_ent) if head else ((h * n_rel + r) * n_ent, 1)
-        tries = 0
-        while True:
-            if has:
-                v, has = buf, 0
-            else:
-                if i == end:
-                    used += end
-                    i, (dbl, lo, hi, high) = 0, _decode(shadow.random_raw(size), n_ent)
-                v, buf, raw, has = lo[i], hi[i], high[i], 1
-                i += 1
-            if v < 0:  # Lemire's rejection: numpy draws again
-                continue
-            if v * step + base not in keys:
-                break
-            tries += 1
-            if tries == MAX_NEGATIVE_ATTEMPTS:
-                raise TrainError(
-                    f"could not sample a negative for {(h, r, t)} "
-                    f"(slot {'head' if head else 'tail'}) in {MAX_NEGATIVE_ATTEMPTS} attempts"
-                )
-        redraws += tries
-        h2, t2 = (v, t) if head else (h, v)
-        r += n_ent
-        level = max(last[h], last[t], last[h2], last[t2], last[r]) + 1
-        last[h] = last[t] = last[h2] = last[t2] = last[r] = level
-        rows.append((h, t, h2, t2, r))
-        levels.append(level)
-    bitgen.advance(used + i)
-    state = bitgen.state
-    state.update(has_uint32=has, uinteger=raw)
-    bitgen.state = state
-    return rows, levels, redraws
-
-
 def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
     """Each relation's probability of corrupting the head, once per run:
     0.5, or under Bernoulli sampling tph / (tph + hpt), which stays 0.5 for
@@ -270,115 +183,7 @@ def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
     return probs.tolist()
 
 
-# -- warm start: per-fact SGD, one dependency level at a time ----------------
-
-# A warm-start level keeps, per fact, a table of six rows built from the
-# head gradients g of the fact and g' of its corruption: g, g', g - g',
-# g' - g, -g, -g'.  The slots h, t, h', t', r of a fact that hold one row
-# make a bit mask.  The row takes entry _ENTRY[mask] and, if
-# _SUMMED[mask], adds the entries of the mask's other slots in slot order.
-# Alone, h, t, h', t' and r take g, -g, -g', g' and g - g'; h = h' takes
-# g - g' (= g + -g') and t = t' takes g' - g (= -g + g'), the same bits.
-_ALONE = [0, 4, 5, 1, 2]
-_ENTRY = np.array([_ALONE[(m & -m).bit_length() - 1] for m in range(32)])
-_SUMMED = np.array([m & (m - 1) != 0 for m in range(32)])
-_ENTRY[[0b00101, 0b01010]] = 2, 3
-_SUMMED[[0b00101, 0b01010]] = False
-
-
-def _translation_grads(X: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
-    """The energy ``|(h + r) - t|`` (L1 or L2), in float64, of each (h, r, t)
-    stacked as three rows of ``X``, and its (sub)gradient w.r.t. h, which is
-    also r's and minus t's.  An L2 energy <= 1e-12 has gradient 0."""
-    U = np.add(X[0::3], X[1::3], dtype=np.float64)
-    U -= X[2::3]
-    if norm == "L1":
-        return np.abs(U).sum(axis=1), np.sign(U)
-    e = np.sqrt((U * U).sum(axis=1))
-    if e.min() > 1e-12:
-        U /= e[:, None]
-        return e, U
-    return e, np.divide(U, e[:, None], out=np.zeros_like(U), where=e[:, None] > 1e-12)
-
-
-def _warm_batch(
-    g: KnowledgeGraph, params: ModelParams, cfg: TrainConfig, rng: np.random.Generator,
-    head_probs: list[float], lr: float, fact: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-fact SGD over the train rows ``fact``: each fact's hinge against
-    one corruption, applied before the next fact that shares a row reads it.
-
-    Every corruption is drawn first, in fact order.  A fact's level is one
-    more than the highest level of the earlier facts sharing one of its
-    five rows, so the facts of a level move disjoint rows and each level
-    runs as one vectorized step with the float operations of the
-    fact-at-a-time loop: a fact's gradients on a repeated row are added in
-    the order h, t, h', t' before its one float32 update.  Returns each
-    fact's loss (0 if inactive) in fact order, the rows (h, t, h', t',
-    n_entities + r) of the active facts and how many corruptions were
-    train facts.
-    """
-    n_ent = params.n_entities
-    rows, levels, redraws = _warm_draws(
-        rng, n_ent, params.n_relations, g.train[fact].tolist(), head_probs, g._train_keys,
-        [0] * (n_ent + params.n_relations),
-    )
-
-    # The plan, in level order: the rows each level gathers, the rows it
-    # writes with the table entry each takes, and the entries of any other
-    # repeated row to add to it, in slot order.  Table entries are numbered
-    # within the level.
-    levels = np.array(levels)
-    order = np.argsort(levels, kind="stable")
-    slots = np.array(rows)[order]
-    n = len(slots)
-    sizes = np.bincount(levels)[1:]
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    local = 6 * (np.arange(n) - np.repeat(starts[:-1], sizes))
-    gather = slots[:, [0, 4, 1, 2, 4, 3]].ravel()  # h, r, t, h', r, t'
-    first = (slots[:, :, None] == slots[:, None, :]).argmax(axis=2)
-    mask = ((first[:, None, :] == np.arange(5)[:, None]) << np.arange(5)).sum(axis=2)
-    written = first == np.arange(5)
-    wf, wk = np.nonzero(written)
-    wrow, entry = slots[wf, wk], _ENTRY[mask[wf, wk]] + local[wf]
-    xf, xk = np.nonzero(~written)
-    xd = first[xf, xk]
-    summed = _SUMMED[mask[xf, xd]]
-    xf, xk, xd = xf[summed], xk[summed], xd[summed]
-    xdst = (np.cumsum(written) - 1).reshape(n, 5)[xf, xd]
-    xsrc = local[xf] + _ENTRY[1 << xk]
-
-    W = np.concatenate((params.entity_emb, params.relation_emb))
-    T = np.empty((6 * int(sizes.max()), W.shape[1]))
-    losses = np.empty(n)
-    fs = starts.tolist()
-    ws = np.searchsorted(wf, starts).tolist()
-    xs = np.searchsorted(xf, starts).tolist()
-    for a, b, wa, wb, xa, xb in zip(fs, fs[1:], ws, ws[1:], xs, xs[1:]):
-        m = b - a
-        e, G = _translation_grads(W.take(gather[6 * a : 6 * b], axis=0), cfg.norm)
-        loss = losses[a:b]
-        np.subtract(cfg.margin + e[0::2], e[1::2], out=loss)
-        table = T[: 6 * m].reshape(m, 6, -1)
-        G = G.reshape(m, 2, -1)
-        table[:, :2] = G
-        np.subtract(G[:, 0], G[:, 1], out=table[:, 2])
-        np.subtract(G[:, 1], G[:, 0], out=table[:, 3])
-        np.negative(G, out=table[:, 4:])
-        table[loss <= 0] = 0.0  # inactive: a +0.0 step leaves every bit
-        V = T.take(entry[wa:wb], axis=0)
-        if xa < xb:
-            np.add.at(V, xdst[xa:xb] - wa, T[xsrc[xa:xb]])
-        W[wrow[wa:wb]] -= (lr * V).astype(np.float32)
-    params.entity_emb[:] = W[:n_ent]
-    params.relation_emb[:] = W[n_ent:]
-    on = ~(losses <= 0.0)
-    out = np.zeros(n)
-    out[order] = np.where(on, losses, 0.0)
-    return out, slots[on], redraws
-
-
-# -- projected stages: one vectorized step per minibatch ----------------------
+# -- the minibatch step of both stages ---------------------------------------
 
 # Facts (or path hinges) evaluated at once within a batch.  Each chunk's
 # arrays are O(_CHUNK * dim); only the per-row gradient sums outlive it, so
@@ -459,18 +264,20 @@ class _Batch(NamedTuple):
 
 
 def _draw_batch(
-    g: KnowledgeGraph, paths: _FactPaths, head_probs: np.ndarray, rng: np.random.Generator,
-    fact: np.ndarray,
+    g: KnowledgeGraph, paths: _FactPaths | None, head_probs: np.ndarray,
+    rng: np.random.Generator, fact: np.ndarray,
 ) -> _Batch:
     """All corruptions of a batch: one per fact, then one relation per path
     hinge, drawn only when the batch has path hinges.  A fact whose path
-    reliabilities total 0 has none."""
+    reliabilities total 0 has none, and so has every fact of the warm
+    start (``paths`` None)."""
     pos = g.train[fact].astype(np.int64)
     neg, redraws = _draw_negatives(g, pos, head_probs, rng)
-    lo = paths.offsets[fact]
-    hi = np.where(paths.evidence.z[fact] > 0.0, paths.offsets[fact + 1], lo)
-    owner, entry = expand_spans(lo, hi)
-    rel2 = np.zeros(0, dtype=np.int64)
+    owner = entry = rel2 = np.zeros(0, dtype=np.int64)
+    if paths is not None:
+        lo = paths.offsets[fact]
+        owner, entry = expand_spans(lo, np.where(paths.evidence.z[fact] > 0.0,
+                                                 paths.offsets[fact + 1], lo))
     if len(entry):
         corrupted, more = _draw_negatives(g, pos[owner], None, rng)
         rel2, redraws = corrupted[:, 1], redraws + more
@@ -485,24 +292,28 @@ def _add_rows(acc: np.ndarray, ids: np.ndarray, grads: np.ndarray) -> None:
     acc[ids[starts]] += np.add.reduceat(grads[order], starts, axis=0)
 
 
-def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float):
+def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
+                warm: bool = False):
     """The hinges ``margin + E(pos) - E(neg)``, E the projected score, of
     facts sorted by relation: (hinges, active, entity ids and gradients,
     then per relation run its relation, active count, relation gradient
     and M_r gradient).  A hinge is active unless <= 0 (NaN stays active).
     A run's active rows U, its facts' residuals then minus their
     corruptions', give heads 2 U M_r, tails minus that, r 2 U summed and
-    M_r 2 U^T (h - t), by one product with M_r per run and term."""
+    M_r 2 U^T (h - t), by one product with M_r per run and term.  With
+    ``warm`` every M_r is taken as identity: no product is made, heads
+    get 2 U and the M_r gradient is None."""
     k = params.dim_entity
     first = _firsts(pos[:, 1])
     run, starts = np.cumsum(first) - 1, np.flatnonzero(first)
-    rels, bounds = pos[starts, 1], zip(starts.tolist(), [*starts[1:].tolist(), len(pos)])
-    Ms = params.proj[rels].astype(np.float64)
+    rels = pos[starts, 1]
     X = params.entity_emb[np.stack((pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2]), axis=1)]
-    X = X.astype(np.float64)                     # h, h', t, t' of each fact
-    P = np.empty((len(pos), 4, params.dim_relation))
-    for M, (lo, hi) in zip(Ms, bounds):
-        P[lo:hi] = (X[lo:hi].reshape(-1, k) @ M.T).reshape(hi - lo, 4, -1)
+    P = X = X.astype(np.float64)                 # h, h', t, t' of each fact
+    if not warm:
+        Ms = params.proj[rels].astype(np.float64)
+        P = np.empty((len(pos), 4, params.dim_relation))
+        for M, lo, hi in zip(Ms, starts.tolist(), [*starts[1:].tolist(), len(pos)]):
+            P[lo:hi] = (X[lo:hi].reshape(-1, k) @ M.T).reshape(hi - lo, 4, -1)
     rv = params.relation_emb[rels][run].astype(np.float64)
     u = P[:, 0] + rv - P[:, 2]                   # residuals of the facts
     w = P[:, 1] + rv - P[:, 3]                   # and of their corruptions
@@ -513,14 +324,18 @@ def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: f
     hits = np.bincount(run[act], minlength=len(rels))
     order = np.argsort(np.concatenate((2 * run[act], 2 * run[act] + 1)), kind="stable")
     U = np.concatenate((u[act], -w[act]))[order]
-    D = (X[act, :2] - X[act, 2:]).transpose(1, 0, 2).reshape(-1, k)[order]
-    del X                                        # the same
     lo, live, n = 2 * (np.cumsum(hits) - hits), np.flatnonzero(hits), len(U)
     grads = np.empty((2 * n, k))                 # heads, then tails
-    gM = np.zeros(Ms.shape)
-    for j, s, e in zip(live.tolist(), lo[live].tolist(), (lo + 2 * hits)[live].tolist()):
-        grads[s:e] = 2.0 * (U[s:e] @ Ms[j])
-        gM[j] += 2.0 * (U[s:e].T @ D[s:e])
+    gM = None
+    if warm:
+        np.multiply(U, 2.0, out=grads[:n])
+    else:
+        D = (X[act, :2] - X[act, 2:]).transpose(1, 0, 2).reshape(-1, k)[order]
+        gM = np.zeros(Ms.shape)
+        for j, s, e in zip(live.tolist(), lo[live].tolist(), (lo + 2 * hits)[live].tolist()):
+            grads[s:e] = 2.0 * (U[s:e] @ Ms[j])
+            gM[j] += 2.0 * (U[s:e].T @ D[s:e])
+    del X                                        # the same
     np.negative(grads[:n], out=grads[n:])
     gr = 2.0 * np.add.reduceat(U, lo[live], axis=0)  # of the runs with active hinges
     ids = np.concatenate((pos[act, 0], neg[act, 0], pos[act, 2], neg[act, 2]))
@@ -555,16 +370,20 @@ def _path_hinges(rel: np.ndarray, path_rels: np.ndarray, path: np.ndarray, r: np
 
 
 def _step(
-    params: ModelParams, paths: _FactPaths, cfg: TrainConfig, lr: float, b: _Batch,
+    params: ModelParams, paths: _FactPaths | None, cfg: TrainConfig, lr: float, b: _Batch,
 ) -> tuple[float, int, int, int]:
     """One minibatch update from the parameters as the batch found them.
 
     Entity rows take the sum of their gradients; a relation row takes the
     mean of its contributions (each hinge term that reaches it), and M_r
     the mean over the active fact hinges of r.  Then the touched rows are
-    renormalized and each touched M_r is scaled once.  Returns (loss, fact
+    renormalized and each touched M_r is scaled once.  The warm start
+    (stage transe) scores its fact hinges with ``cfg.margin`` and
+    identity projections, moves relation rows by the sum of their
+    gradients and leaves every M_r as it is.  Returns (loss, fact
     violations, path violations, matrices rescaled).
     """
+    warm = cfg.stage == "transe"
     ent_g = np.zeros(params.entity_emb.shape)
     rel_g = np.zeros(params.relation_emb.shape)
     rel_n = np.zeros(params.n_relations, dtype=np.int64)
@@ -575,13 +394,16 @@ def _step(
     carry = 0.0  # the M_r gradient of a run going on into the next block
     for c in range(0, len(order), _CHUNK):
         pos, neg = b.pos[order[c : c + _CHUNK]], b.neg[order[c : c + _CHUNK]]
-        hinge, on, ids, grads, rels, hits, gr, gM = _fact_block(params, pos, neg, cfg.margin1)
+        hinge, on, ids, grads, rels, hits, gr, gM = _fact_block(
+            params, pos, neg, cfg.margin if warm else cfg.margin1, warm)
         loss += float(hinge[on].sum())
         fact_v += int(on.sum())
         _add_rows(ent_g, ids, grads)
         rel_g[rels[hits > 0]] += gr
         rel_n[rels] += hits
         bounded += (pos[on], neg[on])
+        if warm:
+            continue
         # Only r's own fact hinges read M_r, so updating it once its run
         # ends equals updating it with the rest at the end of the batch;
         # rel_n[r] counts them until the path hinges.
@@ -591,7 +413,8 @@ def _step(
         j = np.flatnonzero(rel_n[rels[: len(rels) - goes_on]])
         params.proj[rels[j]] -= (lr * (gM[j] / rel_n[rels[j], None, None])).astype(np.float32)
 
-    ev, table, rel = paths.evidence, paths.table, relation_rows(params)
+    if len(b.entry):
+        ev, table, rel = paths.evidence, paths.table, relation_rows(params)
     for c in range(0, len(b.entry), _CHUNK):
         entry, owner = b.entry[c : c + _CHUNK], b.owner[c : c + _CHUNK]
         r, r2 = b.pos[owner, 1], b.rel2[c : c + _CHUNK]
@@ -610,6 +433,9 @@ def _step(
     ents = _distinct(tri[:, [0, 2]].ravel())
     rels = np.flatnonzero(rel_n)
     params.entity_emb[ents] -= (lr * ent_g[ents]).astype(np.float32)
+    if warm:  # summed, and identity projections bound nothing
+        params.relation_emb[rels] -= (lr * rel_g[rels]).astype(np.float32)
+        return loss, fact_v, path_v, project_constraints(params, ents, rels)
     params.relation_emb[rels] -= (lr * (rel_g[rels] / rel_n[rels, None])).astype(np.float32)
     return loss, fact_v, path_v, project_constraints(params, ents, rels, tri)
 
@@ -624,26 +450,18 @@ def _run_epoch(
     lr: float,
     epoch: int,
 ) -> EpochStats:
-    """One pass over the shuffled train facts, ``batch_size`` at a time:
-    per-fact SGD in the warm start, one minibatch step otherwise."""
+    """One pass over the shuffled train facts, one minibatch step per
+    ``batch_size`` of them (``paths`` None in the warm start)."""
     n = len(g.train)
     order = rng.permutation(n)
     probs = np.asarray(head_probs)
     loss_sum = 0.0
     counts = np.zeros(4, dtype=np.int64)  # fact and path violations, rescaled, redraws
     for start in range(0, n, cfg.batch_size):
-        fact = order[start : start + cfg.batch_size]
-        if cfg.stage == "transe":
-            losses, moved, redraws = _warm_batch(g, params, cfg, rng, head_probs, lr, fact)
-            for loss in losses.tolist():  # in fact order, as the facts ran
-                loss_sum += loss
-            counts[[0, 3]] += (len(moved), redraws)
-            project_constraints(params, moved[:, :4].ravel(), moved[:, 4] - params.n_entities)
-        else:
-            batch = _draw_batch(g, paths, probs, rng, fact)
-            loss, *batch_counts = _step(params, paths, cfg, lr, batch)
-            loss_sum += loss
-            counts += (*batch_counts, batch.redraws)
+        batch = _draw_batch(g, paths, probs, rng, order[start : start + cfg.batch_size])
+        loss, *batch_counts = _step(params, paths, cfg, lr, batch)
+        loss_sum += loss
+        counts += (*batch_counts, batch.redraws)
         if not np.isfinite(loss_sum):
             raise TrainError(
                 f"non-finite loss at epoch {epoch}, batch starting {start} "

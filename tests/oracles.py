@@ -12,70 +12,8 @@ from itertools import product
 import numpy as np
 
 from pathkge.kgdata import KnowledgeGraph, _firsts
-from pathkge.models import ModelParams, project_constraints, score_ptransr, score_transr
+from pathkge.models import ModelParams, score_ptransr, score_transr
 from pathkge.paths import PathTable, expand_spans
-
-
-def score_transe(params: ModelParams, h: int, r: int, t: int, norm: str = "L2") -> float:
-    """Translation residual norm of (h, r, t) in entity space: the
-    finite-difference reference for the warm start's gradients."""
-    hv = params.entity_emb[h].astype(np.float64)
-    rv = params.relation_emb[r].astype(np.float64)
-    tv = params.entity_emb[t].astype(np.float64)
-    u = hv + rv - tv
-    return float(np.abs(u).sum()) if norm == "L1" else float(np.sqrt((u * u).sum()))
-
-
-def transe_energy_and_grads(params: ModelParams, h: int, r: int, t: int, norm: str):
-    """Translation residual norm and its (sub)gradients w.r.t. h, t, r."""
-    hv = params.entity_emb[h].astype(np.float64)
-    rv = params.relation_emb[r].astype(np.float64)
-    tv = params.entity_emb[t].astype(np.float64)
-    u = hv + rv - tv
-    if norm == "L1":
-        e = float(np.abs(u).sum())
-        g = np.sign(u)
-    else:
-        e = float(np.sqrt((u * u).sum()))
-        g = u / e if e > 1e-12 else np.zeros_like(u)
-    return e, g, -g, g
-
-
-def warm_epoch(g, params: ModelParams, cfg, rng, head_probs, lr: float):
-    """One warm-start epoch fact by fact: each fact's hinge against one
-    corruption, its update applied before the next fact is scored, and the
-    touched rows renormalized after every ``cfg.batch_size`` facts.  Updates
-    the parameters in place and returns (each fact's loss, 0 when inactive,
-    in the order run; violations; redraws)."""
-    losses: list[float] = []
-    violations = redraws = 0
-    order = rng.permutation(len(g.train))
-    for start in range(0, len(order), cfg.batch_size):
-        ents: list[int] = []
-        rels: list[int] = []
-        for idx in order[start : start + cfg.batch_size].tolist():
-            h, r, t = (int(x) for x in g.train[idx])
-            p = head_probs[r]
-            (h2, _, t2), more = sample_negative(g, (h, r, t), {"head": p, "tail": 1.0 - p}, rng)
-            redraws += more
-            e_pos, gh, gt, gr = transe_energy_and_grads(params, h, r, t, cfg.norm)
-            e_neg, gh2, gt2, gr2 = transe_energy_and_grads(params, h2, r, t2, cfg.norm)
-            loss = cfg.margin + e_pos - e_neg
-            if loss <= 0:
-                losses.append(0.0)
-                continue
-            grads: dict = {}
-            for i, grad in ((h, gh), (t, gt), (h2, -gh2), (t2, -gt2)):
-                grads[i] = grads[i] + grad if i in grads else grad
-            for i, grad in grads.items():
-                params.entity_emb[i] -= (lr * grad).astype(np.float32)
-            params.relation_emb[r] -= (lr * (gr - gr2)).astype(np.float32)
-            ents += (h, t, h2, t2)
-            rels.append(r)
-            losses.append(float(loss))
-        violations += len(rels)
-        project_constraints(params, ents, rels)
-    return losses, violations, redraws
 
 
 def transr_energy_and_grads(params: ModelParams, h: int, r: int, t: int):
@@ -98,7 +36,7 @@ def gap_energy_and_grads(q: np.ndarray, reliability: float):
 
 
 def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin1: float,
-               margin2: float, lr: float):
+               margin2: float, lr: float, warm: bool = False):
     """One projected minibatch step, hinge by hinge, with the corruptions
     given: one (h', r, t') per fact in ``negs`` and one relation per path
     hinge in ``rel2s``, in fact order, then table order (a fact whose
@@ -109,8 +47,10 @@ def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin
     contributions, each M_r by the mean over r's active fact hinges.  Then
     the moved rows are put back on the unit sphere, and each M_r that
     projects an entity of its active facts or corruptions out of the unit
-    ball is divided by the largest such norm.  Updates the parameters in
-    place and returns (loss, fact violations, path violations, rescaled).
+    ball is divided by the largest such norm.  With ``warm``, the warm
+    start's step: relation rows move by the sum of their gradients and no
+    M_r moves or is rescaled.  Updates the parameters in place and returns
+    (loss, fact violations, path violations, rescaled).
     """
     start = params.copy()
     ent_g: dict = {}
@@ -161,7 +101,9 @@ def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin
     for e, (grad, _) in ent_g.items():
         params.entity_emb[e] -= (lr * grad).astype(np.float32)
     for x, (grad, n) in rel_g.items():
-        params.relation_emb[x] -= (lr * (grad / n)).astype(np.float32)
+        params.relation_emb[x] -= (lr * (grad if warm else grad / n)).astype(np.float32)
+    if warm:
+        proj_g, bounded = {}, {}
     for x, (grad, n) in proj_g.items():
         params.proj[x] -= (lr * (grad / n)).astype(np.float32)
     for mat, rows in ((params.entity_emb, ent_g), (params.relation_emb, rel_g)):

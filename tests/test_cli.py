@@ -337,6 +337,20 @@ class TestVerbs:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_train_config_with_a_norm_line_is_refused(self, ws, tmp_path, capsys):
+        # Every config.txt written while the warm start had a choice of
+        # energy carries this line; the energy is now always squared L2.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("stage = transe\nepochs = 1\nnorm = L2\n")
+        capsys.readouterr()
+        rc = cli.main([
+            "train", "--data", str(ws["data"]), "--config", str(cfg),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: unknown config key 'norm'\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flags, key", [
         (["--checkpoint-every", "2"], "checkpoint_every"),
         (["--early-stop"], "early_stop"),
@@ -506,13 +520,13 @@ class TestVerbs:
 # one by a flag (a boolean flag can only switch its field on).
 FILE_VALUES = dict(
     stage="transr", dim_entity=5, dim_relation=5, lr=0.5, margin=2.0, margin1=3.0,
-    margin2=4.0, batch_size=9, epochs=3, norm="L1", neg_mode="bernoulli", seed=3,
+    margin2=4.0, batch_size=9, epochs=3, neg_mode="bernoulli", seed=3,
     lr_decay=True, early_stop=True, patience=4, checkpoint_every=2, warm_lr=0.25,
     warm_margin=1.5, warm_epochs=2,
 )
 FLAG_VALUES = dict(
     stage="ptransr", dim_entity=4, dim_relation=4, lr=0.125, margin=2.5, margin1=3.5,
-    margin2=0.5, batch_size=11, epochs=2, norm="L1", neg_mode="bernoulli", seed=8,
+    margin2=0.5, batch_size=11, epochs=2, neg_mode="bernoulli", seed=8,
     lr_decay=True, early_stop=True, patience=3, checkpoint_every=1, warm_lr=0.75,
     warm_margin=0.25, warm_epochs=1,
 )
@@ -565,7 +579,7 @@ class TestTrainFlags:
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("key, value", [
-        ("stage", "blah"), ("norm", "L3"), ("neg_mode", "fancy"),  # unknown choice
+        ("stage", "blah"), ("stage", "TransE"), ("neg_mode", "fancy"),  # unknown choice
         ("epochs", "abc"), ("batch_size", "1.5"),                  # not an integer
         ("lr", "abc"), ("warm_margin", "1e"),                      # not a number
     ])

@@ -15,8 +15,6 @@ from oracles import (
     gap_energy_and_grads,
     path_score_term,
     path_tuple,
-    score_transe,
-    transe_energy_and_grads,
     transr_energy_and_grads,
 )
 from pathkge.models import (
@@ -32,7 +30,7 @@ from pathkge.models import (
     score_transr,
 )
 from pathkge.paths import PathTable, build_path_table
-from pathkge.trainer import _translation_grads
+from pathkge.trainer import _add_rows, _fact_block
 
 GRID = 2.0 ** -10  # grid step that keeps values and perturbations exact in f32
 
@@ -183,11 +181,17 @@ def hand_params() -> ModelParams:
 
 class TestScores:
     def test_transe_hand_values(self):
+        # The warm start's energy: the projected one with M_r = I, which is
+        # the squared translation residual.
         p = hand_params()
+        p.proj[:] = np.eye(2, dtype=np.float32)
         # u = h + r - t = (2, 5)
-        for norm, want in (("L1", 7.0), ("L2", np.sqrt(29.0))):
-            assert transe_energy_and_grads(p, 0, 0, 1, norm)[0] == pytest.approx(want)
-            assert score_transe(p, 0, 0, 1, norm) == pytest.approx(want)
+        assert score_transr(p, 0, 0, 1) == 29.0
+        e, gh, gt, gr, _ = transr_energy_and_grads(p, 0, 0, 1)
+        assert e == 29.0
+        np.testing.assert_array_equal(gh, [4.0, 10.0])
+        np.testing.assert_array_equal(gr, gh)
+        np.testing.assert_array_equal(gt, -gh)
 
     def test_transr_hand_value(self):
         p = hand_params()
@@ -228,22 +232,29 @@ class TestScores:
                     assert_grad_close(gM[a, b], central_diff(f, p.proj, (r, a, b)))
 
     def test_transe_grads_match_finite_differences(self):
-        # The warm start's level kernel, on a fact and a corruption stacked
-        # as the trainer gathers them from the entity-then-relation rows.
+        # The warm start's block makes no product with M_r.  With identity
+        # projections it must give the projected block's values, and its
+        # summed gradients those of the squared translation residuals.
         rng = np.random.default_rng(5)
-        p = grid_params(rng, 3, 2, 4, 4)
-        triples = [(0, 1, 2), (1, 1, 2), (2, 0, 0)]
-        for norm in ("L1", "L2"):
-            stacked = np.concatenate((p.entity_emb, p.relation_emb))
-            ids = [i for h, r, t in triples for i in (h, p.n_entities + r, t)]
-            energies, grads = _translation_grads(stacked[ids], norm)
-            for (h, r, t), e, g in zip(triples, energies, grads):
-                assert e == score_transe(p, h, r, t, norm)
-                f = lambda: score_transe(p, h, r, t, norm)
-                for j in range(4):
-                    assert_grad_close(g[j], central_diff(f, p.entity_emb, (h, j)))
-                    assert_grad_close(-g[j], central_diff(f, p.entity_emb, (t, j)))
-                    assert_grad_close(g[j], central_diff(f, p.relation_emb, (r, j)))
+        pos = np.array([(2, 0, 0), (0, 1, 2), (1, 1, 2)])  # sorted by relation
+        neg = np.array([(1, 0, 0), (0, 1, 3), (3, 1, 2)])
+        for _ in range(5):
+            p = grid_params(rng, 4, 2, 4, 4)
+            p.proj[:] = np.eye(4, dtype=np.float32)
+            warm = _fact_block(p, pos, neg, margin=1e6, warm=True)
+            assert warm[-1] is None
+            for ours, projected in zip(warm[:-1], _fact_block(p, pos, neg, margin=1e6)):
+                np.testing.assert_array_equal(ours, projected)
+            _, on, ids, grads, rels, _, gr, _ = warm
+            assert on.all()
+            ent = np.zeros((4, 4))
+            _add_rows(ent, ids, grads)
+            f = lambda: sum(score_transr(p, *a) - score_transr(p, *b) for a, b in zip(pos, neg))
+            for j in range(4):
+                for e in range(4):
+                    assert_grad_close(ent[e, j], central_diff(f, p.entity_emb, (e, j)))
+                for k, r in enumerate(rels):
+                    assert_grad_close(gr[k, j], central_diff(f, p.relation_emb, (r, j)))
 
 
 def path_gap(params: ModelParams, path: tuple[int, ...], r: int) -> np.ndarray:

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 import re
 import tracemalloc
-from collections import defaultdict
-from unittest import mock
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import DIAMOND, TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
-from oracles import batch_step, path_tuple, sample_negative, validation_mean_rank, warm_epoch
+from oracles import batch_step, path_tuple, sample_negative, validation_mean_rank
 from pathkge import trainer
 from pathkge.evaluator import _RelationContext, valid_mean_rank
 from pathkge.kgdata import KnowledgeGraph
@@ -33,7 +32,6 @@ from pathkge.trainer import (
     _head_probs,
     _run_epoch,
     _step,
-    _warm_draws,
     init_transe,
     load_config_file,
     save_config_file,
@@ -75,7 +73,7 @@ class TestConfig:
         "bad",
         [
             {"stage": "blah"},
-            {"norm": "L3"},
+            {"warm_epochs": -1},
             {"neg_mode": "fancy"},
             {"dim_entity": 0},
             {"batch_size": 0},
@@ -97,17 +95,17 @@ class TestConfig:
 
     def test_with_updates_coercion(self):
         cfg = TrainConfig().with_updates(
-            {"lr": "0.5", "epochs": "7", "lr_decay": "true", "norm": "L1"}
+            {"lr": "0.5", "epochs": "7", "lr_decay": "true", "neg_mode": "bernoulli"}
         )
         assert cfg.lr == 0.5 and cfg.epochs == 7
-        assert cfg.lr_decay is True and cfg.norm == "L1"
+        assert cfg.lr_decay is True and cfg.neg_mode == "bernoulli"
         with pytest.raises(ValueError, match="unknown config key"):
             TrainConfig().with_updates({"nope": "1"})
         with pytest.raises(ValueError, match="boolean"):
             TrainConfig().with_updates({"lr_decay": "probably"})
 
     def test_config_file_roundtrip(self, tmp_path):
-        cfg = tiny_cfg(norm="L1", neg_mode="bernoulli", lr_decay=True)
+        cfg = tiny_cfg(margin=0.5, neg_mode="bernoulli", lr_decay=True)
         f = tmp_path / "c.txt"
         save_config_file(cfg, f)
         again = TrainConfig().with_updates(load_config_file(f))
@@ -122,22 +120,11 @@ class TestConfig:
             load_config_file(f)
 
 
-def warm_draws(g: KnowledgeGraph, rng, head_probs, facts=None):
-    """The warm start's corruptions and levels of ``facts`` (default: every
-    train fact), in order."""
-    return _warm_draws(
-        rng, g.n_entities, g.n_relations, g.train.tolist() if facts is None else facts,
-        head_probs, g._train_keys, [0] * (g.n_entities + g.n_relations),
-    )
-
-
-def plain_levels(rows) -> list[int]:
-    """One more than the highest level of the earlier rows sharing an id."""
-    levels: list[int] = []
-    for k, row in enumerate(rows):
-        levels.append(1 + max((levels[j] for j in range(k) if set(rows[j]) & set(row)),
-                              default=0))
-    return levels
+def batch_draws(g: KnowledgeGraph, rng, head_probs, facts=None):
+    """The corruptions of ``facts`` (default: every train fact) drawn as
+    one batch: (corrupted rows, redraws)."""
+    facts = g.train if facts is None else facts
+    return _draw_negatives(g, np.asarray(facts, dtype=np.int64), np.asarray(head_probs), rng)
 
 
 def exhausted(fact, slot: str) -> str:
@@ -153,11 +140,11 @@ class TestNegativeSampling:
         rng = np.random.default_rng(0)
         h, r, t = (int(x) for x in g.train[0])
         for prob in (1.0, 0.0):
-            rows, _, _ = warm_draws(g, rng, [prob] * g.n_relations, [(h, r, t)] * 20)
-            for h1, t1, h2, t2, r1 in rows:
-                assert (h1, t1, r1) == (h, t, g.n_entities + r)
+            neg, _ = batch_draws(g, rng, [prob] * g.n_relations, [(h, r, t)] * 20)
+            for h2, r2, t2 in neg.tolist():
+                assert r2 == r
                 assert (t2 == t and h2 != h) if prob else (h2 == h and t2 != t)
-                assert not g.train_mask(np.array([(h2, r, t2)]))[0]
+            assert not g.train_mask(neg).any()
 
     def test_relation_corruption(self, tri_graph):
         # Only path hinges corrupt the relation, a batch at a time.
@@ -171,35 +158,34 @@ class TestNegativeSampling:
         g = make_graph(train, n_entities=2, n_relations=1, augment=False)
         slot = "head" if np.random.default_rng(3).random() < 0.5 else "tail"
         with pytest.raises(TrainError, match=exhausted((0, 0, 1), slot)):
-            warm_draws(g, np.random.default_rng(3), [0.5], [(0, 0, 1)])
+            batch_draws(g, np.random.default_rng(3), [0.5], [(0, 0, 1)])
 
     def test_deterministic_given_rng(self, small_graph):
         probs = [0.5] * small_graph.n_relations
-        a = warm_draws(small_graph, np.random.default_rng(42), probs)
-        b = warm_draws(small_graph, np.random.default_rng(42), probs)
-        assert a == b
+        a = batch_draws(small_graph, np.random.default_rng(42), probs)
+        b = batch_draws(small_graph, np.random.default_rng(42), probs)
+        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     @pytest.mark.parametrize("neg_mode", ["uniform", "bernoulli"])
     def test_trainer_draws_match_sample_negative(self, small_graph, neg_mode):
-        # The warm start keeps one head probability per relation and decodes
-        # its draws from raw words; they must be the reference sampler's,
-        # one by one, and leave the generator where its calls leave it.
+        # The trainer keeps one head probability per relation.  A batch of
+        # one fact makes the reference sampler's calls, so its draws must be
+        # the reference's, one by one, and leave the generator where those
+        # calls leave it; TestWarmDraws covers the order within a batch.
         g = small_graph
         bern = _head_probs(g, "bernoulli")
         if neg_mode == "bernoulli":
             assert any(p != 0.5 for p in bern)
         head_probs = _head_probs(g, neg_mode)
         ours, ref = np.random.default_rng(5), np.random.default_rng(5)
-        facts = g.train.tolist() * 3
-        rows, levels, redraws = warm_draws(g, ours, head_probs, facts)
-        want = 0
-        for (h, r, t), row in zip(facts, rows):
+        got = want = 0
+        for h, r, t in g.train.tolist() * 3:
             p = 0.5 if neg_mode == "uniform" else bern[r]
             (h2, _, t2), more = sample_negative(g, (h, r, t), {"head": p, "tail": 1.0 - p}, ref)
-            assert row == (h, t, h2, t2, g.n_entities + r)
-            want += more
-        assert redraws == want > 0
-        assert levels == plain_levels(rows)
+            neg, redraws = batch_draws(g, ours, head_probs, [(h, r, t)])
+            assert neg.tolist() == [[h2, r, t2]]
+            got, want = got + redraws, want + more
+        assert got == want > 0
         assert ours.bit_generator.state == ref.bit_generator.state
         assert ours.random() == ref.random()
 
@@ -228,51 +214,54 @@ class TestNegativeSampling:
             ]
 
 
-class _Keys:
-    """A stand-in train-key set: holds the keys ``rule`` picks, and records
-    every key asked about."""
+class _Held:
+    """A stand-in graph for the sampler: ``n`` entities, ``n_rel``
+    relations, and as train facts the rows whose key ``rule`` picks.
+    Records every row it is asked about."""
 
-    def __init__(self, rule):
-        self.rule, self.asked = rule, []
+    def __init__(self, n: int, n_rel: int, rule):
+        self.n_entities, self.n_relations, self.rule, self.asked = n, n_rel, rule, []
 
-    def __contains__(self, key: int) -> bool:
-        self.asked.append(key)
-        return self.rule(key)
+    def train_mask(self, rows: np.ndarray) -> np.ndarray:
+        rows = rows.tolist()
+        self.asked += rows
+        n, n_rel = self.n_entities, self.n_relations
+        return np.array([self.rule((h * n_rel + r) * n + t) for h, r, t in rows], dtype=bool)
 
 
-def numpy_draws(rng, n: int, n_rel: int, facts, head_probs, keys):
-    """The warm start's corruptions through numpy's own calls: one
-    ``random()`` per fact for the slot, then ``integers(n)`` until the key
-    of the corrupted fact is not in ``keys``."""
-    rows, redraws = [], 0
-    for h, r, t in facts:
-        head = rng.random() < head_probs[r]
-        for tries in range(MAX_NEGATIVE_ATTEMPTS):
-            v = int(rng.integers(n))
-            h2, t2 = (v, t) if head else (h, v)
-            if (h2 * n_rel + r) * n + t2 not in keys:
-                break
-        else:
-            raise TrainError(
-                f"could not sample a negative for {(h, r, t)} (slot {'head' if head else 'tail'})"
-                f" in {MAX_NEGATIVE_ATTEMPTS} attempts"
-            )
-        rows.append((h, t, h2, t2, n + r))
-        redraws += tries
-    return rows, redraws
+def numpy_draws(rng, held: _Held, facts, head_probs):
+    """The batch sampler's stream through numpy's scalar calls: one
+    ``random()`` per fact for the slot, then rounds of one ``integers(n)``
+    per fact whose corruption is still held, until none is."""
+    heads = [rng.random() < head_probs[r] for _, r, _ in facts]
+    rows = [list(fact) for fact in facts]
+    pending, redraws = list(range(len(rows))), 0
+    for _ in range(MAX_NEGATIVE_ATTEMPTS):
+        for i in pending:
+            rows[i][0 if heads[i] else 2] = int(rng.integers(held.n_entities))
+        mask = held.train_mask(np.array([rows[i] for i in pending]).reshape(-1, 3))
+        pending = [i for i, held_row in zip(pending, mask.tolist()) if held_row]
+        if not pending:
+            return rows, redraws
+        redraws += len(pending)
+    i = pending[0]
+    raise TrainError(
+        f"could not sample a negative for {tuple(facts[i])} "
+        f"(slot {'head' if heads[i] else 'tail'}) in {MAX_NEGATIVE_ATTEMPTS} attempts"
+    )
 
 
 class TestWarmDraws:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 50, 2_500, 2**31 + 1]),
-        st.sampled_from(["fresh", "buffered", "spent"]), st.sampled_from([1, 2, 3, 1024]),
-        st.integers(0, 2), st.data(),
+        st.sampled_from(["fresh", "buffered", "spent"]), st.integers(0, 2), st.data(),
     )
-    def test_decoded_draws_are_numpys(self, seed, n, start, words, reject, data):
-        # n = 2**31 + 1 rejects about half of all 32-bit halves, so Lemire's
-        # retry runs; chunks of 1-3 words end in the middle of facts.
-        # "spent" leaves numpy's buffer empty but its last high half kept.
+    def test_decoded_draws_are_numpys(self, seed, n, start, reject, data):
+        # A batch's draws are numpy's scalar calls in batch order, whatever
+        # the generator's 32-bit buffer holds when the batch starts: "spent"
+        # leaves it empty but its last high half kept.  n = 2**31 + 1
+        # rejects about half of all 32-bit halves, so Lemire's retry runs.
         rng = np.random.default_rng(seed)
         for _ in range(("fresh", "buffered", "spent").index(start)):
             rng.integers(7)
@@ -284,23 +273,18 @@ class TestWarmDraws:
                                    min_size=1, max_size=40))
         probs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
                                    min_size=n_rel, max_size=n_rel))
-        ours_keys = _Keys(lambda key: key % 3 < reject)
-        ref_keys = _Keys(lambda key: key % 3 < reject)
+        ours_held = _Held(n, n_rel, lambda key: key % 3 < reject)
+        ref_held = _Held(n, n_rel, lambda key: key % 3 < reject)
         try:
-            want = numpy_draws(ref, n, n_rel, facts, probs, ref_keys)
+            want = numpy_draws(ref, ref_held, facts, probs)
         except TrainError as exc:  # every candidate of some fact is held
             with pytest.raises(TrainError, match=re.escape(str(exc))):
-                with mock.patch.object(trainer, "_DECODE_WORDS", words):
-                    _warm_draws(rng, n, n_rel, facts, probs, ours_keys, defaultdict(int))
-            assert ours_keys.asked == ref_keys.asked
+                _draw_negatives(ours_held, np.array(facts), np.array(probs), rng)
+            assert ours_held.asked == ref_held.asked
             return
-        with mock.patch.object(trainer, "_DECODE_WORDS", words):
-            rows, levels, redraws = _warm_draws(
-                rng, n, n_rel, facts, probs, ours_keys, defaultdict(int)
-            )
-        assert ours_keys.asked == ref_keys.asked
-        assert (rows, redraws) == want
-        assert levels == plain_levels(rows)
+        neg, redraws = _draw_negatives(ours_held, np.array(facts), np.array(probs), rng)
+        assert ours_held.asked == ref_held.asked
+        assert (neg.tolist(), redraws) == want
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_one_entity_graph_exhausts(self):
@@ -312,14 +296,7 @@ class TestWarmDraws:
         assert rng.integers(1) == 0 and rng.bit_generator.state == state
         slot = "head" if rng.random() < 0.5 else "tail"
         with pytest.raises(TrainError, match=exhausted((0, 0, 0), slot)):
-            warm_draws(g, np.random.default_rng(2), [0.5, 0.5])
-
-    def test_other_bit_generators_are_refused(self, small_graph):
-        mt = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(TrainError, match="PCG64, not MT19937"):
-            warm_draws(small_graph, mt, [0.5] * small_graph.n_relations)
-        with pytest.raises(TrainError, match="PCG64, not MT19937"):
-            init_transe(small_graph, tiny_cfg(stage="transe"), rng=mt)
+            batch_draws(g, np.random.default_rng(2), [0.5, 0.5])
 
 
 class TestBatchSampler:
@@ -451,108 +428,67 @@ class TestBatchStep:
 
 
 class TestWarmStart:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1), st.integers(3, 5), st.sampled_from(["L1", "L2"]),
-        st.sampled_from(["uniform", "bernoulli"]), st.booleans(), st.data(),
-    )
-    def test_level_epochs_are_the_per_fact_epochs(self, seed, n_ent, norm, neg_mode, decay, data):
-        # Bit for bit: parameters, counters, every fact's loss and the RNG.
-        # On 3-5 entities with a self loop, corruptions often land on the
-        # fact's own rows (t' = h, h' = t), so repeated rows are merged.
-        rng = np.random.default_rng(seed)
-        n_rel = int(rng.integers(1, 3))
-        triples = [
-            (int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
-            for _ in range(int(rng.integers(1, 3 * n_ent)))
-        ] + [(0, 0, 0)]
-        g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
-        known = set(map(tuple, g.train.tolist()))
-        for h, r, t in known:  # every fact has a corruption of both slots
-            assume(any((e, r, t) not in known for e in range(n_ent)))
-            assume(any((h, r, e) not in known for e in range(n_ent)))
-        n = len(g.train)
-        dim = data.draw(st.integers(2, 6))
-        cfg = tiny_cfg(
-            stage="transe", dim_entity=dim, dim_relation=dim, norm=norm, neg_mode=neg_mode,
-            lr_decay=decay, epochs=3, lr=data.draw(st.sampled_from([0.05, 0.5])),
-            margin=data.draw(st.sampled_from([0.2, 1.0, 4.0])),
-            batch_size=data.draw(st.integers(1, n)),
-        )
-        ours = ModelParams.random(n_ent, g.n_relations, dim, dim, rng)
-        ref = ours.copy()
-        probs = _head_probs(g, neg_mode)
-        ours_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        losses = []
-        level_batch = trainer._warm_batch
+    @pytest.mark.parametrize("graph,chunk", [
+        ("small", 256), ("small", 3), ("runs", 256), ("runs", 3),
+    ])
+    def test_warm_step_matches_reference(self, small_graph, graph, chunk, monkeypatch):
+        # The per-fact reference with identity projections and summed
+        # relation rows.  margin1 differs from margin, which the warm start
+        # must use; a chunk of 3 splits relation runs across blocks.
+        monkeypatch.setattr(trainer, "_CHUNK", chunk)
+        g = small_graph if graph == "small" else many_runs_graph()
+        empty = PathTable.empty(g.n_entities)
+        rng = np.random.default_rng(19)
+        params = ModelParams.random(g.n_entities, g.n_relations, 5, 5, rng)
+        eye = params.proj.tobytes()
+        ref = params.copy()
+        cfg = tiny_cfg(stage="transe", margin=2.0, margin1=0.5, lr=0.05)
+        probs = np.asarray(_head_probs(g, "bernoulli"))
+        fact_v = 0
+        for fact in np.array_split(rng.permutation(len(g.train)), 3):
+            batch = _draw_batch(g, None, probs, rng, fact)
+            assert len(batch.entry) == len(batch.rel2) == 0
+            got = _step(params, None, cfg, cfg.lr, batch)
+            want = batch_step(ref, empty, batch.pos.tolist(), batch.neg.tolist(), [],
+                              cfg.margin, cfg.margin2, cfg.lr, warm=True)
+            assert got[1:] == want[1:]
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            for ours, theirs in ((params.entity_emb, ref.entity_emb),
+                                 (params.relation_emb, ref.relation_emb)):
+                np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-9)
+            assert params.proj.tobytes() == ref.proj.tobytes() == eye
+            fact_v += got[1]
+        assert fact_v > 0
 
-        def spy(*args):
-            out = level_batch(*args)
-            losses.append(out[0])
-            return out
+    def test_projections_stay_identity(self, small_graph):
+        # Large steps in small batches: M_r is never read, moved or scaled.
+        cfg = tiny_cfg(stage="transe", epochs=5, lr=0.5, batch_size=5, neg_mode="bernoulli")
+        params = init_transe(small_graph, cfg)
+        eye = np.eye(6, dtype=np.float32)
+        assert params.proj.tobytes() == np.repeat(eye[None], small_graph.n_relations, 0).tobytes()
 
-        for epoch in range(cfg.epochs):  # each lr of the decay
-            lr = cfg.lr * (1.0 - epoch / cfg.epochs) if decay else cfg.lr
-            losses.clear()
-            try:
-                want, violations, redraws = warm_epoch(g, ref, cfg, ref_rng, probs, lr)
-            except ModelError:
-                # A large L1 step can move a row to exactly zero, which cannot
-                # be renormalized: the levels must stop at the same batch.
-                with pytest.raises(ModelError, match="zero vector"):
-                    _run_epoch(g, None, ours, cfg, ours_rng, probs, lr, epoch)
-                want = None
-            else:
-                with mock.patch.object(trainer, "_warm_batch", spy):
-                    stats = _run_epoch(g, None, ours, cfg, ours_rng, probs, lr, epoch)
-                assert np.concatenate(losses).tobytes() == np.array(want).tobytes()
-                loss_sum = 0.0
-                for loss in want:
-                    loss_sum += loss
-                assert stats == EpochStats(loss_sum / n, violations, violations, 0, 0, redraws)
-            for name in ("entity_emb", "relation_emb", "proj"):
-                assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes()
-            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
-            if want is None:
-                return
+    def test_other_bit_generators_run(self, small_graph):
+        # The sampler makes only numpy's own calls, on any bit generator.
+        cfg = tiny_cfg(stage="transe", epochs=3)
+        records = []
+        mt = [init_transe(small_graph, cfg, np.random.Generator(np.random.MT19937(0)),
+                          records.append) for _ in range(2)]
+        pcg = init_transe(small_graph, cfg, np.random.default_rng(0))
+        assert mt[0].entity_emb.tobytes() == mt[1].entity_emb.tobytes()
+        assert mt[0].entity_emb.tobytes() != pcg.entity_emb.tobytes()
+        assert all(r["violations"] > 0 for r in records)
 
-    @pytest.mark.parametrize("batch_size", [100, 2 * trainer._DECODE_WORDS])
-    def test_batches_across_decode_chunks(self, batch_size):
-        # With batches of 2,048, the 1,400 facts are one batch that decodes
-        # ~2,100 raw words, so its draws cross decode chunks; a batch of 100
-        # stays in its first chunk.
-        rng = np.random.default_rng(21)
-        facts = np.stack([rng.integers(200, size=700), rng.integers(4, size=700),
-                          rng.integers(200, size=700)], axis=1)
-        g = make_graph(facts.tolist(), n_entities=200, n_relations=4)
-        cfg = tiny_cfg(stage="transe", dim_entity=8, dim_relation=8, batch_size=batch_size)
-        ours = ModelParams.random(g.n_entities, g.n_relations, 8, 8, rng)
-        ref = ours.copy()
-        probs = _head_probs(g, "bernoulli")
-        ours_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        losses = []
-        level_batch = trainer._warm_batch
-
-        def spy(*args):
-            out = level_batch(*args)
-            losses.append(out[0])
-            return out
-
-        for epoch in range(2):
-            losses.clear()
-            want, violations, redraws = warm_epoch(g, ref, cfg, ref_rng, probs, cfg.lr)
-            with mock.patch.object(trainer, "_warm_batch", spy):
-                stats = _run_epoch(g, None, ours, cfg, ours_rng, probs, cfg.lr, epoch)
-            assert np.concatenate(losses).tobytes() == np.array(want).tobytes()
-            loss_sum = 0.0
-            for loss in want:
-                loss_sum += loss
-            assert stats == EpochStats(loss_sum / len(g.train), violations, violations, 0, 0,
-                                       redraws)
-            assert redraws > 0
-            for name in ("entity_emb", "relation_emb", "proj"):
-                assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes()
-            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+    def test_no_epoch_builds_no_index(self, small_graph, monkeypatch):
+        # `train --stage transe --epochs 0` draws nothing, so it must build
+        # neither the sorted train keys nor any path evidence.
+        monkeypatch.setattr(trainer, "_fact_paths", None)  # a call would fail
+        indexes = {name for name, attr in vars(KnowledgeGraph).items()
+                   if isinstance(attr, cached_property)}
+        for neg_mode in ("uniform", "bernoulli"):
+            cfg = tiny_cfg(stage="transe", epochs=0, neg_mode=neg_mode)
+            init_transe(small_graph, cfg)
+            train(small_graph, None, cfg)
+            assert not indexes & set(vars(small_graph))
 
     def test_loss_decreases_and_constraints_hold(self, small_graph):
         records = []
