@@ -388,8 +388,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         init = ModelParams.load(args.init)
 
     out = _run_dir(args, "train", cfg.seed)
-    out.mkdir(parents=True, exist_ok=True)
     params, records = train(g, table, cfg, out_dir=out, init_params=init)
+    run = f"stage {cfg.stage}" + (" with --init" if args.init else "")
+    for key in records[0]["ignored"] + ["--table"] * (cfg.stage != "ptransr" and bool(args.table)):
+        print(f"note: {run} ignores {key}", file=sys.stderr)
     losses = [rec for rec in records if "loss" in rec]
     if losses:
         last = losses[-1]
@@ -581,14 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="path table (.ptbl), required for ptransr")
     p.add_argument("--init", help="warm-start model file (.ptrm)")
     # One flag per config key, its value coerced and checked by TrainConfig.
-    for key, value in TrainConfig().as_dict().items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            p.add_argument(flag, action="store_true", default=None)
-        elif key in CHOICES:
-            p.add_argument(flag, metavar="{" + ",".join(CHOICES[key]) + "}")
-        else:
-            p.add_argument(flag)
+    for key in TrainConfig().as_dict():
+        choices = "{" + ",".join(CHOICES[key]) + "}" if key in CHOICES else None
+        p.add_argument("--" + key.replace("_", "-"), metavar=choices)
     p.add_argument("--out", help="run dir (default runs/train-<stamp>-seed<seed>)")
     p.set_defaults(func=cmd_train)
 

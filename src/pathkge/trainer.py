@@ -10,7 +10,11 @@ total reliability.
 Each fact hinge is against a corrupted head or tail, the head chosen with
 a per-relation probability (0.5, or Bernoulli tph / (tph + hpt)); each
 path hinge is against a corrupted relation.  Corruptions are redrawn
-until they leave the train set.
+until they leave the train set.  Every fact hinge has the margin
+``margin``, the warm start's too, and every path hinge ``margin2``; the
+learning rate is fixed.  Early stopping runs when ``patience`` > 0.
+``STAGE_FIELDS`` lists the fields each stage reads; ``train`` records
+the others a run sets away from their defaults.
 
 Both stages take one minibatch step per ``batch_size`` facts: every hinge
 of the batch is scored against the parameters as the batch found them,
@@ -54,14 +58,15 @@ from pathkge.models import (
 )
 from pathkge.paths import PathTable, expand_spans
 
+# The fields each stage reads (a projected stage _WARM only without an init model).
+_COMMON = ("stage", "dim_entity", "dim_relation", "lr", "margin", "batch_size", "epochs",
+           "neg_mode", "seed")
+_WARM = ("warm_lr", "warm_epochs")
+_PROJECTED = (*_COMMON, "patience", "checkpoint_every", *_WARM)
+STAGE_FIELDS = {"transe": _COMMON, "transr": _PROJECTED, "ptransr": (*_PROJECTED, "margin2")}
 # The allowed values of each choice field of TrainConfig.
-CHOICES = {
-    "stage": ("transe", "transr", "ptransr"),
-    "neg_mode": ("uniform", "bernoulli"),
-}
-# How a config string reads as a boolean, and what each field type is called.
-_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_KINDS = {bool: "boolean", int: "integer", float: "number"}
+CHOICES = {"stage": tuple(STAGE_FIELDS), "neg_mode": ("uniform", "bernoulli")}
+_KINDS = {int: "integer", float: "number"}
 MAX_NEGATIVE_ATTEMPTS = 100
 
 
@@ -78,27 +83,23 @@ class TrainConfig:
     dim_entity: int = 50
     dim_relation: int = 50
     lr: float = 0.001
-    margin: float = 1.0      # stage-one margin
-    margin1: float = 1.0     # fact-level margin in stage two
-    margin2: float = 1.0     # path-level margin in stage two
+    margin: float = 1.0      # fact-level margin of every stage, the warm start's too
+    margin2: float = 1.0     # path-level margin of stage ptransr
     batch_size: int = 4800
     epochs: int = 500
     neg_mode: str = "uniform"
     seed: int = 7
-    lr_decay: bool = False
-    early_stop: bool = False
-    patience: int = 50
+    patience: int = 0        # > 0: stop after this many epochs without a better valid rank
     checkpoint_every: int = 0
     warm_lr: float = 0.01
-    warm_margin: float = 1.0
     warm_epochs: int = 1000
 
     def validate(self) -> None:
         for name, value in self.as_dict().items():
             _check_field(name, value)
-        if self.stage == "transe" and (self.early_stop or self.checkpoint_every > 0):
-            key = "early_stop" if self.early_stop else "checkpoint_every"
-            raise ValueError(f"{key} acts on projected epochs, and stage transe runs none")
+        for key in ("patience", "checkpoint_every"):
+            if self.stage == "transe" and getattr(self, key) > 0:
+                raise ValueError(f"{key} acts on projected epochs, and stage transe runs none")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -109,33 +110,40 @@ class TrainConfig:
             return cls(stage="transe", lr=0.01, epochs=1000)
         return cls(stage=stage)
 
+    def ignored(self, warm_start: bool) -> list[str]:
+        """The fields away from their stage defaults that a run does not read."""
+        reads = set(STAGE_FIELDS[self.stage]).difference(() if warm_start else _WARM)
+        default = self.defaults_for_stage(self.stage).as_dict()
+        return [k for k, v in self.as_dict().items() if k not in reads and v != default[k]]
+
     def with_updates(self, updates: Mapping[str, object]) -> "TrainConfig":
         coerced: dict[str, object] = {}
-        fields = {f: type(getattr(self, f)) for f in self.as_dict()}
+        fields = {f: type(getattr(TrainConfig, f)) for f in self.as_dict()}
         for key, value in updates.items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
             kind = fields[key]
             if isinstance(value, str) and kind is not str:
                 try:
-                    value = _BOOLEANS[value.strip().lower()] if kind is bool else kind(value)
-                except (KeyError, ValueError):
+                    value = kind(value)
+                except ValueError:
                     raise ValueError(f"bad {_KINDS[kind]} for {key!r}: {value!r}") from None
             coerced[key] = value
         return replace(self, **coerced)
 
 
 def _check_field(name: str, value) -> None:
-    """The rules of one config field that need no other field."""
+    """The rules of one config field that need no other field; an int serves a float."""
+    kind = type(getattr(TrainConfig, name))
+    if kind in _KINDS and (isinstance(value, bool) or not isinstance(value, (kind, int))):
+        raise ValueError(f"bad {_KINDS[kind]} for {name!r}: {value!r}")
     if name in CHOICES and value not in CHOICES[name]:
         raise ValueError(f"{name} must be one of {', '.join(CHOICES[name])}, got {value!r}")
-    if name in ("dim_entity", "dim_relation", "batch_size", "patience") and value < 1:
+    if name in ("dim_entity", "dim_relation", "batch_size") and value < 1:
         raise ValueError(f"{name} must be >= 1")
-    if name in ("lr", "warm_lr", "margin", "margin1", "margin2", "warm_margin") and not (
-        0 < value < math.inf  # NaN too
-    ):
+    if name in ("lr", "warm_lr", "margin", "margin2") and not 0 < value < math.inf:  # NaN too
         raise ValueError(f"{name} must be positive and finite, got {value}")
-    if name in ("epochs", "warm_epochs", "checkpoint_every") and value < 0:
+    if name in ("epochs", "warm_epochs", "checkpoint_every", "patience", "seed") and value < 0:
         raise ValueError(f"{name} must be >= 0")
 
 
@@ -370,7 +378,7 @@ def _path_hinges(rel: np.ndarray, path_rels: np.ndarray, path: np.ndarray, r: np
 
 
 def _step(
-    params: ModelParams, paths: _FactPaths | None, cfg: TrainConfig, lr: float, b: _Batch,
+    params: ModelParams, paths: _FactPaths | None, cfg: TrainConfig, b: _Batch,
 ) -> tuple[float, int, int, int]:
     """One minibatch update from the parameters as the batch found them.
 
@@ -378,9 +386,9 @@ def _step(
     mean of its contributions (each hinge term that reaches it), and M_r
     the mean over the active fact hinges of r.  Then the touched rows are
     renormalized and each touched M_r is scaled once.  The warm start
-    (stage transe) scores its fact hinges with ``cfg.margin`` and
-    identity projections, moves relation rows by the sum of their
-    gradients and leaves every M_r as it is.  Returns (loss, fact
+    (stage transe) scores its fact hinges with identity projections,
+    moves relation rows by the sum of their gradients and leaves every
+    M_r as it is.  Returns (loss, fact
     violations, path violations, matrices rescaled).
     """
     warm = cfg.stage == "transe"
@@ -395,7 +403,7 @@ def _step(
     for c in range(0, len(order), _CHUNK):
         pos, neg = b.pos[order[c : c + _CHUNK]], b.neg[order[c : c + _CHUNK]]
         hinge, on, ids, grads, rels, hits, gr, gM = _fact_block(
-            params, pos, neg, cfg.margin if warm else cfg.margin1, warm)
+            params, pos, neg, cfg.margin, warm)
         loss += float(hinge[on].sum())
         fact_v += int(on.sum())
         _add_rows(ent_g, ids, grads)
@@ -411,7 +419,7 @@ def _step(
         goes_on = c + _CHUNK < len(order) and b.pos[order[c + _CHUNK], 1] == rels[-1]
         carry = gM[-1] if goes_on else 0.0
         j = np.flatnonzero(rel_n[rels[: len(rels) - goes_on]])
-        params.proj[rels[j]] -= (lr * (gM[j] / rel_n[rels[j], None, None])).astype(np.float32)
+        params.proj[rels[j]] -= (cfg.lr * (gM[j] / rel_n[rels[j], None, None])).astype(np.float32)
 
     if len(b.entry):
         ev, table, rel = paths.evidence, paths.table, relation_rows(params)
@@ -432,11 +440,11 @@ def _step(
     tri = np.concatenate(bounded)
     ents = _distinct(tri[:, [0, 2]].ravel())
     rels = np.flatnonzero(rel_n)
-    params.entity_emb[ents] -= (lr * ent_g[ents]).astype(np.float32)
+    params.entity_emb[ents] -= (cfg.lr * ent_g[ents]).astype(np.float32)
     if warm:  # summed, and identity projections bound nothing
-        params.relation_emb[rels] -= (lr * rel_g[rels]).astype(np.float32)
+        params.relation_emb[rels] -= (cfg.lr * rel_g[rels]).astype(np.float32)
         return loss, fact_v, path_v, project_constraints(params, ents, rels)
-    params.relation_emb[rels] -= (lr * (rel_g[rels] / rel_n[rels, None])).astype(np.float32)
+    params.relation_emb[rels] -= (cfg.lr * (rel_g[rels] / rel_n[rels, None])).astype(np.float32)
     return loss, fact_v, path_v, project_constraints(params, ents, rels, tri)
 
 
@@ -447,7 +455,6 @@ def _run_epoch(
     cfg: TrainConfig,
     rng: np.random.Generator,
     head_probs: list[float],
-    lr: float,
     epoch: int,
 ) -> EpochStats:
     """One pass over the shuffled train facts, one minibatch step per
@@ -459,18 +466,19 @@ def _run_epoch(
     counts = np.zeros(4, dtype=np.int64)  # fact and path violations, rescaled, redraws
     for start in range(0, n, cfg.batch_size):
         batch = _draw_batch(g, paths, probs, rng, order[start : start + cfg.batch_size])
-        loss, *batch_counts = _step(params, paths, cfg, lr, batch)
+        loss, *batch_counts = _step(params, paths, cfg, batch)
         loss_sum += loss
         counts += (*batch_counts, batch.redraws)
         if not np.isfinite(loss_sum):
             raise TrainError(
                 f"non-finite loss at epoch {epoch}, batch starting {start} "
-                f"(lr={lr}, stage={cfg.stage})"
+                f"(lr={cfg.lr}, stage={cfg.stage})"
             )
     # NaNs that never fire a hinge produce no loss signal, so check the
     # parameters themselves once per epoch.
     if not all(np.isfinite(a).all() for a in (params.entity_emb, params.relation_emb, params.proj)):
-        raise TrainError(f"non-finite parameters after epoch {epoch} (lr={lr}, stage={cfg.stage})")
+        raise TrainError(
+            f"non-finite parameters after epoch {epoch} (lr={cfg.lr}, stage={cfg.stage})")
     fact_v, path_v, rescaled, redraws = counts.tolist()
     return EpochStats(loss_sum / max(n, 1), fact_v + path_v, fact_v, path_v, rescaled, redraws)
 
@@ -483,24 +491,20 @@ def _fit(
     rng: np.random.Generator, emit: Callable[[dict], None] | None, t0: float, out: Path | None,
 ) -> None:
     """Train ``params`` in place for ``cfg.epochs`` epochs of ``cfg.stage``
-    (``paths`` None for the warm start): lr decay, one record per epoch,
-    the early stop and the checkpoints under ``out``."""
+    (``paths`` None for the warm start): one record per epoch, the early
+    stop when ``cfg.patience`` > 0 and the checkpoints under ``out``."""
     head_probs = _head_probs(g, cfg.neg_mode)
-    best = np.inf
-    since_best = 0
+    best, since_best = np.inf, 0
     for epoch in range(cfg.epochs):
-        lr = cfg.lr * (1.0 - epoch / cfg.epochs) if cfg.lr_decay else cfg.lr
-        stats = _run_epoch(g, paths, params, cfg, rng, head_probs, lr, epoch)
+        stats = _run_epoch(g, paths, params, cfg, rng, head_probs, epoch)
         record = {"stage": cfg.stage, "epoch": epoch, **stats._asdict(),
                   "wall_time": time.perf_counter() - t0}
         if cfg.stage == "transe":  # the warm start has no path hinge or M_r
             del record["path_violations"], record["rescaled"]
-        if cfg.early_stop:
-            metric = valid_mean_rank(params, g)
-            record["valid_mean_rank"] = metric
+        if cfg.patience > 0:
+            record["valid_mean_rank"] = metric = valid_mean_rank(params, g)
             if metric < best - 1e-12:
-                best = metric
-                since_best = 0
+                best, since_best = metric, 0
             else:
                 since_best += 1
         if emit is not None:
@@ -511,7 +515,7 @@ def _fit(
             ckpt_dir = out / "checkpoints"
             ckpt_dir.mkdir(exist_ok=True)
             params.save(ckpt_dir / f"epoch_{epoch + 1:05d}.ptrm")
-        if cfg.early_stop and since_best >= cfg.patience:
+        if cfg.patience > 0 and since_best >= cfg.patience:
             emit({"event": "early_stop", "epoch": epoch, "best": best})
             break
 
@@ -567,8 +571,7 @@ def train_epoch_ptransr(
     table.check_graph(g, TrainError)
     _check_model(g, params, config)
     return _run_epoch(
-        g, _fact_paths(g, table), params, config, rng, _head_probs(g, config.neg_mode),
-        config.lr, epoch=0,
+        g, _fact_paths(g, table), params, config, rng, _head_probs(g, config.neg_mode), epoch=0,
     )
 
 
@@ -589,8 +592,14 @@ def train(
     config.validate()
     if not g.augmented:
         raise TrainError("training expects an inverse-augmented graph")
-    if config.early_stop and len(g.valid) == 0:
+    if config.patience > 0 and len(g.valid) == 0:
         raise TrainError("early stopping needs a non-empty valid split")
+    if init_params is not None:
+        if config.stage == "transe":
+            raise TrainError("stage transe always starts from a fresh init")
+        _check_model(g, init_params, config)
+    elif config.dim_entity != config.dim_relation:
+        raise TrainError("warm start needs dim_entity == dim_relation")
     if config.stage == "transr" or table is None:
         table = PathTable.empty(g.n_entities)
     table.check_graph(g, TrainError)
@@ -609,27 +618,18 @@ def train(
             log_fh.flush()
 
     try:
-        emit({"event": "config", **config.as_dict()})
+        ignored = config.ignored(warm_start=init_params is None)
+        emit({"event": "config", **config.as_dict(), "ignored": ignored})
         rng = np.random.default_rng(config.seed)
         t0 = time.perf_counter()
 
-        if config.stage == "transe":
-            if init_params is not None:
-                raise TrainError("stage transe always starts from a fresh init")
-            params = init_transe(g, config, rng, emit)
+        if init_params is not None:
+            params = init_params.copy()
         else:
-            if init_params is None:
-                warm = replace(
-                    config,
-                    lr=config.warm_lr,
-                    margin=config.warm_margin,
-                    epochs=config.warm_epochs,
-                    early_stop=False, checkpoint_every=0,
-                )
-                params = init_transe(g, warm, rng, emit)
-            else:
-                _check_model(g, init_params, config)
-                params = init_params.copy()
+            warm = replace(config, lr=config.warm_lr, epochs=config.warm_epochs,
+                           patience=0, checkpoint_every=0)
+            params = init_transe(g, config if config.stage == "transe" else warm, rng, emit)
+        if config.stage != "transe":
             _fit(g, _fact_paths(g, table), params, config, rng, emit, t0, out)
 
         if out is not None:

@@ -35,7 +35,7 @@ def gap_energy_and_grads(q: np.ndarray, reliability: float):
     return float(reliability * (q @ q)), gp, -gp
 
 
-def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin1: float,
+def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin: float,
                margin2: float, lr: float, warm: bool = False):
     """One projected minibatch step, hinge by hinge, with the corruptions
     given: one (h', r, t') per fact in ``negs`` and one relation per path
@@ -68,7 +68,7 @@ def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin
     for (h, r, t), (h2, _, t2) in zip(facts, negs):
         e_pos, gh, gt, gr, gM = transr_energy_and_grads(start, h, r, t)
         e_neg, gh2, gt2, gr2, gM2 = transr_energy_and_grads(start, h2, r, t2)
-        hinge = margin1 + e_pos - e_neg
+        hinge = margin + e_pos - e_neg
         if hinge > 0:
             loss += hinge
             fact_v += 1

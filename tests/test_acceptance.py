@@ -279,7 +279,7 @@ def test_07_paths_beat_projected_baseline_on_synthetic_kg(tmp_path):
         table = build_path_table(g)
         base = TrainConfig(
             stage="transr", dim_entity=20, dim_relation=20,
-            lr=0.01, margin1=1.0, margin2=0.5, batch_size=100, epochs=40,
+            lr=0.01, margin=1.0, margin2=0.5, batch_size=100, epochs=40,
             seed=seed, warm_lr=0.05, warm_epochs=100,
         )
         warm = init_transe(g, replace(base, stage="transe", lr=0.05, epochs=100))

@@ -353,7 +353,7 @@ class TestVerbs:
 
     @pytest.mark.parametrize("flags, key", [
         (["--checkpoint-every", "2"], "checkpoint_every"),
-        (["--early-stop"], "early_stop"),
+        (["--patience", "2"], "patience"),
     ])
     def test_train_transe_refuses_projected_epoch_options(self, ws, tmp_path, capsys, flags, key):
         # Both act on projected epochs; stage transe runs none, so a run
@@ -370,7 +370,7 @@ class TestVerbs:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not run.exists()
         cfg = tmp_path / "warm.cfg"
-        cfg.write_text(f"stage = transe\n{key} = {'2' if key == 'checkpoint_every' else 'true'}\n")
+        cfg.write_text(f"stage = transe\n{key} = 2\n")
         assert cli.main(["train", "--data", str(ws["data"]), "--config", str(cfg)]) == 1
         # A projected stage keeps them; its warm start runs without them.
         assert cli.main([
@@ -378,6 +378,44 @@ class TestVerbs:
             "--warm-epochs", "1", "--dim-entity", "4", "--dim-relation", "4", *flags,
             "--out", str(run),
         ]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--stage", "transe", "--init", "TRANSE"], "stage transe always starts from a fresh init"),
+        (["--stage", "transr", "--dim-entity", "5", "--dim-relation", "6"],
+         "warm start needs dim_entity == dim_relation"),
+        (["--stage", "transr", "--init", "TRANSE"],  # an 8-dim model, 50-dim config
+         "initial model dimensions disagree with config"),
+    ])
+    def test_train_refuses_a_bad_setup_before_writing(self, ws, tmp_path, capsys, argv, message):
+        run = tmp_path / "run"
+        capsys.readouterr()
+        rc = cli.main([
+            "train", "--data", str(ws["data"]), "--out", str(run),
+            *(str(ws["transe"]) if arg == "TRANSE" else arg for arg in argv),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not run.exists()
+
+    def test_train_notes_the_options_its_stage_ignores(self, ws, tmp_path, capsys):
+        # The fit-T benchmark passes --margin2 to stage transr, which has no
+        # path hinges; an --init model replaces the warm start.
+        dims = ["--dim-entity", "8", "--dim-relation", "8", "--epochs", "1"]
+        capsys.readouterr()
+        assert cli.main([
+            "train", "--data", str(ws["data"]), "--stage", "transr", *dims, "--warm-epochs",
+            "1", "--margin2", "0.5", "--table", str(ws["table"]), "--out", str(tmp_path / "a"),
+        ]) == 0
+        assert capsys.readouterr().err == (
+            "note: stage transr ignores margin2\nnote: stage transr ignores --table\n")
+        assert cli.main([
+            "train", "--data", str(ws["data"]), "--stage", "ptransr", *dims, "--warm-lr", "0.5",
+            "--init", str(ws["transe"]), "--table", str(ws["table"]),
+            "--out", str(tmp_path / "b"),
+        ]) == 0
+        assert capsys.readouterr().err == "note: stage ptransr with --init ignores warm_lr\n"
+        config = json.loads((tmp_path / "b" / "train_log.jsonl").read_text().splitlines()[0])
+        assert config["event"] == "config" and config["ignored"] == ["warm_lr"]
 
     def test_evaluate_reports(self, ws, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -517,18 +555,16 @@ class TestVerbs:
 
 
 # Two non-default values of every TrainConfig field: one set by --config,
-# one by a flag (a boolean flag can only switch its field on).
+# one by a flag.
 FILE_VALUES = dict(
-    stage="transr", dim_entity=5, dim_relation=5, lr=0.5, margin=2.0, margin1=3.0,
+    stage="transr", dim_entity=5, dim_relation=5, lr=0.5, margin=2.0,
     margin2=4.0, batch_size=9, epochs=3, neg_mode="bernoulli", seed=3,
-    lr_decay=True, early_stop=True, patience=4, checkpoint_every=2, warm_lr=0.25,
-    warm_margin=1.5, warm_epochs=2,
+    patience=4, checkpoint_every=2, warm_lr=0.25, warm_epochs=2,
 )
 FLAG_VALUES = dict(
-    stage="ptransr", dim_entity=4, dim_relation=4, lr=0.125, margin=2.5, margin1=3.5,
+    stage="ptransr", dim_entity=4, dim_relation=4, lr=0.125, margin=2.5,
     margin2=0.5, batch_size=11, epochs=2, neg_mode="bernoulli", seed=8,
-    lr_decay=True, early_stop=True, patience=3, checkpoint_every=1, warm_lr=0.75,
-    warm_margin=0.25, warm_epochs=1,
+    patience=3, checkpoint_every=1, warm_lr=0.75, warm_epochs=1,
 )
 
 
@@ -539,8 +575,7 @@ def config_text(values: dict) -> str:
 def flags(values: dict) -> list[str]:
     out = []
     for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        out += [flag] if value is True else [flag, str(value)]
+        out += ["--" + key.replace("_", "-"), str(value)]
     return out
 
 
@@ -561,8 +596,6 @@ class TestTrainFlags:
         cfg.write_text(config_text(FILE_VALUES))
         assert cli.main([*data, "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         assert saved_config(tmp_path / "a") == TrainConfig(**FILE_VALUES)
-        # The file switches the booleans off, and the flags switch them on.
-        cfg.write_text(config_text({**FILE_VALUES, "lr_decay": False, "early_stop": False}))
         assert cli.main([
             *data, "--config", str(cfg), "--table", str(ws["table"]), *flags(FLAG_VALUES),
             "--out", str(tmp_path / "b"),
@@ -581,7 +614,8 @@ class TestTrainFlags:
     @pytest.mark.parametrize("key, value", [
         ("stage", "blah"), ("stage", "TransE"), ("neg_mode", "fancy"),  # unknown choice
         ("epochs", "abc"), ("batch_size", "1.5"),                  # not an integer
-        ("lr", "abc"), ("warm_margin", "1e"),                      # not a number
+        ("lr", "abc"), ("margin", "1e"),                           # not a number
+        ("seed", "-1"),                                            # out of range
     ])
     def test_a_bad_value_ends_in_one_error_line(self, ws, tmp_path, capsys, source, key, value):
         run = tmp_path / "run"
@@ -595,7 +629,10 @@ class TestTrainFlags:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert key in err and repr(value) in err
+        assert key in err
+        # A value that reads as its type is refused by its range, which
+        # names the field but not the text.
+        assert ("seed must be >= 0" if key == "seed" else repr(value)) in err
         assert not run.exists()
 
     @pytest.mark.parametrize("line, message", [
@@ -619,7 +656,7 @@ class TestTrainFlags:
         assert not Path("run").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", ["lr", "warm_lr", "margin", "margin1", "margin2", "warm_margin"])
+    @pytest.mark.parametrize("key", ["lr", "warm_lr", "margin", "margin2"])
     def test_non_finite_hyperparameters_are_refused(self, ws, tmp_path, capsys, key, value):
         # Refused before any epoch runs, not after the warm start.
         run = tmp_path / "run"

@@ -78,14 +78,44 @@ class TestConfig:
             {"dim_entity": 0},
             {"batch_size": 0},
             {"lr": 0.0},
-            {"margin1": 0.0},
+            {"margin": 0.0},
             {"epochs": -1},
-            {"patience": 0},
+            {"patience": -1},  # 0 turns early stopping off
+            {"seed": -1},
+            # A value of another type than the field's default.
+            {"epochs": 1.5},
+            {"batch_size": 2.5},
+            {"seed": 1.5},
+            {"dim_entity": True},
+            {"lr": "0.1"},
         ],
     )
     def test_validate_rejects(self, bad):
-        with pytest.raises(ValueError):
+        (key,) = bad
+        with pytest.raises(ValueError, match=key):
             TrainConfig(**bad).validate()
+
+    def test_every_field_is_read_by_some_stage(self):
+        assert tuple(trainer.STAGE_FIELDS) == trainer.CHOICES["stage"]
+        assert set().union(*trainer.STAGE_FIELDS.values()) == set(TrainConfig().as_dict())
+
+    @pytest.mark.parametrize("stage, warm_start, ignored", [
+        ("transe", True, ["margin2", "warm_lr", "warm_epochs"]),
+        ("transr", True, ["margin2"]),
+        ("transr", False, ["margin2", "warm_lr", "warm_epochs"]),
+        ("ptransr", True, []),
+        ("ptransr", False, ["warm_lr", "warm_epochs"]),
+    ])
+    def test_ignored_fields(self, stage, warm_start, ignored):
+        # Every field away from its stage's default; the int fields take an
+        # int, the float ones an int too.
+        cfg = TrainConfig.defaults_for_stage(stage).with_updates(dict(
+            dim_entity=4, dim_relation=4, lr=1, margin=2, margin2=3, batch_size=5, epochs=6,
+            neg_mode="bernoulli", seed=8, warm_lr=2, warm_epochs=9,
+        ))
+        cfg.validate()
+        assert cfg.ignored(warm_start) == ignored
+        assert TrainConfig.defaults_for_stage(stage).ignored(warm_start) == []
 
     def test_defaults_for_stage(self):
         warm = TrainConfig.defaults_for_stage("transe")
@@ -94,18 +124,18 @@ class TestConfig:
         assert (main.stage, main.lr, main.epochs) == ("ptransr", 0.001, 500)
 
     def test_with_updates_coercion(self):
-        cfg = TrainConfig().with_updates(
-            {"lr": "0.5", "epochs": "7", "lr_decay": "true", "neg_mode": "bernoulli"}
+        cfg = TrainConfig(lr=1).with_updates(
+            {"lr": "0.5", "epochs": "7", "patience": "3", "neg_mode": "bernoulli"}
         )
         assert cfg.lr == 0.5 and cfg.epochs == 7
-        assert cfg.lr_decay is True and cfg.neg_mode == "bernoulli"
+        assert cfg.patience == 3 and cfg.neg_mode == "bernoulli"
         with pytest.raises(ValueError, match="unknown config key"):
             TrainConfig().with_updates({"nope": "1"})
-        with pytest.raises(ValueError, match="boolean"):
-            TrainConfig().with_updates({"lr_decay": "probably"})
+        with pytest.raises(ValueError, match="bad integer for 'patience'"):
+            TrainConfig().with_updates({"patience": "true"})
 
     def test_config_file_roundtrip(self, tmp_path):
-        cfg = tiny_cfg(margin=0.5, neg_mode="bernoulli", lr_decay=True)
+        cfg = tiny_cfg(margin=0.5, neg_mode="bernoulli", patience=3)
         f = tmp_path / "c.txt"
         save_config_file(cfg, f)
         again = TrainConfig().with_updates(load_config_file(f))
@@ -383,16 +413,16 @@ class TestBatchStep:
         params = ModelParams.random(g.n_entities, g.n_relations, 5, 4, rng)
         params.proj *= np.float32(1.6)  # so that the M_r bound bites
         ref = params.copy()
-        cfg = tiny_cfg(stage=stage, margin1=2.0, margin2=1.0, lr=0.05)
+        cfg = tiny_cfg(stage=stage, margin=2.0, margin2=1.0, lr=0.05)
         probs = np.asarray(_head_probs(g, "bernoulli"))
         totals = np.zeros(3, dtype=np.int64)
         for fact in np.array_split(rng.permutation(len(g.train)), 3):
             batch = _draw_batch(g, paths, probs, rng, fact)
             if graph == "runs":
                 assert len(np.unique(batch.pos[:, 1])) >= 20
-            got = _step(params, paths, cfg, cfg.lr, batch)
+            got = _step(params, paths, cfg, batch)
             want = batch_step(ref, table, batch.pos.tolist(), batch.neg.tolist(),
-                              batch.rel2.tolist(), cfg.margin1, cfg.margin2, cfg.lr)
+                              batch.rel2.tolist(), cfg.margin, cfg.margin2, cfg.lr)
             assert got[1:] == want[1:]
             assert got[0] == pytest.approx(want[0], rel=1e-12)
             for ours, theirs in ((params.entity_emb, ref.entity_emb),
@@ -420,7 +450,7 @@ class TestBatchStep:
         chunk_bytes = 256 * 4 * dim * 8
         tracemalloc.start()
         try:
-            _run_epoch(g, paths, params, cfg, rng, probs, cfg.lr, epoch=0)
+            _run_epoch(g, paths, params, cfg, rng, probs, epoch=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -433,8 +463,7 @@ class TestWarmStart:
     ])
     def test_warm_step_matches_reference(self, small_graph, graph, chunk, monkeypatch):
         # The per-fact reference with identity projections and summed
-        # relation rows.  margin1 differs from margin, which the warm start
-        # must use; a chunk of 3 splits relation runs across blocks.
+        # relation rows; a chunk of 3 splits relation runs across blocks.
         monkeypatch.setattr(trainer, "_CHUNK", chunk)
         g = small_graph if graph == "small" else many_runs_graph()
         empty = PathTable.empty(g.n_entities)
@@ -442,13 +471,13 @@ class TestWarmStart:
         params = ModelParams.random(g.n_entities, g.n_relations, 5, 5, rng)
         eye = params.proj.tobytes()
         ref = params.copy()
-        cfg = tiny_cfg(stage="transe", margin=2.0, margin1=0.5, lr=0.05)
+        cfg = tiny_cfg(stage="transe", margin=2.0, lr=0.05)
         probs = np.asarray(_head_probs(g, "bernoulli"))
         fact_v = 0
         for fact in np.array_split(rng.permutation(len(g.train)), 3):
             batch = _draw_batch(g, None, probs, rng, fact)
             assert len(batch.entry) == len(batch.rel2) == 0
-            got = _step(params, None, cfg, cfg.lr, batch)
+            got = _step(params, None, cfg, batch)
             want = batch_step(ref, empty, batch.pos.tolist(), batch.neg.tolist(), [],
                               cfg.margin, cfg.margin2, cfg.lr, warm=True)
             assert got[1:] == want[1:]
@@ -583,13 +612,13 @@ class TestTrain:
         p = ModelParams.random(small_graph.n_entities, small_graph.n_relations, 6, 6,
                                np.random.default_rng(1))
         stats = _run_epoch(small_graph, paths, p.copy(), cfg, np.random.default_rng(2),
-                           probs, cfg.lr, epoch=0)
+                           probs, epoch=0)
         rng = np.random.default_rng(2)
         order = rng.permutation(len(small_graph.train))
         sums = np.zeros(4, dtype=np.int64)
         for start in range(0, len(order), 7):
             batch = _draw_batch(small_graph, paths, np.asarray(probs), rng, order[start:start + 7])
-            _, fact_v, path_v, rescaled = _step(p, paths, cfg, cfg.lr, batch)
+            _, fact_v, path_v, rescaled = _step(p, paths, cfg, batch)
             sums += (fact_v, path_v, rescaled, batch.redraws)
         assert (stats.fact_violations, stats.path_violations, stats.rescaled,
                 stats.redraws) == tuple(sums.tolist())
@@ -602,6 +631,9 @@ class TestTrain:
         stages = {r["stage"] for r in records if "loss" in r}
         assert stages == {"transr"}
         assert not np.array_equal(params.entity_emb, warm.entity_emb)
+        # tiny_cfg's warm_lr and warm_epochs act on no epoch here.
+        assert records[0]["event"] == "config"
+        assert records[0]["ignored"] == ["warm_lr", "warm_epochs"]
 
     def test_init_shape_validation(self, small_graph):
         rng = np.random.default_rng(0)
@@ -667,8 +699,7 @@ class TestTrain:
         # A learning rate below float32 resolution freezes the model, so
         # the validation rank never improves and patience trips at once.
         cfg = tiny_cfg(
-            stage="transr", epochs=10, lr=1e-12, warm_epochs=0,
-            early_stop=True, patience=1,
+            stage="transr", epochs=10, lr=1e-12, warm_epochs=0, patience=1,
         )
         _, records = train(small_graph, None, cfg)
         stops = [r for r in records if r.get("event") == "early_stop"]
@@ -712,7 +743,7 @@ class TestTrain:
 
     def test_early_stop_needs_valid(self):
         g = make_graph(TRI)
-        cfg = tiny_cfg(stage="transr", early_stop=True)
+        cfg = tiny_cfg(stage="transr", patience=5)
         with pytest.raises(TrainError, match="valid"):
             train(g, None, cfg)
 

@@ -51,7 +51,7 @@ g = augment_inverse(load_dataset(d / "train.txt", d / "valid.txt", d / "test.txt
 table, empty = build_path_table(g), PathTable.empty(g.n_entities)
 base = TrainConfig(
     stage="transr", dim_entity=20, dim_relation=20,
-    lr=0.01, margin1=1.0, margin2=0.5, batch_size=100, epochs=40,
+    lr=0.01, margin2=0.5, batch_size=100, epochs=40,
     seed=seed, warm_lr=0.05, warm_epochs=100,
 )
 warm = init_transe(g, replace(base, stage="transe", lr=0.05, epochs=100))
