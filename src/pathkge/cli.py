@@ -91,6 +91,8 @@ class SyntheticKGSpec:
     def validate(self) -> None:
         if self.n_entities < 3:
             raise SynthError("need at least 3 entities to form 2-hop chains")
+        if self.n_entities > 2**31 - 1:
+            raise SynthError(f"at most {2**31 - 1} entities: ids are stored as int32")
         if self.n_relations < 1:
             raise SynthError("need at least 1 relation")
         if not 0.0 <= self.noise_rate < 1.0:
@@ -472,8 +474,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if not Path(args.model).is_file():
         raise ModelError(f"model file not found: {args.model}")
     params = ModelParams.load(args.model)
-    if params.n_entities != g.n_entities or params.n_relations != g.n_relations:
-        raise ModelError("model shape does not match the dataset")
+    params.check_graph(g, ModelError)
     ent_id, rel_id = g.vocab.entity_index, g.vocab.relation_index
 
     # Every argument is checked before anything is printed.
@@ -644,6 +645,9 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -302,9 +302,7 @@ def _queries(
     and band finite: an entry of P e is at most k (3.4e38)^2, about 6e78, so
     a squared norm stays near 1e160.
     """
-    if (params.n_entities, params.n_relations) != (g.n_entities, g.n_relations):
-        raise EvalError(f"model shape ({params.n_entities} entities, {params.n_relations} "
-                        f"relations) does not match the graph ({g.n_entities}, {g.n_relations})")
+    params.check_graph(g, EvalError)
     arrays = (params.entity_emb, params.relation_emb, params.proj)
     if not all(np.isfinite(a).all() for a in arrays):
         raise EvalError("model parameters must be finite")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
@@ -57,19 +57,6 @@ class Vocab(NamedTuple):
     @property
     def n_relations(self) -> int:
         return len(self.relation_names)
-
-
-def _as_triple_array(triples: Sequence, n_entities: int, n_relations: int) -> np.ndarray:
-    arr = np.asarray(triples, dtype=np.int32)
-    if arr.size == 0:
-        return arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise DatasetError("triples must be (n, 3) shaped")
-    if arr[:, [0, 2]].min() < 0 or arr[:, [0, 2]].max() >= n_entities:
-        raise DatasetError("entity id out of range")
-    if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_relations:
-        raise DatasetError("relation id out of range")
-    return arr
 
 
 def _firsts(key: np.ndarray) -> np.ndarray:
@@ -121,39 +108,6 @@ class KnowledgeGraph:
         self.test = test
         self.n_relations_orig = n_relations_orig
         self.augmented = augmented
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_triples(
-        cls,
-        train: Sequence,
-        valid: Sequence = (),
-        test: Sequence = (),
-        n_entities: int | None = None,
-        n_relations: int | None = None,
-        entity_names: Sequence[str] | None = None,
-        relation_names: Sequence[str] | None = None,
-    ) -> "KnowledgeGraph":
-        """Build an un-augmented graph directly from id triples."""
-        rows = [tuple(t) for split in (train, valid, test) for t in split]
-        if n_entities is None:
-            n_entities = 1 + max((max(h, t) for h, _, t in rows), default=-1)
-        if n_relations is None:
-            n_relations = 1 + max((r for _, r, _ in rows), default=-1)
-        if entity_names is None:
-            entity_names = [f"e{i}" for i in range(n_entities)]
-        if relation_names is None:
-            relation_names = [f"r{i}" for i in range(n_relations)]
-        vocab = Vocab.build(entity_names, relation_names)
-        return cls(
-            vocab,
-            _as_triple_array(train, n_entities, n_relations),
-            _as_triple_array(valid, n_entities, n_relations),
-            _as_triple_array(test, n_entities, n_relations),
-            n_relations_orig=n_relations,
-            augmented=False,
-        )
 
     # -- indexes, each built on first use ------------------------------
 

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from pathkge import artifact
-from pathkge.kgdata import _distinct, _firsts
+from pathkge.kgdata import KnowledgeGraph, _distinct, _firsts
 from pathkge.paths import PathTable, expand_spans
 
 # The fields after the magic, in file order, then the arrays after them.
@@ -96,6 +96,12 @@ class ModelParams:
         _normalize_rows(params.entity_emb, np.arange(n_entities))
         _normalize_rows(params.relation_emb, np.arange(n_relations))
         return params
+
+    def check_graph(self, g: KnowledgeGraph, error: type[Exception]) -> None:
+        """Raise ``error`` unless the model has one row per entity and relation of ``g``."""
+        if (self.n_entities, self.n_relations) != (g.n_entities, g.n_relations):
+            raise error(f"model shape ({self.n_entities} entities, {self.n_relations} "
+                        f"relations) does not match the graph ({g.n_entities}, {g.n_relations})")
 
     def copy(self) -> "ModelParams":
         return ModelParams(

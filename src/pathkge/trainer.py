@@ -28,10 +28,11 @@ own fact hinges, and a mean would shrink its step by its count in the
 batch (on acceptance 7's protocol over seeds 1-30 the mean gap fell from
 +3.63 to +2.55 points).  In the projected stages a relation row also
 collects the path hinges that walk through it, dozens of stale gradients
-per batch, so relation rows and projection matrices take the mean of
-theirs.  The step scores the relation-sorted facts and the path hinges
-``_CHUNK`` at a time, each distinct (path, relation) pair of a chunk
-once.  A run is byte-deterministic given its data and seed.
+per batch, so relation rows take the mean of theirs.  M_r takes the
+batch mean of its fact-hinge gradients, once per batch, as every other
+parameter moves.  The step scores the relation-sorted facts and the path
+hinges ``_CHUNK`` at a time, each distinct (path, relation) pair of a
+chunk once.  A run is byte-deterministic given its data and seed.
 """
 
 from __future__ import annotations
@@ -150,8 +151,10 @@ def _check_field(name: str, value) -> None:
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a ``key = value`` config file; '#' starts a comment.  Every key
     must be a config field and every value must read as its type and pass
-    the field's own checks; an error names the file and the line."""
+    the field's own checks, and no key may be given twice; an error names
+    the file and the line."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}  # the line of each key
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -166,7 +169,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
                 _check_field(key, getattr(TrainConfig().with_updates({key: value}), key))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            out[key] = value
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: {key!r} given again (first on line "
+                                 f"{first[key]})")
+            out[key], first[key] = value, lineno
     return out
 
 
@@ -194,8 +200,9 @@ def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
 # -- the minibatch step of both stages ---------------------------------------
 
 # Facts (or path hinges) evaluated at once within a batch.  Each chunk's
-# arrays are O(_CHUNK * dim); only the per-row gradient sums outlive it, so
-# the step's memory does not grow with the batch size.
+# arrays are O(_CHUNK * dim); only the gradient sums, one per parameter row
+# or matrix at most, outlive it, so the step's memory does not grow with
+# the batch size.
 _CHUNK = 256
 
 
@@ -384,12 +391,13 @@ def _step(
 
     Entity rows take the sum of their gradients; a relation row takes the
     mean of its contributions (each hinge term that reaches it), and M_r
-    the mean over the active fact hinges of r.  Then the touched rows are
-    renormalized and each touched M_r is scaled once.  The warm start
-    (stage transe) scores its fact hinges with identity projections,
-    moves relation rows by the sum of their gradients and leaves every
-    M_r as it is.  Returns (loss, fact
-    violations, path violations, matrices rescaled).
+    the mean over the batch's active fact hinges of r, summed over the
+    fact blocks and applied once, before the path hinges (which never
+    read M_r) add to the counts.  Then the touched rows are renormalized
+    and each touched M_r is scaled once.  The warm start (stage transe)
+    scores its fact hinges with identity projections, moves relation rows
+    by the sum of their gradients and leaves every M_r as it is.  Returns
+    (loss, fact violations, path violations, matrices rescaled).
     """
     warm = cfg.stage == "transe"
     ent_g = np.zeros(params.entity_emb.shape)
@@ -399,7 +407,8 @@ def _step(
     bounded: list[np.ndarray] = []  # active facts and corruptions, for the M_r bound
 
     order = np.argsort(b.pos[:, 1], kind="stable")
-    carry = 0.0  # the M_r gradient of a run going on into the next block
+    batch_rels = _distinct(b.pos[:, 1])
+    proj_g = None if warm else np.zeros((len(batch_rels), *params.proj.shape[1:]))
     for c in range(0, len(order), _CHUNK):
         pos, neg = b.pos[order[c : c + _CHUNK]], b.neg[order[c : c + _CHUNK]]
         hinge, on, ids, grads, rels, hits, gr, gM = _fact_block(
@@ -410,16 +419,14 @@ def _step(
         rel_g[rels[hits > 0]] += gr
         rel_n[rels] += hits
         bounded += (pos[on], neg[on])
-        if warm:
-            continue
-        # Only r's own fact hinges read M_r, so updating it once its run
-        # ends equals updating it with the rest at the end of the batch;
-        # rel_n[r] counts them until the path hinges.
-        gM[0] += carry
-        goes_on = c + _CHUNK < len(order) and b.pos[order[c + _CHUNK], 1] == rels[-1]
-        carry = gM[-1] if goes_on else 0.0
-        j = np.flatnonzero(rel_n[rels[: len(rels) - goes_on]])
-        params.proj[rels[j]] -= (cfg.lr * (gM[j] / rel_n[rels[j], None, None])).astype(np.float32)
+        if not warm:  # a block's relations are consecutive among the batch's
+            at = int(np.searchsorted(batch_rels, rels[0]))
+            proj_g[at : at + len(rels)] += gM
+    if not warm:  # rel_n counts only fact hinges until the path hinges; an
+        # M_r with none has an all-zero sum, so it moves by exactly 0.
+        proj_g /= np.maximum(rel_n[batch_rels], 1)[:, None, None]
+        proj_g *= cfg.lr
+        params.proj[batch_rels] -= proj_g.astype(np.float32)
 
     if len(b.entry):
         ev, table, rel = paths.evidence, paths.table, relation_rows(params)
@@ -520,6 +527,26 @@ def _fit(
             break
 
 
+def _check_run(g: KnowledgeGraph, table: PathTable | None, config: TrainConfig,
+               params: ModelParams | None = None) -> None:
+    """Refuse a run that cannot start: an invalid config, a graph without
+    inverses, a table or model of another graph, a model of other
+    dimensions than ``config``, or a warm start (no ``params``) of unequal
+    dimensions."""
+    config.validate()
+    if not g.augmented:
+        raise TrainError("training expects an inverse-augmented graph")
+    if table is not None:
+        table.check_graph(g, TrainError)
+    if params is None:
+        if config.dim_entity != config.dim_relation:
+            raise TrainError("warm start needs dim_entity == dim_relation")
+        return
+    params.check_graph(g, TrainError)
+    if (params.dim_entity, params.dim_relation) != (config.dim_entity, config.dim_relation):
+        raise TrainError("initial model dimensions disagree with config")
+
+
 def init_transe(
     g: KnowledgeGraph,
     config: TrainConfig,
@@ -534,11 +561,7 @@ def init_transe(
     the rows it moved.
     """
     cfg = replace(config, stage="transe")
-    cfg.validate()
-    if not g.augmented:
-        raise TrainError("training expects an inverse-augmented graph")
-    if cfg.dim_entity != cfg.dim_relation:
-        raise TrainError("warm start needs dim_entity == dim_relation")
+    _check_run(g, None, cfg)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     params = ModelParams.random(
@@ -546,15 +569,6 @@ def init_transe(
     )
     _fit(g, None, params, cfg, rng, emit, time.perf_counter(), None)
     return params
-
-
-def _check_model(g: KnowledgeGraph, params: ModelParams, config: TrainConfig) -> None:
-    """Refuse a model of another graph or of other dimensions than ``config``."""
-    if (params.n_entities, params.n_relations) != (g.n_entities, g.n_relations):
-        raise TrainError("initial model shape does not match the graph ({}x{} vs {}x{})".format(
-            params.n_entities, params.n_relations, g.n_entities, g.n_relations))
-    if (params.dim_entity, params.dim_relation) != (config.dim_entity, config.dim_relation):
-        raise TrainError("initial model dimensions disagree with config")
 
 
 def train_epoch_ptransr(
@@ -565,11 +579,9 @@ def train_epoch_ptransr(
     rng: np.random.Generator,
 ) -> EpochStats:
     """One pass over the shuffled train facts under the projected score."""
-    config.validate()
     if config.stage == "transe":
         raise TrainError("train_epoch_ptransr drives the projected stages only")
-    table.check_graph(g, TrainError)
-    _check_model(g, params, config)
+    _check_run(g, table, config, params)
     return _run_epoch(
         g, _fact_paths(g, table), params, config, rng, _head_probs(g, config.neg_mode), epoch=0,
     )
@@ -589,20 +601,13 @@ def train(
     effective config, and a JSON-lines log are persisted there, plus
     periodic checkpoints when ``checkpoint_every`` > 0.
     """
-    config.validate()
-    if not g.augmented:
-        raise TrainError("training expects an inverse-augmented graph")
-    if config.patience > 0 and len(g.valid) == 0:
-        raise TrainError("early stopping needs a non-empty valid split")
-    if init_params is not None:
-        if config.stage == "transe":
-            raise TrainError("stage transe always starts from a fresh init")
-        _check_model(g, init_params, config)
-    elif config.dim_entity != config.dim_relation:
-        raise TrainError("warm start needs dim_entity == dim_relation")
+    if init_params is not None and config.stage == "transe":
+        raise TrainError("stage transe always starts from a fresh init")
     if config.stage == "transr" or table is None:
         table = PathTable.empty(g.n_entities)
-    table.check_graph(g, TrainError)
+    _check_run(g, table, config, init_params)
+    if config.patience > 0 and len(g.valid) == 0:
+        raise TrainError("early stopping needs a non-empty valid split")
 
     out = Path(out_dir) if out_dir is not None else None
     log_fh = None

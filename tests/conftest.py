@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from oracles import path_tuple
-from pathkge.kgdata import KnowledgeGraph, augment_inverse
+from pathkge.kgdata import KnowledgeGraph, Vocab, augment_inverse
 from pathkge.paths import build_path_table
 
 # 0 -r0-> 1 -r1-> 2 -r2-> 3
@@ -28,9 +28,17 @@ def make_graph(
     n_relations=None,
     augment=True,
 ) -> KnowledgeGraph:
-    g = KnowledgeGraph.from_triples(
-        train, valid, test, n_entities=n_entities, n_relations=n_relations
-    )
+    """An id-named graph of the given (h, r, t) splits; the counts default
+    to one past the largest id used."""
+    splits = [np.asarray(s, dtype=np.int32).reshape(-1, 3) for s in (train, valid, test)]
+    every = np.concatenate(splits)
+    if n_entities is None:
+        n_entities = int(every[:, [0, 2]].max(initial=-1)) + 1
+    if n_relations is None:
+        n_relations = int(every[:, 1].max(initial=-1)) + 1
+    vocab = Vocab.build([f"e{i}" for i in range(n_entities)],
+                        [f"r{i}" for i in range(n_relations)])
+    g = KnowledgeGraph(vocab, *splits, n_relations_orig=n_relations)
     return augment_inverse(g) if augment else g
 
 

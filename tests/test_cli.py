@@ -15,7 +15,8 @@ import pytest
 
 from pathkge import cli
 from pathkge.cli import SynthError, SyntheticKGSpec, generate_synthetic_kg
-from pathkge.kgdata import KnowledgeGraph
+from pathkge.evaluator import EvalError, valid_mean_rank
+from pathkge.kgdata import KnowledgeGraph, augment_inverse, load_dataset
 from pathkge.models import ModelParams
 from pathkge.paths import PathTable
 from pathkge.trainer import TrainConfig, load_config_file
@@ -58,6 +59,7 @@ class TestSpecValidation:
             ({"composition_rules": ((0, 1),)}, "must be"),
             ({"composition_rules": ((0, 1, 5),)}, "references"),
             ({"composition_rules": ((0, 1, 2), (2, 0, 1))}, "feed"),
+            ({"n_entities": 2**31}, "at most 2147483647 entities"),  # ids are int32
         ],
     )
     def test_rejects(self, kw, needle):
@@ -643,6 +645,7 @@ class TestTrainFlags:
         ("lr = nan", "lr must be positive and finite, got nan"),
         ("dim_entity = 0", "dim_entity must be >= 1"),
         ("warm_epochs = -1", "warm_epochs must be >= 0"),
+        ("stage = transr", "'stage' given again (first on line 2)"),
     ])
     def test_a_config_file_error_names_the_file_and_line(
         self, ws, tmp_path, monkeypatch, capsys, line, message
@@ -739,6 +742,50 @@ class TestPlumbing:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_model_of_another_graph_is_refused_with_one_message(self, ws, tmp_path, capsys):
+        # train --init, evaluate, inspect and the early-stop probe share one check.
+        data = ws["data"]
+        g = augment_inverse(load_dataset(*(data / name for name in cli.SPLIT_FILES)))
+        n, m = g.n_entities, g.n_relations
+        other = tmp_path / "other.ptrm"
+        ModelParams.random(n + 1, m, 8, 8, np.random.default_rng(0)).save(other)
+        message = (f"model shape ({n + 1} entities, {m} relations) does not match the graph "
+                   f"({n}, {m})")
+        capsys.readouterr()
+        for argv in (
+            ["train", "--stage", "ptransr", "--table", str(ws["table"]), "--init", str(other),
+             "--dim-entity", "8", "--dim-relation", "8", "--out", str(tmp_path / "run")],
+            ["evaluate", "--model", str(other), "--out", str(tmp_path / "eval")],
+            ["inspect", "--model", str(other), "--entity", "e00"],
+        ):
+            assert cli.main([*argv, "--data", str(data)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+        with pytest.raises(EvalError) as info:
+            valid_mean_rank(ModelParams.load(other), g)
+        assert str(info.value) == message
+
+    def test_too_many_entities_end_in_one_error_line(self, tmp_path, capsys):
+        # 10**11 entities used to overflow the pair sampler's int64 codes.
+        out = tmp_path / "kg"
+        capsys.readouterr()
+        assert cli.main(["synth-kg", "--entities", str(10**11), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: at most 2147483647 entities: ids are stored as int32\n")
+        assert not out.exists()
+
+    def test_running_out_of_memory_ends_in_one_error_line(self, ws, monkeypatch, capsys):
+        # As numpy raises it for an array too large to allocate, and bare.
+        for exc in (MemoryError("Unable to allocate 7.28 EiB for an array with shape "
+                                "(100000000000, 100000000000) and data type float64"),
+                    MemoryError()):
+            def load(args, exc=exc):
+                raise exc
+            monkeypatch.setattr(cli, "_load_graph", load)
+            capsys.readouterr()
+            assert cli.main(["prepare", "--data", str(ws["data"])]) == 1
+            assert capsys.readouterr().err == f"error: {str(exc) or 'out of memory'}\n"
 
     def test_table_from_another_dataset_is_refused(self, ws, tmp_path, capsys):
         # Same 20 entities, but 6 relations (12 with inverses) against the

@@ -202,7 +202,7 @@ class TestRankEntities:
     def test_rejects_ids_outside_the_graph(self, triple):
         # A negative id would otherwise index from the end and rank the
         # wrong entity without a word.  The graph's constructor takes id
-        # arrays as given; its id triples are checked by from_triples.
+        # arrays as given.
         g = make_graph([(0, 0, 1)], n_entities=3, n_relations=1)
         bad = KnowledgeGraph(
             g.vocab, g.train, g.valid, np.array([triple], dtype=np.int32),

@@ -177,12 +177,6 @@ class TestIngestion:
         with pytest.raises(DatasetError):
             Vocab.build(["a", "a"], ["r"])
 
-    def test_from_triples_range_checks(self):
-        with pytest.raises(DatasetError):
-            KnowledgeGraph.from_triples([(0, 0, 5)], n_entities=2, n_relations=1)
-        with pytest.raises(DatasetError):
-            KnowledgeGraph.from_triples([(0, 3, 1)], n_entities=2, n_relations=1)
-
     def test_vocab_dumps(self, dataset_dir, tmp_path):
         g = load_dataset(
             dataset_dir / "train.txt",

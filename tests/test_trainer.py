@@ -769,6 +769,18 @@ class TestTrain:
             with pytest.raises(TrainError, match=match):
                 train_epoch_ptransr(small_graph, empty, wrong, tiny_cfg(), rng)
 
+    def test_epoch_driver_refuses_a_graph_without_inverses(self):
+        # With train()'s message; the driver used to run a whole epoch on it.
+        rng = np.random.default_rng(0)
+        plain = make_graph(DIAMOND, augment=False)
+        p = ModelParams.random(plain.n_entities, plain.n_relations, 6, 6, rng)
+        empty = PathTable.empty(plain.n_entities)
+        for run in (lambda: train(plain, empty, tiny_cfg(), init_params=p),
+                    lambda: train_epoch_ptransr(plain, empty, p, tiny_cfg(), rng)):
+            with pytest.raises(TrainError) as info:
+                run()
+            assert str(info.value) == "training expects an inverse-augmented graph"
+
     def test_epoch_driver_runs(self, small_graph):
         rng = np.random.default_rng(0)
         p = ModelParams.random(small_graph.n_entities, small_graph.n_relations, 6, 6, rng)

@@ -13,7 +13,15 @@ and the plain model ranked with the table.  Then it prints the gap's mean,
 sd, standard error, the seeds it loses and its means over blocks of five
 seeds, and every metric's mean.  With ``--parent`` every seed also runs in the parent checkout, and
 each metric's paired difference (checkout minus parent) is printed as
-mean ± standard error.
+mean ± standard error, followed by one ``verdict: PASS`` or ``verdict:
+FAIL`` line.
+
+The rule for a change that re-draws the training stream: each paired
+difference of the gap, of plain and path Hits@10 and of plain and path
+mean rank must lie within two standard errors of 0, or be better (higher
+Hits@10 and gap, lower mean rank).  A FAIL line names each metric that is
+worse by more than that, with its mean ± s.e.  A byte-identical change
+reads +0.0000 ± 0.0000 on every difference and passes.
 
     python3 tools/quality.py CHECKOUT [--parent DIR] --seeds 1-30
 
@@ -108,6 +116,17 @@ def summarize(seeds: list[int], rows: list[dict]) -> None:
                                 for name in COLUMNS))
 
 
+def verdict(diffs: dict[str, list[float]]) -> str:
+    """The docstring's rule over the paired differences, as one line."""
+    failing = []
+    for name in ("gap", "plain_hits10", "path_hits10", "plain_mr", "path_mr"):
+        mean, _, se = mean_se(diffs[name])
+        gain = -mean if name.endswith("_mr") else mean
+        if gain < -2.0 * se:
+            failing.append(f"{name} {mean:+.4f} ± {se:.4f}")
+    return "verdict: " + ("FAIL: " + ", ".join(failing) if failing else "PASS")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path)
@@ -134,10 +153,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\nparent {sides['parent']}")
         summarize(args.seeds, runs["parent"])
         print("\npaired difference, checkout minus parent (mean ± s.e.):")
-        for name in COLUMNS:
-            diffs = [c[name] - p[name] for c, p in zip(runs["checkout"], runs["parent"])]
-            mean, _, se = mean_se(diffs)
+        diffs = {name: [c[name] - p[name] for c, p in zip(runs["checkout"], runs["parent"])]
+                 for name in COLUMNS}
+        for name, values in diffs.items():
+            mean, _, se = mean_se(values)
             print(f"  {name:18s} {mean:+.4f} ± {se:.4f}")
+        print(verdict(diffs))
     return 0
 
 
