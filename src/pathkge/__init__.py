@@ -9,7 +9,6 @@ optional path regularization), then rank entities for link prediction.
 from pathkge.evaluator import (
     EvalError,
     RankReport,
-    RankResult,
     evaluate,
 )
 from pathkge.kgdata import (
@@ -35,7 +34,6 @@ __all__ = [
     "PathError",
     "PathTable",
     "RankReport",
-    "RankResult",
     "SynthError",
     "SyntheticKGSpec",
     "TrainConfig",

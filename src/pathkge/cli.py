@@ -33,7 +33,6 @@ from pathkge.evaluator import (
 )
 from pathkge.kgdata import (
     CATEGORY_LABELS,
-    DEFAULT_CATEGORY_CUTOFF,
     FREQUENCY_BUCKETS,
     DatasetError,
     KnowledgeGraph,
@@ -418,13 +417,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         table = PathTable.empty(g.n_entities)
 
     report = evaluate(params, table, g, split=args.split, rerank_k=args.rerank_k,
-                      tie_policy=args.tie_policy, category_cutoff=args.category_cutoff)
+                      tie_policy=args.tie_policy)
     out = _run_dir(args, "evaluate", 0)
     out.mkdir(parents=True, exist_ok=True)
     config_echo = {
         "model": str(args.model), "table": str(args.table) if args.table else None,
         "split": args.split, "rerank_k": args.rerank_k, "tie_policy": args.tie_policy,
-        "category_cutoff": args.category_cutoff,
     }
     write_report_text(report, out / "report.txt")
     write_report_json(report, out / "report.json", config=config_echo)
@@ -598,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rerank-k", dest="rerank_k", type=int, default=DEFAULT_RERANK_K)
     p.add_argument("--tie-policy", dest="tie_policy",
                    choices=("pessimistic", "mean"), default="pessimistic")
-    p.add_argument("--category-cutoff", dest="category_cutoff", type=float,
-                   default=DEFAULT_CATEGORY_CUTOFF)
     p.add_argument("--out", help="run dir (default runs/evaluate-<stamp>)")
     p.set_defaults(func=cmd_evaluate)
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Literal
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from pathkge.kgdata import (
     CATEGORY_LABELS,
-    DEFAULT_CATEGORY_CUTOFF,
     FREQUENCY_BUCKETS,
     KnowledgeGraph,
     _firsts,
@@ -50,23 +50,11 @@ def _tie_break(less: np.ndarray, ties: np.ndarray, policy: TiePolicy) -> np.ndar
     return less + ties if policy == "pessimistic" else less + (ties + 2) // 2
 
 
-@dataclass(frozen=True)
-class RankResult:
-    """Outcome of ranking one slot of one evaluation fact."""
-
-    index: int
-    slot: str  # "head" or "tail"
-    h: int
-    r: int
-    t: int
-    raw_rank: int
-    filtered_rank: int
-    in_window: bool  # the gold entity was in the stage-1 rerank window
-
-
 @dataclass
 class RankReport:
-    """Aggregate metrics over one split plus the per-instance ranks."""
+    """Aggregate metrics over one split plus the per-instance ranks: row i
+    of ``raw``, ``filtered`` and ``in_window`` holds fact ``facts[i]``'s
+    two slots in ``SLOTS`` order."""
 
     split: str
     tie_policy: str
@@ -81,7 +69,10 @@ class RankReport:
     per_frequency: dict[str, dict[str, float | int]]
     unclassified_instances: int
     window_recall: float  # share of instances with the gold in the rerank window
-    instances: list[RankResult] = field(default_factory=list, repr=False)
+    facts: np.ndarray      # (n, 3) the split's facts
+    raw: np.ndarray        # (n, 2) int64
+    filtered: np.ndarray   # (n, 2) int64
+    in_window: np.ndarray  # (n, 2) bool: the gold was in the stage-1 rerank window
 
     def to_dict(self) -> dict:
         return {
@@ -118,12 +109,21 @@ class _RelationContext:
 
     def __init__(self, params: ModelParams, g: KnowledgeGraph, r: int, ent: np.ndarray) -> None:
         # ent: params.entity_emb in float64, converted once per evaluation
+        self.params, self.ent = params, ent
         self.r, self.r_inv = r, g.inverse_of(r)
         self.proj_fwd = ent @ params.proj[r].astype(np.float64).T
-        self.proj_inv = ent @ params.proj[self.r_inv].astype(np.float64).T
         self.p_sq = np.einsum("ij,ij->i", self.proj_fwd, self.proj_fwd)
         self.rv = params.relation_emb[r].astype(np.float64)
-        self.riv = params.relation_emb[self.r_inv].astype(np.float64)
+
+    # The inverse relation's side, built when a rerank first reads it: the
+    # early-stop probe never does.
+    @cached_property
+    def proj_inv(self) -> np.ndarray:
+        return self.ent @ self.params.proj[self.r_inv].astype(np.float64).T
+
+    @cached_property
+    def riv(self) -> np.ndarray:
+        return self.params.relation_emb[self.r_inv].astype(np.float64)
 
     def stage1(self, slot: str, anchors: np.ndarray, k: int | None) -> _Stage1:
         """Stage 1 of a block of queries (``anchors`` in the other slot):
@@ -388,7 +388,6 @@ def evaluate(
     split: str = "test",
     rerank_k: int = DEFAULT_RERANK_K,
     tie_policy: TiePolicy = "pessimistic",
-    category_cutoff: float = DEFAULT_CATEGORY_CUTOFF,
 ) -> RankReport:
     """Rank both slots of every fact in the split, raw and filtered, and
     aggregate metrics.
@@ -408,8 +407,6 @@ def evaluate(
         raise EvalError(f"rerank_k must be >= 1, got {rerank_k}")
     if tie_policy not in ("pessimistic", "mean"):
         raise EvalError(f"unknown tie policy {tie_policy!r}")
-    if not category_cutoff > 0:  # NaN too
-        raise EvalError(f"category_cutoff must be positive, got {category_cutoff}")
     facts = getattr(g, split)
     if len(facts) == 0:
         raise EvalError(f"cannot evaluate an empty {split} split")
@@ -451,7 +448,7 @@ def evaluate(
 
     # Each fact's relation category and frequency bucket, both -1 where the
     # relation has no train fact.
-    categories, buckets = relation_breakdown(g, category_cutoff)
+    categories, buckets = relation_breakdown(g)
     seen = buckets[rels] >= 0
     cat, bucket = categories[rels][seen], buckets[rels][seen]
     n_cat, n_buckets = len(CATEGORY_LABELS), len(FREQUENCY_BUCKETS)
@@ -471,21 +468,15 @@ def evaluate(
         for label, n, s, m in zip(FREQUENCY_BUCKETS, counts, rank_sums, relations)
     }
 
-    instances = [
-        RankResult(i, slot, h, r, t, *ranks)
-        for i, ((h, r, t), *rows) in enumerate(
-            zip(facts.tolist(), raw.tolist(), filtered.tolist(), in_window.tolist())
-        )
-        for slot, *ranks in zip(SLOTS, *rows)
-    ]
     return RankReport(
         split=split, tie_policy=tie_policy, rerank_k=rerank_k,
-        n_triples=len(facts), n_instances=len(instances),
+        n_triples=len(facts), n_instances=raw.size,
         mean_rank_raw=mean_rank_raw, mean_rank_filter=mean_rank_filter,
         hits10_raw=hits10_raw, hits10_filter=hits10_filter,
         per_category=per_category, per_frequency=per_frequency,
         unclassified_instances=2 * int(np.count_nonzero(~seen)),
-        window_recall=float(in_window.mean()), instances=instances,
+        window_recall=float(in_window.mean()),
+        facts=facts, raw=raw, filtered=filtered, in_window=in_window,
     )
 
 
@@ -550,6 +541,9 @@ def write_ranks_csv(report: RankReport, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["index", "slot", "head", "relation", "tail", "raw_rank", "filtered_rank"])
         writer.writerows(
-            [res.index, res.slot, res.h, res.r, res.t, res.raw_rank, res.filtered_rank]
-            for res in report.instances
+            [i, slot, h, r, t, raw, filtered]
+            for i, ((h, r, t), *ranks) in enumerate(
+                zip(report.facts.tolist(), report.raw.tolist(), report.filtered.tolist())
+            )
+            for slot, raw, filtered in zip(SLOTS, *ranks)
         )

@@ -22,7 +22,7 @@ ColumnOrder = Literal["HRT", "HTR"]
 FREQUENCY_BUCKETS: tuple[str, ...] = ("1-3", "4-15", "16-50", "51-300", ">300")
 _BUCKET_EDGES = (3, 15, 50, 300)  # the largest train count of each bucket but the last
 CATEGORY_LABELS: tuple[str, ...] = ("1-to-1", "1-to-N", "N-to-1", "N-to-N")
-DEFAULT_CATEGORY_CUTOFF = 1.5
+CATEGORY_CUTOFF = 1.5  # TransE's protocol (Bordes et al., 2013): see relation_breakdown
 INVERSE_SUFFIX = "^-1"
 
 
@@ -325,9 +325,7 @@ def relation_cardinality(
     return facts, per_distinct(triples[:, 0]), per_distinct(triples[:, 2])
 
 
-def relation_breakdown(
-    g: KnowledgeGraph, cutoff: float = DEFAULT_CATEGORY_CUTOFF
-) -> tuple[np.ndarray, np.ndarray]:
+def relation_breakdown(g: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
     """Per original relation, the index of its category in ``CATEGORY_LABELS``
     and of its train-frequency bucket in ``FREQUENCY_BUCKETS``, both -1 for
     a relation with no train fact.
@@ -335,12 +333,10 @@ def relation_breakdown(
     hpt is the mean number of heads per (relation, tail) pair and tph the
     mean number of tails per (relation, head) pair, both over the original
     (non-augmented) train facts; a side is "N" when its mean reaches
-    ``cutoff``.
+    ``CATEGORY_CUTOFF``.
     """
-    if not cutoff > 0:  # NaN too
-        raise DatasetError(f"cutoff must be positive, got {cutoff}")
     facts, tph, hpt = relation_cardinality(g.original_train, g.n_relations_orig)
-    category = 2 * (hpt >= cutoff) + (tph >= cutoff)
+    category = 2 * (hpt >= CATEGORY_CUTOFF) + (tph >= CATEGORY_CUTOFF)
     bucket = np.searchsorted(_BUCKET_EDGES, facts)
     category[facts == 0] = bucket[facts == 0] = -1
     return category, bucket

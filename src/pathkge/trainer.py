@@ -68,11 +68,10 @@ STAGE_FIELDS = {"transe": _COMMON, "transr": _PROJECTED, "ptransr": (*_PROJECTED
 # The allowed values of each choice field of TrainConfig.
 CHOICES = {"stage": tuple(STAGE_FIELDS), "neg_mode": ("uniform", "bernoulli")}
 _KINDS = {int: "integer", float: "number"}
-MAX_NEGATIVE_ATTEMPTS = 100
 
 
 class TrainError(RuntimeError):
-    """Training aborted (non-finite loss, exhausted sampling, bad setup)."""
+    """Training aborted (non-finite loss, a fact with no negative, bad setup)."""
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,10 @@ def _draw_negatives(
     With ``head_probs`` None the relation is corrupted.  Otherwise one
     ``rng.random`` per row picks the head when below ``head_probs[r]``,
     else the tail.  A corrupted row that is a train fact (the original
-    among them) is drawn again, rejected rows only, up to
-    ``MAX_NEGATIVE_ATTEMPTS`` draws per row; then the sampler gives up
-    loudly.
+    among them) is drawn again, rejected rows only, in rounds until every
+    row leaves the train set.  Every n rounds, n the number of values of
+    the slot, a row still rejected is refused loudly if every value of its
+    slot makes a train fact; that check draws no random numbers.
     """
     neg = np.array(triples, dtype=np.int64)
     if head_probs is None:
@@ -251,19 +251,22 @@ def _draw_negatives(
         col = np.where(rng.random(len(neg)) < head_probs[neg[:, 1]], 0, 2)
         n = g.n_entities
     pending = np.arange(len(neg))
-    redraws = 0
-    for _ in range(MAX_NEGATIVE_ATTEMPTS):
+    redraws = rounds = 0
+    while len(pending):
         neg[pending, col[pending]] = rng.integers(n, size=len(pending))
         pending = pending[g.train_mask(neg[pending])]
-        if not len(pending):
-            return neg, redraws
         redraws += len(pending)
-    i = int(pending[0])
-    slot = ("head", "relation", "tail")[int(col[i])]
-    raise TrainError(
-        f"could not sample a negative for {tuple(int(x) for x in triples[i])} "
-        f"(slot {slot}) in {MAX_NEGATIVE_ATTEMPTS} attempts"
-    )
+        rounds += 1
+        for i in pending.tolist() if rounds % n == 0 else ():
+            every = np.repeat(neg[i : i + 1], n, axis=0)
+            every[:, col[i]] = np.arange(n)
+            if g.train_mask(every).all():
+                slot = ("head", "relation", "tail")[int(col[i])]
+                raise TrainError(
+                    f"no negative for {tuple(int(x) for x in triples[i])} (slot {slot}): "
+                    "every value makes a train fact"
+                )
+    return neg, redraws
 
 
 class _Batch(NamedTuple):
@@ -308,17 +311,19 @@ def _add_rows(acc: np.ndarray, ids: np.ndarray, grads: np.ndarray) -> None:
 
 
 def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
-                warm: bool = False):
+                gM: np.ndarray | None = None):
     """The hinges ``margin + E(pos) - E(neg)``, E the projected score, of
     facts sorted by relation: (hinges, active, entity ids and gradients,
-    then per relation run its relation, active count, relation gradient
-    and M_r gradient).  A hinge is active unless <= 0 (NaN stays active).
-    A run's active rows U, its facts' residuals then minus their
+    then per relation run its relation, active count and relation
+    gradient), and each run's M_r gradient added into ``gM``, row j for
+    the block's j-th relation.  A hinge is active unless <= 0 (NaN stays
+    active).  A run's active rows U, its facts' residuals then minus their
     corruptions', give heads 2 U M_r, tails minus that, r 2 U summed and
     M_r 2 U^T (h - t), by one product with M_r per run and term.  With
-    ``warm`` every M_r is taken as identity: no product is made, heads
-    get 2 U and the M_r gradient is None."""
+    ``gM`` None (the warm start) every M_r is taken as identity: no
+    product is made and heads get 2 U."""
     k = params.dim_entity
+    warm = gM is None
     first = _firsts(pos[:, 1])
     run, starts = np.cumsum(first) - 1, np.flatnonzero(first)
     rels = pos[starts, 1]
@@ -341,12 +346,10 @@ def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: f
     U = np.concatenate((u[act], -w[act]))[order]
     lo, live, n = 2 * (np.cumsum(hits) - hits), np.flatnonzero(hits), len(U)
     grads = np.empty((2 * n, k))                 # heads, then tails
-    gM = None
     if warm:
         np.multiply(U, 2.0, out=grads[:n])
     else:
         D = (X[act, :2] - X[act, 2:]).transpose(1, 0, 2).reshape(-1, k)[order]
-        gM = np.zeros(Ms.shape)
         for j, s, e in zip(live.tolist(), lo[live].tolist(), (lo + 2 * hits)[live].tolist()):
             grads[s:e] = 2.0 * (U[s:e] @ Ms[j])
             gM[j] += 2.0 * (U[s:e].T @ D[s:e])
@@ -354,7 +357,7 @@ def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: f
     np.negative(grads[:n], out=grads[n:])
     gr = 2.0 * np.add.reduceat(U, lo[live], axis=0)  # of the runs with active hinges
     ids = np.concatenate((pos[act, 0], neg[act, 0], pos[act, 2], neg[act, 2]))
-    return hinge, on, ids[np.concatenate((order, order + n))], grads, rels, hits, gr, gM
+    return hinge, on, ids[np.concatenate((order, order + n))], grads, rels, hits, gr
 
 
 def _path_hinges(rel: np.ndarray, path_rels: np.ndarray, path: np.ndarray, r: np.ndarray,
@@ -411,17 +414,15 @@ def _step(
     proj_g = None if warm else np.zeros((len(batch_rels), *params.proj.shape[1:]))
     for c in range(0, len(order), _CHUNK):
         pos, neg = b.pos[order[c : c + _CHUNK]], b.neg[order[c : c + _CHUNK]]
-        hinge, on, ids, grads, rels, hits, gr, gM = _fact_block(
-            params, pos, neg, cfg.margin, warm)
+        # A block's relations are consecutive among the batch's.
+        gM = None if warm else proj_g[int(np.searchsorted(batch_rels, pos[0, 1])):]
+        hinge, on, ids, grads, rels, hits, gr = _fact_block(params, pos, neg, cfg.margin, gM)
         loss += float(hinge[on].sum())
         fact_v += int(on.sum())
         _add_rows(ent_g, ids, grads)
         rel_g[rels[hits > 0]] += gr
         rel_n[rels] += hits
         bounded += (pos[on], neg[on])
-        if not warm:  # a block's relations are consecutive among the batch's
-            at = int(np.searchsorted(batch_rels, rels[0]))
-            proj_g[at : at + len(rels)] += gM
     if not warm:  # rel_n counts only fact hinges until the path hinges; an
         # M_r with none has an all-zero sum, so it moves by exactly 0.
         proj_g /= np.maximum(rel_n[batch_rels], 1)[:, None, None]
@@ -612,15 +613,24 @@ def train(
     out = Path(out_dir) if out_dir is not None else None
     log_fh = None
     records: list[dict] = []
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        log_fh = open(out / "train_log.jsonl", "w", encoding="utf-8")
+    written = 0
+
+    def flush() -> None:
+        """Write the records not yet in the log, making the run directory
+        first: a run that fails before its first epoch leaves none."""
+        nonlocal log_fh, written
+        if log_fh is None:
+            out.mkdir(parents=True, exist_ok=True)
+            log_fh = open(out / "train_log.jsonl", "w", encoding="utf-8")
+        for record in records[written:]:
+            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+        log_fh.flush()
+        written = len(records)
 
     def emit(record: dict) -> None:
         records.append(record)
-        if log_fh is not None:
-            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            log_fh.flush()
+        if out is not None and (log_fh is not None or "loss" in record):
+            flush()
 
     try:
         ignored = config.ignored(warm_start=init_params is None)
@@ -638,6 +648,7 @@ def train(
             _fit(g, _fact_paths(g, table), params, config, rng, emit, t0, out)
 
         if out is not None:
+            flush()
             params.save(out / "model.ptrm")
             save_config_file(config, out / "config.txt")
         return params, records

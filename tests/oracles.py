@@ -123,14 +123,15 @@ def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin
     return loss, fact_v, path_v, rescaled
 
 
-def sample_negative(g, triple, slots: dict[str, float], rng, max_attempts: int = 100):
+def sample_negative(g, triple, slots: dict[str, float], rng):
     """The trainer's negative sampling, one call at a time.
 
     ``slots`` maps slot names (head, tail, relation) to probabilities.  A
     slot is picked by one uniform draw, made only when there is a choice;
     that slot is then redrawn until the fact differs from the original and
-    is not a train fact.  Returns the corrupted (h, r, t) and how many
-    draws were rejected."""
+    is not a train fact.  After every n rejected draws, n the number of
+    values of the slot, it gives up if every value makes a train fact.
+    Returns the corrupted (h, r, t) and how many draws were rejected."""
     h, r, t = (int(x) for x in triple)
     names = list(slots)
     slot = names[-1]
@@ -143,16 +144,19 @@ def sample_negative(g, triple, slots: dict[str, float], rng, max_attempts: int =
                 slot = name
                 break
     train = {tuple(x) for x in g.train.tolist()}
-    for redraws in range(max_attempts):
-        if slot == "head":
-            cand = (int(rng.integers(g.n_entities)), r, t)
-        elif slot == "tail":
-            cand = (h, r, int(rng.integers(g.n_entities)))
-        else:
-            cand = (h, int(rng.integers(g.n_relations)), t)
+
+    def corrupt(value: int) -> tuple[int, int, int]:
+        return {"head": (value, r, t), "tail": (h, r, value), "relation": (h, value, t)}[slot]
+
+    n = g.n_relations if slot == "relation" else g.n_entities
+    redraws = 0
+    while True:
+        cand = corrupt(int(rng.integers(n)))
         if cand != (h, r, t) and cand not in train:
             return cand, redraws
-    raise ValueError(f"no negative for {(h, r, t)} in {max_attempts} attempts")
+        redraws += 1
+        if redraws % n == 0 and all(corrupt(v) in train for v in range(n)):
+            raise ValueError(f"no negative for {(h, r, t)} (slot {slot})")
 
 
 def read_rows(path, column_order: str = "HRT") -> list[tuple[str, str, str]]:

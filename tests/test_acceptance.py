@@ -24,7 +24,7 @@ from conftest import ACCEPTANCE_LINES, make_graph, mined_flows, random_triples
 from oracles import all_witnessed_paths, full_rank_oracle
 from pathkge import cli
 from pathkge.cli import SyntheticKGSpec, generate_synthetic_kg
-from pathkge.evaluator import evaluate
+from pathkge.evaluator import SLOTS, evaluate
 from pathkge.kgdata import augment_inverse, load_dataset
 from pathkge.models import ModelParams, compose_paths, relation_rows, score_transr
 from pathkge.paths import PathTable, build_path_table
@@ -156,7 +156,9 @@ def test_03_analytic_gradients_match_central_differences():
         pos = np.array([(0, r, 1)])
         neg = np.array([(0, r, 2)] if i % 2 else [(3, r, 1)])
         energy = lambda: score_transr(params, *pos[0]) - score_transr(params, *neg[0])
-        _, on, ids, grads, _, _, (gr,), (gM,) = _fact_block(params, pos, neg, margin=1e6)
+        proj_g = np.zeros((1, d, d))
+        _, on, ids, grads, _, _, (gr,) = _fact_block(params, pos, neg, 1e6, proj_g)
+        (gM,) = proj_g
         ok = bool(on.all())
         grad_ent = summed(params.entity_emb, ids, grads)
         for e in range(4):
@@ -262,10 +264,11 @@ def test_06_windowed_ranking_matches_exhaustive():
     table = build_path_table(g, reliability_floor=0.0)
     params = ModelParams.random(g.n_entities, g.n_relations, 5, 4, rng)
     report = evaluate(params, table, g, split="test", rerank_k=10)
-    ok = report.n_instances == 12
-    for res in report.instances:
-        raw, filt = full_rank_oracle(params, table, g, res.h, res.r, res.t, res.slot)
-        ok = ok and res.raw_rank == raw and res.filtered_rank == filt
+    want = np.array([[full_rank_oracle(params, table, g, h, r, t, slot) for slot in SLOTS]
+                     for h, r, t in g.test.tolist()])
+    ok = (report.n_instances == 12 and np.array_equal(report.facts, g.test)
+          and np.array_equal(report.raw, want[..., 0])
+          and np.array_equal(report.filtered, want[..., 1]))
     record(6, "full-window-vs-exhaustive", ok, "12 instances, raw and filtered")
 
 

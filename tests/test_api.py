@@ -13,7 +13,6 @@ PUBLIC = {
     "PathError",
     "PathTable",
     "RankReport",
-    "RankResult",
     "SynthError",
     "SyntheticKGSpec",
     "TrainConfig",

@@ -787,6 +787,20 @@ class TestPlumbing:
             assert cli.main(["prepare", "--data", str(ws["data"])]) == 1
             assert capsys.readouterr().err == f"error: {str(exc) or 'out of memory'}\n"
 
+    def test_a_train_out_of_memory_leaves_no_run_directory(self, ws, tmp_path, monkeypatch,
+                                                           capsys):
+        # The model is allocated after the config is logged; the log and its
+        # directory wait for the first epoch.
+        def random(*args):
+            raise MemoryError("Unable to allocate 36.4 TiB for an array")
+        monkeypatch.setattr(ModelParams, "random", random)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(ws["data"]), "--stage", "transe",
+                         "--epochs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 36.4 TiB for an array\n"
+        assert not out.exists()
+
     def test_table_from_another_dataset_is_refused(self, ws, tmp_path, capsys):
         # Same 20 entities, but 6 relations (12 with inverses) against the
         # workspace's 3 (6): the table's relation ids run past the dataset.

@@ -104,8 +104,7 @@ class TestTieRank:
         params = ModelParams(ent, rel, np.tile(np.eye(2, dtype=np.float32), (2, 1, 1)))
         g = make_graph([(0, 0, 1)], test=[(0, 0, 1)], n_entities=3, n_relations=1)
         for policy, want in (("pessimistic", 3), ("mean", 2)):
-            res = rank_one(params, g, "tail", rerank_k=3, tie_policy=policy)
-            assert res.raw_rank == res.filtered_rank == want
+            assert rank_one(params, g, "tail", rerank_k=3, tie_policy=policy) == (want, want)
 
     def test_rejects_unknown_policy(self):
         g = make_graph([(0, 0, 1)], test=[(0, 0, 1)], n_entities=3, n_relations=1)
@@ -114,11 +113,21 @@ class TestTieRank:
 
 
 def rank_one(params: ModelParams, g, slot: str, table: PathTable | None = None, **kw):
-    """The ranks of one slot of the graph's single test fact."""
+    """The raw and filtered rank of one slot of the graph's single test fact."""
     table = PathTable.empty(g.n_entities) if table is None else table
     report = evaluate(params, table, g, split="test", **kw)
-    (res,) = (res for res in report.instances if res.slot == slot)
-    return res
+    col = SLOTS.index(slot)
+    return int(report.raw[0, col]), int(report.filtered[0, col])
+
+
+def assert_ranks(report, facts, oracle) -> None:
+    """The report ranks ``facts`` in order, and its rank arrays hold
+    ``oracle(h, r, t, slot)``'s (raw, filtered) or (raw, filtered,
+    in_window) for each fact and slot."""
+    assert np.array_equal(report.facts, facts)
+    want = np.array([[oracle(h, r, t, slot) for slot in SLOTS] for h, r, t in facts.tolist()])
+    got = np.stack((report.raw, report.filtered, report.in_window)[: want.shape[2]], axis=2)
+    assert np.array_equal(got, want)
 
 
 def line_model(n_entities: int) -> ModelParams:
@@ -137,26 +146,23 @@ def line_model(n_entities: int) -> ModelParams:
 class TestRankEntities:
     def test_gold_inside_window(self):
         g = make_graph([(3, 0, 0)], test=[(1, 0, 0)], n_entities=6, n_relations=1)
-        res = rank_one(line_model(6), g, "head", rerank_k=2)
-        assert res.raw_rank == 2
-        assert res.filtered_rank == 2
+        assert rank_one(line_model(6), g, "head", rerank_k=2) == (2, 2)
 
     def test_gold_outside_window_keeps_stage1_order(self):
         g = make_graph([(3, 0, 0)], test=[(3, 0, 0)], n_entities=6, n_relations=1)
-        res = rank_one(line_model(6), g, "head", rerank_k=2)
+        raw, _ = rank_one(line_model(6), g, "head", rerank_k=2)
         # stage 1 window holds entities 0 and 1; among the rest the gold
         # (distance 3) is beaten only by entity 2.
-        assert res.raw_rank == 4
-        assert rank_one(line_model(6), g, "head", rerank_k=6).raw_rank == 4
+        assert raw == 4
+        assert rank_one(line_model(6), g, "head", rerank_k=6)[0] == 4
 
     def test_filter_drops_known_competitors(self):
         # Entities 1 and 2 beat the gold head 3 but form known facts.
         train = [(3, 0, 0), (1, 0, 0)]
         valid = [(2, 0, 0)]
         g = make_graph(train, valid=valid, test=[(3, 0, 0)], n_entities=6, n_relations=1)
-        res = rank_one(line_model(6), g, "head", rerank_k=6)
-        assert res.raw_rank == 4
-        assert res.filtered_rank == 2  # only entity 0 still beats it
+        # Only entity 0 still beats it filtered.
+        assert rank_one(line_model(6), g, "head", rerank_k=6) == (4, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_exhaustive_oracle(self, seed):
@@ -173,11 +179,9 @@ class TestRankEntities:
         params = ModelParams.random(g.n_entities, g.n_relations, 4, 3, rng)
         report = evaluate(params, table, g, split="test", rerank_k=g.n_entities)
         assert report.n_instances == 6
-        for res in report.instances:
-            raw, filt = full_rank_oracle(params, table, g, res.h, res.r, res.t, res.slot)
-            assert res.raw_rank == raw
-            assert res.filtered_rank == filt
-            assert res.filtered_rank <= res.raw_rank
+        assert_ranks(report, g.test,
+                     lambda h, r, t, slot: full_rank_oracle(params, table, g, h, r, t, slot))
+        assert (report.filtered <= report.raw).all()
 
     def test_argument_validation(self):
         g = make_graph([(0, 0, 1)], test=[(0, 0, 1)], n_entities=3, n_relations=1)
@@ -278,11 +282,8 @@ class TestWindowedRanking:
         k = max(1, {"1": 1, "n//2": n_ent // 2, "n-1": n_ent - 1, "n": n_ent,
                     "n+3": n_ent + 3}[k_rule])
         report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
-        for res in report.instances:
-            raw, filt, in_window = windowed_rank_oracle(
-                params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
-            )
-            assert (res.raw_rank, res.filtered_rank, res.in_window) == (raw, filt, in_window)
+        assert_ranks(report, g.test, lambda h, r, t, slot: windowed_rank_oracle(
+            params, table, g, h, r, t, slot, k, tie_policy))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -312,14 +313,11 @@ class TestWindowedRanking:
         params.entity_emb[rng.integers(n_ent, size=n_ent)] = params.entity_emb[0]
         k = max(1, {"1": 1, "n//2": n_ent // 2, "n": n_ent}[k_rule])
         report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
-        queries = {(res.r, res.slot, res.t if res.slot == "head" else res.h)
-                   for res in report.instances}
+        queries = {(r, slot, t if slot == "head" else h)
+                   for h, r, t in report.facts.tolist() for slot in SLOTS}
         assert len(queries) < report.n_instances
-        for res in report.instances:
-            raw, filt, in_window = windowed_rank_oracle(
-                params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
-            )
-            assert (res.raw_rank, res.filtered_rank, res.in_window) == (raw, filt, in_window)
+        assert_ranks(report, g.test, lambda h, r, t, slot: windowed_rank_oracle(
+            params, table, g, h, r, t, slot, k, tie_policy))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -342,11 +340,8 @@ class TestWindowedRanking:
         k = max(1, {"1": 1, "n//2": n_ent // 2, "n-1": n_ent - 1, "n": n_ent}[k_rule])
         table = PathTable.empty(n_ent)
         report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
-        for res in report.instances:
-            raw, filt, in_window = windowed_rank_oracle(
-                params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
-            )
-            assert (res.raw_rank, res.filtered_rank, res.in_window) == (raw, filt, in_window)
+        assert_ranks(report, g.test, lambda h, r, t, slot: windowed_rank_oracle(
+            params, table, g, h, r, t, slot, k, tie_policy))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from([1.0, 2.0**8, 2.0**16]), st.integers(2, 40))
@@ -542,11 +537,8 @@ class TestWindowedRanking:
             if per_block is not None:
                 mp.setattr(evaluator, "_BLOCK_BYTES", 8 * n_ent * per_block)
             report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
-        for res in report.instances:
-            raw, filt, in_window = windowed_rank_oracle(
-                params, table, g, res.h, res.r, res.t, res.slot, k, tie_policy
-            )
-            assert (res.raw_rank, res.filtered_rank, res.in_window) == (raw, filt, in_window)
+        assert_ranks(report, g.test, lambda h, r, t, slot: windowed_rank_oracle(
+            params, table, g, h, r, t, slot, k, tie_policy))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from([1.0, 2.0**8, 2.0**16]),
@@ -572,6 +564,25 @@ class TestWindowedRanking:
             if per_block is not None:
                 mp.setattr(evaluator, "_BLOCK_BYTES", 8 * n_ent * per_block)
             assert valid_mean_rank(params, g) == float(np.mean(ranks))
+
+
+    def test_probe_builds_no_inverse_projection(self, monkeypatch):
+        # The probe ranks by stage 1 alone; only a rerank reads the inverse
+        # relation's projection and vector.
+        g, table, params = path_graph(3)
+        made = []
+
+        class Spy(_RelationContext):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(evaluator, "_RelationContext", Spy)
+        valid_mean_rank(params, g)
+        assert made and not any({"proj_inv", "riv"} & set(vars(ctx)) for ctx in made)
+        made.clear()
+        evaluate(params, table, g, split="valid")
+        assert made and all({"proj_inv", "riv"} <= set(vars(ctx)) for ctx in made)
 
 
 def path_graph(seed: int):
@@ -615,7 +626,8 @@ class TestRerankPathTerms:
                     scores[ctx.r, slot, anchor] = (window.tobytes(), row.tobytes())
             reports = [evaluate(params, table, g, split=split, rerank_k=k)
                        for split in ("valid", "test")]
-            return scores, [(rep.to_dict(), rep.instances) for rep in reports]
+            return scores, [(rep.to_dict(), rep.raw.tolist(), rep.filtered.tolist(),
+                             rep.in_window.tolist()) for rep in reports]
 
         default = run()
         with pytest.MonkeyPatch.context() as mp:
@@ -709,7 +721,7 @@ class TestEvaluate:
         assert report.tie_policy == "mean"
         assert report.mean_rank_raw == 1.0
 
-    def test_instances_sorted_by_index_then_slot(self):
+    def test_instances_sorted_by_index_then_slot(self, tmp_path):
         rng = np.random.default_rng(3)
         triples, n_ent, n_rel = random_triples(rng)
         test = [
@@ -719,9 +731,15 @@ class TestEvaluate:
         g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
         params = ModelParams.random(g.n_entities, g.n_relations, 3, 3, rng)
         report = evaluate(params, PathTable.empty(n_ent), g, split="test", rerank_k=2)
-        keys = [(res.index, res.slot) for res in report.instances]
-        assert keys == sorted(keys)
-        assert keys == [(i, s) for i in range(4) for s in ("head", "tail")]
+        assert np.array_equal(report.facts, g.test)
+        write_ranks_csv(report, tmp_path / "ranks.csv")
+        with open(tmp_path / "ranks.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(int(row[0]), row[1]) for row in rows] == [
+            (i, s) for i in range(4) for s in ("head", "tail")]
+        assert [[int(x) for x in row[2:]] for row in rows] == [
+            [*fact, report.raw[i, c], report.filtered[i, c]]
+            for i, fact in enumerate(test) for c in range(2)]
 
     def test_window_recall(self):
         rng = np.random.default_rng(4)
@@ -735,12 +753,12 @@ class TestEvaluate:
         params = ModelParams.random(g.n_entities, g.n_relations, 4, 4, rng)
         full = evaluate(params, table, g, split="test", rerank_k=n_ent)
         assert full.window_recall == 1.0
-        assert all(res.in_window for res in full.instances)
+        assert full.in_window.all()
         # A window of one holds stage 1's best candidate; the gold reaches
         # raw rank 1 exactly when it is that candidate.
         top1 = evaluate(params, table, g, split="test", rerank_k=1)
-        hits = [res.raw_rank == 1 for res in top1.instances]
-        assert [res.in_window for res in top1.instances] == hits
+        hits = top1.raw == 1
+        assert np.array_equal(top1.in_window, hits)
         assert top1.window_recall == pytest.approx(np.mean(hits))
         assert 0.0 < top1.window_recall < 1.0
 
@@ -769,16 +787,18 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="finite"):
             evaluate(params, PathTable.empty(6), g, split="test", rerank_k=rerank_k)
 
+    # The table cases keep their earlier ids.
     @pytest.mark.parametrize("bad,match", [
         ({"tie_policy": "optimistic"}, "tie policy"),
-        ({"category_cutoff": 0.0}, "category_cutoff"),
-        ({"category_cutoff": float("nan")}, "category_cutoff"),
-        ({"table": PathTable.empty(5)}, "path table covers 5 entities"),
+        pytest.param({"table": PathTable.empty(5)}, "path table covers 5 entities",
+                     id="bad3-path table covers 5 entities"),
         # Mined with a second relation, the table's ids 2 and 3 would select
         # models.relation_rows' padding row of this 1-relation graph, or run
         # past it.
-        ({"table": build_path_table(make_graph([(0, 0, 1), (1, 1, 2)], n_entities=4))},
-         "relation ids of 4 relations but the graph has 2"),
+        pytest.param(
+            {"table": build_path_table(make_graph([(0, 0, 1), (1, 1, 2)], n_entities=4))},
+            "relation ids of 4 relations but the graph has 2",
+            id="bad4-relation ids of 4 relations but the graph has 2"),
     ])
     def test_bad_arguments_are_refused_before_ranking(self, monkeypatch, bad, match):
         params, g = perfect_model()

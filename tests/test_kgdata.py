@@ -14,7 +14,7 @@ from oracles import known_index, read_rows
 from oracles import relation_cardinality as cardinality_oracle
 from pathkge.kgdata import (
     CATEGORY_LABELS,
-    DEFAULT_CATEGORY_CUTOFF,
+    CATEGORY_CUTOFF,
     FREQUENCY_BUCKETS,
     DatasetError,
     KnowledgeGraph,
@@ -349,11 +349,6 @@ class TestRelationStats:
         assert hpt[1] == pytest.approx(1.0)
         assert hpt[2] == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
-    def test_cutoff_must_be_positive(self, cutoff):
-        with pytest.raises(DatasetError, match="cutoff must be positive"):
-            relation_breakdown(self.graph(), cutoff)
-
     def test_category_uses_train_only(self):
         # Relation 4 occurs in valid only: it gets an entry, but no category.
         category, bucket = relation_breakdown(self.graph())
@@ -376,7 +371,7 @@ class TestRelationStats:
         facts, tph, hpt = (
             np.array(a) for a in cardinality_oracle(g.original_train.tolist(), n_rel + 1)
         )
-        want = 2 * (hpt >= DEFAULT_CATEGORY_CUTOFF) + (tph >= DEFAULT_CATEGORY_CUTOFF)
+        want = 2 * (hpt >= CATEGORY_CUTOFF) + (tph >= CATEGORY_CUTOFF)
         want[facts == 0] = -1
         assert relation_breakdown(g)[0].tolist() == want.tolist()
 

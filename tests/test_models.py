@@ -241,11 +241,11 @@ class TestScores:
         for _ in range(5):
             p = grid_params(rng, 4, 2, 4, 4)
             p.proj[:] = np.eye(4, dtype=np.float32)
-            warm = _fact_block(p, pos, neg, margin=1e6, warm=True)
-            assert warm[-1] is None
-            for ours, projected in zip(warm[:-1], _fact_block(p, pos, neg, margin=1e6)):
-                np.testing.assert_array_equal(ours, projected)
-            _, on, ids, grads, rels, _, gr, _ = warm
+            warm = _fact_block(p, pos, neg, margin=1e6)
+            projected = _fact_block(p, pos, neg, 1e6, np.zeros((2, 4, 4)))
+            for ours, theirs in zip(warm, projected, strict=True):
+                np.testing.assert_array_equal(ours, theirs)
+            _, on, ids, grads, rels, _, gr = warm
             assert on.all()
             ent = np.zeros((4, 4))
             _add_rows(ent, ids, grads)

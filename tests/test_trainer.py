@@ -22,7 +22,6 @@ from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelError, ModelParams
 from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import (
-    MAX_NEGATIVE_ATTEMPTS,
     EpochStats,
     TrainConfig,
     TrainError,
@@ -157,12 +156,6 @@ def batch_draws(g: KnowledgeGraph, rng, head_probs, facts=None):
     return _draw_negatives(g, np.asarray(facts, dtype=np.int64), np.asarray(head_probs), rng)
 
 
-def exhausted(fact, slot: str) -> str:
-    return re.escape(
-        f"could not sample a negative for {fact} (slot {slot}) in {MAX_NEGATIVE_ATTEMPTS} attempts"
-    )
-
-
 class TestNegativeSampling:
     def test_slot_respected(self, small_graph):
         # u < 1.0 always picks the head, u < 0.0 never does.
@@ -187,7 +180,8 @@ class TestNegativeSampling:
         train = [(h, 0, t) for h in range(2) for t in range(2)]
         g = make_graph(train, n_entities=2, n_relations=1, augment=False)
         slot = "head" if np.random.default_rng(3).random() < 0.5 else "tail"
-        with pytest.raises(TrainError, match=exhausted((0, 0, 1), slot)):
+        refused = f"no negative for (0, 0, 1) (slot {slot}): every value makes a train fact"
+        with pytest.raises(TrainError, match=re.escape(refused)):
             batch_draws(g, np.random.default_rng(3), [0.5], [(0, 0, 1)])
 
     def test_deterministic_given_rng(self, small_graph):
@@ -219,11 +213,25 @@ class TestNegativeSampling:
         assert ours.bit_generator.state == ref.bit_generator.state
         assert ours.random() == ref.random()
 
-    def test_training_on_a_saturated_graph_exhausts(self):
+    def test_training_on_a_saturated_graph_exhausts(self, tmp_path):
+        # Refused in the first warm-start batch, so no run directory is made.
         g = make_graph([(h, 0, t) for h in range(2) for t in range(2)], n_entities=2,
                        n_relations=1)
-        with pytest.raises(TrainError, match="attempts"):
-            train(g, None, tiny_cfg(stage="transr", warm_epochs=1))
+        with pytest.raises(TrainError, match="every value makes a train fact"):
+            train(g, None, tiny_cfg(stage="transr", warm_epochs=1), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_a_dense_graph_trains_at_every_seed(self, seed):
+        # Entity 0 is linked by relation 0 to the 49 others, so a tail
+        # corruption of (0, 0, t) leaves the train set only as (0, 0, 0):
+        # it takes 50 draws on average, and more than 100 one time in eight.
+        facts = [(0, 0, t) for t in range(1, 50)] + [(e, 1, e + 1) for e in range(1, 49)]
+        g = make_graph(facts, n_entities=50, n_relations=2)
+        cfg = TrainConfig.defaults_for_stage("transe").with_updates(
+            {"epochs": 5, "batch_size": 10, "neg_mode": "bernoulli", "seed": seed})
+        _, records = train(g, None, cfg)
+        assert sum("loss" in rec for rec in records) == 5
 
     def test_bernoulli_head_probability(self):
         g = make_graph([(0, 0, 1), (0, 0, 2)], n_entities=3, n_relations=1,
@@ -262,23 +270,27 @@ class _Held:
 def numpy_draws(rng, held: _Held, facts, head_probs):
     """The batch sampler's stream through numpy's scalar calls: one
     ``random()`` per fact for the slot, then rounds of one ``integers(n)``
-    per fact whose corruption is still held, until none is."""
+    per fact whose corruption is still held, until none is.  After every n
+    rounds each held fact, in order, asks for all n values of its slot and
+    is refused if all are held."""
+    n = held.n_entities
     heads = [rng.random() < head_probs[r] for _, r, _ in facts]
     rows = [list(fact) for fact in facts]
-    pending, redraws = list(range(len(rows))), 0
-    for _ in range(MAX_NEGATIVE_ATTEMPTS):
+    pending, redraws, rounds = list(range(len(rows))), 0, 0
+    while pending:
         for i in pending:
-            rows[i][0 if heads[i] else 2] = int(rng.integers(held.n_entities))
+            rows[i][0 if heads[i] else 2] = int(rng.integers(n))
         mask = held.train_mask(np.array([rows[i] for i in pending]).reshape(-1, 3))
         pending = [i for i, held_row in zip(pending, mask.tolist()) if held_row]
-        if not pending:
-            return rows, redraws
         redraws += len(pending)
-    i = pending[0]
-    raise TrainError(
-        f"could not sample a negative for {tuple(facts[i])} "
-        f"(slot {'head' if heads[i] else 'tail'}) in {MAX_NEGATIVE_ATTEMPTS} attempts"
-    )
+        rounds += 1
+        for i in pending if rounds % n == 0 else ():
+            col = 0 if heads[i] else 2
+            every = [rows[i][:col] + [v] + rows[i][col + 1:] for v in range(n)]
+            if held.train_mask(np.array(every)).all():
+                raise TrainError(f"no negative for {tuple(facts[i])} (slot "
+                                 f"{('head', 'tail')[col // 2]}): every value makes a train fact")
+    return rows, redraws
 
 
 class TestWarmDraws:
@@ -303,8 +315,12 @@ class TestWarmDraws:
                                    min_size=1, max_size=40))
         probs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
                                    min_size=n_rel, max_size=n_rel))
-        ours_held = _Held(n, n_rel, lambda key: key % 3 < reject)
-        ref_held = _Held(n, n_rel, lambda key: key % 3 < reject)
+        # Held by a multiplicative hash, not by key % 3: a head's keys step by
+        # n_rel * n, a multiple of 3 at n = 2**31 + 1, so every head of a
+        # held fact would be held, and the sampler checks a slot's n values
+        # only every n rounds.  Small n still saturate some slots.
+        rule = lambda key: key * 2654435761 % 2**32 % 3 < reject  # noqa: E731
+        ours_held, ref_held = _Held(n, n_rel, rule), _Held(n, n_rel, rule)
         try:
             want = numpy_draws(ref, ref_held, facts, probs)
         except TrainError as exc:  # every candidate of some fact is held
@@ -319,13 +335,14 @@ class TestWarmDraws:
 
     def test_one_entity_graph_exhausts(self):
         # numpy's integers(1) takes no bits and gives 0: every corruption is
-        # the fact itself, so the first fact exhausts its attempts.
+        # the fact itself, so the first fact is refused after one round.
         g = make_graph([(0, 0, 0)], n_entities=1, n_relations=1)
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
         assert rng.integers(1) == 0 and rng.bit_generator.state == state
         slot = "head" if rng.random() < 0.5 else "tail"
-        with pytest.raises(TrainError, match=exhausted((0, 0, 0), slot)):
+        refused = f"no negative for (0, 0, 0) (slot {slot}): every value makes a train fact"
+        with pytest.raises(TrainError, match=re.escape(refused)):
             batch_draws(g, np.random.default_rng(2), [0.5, 0.5])
 
 
@@ -361,7 +378,7 @@ class TestBatchSampler:
     def test_saturated_graph_exhausts(self):
         train = [(h, 0, t) for h in range(2) for t in range(2)]
         g = make_graph(train, n_entities=2, n_relations=1, augment=False)
-        with pytest.raises(TrainError, match="attempts"):
+        with pytest.raises(TrainError, match="every value makes a train fact"):
             _draw_negatives(g, g.train.astype(np.int64), np.array([0.5]),
                             np.random.default_rng(3))
 
