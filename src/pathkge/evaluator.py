@@ -7,6 +7,13 @@ re-scored by the full model applied in both directions, i.e. the score of
 (e, r, t) plus the score of (t, r^-1, e).  Candidates outside the rerank
 window keep their first-stage order below the window.
 
+Scores come from matrix products, certified by a rounding band: only the
+comparisons the band cannot decide use the one-query-at-a-time reference
+expression.  A window of every entity is never scored whole: each entity
+is ranked by its full score from the products of both directions plus the
+path terms, and only a gold and the entities inside its band get their
+reference full score.
+
 Every instance gets both ranks: the raw rank counts every candidate, the
 filtered rank drops candidates that form a known-true fact (the gold
 entity is never dropped).
@@ -122,68 +129,81 @@ class _RelationContext:
         return self.ent @ self.params.proj[self.r_inv].astype(np.float64).T
 
     @cached_property
+    def p_sq_inv(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.proj_inv, self.proj_inv)
+
+    @cached_property
     def riv(self) -> np.ndarray:
         return self.params.relation_emb[self.r_inv].astype(np.float64)
 
     def stage1(self, slot: str, anchors: np.ndarray, k: int | None) -> _Stage1:
         """Stage 1 of a block of queries (``anchors`` in the other slot):
         each query's window, its first ``k`` entities by (reference score
-        of :func:`_exact`, entity id), none if ``k`` is None.
+        of :func:`_exact`, entity id), an empty one if ``k`` is None.  ``k``
+        is at most the entity count: a window that holds every entity is
+        :func:`_whole`'s.
 
         The block is scored as ||c||^2 + ||p_e||^2 - 2 c.p_e with one
         matrix product, within ``band`` of the reference.  Only entities at
         or below ``edge`` get their reference score: every other entity
         scores strictly above the k-th best in both forms."""
-        proj = self.proj_fwd
-        n, d = proj.shape
-        # The reference scores (P[a] + r) - p_e for a tail and
-        # p_e + (r - P[a]), the same bits negated, for a head.
-        c = proj[anchors] + self.rv if slot == "tail" else -(self.rv - proj[anchors])
+        c = _points(self.proj_fwd, self.rv, anchors, slot == "tail")
+        c_sq, band = _band(c, self.p_sq)
+        scores = _gemm_scores(c, self.proj_fwd, c_sq, self.p_sq)
         queries = np.arange(len(c))
-        if k is not None and k >= n:  # every entity needs its exact score
-            return _Stage1(c, proj, None, _exact(c, proj, queries))
-        # Each form is within gamma_{d+3} (||c|| + ||p_e||)^2 of the exact
-        # distance, plus underflow; the band doubles the sum of both.
-        gamma = (d + 4) * _U / (1 - (d + 4) * _U)
-        c_sq, p_sq = np.einsum("ij,ij->i", c, c), self.p_sq
-        scores = _gemm_scores(c, proj, c_sq, p_sq)
-        band = 4 * gamma * (np.sqrt(c_sq) + np.sqrt(p_sq.max())) ** 2 + np.finfo(np.float64).tiny
         if k is None:
-            return _Stage1(c, proj, queries[:, None][:, :0], np.zeros((len(c), 0)), scores, band)
+            return _Stage1(c, self.proj_fwd, queries[:, None][:, :0], np.zeros((len(c), 0)),
+                           scores, band)
         # The k-th value moves by at most band from GEMM to reference,
         # and each score too: the window lies at or below edge.
         edge = np.partition(scores, k - 1, axis=1)[:, k - 1] + 2 * band
         q, e = np.nonzero(scores <= edge[:, None])
-        val = _exact(c, proj, q, e[:, None])[:, 0]
+        val = _exact(c, self.proj_fwd, q, e[:, None])[:, 0]
         # Each query has k candidates or more, and its window is their first k.
         take = np.lexsort((e, val, q))[np.searchsorted(q, queries)[:, None] + np.arange(k)]
-        return _Stage1(c, proj, e[take], val[take], scores, band)
+        return _Stage1(c, self.proj_fwd, e[take], val[take], scores, band)
 
 
 class _Stage1:
-    """Stage 1 of a block of queries: each query's window ``win[i]``
-    (every entity, in id order, if None) and its reference scores
-    ``val[i]``.  Unless the window holds every entity, the GEMM ``scores``
-    and their ``band`` decide the rest: an entity further than 2 * band
-    from a gold's GEMM value is further than band from its reference
-    score, so it compares with the gold as its GEMM value does."""
+    """Stage 1 of a block of queries: each query's window ``win[i]`` and
+    the window's scores ``val[i]``, its reference scores until the rerank
+    makes them full scores.  The GEMM ``scores`` and their ``band`` decide
+    the rest: an entity further than 2 * band from a gold's GEMM value is
+    further than band from its reference score (:meth:`ref`), so it
+    compares with the gold as its GEMM value does."""
 
-    def __init__(self, c, proj, win, val, scores=None, band=None) -> None:
+    # A window of every entity (:func:`_whole`) sets ``full`` to its
+    # inverse query points and projection and its path terms: (c_inv,
+    # proj_inv, term positions ending in a sentinel, terms).
+    full = None
+
+    def __init__(self, c, proj, win, val, scores, band) -> None:
         self.c, self.proj, self.win, self.val = c, proj, win, val
         self.scores, self.band = scores, band
-        if win is not None:
-            keys = (np.arange(len(win))[:, None] * len(proj) + win).ravel()
-            order = np.argsort(keys)
-            # A sentinel past every key keeps each search in range.
-            self._keys = np.append(keys[order], np.iinfo(np.int64).max)
-            self._order = np.append(order, 0)
+        keys = (np.arange(len(win))[:, None] * len(proj) + win).ravel()
+        order = np.argsort(keys)
+        # A sentinel past every key keeps each search in range.
+        self._keys = np.append(keys[order], np.iinfo(np.int64).max)
+        self._order = np.append(order, 0)
+
+    def ref(self, q: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """The reference score of entity e[i] for query q[i]: with ``full``,
+        its full score as the rerank adds it up, (forward + inverse) +
+        (0.0 + t_fwd + t_inv), the last sum only where a term exists."""
+        val = _exact(self.c, self.proj, q, e[:, None])[:, 0]
+        if self.full is not None:
+            c_inv, proj_inv, pos, terms = self.full
+            val += _exact(c_inv, proj_inv, q, e[:, None])[:, 0]
+            key = q * len(self.proj) + e
+            i = np.searchsorted(pos, key)
+            hit = pos[i] == key
+            val[hit] += terms[i[hit]]
+        return val
 
     def find(self, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whether entity e[i] is in the window of query q[i], and where in
         ``val`` flattened (meaningless where it is not)."""
         key = q * len(self.proj) + e
-        if self.win is None:
-            return np.ones(len(key), dtype=bool), key
         i = np.searchsorted(self._keys, key)
         return self._keys[i] == key, self._order[i]
 
@@ -201,11 +221,11 @@ class _Stage1:
         s = self.scores[q, e]
         x = np.where(s < lo, -np.inf, np.inf)
         near = ~(s < lo) & (s <= hi)
-        x[near] = _exact(self.c, self.proj, q[near], e[near, None])[:, 0]
+        x[near] = self.ref(q[near], e[near])
         return x
 
     def counts(
-        self, val: np.ndarray, q: np.ndarray, golds: np.ndarray
+        self, q: np.ndarray, golds: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Each gold's count of better candidates and of its tie group (the
         gold included), whether it is in its query's window and the score
@@ -216,14 +236,13 @@ class _Stage1:
         less, ties = np.zeros((2, len(q)), dtype=np.int64)
         gval = np.empty(len(q))
         ins, out = np.flatnonzero(inside), np.flatnonzero(~inside)
-        gval[ins] = val.reshape(-1)[pos[ins]]
-        for s in _chunks(len(ins), val[0].nbytes):
-            rows, x = val[q[ins[s]]], gval[ins[s], None]
+        gval[ins] = self.val.reshape(-1)[pos[ins]]
+        for s in _chunks(len(ins), self.val[0].nbytes):
+            rows, x = self.val[q[ins[s]]], gval[ins[s], None]
             less[ins[s]] = np.count_nonzero(rows < x, axis=1)
             ties[ins[s]] = np.count_nonzero(rows == x, axis=1)
         if len(out):
             q, golds = q[out], golds[out]
-            gval[out] = x = self.decide(q, golds, golds)
             lo, hi = self._bands(q, golds)
             below, near = np.empty(len(q), dtype=np.int64), []
             for s in _chunks(len(q), self.scores[0].nbytes):
@@ -234,17 +253,22 @@ class _Stage1:
                 i, e = np.nonzero(~low & (rows <= hi[s, None]))
                 near.append((i + s.start, e))
             i, e = (np.concatenate(col) for col in zip(*near))
-            ref = self.decide(q[i], e, golds[i])
+            # Each gold is in its own band, so its score is among these.
+            ref, own = self.ref(q[i], e), e == golds[i]
+            x = np.empty(len(q))
+            x[i[own]] = ref[own]
+            gval[out] = x
             less[out] = self.win.shape[1] + below + np.bincount(i[ref < x[i]], minlength=len(q))
             ties[out] = np.bincount(i[ref == x[i]], minlength=len(q))
         return less, ties, inside, gval
 
-    def versus(self, val: np.ndarray, q: np.ndarray, e: np.ndarray, golds: np.ndarray,
+    def versus(self, q: np.ndarray, e: np.ndarray, golds: np.ndarray,
                gold_in: np.ndarray, gval: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whether entity e[i] ranks above the gold golds[i] of query q[i]
         (in its window or not, compared by gval[i]), and whether it ties."""
         e_in, pos = self.find(q, e)
-        ev = val.reshape(-1)[pos]
+        ev = np.zeros(len(q))
+        ev[e_in] = self.val.reshape(-1)[pos[e_in]]
         out = ~e_in & ~gold_in
         if out.any():
             ev[out] = self.decide(q[out], e[out], golds[out])
@@ -252,17 +276,32 @@ class _Stage1:
         return (e_in & ~gold_in) | (same & (ev < gval)), same & (ev == gval)
 
 
-def _exact(
-    c: np.ndarray, proj: np.ndarray, q: np.ndarray, ents: np.ndarray | None = None
-) -> np.ndarray:
+def _points(proj: np.ndarray, rv: np.ndarray, anchors: np.ndarray, heads: bool) -> np.ndarray:
+    """The query points c of the reference's ||c - p_e||^2: (P[a] + r) - p_e
+    for anchors that are heads, and p_e + (r - P[a]), the same bits
+    negated, for tails."""
+    return proj[anchors] + rv if heads else -(rv - proj[anchors])
+
+
+def _band(c: np.ndarray, p_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each query point's ||c||^2 and band, 4 gamma_{d+4} (||c|| +
+    max ||p_e||)^2: the GEMM form and the reference are each within
+    gamma_{d+3} (||c|| + ||p_e||)^2 of the exact distance, plus underflow,
+    and the band doubles the sum of both."""
+    m = c.shape[1] + 4
+    c_sq = np.einsum("ij,ij->i", c, c)
+    reach = (np.sqrt(c_sq) + np.sqrt(p_sq.max())) ** 2
+    return c_sq, 4 * (m * _U / (1 - m * _U)) * reach + np.finfo(np.float64).tiny
+
+
+def _exact(c: np.ndarray, proj: np.ndarray, q: np.ndarray, ents: np.ndarray) -> np.ndarray:
     """||c[q[i]] - p_e||^2 by the reference expression for each entity e
-    of ``ents[i]`` (every entity if None): a (len(q), m) array computed in
-    chunks of rows of about _TERM_BYTES, each value the same bits as in
-    the whole reference row."""
-    m = len(proj) if ents is None else ents.shape[1]
-    out = np.empty((len(q), m))
-    for rows in _chunks(len(q), 8 * m * proj.shape[1]):
-        out[rows] = _sq_norms(c[q[rows], None, :] - (proj if ents is None else proj[ents[rows]]))
+    of ``ents[i]``: a (len(q), m) array computed in chunks of rows of
+    about _TERM_BYTES, each value the same bits as in the whole reference
+    row."""
+    out = np.empty(ents.shape)
+    for rows in _chunks(len(q), 8 * ents.shape[1] * proj.shape[1]):
+        out[rows] = _sq_norms(c[q[rows], None, :] - proj[ents[rows]])
     return out
 
 
@@ -321,48 +360,109 @@ def _queries(
                 yield ctx, slot, anchors[lo:lo + step], q[a:b] - lo, facts[block, gold_col], block
 
 
+def _path_terms(
+    params: ModelParams, table: PathTable, ctx: _RelationContext, slot: str,
+    anchors: np.ndarray, find,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The path terms of a block's window entities: their positions,
+    distinct and ascending, and 0.0 + forward term + inverse term at each.
+
+    A head query scores (e, r, a) and (a, r^-1, e), a tail query (a, r, e)
+    and (e, r^-1, a).  Only the entities that share a stored pair with the
+    anchor get terms, all in one batch, cut into chunks of about
+    _TERM_BYTES: any other has two terms of 0.0, as path_score_terms gives,
+    and each score plus 0.0 is that score.  ``find(q, e)`` tells whether
+    entity e[i] is in query q[i]'s window and where.
+    """
+    parts = []
+    for r, heads in ((ctx.r, slot == "head"), (ctx.r_inv, slot == "tail")):
+        query, e = table.partners(anchors, heads)
+        inside, pos = find(query, e)
+        e, a = e[inside], anchors[query[inside]]
+        h, t = (e, a) if heads else (a, e)
+        parts.append((pos[inside], h, np.full(len(e), r), t))
+    pos, h, r, t = (np.concatenate(col) for col in zip(*parts))
+    terms = np.empty(len(h))
+    # A chunk takes the triples whose first stored entry falls in the
+    # same run of ``budget`` entries, so it holds fewer than budget
+    # entries before its last triple.
+    lo, hi = table.pair_spans(h, t)
+    budget = max(1, _TERM_BYTES // (8 * params.dim_relation))
+    cuts = np.flatnonzero(_firsts((np.cumsum(hi - lo) - (hi - lo)) // budget)).tolist()
+    for c in map(slice, cuts, cuts[1:] + [len(h)]):
+        terms[c] = path_score_terms(params, table, h[c], r[c], t[c])
+    # The forward terms come first: each sum is 0.0 + forward + inverse.
+    pos, owner = np.unique(pos, return_inverse=True)
+    return pos, np.bincount(owner, weights=terms, minlength=len(pos))
+
+
 def _rerank(
     params: ModelParams, table: PathTable, ctx: _RelationContext, slot: str,
     anchors: np.ndarray, st: _Stage1,
-) -> np.ndarray:
-    """The full scores of each window entity of a block: its stage-1
-    score plus the inverse triple's, plus both triples' path terms.
-
-    A head query scores (e, r, a) and (a, r^-1, e), a tail query (a, r, e)
-    and (e, r^-1, a).  Only the window entities that share a stored pair
-    with the anchor get path terms, all in one batch, cut into chunks of
-    about _TERM_BYTES: any other has two terms of 0.0, as path_score_terms
-    gives, and each score plus 0.0 is that score.
+) -> _Stage1:
+    """Stage 1 with the full scores of each window entity as ``val``: its
+    stage-1 score plus the inverse triple's, plus both triples' path terms
+    (:func:`_path_terms`).  Windows narrower than the graph only: the
+    inverse reference scores are computed for the window's rows.
     """
-    # (t, r^-1, e) for a head, (e, r^-1, h) for a tail, as in stage 1.
-    a_inv = ctx.proj_inv[anchors]
-    c_inv = a_inv + ctx.riv if slot == "head" else -(ctx.riv - a_inv)
+    c_inv = _points(ctx.proj_inv, ctx.riv, anchors, slot == "head")
     val = st.val + _exact(c_inv, ctx.proj_inv, np.arange(len(anchors)), st.win)
     if table.n_entries:
-        parts = []
-        for r, heads in ((ctx.r, slot == "head"), (ctx.r_inv, slot == "tail")):
-            query, e = table.partners(anchors, heads)
-            inside, pos = st.find(query, e)
-            e, a = e[inside], anchors[query[inside]]
-            h, t = (e, a) if heads else (a, e)
-            parts.append((pos[inside], h, np.full(len(e), r), t))
-        pos, h, r, t = (np.concatenate(col) for col in zip(*parts))
-        terms = np.empty(len(h))
-        # A chunk takes the triples whose first stored entry falls in the
-        # same run of ``budget`` entries, so it holds fewer than budget
-        # entries before its last triple.
-        lo, hi = table.pair_spans(h, t)
-        budget = max(1, _TERM_BYTES // (8 * params.dim_relation))
-        cuts = np.flatnonzero(_firsts((np.cumsum(hi - lo) - (hi - lo)) // budget)).tolist()
-        for c in map(slice, cuts, cuts[1:] + [len(h)]):
-            terms[c] = path_score_terms(params, table, h[c], r[c], t[c])
-        # The forward terms come first: each sum is 0.0 + forward + inverse.
-        pos, owner = np.unique(pos, return_inverse=True)
-        val.reshape(-1)[pos] += np.bincount(owner, weights=terms, minlength=len(pos))
+        pos, terms = _path_terms(params, table, ctx, slot, anchors, st.find)
+        val.reshape(-1)[pos] += terms
     # Finite table flows can still scale a path term past float64's range.
     if not np.isfinite(val).all():
         raise EvalError("scores must be finite")
-    return val
+    st.val = val
+    return st
+
+
+def _whole(
+    params: ModelParams, table: PathTable, ctx: _RelationContext, slot: str,
+    anchors: np.ndarray,
+) -> _Stage1:
+    """A block ranked with a window that holds every entity: every entity
+    by its full score, as :func:`_rerank` adds it up, from two certified
+    matrix products and the block's path terms.
+
+    The forward product gets the inverse one added in place, chunk by
+    chunk, then each entity's path terms: S = fl(fl(g_f + g_i) + T),
+    where the reference is fl(fl(f + i) + T) with the same T.  Each
+    direction's band is twice the bound on |g - reference| and
+    4 gamma_{d+4} R, R = (||c|| + max ||p_e||)^2 its reach, which bounds
+    every distance and product value (to first order).  The first
+    addition rounds each side by at most u (R_f + R_i), the second by at
+    most u |S| / (1 - u) on one side and that plus the first gap on the
+    other.  So |S - reference| stays within band_f + band_i +
+    4 u (R_f + R_i + max_e |S|), and as 4 u R is at most a fifth of its
+    band, within the block's band, 2 (band_f + band_i) + 4 u max_e |S|.
+    Only the golds and the entities within a gold's band get their
+    reference (:meth:`_Stage1.ref` with ``full``).  The window is empty:
+    every entity compares with a gold as stage 1 compares the entities
+    outside a window.
+    """
+    fwd = ctx.stage1(slot, anchors, None)
+    c_inv = _points(ctx.proj_inv, ctx.riv, anchors, slot == "head")
+    scores, n = fwd.scores, len(ctx.proj_inv)
+    i_sq, band_inv = _band(c_inv, ctx.p_sq_inv)
+    for rows in _chunks(len(c_inv), scores[0].nbytes):
+        scores[rows] += _gemm_scores(c_inv[rows], ctx.proj_inv, i_sq[rows], ctx.p_sq_inv)
+    pos, terms = np.zeros(0, dtype=np.int64), np.zeros(0)
+    if table.n_entries:
+        def every(q, e):  # each entity is in the window, at its own column
+            return np.ones(len(q), dtype=bool), q * n + e
+
+        pos, terms = _path_terms(params, table, ctx, slot, anchors, every)
+        scores.reshape(-1)[pos] += terms
+    top = np.maximum(scores.max(axis=1), -scores.min(axis=1))
+    band = 2 * (fwd.band + band_inv) + 4 * _U * top
+    # Finite table flows can still scale a path term past float64's range;
+    # with 2 |S| + band finite, every reference score is finite too.
+    if not np.isfinite(2 * top + band).all():
+        raise EvalError("scores must be finite")
+    fwd.band = band
+    fwd.full = c_inv, ctx.proj_inv, np.append(pos, np.iinfo(np.int64).max), terms
+    return fwd
 
 
 def valid_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
@@ -372,8 +472,7 @@ def valid_mean_rank(params: ModelParams, g: KnowledgeGraph) -> float:
         raise EvalError("cannot evaluate an empty valid split")
     ranks: list[np.ndarray] = []
     for ctx, slot, anchors, q, golds, _ in _queries(params, g, g.valid):
-        st = ctx.stage1(slot, anchors, None)
-        less, ties, _, _ = st.counts(st.val, q, golds)
+        less, ties, _, _ = ctx.stage1(slot, anchors, None).counts(q, golds)
         ranks.append(less + ties)  # pessimistic
     return float(np.mean(np.concatenate(ranks)))
 
@@ -421,16 +520,19 @@ def evaluate(
     raw = np.zeros((len(facts), 2), dtype=np.int64)
     filtered = np.zeros_like(raw)
     in_window = np.zeros(raw.shape, dtype=bool)
+    whole = rerank_k >= g.n_entities
     for ctx, slot, anchors, q, golds, rows in _queries(params, g, facts):
-        st = ctx.stage1(slot, anchors, rerank_k)
-        val = _rerank(params, table, ctx, slot, anchors, st)
-        less, ties, inside, gval = st.counts(val, q, golds)
+        if whole:
+            st = _whole(params, table, ctx, slot, anchors)
+        else:
+            st = _rerank(params, table, ctx, slot, anchors, ctx.stage1(slot, anchors, rerank_k))
+        less, ties, inside, gval = st.counts(q, golds)
         # Take out what the known entities counted, except each gold's own tie.
         known, lo, hi = g.known_spans(anchors, ctx.r_inv if slot == "head" else ctx.r)
         owner, index = expand_spans(lo[q], hi[q])
         keep = known[index] != golds[owner]
         owner, e = owner[keep], known[index[keep]]
-        above, tied = st.versus(val, q[owner], e, golds[owner], inside[owner], gval[owner])
+        above, tied = st.versus(q[owner], e, golds[owner], inside[owner], gval[owner])
         col = SLOTS.index(slot)
         raw[rows, col] = _tie_break(less, ties, tie_policy)
         filtered[rows, col] = _tie_break(
@@ -438,7 +540,7 @@ def evaluate(
             ties - np.bincount(owner[tied], minlength=len(q)),
             tie_policy,
         )
-        in_window[rows, col] = inside
+        in_window[rows, col] = inside | whole
 
     mean_rank_raw, mean_rank_filter = float(raw.mean()), float(filtered.mean())
     hits10_raw, hits10_filter = (float((x <= HITS_CUTOFF).mean() * 100.0) for x in (raw, filtered))

@@ -223,6 +223,16 @@ class PathTable:
             raise PathError(f"{path}: pair_keys not strictly increasing")
         if head.n_pairs and not 0 <= int(keys[0]) <= int(keys[-1]) < head.n_entities**2:
             raise PathError(f"{path}: pair_keys outside the {head.n_entities} entities' pairs")
+        # A relatedness is a joint flow over a support that adds the same
+        # rows and more, so it is at most 1.  A flow adds one product of two
+        # shares 1/deg per middle entity, and its rounding can carry it past
+        # 1 (nine shares of 1/9 sum to 1 + 2**-52): at most
+        # (1 + u)^3 (1 + gamma_{n-1}) for n entities, below 1 + (n + 4) u.
+        for name, top in (("entry_v", 1.0 + (head.n_entities + 4) * 2.0**-53),
+                          ("relat_val", 1.0)):
+            values = arrays[name]
+            if not ((values > 0.0) & (values <= top)).all():
+                raise PathError(f"{path}: {name} outside (0, {top!r}]")
         return cls(n_entities=head.n_entities, n_relations=head.n_relations,
                    reliability_floor=head.floor, cap=head.cap, **arrays)
 

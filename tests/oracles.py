@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from pathkge.kgdata import KnowledgeGraph, _firsts
-from pathkge.models import ModelParams, score_ptransr, score_transr
+from pathkge.models import ModelParams, path_score_terms, score_ptransr, score_transr
 from pathkge.paths import PathTable, expand_spans
 
 
@@ -492,6 +492,50 @@ def windowed_rank_oracle(
         return above + (less + ties if tie_policy == "pessimistic" else less + (ties + 2) // 2)
 
     return rank(list(range(n))), rank([e for e in range(n) if e not in drop]), gold in s2
+
+
+def full_score_row(params: ModelParams, table: PathTable, g, r: int, slot: str,
+                   anchor: int) -> np.ndarray:
+    """Every entity's full score as a candidate for ``slot`` of relation r
+    with ``anchor`` in the other slot, by the dense route: both
+    directions' reference rows whole, and the path terms of every
+    candidate triple, added up as the rerank does, (forward + inverse) +
+    ((0.0 + forward term) + inverse term)."""
+    ent = params.entity_emb.astype(np.float64)
+    r_inv = g.inverse_of(r)
+    P, Pi = (ent @ params.proj[x].astype(np.float64).T for x in (r, r_inv))
+    rv, riv = (params.relation_emb[x].astype(np.float64) for x in (r, r_inv))
+    e = np.arange(g.n_entities)
+    a = np.full(len(e), anchor)
+    if slot == "head":  # (e, r, a) and (a, r^-1, e)
+        fwd = np.square(P + (rv - P[anchor])).sum(axis=1)
+        inv = np.square((Pi[anchor] + riv) - Pi).sum(axis=1)
+        t_fwd = path_score_terms(params, table, e, np.full(len(e), r), a)
+        t_inv = path_score_terms(params, table, a, np.full(len(e), r_inv), e)
+    else:  # (a, r, e) and (e, r^-1, a)
+        fwd = np.square((P[anchor] + rv) - P).sum(axis=1)
+        inv = np.square(Pi + (riv - Pi[anchor])).sum(axis=1)
+        t_fwd = path_score_terms(params, table, a, np.full(len(e), r), e)
+        t_inv = path_score_terms(params, table, e, np.full(len(e), r_inv), a)
+    return (fwd + inv) + ((0.0 + t_fwd) + t_inv)
+
+
+def whole_window_ranks(params: ModelParams, table: PathTable, g, h: int, r: int, t: int,
+                       slot: str, tie_policy: str = "pessimistic") -> tuple[int, int, bool]:
+    """The (raw, filtered) ranks of the gold of one slot of (h, r, t) when
+    the window holds every entity, from its query's dense row of full
+    scores, and whether it was in the window (always)."""
+    anchor, gold = (t, h) if slot == "head" else (h, t)
+    scores = full_score_row(params, table, g, r, slot, anchor)
+    known = g.known_heads(r, t) if slot == "head" else g.known_tails(h, r)
+    drop = set(int(e) for e in known) - {gold}
+    kept = scores[[e for e in range(g.n_entities) if e not in drop]]
+
+    def rank(row: np.ndarray) -> int:
+        less, ties = int((row < scores[gold]).sum()), int((row == scores[gold]).sum())
+        return less + ties if tie_policy == "pessimistic" else less + (ties + 2) // 2
+
+    return rank(scores), rank(kept), True
 
 
 def validation_mean_rank(params: ModelParams, g) -> float:

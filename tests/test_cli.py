@@ -826,6 +826,27 @@ class TestPlumbing:
             assert err.startswith("error: path table uses relation ids")
             assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", [("entry_v", -1.0), ("entry_v", 1e300),
+                                             ("relat_val", -5.0)])
+    def test_a_table_value_mining_never_writes_is_refused(self, ws, tmp_path, capsys, field,
+                                                          value):
+        table = PathTable.load(ws["table"])
+        getattr(table, field)[:] = value
+        bad = tmp_path / "bad.ptbl"
+        table.save(bad)
+        top = "1.0" if field == "relat_val" else "1.0000000000000027"  # 20 entities
+        capsys.readouterr()
+        for argv in (
+            ["evaluate", "--model", str(ws["model"]), "--rerank-k", "5",
+             "--out", str(tmp_path / "eval")],
+            ["train", "--stage", "ptransr", "--init", str(ws["transe"]), "--dim-entity", "8",
+             "--dim-relation", "8", "--epochs", "1", "--out", str(tmp_path / "run")],
+            ["inspect", "--model", str(ws["model"]), "--entity", "e00"],
+        ):
+            assert cli.main([*argv, "--data", str(ws["data"]), "--table", str(bad)]) == 1
+            assert capsys.readouterr().err == f"error: {bad}: {field} outside (0, {top}]\n"
+        assert not (tmp_path / "eval").exists() and not (tmp_path / "run").exists()
+
     def refuses_old_table(self, ws, tmp_path, capsys, version: int, blob: bytes) -> None:
         old = tmp_path / f"v{version}.ptbl"
         old.write_bytes(blob)

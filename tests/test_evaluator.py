@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from collections import Counter
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_triples
-from oracles import full_rank_oracle, windowed_rank_oracle
+from oracles import full_rank_oracle, full_score_row, whole_window_ranks, windowed_rank_oracle
 from pathkge import evaluator
 from pathkge.evaluator import (
     SLOTS,
@@ -23,6 +24,7 @@ from pathkge.evaluator import (
     _rerank,
     _sq_norms,
     _tie_break,
+    _whole,
     evaluate,
     valid_mean_rank,
     write_ranks_csv,
@@ -319,14 +321,20 @@ class TestWindowedRanking:
         assert_ranks(report, g.test, lambda h, r, t, slot: windowed_rank_oracle(
             params, table, g, h, r, t, slot, k, tie_policy))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         st.integers(0, 10**9),
         st.sampled_from([1.0, 2.0**8, 2.0**16]),
-        st.sampled_from(["1", "n//2", "n-1", "n"]),
+        st.sampled_from(["1", "n//2", "n-1", "n", "n+3"]),
         st.sampled_from(["pessimistic", "mean"]),
+        st.booleans(),
+        st.booleans(),
     )
-    def test_certified_stage1_at_near_ties(self, seed, big, k_rule, tie_policy):
+    def test_certified_stage1_at_near_ties(self, seed, big, k_rule, tie_policy, with_table,
+                                           tiny):
+        # A window of every entity against the dense route's rows, with and
+        # without path terms; any window with blocks of one query and chunks
+        # of one stored entry.
         rng = np.random.default_rng(seed)
         triples, n_ent, n_rel = random_triples(
             rng, max_entities=12, max_relations=2, max_edges=16
@@ -337,19 +345,34 @@ class TestWindowedRanking:
         ]
         g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
         params = near_tie_model(rng, g.n_entities, g.n_relations, big)
-        k = max(1, {"1": 1, "n//2": n_ent // 2, "n-1": n_ent - 1, "n": n_ent}[k_rule])
-        table = PathTable.empty(n_ent)
-        report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
-        assert_ranks(report, g.test, lambda h, r, t, slot: windowed_rank_oracle(
-            params, table, g, h, r, t, slot, k, tie_policy))
+        k = max(1, {"1": 1, "n//2": n_ent // 2, "n-1": n_ent - 1, "n": n_ent,
+                    "n+3": n_ent + 3}[k_rule])
+        table = build_path_table(g, reliability_floor=0.0) if with_table else PathTable.empty(n_ent)
+        with pytest.MonkeyPatch.context() as mp:
+            if tiny:
+                mp.setattr(evaluator, "_BLOCK_BYTES", 8 * n_ent)
+                mp.setattr(evaluator, "_TERM_BYTES", 1)
+            report = evaluate(params, table, g, split="test", rerank_k=k, tie_policy=tie_policy)
+        if k >= n_ent:
+            assert_ranks(report, g.test, lambda h, r, t, slot: whole_window_ranks(
+                params, table, g, h, r, t, slot, tie_policy))
+        else:
+            assert_ranks(report, g.test, lambda h, r, t, slot: windowed_rank_oracle(
+                params, table, g, h, r, t, slot, k, tie_policy))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**9), st.sampled_from([1.0, 2.0**8, 2.0**16]), st.integers(2, 40))
-    def test_certified_rows_decide_like_the_reference(self, seed, big, n):
+    @given(st.integers(0, 10**9), st.sampled_from([1.0, 2.0**8, 2.0**16]), st.integers(2, 40),
+           st.booleans())
+    def test_certified_rows_decide_like_the_reference(self, seed, big, n, with_table):
         # Every decision stage 1 feeds the ranking: the window of each k and,
-        # for each gold, which entities score below it and which tie.
+        # for each gold, which entities score below it and which tie.  A
+        # window of every entity is the full scores' empty window: each
+        # decision as by the dense full-score rows, and its reference the
+        # bits of those rows.
         rng = np.random.default_rng(seed)
-        g = make_graph([(0, 0, 1)], n_entities=n, n_relations=1)
+        triples, _, _ = random_triples(rng, max_entities=n, max_relations=2, max_edges=3 * n)
+        g = make_graph(triples, n_entities=n, n_relations=2)
+        table = build_path_table(g, reliability_floor=0.0) if with_table else PathTable.empty(n)
         params = near_tie_model(rng, n, g.n_relations, big)
         ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
         anchors = np.arange(n)
@@ -357,17 +380,17 @@ class TestWindowedRanking:
         golds = rng.integers(n, size=len(q))
         for slot in ("head", "tail"):
             refs = [reference_stage1(ctx, anchor, slot) for anchor in anchors]
-            for k in {None, 1, n // 2, n - 1, n}:
-                st = ctx.stage1(slot, anchors, k)
-                if k == n:  # no GEMM: the reference rows themselves
-                    assert st.win is None
-                    assert st.val.tobytes() == np.array(refs).tobytes()
-                    continue
+            full = np.array([full_score_row(params, table, g, 0, slot, a) for a in anchors])
+            stages = [(k, refs, ctx.stage1(slot, anchors, k)) for k in {None, 1, n // 2, n - 1, n}]
+            whole = _whole(params, table, ctx, slot, anchors)
+            pairs = np.divmod(np.arange(n * n), n)
+            assert whole.ref(*pairs).tobytes() == full.tobytes()
+            for k, refs, st in stages + [(None, full, whole)]:
                 for window, val, ref in zip(st.win, st.val, refs, strict=True):
                     assert window.tolist() == np.argsort(ref, kind="stable")[:k or 0].tolist()
                     # The rerank adds to these scores: the reference bits.
                     assert val.tobytes() == ref[window].tobytes()
-                less, ties, inside, gval = st.counts(st.val, q, golds)
+                less, ties, inside, gval = st.counts(q, golds)
                 for i, (query, gold) in enumerate(zip(q, golds)):
                     # Window entities rank above the rest, by stage 1 on each side.
                     ref, e_in = refs[query], np.isin(anchors, st.win[query])
@@ -376,31 +399,35 @@ class TestWindowedRanking:
                     tied = same & (ref == ref[gold])
                     assert inside[i] == e_in[gold]
                     assert (less[i], ties[i]) == (above.sum(), tied.sum())
-                    if k is not None:
-                        got = st.versus(st.val, np.full(n, query), anchors, np.full(n, gold),
-                                        np.full(n, inside[i]), np.full(n, gval[i]))
-                        assert np.array_equal(got[0], above) and np.array_equal(got[1], tied)
+                    got = st.versus(np.full(n, query), anchors, np.full(n, gold),
+                                    np.full(n, inside[i]), np.full(n, gval[i]))
+                    assert np.array_equal(got[0], above) and np.array_equal(got[1], tied)
 
-    def test_full_window_skips_the_gemm(self, monkeypatch):
+    def test_full_window_scores_few_references(self, monkeypatch):
+        # A window of every entity ranks from the two products: the reference
+        # expression scores the golds and their bands' entities, not whole rows.
         rng = np.random.default_rng(6)
-        triples, n_ent, n_rel = random_triples(rng, max_entities=8, max_relations=2)
-        test = [(0, 0, 1), (1, 0, 0), (2, 0, 1)]
-        g = make_graph(triples, test=test, n_entities=n_ent + 3, n_relations=n_rel)
-        params = ModelParams.random(g.n_entities, g.n_relations, 3, 3, rng)
-        gemm = evaluator._gemm_scores
-        calls = []
+        triples, n_ent, n_rel = random_triples(rng, max_entities=300, max_relations=3,
+                                               max_edges=1500)
+        test = [(int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+                for _ in range(60)]
+        g = make_graph(triples, test=test, n_entities=n_ent, n_relations=n_rel)
+        table = build_path_table(g)
+        assert table.n_entries
+        params = ModelParams.random(g.n_entities, g.n_relations, 8, 8, rng)
+        exact = evaluator._exact
+        scored = []
 
-        def spy(*args):
-            calls.append(len(args[0]))
-            return gemm(*args)
+        def spy(c, proj, q, ents=None):
+            scored.append(len(q) * (len(proj) if ents is None else ents.shape[1]))
+            return exact(c, proj, q, ents)
 
-        monkeypatch.setattr(evaluator, "_gemm_scores", spy)
-        empty = PathTable.empty(g.n_entities)
-        for k in (g.n_entities, g.n_entities + 5):
-            evaluate(params, empty, g, split="test", rerank_k=k)
-        assert calls == []
-        evaluate(params, empty, g, split="test", rerank_k=g.n_entities - 1)
-        assert calls
+        monkeypatch.setattr(evaluator, "_exact", spy)
+        evaluate(params, table, g, split="test", rerank_k=g.n_entities)
+        queries = len({(r, slot, t if slot == "head" else h)
+                       for h, r, t in g.test.tolist() for slot in SLOTS})
+        # Both directions of every (query, entity) pair: the dense route's count.
+        assert 0 < sum(scored) < 0.05 * 2 * queries * n_ent
 
     def test_stage1_runs_once_per_distinct_query(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -466,21 +493,21 @@ class TestWindowedRanking:
         c = rng.normal(size=(4, d)) * 10.0 ** rng.integers(-3, 4, size=(4, 1))
         ref = np.array([_sq_norms(query - mat) for query in c])
         q = rng.integers(4, size=5)
-        for ents in (None, rng.integers(n, size=(5, int(rng.integers(1, n + 1)))),
+        for ents in (np.tile(np.arange(n), (5, 1)),
+                     rng.integers(n, size=(5, int(rng.integers(1, n + 1)))),
                      rng.integers(n, size=(5, 1))):
-            m = n if ents is None else ents.shape[1]
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(evaluator, "_TERM_BYTES", 8 * m * d * (chunk or len(q)))
+                mp.setattr(evaluator, "_TERM_BYTES", 8 * ents.shape[1] * d * (chunk or len(q)))
                 got = _exact(c, mat, q, ents)
-            want = ref[q] if ents is None else ref[q[:, None], ents]
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == ref[q[:, None], ents].tobytes()
         # Both slots score ||c - p_e||^2 in the reference's bits.
         g = make_graph([(0, 0, 1)], n_entities=n + 1, n_relations=1)
         params = ModelParams.random(n + 1, 2, d, d, rng)
         ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
         for slot in ("head", "tail"):
             st = ctx.stage1(slot, np.array([n]), n + 1)
-            assert st.val[0].tobytes() == reference_stage1(ctx, n, slot).tobytes()
+            ref = reference_stage1(ctx, n, slot)
+            assert st.val[0].tobytes() == ref[st.win[0]].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(1, 45))
@@ -496,12 +523,11 @@ class TestWindowedRanking:
         params = ModelParams(ent, rel, np.tile(np.eye(2, dtype=np.float32), (2, 1, 1)))
         g = make_graph([(0, 0, 1)], n_entities=n + 1, n_relations=1)
         ctx = _RelationContext(params, g, 0, params.entity_emb.astype(np.float64))
-        st = ctx.stage1("tail", np.array([n]), k)
+        # A window of every entity is ranked whole, not by stage 1: k at
+        # most the entity count.
+        st = ctx.stage1("tail", np.array([n]), min(k, n + 1))
         expected = np.argsort(np.array(scores + [64.0**2]), kind="stable")[:k]
-        if st.win is None:  # every entity
-            assert k >= n + 1
-        else:
-            assert st.win[0].tolist() == expected.tolist()
+        assert st.win[0].tolist() == expected.tolist()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -619,9 +645,15 @@ class TestRerankPathTerms:
         def run():
             scores = {}
             for ctx, slot, anchors, *_ in _queries(params, g, g.test):
-                st = ctx.stage1(slot, anchors, k)
-                val = _rerank(params, table, ctx, slot, anchors, st)
-                wins = np.broadcast_to(np.arange(n), val.shape) if st.win is None else st.win
+                if k >= n:  # every entity's full score by the reference
+                    st = _whole(params, table, ctx, slot, anchors)
+                    wins = np.tile(np.arange(n), (len(anchors), 1))
+                    val = st.ref(np.repeat(np.arange(len(anchors)), n), wins.ravel())
+                    val = val.reshape(wins.shape)
+                else:
+                    st = _rerank(params, table, ctx, slot, anchors,
+                                 ctx.stage1(slot, anchors, k))
+                    wins, val = st.win, st.val
                 for anchor, window, row in zip(anchors.tolist(), wins, val, strict=True):
                     scores[ctx.r, slot, anchor] = (window.tobytes(), row.tobytes())
             reports = [evaluate(params, table, g, split=split, rerank_k=k)
@@ -654,6 +686,45 @@ class TestRerankPathTerms:
             sizes = hi - lo
             assert (sizes > 0).all()  # a pair with no entries is never scored
             assert sizes[:-1].sum() < budget  # a chunk ends once it reaches the budget
+
+
+    @staticmethod
+    def tie_graph():
+        """Entities 1 and 2 tie without paths, 1 and 3 with them: only the
+        stored pairs (0, 1) and (1, 0) give the tail query (0, r0, ?) path
+        terms, 1 + 1 for candidate 1, whose full score goes from 2 to 4."""
+        g = make_graph([(0, 0, 1), (0, 1, 1)], test=[(0, 0, 1)], n_entities=4, n_relations=2)
+        ent = np.array([[0, 0], [1, 0], [1, 0], [1, 1]], dtype=np.float32)
+        rel = np.array([[0, 0], [0, 1], [0, 0], [0, 1]], dtype=np.float32)
+        params = ModelParams(ent, rel, np.tile(np.eye(2, dtype=np.float32), (4, 1, 1)))
+        return g, build_path_table(g), params
+
+    @pytest.mark.parametrize("k", [4, 7])
+    @pytest.mark.parametrize("tie_policy", ["pessimistic", "mean"])
+    def test_path_terms_alone_break_and_make_a_tie(self, k, tie_policy):
+        g, table, params = self.tie_graph()
+        empty = PathTable.empty(4)
+        # Without paths the gold 1 ties with 2 behind 0; with them it ties
+        # with 3 behind 0 and 2.  Filtered, the known tail 1 is the gold.
+        want = {(False, "pessimistic"): 3, (False, "mean"): 3,
+                (True, "pessimistic"): 4, (True, "mean"): 4}
+        for with_table, tbl in ((False, empty), (True, table)):
+            report = evaluate(params, tbl, g, split="test", rerank_k=k, tie_policy=tie_policy)
+            assert report.raw[0, 1] == report.filtered[0, 1] == want[with_table, tie_policy]
+            assert_ranks(report, g.test, lambda h, r, t, slot: whole_window_ranks(
+                params, tbl, g, h, r, t, slot, tie_policy))
+
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    def test_a_path_term_past_float64_is_refused(self, k):
+        # Flows no mined table holds, set in memory past load's check: a
+        # path term of 1e300 * 1e10 is inf, in a window of 2 (entities 0
+        # and 1) and in a window of every entity.
+        g, table, params = self.tie_graph()
+        params.relation_emb[[1, 3]] *= 1e5
+        huge = dataclasses.replace(table, entry_v=np.full(table.n_entries, 1e300))
+        assert evaluate(params, table, g, split="test", rerank_k=k).n_instances == 2
+        with pytest.raises(EvalError, match="scores must be finite"):
+            evaluate(params, huge, g, split="test", rerank_k=k)
 
 
 def perfect_model() -> tuple[ModelParams, "object"]:

@@ -472,6 +472,15 @@ class TestPersistence:
         ("relat_rel", -1, 10**6, "relat_rel outside 0..5"),
         ("path_rels", 0, [5, 5], "path_rels not strictly increasing"),
         ("path_rels", 1, [0, -1], "path_rels not strictly increasing"),  # path 0 again
+        # Mining writes flows and relatedness in (0, 1], a flow with at
+        # most (n + 4) units of roundoff past 1 (3 entities here).
+        ("entry_v", 0, -1.0, r"entry_v outside \(0, 1.0000000000000009\]"),
+        ("entry_v", 0, 0.0, "entry_v outside"),
+        ("entry_v", -1, 1e300, "entry_v outside"),
+        ("entry_v", 1, 1.0 + 2.0**-49, "entry_v outside"),
+        ("relat_val", 0, -5.0, r"relat_val outside \(0, 1.0\]"),
+        ("relat_val", -1, 0.0, "relat_val outside"),
+        ("relat_val", 0, 1.0 + 2.0**-52, "relat_val outside"),
     ])
     def test_structure_is_checked_on_load(self, tri_graph, tmp_path, field, index, value,
                                           message):
@@ -483,6 +492,32 @@ class TestPersistence:
         with pytest.raises(PathError, match=message) as err:
             PathTable.load(f)
         assert str(err.value).startswith(f"{f}: ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 24), st.sampled_from([0.0, 0.01]))
+    def test_every_mined_table_loads(self, tmp_path_factory, seed, fan, floor):
+        # A random graph plus a fan of ``fan`` middles from one head to one
+        # tail, linked by a relation of its own: nine or more shares of
+        # 1/fan can sum past 1.
+        rng = np.random.default_rng(seed)
+        triples, n_ent, n_rel = random_triples(rng, max_entities=10, max_edges=30)
+        hub, end = n_ent, n_ent + fan + 1
+        triples += [(hub, 0, hub + 1 + m) for m in range(fan)]
+        triples += [(hub + 1 + m, 0, end) for m in range(fan)] + [(hub, n_rel, end)]
+        g = make_graph(triples, n_relations=n_rel + 1)
+        table = build_path_table(g, reliability_floor=floor)
+        f = tmp_path_factory.mktemp("mined") / "t.ptbl"
+        table.save(f)
+        loaded = PathTable.load(f)
+        assert loaded.entry_v.tobytes() == table.entry_v.tobytes()
+        assert loaded.relat_val.tobytes() == table.relat_val.tobytes()
+
+    def test_a_flow_rounded_past_one_loads(self, tmp_path):
+        triples = [(0, 0, m) for m in range(1, 10)] + [(m, 1, 10) for m in range(1, 10)]
+        table = build_path_table(make_graph([*triples, (0, 2, 10)]), reliability_floor=0.0)
+        assert table.entry_v.max() == 1.0 + 2.0**-52
+        table.save(tmp_path / "t.ptbl")
+        assert PathTable.load(tmp_path / "t.ptbl").entry_v.max() == 1.0 + 2.0**-52
 
     @pytest.mark.parametrize("offset,fmt,count", [
         (*header_field("n_paths"), 2**31),

@@ -3,10 +3,14 @@
 For each workload of ``bench/workloads.py`` and each seed, the inputs are
 generated once with ``bench/synth.py``.  The workload's verb sequence then
 runs in a fresh process per checkout, on that checkout's ``src``, each
-writing under its own directory.  Every file written is compared between
-the two, except two fields that must differ: the ``config`` echo of
-``report.json`` (it names run paths) and the ``wall_time`` of each
-``train_log.jsonl`` record.  Those files are compared without them.
+writing under its own directory.  After it, each ``evaluate`` step runs
+once more with ``--rerank-k 1000000000``, a window that holds every
+entity, into a sibling directory (``eval`` -> ``eval-whole``): mine-M's
+valid split then ranks 2,500 entities that way.  Every file written is
+compared between the two, except two fields that must differ: the
+``config`` echo of ``report.json`` (it names run paths) and the
+``wall_time`` of each ``train_log.jsonl`` record.  Those files are
+compared without them.
 
     python3 tools/same_bytes.py PARENT CHANGE --seeds 1,2,3,7,9
 
@@ -28,7 +32,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 from synth import Spec, generate  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, Step  # noqa: E402
 
 # Runs with a checkout's ``src`` on the path: argv[1] is a JSON list of
 # verb argument lists, run in order until one fails.
@@ -47,6 +51,15 @@ def seed_list(text: str) -> list[int]:
         lo, hi = (int(part) for part in text.split("-", 1))
         return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",")]
+
+
+def with_whole_windows(steps: list[Step]) -> list[Step]:
+    """``steps``, then each evaluate step again with a window of every
+    entity, written to its output directory's ``-whole`` sibling."""
+    return steps + [
+        Step(s.verb, {**s.flags, "rerank-k": 10**9, "out": f"{s.flags['out']}-whole"})
+        for s in steps if s.verb == "evaluate"
+    ]
 
 
 def run_verbs(checkout: Path, argvs: list[list[str]], cwd: Path) -> None:
@@ -93,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
                 for side, checkout in checkouts.items():
                     work = tmp / side
                     work.mkdir()
-                    run_verbs(checkout, [s.argv(data) for s in wl.steps(work, seed)], work)
+                    steps = with_whole_windows(wl.steps(work, seed))
+                    run_verbs(checkout, [s.argv(data) for s in steps], work)
                     written[side] = files(work)
                 parent, change = written["parent"], written["change"]
                 bad = []
