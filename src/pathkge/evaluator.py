@@ -37,7 +37,7 @@ from pathkge.kgdata import (
     _firsts,
     relation_breakdown,
 )
-from pathkge.models import ModelParams, path_score_terms
+from pathkge.models import ModelParams, span_path_terms
 from pathkge.paths import PathTable, expand_spans
 
 TiePolicy = Literal["pessimistic", "mean"]
@@ -370,27 +370,26 @@ def _path_terms(
     A head query scores (e, r, a) and (a, r^-1, e), a tail query (a, r, e)
     and (e, r^-1, a).  Only the entities that share a stored pair with the
     anchor get terms, all in one batch, cut into chunks of about
-    _TERM_BYTES: any other has two terms of 0.0, as path_score_terms gives,
-    and each score plus 0.0 is that score.  ``find(q, e)`` tells whether
-    entity e[i] is in query q[i]'s window and where.
+    _TERM_BYTES: any other has two terms of 0.0, as span_path_terms gives,
+    and each score plus 0.0 is that score.  A triple's entries are its
+    pair's, by ``PathTable.partners``' pair index.  ``find(q, e)`` tells
+    whether entity e[i] is in query q[i]'s window and where.
     """
     parts = []
     for r, heads in ((ctx.r, slot == "head"), (ctx.r_inv, slot == "tail")):
-        query, e = table.partners(anchors, heads)
+        query, e, pair = table.partners(anchors, heads)
         inside, pos = find(query, e)
-        e, a = e[inside], anchors[query[inside]]
-        h, t = (e, a) if heads else (a, e)
-        parts.append((pos[inside], h, np.full(len(e), r), t))
-    pos, h, r, t = (np.concatenate(col) for col in zip(*parts))
-    terms = np.empty(len(h))
+        parts.append((pos[inside], pair[inside], np.full(np.count_nonzero(inside), r)))
+    pos, pair, r = (np.concatenate(col) for col in zip(*parts))
+    lo, hi = table.pair_offsets[pair], table.pair_offsets[pair + 1]
+    terms = np.empty(len(r))
     # A chunk takes the triples whose first stored entry falls in the
     # same run of ``budget`` entries, so it holds fewer than budget
     # entries before its last triple.
-    lo, hi = table.pair_spans(h, t)
     budget = max(1, _TERM_BYTES // (8 * params.dim_relation))
     cuts = np.flatnonzero(_firsts((np.cumsum(hi - lo) - (hi - lo)) // budget)).tolist()
-    for c in map(slice, cuts, cuts[1:] + [len(h)]):
-        terms[c] = path_score_terms(params, table, h[c], r[c], t[c])
+    for c in map(slice, cuts, cuts[1:] + [len(r)]):
+        terms[c] = span_path_terms(params, table, lo[c], hi[c], r[c])
     # The forward terms come first: each sum is 0.0 + forward + inverse.
     pos, owner = np.unique(pos, return_inverse=True)
     return pos, np.bincount(owner, weights=terms, minlength=len(pos))

@@ -18,7 +18,7 @@ import numpy as np
 
 from pathkge import artifact
 from pathkge.kgdata import KnowledgeGraph, _distinct, _firsts
-from pathkge.paths import PathTable, expand_spans
+from pathkge.paths import _RELAT_STRIDE, PathTable, expand_spans
 
 # The fields after the magic, in file order, then the arrays after them.
 _Header = namedtuple("_Header", "version dim_entity dim_relation n_entities n_relations")
@@ -171,30 +171,45 @@ class PathEvidence(NamedTuple):
     z: np.ndarray            # f64 per triple, its reliabilities added in entry order
 
 
-def path_evidence(table: PathTable, h, r, t) -> PathEvidence:
-    """Every stored path of each (h, r, t) with its reliability P(r|p) * v."""
-    h, r, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (h, r, t)))
-    triple, entry = expand_spans(*table.pair_spans(h, t))
+def _pairs(path, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (path id, relation r) pairs of the inputs, ascending (their
+    path ids and relations), and the pair of each input."""
+    key = np.asarray(path, dtype=np.int64) * _RELAT_STRIDE + np.asarray(r, dtype=np.int64)
+    pairs = _distinct(key)
+    pair_path, pair_r = np.divmod(pairs, _RELAT_STRIDE)
+    return pair_path, pair_r, np.searchsorted(pairs, key)
+
+
+def _evidence(table: PathTable, lo, hi, r):
+    """The evidence of the triples whose pairs store the entries [lo, hi), r
+    their relations, with P(r | p) read once per distinct (path, relation):
+    returns the :class:`PathEvidence` and, from :func:`_pairs`, the pairs'
+    path ids and relations and each entry's pair."""
+    triple, entry = expand_spans(lo, hi)
     path = table.entry_path[entry].astype(np.int64)
     rows = table.path_rels[path]
     other = (rows[:, 0] != r[triple]) | (rows[:, 1] >= 0)
     triple, entry, path = triple[other], entry[other], path[other]
     flow = table.entry_v[entry]
-    reliability = table.relatedness(r[triple], path) * flow
+    pair_path, pair_r, at = _pairs(path, r[triple])
+    reliability = table.relatedness(pair_r, pair_path)[at] * flow
     z = np.bincount(triple, weights=reliability, minlength=len(r))
-    return PathEvidence(triple, path, flow, reliability, z)
+    return PathEvidence(triple, path, flow, reliability, z), pair_path, pair_r, at
+
+
+def path_evidence(table: PathTable, h, r, t) -> PathEvidence:
+    """Every stored path of each (h, r, t) with its reliability P(r|p) * v."""
+    h, r, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (h, r, t)))
+    return _evidence(table, *table.pair_spans(h, t), r)[0]
 
 
 def path_gaps(rel: np.ndarray, path_rels: np.ndarray, path, r):
     """The distinct (path id, relation r) pairs of the inputs (their path ids,
     relations and gaps p - r, p the row ``path_rels[path]`` composed from
     ``rel`` with the bits it has alone), and the pair of each input."""
-    n_rel = len(rel) - 1
-    key = np.asarray(path, dtype=np.int64) * n_rel + np.asarray(r, dtype=np.int64)
-    pairs = _distinct(key)
-    pair_path, pair_r = np.divmod(pairs, n_rel)
+    pair_path, pair_r, at = _pairs(path, r)
     gap = compose_paths(rel, path_rels[pair_path]) - rel[pair_r]
-    return pair_path, pair_r, gap, np.searchsorted(pairs, key)
+    return pair_path, pair_r, gap, at
 
 
 def path_distances(params: ModelParams, table: PathTable, path, r) -> np.ndarray:
@@ -203,22 +218,25 @@ def path_distances(params: ModelParams, table: PathTable, path, r) -> np.ndarray
     return _row_dots(gap)[at]
 
 
-def path_score_terms(params: ModelParams, table: PathTable, h, r, t) -> np.ndarray:
-    """Normalized path penalty of each (h, r, t): the reliability-weighted
-    mean squared distance between its stored paths and r.
-
-    A triple whose pair stores no path, or whose total reliability is 0,
-    gets 0.
-    """
-    ev = path_evidence(table, h, r, t)
-    live = ev.reliability > 0.0
-    triple = ev.triple[live]
-    r = np.broadcast_to(np.asarray(r, dtype=np.int64), ev.z.shape)
-    dist = path_distances(params, table, ev.path[live], r[triple])
-    num = np.bincount(triple, weights=ev.reliability[live] * dist, minlength=len(r))
+def span_path_terms(params: ModelParams, table: PathTable, lo, hi, r) -> np.ndarray:
+    """Normalized path penalty of each triple whose pair stores the entries
+    [lo, hi), r its relation: the reliability-weighted mean of |p - r|^2 over
+    its stored paths, P(r | p) and |p - r|^2 each computed once per distinct
+    (path, relation).  No entries or a total reliability of 0 give 0; with
+    finite parameters an entry of reliability 0 adds 0.0 to its sum."""
+    ev, pair_path, pair_r, at = _evidence(table, lo, hi, r)
+    rel = relation_rows(params)
+    dist = _row_dots(compose_paths(rel, table.path_rels[pair_path]) - rel[pair_r])[at]
+    num = np.bincount(ev.triple, weights=ev.reliability * dist, minlength=len(r))
     out = np.zeros(len(r))
     np.divide(num, ev.z, out=out, where=ev.z != 0.0)
     return out
+
+
+def path_score_terms(params: ModelParams, table: PathTable, h, r, t) -> np.ndarray:
+    """:func:`span_path_terms` of each (h, r, t), by ``PathTable.pair_spans``."""
+    h, r, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (h, r, t)))
+    return span_path_terms(params, table, *table.pair_spans(h, t), r)
 
 
 def score_ptransr(params: ModelParams, table: PathTable, h: int, r: int, t: int) -> float:

@@ -167,29 +167,32 @@ class PathTable:
         keys = np.append(pids * _RELAT_STRIDE + self.relat_rel, _SENTINEL)
         return keys, np.append(self.relat_val, 0.0)
 
-    def partners(self, anchors, heads: bool) -> tuple[np.ndarray, np.ndarray]:
+    def partners(self, anchors, heads: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every entity that shares a stored pair with an anchor a: the tails
         t of the pairs (a, t), or with ``heads`` the heads h of the pairs
-        (h, a).  Returns (position in ``anchors``, partner), grouped by
-        anchor, partners ascending."""
-        ents, offsets = self._partner_index[int(heads)]
+        (h, a).  Returns (position in ``anchors``, partner, index of the
+        pair in pair_keys), grouped by anchor, partners ascending."""
+        offsets, order = self._partner_index[int(heads)]
         anchors = np.asarray(anchors, dtype=np.int64)
-        owner, index = expand_spans(offsets[anchors], offsets[anchors + 1])
-        return owner, ents[index]
+        owner, pair = expand_spans(offsets[anchors], offsets[anchors + 1])
+        if order is not None:
+            pair = order[pair]
+        key = self.pair_keys[pair]
+        return owner, key // self.n_entities if heads else key % self.n_entities, pair
 
     @cached_property
-    def _partner_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(partners, offsets) of the tails, then of the heads: the partners
-        of entity a are ``partners[offsets[a]:offsets[a + 1]]``.  The tails
-        of a are the key range [a * n, (a + 1) * n) of pair_keys; the heads
-        come from one stable argsort of the keys by tail."""
+    def _partner_index(self) -> tuple[tuple, ...]:
+        """(offsets, order) of the tails, then of the heads: the pairs of
+        entity a are ``order[offsets[a]:offsets[a + 1]]``.  The tails of a
+        are the key range [a * n, (a + 1) * n) of pair_keys (order None, the
+        identity); the heads follow one stable argsort of the keys by tail."""
         n = self.n_entities
-        heads, tails = np.divmod(self.pair_keys, n)
+        tails = self.pair_keys % n
         bounds = np.arange(n + 1, dtype=np.int64)
         by_tail = np.argsort(tails, kind="stable")
         return (
-            (tails, np.searchsorted(self.pair_keys, bounds * n)),
-            (heads[by_tail], np.searchsorted(tails[by_tail], bounds)),
+            (np.searchsorted(self.pair_keys, bounds * n), None),
+            (np.searchsorted(tails[by_tail], bounds), by_tail),
         )
 
     # -- persistence ----------------------------------------------------

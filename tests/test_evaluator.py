@@ -33,7 +33,7 @@ from pathkge.evaluator import (
 )
 from pathkge.kgdata import KnowledgeGraph
 from pathkge.models import ModelParams
-from pathkge.paths import PathTable, build_path_table
+from pathkge.paths import PathTable, build_path_table, expand_spans
 
 
 def tie_rank(scores, gold_index: int, policy: str = "pessimistic") -> int:
@@ -673,19 +673,54 @@ class TestRerankPathTerms:
         budget = 3
         monkeypatch.setattr(evaluator, "_TERM_BYTES", budget * 8 * params.dim_relation)
         calls = []
-        terms = evaluator.path_score_terms
+        terms = evaluator.span_path_terms
 
-        def spy(params, table, h, r, t):
-            calls.append(table.pair_spans(h, t))
-            return terms(params, table, h, r, t)
+        def spy(params, table, lo, hi, r):
+            calls.append((lo, hi))
+            return terms(params, table, lo, hi, r)
 
-        monkeypatch.setattr(evaluator, "path_score_terms", spy)
+        monkeypatch.setattr(evaluator, "span_path_terms", spy)
         evaluate(params, table, g, split="test", rerank_k=g.n_entities)
         assert calls
         for lo, hi in calls:
             sizes = hi - lo
             assert (sizes > 0).all()  # a pair with no entries is never scored
             assert sizes[:-1].sum() < budget  # a chunk ends once it reaches the budget
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [2, "n"])
+    def test_the_rerank_searches_no_pair_key_and_each_relatedness_once(
+            self, monkeypatch, seed, k):
+        # The entry ranges come from partners' pair indices, and P(r | p)
+        # is looked up once per distinct (path, relation) pair of a chunk.
+        g, table, params = path_graph(seed)
+        monkeypatch.setattr(evaluator, "_TERM_BYTES", 3 * 8 * params.dim_relation)
+        spans, chunks, needles = [], [], []
+        pair_spans, relatedness = PathTable.pair_spans, PathTable.relatedness
+        terms = evaluator.span_path_terms
+
+        def spy(params, table, lo, hi, r):
+            owner, entry = expand_spans(lo, hi)
+            chunks.append(set(zip(table.entry_path[entry].tolist(), r[owner].tolist())))
+            return terms(params, table, lo, hi, r)
+
+        def spy_spans(self, h, t):
+            spans.append(h)
+            return pair_spans(self, h, t)
+
+        def spy_relatedness(self, r, path):
+            needles.append(len(r))
+            return relatedness(self, r, path)
+
+        monkeypatch.setattr(PathTable, "pair_spans", spy_spans)
+        monkeypatch.setattr(PathTable, "relatedness", spy_relatedness)
+        monkeypatch.setattr(evaluator, "span_path_terms", spy)
+        evaluate(params, table, g, split="test", rerank_k=g.n_entities if k == "n" else k)
+        assert spans == []
+        assert chunks or k == 2  # a window of 2 entities may hold no partner
+        assert len(needles) == len(chunks)
+        for n, pairs in zip(needles, chunks):
+            assert n <= len(pairs)
 
 
     @staticmethod

@@ -28,6 +28,7 @@ from pathkge.models import (
     relation_rows,
     score_ptransr,
     score_transr,
+    span_path_terms,
 )
 from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import _add_rows, _fact_block
@@ -347,6 +348,7 @@ def assert_kernel_matches_oracle(params, table, batch: np.ndarray) -> None:
     ev = path_evidence(table, h, r, t)
     got = path_score_terms(params, table, h, r, t)
     assert len(ev.z) == len(got) == len(batch)
+    assert span_path_terms(params, table, *table.pair_spans(h, t), r).tolist() == got.tolist()
     lo = np.searchsorted(ev.triple, np.arange(len(batch)))
     hi = np.searchsorted(ev.triple, np.arange(len(batch)), side="right")
     for i, (a, b, c) in enumerate(batch.tolist()):
@@ -376,6 +378,33 @@ class TestPathKernel:
         assert not (ev.triple == 2).any()
         assert ev.z[0] > 0.0 and ev.z[3] == ev.z[0]
         assert_kernel_matches_oracle(params, table, batch)
+        # Bit for bit: the span kernel fed pair_spans, the wrapper and the oracle.
+        lo, hi = table.pair_spans(batch[:, 0], batch[:, 2])
+        want = [path_score_term(params, table, *triple) for triple in batch.tolist()]
+        assert span_path_terms(params, table, lo, hi, batch[:, 1]).tolist() == want
+        assert path_score_terms(params, table, *batch.T).tolist() == want
+
+    def test_relatedness_is_read_once_per_distinct_path_relation(self, tri_setup, monkeypatch):
+        # path_evidence (the trainer's) and the span kernel (the rerank's)
+        # share one evidence step: one needle per distinct (path, relation).
+        g, params, table = tri_setup
+        h, t = np.divmod(table.pair_keys, table.n_entities)
+        r = np.arange(g.n_relations)[:, None]
+        batch = np.stack(np.broadcast_arrays(h, r, t), axis=-1).reshape(-1, 3)
+        batch = np.concatenate((batch, batch[::-1]))
+        calls = []
+        relatedness = PathTable.relatedness
+
+        def spy(self, r, path):
+            calls.append(list(zip(path.tolist(), r.tolist())))
+            return relatedness(self, r, path)
+
+        monkeypatch.setattr(PathTable, "relatedness", spy)
+        ev = path_evidence(table, *batch.T)
+        span_path_terms(params, table, *table.pair_spans(batch[:, 0], batch[:, 2]), batch[:, 1])
+        want = sorted(set(zip(ev.path.tolist(), batch[ev.triple, 1].tolist())))
+        assert len(want) < len(ev.path)  # pairs recur, each read once
+        assert calls == [want, want]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from([0.0, 0.05, 0.3]))
@@ -403,15 +432,25 @@ class TestPathKernel:
         g = make_graph(triples, n_entities=n_ent, n_relations=n_rel)
         table = build_path_table(g, reliability_floor=0.0, cap=int(rng.integers(1, 8)))
         params = ModelParams.random(n_ent, g.n_relations, 3, int(rng.integers(1, 40)), rng)
+        # Every stored pair with every relation: each stored 1-hop path is
+        # some triple's self path, and zero relatedness and z == 0 come
+        # wherever the graph has them; then a shuffled copy and repeated
+        # draws, so keys recur in and out of order.
         h, t = np.divmod(table.pair_keys, n_ent)
-        r = rng.integers(g.n_relations, size=(3, 1))
+        r = np.arange(g.n_relations)[:, None]
         batch = np.stack(np.broadcast_arrays(h, r, t), axis=-1).reshape(-1, 3)
-        batch = np.concatenate((batch, batch[rng.integers(len(batch), size=len(batch))]))
+        batch = np.concatenate((batch, rng.permutation(batch),
+                                batch[rng.integers(len(batch), size=len(batch))]))
         got = path_score_terms(params, table, *batch.T)
         want = [path_score_term(params, table, *triple) for triple in batch.tolist()]
         assert got.tolist() == want
-        # Each distance has the bits of a row of its own.
+        # The span kernel, fed the same entry ranges, gives the same bits.
+        lo, hi = table.pair_spans(batch[:, 0], batch[:, 2])
+        assert span_path_terms(params, table, lo, hi, batch[:, 1]).tolist() == want
         ev = path_evidence(table, *batch.T)
+        self_paths = (table.path_rels[table.entry_path, 1] < 0).any()
+        assert (len(ev.path) < (hi - lo).sum()) == self_paths  # and left out
+        # Each distance has the bits of a row of its own.
         rels = batch[ev.triple, 1]
         gaps = [path_gap(params, path_tuple(table.path_rels[p]), x)
                 for p, x in zip(ev.path, rels)]

@@ -579,13 +579,16 @@ class TestQueries:
         pairs = [divmod(key, n_ent) for key in table.pair_keys.tolist()]
         anchors = rng.integers(n_ent, size=rng.integers(0, 2 * n_ent))
         for heads in (False, True):
-            owner, partner = table.partners(anchors, heads)
+            owner, partner, pair = table.partners(anchors, heads)
             want = [
                 (i, e)
                 for i, a in enumerate(anchors.tolist())
                 for e in sorted(h if heads else t for h, t in pairs if (t if heads else h) == a)
             ]
             assert list(zip(owner.tolist(), partner.tolist())) == want
+            # Each partner's pair index points at its own stored key.
+            a, e = anchors[owner], partner
+            assert (table.pair_keys[pair] == (e * n_ent + a if heads else a * n_ent + e)).all()
 
     def test_paths_for_missing_pair(self, tri_graph):
         table = build_path_table(tri_graph)
