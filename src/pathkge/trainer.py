@@ -12,7 +12,8 @@ a per-relation probability (0.5, or Bernoulli tph / (tph + hpt)); each
 path hinge is against a corrupted relation.  Corruptions are redrawn
 until they leave the train set.  Every fact hinge has the margin
 ``margin``, the warm start's too, and every path hinge ``margin2``; the
-learning rate is fixed.  Early stopping runs when ``patience`` > 0.
+learning rate is fixed.  Early stopping runs when ``patience`` > 0, and
+the run then keeps the parameters of its best valid mean rank.
 ``STAGE_FIELDS`` lists the fields each stage reads; ``train`` records
 the others a run sets away from their defaults.
 
@@ -32,7 +33,13 @@ per batch, so relation rows take the mean of theirs.  M_r takes the
 batch mean of its fact-hinge gradients, once per batch, as every other
 parameter moves.  The step scores the relation-sorted facts and the path
 hinges ``_CHUNK`` at a time, each distinct (path, relation) pair of a
-chunk once.  A run is byte-deterministic given its data and seed.
+chunk once.  A block's gradient rows reach the batch sums by
+``_add_rows``: each parameter row's gradients are summed from 0.0 in
+row order, and that sum is added to the row's batch sum once.  This is
+not the float order of the sort and ``np.add.reduceat`` it replaced,
+which added a run's first row to the pairwise sum of the rest, so a
+gradient sum can differ from that order's in its last bits.  A run is
+byte-deterministic given its data and seed.
 """
 
 from __future__ import annotations
@@ -303,11 +310,20 @@ def _draw_batch(
 
 
 def _add_rows(acc: np.ndarray, ids: np.ndarray, grads: np.ndarray) -> None:
-    """``acc[i]`` += the rows of ``grads`` with id i: one sort of the ids, one sum per run."""
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    starts = np.flatnonzero(_firsts(ids))
-    acc[ids[starts]] += np.add.reduceat(grads[order], starts, axis=0)
+    """``acc[i]`` += the rows of ``grads`` with id i, summed from 0.0 in row
+    order by one ``np.bincount`` and added once.  A block with at least as
+    many rows as ``acc`` sums into every row of it; a smaller one sums over
+    its distinct ids only, numbered by a slot map without a sort."""
+    n, k = acc.shape
+    ids, rows = np.asarray(ids, dtype=np.intp), slice(None)
+    if len(ids) < n:
+        slot, at = np.empty(n, dtype=np.intp), np.arange(len(ids))
+        slot[ids] = at                      # one of each id's positions
+        rows = ids[slot[ids] == at]         # so each id once
+        slot[rows] = np.arange(len(rows))
+        ids, n = slot[ids], len(rows)
+    flat = (ids[:, None] * k + np.arange(k)).ravel()
+    acc[rows] += np.bincount(flat, grads.ravel(), n * k).reshape(n, k)
 
 
 def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
@@ -497,12 +513,14 @@ def _run_epoch(
 def _fit(
     g: KnowledgeGraph, paths: _FactPaths | None, params: ModelParams, cfg: TrainConfig,
     rng: np.random.Generator, emit: Callable[[dict], None] | None, t0: float, out: Path | None,
-) -> None:
+) -> ModelParams:
     """Train ``params`` in place for ``cfg.epochs`` epochs of ``cfg.stage``
     (``paths`` None for the warm start): one record per epoch, the early
-    stop when ``cfg.patience`` > 0 and the checkpoints under ``out``."""
+    stop when ``cfg.patience`` > 0 and the checkpoints under ``out``.
+    Returns the model to keep: with ``cfg.patience`` > 0 a copy of the
+    parameters at the best valid mean rank, else ``params``."""
     head_probs = _head_probs(g, cfg.neg_mode)
-    best, since_best = np.inf, 0
+    best, best_epoch, since_best, kept = np.inf, -1, 0, params
     for epoch in range(cfg.epochs):
         stats = _run_epoch(g, paths, params, cfg, rng, head_probs, epoch)
         record = {"stage": cfg.stage, "epoch": epoch, **stats._asdict(),
@@ -512,7 +530,7 @@ def _fit(
         if cfg.patience > 0:
             record["valid_mean_rank"] = metric = valid_mean_rank(params, g)
             if metric < best - 1e-12:
-                best, since_best = metric, 0
+                best, best_epoch, since_best, kept = metric, epoch, 0, params.copy()
             else:
                 since_best += 1
         if emit is not None:
@@ -524,8 +542,10 @@ def _fit(
             ckpt_dir.mkdir(exist_ok=True)
             params.save(ckpt_dir / f"epoch_{epoch + 1:05d}.ptrm")
         if cfg.patience > 0 and since_best >= cfg.patience:
-            emit({"event": "early_stop", "epoch": epoch, "best": best})
+            emit({"event": "early_stop", "epoch": epoch, "best": best,
+                  "best_epoch": best_epoch})
             break
+    return kept
 
 
 def _check_run(g: KnowledgeGraph, table: PathTable | None, config: TrainConfig,
@@ -645,7 +665,7 @@ def train(
                            patience=0, checkpoint_every=0)
             params = init_transe(g, config if config.stage == "transe" else warm, rng, emit)
         if config.stage != "transe":
-            _fit(g, _fact_paths(g, table), params, config, rng, emit, t0, out)
+            params = _fit(g, _fact_paths(g, table), params, config, rng, emit, t0, out)
 
         if out is not None:
             flush()

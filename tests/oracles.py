@@ -123,6 +123,18 @@ def batch_step(params: ModelParams, table: PathTable, facts, negs, rel2s, margin
     return loss, fact_v, path_v, rescaled
 
 
+def add_rows(acc: np.ndarray, ids, grads) -> None:
+    """``acc[i]`` += the rows of ``grads`` with id i: each id's rows summed
+    from 0.0 in row order, one float at a time, and the sum added once."""
+    sums: dict[int, list[float]] = {}
+    for i, row in zip(np.asarray(ids).tolist(), np.asarray(grads).tolist()):
+        total = sums.setdefault(i, [0.0] * len(row))
+        for j, x in enumerate(row):
+            total[j] += x
+    for i, total in sums.items():
+        acc[i] += total
+
+
 def sample_negative(g, triple, slots: dict[str, float], rng):
     """The trainer's negative sampling, one call at a time.
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import DIAMOND, TRI, make_graph, random_triples
 from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
-from oracles import batch_step, path_tuple, sample_negative, validation_mean_rank
+from oracles import add_rows, batch_step, path_tuple, sample_negative, validation_mean_rank
 from pathkge import trainer
 from pathkge.evaluator import _RelationContext, valid_mean_rank
 from pathkge.kgdata import KnowledgeGraph
@@ -25,6 +25,7 @@ from pathkge.trainer import (
     EpochStats,
     TrainConfig,
     TrainError,
+    _add_rows,
     _draw_batch,
     _draw_negatives,
     _fact_paths,
@@ -450,6 +451,37 @@ class TestBatchStep:
         assert totals[0] > 0 and totals[2] > 0
         assert (totals[1] > 0) == (stage == "ptransr")
 
+    @pytest.mark.parametrize("form", ["every row", "distinct ids"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scatter_matches_per_row_oracle_bit_for_bit(self, form, data):
+        # _add_rows sums into every row of acc when the block has at least
+        # as many rows, else over the block's distinct ids only.  Ids come
+        # from a pool of at most four, so runs of three or more rows of one
+        # id, which tell its float order from np.add.reduceat's, are
+        # common.  Blocks miss ids, may be empty (the distinct-ids form),
+        # may be one column wide, and hold int32 or int64 ids.
+        n = data.draw(st.integers(1, 20), label="rows of acc")
+        k = data.draw(st.integers(1, 4), label="width")
+        m = data.draw(st.integers(n, 3 * n) if form == "every row" else st.integers(0, n - 1),
+                      label="block rows")
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]), label="id dtype")
+        pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), label="ids")
+        ids = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)),
+                       dtype=dtype)
+        floats = st.floats(-1e3, 1e3, allow_nan=False)
+        grads = np.array(data.draw(st.lists(floats, min_size=m * k, max_size=m * k)),
+                         dtype=np.float64).reshape(m, k)
+        # + 0.0 maps a drawn -0.0 to +0.0: the trainer's sums start at +0.0
+        # and never hold -0.0, and the every-row form adds 0.0 to a row
+        # the block misses.
+        acc = np.array(data.draw(st.lists(floats, min_size=n * k, max_size=n * k)),
+                       dtype=np.float64).reshape(n, k) + 0.0
+        want = acc.copy()
+        add_rows(want, ids, grads)
+        _add_rows(acc, ids, grads)
+        assert acc.tobytes() == want.tobytes()
+
     def test_epoch_memory_is_bounded_by_chunks(self):
         # A batch larger than the train set: the step's float arrays must
         # stay those of a chunk, not of the batch.
@@ -725,6 +757,42 @@ class TestTrain:
         epoch_recs = [r for r in records if "loss" in r]
         assert len(epoch_recs) == 2
         assert "valid_mean_rank" in epoch_recs[0]
+
+    @pytest.mark.parametrize("stage", ["transr", "ptransr"])
+    def test_early_stop_keeps_the_best_model(self, stage, tmp_path):
+        # On this graph and seed the valid mean rank falls for some epochs
+        # and then stops falling.  The probe draws no random numbers, so
+        # the model of the best epoch e is that of an (e + 1)-epoch run,
+        # and so is a run that keeps the best but never stops early.
+        rng = np.random.default_rng(3)
+        facts = sorted({(int(rng.integers(30)), int(rng.integers(3)), int(rng.integers(30)))
+                        for _ in range(150)})
+        rng.shuffle(facts)
+        g = make_graph(facts[:120], valid=facts[120:135], n_entities=30, n_relations=3)
+        table = build_path_table(g)
+
+        def run(name: str, **kw) -> tuple[bytes, list[dict]]:
+            cfg = tiny_cfg(stage=stage, dim_entity=8, dim_relation=8, batch_size=64, seed=4,
+                           **kw)
+            params, records = train(g, table, cfg, out_dir=tmp_path / name)
+            saved = (tmp_path / name / "model.ptrm").read_bytes()
+            params.save(tmp_path / f"{name}.ptrm")
+            assert (tmp_path / f"{name}.ptrm").read_bytes() == saved
+            return saved, records
+
+        stopped, records = run("stopped", epochs=40, patience=3, checkpoint_every=1)
+        (stop,) = [r for r in records if r.get("event") == "early_stop"]
+        ranks = [r["valid_mean_rank"] for r in records if "loss" in r and r["stage"] == stage]
+        e = stop["best_epoch"]
+        assert e >= 2 and ranks[e] < min(ranks[:e]) and stop["best"] == ranks[e] == min(ranks)
+        assert stop["epoch"] == e + 3 == len(ranks) - 1
+        ckpt = tmp_path / "stopped" / "checkpoints"
+        assert (ckpt / f"epoch_{e + 1:05d}.ptrm").read_bytes() == stopped
+        assert (ckpt / f"epoch_{e + 4:05d}.ptrm").read_bytes() != stopped
+        assert run("best", epochs=e + 1)[0] == stopped
+        unstopped, records = run("unstopped", epochs=e + 3, patience=3)
+        assert unstopped == stopped
+        assert not [r for r in records if r.get("event") == "early_stop"]
 
     def test_validation_probe_matches_per_fact_oracle(self):
         rng = np.random.default_rng(21)

@@ -26,7 +26,11 @@ plus the two samples; its index of them is built before the timing.
     PYTHONPATH=src python3 tools/scale.py --seed 0
 
 Put another checkout's ``src`` on PYTHONPATH to measure that checkout.
-``peak_rss_mb`` is the whole process's peak, generation and table load included.
+``peak_rss_mb`` is the whole process's peak, generation and table load included,
+and ``user_cpu_s`` its user CPU seconds.  ``blas_threads`` is the
+``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` setting the process was
+started with, or ``"default"``: a comparison must hold it fixed, and the
+script sets no thread count itself.
 ``mine_peak_mb`` is mining's own: the ``tracemalloc`` peak of numpy's
 allocations in a second, untimed ``build_path_table`` run, so that
 ``mine_s`` is not traced.  That run follows the table's ``save``, with no
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import tempfile
 import time
@@ -94,6 +99,12 @@ def write_splits(facts: np.ndarray, out: Path) -> list[Path]:
         path.write_text("".join(f"e{h}\tr{r}\te{t}\n" for h, r, t in rows), encoding="utf-8")
         paths.append(path)
     return paths
+
+
+def blas_threads() -> str:
+    """The BLAS thread variables that are set, as ``NAME=value`` pairs, or ``"default"``."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    return " ".join(f"{n}={os.environ[n]}" for n in names if n in os.environ) or "default"
 
 
 def main() -> None:
@@ -154,6 +165,7 @@ def main() -> None:
     start = time.perf_counter()
     valid_mean_rank(params, sample)
     rates["probe_instances_per_s"] = round(2 * len(valid) / (time.perf_counter() - start))
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     print(json.dumps({
         "seed": args.seed,
         "entities": g.n_entities,
@@ -177,7 +189,9 @@ def main() -> None:
         "proj_epoch_s": round(proj_epoch_s, 3),
         "proj_triples_per_s": round(len(g.train) / proj_epoch_s),
         **rates,
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "user_cpu_s": round(usage.ru_utime, 2),
+        "blas_threads": blas_threads(),
     }))
 
 
