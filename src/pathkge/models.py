@@ -175,9 +175,9 @@ def _pairs(path, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (path id, relation r) pairs of the inputs, ascending (their
     path ids and relations), and the pair of each input."""
     key = np.asarray(path, dtype=np.int64) * _RELAT_STRIDE + np.asarray(r, dtype=np.int64)
-    pairs = _distinct(key)
+    pairs, at = np.unique(key, return_inverse=True)  # one sort, no search per input
     pair_path, pair_r = np.divmod(pairs, _RELAT_STRIDE)
-    return pair_path, pair_r, np.searchsorted(pairs, key)
+    return pair_path, pair_r, at
 
 
 def _evidence(table: PathTable, lo, hi, r):
@@ -208,7 +208,8 @@ def path_gaps(rel: np.ndarray, path_rels: np.ndarray, path, r):
     relations and gaps p - r, p the row ``path_rels[path]`` composed from
     ``rel`` with the bits it has alone), and the pair of each input."""
     pair_path, pair_r, at = _pairs(path, r)
-    gap = compose_paths(rel, path_rels[pair_path]) - rel[pair_r]
+    gap = compose_paths(rel, path_rels[pair_path])
+    gap -= rel[pair_r]
     return pair_path, pair_r, gap, at
 
 

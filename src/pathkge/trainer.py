@@ -31,15 +31,14 @@ batch (on acceptance 7's protocol over seeds 1-30 the mean gap fell from
 collects the path hinges that walk through it, dozens of stale gradients
 per batch, so relation rows take the mean of theirs.  M_r takes the
 batch mean of its fact-hinge gradients, once per batch, as every other
-parameter moves.  The step scores the relation-sorted facts and the path
-hinges ``_CHUNK`` at a time, each distinct (path, relation) pair of a
-chunk once.  A block's gradient rows reach the batch sums by
-``_add_rows``: each parameter row's gradients are summed from 0.0 in
-row order, and that sum is added to the row's batch sum once.  This is
-not the float order of the sort and ``np.add.reduceat`` it replaced,
-which added a run's first row to the pairwise sum of the rest, so a
-gradient sum can differ from that order's in its last bits.  A run is
-byte-deterministic given its data and seed.
+parameter moves.  The step scores the relation-sorted facts ``_CHUNK``
+at a time and the path hinges ``_path_block`` at a time.  Gradient rows
+reach the batch sums by ``_add_rows``: each row's gradients are summed
+from 0.0 in row order, and that sum is added once.  A path block weights
+each distinct (path, relation) pair's gap by its active hinges'
+coefficients, summed in hinge order, and sums those rows in pair order
+per path and per relation (``np.add.reduceat``) before the scatter.  A
+run is byte-deterministic given its data and seed.
 """
 
 from __future__ import annotations
@@ -205,11 +204,16 @@ def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
 
 # -- the minibatch step of both stages ---------------------------------------
 
-# Facts (or path hinges) evaluated at once within a batch.  Each chunk's
-# arrays are O(_CHUNK * dim); only the gradient sums, one per parameter row
-# or matrix at most, outlive it, so the step's memory does not grow with
-# the batch size.
+# Facts evaluated at once within a batch.  Each block's arrays are
+# O(_CHUNK * dim); only the gradient sums, one per parameter row or matrix
+# at most, outlive it, so the step's memory does not grow with the batch size.
 _CHUNK = 256
+
+
+def _path_block(params: ModelParams) -> int:
+    """Path hinges scored at once: their distinct (path, relation) pairs, at most two a
+    hinge, hold no more gap floats than a fact block's 4 entity and 4 projected rows a fact."""
+    return 2 * _CHUNK * (params.dim_entity + params.dim_relation) // params.dim_relation
 
 
 class EpochStats(NamedTuple):
@@ -376,31 +380,46 @@ def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: f
     return hinge, on, ids[np.concatenate((order, order + n))], grads, rels, hits, gr
 
 
-def _path_hinges(rel: np.ndarray, path_rels: np.ndarray, path: np.ndarray, r: np.ndarray,
-                 r2: np.ndarray, reliability: np.ndarray, neg_reliability: np.ndarray,
+def _run_sums(key: np.ndarray, rows: np.ndarray, counts: np.ndarray):
+    """Each run of the sorted ``key``: its value and its sums of ``rows`` and ``counts``."""
+    starts = np.flatnonzero(_firsts(key))
+    return (key[starts], np.add.reduceat(rows, starts, axis=0),
+            np.add.reduceat(counts, starts))
+
+
+def _path_hinges(rel: np.ndarray, path_rels: np.ndarray, relatedness: Callable, path: np.ndarray,
+                 r: np.ndarray, r2: np.ndarray, reliability: np.ndarray, flow: np.ndarray,
                  inv_z: np.ndarray, margin: float):
     """The path hinges ``inv_z * (margin + c |p - r|^2 - c' |p - r2|^2)``, c
-    and c' the two reliabilities, p the path ``path_rels[path]`` composed
-    from ``rel`` (``relation_rows``) once per distinct (path, relation).
-    Returns (hinges, active, relation ids, gradient rows).  An active
-    hinge adds 2 inv_z (c q - c' q') to its path's steps, -2 inv_z c q to r
-    and 2 inv_z c' q' to r2, q = p - r and q' = p - r2; so each pair's gap
-    enters once, times the sum of its hinges' coefficients."""
+    the reliability, c' ``relatedness(r2, path)`` * flow, p ``path_rels[path]``
+    composed from ``rel`` (``relation_rows``), once per distinct (path,
+    relation); ``relatedness`` is read once per distinct (path, r2).  Returns
+    (hinges, active, relation ids, gradient rows, hinge terms per row).  An
+    active hinge adds 2 inv_z (c q - c' q') to its path's steps, -2 inv_z c q
+    to r and 2 inv_z c' q' to r2, q = p - r, q' = p - r2: so a path's steps
+    and a relation get the sums of their pairs' gaps times coefficients."""
     m = len(path)
     pair_path, pair_r, gap, at = path_gaps(
         rel, path_rels, np.concatenate((path, path)), np.concatenate((r, r2)))
+    neg = np.flatnonzero(np.bincount(at[m:], minlength=len(gap)))
+    relat = np.zeros(len(gap))
+    relat[neg] = relatedness(pair_r[neg], pair_path[neg])
     dist = _row_dots(gap)[at]
-    weight = np.concatenate((reliability, -neg_reliability))
+    weight = np.concatenate((reliability, -(relat[at[m:]] * flow)))
     hinge = inv_z * (margin + weight[:m] * dist[:m] + weight[m:] * dist[m:])
     on = ~(hinge <= 0.0)
     on2 = np.concatenate((on, on))
     coef = np.bincount(at[on2], (2.0 * np.concatenate((inv_z, inv_z)) * weight)[on2], len(gap))
-    pairs = _distinct(at[on2])
-    V = coef[pairs, None] * gap[pairs]
-    steps = path_rels[pair_path[pairs]]
+    hits = np.bincount(at[on2], minlength=len(gap))  # terms of each pair's relation
+    walks = np.bincount(at[:m][on], minlength=len(gap))  # and of its path
+    gap *= coef[:, None]  # V, 0 for a pair without an active hinge
+    paths, Vp, n_path = _run_sums(pair_path, gap, walks)
+    order = np.argsort(pair_r, kind="stable")
+    rels, Vr, n_rel = _run_sums(pair_r[order], gap[order], hits[order])
+    steps = path_rels[paths]
     along, col = np.nonzero(steps >= 0)
-    ids = np.concatenate((steps[along, col], pair_r[pairs]))
-    return hinge, on, ids, np.concatenate((V[along], -V))
+    return (hinge, on, np.concatenate((steps[along, col], rels)),
+            np.concatenate((Vp[along], -Vr)), np.concatenate((n_path[along], n_rel)))
 
 
 def _step(
@@ -445,21 +464,20 @@ def _step(
         proj_g *= cfg.lr
         params.proj[batch_rels] -= proj_g.astype(np.float32)
 
+    size = _path_block(params)
     if len(b.entry):
         ev, table, rel = paths.evidence, paths.table, relation_rows(params)
-    for c in range(0, len(b.entry), _CHUNK):
-        entry, owner = b.entry[c : c + _CHUNK], b.owner[c : c + _CHUNK]
-        r, r2 = b.pos[owner, 1], b.rel2[c : c + _CHUNK]
-        pids = ev.path[entry]
-        hinge, on, ids, grads = _path_hinges(
-            rel, table.path_rels, pids, r, r2, ev.reliability[entry],
-            table.relatedness(r2, pids) * ev.flow[entry], 1.0 / ev.z[b.fact[owner]], cfg.margin2,
+    for c in range(0, len(b.entry), size):
+        entry, owner = b.entry[c : c + size], b.owner[c : c + size]
+        hinge, on, ids, grads, terms = _path_hinges(
+            rel, table.path_rels, table.relatedness, ev.path[entry], b.pos[owner, 1],
+            b.rel2[c : c + size], ev.reliability[entry], ev.flow[entry],
+            1.0 / ev.z[b.fact[owner]], cfg.margin2,
         )
         loss += float(hinge[on].sum())
         path_v += int(on.sum())
         _add_rows(rel_g, ids, grads)
-        walked = np.concatenate((table.path_rels[pids[on]].ravel(), r[on], r2[on]))
-        rel_n += np.bincount(walked[walked >= 0], minlength=len(rel_n))
+        np.add.at(rel_n, ids, terms)
 
     tri = np.concatenate(bounded)
     ents = _distinct(tri[:, [0, 2]].ravel())

@@ -186,9 +186,9 @@ def test_03_analytic_gradients_match_central_differences():
             return float(inv_z[0] * (rel[0] * np.sum((p - vecs[r]) ** 2)
                                      - rel_neg[0] * np.sum((p - vecs[r2[0]]) ** 2)))
 
-        _, on, ids, grads = _path_hinges(
-            relation_rows(params), rows, np.array([0]), np.array([r]), r2, rel, rel_neg, inv_z,
-            margin=1e6,
+        _, on, ids, grads, _ = _path_hinges(
+            relation_rows(params), rows, lambda rels, pids: rel_neg, np.array([0]), np.array([r]),
+            r2, rel, np.ones(1), inv_z, margin=1e6,
         )
         ok = ok and bool(on.all())
         grad_rel = summed(params.relation_emb, ids, grads)

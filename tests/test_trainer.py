@@ -411,18 +411,25 @@ def many_runs_graph() -> KnowledgeGraph:
 
 
 class TestBatchStep:
-    # The small graph's cases keep their ids.  On the "runs" graph a block
-    # holds dozens of relation runs, a chunk of 3 cuts them mid-relation,
-    # and a path chunk holds many distinct (path, relation) pairs.
-    @pytest.mark.parametrize("graph,stage,chunk", [
-        pytest.param(graph, stage, chunk,
-                     id=f"{'' if graph == 'small' else graph + '-'}{stage}-{chunk}")
+    # The small graph's cases keep their ids; a path block other than the
+    # default adds "-path1" or "-path3".  On the "runs" graph a block holds
+    # dozens of relation runs, a chunk of 3 cuts them mid-relation, and a
+    # path block holds many distinct (path, relation) pairs.
+    @pytest.mark.parametrize("graph,stage,chunk,block", [
+        pytest.param(graph, stage, chunk, block,
+                     id=f"{'' if graph == 'small' else graph + '-'}{stage}-{chunk}"
+                        f"{'' if block is None else f'-path{block}'}")
         for graph in ("small", "runs") for stage in ("transr", "ptransr") for chunk in (256, 3)
+        for block in ((None,) if stage == "transr" else (None, 1, 3))
     ])
-    def test_step_matches_reference(self, small_graph, graph, stage, chunk, monkeypatch):
-        # A chunk of 3 splits relation groups and path hinges, so the
-        # gradient sums are carried across chunks.
+    def test_step_matches_reference(self, small_graph, graph, stage, chunk, block, monkeypatch):
+        # A chunk of 3 splits relation groups, and a path block of 1 or 3
+        # hinges splits the pairs of a path or a relation, so the gradient
+        # sums and their per-path and per-relation reductions are carried
+        # across blocks.
         monkeypatch.setattr(trainer, "_CHUNK", chunk)
+        if block is not None:
+            monkeypatch.setattr(trainer, "_path_block", lambda params: block)
         g = small_graph if graph == "small" else many_runs_graph()
         table = (build_path_table(g, reliability_floor=0.0) if stage == "ptransr"
                  else PathTable.empty(g.n_entities))
@@ -450,6 +457,39 @@ class TestBatchStep:
             totals += got[1:]
         assert totals[0] > 0 and totals[2] > 0
         assert (totals[1] > 0) == (stage == "ptransr")
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_relatedness_is_read_once_per_distinct_path_relation(self, block, monkeypatch):
+        # Each path block reads P(r2 | p) with exactly its distinct (path,
+        # corrupted relation) pairs, ascending, and searches nothing per
+        # hinge: one call per block, none for the facts.
+        g = many_runs_graph()
+        table = build_path_table(g, reliability_floor=0.0)
+        paths = _fact_paths(g, table)
+        rng = np.random.default_rng(3)
+        params = ModelParams.random(g.n_entities, g.n_relations, 5, 4, rng)
+        batch = _draw_batch(g, paths, np.asarray(_head_probs(g, "uniform")), rng,
+                            rng.permutation(len(g.train)))
+        size = trainer._path_block(params) if block is None else block
+        if block is not None:
+            monkeypatch.setattr(trainer, "_path_block", lambda params: block)
+        calls = []
+        relatedness = PathTable.relatedness
+
+        def spy(self, r, path):
+            calls.append(list(zip(path.tolist(), r.tolist())))
+            return relatedness(self, r, path)
+
+        monkeypatch.setattr(PathTable, "relatedness", spy)
+        _step(params, paths, tiny_cfg(dim_entity=5, dim_relation=4), batch)
+        pids = paths.evidence.path[batch.entry].tolist()
+        want = [sorted(set(zip(pids[c : c + size], batch.rel2[c : c + size].tolist())))
+                for c in range(0, len(pids), size)]
+        assert calls == want
+        if block is None:  # one block of every hinge: its pairs recur, each read once
+            assert len(calls) == 1 and len(want[0]) < len(pids)
+        else:
+            assert len(calls) > 1
 
     @pytest.mark.parametrize("form", ["every row", "distinct ids"])
     @settings(max_examples=200, deadline=None)
@@ -504,6 +544,41 @@ class TestBatchStep:
         finally:
             tracemalloc.stop()
         assert peak < 12 * chunk_bytes, (peak, chunk_bytes)
+
+    def test_epoch_memory_is_bounded_by_path_blocks(self):
+        # 48 relations after augmentation and no reliability floor: a batch
+        # of every train fact holds ~9,500 path hinges with ~17,000 distinct
+        # (path, relation) pairs, and one block of them ~2,000.  The step's
+        # dim-wide pair arrays must stay those of a block.  A block of n
+        # hinges holds at most 2n pairs, so its pair bytes are 2n * dim * 8.
+        # Measured in multiples of them: the fact blocks and the batch's
+        # per-hinge arrays peak near 5, the default blocks near 6.2, blocks
+        # of 4,096 hinges near 13.5 and one block for the whole batch near 22.
+        rng = np.random.default_rng(5)
+        n_ent, n_rel, dim, n = 60, 24, 64, 600
+        facts = np.stack([rng.integers(n_ent, size=n), rng.integers(n_rel, size=n),
+                          rng.integers(n_ent, size=n)], axis=1)
+        g = make_graph(facts.tolist(), n_entities=n_ent, n_relations=n_rel)
+        paths = _fact_paths(g, build_path_table(g, reliability_floor=0.0))
+        params = ModelParams.random(g.n_entities, g.n_relations, dim, dim, rng)
+        cfg = tiny_cfg(dim_entity=dim, dim_relation=dim, batch_size=len(g.train))
+        probs = _head_probs(g, "uniform")
+        g.train_mask(g.train[:1])  # build the index before measuring
+        size = trainer._path_block(params)
+        first = _draw_batch(g, paths, np.asarray(probs), np.random.default_rng(0),
+                            np.arange(len(g.train)))
+        pids = paths.evidence.path[first.entry[:size]]
+        keys = np.concatenate((pids * n_rel * 2 + first.pos[first.owner[:size], 1],
+                               pids * n_rel * 2 + first.rel2[:size]))
+        assert len(first.entry) > 4 * size and len(np.unique(keys)) > 1500
+        pair_bytes = 2 * size * dim * 8
+        tracemalloc.start()
+        try:
+            _run_epoch(g, paths, params, cfg, rng, probs, epoch=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * pair_bytes, (peak, pair_bytes)
 
 
 class TestWarmStart:
