@@ -32,13 +32,14 @@ collects the path hinges that walk through it, dozens of stale gradients
 per batch, so relation rows take the mean of theirs.  M_r takes the
 batch mean of its fact-hinge gradients, once per batch, as every other
 parameter moves.  The step scores the relation-sorted facts ``_CHUNK``
-at a time and the path hinges ``_path_block`` at a time.  Gradient rows
-reach the batch sums by ``_add_rows``: each row's gradients are summed
-from 0.0 in row order, and that sum is added once.  A path block weights
-each distinct (path, relation) pair's gap by its active hinges'
-coefficients, summed in hinge order, and sums those rows in pair order
-per path and per relation (``np.add.reduceat``) before the scatter.  A
-run is byte-deterministic given its data and seed.
+(512) at a time, by ``M_r(h - t) + r`` and ``M_r(h' - t') + r``, and the
+path hinges ``_path_block`` (1,024 at equal dimensions) at a time.
+Gradient rows reach the batch sums by ``_add_rows``: each row's
+gradients are summed from 0.0 in row order, and that sum is added once.
+A path block weights each distinct (path, relation) pair's gap by its
+active hinges' coefficients, summed in hinge order, and sums those rows
+in pair order per path and per relation (``np.add.reduceat``) before the
+scatter.  A run is byte-deterministic given its data and seed.
 """
 
 from __future__ import annotations
@@ -204,16 +205,16 @@ def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
 
 # -- the minibatch step of both stages ---------------------------------------
 
-# Facts evaluated at once within a batch.  Each block's arrays are
-# O(_CHUNK * dim); only the gradient sums, one per parameter row or matrix
-# at most, outlive it, so the step's memory does not grow with the batch size.
-_CHUNK = 256
+# Facts evaluated at once in a batch, two differences a fact.  A block's arrays
+# are O(_CHUNK * dim); only the gradient sums, one per parameter row or matrix at
+# most, outlive it, so the step's memory does not grow with the batch size.
+_CHUNK = 512
 
 
 def _path_block(params: ModelParams) -> int:
-    """Path hinges scored at once: their distinct (path, relation) pairs, at most two a
-    hinge, hold no more gap floats than a fact block's 4 entity and 4 projected rows a fact."""
-    return 2 * _CHUNK * (params.dim_entity + params.dim_relation) // params.dim_relation
+    """Path hinges scored at once, 1,024 at equal dimensions: their distinct (path, relation)
+    pairs, at most two a hinge, hold no more gap floats than a fact block's rows, 2 + 2 a fact."""
+    return _CHUNK * (params.dim_entity + params.dim_relation) // params.dim_relation
 
 
 class EpochStats(NamedTuple):
@@ -337,47 +338,46 @@ def _fact_block(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: f
     then per relation run its relation, active count and relation
     gradient), and each run's M_r gradient added into ``gM``, row j for
     the block's j-th relation.  A hinge is active unless <= 0 (NaN stays
-    active).  A run's active rows U, its facts' residuals then minus their
-    corruptions', give heads 2 U M_r, tails minus that, r 2 U summed and
-    M_r 2 U^T (h - t), by one product with M_r per run and term.  With
-    ``gM`` None (the warm start) every M_r is taken as identity: no
-    product is made and heads get 2 U."""
-    k = params.dim_entity
-    warm = gM is None
+    active).  A fact's residual u = M_r(h - t) + r and its corruption's w =
+    M_r(h' - t') + r take one product with M_r per run.  A run's active
+    rows U, 2 (u, -w) of each fact, give heads U M_r, tails minus that, r
+    U summed and M_r U^T D, D their differences.  With ``gM`` None (the
+    warm start) every M_r is taken as identity: no product is made and
+    heads get U."""
+    k, dr = params.dim_entity, params.dim_relation
     first = _firsts(pos[:, 1])
     run, starts = np.cumsum(first) - 1, np.flatnonzero(first)
     rels = pos[starts, 1]
-    X = params.entity_emb[np.stack((pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2]), axis=1)]
-    P = X = X.astype(np.float64)                 # h, h', t, t' of each fact
-    if not warm:
+    heads = np.stack((pos[:, 0], neg[:, 0]), axis=1)  # h, h' of each fact
+    tails = np.stack((pos[:, 2], neg[:, 2]), axis=1)  # t, t'
+    R = D = np.subtract(params.entity_emb[heads], params.entity_emb[tails], dtype=np.float64)
+    if gM is not None:
         Ms = params.proj[rels].astype(np.float64)
-        P = np.empty((len(pos), 4, params.dim_relation))
+        R = np.empty((len(pos), 2, dr))
         for M, lo, hi in zip(Ms, starts.tolist(), [*starts[1:].tolist(), len(pos)]):
-            P[lo:hi] = (X[lo:hi].reshape(-1, k) @ M.T).reshape(hi - lo, 4, -1)
-    rv = params.relation_emb[rels][run].astype(np.float64)
-    u = P[:, 0] + rv - P[:, 2]                   # residuals of the facts
-    w = P[:, 1] + rv - P[:, 3]                   # and of their corruptions
-    del P, rv                                    # the block's peak memory
-    hinge = margin + _row_dots(u) - _row_dots(w)
+            np.matmul(D[lo:hi].reshape(-1, k), M.T, out=R[lo:hi].reshape(-1, dr))
+    R += params.relation_emb[rels[run], None]    # u and w of each fact
+    sq = _row_dots(R.reshape(-1, dr))
+    hinge = margin + sq[0::2] - sq[1::2]
     on = ~(hinge <= 0.0)
     act = np.flatnonzero(on)
     hits = np.bincount(run[act], minlength=len(rels))
-    order = np.argsort(np.concatenate((2 * run[act], 2 * run[act] + 1)), kind="stable")
-    U = np.concatenate((u[act], -w[act]))[order]
+    U = R[act]
+    del R, sq                                    # the block's peak memory
+    U *= np.array([[2.0], [-2.0]])               # 2 (u, -w) of each fact, so by run
+    U = U.reshape(-1, dr)
+    D = None if gM is None else D[act].reshape(-1, k)  # the same
     lo, live, n = 2 * (np.cumsum(hits) - hits), np.flatnonzero(hits), len(U)
     grads = np.empty((2 * n, k))                 # heads, then tails
-    if warm:
-        np.multiply(U, 2.0, out=grads[:n])
+    if gM is None:
+        grads[:n] = U
     else:
-        D = (X[act, :2] - X[act, 2:]).transpose(1, 0, 2).reshape(-1, k)[order]
         for j, s, e in zip(live.tolist(), lo[live].tolist(), (lo + 2 * hits)[live].tolist()):
-            grads[s:e] = 2.0 * (U[s:e] @ Ms[j])
-            gM[j] += 2.0 * (U[s:e].T @ D[s:e])
-    del X                                        # the same
+            np.matmul(U[s:e], Ms[j], out=grads[s:e])
+            gM[j] += U[s:e].T @ D[s:e]
     np.negative(grads[:n], out=grads[n:])
-    gr = 2.0 * np.add.reduceat(U, lo[live], axis=0)  # of the runs with active hinges
-    ids = np.concatenate((pos[act, 0], neg[act, 0], pos[act, 2], neg[act, 2]))
-    return hinge, on, ids[np.concatenate((order, order + n))], grads, rels, hits, gr
+    gr = np.add.reduceat(U, lo[live], axis=0)    # of the runs with active hinges
+    return hinge, on, np.concatenate((heads[act], tails[act])).ravel(), grads, rels, hits, gr
 
 
 def _run_sums(key: np.ndarray, rows: np.ndarray, counts: np.ndarray):
@@ -445,7 +445,8 @@ def _step(
     bounded: list[np.ndarray] = []  # active facts and corruptions, for the M_r bound
 
     order = np.argsort(b.pos[:, 1], kind="stable")
-    batch_rels = _distinct(b.pos[:, 1])
+    by_rel = b.pos[order, 1]
+    batch_rels = by_rel[_firsts(by_rel)]
     proj_g = None if warm else np.zeros((len(batch_rels), *params.proj.shape[1:]))
     for c in range(0, len(order), _CHUNK):
         pos, neg = b.pos[order[c : c + _CHUNK]], b.neg[order[c : c + _CHUNK]]

@@ -419,14 +419,16 @@ class TestBatchStep:
         pytest.param(graph, stage, chunk, block,
                      id=f"{'' if graph == 'small' else graph + '-'}{stage}-{chunk}"
                         f"{'' if block is None else f'-path{block}'}")
-        for graph in ("small", "runs") for stage in ("transr", "ptransr") for chunk in (256, 3)
+        for graph in ("small", "runs") for stage in ("transr", "ptransr")
+        for chunk in (trainer._CHUNK, 3, 1)
         for block in ((None,) if stage == "transr" else (None, 1, 3))
     ])
     def test_step_matches_reference(self, small_graph, graph, stage, chunk, block, monkeypatch):
-        # A chunk of 3 splits relation groups, and a path block of 1 or 3
-        # hinges splits the pairs of a path or a relation, so the gradient
-        # sums and their per-path and per-relation reductions are carried
-        # across blocks.
+        # The default chunk holds the whole batch.  A chunk of 3 splits
+        # relation groups, and one of 1 makes a block of each fact, often
+        # with no active hinge; a path block of 1 or 3 hinges splits the
+        # pairs of a path or a relation, so the gradient sums and their
+        # per-path and per-relation reductions are carried across blocks.
         monkeypatch.setattr(trainer, "_CHUNK", chunk)
         if block is not None:
             monkeypatch.setattr(trainer, "_path_block", lambda params: block)
@@ -455,7 +457,7 @@ class TestBatchStep:
                                  (params.proj, ref.proj)):
                 np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-9)
             totals += got[1:]
-        assert totals[0] > 0 and totals[2] > 0
+        assert 0 < totals[0] < len(g.train) and totals[2] > 0
         assert (totals[1] > 0) == (stage == "ptransr")
 
     @pytest.mark.parametrize("block", [None, 5])
@@ -535,7 +537,9 @@ class TestBatchStep:
         cfg = tiny_cfg(dim_entity=dim, dim_relation=dim, batch_size=10 * len(g.train))
         probs = _head_probs(g, "uniform")
         g.train_mask(g.train[:1])  # build the index before measuring
-        # A chunk of 256 facts gathers four entity rows per fact (h, t, h', t').
+        # The bound of the former blocks of 256 facts, which gathered four
+        # entity rows per fact (h, t, h', t'); blocks of 512 facts, two
+        # differences a fact, must meet it too.
         chunk_bytes = 256 * 4 * dim * 8
         tracemalloc.start()
         try:
@@ -544,6 +548,31 @@ class TestBatchStep:
         finally:
             tracemalloc.stop()
         assert peak < 12 * chunk_bytes, (peak, chunk_bytes)
+
+    def test_fact_block_memory_is_bounded_by_two_rows_a_fact(self):
+        # One projected block of _CHUNK facts, every hinge active, over 17
+        # relations of dim 50.  Its float rows are those of each fact's two
+        # differences, in multiples of _CHUNK * 2 * dim * 8 bytes: the
+        # differences, their projections, the active rows and the returned
+        # gradients peak near 5.1.  Gathering and projecting h, h', t and
+        # t' peaked near 8.9.
+        rng = np.random.default_rng(5)
+        n_ent, n_rel, dim, n = 1000, 17, 50, trainer._CHUNK
+        params = ModelParams.random(n_ent, n_rel, dim, dim, rng)
+        pos = np.stack([rng.integers(n_ent, size=n), np.sort(rng.integers(n_rel, size=n)),
+                        rng.integers(n_ent, size=n)], axis=1)
+        neg = pos.copy()
+        neg[:, 2] = rng.integers(n_ent, size=n)
+        proj_g = np.zeros((n_rel, dim, dim))
+        tracemalloc.start()
+        try:
+            on = trainer._fact_block(params, pos, neg, 1e6, proj_g)[1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert on.all()
+        row_bytes = n * 2 * dim * 8
+        assert peak < 7 * row_bytes, (peak, row_bytes)
 
     def test_epoch_memory_is_bounded_by_path_blocks(self):
         # 48 relations after augmentation and no reliability floor: a batch
@@ -583,11 +612,12 @@ class TestBatchStep:
 
 class TestWarmStart:
     @pytest.mark.parametrize("graph,chunk", [
-        ("small", 256), ("small", 3), ("runs", 256), ("runs", 3),
+        (graph, chunk) for graph in ("small", "runs") for chunk in (trainer._CHUNK, 3, 1)
     ])
     def test_warm_step_matches_reference(self, small_graph, graph, chunk, monkeypatch):
         # The per-fact reference with identity projections and summed
-        # relation rows; a chunk of 3 splits relation runs across blocks.
+        # relation rows; a chunk of 3 splits relation runs across blocks,
+        # and one of 1 makes a block of each fact, often with no active hinge.
         monkeypatch.setattr(trainer, "_CHUNK", chunk)
         g = small_graph if graph == "small" else many_runs_graph()
         empty = PathTable.empty(g.n_entities)
@@ -611,7 +641,7 @@ class TestWarmStart:
                 np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-9)
             assert params.proj.tobytes() == ref.proj.tobytes() == eye
             fact_v += got[1]
-        assert fact_v > 0
+        assert 0 < fact_v < len(g.train)
 
     def test_projections_stay_identity(self, small_graph):
         # Large steps in small batches: M_r is never read, moved or scaled.

@@ -16,7 +16,10 @@ compared without them.
 
 It prints one line per file that differs or exists on one side only, and
 one summary line per workload and seed; the exit status is 1 if any file
-differs.  Run it from anywhere; pytest does not collect ``tools/``.
+differs.  A ``train_log.jsonl`` that differs gets one more line naming
+the record fields that differ and in how many records, e.g.
+``fields: loss (8 of 8 records)``.  Run it from anywhere; pytest does
+not collect ``tools/``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -84,6 +89,19 @@ def content(path: Path) -> bytes:
     return path.read_bytes()
 
 
+def log_fields(parent: Path, change: Path) -> str:
+    """The record fields in which two train logs differ, less the ignored
+    ones, each with the number of records it differs in."""
+    logs = [[json.loads(line) for line in content(p).splitlines()] for p in (parent, change)]
+    missing = object()
+    counts = Counter()
+    for a, b in zip_longest(*logs, fillvalue={}):
+        counts.update(k for k in a.keys() | b.keys() if a.get(k, missing) != b.get(k, missing))
+    n = max(map(len, logs))
+    return "fields: " + (", ".join(f"{k} ({c} of {n} records)" for k, c in sorted(counts.items()))
+                         or "none")
+
+
 def files(root: Path) -> dict[str, Path]:
     return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -113,11 +131,13 @@ def main(argv: list[str] | None = None) -> int:
                 bad = []
                 for rel in sorted(parent.keys() | change.keys()):
                     if rel not in parent or rel not in change:
-                        bad.append(f"{rel}: only in {'parent' if rel in parent else 'change'}")
+                        bad.append((rel, f"only in {'parent' if rel in parent else 'change'}"))
                     elif content(parent[rel]) != content(change[rel]):
-                        bad.append(f"{rel}: differs")
-                for line in bad:
-                    print(f"{name} seed {seed}: {line}")
+                        bad.append((rel, "differs"))
+                for rel, why in bad:
+                    print(f"{name} seed {seed}: {rel}: {why}")
+                    if why == "differs" and Path(rel).name == "train_log.jsonl":
+                        print(f"{name} seed {seed}: {rel}: {log_fields(parent[rel], change[rel])}")
                 print(f"{name} seed {seed}: {len(parent.keys() | change.keys()) - len(bad)} "
                       f"files the same, {len(bad)} differ")
                 differ += len(bad)
