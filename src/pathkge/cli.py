@@ -25,7 +25,6 @@ import numpy as np
 
 from pathkge.evaluator import (
     DEFAULT_RERANK_K,
-    EvalError,
     evaluate,
     write_ranks_csv,
     write_report_json,
@@ -299,9 +298,17 @@ def _run_dir(args: argparse.Namespace, verb: str, seed: int) -> Path:
 
 
 def _load_table(path: str, g: KnowledgeGraph) -> PathTable:
+    if not Path(path).is_file():
+        raise PathError(f"path table not found: {path}")
     table = PathTable.load(path)
     table.check_graph(g, PathError)
     return table
+
+
+def _load_model(path: str, what: str = "model file") -> ModelParams:
+    if not Path(path).is_file():
+        raise ModelError(f"{what} not found: {path}")
+    return ModelParams.load(path)
 
 
 # -- verbs -------------------------------------------------------------------
@@ -379,14 +386,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "stage ptransr needs a path table (pass --table <file.ptbl>, "
                 "produced by extract-paths)"
             )
-        if not Path(args.table).is_file():
-            raise TrainError(f"path table not found: {args.table}")
         table = _load_table(args.table, g)
-    init = None
-    if args.init:
-        if not Path(args.init).is_file():
-            raise TrainError(f"warm-start model not found: {args.init}")
-        init = ModelParams.load(args.init)
+    init = _load_model(args.init, "warm-start model") if args.init else None
 
     out = _run_dir(args, "train", cfg.seed)
     params, records = train(g, table, cfg, out_dir=out, init_params=init)
@@ -406,15 +407,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if not Path(args.model).is_file():
-        raise EvalError(f"model file not found: {args.model}")
-    params = ModelParams.load(args.model)
-    if args.table:
-        if not Path(args.table).is_file():
-            raise EvalError(f"path table not found: {args.table}")
-        table = _load_table(args.table, g)
-    else:
-        table = PathTable.empty(g.n_entities)
+    params = _load_model(args.model)
+    table = _load_table(args.table, g) if args.table else PathTable.empty(g.n_entities)
 
     report = evaluate(params, table, g, split=args.split, rerank_k=args.rerank_k,
                       tie_policy=args.tie_policy)
@@ -469,9 +463,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if args.entity is None and args.pair is None and args.relation is None:
         raise DatasetError("nothing to inspect (pass --entity, --pair, or --relation)")
     g = _load_graph(args)
-    if not Path(args.model).is_file():
-        raise ModelError(f"model file not found: {args.model}")
-    params = ModelParams.load(args.model)
+    params = _load_model(args.model)
     params.check_graph(g, ModelError)
     ent_id, rel_id = g.vocab.entity_index, g.vocab.relation_index
 
@@ -630,16 +622,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DatasetError,
-        PathError,
-        ModelError,
-        TrainError,
-        EvalError,
-        SynthError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, TrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the array it could not allocate

@@ -731,6 +731,29 @@ class TestPlumbing:
         assert stats["entities"] == 2
         assert stats["relations"] == 1
 
+    @pytest.mark.parametrize("argv, what", [
+        (["train", "--stage", "ptransr", "--table", "MISSING"], "path table"),
+        (["train", "--stage", "transr", "--init", "MISSING"], "warm-start model"),
+        (["evaluate", "--model", "MISSING"], "model file"),
+        (["evaluate", "--model", "MODEL", "--table", "MISSING"], "path table"),
+        (["inspect", "--model", "MISSING", "--entity", "e00"], "model file"),
+        (["inspect", "--model", "MODEL", "--table", "MISSING", "--entity", "e00"], "path table"),
+    ], ids=["train-table", "train-init", "evaluate-model", "evaluate-table", "inspect-model",
+            "inspect-table"])
+    def test_a_missing_artifact_ends_in_one_error_line(self, ws, tmp_path, monkeypatch, capsys,
+                                                       argv, what):
+        # Every verb loads its model and table through one loader each.
+        monkeypatch.chdir(tmp_path)  # a run directory would default to ./runs
+        missing = tmp_path / "missing.bin"
+        swap = {"MISSING": str(missing), "MODEL": str(ws["model"])}
+        capsys.readouterr()
+        rc = cli.main([*(swap.get(arg, arg) for arg in argv), "--data", str(ws["data"])])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {what} not found: {missing}\n"
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
     def test_model_table_shape_mismatch(self, ws, tmp_path, capsys):
         other = tmp_path / "other"
         generate_synthetic_kg(small_spec(n_entities=12, seed=9), other)

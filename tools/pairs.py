@@ -17,36 +17,25 @@ nonzero if, on any workload, the change failed more runs than the parent.
 
 The two checkout directories must have names of equal length: fit-T
 timings were seen to move with the length of the checkout's name.
-Run it from anywhere; pytest does not collect ``tools/``.
+Seeds (none is refused), the first line ``blas_threads: <setting>`` and each
+run's process, with PYTHONPATH removed, come from ``tools/ab.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-
-def seed_range(text: str) -> list[int]:
-    """``41-50`` or ``3,5,8`` as a list of seeds."""
-    if "-" in text:
-        lo, hi = (int(part) for part in text.split("-", 1))
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",")]
+import ab
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``: its metric values, or the reason it failed."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
-        cwd=checkout, env=env, capture_output=True, text=True,
-    )
+    proc = ab.run(["bench/run.py", "--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds)], checkout)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -116,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", type=lambda text: text.split(","), required=True)
-    parser.add_argument("--seeds", type=seed_range, required=True)
+    parser.add_argument("--seeds", type=ab.seeds, required=True)
     parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
 
@@ -128,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [w for w in args.workload if w not in names]
     if unknown:
         parser.error(f"unknown workload {unknown[0]!r}; the benchmark has {', '.join(names)}")
+    print(f"blas_threads: {ab.blas_threads()}", flush=True)
     worse = [compare(parent, change, w, args.seeds, args.seconds, spec) for w in args.workload]
     return 1 if any(worse) else 0
 

@@ -25,8 +25,9 @@ reads +0.0000 ± 0.0000 on every difference and passes.
 
     python3 tools/quality.py CHECKOUT [--parent DIR] --seeds 1-30
 
-Seeds 1-5 are acceptance 7's own.  Run it from anywhere; pytest does not
-collect ``tools/``.
+Seeds 1-5 are acceptance 7's own.  Seeds (none is refused), the first line
+``blas_threads: <setting>`` and each seed's process, with PYTHONPATH the
+checkout's ``src``, come from ``tools/ab.py``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import ab
 
 # Runs with the checkout's ``src`` on the path: argv[1] is the seed, argv[2]
 # an empty directory for the graph; prints the metrics as one JSON line.
@@ -79,22 +80,11 @@ COLUMNS = ("plain_hits10", "path_hits10", "gap", "plain_mr", "path_mr",
            "path_empty_hits10", "path_empty_mr", "plain_table_hits10", "plain_table_mr")
 
 
-def seed_range(text: str) -> list[int]:
-    """``1-30`` or ``3,5,8`` as a list of seeds."""
-    if "-" in text:
-        lo, hi = (int(part) for part in text.split("-", 1))
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",")]
-
-
 def run_seed(checkout: Path, seed: int) -> dict[str, float]:
     """The protocol's metrics for one seed, computed by ``checkout``'s ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory() as work:
-        proc = subprocess.run([sys.executable, "-c", _PROTOCOL, str(seed), work],
-                              cwd=work, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"{checkout}, seed {seed}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+        proc = ab.run(["-c", _PROTOCOL, str(seed), work], Path(work), src=checkout / "src",
+                      what=f"{checkout}, seed {seed}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -131,13 +121,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--parent", type=Path)
-    parser.add_argument("--seeds", type=seed_range, required=True)
+    parser.add_argument("--seeds", type=ab.seeds, required=True)
     args = parser.parse_args(argv)
 
     sides = {"checkout": args.checkout.resolve()}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
     runs: dict[str, list[dict]] = {side: [] for side in sides}
+    print(f"blas_threads: {ab.blas_threads()}")
     print("seed " + " ".join(f"{name:>6s}" for name in COLUMNS))
     for seed in args.seeds:
         for side, checkout in sides.items():

@@ -18,21 +18,22 @@ It prints one line per file that differs or exists on one side only, and
 one summary line per workload and seed; the exit status is 1 if any file
 differs.  A ``train_log.jsonl`` that differs gets one more line naming
 the record fields that differ and in how many records, e.g.
-``fields: loss (8 of 8 records)``.  Run it from anywhere; pytest does
-not collect ``tools/``.
+``fields: loss (8 of 8 records)``.  Seeds (none is refused), the first line
+``blas_threads: <setting>`` and each side's process, with PYTHONPATH the
+checkout's ``src``, come from ``tools/ab.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
+
+import ab
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -50,14 +51,6 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def seed_list(text: str) -> list[int]:
-    """``1-5`` or ``1,2,3,7,9`` as a list of seeds."""
-    if "-" in text:
-        lo, hi = (int(part) for part in text.split("-", 1))
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",")]
-
-
 def with_whole_windows(steps: list[Step]) -> list[Step]:
     """``steps``, then each evaluate step again with a window of every
     entity, written to its output directory's ``-whole`` sibling."""
@@ -65,14 +58,6 @@ def with_whole_windows(steps: list[Step]) -> list[Step]:
         Step(s.verb, {**s.flags, "rerank-k": 10**9, "out": f"{s.flags['out']}-whole"})
         for s in steps if s.verb == "evaluate"
     ]
-
-
-def run_verbs(checkout: Path, argvs: list[list[str]], cwd: Path) -> None:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run([sys.executable, "-c", _VERBS, json.dumps(argvs)],
-                          cwd=cwd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"{checkout}: {proc.stderr.strip()[-2000:]}")
 
 
 def content(path: Path) -> bytes:
@@ -110,9 +95,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--seeds", type=seed_list, default=seed_list("1,2,3,7,9"))
+    parser.add_argument("--seeds", type=ab.seeds, default="1,2,3,7,9")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    print(f"blas_threads: {ab.blas_threads()}")
     differ = 0
     for name, wl in WORKLOADS.items():
         for seed in args.seeds:
@@ -125,7 +111,8 @@ def main(argv: list[str] | None = None) -> int:
                     work = tmp / side
                     work.mkdir()
                     steps = with_whole_windows(wl.steps(work, seed))
-                    run_verbs(checkout, [s.argv(data) for s in steps], work)
+                    ab.run(["-c", _VERBS, json.dumps([s.argv(data) for s in steps])], work,
+                           src=checkout / "src", what=str(checkout))
                     written[side] = files(work)
                 parent, change = written["parent"], written["change"]
                 bad = []

@@ -33,8 +33,8 @@ Put another checkout's ``src`` on PYTHONPATH to measure that checkout.
 ``peak_rss_mb`` is the whole process's peak, generation and table load included,
 and ``user_cpu_s`` its user CPU seconds.  ``blas_threads`` is the
 ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` setting the process was
-started with, or ``"default"``: a comparison must hold it fixed, and the
-script sets no thread count itself.
+started with, or ``"default"`` (``tools/ab.py``'s ``blas_threads``): a
+comparison must hold it fixed, and the script sets no thread count itself.
 ``mine_peak_mb`` is mining's own: the ``tracemalloc`` peak of numpy's
 allocations in a second, untimed ``build_path_table`` run, so that
 ``mine_s`` is not traced.  That run follows the table's ``save``, with no
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import tempfile
 import time
@@ -61,6 +60,8 @@ from pathkge import (
 from pathkge.evaluator import valid_mean_rank
 from pathkge.models import path_evidence
 from pathkge.trainer import init_transe, train_epoch_ptransr
+
+from ab import blas_threads
 
 N_ENTITIES = 14_951
 N_RELATIONS = 1_345
@@ -104,12 +105,6 @@ def write_splits(facts: np.ndarray, out: Path) -> list[Path]:
         path.write_text("".join(f"e{h}\tr{r}\te{t}\n" for h, r, t in rows), encoding="utf-8")
         paths.append(path)
     return paths
-
-
-def blas_threads() -> str:
-    """The BLAS thread variables that are set, as ``NAME=value`` pairs, or ``"default"``."""
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    return " ".join(f"{n}={os.environ[n]}" for n in names if n in os.environ) or "default"
 
 
 def main() -> None:
