@@ -156,6 +156,11 @@ def _row_dots(q: np.ndarray) -> np.ndarray:
     return np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
 
 
+def _row_norms(q: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(q, axis=1)``, bit for bit, without its checks."""
+    return np.sqrt(np.add.reduce(q * q, axis=1))
+
+
 class PathEvidence(NamedTuple):
     """The stored path entries behind a batch of (h, r, t), in batch order,
     then table order.
@@ -203,20 +208,18 @@ def path_evidence(table: PathTable, h, r, t) -> PathEvidence:
     return _evidence(table, *table.pair_spans(h, t), r)[0]
 
 
-def path_gaps(rel: np.ndarray, path_rels: np.ndarray, path, r):
-    """The distinct (path id, relation r) pairs of the inputs (their path ids,
-    relations and gaps p - r, p the row ``path_rels[path]`` composed from
-    ``rel`` with the bits it has alone), and the pair of each input."""
-    pair_path, pair_r, at = _pairs(path, r)
+def pair_gaps(rel: np.ndarray, path_rels: np.ndarray, pair_path, pair_r) -> np.ndarray:
+    """The gaps p - r of (path id, relation r) pairs, p the row ``path_rels[path]``
+    composed from ``rel``."""
     gap = compose_paths(rel, path_rels[pair_path])
     gap -= rel[pair_r]
-    return pair_path, pair_r, gap, at
+    return gap
 
 
 def path_distances(params: ModelParams, table: PathTable, path, r) -> np.ndarray:
     """|p - r|^2 of each (path id, relation r), once per distinct pair."""
-    _, _, gap, at = path_gaps(relation_rows(params), table.path_rels, path, r)
-    return _row_dots(gap)[at]
+    pair_path, pair_r, at = _pairs(path, r)
+    return _row_dots(pair_gaps(relation_rows(params), table.path_rels, pair_path, pair_r))[at]
 
 
 def span_path_terms(params: ModelParams, table: PathTable, lo, hi, r) -> np.ndarray:
@@ -226,8 +229,7 @@ def span_path_terms(params: ModelParams, table: PathTable, lo, hi, r) -> np.ndar
     (path, relation).  No entries or a total reliability of 0 give 0; with
     finite parameters an entry of reliability 0 adds 0.0 to its sum."""
     ev, pair_path, pair_r, at = _evidence(table, lo, hi, r)
-    rel = relation_rows(params)
-    dist = _row_dots(compose_paths(rel, table.path_rels[pair_path]) - rel[pair_r])[at]
+    dist = _row_dots(pair_gaps(relation_rows(params), table.path_rels, pair_path, pair_r))[at]
     num = np.bincount(ev.triple, weights=ev.reliability * dist, minlength=len(r))
     out = np.zeros(len(r))
     np.divide(num, ev.z, out=out, where=ev.z != 0.0)
@@ -252,11 +254,11 @@ def _normalize_rows(mat: np.ndarray, ids: np.ndarray) -> None:
     if len(ids) == 0:
         return
     sub = mat[ids].astype(np.float64)
-    norms = np.linalg.norm(sub, axis=1)
-    if np.any(norms == 0.0):
-        raise ModelError("cannot normalize a zero vector")
-    off = np.abs(norms - 1.0) > _NORM_SLACK
+    norms = _row_norms(sub)
+    off = np.abs(norms - 1.0) > _NORM_SLACK  # a zero row is off too
     if off.any():
+        if np.any(norms == 0.0):
+            raise ModelError("cannot normalize a zero vector")
         mat[ids[off]] = (sub[off] / norms[off, None]).astype(np.float32)
 
 
@@ -278,6 +280,8 @@ def project_constraints(
     _normalize_rows(params.entity_emb, _distinct(np.asarray(entity_ids, dtype=np.int64)))
     _normalize_rows(params.relation_emb, _distinct(np.asarray(relation_ids, dtype=np.int64)))
     tri = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    if len(tri) == 0:
+        return 0
     n = params.n_entities
     rels, ents = np.divmod(
         _distinct(np.concatenate((tri[:, 1] * n + tri[:, 0], tri[:, 1] * n + tri[:, 2]))), n

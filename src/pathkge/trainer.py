@@ -33,13 +33,16 @@ per batch, so relation rows take the mean of theirs.  M_r takes the
 batch mean of its fact-hinge gradients, once per batch, as every other
 parameter moves.  The step scores the relation-sorted facts ``_CHUNK``
 (512) at a time, by ``M_r(h - t) + r`` and ``M_r(h' - t') + r``, and the
-path hinges ``_path_block`` (1,024 at equal dimensions) at a time.
+batch's path hinges as one set: each distinct (path, relation) pair is
+composed and squared once, and its coefficient (its active hinges'
+weights, summed in hinge order) and counts are summed over all of them.
 Gradient rows reach the batch sums by ``_add_rows``: each row's
 gradients are summed from 0.0 in row order, and that sum is added once.
-A path block weights each distinct (path, relation) pair's gap by its
-active hinges' coefficients, summed in hinge order, and sums those rows
-in pair order per path and per relation (``np.add.reduceat``) before the
-scatter.  A run is byte-deterministic given its data and seed.
+The pairs' gap rows are built ``_pair_chunk`` (2,048 at equal
+dimensions) pairs at a time; a chunk weights each gap by its pair's
+coefficient and sums those rows in pair order per path and per relation
+(``np.add.reduceat``) before the scatter.  A run is byte-deterministic
+given its data and seed.
 """
 
 from __future__ import annotations
@@ -58,9 +61,10 @@ from pathkge.kgdata import KnowledgeGraph, _distinct, _firsts, relation_cardinal
 from pathkge.models import (
     ModelParams,
     PathEvidence,
+    _pairs,
     _row_dots,
+    pair_gaps,
     path_evidence,
-    path_gaps,
     project_constraints,
     relation_rows,
 )
@@ -207,14 +211,15 @@ def _head_probs(g: KnowledgeGraph, neg_mode: str) -> list[float]:
 
 # Facts evaluated at once in a batch, two differences a fact.  A block's arrays
 # are O(_CHUNK * dim); only the gradient sums, one per parameter row or matrix at
-# most, outlive it, so the step's memory does not grow with the batch size.
+# most, outlive it, and path pairs go in chunks of as many floats (_pair_chunk),
+# so the step's dim-wide memory does not grow with the batch size.
 _CHUNK = 512
 
 
-def _path_block(params: ModelParams) -> int:
-    """Path hinges scored at once, 1,024 at equal dimensions: their distinct (path, relation)
-    pairs, at most two a hinge, hold no more gap floats than a fact block's rows, 2 + 2 a fact."""
-    return _CHUNK * (params.dim_entity + params.dim_relation) // params.dim_relation
+def _pair_chunk(params: ModelParams) -> int:
+    """Distinct (path, relation) pairs whose gap rows are built at once, 2,048 at equal
+    dimensions: their floats are no more than a fact block's rows, 2 + 2 a fact."""
+    return 2 * _CHUNK * (params.dim_entity + params.dim_relation) // params.dim_relation
 
 
 class EpochStats(NamedTuple):
@@ -389,37 +394,49 @@ def _run_sums(key: np.ndarray, rows: np.ndarray, counts: np.ndarray):
 
 def _path_hinges(rel: np.ndarray, path_rels: np.ndarray, relatedness: Callable, path: np.ndarray,
                  r: np.ndarray, r2: np.ndarray, reliability: np.ndarray, flow: np.ndarray,
-                 inv_z: np.ndarray, margin: float):
-    """The path hinges ``inv_z * (margin + c |p - r|^2 - c' |p - r2|^2)``, c
-    the reliability, c' ``relatedness(r2, path)`` * flow, p ``path_rels[path]``
-    composed from ``rel`` (``relation_rows``), once per distinct (path,
-    relation); ``relatedness`` is read once per distinct (path, r2).  Returns
-    (hinges, active, relation ids, gradient rows, hinge terms per row).  An
-    active hinge adds 2 inv_z (c q - c' q') to its path's steps, -2 inv_z c q
-    to r and 2 inv_z c' q' to r2, q = p - r, q' = p - r2: so a path's steps
-    and a relation get the sums of their pairs' gaps times coefficients."""
+                 inv_z: np.ndarray, margin: float, size: int, rel_g: np.ndarray,
+                 rel_n: np.ndarray):
+    """The path hinges ``inv_z * (margin + c |p - r|^2 - c' |p - r2|^2)`` of a
+    batch, c the reliability, c' ``relatedness(r2, path)`` * flow, p
+    ``path_rels[path]`` composed from ``rel`` (``relation_rows``): returns
+    (hinges, active) and adds their gradient rows to ``rel_g`` and their
+    hinge terms to ``rel_n``.  Each distinct (path, relation) pair is
+    composed and squared once, its gap rows built ``size`` pairs at a time;
+    ``relatedness`` is read once, with every distinct (path, r2).  An active
+    hinge adds 2 inv_z (c q - c' q') to its path's steps, -2 inv_z c q to r
+    and 2 inv_z c' q' to r2, q = p - r, q' = p - r2: so a path's steps and a
+    relation get the sums of their pairs' gaps times coefficients."""
     m = len(path)
-    pair_path, pair_r, gap, at = path_gaps(
-        rel, path_rels, np.concatenate((path, path)), np.concatenate((r, r2)))
-    neg = np.flatnonzero(np.bincount(at[m:], minlength=len(gap)))
-    relat = np.zeros(len(gap))
+    pair_path, pair_r, at = _pairs(np.concatenate((path, path)), np.concatenate((r, r2)))
+    chunks = [slice(lo, lo + size) for lo in range(0, len(pair_path), size)]
+    dist = np.empty(len(pair_path))
+    for s in chunks:
+        gap = pair_gaps(rel, path_rels, pair_path[s], pair_r[s])
+        dist[s] = _row_dots(gap)
+    neg = np.flatnonzero(np.bincount(at[m:], minlength=len(dist)))
+    relat = np.zeros(len(dist))
     relat[neg] = relatedness(pair_r[neg], pair_path[neg])
-    dist = _row_dots(gap)[at]
     weight = np.concatenate((reliability, -(relat[at[m:]] * flow)))
-    hinge = inv_z * (margin + weight[:m] * dist[:m] + weight[m:] * dist[m:])
+    hinge = inv_z * (margin + weight[:m] * dist[at[:m]] + weight[m:] * dist[at[m:]])
     on = ~(hinge <= 0.0)
     on2 = np.concatenate((on, on))
-    coef = np.bincount(at[on2], (2.0 * np.concatenate((inv_z, inv_z)) * weight)[on2], len(gap))
-    hits = np.bincount(at[on2], minlength=len(gap))  # terms of each pair's relation
-    walks = np.bincount(at[:m][on], minlength=len(gap))  # and of its path
-    gap *= coef[:, None]  # V, 0 for a pair without an active hinge
-    paths, Vp, n_path = _run_sums(pair_path, gap, walks)
-    order = np.argsort(pair_r, kind="stable")
-    rels, Vr, n_rel = _run_sums(pair_r[order], gap[order], hits[order])
-    steps = path_rels[paths]
-    along, col = np.nonzero(steps >= 0)
-    return (hinge, on, np.concatenate((steps[along, col], rels)),
-            np.concatenate((Vp[along], -Vr)), np.concatenate((n_path[along], n_rel)))
+    coef = np.bincount(at[on2], (2.0 * np.concatenate((inv_z, inv_z)) * weight)[on2], len(relat))
+    hits = np.bincount(at[on2], minlength=len(relat))  # terms of each pair's relation
+    walks = np.bincount(at[:m][on], minlength=len(relat))  # and of its path
+    for s in chunks[::-1]:  # the last chunk's gap rows are still at hand
+        if gap is None:
+            gap = pair_gaps(rel, path_rels, pair_path[s], pair_r[s])
+        gap *= coef[s, None]  # V, 0 for a pair without an active hinge
+        paths, Vp, n_path = _run_sums(pair_path[s], gap, walks[s])
+        order = np.argsort(pair_r[s], kind="stable")
+        rels, Vr, n_rel = _run_sums(pair_r[s][order], gap[order], hits[s][order])
+        steps = path_rels[paths]
+        along, col = np.nonzero(steps >= 0)
+        ids = np.concatenate((steps[along, col], rels))
+        _add_rows(rel_g, ids, np.concatenate((Vp[along], -Vr)))
+        np.add.at(rel_n, ids, np.concatenate((n_path[along], n_rel)))
+        gap = None  # freed before the next chunk's rows are built
+    return hinge, on
 
 
 def _step(
@@ -465,20 +482,15 @@ def _step(
         proj_g *= cfg.lr
         params.proj[batch_rels] -= proj_g.astype(np.float32)
 
-    size = _path_block(params)
     if len(b.entry):
-        ev, table, rel = paths.evidence, paths.table, relation_rows(params)
-    for c in range(0, len(b.entry), size):
-        entry, owner = b.entry[c : c + size], b.owner[c : c + size]
-        hinge, on, ids, grads, terms = _path_hinges(
-            rel, table.path_rels, table.relatedness, ev.path[entry], b.pos[owner, 1],
-            b.rel2[c : c + size], ev.reliability[entry], ev.flow[entry],
-            1.0 / ev.z[b.fact[owner]], cfg.margin2,
+        ev, table = paths.evidence, paths.table
+        hinge, on = _path_hinges(
+            relation_rows(params), table.path_rels, table.relatedness, ev.path[b.entry],
+            b.pos[b.owner, 1], b.rel2, ev.reliability[b.entry], ev.flow[b.entry],
+            1.0 / ev.z[b.fact[b.owner]], cfg.margin2, _pair_chunk(params), rel_g, rel_n,
         )
         loss += float(hinge[on].sum())
         path_v += int(on.sum())
-        _add_rows(rel_g, ids, grads)
-        np.add.at(rel_n, ids, terms)
 
     tri = np.concatenate(bounded)
     ents = _distinct(tri[:, [0, 2]].ravel())

@@ -186,12 +186,12 @@ def test_03_analytic_gradients_match_central_differences():
             return float(inv_z[0] * (rel[0] * np.sum((p - vecs[r]) ** 2)
                                      - rel_neg[0] * np.sum((p - vecs[r2[0]]) ** 2)))
 
-        _, on, ids, grads, _ = _path_hinges(
+        grad_rel = np.zeros(params.relation_emb.shape)
+        _, on = _path_hinges(
             relation_rows(params), rows, lambda rels, pids: rel_neg, np.array([0]), np.array([r]),
-            r2, rel, np.ones(1), inv_z, margin=1e6,
+            r2, rel, np.ones(1), inv_z, 1e6, 1, grad_rel, np.zeros(3, dtype=np.int64),
         )
         ok = ok and bool(on.all())
-        grad_rel = summed(params.relation_emb, ids, grads)
         for rid in range(3):
             for j in range(d):
                 check(grad_rel[rid, j], central_diff(path_energy, params.relation_emb, (rid, j)))

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupt, make_graph, random_triples
@@ -20,6 +20,7 @@ from oracles import (
 from pathkge.models import (
     ModelError,
     ModelParams,
+    _row_norms,
     compose_paths,
     path_distances,
     path_evidence,
@@ -490,6 +491,46 @@ class TestConstraints:
         p.entity_emb[0] = 0.0
         with pytest.raises(ModelError):
             project_constraints(p, [0], [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_row_norms_are_linalg_norms_bit_for_bit(self, data):
+        # Widths past 8 and 128 reach numpy's unrolled and pairwise sums.
+        n, k = data.draw(st.integers(0, 6), label="rows"), data.draw(st.integers(1, 300), label="k")
+        floats = st.floats(-1e150, 1e150, allow_nan=False)
+        rows = np.array(data.draw(st.lists(floats, min_size=n * k, max_size=n * k)),
+                        dtype=np.float64).reshape(n, k)
+        assert _row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_scaled_by_linalg_norms(self, data):
+        # Rows are left alone or divided according to np.linalg.norm's
+        # float64 norms.  Some rows start on the sphere as float32 rounding
+        # leaves them, inside or just outside the slack.  A zero row among
+        # them is refused and leaves every row as it was.
+        n, k = data.draw(st.integers(1, 8), label="rows"), data.draw(st.integers(1, 24), label="k")
+        floats = st.floats(-1e3, 1e3, allow_nan=False, width=32)
+        rows = np.array(data.draw(st.lists(floats, min_size=n * k, max_size=n * k)),
+                        dtype=np.float32).reshape(n, k)
+        assume((np.abs(rows).max(axis=1) > 1e-30).all())
+        unit = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        wide = rows[unit].astype(np.float64)
+        rows[unit] = (wide / np.linalg.norm(wide, axis=1, keepdims=True)).astype(np.float32)
+        sub = rows.astype(np.float64)
+        norms = np.linalg.norm(sub, axis=1)
+        off = np.abs(norms - 1.0) > 1e-7
+        want = rows.copy()
+        want[off] = (sub[off] / norms[off, None]).astype(np.float32)
+        proj = np.zeros((1, 1, k), dtype=np.float32)
+        p = ModelParams(rows.copy(), np.ones((1, 1), dtype=np.float32), proj)
+        project_constraints(p, range(n), [])
+        assert p.entity_emb.tobytes() == want.tobytes()
+        rows[data.draw(st.integers(0, n - 1), label="zero row")] = 0.0
+        p = ModelParams(rows.copy(), np.ones((1, 1), dtype=np.float32), proj)
+        with pytest.raises(ModelError, match="zero vector"):
+            project_constraints(p, range(n), [])
+        assert p.entity_emb.tobytes() == rows.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**9))

@@ -17,8 +17,9 @@ from oracles import path_evidence as oracle_evidence
 from oracles import relation_cardinality as cardinality_oracle
 from oracles import add_rows, batch_step, path_tuple, sample_negative, validation_mean_rank
 from pathkge import trainer
+from pathkge.cli import SyntheticKGSpec, generate_synthetic_kg
 from pathkge.evaluator import _RelationContext, valid_mean_rank
-from pathkge.kgdata import KnowledgeGraph
+from pathkge.kgdata import KnowledgeGraph, augment_inverse, load_dataset
 from pathkge.models import ModelError, ModelParams
 from pathkge.paths import PathTable, build_path_table
 from pathkge.trainer import (
@@ -411,10 +412,10 @@ def many_runs_graph() -> KnowledgeGraph:
 
 
 class TestBatchStep:
-    # The small graph's cases keep their ids; a path block other than the
+    # The small graph's cases keep their ids; a pair chunk other than the
     # default adds "-path1" or "-path3".  On the "runs" graph a block holds
     # dozens of relation runs, a chunk of 3 cuts them mid-relation, and a
-    # path block holds many distinct (path, relation) pairs.
+    # batch holds many distinct (path, relation) pairs.
     @pytest.mark.parametrize("graph,stage,chunk,block", [
         pytest.param(graph, stage, chunk, block,
                      id=f"{'' if graph == 'small' else graph + '-'}{stage}-{chunk}"
@@ -426,12 +427,12 @@ class TestBatchStep:
     def test_step_matches_reference(self, small_graph, graph, stage, chunk, block, monkeypatch):
         # The default chunk holds the whole batch.  A chunk of 3 splits
         # relation groups, and one of 1 makes a block of each fact, often
-        # with no active hinge; a path block of 1 or 3 hinges splits the
-        # pairs of a path or a relation, so the gradient sums and their
-        # per-path and per-relation reductions are carried across blocks.
+        # with no active hinge; a pair chunk of 1 or 3 splits the pairs of
+        # a path or a relation, so the gradient sums and their per-path and
+        # per-relation reductions are carried across chunks.
         monkeypatch.setattr(trainer, "_CHUNK", chunk)
         if block is not None:
-            monkeypatch.setattr(trainer, "_path_block", lambda params: block)
+            monkeypatch.setattr(trainer, "_pair_chunk", lambda params: block)
         g = small_graph if graph == "small" else many_runs_graph()
         table = (build_path_table(g, reliability_floor=0.0) if stage == "ptransr"
                  else PathTable.empty(g.n_entities))
@@ -460,11 +461,12 @@ class TestBatchStep:
         assert 0 < totals[0] < len(g.train) and totals[2] > 0
         assert (totals[1] > 0) == (stage == "ptransr")
 
-    @pytest.mark.parametrize("block", [None, 5])
-    def test_relatedness_is_read_once_per_distinct_path_relation(self, block, monkeypatch):
-        # Each path block reads P(r2 | p) with exactly its distinct (path,
+    @pytest.mark.parametrize("size", [None, 5])
+    def test_relatedness_is_read_once_per_distinct_path_relation(self, size, monkeypatch):
+        # A batch reads P(r2 | p) once, with exactly its distinct (path,
         # corrupted relation) pairs, ascending, and searches nothing per
-        # hinge: one call per block, none for the facts.
+        # hinge: one call for the batch's path hinges, none for the facts,
+        # whether its pairs fit one chunk (the default) or take many.
         g = many_runs_graph()
         table = build_path_table(g, reliability_floor=0.0)
         paths = _fact_paths(g, table)
@@ -472,9 +474,14 @@ class TestBatchStep:
         params = ModelParams.random(g.n_entities, g.n_relations, 5, 4, rng)
         batch = _draw_batch(g, paths, np.asarray(_head_probs(g, "uniform")), rng,
                             rng.permutation(len(g.train)))
-        size = trainer._path_block(params) if block is None else block
-        if block is not None:
-            monkeypatch.setattr(trainer, "_path_block", lambda params: block)
+        pids = paths.evidence.path[batch.entry].tolist()
+        pairs = set(zip(pids, batch.pos[batch.owner, 1].tolist()))
+        want = sorted(set(zip(pids, batch.rel2.tolist())))
+        if size is None:
+            assert len(pairs | set(want)) <= trainer._pair_chunk(params)
+        else:
+            assert len(pairs | set(want)) > 3 * size
+            monkeypatch.setattr(trainer, "_pair_chunk", lambda params: size)
         calls = []
         relatedness = PathTable.relatedness
 
@@ -484,14 +491,7 @@ class TestBatchStep:
 
         monkeypatch.setattr(PathTable, "relatedness", spy)
         _step(params, paths, tiny_cfg(dim_entity=5, dim_relation=4), batch)
-        pids = paths.evidence.path[batch.entry].tolist()
-        want = [sorted(set(zip(pids[c : c + size], batch.rel2[c : c + size].tolist())))
-                for c in range(0, len(pids), size)]
-        assert calls == want
-        if block is None:  # one block of every hinge: its pairs recur, each read once
-            assert len(calls) == 1 and len(want[0]) < len(pids)
-        else:
-            assert len(calls) > 1
+        assert calls == [want] and len(want) < len(pids)  # pairs recur, each read once
 
     @pytest.mark.parametrize("form", ["every row", "distinct ids"])
     @settings(max_examples=200, deadline=None)
@@ -577,12 +577,11 @@ class TestBatchStep:
     def test_epoch_memory_is_bounded_by_path_blocks(self):
         # 48 relations after augmentation and no reliability floor: a batch
         # of every train fact holds ~9,500 path hinges with ~17,000 distinct
-        # (path, relation) pairs, and one block of them ~2,000.  The step's
-        # dim-wide pair arrays must stay those of a block.  A block of n
-        # hinges holds at most 2n pairs, so its pair bytes are 2n * dim * 8.
-        # Measured in multiples of them: the fact blocks and the batch's
-        # per-hinge arrays peak near 5, the default blocks near 6.2, blocks
-        # of 4,096 hinges near 13.5 and one block for the whole batch near 22.
+        # (path, relation) pairs, nine chunks of them.  The step's dim-wide
+        # pair arrays must stay those of a chunk, whose pair bytes are
+        # chunk * dim * 8.  Measured in multiples of them: the fact blocks
+        # and the batch's per-hinge arrays peak near 5, the default chunks
+        # near 6.4, and gap rows of every pair at once near 22.
         rng = np.random.default_rng(5)
         n_ent, n_rel, dim, n = 60, 24, 64, 600
         facts = np.stack([rng.integers(n_ent, size=n), rng.integers(n_rel, size=n),
@@ -593,14 +592,14 @@ class TestBatchStep:
         cfg = tiny_cfg(dim_entity=dim, dim_relation=dim, batch_size=len(g.train))
         probs = _head_probs(g, "uniform")
         g.train_mask(g.train[:1])  # build the index before measuring
-        size = trainer._path_block(params)
+        size = trainer._pair_chunk(params)
         first = _draw_batch(g, paths, np.asarray(probs), np.random.default_rng(0),
                             np.arange(len(g.train)))
-        pids = paths.evidence.path[first.entry[:size]]
-        keys = np.concatenate((pids * n_rel * 2 + first.pos[first.owner[:size], 1],
-                               pids * n_rel * 2 + first.rel2[:size]))
-        assert len(first.entry) > 4 * size and len(np.unique(keys)) > 1500
-        pair_bytes = 2 * size * dim * 8
+        pids = paths.evidence.path[first.entry]
+        keys = np.concatenate((pids * n_rel * 2 + first.pos[first.owner, 1],
+                               pids * n_rel * 2 + first.rel2))
+        assert len(np.unique(keys)) > 8 * size
+        pair_bytes = size * dim * 8
         tracemalloc.start()
         try:
             _run_epoch(g, paths, params, cfg, rng, probs, epoch=0)
@@ -608,6 +607,69 @@ class TestBatchStep:
         finally:
             tracemalloc.stop()
         assert peak < 8 * pair_bytes, (peak, pair_bytes)
+
+    def test_epoch_memory_is_bounded_with_repeated_pairs(self):
+        # 3 relations (6 after augmentation), 42 paths and no reliability
+        # floor: a batch of every train fact holds ~25,000 path hinges over
+        # only ~250 distinct (path, relation) pairs, one chunk.  The batch's
+        # per-hinge arrays are float or int scalars a hinge and must stay
+        # under the bound of the dim-wide test above: they peak near 6.5
+        # chunks' pair bytes, where one dim-wide row a hinge would add ~12.
+        rng = np.random.default_rng(5)
+        n_ent, n_rel, dim, n = 100, 3, 64, 1500
+        facts = np.stack([rng.integers(n_ent, size=n), rng.integers(n_rel, size=n),
+                          rng.integers(n_ent, size=n)], axis=1)
+        g = make_graph(facts.tolist(), n_entities=n_ent, n_relations=n_rel)
+        paths = _fact_paths(g, build_path_table(g, reliability_floor=0.0))
+        params = ModelParams.random(g.n_entities, g.n_relations, dim, dim, rng)
+        cfg = tiny_cfg(dim_entity=dim, dim_relation=dim, batch_size=len(g.train))
+        probs = _head_probs(g, "uniform")
+        g.train_mask(g.train[:1])  # build the index before measuring
+        size = trainer._pair_chunk(params)
+        first = _draw_batch(g, paths, np.asarray(probs), np.random.default_rng(0),
+                            np.arange(len(g.train)))
+        pids = paths.evidence.path[first.entry]
+        keys = np.concatenate((pids * n_rel * 2 + first.pos[first.owner, 1],
+                               pids * n_rel * 2 + first.rel2))
+        pair_bytes = size * dim * 8
+        assert len(np.unique(pids)) <= 42 and len(np.unique(keys)) < 300
+        assert len(first.entry) * dim * 8 > 8 * pair_bytes
+        tracemalloc.start()
+        try:
+            _run_epoch(g, paths, params, cfg, rng, probs, epoch=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * pair_bytes, (peak, pair_bytes)
+
+    def test_a_batch_whose_pairs_fit_one_chunk_is_one_chunk(self, tmp_path, monkeypatch):
+        # fit-T's shape: the default synthetic graph of seed 7, its table at
+        # the default floor, dim 20 and a batch of 100 facts, whose ~500 path
+        # hinges hold fewer distinct pairs than a chunk.  The default chunk
+        # and an unbounded one must leave the same bytes and counts.
+        generate_synthetic_kg(SyntheticKGSpec(seed=7), tmp_path)
+        splits = (tmp_path / f"{name}.txt" for name in ("train", "valid", "test"))
+        g = augment_inverse(load_dataset(*splits))
+        paths = _fact_paths(g, build_path_table(g))
+        rng = np.random.default_rng(7)
+        params = ModelParams.random(g.n_entities, g.n_relations, 20, 20, rng)
+        cfg = tiny_cfg(dim_entity=20, dim_relation=20, batch_size=100, lr=0.01, margin2=0.5)
+        batch = _draw_batch(g, paths, np.asarray(_head_probs(g, "uniform")), rng,
+                            rng.permutation(len(g.train))[:100])
+        pids = paths.evidence.path[batch.entry]
+        keys = np.concatenate((pids * g.n_relations + batch.pos[batch.owner, 1],
+                               pids * g.n_relations + batch.rel2))
+        assert 2 * len(batch.fact) < len(batch.entry)
+        assert len(np.unique(keys)) <= trainer._pair_chunk(params)
+        unbounded = params.copy()
+        got = _step(params, paths, cfg, batch)
+        monkeypatch.setattr(trainer, "_pair_chunk", lambda params: 10**9)
+        want = _step(unbounded, paths, cfg, batch)
+        assert got == want
+        for ours, theirs in ((params.entity_emb, unbounded.entity_emb),
+                             (params.relation_emb, unbounded.relation_emb),
+                             (params.proj, unbounded.proj)):
+            assert np.array_equal(ours, theirs)
 
 
 class TestWarmStart:
